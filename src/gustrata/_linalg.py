@@ -6,6 +6,13 @@ lower convex hulls for Newton polygons, and mod-p linear algebra.  Raw
 coordinate data (plain ints when d == 1, coordinate tuples otherwise) is
 used throughout; the coefficient ring Z/p^N has zero divisors, so nothing
 here divides by a non-unit.
+
+Display matrices are sparse (a rank-16 deformation display has 26 nonzero
+entries out of 256), so charpoly and adjugate_action first collect each
+row's nonzero entries as (column, value) pairs (sparse_rows) and do every
+matrix-vector product on those pairs only.  Both kernels take dense rows
+and return exactly what the dense computation would: the ring is exact,
+so skipping zero terms and reordering sums changes no coefficient.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ class _IntOps:
 
     def dot(self, u, v):
         return sum(map(_int_mul, u, v)) % self.q
+
+    def sdot(self, pairs, v):
+        """Dot product of a sparse row, given as (column, value) pairs,
+        with the dense vector v."""
+        return sum([a * v[j] for j, a in pairs]) % self.q
+
+    def truncate(self, a):
+        """Raw data of any finer precision, reduced mod p^N."""
+        return a % self.q
 
     def is_zero(self, a):
         return a == 0
@@ -125,17 +141,28 @@ class _ExtOps:
         return self._reduce(conv)
 
     def dot(self, u, v):
+        return self.sdot(enumerate(u), v)
+
+    def sdot(self, pairs, v):
+        """Dot product of a sparse row, given as (column, value) pairs,
+        with the dense vector v."""
         d = self.d
         conv = [0] * (2 * d - 1)
-        for a, b in zip(u, v):
+        for j, a in pairs:
+            b = v[j]
             for i in range(d):
                 ai = a[i]
                 if ai:
-                    for j in range(d):
-                        bj = b[j]
-                        if bj:
-                            conv[i + j] += ai * bj
+                    for k in range(d):
+                        bk = b[k]
+                        if bk:
+                            conv[i + k] += ai * bk
         return self._reduce(conv)
+
+    def truncate(self, a):
+        """Raw data of any finer precision, reduced mod p^N."""
+        q = self.q
+        return tuple(c % q for c in a)
 
     def is_zero(self, a):
         return all(c == 0 for c in a)
@@ -193,29 +220,47 @@ def twisted_product(ops, rows, d):
     return out
 
 
+def sparse_rows(ops, rows):
+    """Each row's nonzero entries as (column, value) pairs, columns
+    ascending."""
+    is_zero = ops.is_zero
+    return [[(j, e) for j, e in enumerate(row) if not is_zero(e)]
+            for row in rows]
+
+
 def charpoly(ops, rows):
     """Coefficients of det(xI - M), low degree first, by the Berkowitz
-    algorithm (division-free, sound over Z/p^N)."""
+    algorithm (division-free, sound over Z/p^N).
+
+    Step k borders the leading (k-1) x (k-1) block with row and column
+    k-1.  Its matrix-vector products use only the nonzero entries left of
+    column k-1; when row k-1 has none there, they are skipped outright.
+    """
     r = len(rows)
     if r == 0:
         return [ops.one]
-    poly = [ops.one, ops.neg(rows[0][0])]  # high degree first while iterating
+    srows = sparse_rows(ops, rows)
+    neg, sdot, dot, zero = ops.neg, ops.sdot, ops.dot, ops.zero
+    poly = [ops.one, neg(rows[0][0])]  # high degree first while iterating
     for k in range(2, r + 1):
         km1 = k - 1
-        sub = [row[:km1] for row in rows[:km1]]
-        rvec = [ops.neg(rows[km1][j]) for j in range(km1)]
-        cvec = [rows[i][km1] for i in range(km1)]
-        items = [ops.one, ops.neg(rows[km1][km1]), ops.dot(rvec, cvec)]
-        w = cvec
-        for _ in range(k - 2):
-            w = [ops.dot(sub_row, w) for sub_row in sub]
-            items.append(ops.dot(rvec, w))
+        items = [ops.one, neg(rows[km1][km1])]
+        rk = [(j, a) for j, a in srows[km1] if j < km1]
+        if rk:
+            sub = [[(j, a) for j, a in srow if j < km1]
+                   for srow in srows[:km1]]
+            w = [row[km1] for row in rows[:km1]]
+            items.append(neg(sdot(rk, w)))
+            for _ in range(k - 2):
+                w = [sdot(srow, w) for srow in sub]
+                items.append(neg(sdot(rk, w)))
+        else:
+            items += [zero] * km1
         new = []
         for i in range(k + 1):
-            acc = ops.zero
-            for j in range(max(0, i - k), min(i, km1) + 1):
-                acc = ops.add(acc, ops.mul(items[i - j], poly[j]))
-            new.append(acc)
+            lo, hi = max(0, i - k), min(i, km1)
+            new.append(dot([items[i - j] for j in range(lo, hi + 1)],
+                           poly[lo:hi + 1]))
         poly = new
     poly.reverse()
     return poly
@@ -223,18 +268,22 @@ def charpoly(ops, rows):
 
 def adjugate_action(ops, rows, cp):
     """Matrix B = sum_{k>=1} c_k M^(k-1) with M * B = -c_0 * I, from the
-    characteristic polynomial cp of M (Cayley-Hamilton)."""
+    characteristic polynomial cp of M (Cayley-Hamilton).
+
+    Column j is B e_j, evaluated by Horner's rule from the monic top
+    coefficient down: r - 1 sparse matrix-vector products per column.
+    """
     r = len(rows)
+    srows = sparse_rows(ops, rows)
+    sdot, add = ops.sdot, ops.add
     cols = []
     for j in range(r):
         w = [ops.zero] * r
-        w[j] = ops.one
-        col = [ops.mul(cp[1], e) for e in w]
-        for k in range(2, r + 1):
-            w = mat_vec(ops, rows, w)
-            ck = cp[k]
-            col = [ops.add(c, ops.mul(ck, e)) for c, e in zip(col, w)]
-        cols.append(col)
+        w[j] = cp[r]
+        for k in range(r - 1, 0, -1):
+            w = [sdot(srow, w) for srow in srows]
+            w[j] = add(w[j], cp[k])
+        cols.append(w)
     return [[cols[j][i] for j in range(r)] for i in range(r)]
 
 

@@ -287,16 +287,7 @@ class ModuleSpec:
 
     @property
     def half_rank(self):
-        total = 0
-        for term in self.terms:
-            kind = term[0]
-            if kind == "N":
-                total += 1
-            elif kind == "M":
-                total += term[1]
-            else:
-                total += term[1]
-        return total
+        return sum(1 if term[0] == "N" else term[1] for term in self.terms)
 
     def build(self, ctx):
         displays = []

@@ -9,8 +9,22 @@ construction once integrality of p * A^(-1) is checked.
 Newton slopes are computed from the p-adic Newton polygon of the
 characteristic polynomial of the d-fold twisted product
 A * sigma(A) * ... * sigma^(d-1)(A), divided by d.  Every polygon is
-recomputed at doubled precision and must agree, otherwise the computation
-fails instead of guessing.
+certified at doubled precision: the polygon read at precision N must equal
+the one read at 2N, otherwise the computation fails instead of guessing.
+
+One characteristic polynomial, computed at 2N, serves both precisions.  The
+Berkowitz algorithm is division-free, so each coefficient is a polynomial
+with integer coefficients in the matrix entries, and reducing it mod p^N
+commutes with computing it.  The entries themselves agree: the Frobenius
+lift is the unique automorphism reducing to the p-power map, so the 2N
+Frobenius table reduces mod p^N to the N table, and so does the reduction
+table of the modulus; hence the 2N twisted product reduces to the N one.
+The characteristic polynomial at 2N reduced mod p^N is therefore exactly the
+one a computation at N would give, byte for byte.
+
+The adjugate of A, from which both the validation and V are derived, is
+likewise computed once per display and cached next to the characteristic
+polynomial of A.
 """
 
 from __future__ import annotations
@@ -223,6 +237,15 @@ class DieudonneDisplay:
             self._cache["cpA"] = cp
         return cp
 
+    def _adjugate_frobenius(self):
+        """Adjugate action B of the matrix of F: A * B = -c_0 * I."""
+        adj = self._cache.get("adjA")
+        if adj is None:
+            adj = _linalg.adjugate_action(self._ops(), self._raw_frobenius(),
+                                          self._charpoly_frobenius())
+            self._cache["adjA"] = adj
+        return adj
+
     def _verschiebung(self):
         """(context, matrix rows) of V = sigma^(-1)(p A^(-1)).
 
@@ -240,7 +263,7 @@ class DieudonneDisplay:
         v = ops.val(c0)
         if v >= ctx.N:
             raise PrecisionError("V not computable at this precision")
-        adj = _linalg.adjugate_action(ops, self._raw_frobenius(), cp)
+        adj = self._adjugate_frobenius()
         bad = [(i, j) for i, row in enumerate(adj) for j, e in enumerate(row)
                if ops.val(e) < v - 1]
         if bad:
@@ -264,9 +287,7 @@ class DieudonneDisplay:
                     w = e * ctx.p
                 else:
                     w = tuple(c * ctx.p for c in e)
-                w_raw = (w % ctx_v.q) if d == 1 else tuple(
-                    c % ctx_v.q for c in w)
-                t = ops_v.neg(ops_v.mul(w_raw, u_inv_raw))
+                t = ops_v.neg(ops_v.mul(ops_v.truncate(w), u_inv_raw))
                 out.append(ops_v.frob(t, d - 1))
             rows.append(out)
         cached = (ctx_v, rows)
@@ -369,7 +390,6 @@ def validate_display(display):
     ops = display._ops()
     ctx = display.ctx
     rank = display.rank
-    raw = display._raw_frobenius()
     checks = []
 
     checks.append(CheckResult("frobenius_integral", True,
@@ -392,7 +412,7 @@ def validate_display(display):
     else:
         checks.append(CheckResult("frobenius_invertible", True,
                                   (f"val det = {det_val}",)))
-        adj = _linalg.adjugate_action(ops, raw, cp)
+        adj = display._adjugate_frobenius()
         bad = [(i, j, ops.val(e)) for i, row in enumerate(adj)
                for j, e in enumerate(row) if ops.val(e) < det_val - 1]
         checks.append(CheckResult(
@@ -434,30 +454,49 @@ def newton_slopes(display, certify=True):
 
     Computes the characteristic polynomial of the d-fold twisted product of
     the F-matrix (division-free), takes the lower hull of coefficient
-    valuations, and divides all slopes by d.  With certify=True (the
-    default) the same integer entries are recomputed at precision 2N and
-    the polygons must agree bit for bit.
+    valuations, and divides all slopes by d.
+
+    With certify=True (the default) that polynomial is computed once, at
+    precision 2N, from the same integer entries; its coefficients reduced
+    mod p^N are exactly the precision-N polynomial (see the module
+    docstring).  The polygon at N is read first, then the polygon at 2N,
+    and the two must agree.  The comparison still certifies: reading the
+    polygon at N raises PrecisionError unless every hull vertex lies below
+    N, so each coefficient whose valuation was capped at N is a non-vertex
+    point.  Its true valuation is at least N, so revealing it at 2N only
+    raises a point lying on or above the hull, and a hull whose vertices
+    all lie below N does not move.  A disagreement would expose a
+    truncation artefact and raises PrecisionError.  With certify=False a
+    single charpoly is computed at N.
     """
     cached = display._cache.get(("slopes", certify))
     if cached is not None:
         return cached
-    poly = _slopes_at(display.ctx, display._raw_frobenius())
-    if certify:
-        ctx2 = display.ctx.at_precision(2 * display.ctx.N)
-        poly2 = _slopes_at(ctx2, display._raw_frobenius())
+    ctx, ops = display.ctx, display._ops()
+    if not certify:
+        poly = _polygon(ops, _twisted_charpoly(ops, display))
+    else:
+        ops2 = ops_for(ctx.at_precision(2 * ctx.N))
+        cp2 = _twisted_charpoly(ops2, display)
+        poly = _polygon(ops, [ops.truncate(c) for c in cp2])
+        poly2 = _polygon(ops2, cp2)
         if poly2 != poly:
             raise PrecisionError(
                 "slopes unstable under precision doubling: "
-                f"{poly!r} at N={display.ctx.N} vs {poly2!r} at 2N")
+                f"{poly!r} at N={ctx.N} vs {poly2!r} at 2N")
     display._cache[("slopes", certify)] = poly
     return poly
 
 
-def _slopes_at(ctx, raw_rows):
-    ops = ops_for(ctx)
-    pi = _linalg.twisted_product(ops, raw_rows, ctx.d)
-    cp = _linalg.charpoly(ops, pi)
-    return NewtonPolygon(_linalg.charpoly_slope_pairs(ops, cp, ctx.d))
+def _twisted_charpoly(ops, display):
+    """Charpoly of A * sigma(A) * ... * sigma^(d-1)(A) in the context of
+    ops, from the display's integer entries."""
+    raw = display._raw_frobenius()
+    return _linalg.charpoly(ops, _linalg.twisted_product(ops, raw, ops.ctx.d))
+
+
+def _polygon(ops, cp):
+    return NewtonPolygon(_linalg.charpoly_slope_pairs(ops, cp, ops.ctx.d))
 
 
 def polarization_check(display):
@@ -469,16 +508,11 @@ def polarization_check(display):
     """
     ctx_v, vrows = display._verschiebung()
     ops_v = ops_for(ctx_v)
-    qv = ctx_v.q
     rank = display.rank
-
-    def shrink(scalar):
-        if ctx_v.d == 1:
-            return scalar.coords[0] % qv
-        return tuple(c % qv for c in scalar.coords)
-
-    raw_a = [[shrink(e) for e in row] for row in display.frobenius]
-    raw_j = [[shrink(e) for e in row] for row in display.pairing]
+    raw_a = [[ops_v.truncate(e) for e in row]
+             for row in display._raw_frobenius()]
+    raw_j = [[ops_v.truncate(ops_v.unwrap(e)) for e in row]
+             for row in display.pairing]
 
     lhs = _linalg.mat_mul(ops_v, [[raw_a[k][i] for k in range(rank)]
                                   for i in range(rank)], raw_j)

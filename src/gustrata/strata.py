@@ -13,6 +13,7 @@ cycle-slope upper bound and reports on the min-cycle-slope equality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -82,6 +83,13 @@ def lambda_min(n, j):
 def catalog(n):
     """All 1 + floor(n/2) admissible polygons for rank 2n, supersingular
     first, then xi_2, xi_4, ... (decreasing minimal slope)."""
+    return list(_catalog(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _catalog(n):
+    """The catalog as a tuple, built once per n; its entries are
+    immutable, so every caller may share them."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     out = []
@@ -102,7 +110,7 @@ def catalog(n):
             label=f"xi_{2 * j}", j=j, lambda_min=lambda_min(n, j),
             polygon=NewtonPolygon(parts), codim=n // 2 - j,
             decomposition=(m, r)))
-    return out
+    return tuple(out)
 
 
 def classify(n, polygon):
@@ -111,7 +119,7 @@ def classify(n, polygon):
     if polygon.rank != 2 * n:
         raise ValueError(
             f"rank mismatch: polygon has rank {polygon.rank}, expected {2 * n}")
-    for desc in catalog(n):
+    for desc in _catalog(n):
         if polygon == desc.polygon:
             return desc.label
     return "inadmissible"
@@ -258,6 +266,9 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     budget = _resolve_budget(budget)
     nprec = precision if precision is not None else default_precision(n, d)
     ctx = make_context(p, d, nprec)
+    # Certification runs at 2N: make that context (and fail on its
+    # capacity) before any point is built.
+    ctx.at_precision(2 * nprec)
     q_res = p ** d
     u1 = U(1)
 

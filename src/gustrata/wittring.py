@@ -14,7 +14,6 @@ reproducible from (p, d, N) alone.
 
 from __future__ import annotations
 
-import json
 from math import isqrt
 
 # A single scalar may not exceed this many bits across its coordinates.
@@ -23,6 +22,16 @@ _CAPACITY_BITS = 1 << 21
 
 class CapacityError(ValueError):
     """Raised when (p, d, N) would exceed the configured storage capacity."""
+
+
+def _check_capacity(p, d, N):
+    """Raise CapacityError unless a scalar of W_N(F_{p^d}) fits in
+    _CAPACITY_BITS; runs before anything of that size is computed."""
+    bits = d * N * p.bit_length()
+    if bits > _CAPACITY_BITS:
+        raise CapacityError(
+            f"capacity exceeded: a scalar for (p={p}, d={d}, N={N}) needs "
+            f"about {bits} bits, limit is {_CAPACITY_BITS}")
 
 
 class NonInvertibleError(ArithmeticError):
@@ -214,6 +223,7 @@ class RingContext:
                  "_prec_cache")
 
     def __init__(self, p, d, N, modulus):
+        _check_capacity(p, d, N)
         self.p = p
         self.d = d
         self.N = N
@@ -466,11 +476,7 @@ def make_context(p, d, N):
         raise ValueError(f"d must be >= 1, got {d}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    bits = d * N * p.bit_length()
-    if bits > _CAPACITY_BITS:
-        raise CapacityError(
-            f"capacity exceeded: a scalar for (p={p}, d={d}, N={N}) needs "
-            f"about {bits} bits, limit is {_CAPACITY_BITS}")
+    _check_capacity(p, d, N)
     return RingContext(p, d, N, _first_irreducible(p, d))
 
 
@@ -691,7 +697,3 @@ class FieldElement:
 
     def __repr__(self):
         return f"F({list(self.coords)})"
-
-
-def dumps_context(ctx):
-    return json.dumps(ctx.to_json())

@@ -1,7 +1,9 @@
 import io
 import json
 
-from gustrata import __version__
+import pytest
+
+from gustrata import RingContext, __version__, _linalg
 from gustrata.cli import main
 
 
@@ -165,3 +167,23 @@ class TestDeterminismAndUsage:
                      ["verify", "--n", "3", "--p", "2", "--d", "1"]):
             _, out = run(argv)
             assert json.loads(out)["version"] == __version__
+
+
+class TestDoubledPrecisionCapacity:
+    """--precision 2^19 + 1 fits at p = 3, d = 1; twice it does not."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "3", "--random", "2"],
+        ["slopes", "--module", "N"],
+    ])
+    def test_exit_2_before_any_charpoly(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("work started before the capacity check")
+
+        monkeypatch.setattr(_linalg, "charpoly", refuse)
+        monkeypatch.setattr(RingContext, "teichmuller", refuse)
+        code, out = run(argv + ["--p", "3", "--precision",
+                                str((1 << 19) + 1)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "capacity exceeded" in err

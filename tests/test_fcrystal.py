@@ -9,6 +9,8 @@ from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
                       newton_slopes, p_rank, polarization_check, signature,
                       supersingular_module, validate_display,
                       default_precision, DeformationPoint)
+from gustrata import _linalg
+from gustrata.displayzoo import parse_module_spec
 from gustrata.fcrystal import BasisLabel, U, V
 
 from _oracles import expected_M_polygon, leibniz_charpoly_int
@@ -367,3 +369,41 @@ class TestLabels:
             DieudonneDisplay(ctx, (U(0), U(0)),
                              [[zero, zero], [zero, zero]],
                              [[zero, zero], [zero, zero]])
+
+
+def count_calls(monkeypatch, name):
+    """Replace _linalg.<name> by a wrapper counting its calls."""
+    calls = []
+    original = getattr(_linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_linalg, name, counting)
+    return calls
+
+
+class TestOncePerDisplay:
+    SPEC = "def(8; s0=1, s2=2, s3=1, s5=2)"
+
+    def test_certified_slopes_run_one_charpoly(self, monkeypatch):
+        D = parse_module_spec(self.SPEC).build(ctx_for(8))
+        calls = count_calls(monkeypatch, "charpoly")
+        polygon = newton_slopes(D)
+        assert len(calls) == 1
+        # the single charpoly runs in the doubled-precision context
+        assert calls[0][0].ctx.N == 2 * D.ctx.N
+        assert polygon == newton_slopes(D, certify=False)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
+    def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):
+        spec = parse_module_spec(text)
+        display = spec.build(ctx_for(spec.half_rank, d=d))
+        calls = count_calls(monkeypatch, "adjugate_action")
+        assert validate_display(display).ok
+        assert polarization_check(display) == []
+        a_number(display)
+        signature(display)
+        assert len(calls) == 1

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gustrata import make_context
-from gustrata._linalg import (PrecisionError, charpoly, charpoly_slope_pairs,
-                              lower_hull, mat_mul, ops_for, twisted_product)
+from gustrata import DeformationPoint, deformation_display, make_context
+from gustrata._linalg import (PrecisionError, adjugate_action, charpoly,
+                              charpoly_slope_pairs, lower_hull, mat_mul,
+                              ops_for, sparse_rows, twisted_product)
 
 from _oracles import leibniz_charpoly_int, leibniz_charpoly_scalar
 
@@ -50,6 +51,114 @@ class TestCharpolyAgainstLeibniz:
         # trace and determinant of [[1,2],[3,4]] mod 5^8
         assert cp[1] == (-5) % ctx.q
         assert cp[0] == (-2) % ctx.q
+
+
+def sparse_matrix(rng, r, density, entry):
+    """r x r matrix with about density * r^2 nonzero entries from entry(),
+    with one row and one column forced to zero when r > 1."""
+    rows = [[entry() if rng.random() < density else None for _ in range(r)]
+            for _ in range(r)]
+    if r > 1:
+        zero_row, zero_col = rng.randrange(r), rng.randrange(r)
+        for j in range(r):
+            rows[zero_row][j] = None
+        for i in range(r):
+            rows[i][zero_col] = None
+    return rows
+
+
+def int_entry(rng, q):
+    return lambda: rng.randrange(1, q)
+
+
+def ext_entry(rng, ctx):
+    def entry():
+        coords = (0, 0)
+        while coords == (0, 0):
+            coords = (rng.randrange(ctx.q), rng.randrange(ctx.q))
+        return ctx.scalar(coords)
+    return entry
+
+
+class TestSparseCharpoly:
+    @pytest.mark.parametrize("density", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 7])
+    def test_integer_matrices(self, r, density):
+        ctx = make_context(3, 1, 10)
+        ops = ops_for(ctx)
+        rng = random.Random(int(100 * density) + 1000 * r)
+        for _ in range(3):
+            rows = [[0 if e is None else e for e in row]
+                    for row in sparse_matrix(rng, r, density,
+                                             int_entry(rng, ctx.q))]
+            assert charpoly(ops, rows) == leibniz_charpoly_int(rows, ctx.q)
+
+    @pytest.mark.parametrize("density", [0.1, 0.3])
+    @pytest.mark.parametrize("r", [1, 3, 5, 7])
+    def test_extension_ring_matrices(self, r, density):
+        ctx = make_context(3, 2, 6)
+        ops = ops_for(ctx)
+        rng = random.Random(int(100 * density) + 1000 * r)
+        rows = [[ctx.zero() if e is None else e for e in row]
+                for row in sparse_matrix(rng, r, density,
+                                         ext_entry(rng, ctx))]
+        raw = [[ops.unwrap(e) for e in row] for row in rows]
+        got = [ops.wrap(c) for c in charpoly(ops, raw)]
+        assert got == leibniz_charpoly_scalar(rows, ctx)
+
+    def test_sparse_rows_keep_only_nonzero_entries(self):
+        ops = ops_for(make_context(3, 2, 6))
+        rows = [[(0, 0), (1, 0)], [(0, 0), (0, 0)]]
+        assert sparse_rows(ops, rows) == [[(1, (1, 0))], []]
+
+
+def scalar_product(a, b, ctx):
+    """Plain product of PadicScalar matrices, entry by entry."""
+    r = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(r)), ctx.zero())
+             for j in range(r)] for i in range(r)]
+
+
+class TestSparseAdjugate:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2, 4, 6, 7])
+    def test_both_sides_give_minus_c0(self, r, d):
+        ctx = make_context(3, d, 6)
+        ops = ops_for(ctx)
+        rng = random.Random(7 * r + d)
+        entry = (ext_entry(rng, ctx) if d > 1
+                 else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+        for density in (0.1, 0.2, 0.3):
+            m = [[ctx.zero() if e is None else e for e in row]
+                 for row in sparse_matrix(rng, r, density, entry)]
+            raw = [[ops.unwrap(e) for e in row] for row in m]
+            cp = charpoly(ops, raw)
+            b = [[ops.wrap(e) for e in row]
+                 for row in adjugate_action(ops, raw, cp)]
+            minus_c0 = -ops.wrap(cp[0])
+            expected = [[minus_c0 if i == j else ctx.zero()
+                         for j in range(r)] for i in range(r)]
+            assert scalar_product(m, b, ctx) == expected
+            assert scalar_product(b, m, ctx) == expected
+
+
+class TestCharpolyReduction:
+    """The twisted charpoly at 2N, reduced mod p^N, is the one at N."""
+
+    @pytest.mark.parametrize("n,p,d", [(6, 3, 1), (5, 3, 2), (4, 3, 3)])
+    def test_deformation_displays(self, n, p, d):
+        ctx = make_context(p, d, 4 * n * d + 8)
+        ctx2 = ctx.at_precision(2 * ctx.N)
+        ops, ops2 = ops_for(ctx), ops_for(ctx2)
+        rng = random.Random(n * 100 + d)
+        for _ in range(3):
+            ints = tuple(rng.randrange(p ** d) for _ in range(n - 1))
+            display = deformation_display(
+                ctx, DeformationPoint.from_ints(ctx, n, ints))
+            raw = display._raw_frobenius()
+            at_n = charpoly(ops, twisted_product(ops, raw, d))
+            at_2n = charpoly(ops2, twisted_product(ops2, raw, d))
+            assert [ops.truncate(c) for c in at_2n] == at_n
 
 
 class TestTwistedProduct:

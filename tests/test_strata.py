@@ -89,6 +89,12 @@ class TestCatalog:
         assert obj["label"] == "xi_2" and obj["lambda_min"] == "1/4"
         assert obj["decomposition"] == {"m": 4, "r": 1}
 
+    def test_fresh_list_each_call(self):
+        first = catalog(6)
+        first.clear()
+        assert len(catalog(6)) == 4
+        assert catalog(6) is not catalog(6)
+
 
 class TestClassify:
     def test_sigma(self):

@@ -4,8 +4,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gustrata import (CapacityError, NonInvertibleError, context_from_json,
-                      default_precision, make_context)
+from gustrata import (CapacityError, NonInvertibleError, RingContext,
+                      context_from_json, default_precision, make_context)
 from gustrata.wittring import scalar_from_json
 
 from _oracles import first_irreducible_brute
@@ -59,6 +59,40 @@ class TestMakeContext:
     def test_default_precision(self):
         assert default_precision(3, 1) == 20
         assert default_precision(7, 2) == 64
+
+
+class _PowerlessPrime(int):
+    """An int whose powers fail: proves a check ran before p ** N."""
+
+    def __pow__(self, other, mod=None):
+        raise AssertionError("p ** N computed before the capacity check")
+
+
+# p = 3 takes 2 bits, so the 2^21-bit limit allows N <= 2^20 at d = 1:
+# N = 2^19 + 1 fits, its double 2^20 + 2 does not.
+_FITS_N = 1 << 19
+_DOUBLED_OVER = 2 * (_FITS_N + 1)
+
+
+class TestCapacityInEveryConstructor:
+    def test_ring_context_checks_before_powering(self):
+        with pytest.raises(CapacityError, match="capacity"):
+            RingContext(_PowerlessPrime(3), 1, _DOUBLED_OVER, (0,))
+
+    def test_at_precision(self):
+        ctx = make_context(3, 1, _FITS_N + 1)
+        with pytest.raises(CapacityError, match="capacity"):
+            ctx.at_precision(2 * ctx.N)
+        assert 2 * ctx.N == _DOUBLED_OVER
+
+    def test_context_from_json(self):
+        obj = {"p": _PowerlessPrime(3), "d": 1, "N": _DOUBLED_OVER,
+               "modulus": [0, 1]}
+        with pytest.raises(CapacityError, match="capacity"):
+            context_from_json(obj)
+
+    def test_limit_itself_fits(self):
+        assert RingContext(3, 1, 2 * _FITS_N, (0,)).N == 1 << 20
 
 
 def scalars(ctx):
