@@ -8,13 +8,31 @@ used throughout; the coefficient ring Z/p^N has zero divisors, so nothing
 here divides by a non-unit.
 
 Display matrices are sparse (a rank-16 deformation display has 26 nonzero
-entries out of 256), so charpoly and adjugate_action first collect each
-row's nonzero entries as (column, value) pairs (sparse_rows) and do every
-matrix-vector product on those pairs only.  Both kernels take dense rows
-and return exactly what the dense computation would: the ring is exact,
-so skipping zero terms and reordering sums changes no coefficient.
-"""
+entries out of 256), so the kernels first collect each row's nonzero
+entries as (column, value) pairs (sparse_rows) and do every matrix-vector
+product on those pairs only.  They also split along the strongly connected
+components of the graph with an edge i -> j for each nonzero M[i][j]:
+listed in topological order, the components put M into block
+upper-triangular form, and a direct sum of displays is block diagonal.
 
+* charpoly runs Berkowitz on each diagonal block and multiplies the block
+  polynomials.  det(xI - M) of a block-triangular matrix is the product of
+  the diagonal blocks' determinants as a polynomial identity, so this holds
+  over any commutative ring, Z/p^N and W_N(F_{p^d}) included.
+* adjugate_action evaluates column j of h(M) = sum_{k>=1} c_k M^(k-1) only
+  on the rows R whose blocks reach the block of j: every other entry of
+  M^k e_j is identically zero, and the coordinate subspace on R is stable
+  under M.  So the column is h(M_R) e_j for the principal submatrix M_R.
+  The characteristic polynomial of M_R is monic and annihilates M_R
+  (Cayley-Hamilton over a commutative ring), so h may first be replaced by
+  its remainder modulo that polynomial, an exact division; Horner's rule
+  then needs |R| - 1 steps instead of rank - 1.
+
+Every kernel takes dense rows and returns exactly what the dense
+computation would: the ring is exact, so skipping zero terms, reordering
+sums and reducing by polynomial identities changes no coefficient.  A
+matrix with a single component goes through the same code as one block.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -203,8 +221,11 @@ def mat_vec(ops, rows, v):
 
 
 def mat_mul(ops, a, b):
+    """Product a * b; each entry is a sparse row of a against a column of
+    b."""
     cols = list(zip(*b))
-    return [[ops.dot(row, col) for col in cols] for row in a]
+    sdot = ops.sdot
+    return [[sdot(srow, col) for col in cols] for srow in sparse_rows(ops, a)]
 
 
 def frob_matrix(ops, rows, power):
@@ -228,20 +249,117 @@ def sparse_rows(ops, rows):
             for row in rows]
 
 
-def charpoly(ops, rows):
-    """Coefficients of det(xI - M), low degree first, by the Berkowitz
-    algorithm (division-free, sound over Z/p^N).
+def strongly_connected_components(adj):
+    """Strongly connected components of the graph on 0..len(adj)-1 with an
+    edge i -> j for every j in adj[i] (Tarjan's algorithm, iterative).
+
+    Components are lists of vertices, listed sinks first: each comes after
+    every component it reaches.
+    """
+    n = len(adj)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if index[nxt] is None:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(adj[nxt])))
+                    break
+                if on_stack[nxt]:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == node:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _blocks(srows):
+    """Diagonal blocks of the SCC order of a matrix given by sparse rows:
+    index lists, ascending within a block, sources first, so that every
+    nonzero entry (i, j) has the block of i at or before the block of j."""
+    comps = strongly_connected_components([[j for j, _ in row]
+                                           for row in srows])
+    return [sorted(comp) for comp in reversed(comps)]
+
+
+def _restrict(srows, idx):
+    """Sparse rows of the principal submatrix on the ascending indices idx,
+    renumbered 0..len(idx)-1."""
+    pos = {i: t for t, i in enumerate(idx)}
+    return [[(pos[j], a) for j, a in srows[i] if j in pos] for i in idx]
+
+
+def _poly_mul(ops, a, b, terms=None):
+    """Product of two coefficient lists listed in the same degree order,
+    or its first terms coefficients."""
+    la, lb = len(a), len(b)
+    if terms is None:
+        terms = la + lb - 1
+    dot = ops.dot
+    out = []
+    for i in range(terms):
+        lo, hi = max(0, i - la + 1), min(i, lb - 1)
+        out.append(dot([a[i - j] for j in range(lo, hi + 1)], b[lo:hi + 1]))
+    return out
+
+
+def _poly_rem(ops, a, m):
+    """Remainder of a modulo the monic polynomial m, low degree first."""
+    k = len(m) - 1
+    a = list(a)
+    sub, mul, is_zero = ops.sub, ops.mul, ops.is_zero
+    for top in range(len(a) - 1, k - 1, -1):
+        c = a[top]
+        if not is_zero(c):
+            base = top - k
+            for i in range(k):
+                a[base + i] = sub(a[base + i], mul(c, m[i]))
+    return a[:k]
+
+
+def _berkowitz(ops, srows):
+    """det(xI - M) for the matrix M with the given sparse rows, high degree
+    first, by the Berkowitz algorithm (division-free, sound over Z/p^N).
 
     Step k borders the leading (k-1) x (k-1) block with row and column
     k-1.  Its matrix-vector products use only the nonzero entries left of
-    column k-1; when row k-1 has none there, they are skipped outright.
+    column k-1; when row k-1 has none there, they are skipped outright and
+    the bordering polynomial is just x - M[k-1][k-1].
     """
-    r = len(rows)
-    if r == 0:
-        return [ops.one]
-    srows = sparse_rows(ops, rows)
-    neg, sdot, dot, zero = ops.neg, ops.sdot, ops.dot, ops.zero
-    poly = [ops.one, neg(rows[0][0])]  # high degree first while iterating
+    r = len(srows)
+    zero, neg, sdot = ops.zero, ops.neg, ops.sdot
+    rows = [[zero] * r for _ in range(r)]
+    for row, srow in zip(rows, srows):
+        for j, a in srow:
+            row[j] = a
+    poly = [ops.one, neg(rows[0][0])]
     for k in range(2, r + 1):
         km1 = k - 1
         items = [ops.one, neg(rows[km1][km1])]
@@ -254,14 +372,17 @@ def charpoly(ops, rows):
             for _ in range(k - 2):
                 w = [sdot(srow, w) for srow in sub]
                 items.append(neg(sdot(rk, w)))
-        else:
-            items += [zero] * km1
-        new = []
-        for i in range(k + 1):
-            lo, hi = max(0, i - k), min(i, km1)
-            new.append(dot([items[i - j] for j in range(lo, hi + 1)],
-                           poly[lo:hi + 1]))
-        poly = new
+        poly = _poly_mul(ops, items, poly, k + 1)
+    return poly
+
+
+def charpoly(ops, rows):
+    """Coefficients of det(xI - M), low degree first: the product of the
+    Berkowitz polynomials of the diagonal blocks of the SCC order."""
+    srows = sparse_rows(ops, rows)
+    poly = [ops.one]
+    for block in _blocks(srows):
+        poly = _poly_mul(ops, poly, _berkowitz(ops, _restrict(srows, block)))
     poly.reverse()
     return poly
 
@@ -270,21 +391,54 @@ def adjugate_action(ops, rows, cp):
     """Matrix B = sum_{k>=1} c_k M^(k-1) with M * B = -c_0 * I, from the
     characteristic polynomial cp of M (Cayley-Hamilton).
 
-    Column j is B e_j, evaluated by Horner's rule from the monic top
-    coefficient down: r - 1 sparse matrix-vector products per column.
+    Column j is B e_j = h(M) e_j with h(x) = sum_{k>=1} c_k x^(k-1).  It is
+    supported on R, the rows of the blocks that reach the block of j, and
+    equals h(M_R) e_j for the principal submatrix M_R.  When R is not every
+    row, h is first reduced modulo the characteristic polynomial of M_R
+    (the product of its block polynomials), which M_R annihilates.  Horner's
+    rule then costs |R| - 1 sparse matrix-vector products over R.
     """
     r = len(rows)
     srows = sparse_rows(ops, rows)
-    sdot, add = ops.sdot, ops.add
-    cols = []
-    for j in range(r):
-        w = [ops.zero] * r
-        w[j] = cp[r]
-        for k in range(r - 1, 0, -1):
-            w = [sdot(srow, w) for srow in srows]
-            w[j] = add(w[j], cp[k])
-        cols.append(w)
-    return [[cols[j][i] for j in range(r)] for i in range(r)]
+    blocks = _blocks(srows)
+    block_of = [0] * r
+    for b, block in enumerate(blocks):
+        for i in block:
+            block_of[i] = b
+    feeders = [set() for _ in blocks]
+    for i, srow in enumerate(srows):
+        for j, _ in srow:
+            if block_of[i] != block_of[j]:
+                feeders[block_of[j]].add(block_of[i])
+    sdot, add, zero = ops.sdot, ops.add, ops.zero
+    horner = cp[1:]
+    block_cp = {}
+    upstream = []
+    out = [[zero] * r for _ in range(r)]
+    for b, block in enumerate(blocks):
+        up = {b}.union(*(upstream[f] for f in feeders[b]))
+        upstream.append(up)
+        reach = sorted(i for c in up for i in blocks[c])
+        coeffs = horner
+        if len(reach) < r:
+            cp_reach = [ops.one]
+            for c in sorted(up):
+                if c not in block_cp:
+                    block_cp[c] = _berkowitz(ops, _restrict(srows, blocks[c]))
+                cp_reach = _poly_mul(ops, cp_reach, block_cp[c])
+            cp_reach.reverse()
+            coeffs = _poly_rem(ops, horner, cp_reach)
+        sub = _restrict(srows, reach)
+        for j in block:
+            t = reach.index(j)
+            w = [zero] * len(reach)
+            w[t] = coeffs[-1]
+            for coeff in reversed(coeffs[:-1]):
+                w = [sdot(srow, w) for srow in sub]
+                w[t] = add(w[t], coeff)
+            for i, e in zip(reach, w):
+                out[i][j] = e
+    return out
 
 
 # ---------------------------------------------------------------------------

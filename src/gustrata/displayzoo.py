@@ -80,19 +80,22 @@ def module_M(ctx, m):
     return _build(ctx, labels, relations, pairing)
 
 
-def direct_sum(d1, d2):
-    """Block sum of two displays over the same context.
+def direct_sum(*displays):
+    """Block sum of displays over the same context, built in one pass.
 
-    Colliding labels in the second summand are bumped to the smallest free
-    index of their family; the mapping is recorded in the summands field.
+    Colliding labels in a later summand are bumped to the smallest free
+    index of their family; the mapping is recorded in the summands field,
+    which lists the summands of a summand that is itself a sum.
     """
-    if d1.ctx.params() != d2.ctx.params():
+    if not displays:
+        raise ValueError("direct_sum needs at least one display")
+    ctx = displays[0].ctx
+    if any(disp.ctx.params() != ctx.params() for disp in displays[1:]):
         raise ValueError("context mismatch between summands")
-    ctx = d1.ctx
     used = {"u": set(), "v": set()}
     labels = []
-    mappings = []
-    for disp in (d1, d2):
+    prev = []
+    for disp in displays:
         mapping = []
         for lab in disp.basis:
             fam, idx = lab.family, lab.index
@@ -104,26 +107,21 @@ def direct_sum(d1, d2):
             new = BasisLabel(fam, idx)
             labels.append(new)
             mapping.append((str(lab), str(new)))
-        mappings.append(tuple(mapping))
-    r1, r2 = d1.rank, d2.rank
-    rank = r1 + r2
-    zero = ctx.zero()
-    columns = [[zero] * rank for _ in range(rank)]
-    pairing = [[zero] * rank for _ in range(rank)]
-    for i in range(r1):
-        for j in range(r1):
-            columns[j][i] = d1.frobenius[i][j]
-            pairing[i][j] = d1.pairing[i][j]
-    for i in range(r2):
-        for j in range(r2):
-            columns[r1 + j][r1 + i] = d2.frobenius[i][j]
-            pairing[r1 + i][r1 + j] = d2.pairing[i][j]
-    prev = []
-    for disp, mapping in zip((d1, d2), mappings):
         if disp.summands is not None:
             prev.extend(disp.summands)
         else:
-            prev.append(mapping)
+            prev.append(tuple(mapping))
+    rank = len(labels)
+    zero = ctx.zero()
+    columns = [[zero] * rank for _ in range(rank)]
+    pairing = [[zero] * rank for _ in range(rank)]
+    off = 0
+    for disp in displays:
+        r = disp.rank
+        for i in range(r):
+            columns[off + i][off:off + r] = disp.column(i)
+            pairing[off + i][off:off + r] = disp.pairing[i]
+        off += r
     return DieudonneDisplay(ctx, labels, columns, pairing,
                             summands=tuple(prev))
 
@@ -137,10 +135,9 @@ def expected_module(ctx, n, j):
         raise ValueError(f"j must lie in [1, {n // 2}], got {j}")
     m = 2 * (n // 2 + 1 - j)
     r = n - m
-    disp = module_M(ctx, m)
-    for _ in range(r):
-        disp = direct_sum(disp, module_N(ctx))
-    return disp
+    if r == 0:
+        return module_M(ctx, m)
+    return direct_sum(module_M(ctx, m), *(module_N(ctx) for _ in range(r)))
 
 
 def supersingular_module(ctx, n):
@@ -305,10 +302,9 @@ class ModuleSpec:
                 displays.append(deformation_display(ctx, point))
             else:
                 raise ValueError(f"unknown term {term!r}")
-        out = displays[0]
-        for disp in displays[1:]:
-            out = direct_sum(out, disp)
-        return out
+        if len(displays) == 1:
+            return displays[0]
+        return direct_sum(*displays)
 
     def __str__(self):
         parts = []

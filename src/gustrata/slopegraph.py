@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._linalg import strongly_connected_components
+
 __all__ = [
     "SlopeGraph", "CycleSummary", "build_graph", "cycles_through",
     "min_cycle_slope", "cycle_decomposition", "karp_min_cycle_mean",
@@ -159,74 +161,39 @@ def karp_min_cycle_mean(graph):
     """Global minimum cycle mean over the whole graph (Karp), as an exact
     Fraction; None when the graph is acyclic.  Cross-check oracle for the
     u_1-restricted minimum."""
+    comps = _strongly_connected_components(graph)
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    nodes = [[] for _ in comps]
+    for v in graph.vertices:
+        nodes[comp_of[v]].append(v)
+    inner = [[] for _ in comps]
+    for a, b, w in graph.edges:
+        if comp_of[a] == comp_of[b]:
+            inner[comp_of[a]].append((a, b, w))
     best = None
-    for comp in _strongly_connected_components(graph):
-        has_self = any(a == b for a, b, _ in graph.edges if a in comp)
-        if len(comp) == 1 and not has_self:
-            continue
-        mu = _karp_scc(graph, comp)
-        if mu is not None and (best is None or mu < best):
-            best = mu
+    for comp_nodes, edges in zip(nodes, inner):
+        # a component without inner edges is one vertex without a loop
+        if edges:
+            mu = _karp_scc(comp_nodes, edges)
+            if mu is not None and (best is None or mu < best):
+                best = mu
     return best
 
 
 def _strongly_connected_components(graph):
-    """Tarjan's algorithm, iterative."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in graph.vertices:
-        if root in index:
-            continue
-        work = [(root, iter(graph._adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt, _ in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(graph._adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-    return comps
+    """Tarjan's algorithm on the labels: a list of vertex sets."""
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    comps = strongly_connected_components(
+        [[index[dst] for dst, _ in graph._adj[v]] for v in graph.vertices])
+    return [{graph.vertices[k] for k in comp} for comp in comps]
 
 
-def _karp_scc(graph, comp):
-    nodes = [v for v in graph.vertices if v in comp]
+def _karp_scc(nodes, edges):
+    """Minimum cycle mean of one strongly connected component, given its
+    vertices in graph order and its inner edges."""
     k = len(nodes)
     pos = {v: i for i, v in enumerate(nodes)}
-    edges = [(pos[a], pos[b], w) for a, b, w in graph.edges
-             if a in comp and b in comp]
-    if not edges:
-        return None
+    edges = [(pos[a], pos[b], w) for a, b, w in edges]
     inf = None
     # dist[t][v] = min weight of a t-edge walk from nodes[0] to v
     dist = [[inf] * k for _ in range(k + 1)]

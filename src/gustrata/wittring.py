@@ -18,6 +18,9 @@ from math import isqrt
 
 # A single scalar may not exceed this many bits across its coordinates.
 _CAPACITY_BITS = 1 << 21
+# Teichmuller lifts memoized per context; a context has p^d of them, which
+# for a large residue field is more than a sweep should keep alive.
+_TEICH_MEMO_LIMIT = 4096
 
 
 class CapacityError(ValueError):
@@ -220,7 +223,7 @@ class RingContext:
     """
 
     __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_red_p", "_frob",
-                 "_prec_cache")
+                 "_prec_cache", "_teich_cache")
 
     def __init__(self, p, d, N, modulus):
         _check_capacity(p, d, N)
@@ -236,6 +239,7 @@ class RingContext:
         if not _is_irreducible(list(self.modulus) + [1], p):
             raise ValueError("modulus is reducible mod p")
         self._prec_cache = {}
+        self._teich_cache = {}
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -406,21 +410,29 @@ class RingContext:
 
         Iterates y -> y^(p^d) from the coordinate lift until stable, which
         takes at most N steps; the result is the unique solution of
-        x^(p^d) = x with the given reduction.
+        x^(p^d) = x with the given reduction.  Lifts are memoized per
+        context, up to _TEICH_MEMO_LIMIT of them.
         """
         if isinstance(a, PadicScalar):
             a = a.reduce_mod_p()
         if not isinstance(a, FieldElement):
             raise TypeError("teichmuller expects a residue field element")
         y = tuple(a.coords)
-        zero = (0,) * self.d
-        if y == zero:
-            return PadicScalar(self, y)
+        cached = self._teich_cache.get(y)
+        if cached is None:
+            cached = PadicScalar(self, self._teich_coords(y))
+            if len(self._teich_cache) < _TEICH_MEMO_LIMIT:
+                self._teich_cache[y] = cached
+        return cached
+
+    def _teich_coords(self, y):
+        if y == (0,) * self.d:
+            return y
         e = self.p ** self.d
         for _ in range(self.N + 2):
             y2 = self._wpow(y, e)
             if y2 == y:
-                return PadicScalar(self, y)
+                return y
             y = y2
         raise RuntimeError("Teichmuller iteration did not converge")
 

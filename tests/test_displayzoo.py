@@ -86,6 +86,19 @@ class TestDirectSum:
         assert validate_display(S).ok
         assert polarization_check(S) == []
 
+    @pytest.mark.parametrize("spec", ["N+N+N+N+N", "M(3)+N+ss(4)+N"])
+    def test_many_summands_match_pairwise_sums(self, spec):
+        ctx = ctx_for(6)
+        parts = [parse_module_spec(t).build(ctx) for t in spec.split("+")]
+        once = direct_sum(*parts)
+        folded = parts[0]
+        for part in parts[1:]:
+            folded = direct_sum(folded, part)
+        assert once.basis == folded.basis
+        assert once.summands == folded.summands
+        assert once.frobenius == folded.frobenius
+        assert once.pairing == folded.pairing
+
     def test_context_mismatch(self):
         with pytest.raises(ValueError, match="context"):
             direct_sum(module_N(ctx_for(1)), module_N(ctx_for(2)))

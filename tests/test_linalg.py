@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from gustrata import DeformationPoint, deformation_display, make_context
+from gustrata import (DeformationPoint, deformation_display, make_context,
+                      parse_module_spec)
 from gustrata._linalg import (PrecisionError, adjugate_action, charpoly,
                               charpoly_slope_pairs, lower_hull, mat_mul,
-                              ops_for, sparse_rows, twisted_product)
+                              ops_for, sparse_rows,
+                              strongly_connected_components, twisted_product)
 
 from _oracles import leibniz_charpoly_int, leibniz_charpoly_scalar
 
@@ -119,6 +121,12 @@ def scalar_product(a, b, ctx):
              for j in range(r)] for i in range(r)]
 
 
+def minus_c0_identity(ops, cp, r, ctx):
+    minus_c0 = -ops.wrap(cp[0])
+    return [[minus_c0 if i == j else ctx.zero() for j in range(r)]
+            for i in range(r)]
+
+
 class TestSparseAdjugate:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("r", [1, 2, 4, 6, 7])
@@ -135,11 +143,137 @@ class TestSparseAdjugate:
             cp = charpoly(ops, raw)
             b = [[ops.wrap(e) for e in row]
                  for row in adjugate_action(ops, raw, cp)]
-            minus_c0 = -ops.wrap(cp[0])
-            expected = [[minus_c0 if i == j else ctx.zero()
-                         for j in range(r)] for i in range(r)]
+            expected = minus_c0_identity(ops, cp, r, ctx)
             assert scalar_product(m, b, ctx) == expected
             assert scalar_product(b, m, ctx) == expected
+
+
+# (diagonal block sizes, indices of the all-zero diagonal blocks)
+BLOCK_LAYOUTS = [((1, 3), ()), ((2, 2), (1,)), ((3, 1, 2), (0,)),
+                 ((1, 2, 1, 2), (2,)), ((2, 1, 3, 1), (1,))]
+
+
+def permuted_block_matrix(rng, sizes, zero_blocks, entry, zero):
+    """Block upper-triangular matrix with the given diagonal block sizes
+    (dense diagonal blocks, except the all-zero ones; entries above them
+    with density 0.4), conjugated by a random permutation."""
+    owner = [b for b, size in enumerate(sizes) for _ in range(size)]
+    r = len(owner)
+
+    def pick(i, j):
+        bi, bj = owner[i], owner[j]
+        if bi == bj:
+            return zero if bi in zero_blocks else entry()
+        return entry() if bi < bj and rng.random() < 0.4 else zero
+
+    rows = [[pick(i, j) for j in range(r)] for i in range(r)]
+    perm = rng.sample(range(r), r)
+    return [[rows[perm[i]][perm[j]] for j in range(r)] for i in range(r)]
+
+
+def block_case(d, layout, seed):
+    """(ctx, ops, PadicScalar rows, raw rows) of one permuted block
+    matrix over W_6(F_{3^d})."""
+    ctx = make_context(3, d, 6)
+    ops = ops_for(ctx)
+    rng = random.Random(seed)
+    entry = (ext_entry(rng, ctx) if d > 1
+             else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+    m = permuted_block_matrix(rng, *layout, entry, ctx.zero())
+    raw = [[ops.unwrap(e) for e in row] for row in m]
+    return ctx, ops, m, raw
+
+
+def scc_count(ops, raw):
+    return len(strongly_connected_components(
+        [[j for j, _ in row] for row in sparse_rows(ops, raw)]))
+
+
+class TestBlockKernels:
+    """charpoly and adjugate_action split along the strongly connected
+    components; permuted block upper-triangular matrices hide the blocks
+    behind a random basis order."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    def test_charpoly_against_leibniz(self, layout, d):
+        for seed in range(2):
+            ctx, ops, m, raw = block_case(d, layout, 10 * seed + d)
+            assert scc_count(ops, raw) >= len(layout[0])
+            if d == 1:
+                assert charpoly(ops, raw) == leibniz_charpoly_int(raw, ctx.q)
+            else:
+                got = [ops.wrap(c) for c in charpoly(ops, raw)]
+                assert got == leibniz_charpoly_scalar(m, ctx)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    def test_adjugate_both_sides_give_minus_c0(self, layout, d):
+        for seed in range(2):
+            ctx, ops, m, raw = block_case(d, layout, 10 * seed + d)
+            cp = charpoly(ops, raw)
+            b = [[ops.wrap(e) for e in row]
+                 for row in adjugate_action(ops, raw, cp)]
+            expected = minus_c0_identity(ops, cp, len(m), ctx)
+            assert scalar_product(m, b, ctx) == expected
+            assert scalar_product(b, m, ctx) == expected
+
+    def test_sccs_are_listed_sinks_first(self):
+        # 0 -> 1 <-> 2 -> 3, and 4 alone
+        comps = strongly_connected_components([[1], [2], [1, 3], [], []])
+        assert [sorted(c) for c in comps] == [[3], [1, 2], [0], [4]]
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 16])
+    def test_adjugate_work_linear_in_summands(self, k):
+        # N^k is k rank-2 blocks: two columns per block, one Horner step
+        # of two rows each, plus one product in the block's Berkowitz
+        # (needed because each block reaches only itself).  The unsplit
+        # recurrence made 2k * (2k - 1) * 2k calls.
+        ctx = make_context(3, 1, 8)
+        ops = ops_for(ctx)
+        raw = parse_module_spec(f"N^{k}").build(ctx)._raw_frobenius()
+        cp = charpoly(ops, raw)
+        calls = []
+        sdot = ops.sdot
+
+        def counting_sdot(pairs, v):
+            calls.append(1)
+            return sdot(pairs, v)
+
+        ops.sdot = counting_sdot
+        adj = adjugate_action(ops, raw, cp)
+        assert len(calls) == 5 * k
+        del ops.sdot
+        assert adj == adjugate_action(ops, raw, cp)
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (5, 5, 5),
+                                       (4, 2, 3)])
+    def test_against_triple_loop(self, shape, d):
+        ctx = make_context(3, d, 6)
+        ops = ops_for(ctx)
+        rng = random.Random(sum(shape) + 10 * d)
+        entry = (ext_entry(rng, ctx) if d > 1
+                 else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+        rows, inner, cols = shape
+
+        def matrix(nr, nc):
+            return [[entry() if rng.random() < 0.5 else ctx.zero()
+                     for _ in range(nc)] for _ in range(nr)]
+
+        a, b = matrix(rows, inner), matrix(inner, cols)
+        expected = [[ctx.zero() for _ in range(cols)] for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for t in range(inner):
+                    expected[i][j] = expected[i][j] + a[i][t] * b[t][j]
+        raw_a = [[ops.unwrap(e) for e in row] for row in a]
+        raw_b = [[ops.unwrap(e) for e in row] for row in b]
+        got = [[ops.wrap(e) for e in row]
+               for row in mat_mul(ops, raw_a, raw_b)]
+        assert got == expected
 
 
 class TestCharpolyReduction:

@@ -249,6 +249,28 @@ class TestVerifyLocalStrata:
         pt, display, polygon, min_cycle = rep.retained[0]
         assert polygon.rank == display.rank
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_extra_edge_effects(self, n):
+        # Deleting edges only removes cycles, so the minimum cycle slope
+        # without the extra black edges is never below the full one; an
+        # entry is recorded only when the two differ.
+        rep = verify_local_strata(n, 3, 1, retain=True)
+        swept = {}
+        for point, _, _, min_cycle in rep.retained:
+            doc = dict(zip((f"s{i}" for i in point.indices),
+                           point.to_ints()))
+            swept[tuple(sorted(doc.items()))] = min_cycle
+        assert len(swept) == rep.points == 3 ** (n - 1)
+        for entry in rep.extra_edge_effects:
+            key = tuple(sorted(entry["point"].items()))
+            assert key in swept
+            full = Fraction(entry["full"])
+            assert full == swept[key]
+            assert full < Fraction(entry["without_extra_black_edges"])
+        # entries occur only at even n here, so n = 6 keeps the loop above
+        # from being vacuous
+        assert bool(rep.extra_edge_effects) == (n % 2 == 0)
+
     def test_precision_failure_retries_at_doubled_precision(self):
         # at N = 3 the rank-6 determinant valuation hits the cap, so every
         # point is retried once at 2N and then succeeds

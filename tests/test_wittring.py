@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gustrata import (CapacityError, NonInvertibleError, RingContext,
                       context_from_json, default_precision, make_context)
+from gustrata import wittring
 from gustrata.wittring import scalar_from_json
 
 from _oracles import first_irreducible_brute
@@ -201,6 +202,20 @@ class TestTeichmuller:
         for a, b in itertools.product(range(p ** d), repeat=2):
             fa, fb = ctx.field_from_int(a), ctx.field_from_int(b)
             assert lifts[a] * lifts[b] == ctx.teichmuller(fa * fb)
+
+    def test_lifts_memoized_per_context(self):
+        ctx = make_context(3, 2, 6)
+        first = [ctx.teichmuller(ctx.field_from_int(k)) for k in range(9)]
+        again = [ctx.teichmuller(ctx.field_from_int(k)) for k in range(9)]
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(wittring, "_TEICH_MEMO_LIMIT", 3)
+        ctx = make_context(3, 2, 6)
+        lifts = [ctx.teichmuller(ctx.field_from_int(k)) for k in range(9)]
+        assert len(ctx._teich_cache) == 3
+        assert lifts == [ctx.teichmuller(ctx.field_from_int(k))
+                         for k in range(9)]
 
     def test_fixed_by_q_power(self):
         ctx = make_context(3, 2, 10)
