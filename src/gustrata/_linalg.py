@@ -8,12 +8,30 @@ used throughout; the coefficient ring Z/p^N has zero divisors, so nothing
 here divides by a non-unit.
 
 Display matrices are sparse (a rank-16 deformation display has 26 nonzero
-entries out of 256), so the kernels first collect each row's nonzero
-entries as (column, value) pairs (sparse_rows) and do every matrix-vector
-product on those pairs only.  They also split along the strongly connected
-components of the graph with an edge i -> j for each nonzero M[i][j]:
-listed in topological order, the components put M into block
-upper-triangular form, and a direct sum of displays is block diagonal.
+entries out of 256), and so are the vectors the kernels iterate on.  Each
+ops class has one sparse primitive, smatvec(cols, w): the product M * w for
+M given by its columns as (row, value) pairs and w a dict holding only the
+nonzero entries.  It adds up each output entry's raw products and reduces
+once, and it leaves out entries that reduce to zero.  Every product of
+the kernels runs on it: Berkowitz's Krylov vectors A^i C and their
+products with the bordering row, the Horner steps of the adjugate, the
+product of two polynomials (multiplication by a polynomial is a matrix
+whose columns are its shifts) and mat_mul, one column at a time.  This is
+exact, not an approximation:
+
+* support tracking: an index missing from a dict holds exactly 0 in Z/p^N
+  or W_N, so a product that would read it contributes exactly 0, and
+  smatvec forms only the products whose factors are both nonzero;
+* early stopping: once A^i C is the zero vector, so is every A^k C after
+  it, and the Berkowitz terms -R A^k C it would give are exactly 0;
+* reducing once per entry: a sum of integer products reduced mod p^N (or,
+  for d > 1, one convolution reduced modulo the modulus polynomial and
+  p^N) is the same residue as the sum of products reduced one by one.
+
+The kernels also split along the strongly connected components of the
+graph with an edge i -> j for each nonzero M[i][j]: listed in topological
+order, the components put M into block upper-triangular form, and a direct
+sum of displays is block diagonal.
 
 * charpoly runs Berkowitz on each diagonal block and multiplies the block
   polynomials.  det(xI - M) of a block-triangular matrix is the product of
@@ -26,7 +44,9 @@ upper-triangular form, and a direct sum of displays is block diagonal.
   The characteristic polynomial of M_R is monic and annihilates M_R
   (Cayley-Hamilton over a commutative ring), so h may first be replaced by
   its remainder modulo that polynomial, an exact division; Horner's rule
-  then needs |R| - 1 steps instead of rank - 1.
+  then needs |R| - 1 steps instead of rank - 1, each over the support of
+  the current vector only.  For the monomial matrix of M(14) that support
+  never exceeds two entries, so a column costs O(rank).
 
 Every kernel takes dense rows and returns exactly what the dense
 computation would: the ring is exact, so skipping zero terms, reordering
@@ -36,7 +56,6 @@ matrix with a single component goes through the same code as one block.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul as _int_mul
 
 
 class PrecisionError(ArithmeticError):
@@ -72,13 +91,18 @@ class _IntOps:
     def mul(self, a, b):
         return (a * b) % self.q
 
-    def dot(self, u, v):
-        return sum(map(_int_mul, u, v)) % self.q
-
-    def sdot(self, pairs, v):
-        """Dot product of a sparse row, given as (column, value) pairs,
-        with the dense vector v."""
-        return sum([a * v[j] for j, a in pairs]) % self.q
+    def smatvec(self, cols, w):
+        """M * w for the matrix M given by its columns as lists of (row,
+        value) pairs and the sparse vector w, a dict from index to nonzero
+        value.  Each entry's products are summed and reduced once; entries
+        that reduce to zero are dropped."""
+        acc = {}
+        get = acc.get
+        for j, b in w.items():
+            for i, a in cols[j]:
+                acc[i] = get(i, 0) + a * b
+        q = self.q
+        return {i: e for i, s in acc.items() if (e := s % q)}
 
     def truncate(self, a):
         """Raw data of any finer precision, reduced mod p^N."""
@@ -158,24 +182,25 @@ class _ExtOps:
                         conv[i + j] += ai * bj
         return self._reduce(conv)
 
-    def dot(self, u, v):
-        return self.sdot(enumerate(u), v)
-
-    def sdot(self, pairs, v):
-        """Dot product of a sparse row, given as (column, value) pairs,
-        with the dense vector v."""
-        d = self.d
-        conv = [0] * (2 * d - 1)
-        for j, a in pairs:
-            b = v[j]
-            for i in range(d):
-                ai = a[i]
-                if ai:
-                    for k in range(d):
-                        bk = b[k]
-                        if bk:
-                            conv[i + k] += ai * bk
-        return self._reduce(conv)
+    def smatvec(self, cols, w):
+        """M * w for the matrix M given by its columns as lists of (row,
+        value) pairs and the sparse vector w, a dict from index to nonzero
+        value.  Each entry gets one convolution buffer and one reduction;
+        entries that reduce to zero are dropped."""
+        width = 2 * self.d - 1
+        acc = {}
+        for j, b in w.items():
+            b = [(k, bk) for k, bk in enumerate(b) if bk]
+            for i, a in cols[j]:
+                conv = acc.get(i)
+                if conv is None:
+                    conv = acc[i] = [0] * width
+                for s, a_s in enumerate(a):
+                    if a_s:
+                        for k, bk in b:
+                            conv[s + k] += a_s * bk
+        zero, reduce = self.zero, self._reduce
+        return {i: e for i, conv in acc.items() if (e := reduce(conv)) != zero}
 
     def truncate(self, a):
         """Raw data of any finer precision, reduced mod p^N."""
@@ -216,20 +241,23 @@ def wrap_matrix(ops, rows):
     return tuple(tuple(ops.wrap(e) for e in row) for row in rows)
 
 
-def mat_vec(ops, rows, v):
-    return [ops.dot(row, v) for row in rows]
-
-
 def mat_mul(ops, a, b):
-    """Product a * b; each entry is a sparse row of a against a column of
-    b."""
-    cols = list(zip(*b))
-    sdot = ops.sdot
-    return [[sdot(srow, col) for col in cols] for srow in sparse_rows(ops, a)]
+    """Product a * b, one column at a time: column j is the sparse
+    matrix-vector product of a with the nonzero entries of column j of b."""
+    zero, smatvec = ops.zero, ops.smatvec
+    cols = _transpose(sparse_rows(ops, a), len(b))
+    out = [[zero] * len(b[0]) for _ in a]
+    for j, bcol in enumerate(zip(*b)):
+        w = {t: e for t, e in enumerate(bcol) if e != zero}
+        for i, e in smatvec(cols, w).items():
+            out[i][j] = e
+    return out
 
 
 def frob_matrix(ops, rows, power):
-    return [[ops.frob(e, power) for e in row] for row in rows]
+    """sigma^power of every entry; zero entries are left as they are."""
+    zero, frob = ops.zero, ops.frob
+    return [[e if e == zero else frob(e, power) for e in row] for row in rows]
 
 
 def twisted_product(ops, rows, d):
@@ -244,9 +272,18 @@ def twisted_product(ops, rows, d):
 def sparse_rows(ops, rows):
     """Each row's nonzero entries as (column, value) pairs, columns
     ascending."""
-    is_zero = ops.is_zero
-    return [[(j, e) for j, e in enumerate(row) if not is_zero(e)]
-            for row in rows]
+    zero = ops.zero
+    return [[(j, e) for j, e in enumerate(row) if e != zero] for row in rows]
+
+
+def _transpose(srows, ncols):
+    """Sparse columns, as (row, value) pairs with rows ascending, of the
+    matrix with ncols columns given by its sparse rows."""
+    cols = [[] for _ in range(ncols)]
+    for i, srow in enumerate(srows):
+        for j, a in srow:
+            cols[j].append((i, a))
+    return cols
 
 
 def strongly_connected_components(adj):
@@ -302,32 +339,39 @@ def strongly_connected_components(adj):
 
 def _blocks(srows):
     """Diagonal blocks of the SCC order of a matrix given by sparse rows:
-    index lists, ascending within a block, sources first, so that every
-    nonzero entry (i, j) has the block of i at or before the block of j."""
+    index lists, sources first, so that every nonzero entry (i, j) has the
+    block of i at or before the block of j.
+
+    Within a block the indices keep Tarjan's order, the reverse of their
+    discovery order.  Any order gives the same polynomials; on rank-16
+    deformation displays this one needs about a third fewer sparse
+    products in Berkowitz than ascending order."""
     comps = strongly_connected_components([[j for j, _ in row]
                                            for row in srows])
-    return [sorted(comp) for comp in reversed(comps)]
+    return comps[::-1]
 
 
 def _restrict(srows, idx):
-    """Sparse rows of the principal submatrix on the ascending indices idx,
-    renumbered 0..len(idx)-1."""
+    """Sparse rows of the principal submatrix on the indices idx, in that
+    order, renumbered 0..len(idx)-1."""
     pos = {i: t for t, i in enumerate(idx)}
     return [[(pos[j], a) for j, a in srows[i] if j in pos] for i in idx]
 
 
 def _poly_mul(ops, a, b, terms=None):
     """Product of two coefficient lists listed in the same degree order,
-    or its first terms coefficients."""
-    la, lb = len(a), len(b)
+    or its first terms coefficients.  Multiplication by b is the matrix
+    whose column i is b shifted up by i, so the product is one sparse
+    matrix-vector product: zero coefficients are skipped and each output
+    term is summed and reduced once."""
     if terms is None:
-        terms = la + lb - 1
-    dot = ops.dot
-    out = []
-    for i in range(terms):
-        lo, hi = max(0, i - la + 1), min(i, lb - 1)
-        out.append(dot([a[i - j] for j in range(lo, hi + 1)], b[lo:hi + 1]))
-    return out
+        terms = len(a) + len(b) - 1
+    zero = ops.zero
+    a = {i: c for i, c in enumerate(a) if c != zero}
+    b = [(j, c) for j, c in enumerate(b) if c != zero]
+    cols = {i: [(i + j, c) for j, c in b if i + j < terms] for i in a}
+    prod = ops.smatvec(cols, a)
+    return [prod.get(k, zero) for k in range(terms)]
 
 
 def _poly_rem(ops, a, m):
@@ -348,43 +392,60 @@ def _berkowitz(ops, srows):
     """det(xI - M) for the matrix M with the given sparse rows, high degree
     first, by the Berkowitz algorithm (division-free, sound over Z/p^N).
 
-    Step k borders the leading (k-1) x (k-1) block with row and column
-    k-1.  Its matrix-vector products use only the nonzero entries left of
-    column k-1; when row k-1 has none there, they are skipped outright and
-    the bordering polynomial is just x - M[k-1][k-1].
+    Step t borders the leading t x t block A with row and column t.  Its
+    polynomial is x - M[t][t], then -R A^i C for i = 0..t-1, where C and R
+    are column and row t cut to the block.  The Krylov vectors A^i C are
+    sparse, so only the products that can be nonzero are formed: a step
+    whose R or C is zero has just x - M[t][t], and the products stop once
+    A^i C vanishes, since every later term is zero as well.
     """
     r = len(srows)
-    zero, neg, sdot = ops.zero, ops.neg, ops.sdot
-    rows = [[zero] * r for _ in range(r)]
-    for row, srow in zip(rows, srows):
+    zero, neg, smatvec = ops.zero, ops.neg, ops.smatvec
+    cols = _transpose(srows, r)
+    diag = [zero] * r
+    for i, srow in enumerate(srows):
         for j, a in srow:
-            row[j] = a
-    poly = [ops.one, neg(rows[0][0])]
-    for k in range(2, r + 1):
-        km1 = k - 1
-        items = [ops.one, neg(rows[km1][km1])]
-        rk = [(j, a) for j, a in srows[km1] if j < km1]
-        if rk:
-            sub = [[(j, a) for j, a in srow if j < km1]
-                   for srow in srows[:km1]]
-            w = [row[km1] for row in rows[:km1]]
-            items.append(neg(sdot(rk, w)))
-            for _ in range(k - 2):
-                w = [sdot(srow, w) for srow in sub]
-                items.append(neg(sdot(rk, w)))
-        poly = _poly_mul(ops, items, poly, k + 1)
+            if j == i:
+                diag[i] = a
+    lead = [[] for _ in range(r)]  # sparse columns of the leading block
+    poly = [ops.one, neg(diag[0])]
+    for t in range(1, r):
+        # grow the leading block by index t - 1
+        lead[t - 1] = [(i, a) for i, a in cols[t - 1] if i < t - 1]
+        for j, a in srows[t - 1]:
+            if j < t:
+                lead[j].append((t - 1, a))
+        items = [ops.one, neg(diag[t])]
+        row = [()] * t  # row t cut to the block: columns of a 1 x t matrix
+        for j, a in srows[t]:
+            if j < t:
+                row[j] = ((0, a),)
+        w = {i: a for i, a in cols[t] if i < t}
+        if w and any(row):
+            for i in range(t):
+                if i:
+                    w = smatvec(lead, w)
+                    if not w:
+                        break
+                items.append(neg(smatvec(row, w).get(0, zero)))
+        poly = _poly_mul(ops, items, poly, t + 2)
     return poly
+
+
+def _poly_prod(ops, polys):
+    """Product of a list of coefficient lists (1 for an empty list)."""
+    out = None
+    for poly in polys:
+        out = poly if out is None else _poly_mul(ops, out, poly)
+    return [ops.one] if out is None else out
 
 
 def charpoly(ops, rows):
     """Coefficients of det(xI - M), low degree first: the product of the
     Berkowitz polynomials of the diagonal blocks of the SCC order."""
     srows = sparse_rows(ops, rows)
-    poly = [ops.one]
-    for block in _blocks(srows):
-        poly = _poly_mul(ops, poly, _berkowitz(ops, _restrict(srows, block)))
-    poly.reverse()
-    return poly
+    return _poly_prod(ops, [_berkowitz(ops, _restrict(srows, block))
+                            for block in _blocks(srows)])[::-1]
 
 
 def adjugate_action(ops, rows, cp):
@@ -396,10 +457,12 @@ def adjugate_action(ops, rows, cp):
     equals h(M_R) e_j for the principal submatrix M_R.  When R is not every
     row, h is first reduced modulo the characteristic polynomial of M_R
     (the product of its block polynomials), which M_R annihilates.  Horner's
-    rule then costs |R| - 1 sparse matrix-vector products over R.
+    rule w <- M w + c e_j then costs |R| - 1 sparse matrix-vector products,
+    each over the support of w only, which never leaves R.
     """
     r = len(rows)
     srows = sparse_rows(ops, rows)
+    cols = _transpose(srows, r)
     blocks = _blocks(srows)
     block_of = [0] * r
     for b, block in enumerate(blocks):
@@ -410,7 +473,7 @@ def adjugate_action(ops, rows, cp):
         for j, _ in srow:
             if block_of[i] != block_of[j]:
                 feeders[block_of[j]].add(block_of[i])
-    sdot, add, zero = ops.sdot, ops.add, ops.zero
+    smatvec, add, zero = ops.smatvec, ops.add, ops.zero
     horner = cp[1:]
     block_cp = {}
     upstream = []
@@ -418,25 +481,23 @@ def adjugate_action(ops, rows, cp):
     for b, block in enumerate(blocks):
         up = {b}.union(*(upstream[f] for f in feeders[b]))
         upstream.append(up)
-        reach = sorted(i for c in up for i in blocks[c])
         coeffs = horner
-        if len(reach) < r:
-            cp_reach = [ops.one]
-            for c in sorted(up):
-                if c not in block_cp:
-                    block_cp[c] = _berkowitz(ops, _restrict(srows, blocks[c]))
-                cp_reach = _poly_mul(ops, cp_reach, block_cp[c])
-            cp_reach.reverse()
-            coeffs = _poly_rem(ops, horner, cp_reach)
-        sub = _restrict(srows, reach)
+        if sum(len(blocks[c]) for c in up) < r:
+            for c in up - block_cp.keys():
+                block_cp[c] = _berkowitz(ops, _restrict(srows, blocks[c]))
+            cp_reach = _poly_prod(ops, [block_cp[c] for c in sorted(up)])
+            coeffs = _poly_rem(ops, horner, cp_reach[::-1])
         for j in block:
-            t = reach.index(j)
-            w = [zero] * len(reach)
-            w[t] = coeffs[-1]
+            w = {j: coeffs[-1]} if coeffs[-1] != zero else {}
             for coeff in reversed(coeffs[:-1]):
-                w = [sdot(srow, w) for srow in sub]
-                w[t] = add(w[t], coeff)
-            for i, e in zip(reach, w):
+                w = smatvec(cols, w)
+                if coeff != zero:
+                    e = add(w.get(j, zero), coeff)
+                    if e == zero:
+                        del w[j]
+                    else:
+                        w[j] = e
+            for i, e in w.items():
                 out[i][j] = e
     return out
 

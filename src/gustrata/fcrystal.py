@@ -263,9 +263,13 @@ class DieudonneDisplay:
         v = ops.val(c0)
         if v >= ctx.N:
             raise PrecisionError("V not computable at this precision")
-        adj = self._adjugate_frobenius()
-        bad = [(i, j) for i, row in enumerate(adj) for j, e in enumerate(row)
-               if ops.val(e) < v - 1]
+        # Every map below sends 0 to 0 (and val(0) = N > v - 1), so only
+        # the nonzero entries of the adjugate are visited.
+        zero = ops.zero
+        entries = [(i, j, e)
+                   for i, row in enumerate(self._adjugate_frobenius())
+                   for j, e in enumerate(row) if e != zero]
+        bad = [(i, j) for i, j, e in entries if ops.val(e) < v - 1]
         if bad:
             raise ValueError(
                 f"p*A^(-1) is not integral (first offending entry {bad[0]})")
@@ -276,20 +280,17 @@ class DieudonneDisplay:
         u_scalar = ctx_v.scalar((u_unit,) if ctx.d == 1 else u_unit)
         u_inv_raw = ops_v.unwrap(u_scalar.inverse())
         d = ctx.d
-        rows = []
-        for row in adj:
-            out = []
-            for e in row:
-                # p * B_ij / p^v, exact on the integer coordinates
-                if v >= 1:
-                    w = ops.divexact_p(e, v - 1)
-                elif d == 1:
-                    w = e * ctx.p
-                else:
-                    w = tuple(c * ctx.p for c in e)
-                t = ops_v.neg(ops_v.mul(ops_v.truncate(w), u_inv_raw))
-                out.append(ops_v.frob(t, d - 1))
-            rows.append(out)
+        rows = [[ops_v.zero] * self.rank for _ in range(self.rank)]
+        for i, j, e in entries:
+            # p * B_ij / p^v, exact on the integer coordinates
+            if v >= 1:
+                w = ops.divexact_p(e, v - 1)
+            elif d == 1:
+                w = e * ctx.p
+            else:
+                w = tuple(c * ctx.p for c in e)
+            t = ops_v.neg(ops_v.mul(ops_v.truncate(w), u_inv_raw))
+            rows[i][j] = ops_v.frob(t, d - 1)
         cached = (ctx_v, rows)
         self._cache["vmat"] = cached
         return cached
@@ -316,8 +317,8 @@ class DieudonneDisplay:
         twisted = [ctx_v.frobenius_coords(x.coords, ctx_v.d - 1)
                    for x in vec]
         raws = [ops_v.unwrap(ctx_v.scalar(t)) for t in twisted]
-        out = _linalg.mat_vec(ops_v, rows, raws)
-        return tuple(ops_v.wrap(e) for e in out)
+        out = _linalg.mat_mul(ops_v, rows, [[x] for x in raws])
+        return tuple(ops_v.wrap(row[0]) for row in out)
 
     # -- serialization ----------------------------------------------------------
 
@@ -412,9 +413,12 @@ def validate_display(display):
     else:
         checks.append(CheckResult("frobenius_invertible", True,
                                   (f"val det = {det_val}",)))
-        adj = display._adjugate_frobenius()
-        bad = [(i, j, ops.val(e)) for i, row in enumerate(adj)
-               for j, e in enumerate(row) if ops.val(e) < det_val - 1]
+        # zero entries have valuation N > det_val - 1: skip them
+        zero = ops.zero
+        bad = [(i, j, v)
+               for i, row in enumerate(display._adjugate_frobenius())
+               for j, e in enumerate(row)
+               if e != zero and (v := ops.val(e)) < det_val - 1]
         checks.append(CheckResult(
             "verschiebung_integral", not bad,
             tuple(f"entry ({i},{j}) valuation {v} < {det_val - 1}"

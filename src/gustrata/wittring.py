@@ -14,7 +14,6 @@ reproducible from (p, d, N) alone.
 
 from __future__ import annotations
 
-from math import isqrt
 
 # A single scalar may not exceed this many bits across its coordinates.
 _CAPACITY_BITS = 1 << 21
@@ -55,15 +54,33 @@ def default_precision(n, d):
     return 4 * n * d + 8
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n < _PRIME_LIMIT (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 2017); larger p are rejected outright.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Primality of p < _PRIME_LIMIT by deterministic Miller-Rabin."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    for q in range(3, isqrt(p) + 1, 2):
-        if p % q == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, odd, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -482,6 +499,8 @@ def make_context(p, d, N):
     monic degree-d polynomial over F_p that is irreducible, lifted with
     coefficients in [0, p).
     """
+    if isinstance(p, int) and p >= _PRIME_LIMIT:
+        raise ValueError(f"p must be below {_PRIME_LIMIT}, got {p}")
     if not isinstance(p, int) or not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if d < 1:

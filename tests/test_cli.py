@@ -161,6 +161,19 @@ class TestDeterminismAndUsage:
         code, _ = run(["slopes", "--module", "N", "--p", "4"])
         assert code == 2
 
+    def test_huge_p_fails_fast(self, capsys):
+        # a 25-digit p is beyond the range where primality is proven
+        code, out = run(["slopes", "--module", "N", "--p", "9" * 25])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be below" in err
+
+    def test_sixty_bit_prime_runs(self):
+        code, out = run(["slopes", "--module", "N", "--p",
+                         "1000000000000000003"])
+        assert code == 0
+        assert json.loads(out)["polygon"]
+
     def test_version_embedded_everywhere(self):
         for argv in (["catalog", "--n", "3"],
                      ["slopes", "--module", "N"],

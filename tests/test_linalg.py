@@ -5,9 +5,9 @@ import pytest
 
 from gustrata import (DeformationPoint, deformation_display, make_context,
                       parse_module_spec)
-from gustrata._linalg import (PrecisionError, adjugate_action, charpoly,
-                              charpoly_slope_pairs, lower_hull, mat_mul,
-                              ops_for, sparse_rows,
+from gustrata._linalg import (PrecisionError, _berkowitz, adjugate_action,
+                              charpoly, charpoly_slope_pairs, lower_hull,
+                              mat_mul, ops_for, sparse_rows,
                               strongly_connected_components, twisted_product)
 
 from _oracles import leibniz_charpoly_int, leibniz_charpoly_scalar
@@ -225,26 +225,76 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
     def test_adjugate_work_linear_in_summands(self, k):
-        # N^k is k rank-2 blocks: two columns per block, one Horner step
-        # of two rows each, plus one product in the block's Berkowitz
-        # (needed because each block reaches only itself).  The unsplit
-        # recurrence made 2k * (2k - 1) * 2k calls.
+        # N^k is k diagonal 2 x 2 blocks, each reaching only itself.  Per
+        # block: the block's Berkowitz has one bordering step, which makes
+        # two sparse mat-vecs (the bordering row times C, and the
+        # polynomial update; no Krylov product, since its leading block is
+        # 1 x 1); each of the two columns then has its Horner polynomial
+        # reduced modulo the block's quadratic charpoly, so degree <= 1 and
+        # one Horner step.  4 per block, 4k in all.  The unsplit dense
+        # recurrence made 2k * (2k - 1) mat-vecs over all 2k rows.
         ctx = make_context(3, 1, 8)
         ops = ops_for(ctx)
         raw = parse_module_spec(f"N^{k}").build(ctx)._raw_frobenius()
         cp = charpoly(ops, raw)
-        calls = []
-        sdot = ops.sdot
-
-        def counting_sdot(pairs, v):
-            calls.append(1)
-            return sdot(pairs, v)
-
-        ops.sdot = counting_sdot
+        calls = count_smatvec(ops)
         adj = adjugate_action(ops, raw, cp)
-        assert len(calls) == 5 * k
-        del ops.sdot
+        assert len(calls) == 4 * k
+        del ops.smatvec
         assert adj == adjugate_action(ops, raw, cp)
+
+
+def count_smatvec(ops):
+    """Patch ops.smatvec to record one entry per call; returns the record."""
+    calls = []
+    smatvec = ops.smatvec
+
+    def counting_smatvec(cols, w):
+        calls.append(len(w))
+        return smatvec(cols, w)
+
+    ops.smatvec = counting_smatvec
+    return calls
+
+
+def hub_matrix(r):
+    """r x r integer matrix, one strongly connected component: the last
+    index is joined both ways to every other one, and the leading
+    (r-1) x (r-1) block holds only the entries (2s, 2s+1), so its square
+    is zero.  All nonzero entries are 1 or 2, units mod 3."""
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r - 1):
+        rows[i][r - 1] = 1 + i % 2
+        rows[r - 1][i] = 2 - i % 2
+    for i in range(0, r - 2, 2):
+        rows[i][i + 1] = 2
+    return rows
+
+
+class TestBerkowitzEarlyStop:
+    @pytest.mark.parametrize("r", [4, 5, 7, 12])
+    def test_krylov_loop_stops_when_the_vector_vanishes(self, r):
+        # Every product is one sparse mat-vec.  Bordering steps
+        # t = 1 .. r-2 have no entries left of the diagonal in row t, so
+        # each is one polynomial update and nothing else.  Step r-1 borders
+        # with the hub: C is all of column r-1, A C is supported on the
+        # even indices and A^2 C = 0, so it makes two Krylov products and
+        # stops, after two row products (R C and R A C), plus its update.
+        # (r - 2) + 2 + 2 + 1 = r + 3 calls; running the loop to the end
+        # would make 3r - 4.
+        # Berkowitz is run on the rows in the order given; charpoly would
+        # first reorder the single block.
+        ctx = make_context(3, 1, 8)
+        ops = ops_for(ctx)
+        rows = hub_matrix(r)
+        assert scc_count(ops, rows) == 1
+        calls = count_smatvec(ops)
+        cp = _berkowitz(ops, sparse_rows(ops, rows))[::-1]
+        assert len(calls) == r + 3
+        del ops.smatvec
+        assert cp == charpoly(ops, rows)
+        if r <= 7:
+            assert cp == leibniz_charpoly_int(rows, ctx.q)
 
 
 class TestMatMul:
@@ -274,6 +324,168 @@ class TestMatMul:
         got = [[ops.wrap(e) for e in row]
                for row in mat_mul(ops, raw_a, raw_b)]
         assert got == expected
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_zero_columns_and_rows_of_b(self, d):
+        ctx = make_context(3, d, 6)
+        ops = ops_for(ctx)
+        rng = random.Random(90 + d)
+        entry = (ext_entry(rng, ctx) if d > 1
+                 else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+        z = ctx.zero()
+        a = [[entry() for _ in range(4)] for _ in range(3)]
+        # column 1 and row 2 of b are zero; b as a whole is 4 x 3
+        b = [[entry(), z, entry()], [entry(), z, z], [z, z, z],
+             [z, z, entry()]]
+        expected = [[sum((a[i][t] * b[t][j] for t in range(4)), z)
+                     for j in range(3)] for i in range(3)]
+        raw_a = [[ops.unwrap(e) for e in row] for row in a]
+        raw_b = [[ops.unwrap(e) for e in row] for row in b]
+        got = [[ops.wrap(e) for e in row]
+               for row in mat_mul(ops, raw_a, raw_b)]
+        assert got == expected
+        assert all(row[1] == z for row in got)
+        zero_b = [[ops.zero] * 2 for _ in range(4)]
+        assert mat_mul(ops, raw_a, zero_b) == [[ops.zero] * 2] * 3
+
+
+class TestSparseMatVec:
+    """ops.smatvec against a dense matrix-vector product on scalars."""
+
+    @staticmethod
+    def dense_oracle(ctx, ops, rows, vec):
+        out = {}
+        for i, row in enumerate(rows):
+            acc = ctx.zero()
+            for a, b in zip(row, vec):
+                acc = acc + a * b
+            if acc != ctx.zero():
+                out[i] = ops.unwrap(acc)
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_random_sparse(self, d):
+        ctx = make_context(3, d, 6)
+        ops = ops_for(ctx)
+        rng = random.Random(31 + d)
+        entry = (ext_entry(rng, ctx) if d > 1
+                 else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+        for r in (1, 2, 5, 8):
+            for density in (0.2, 0.5):
+                m = [[ctx.zero() if e is None else e for e in row]
+                     for row in sparse_matrix(rng, r, density, entry)]
+                vec = [entry() if rng.random() < 0.6 else ctx.zero()
+                       for _ in range(r)]
+                raw = [[ops.unwrap(e) for e in row] for row in m]
+                cols = [[(i, raw[i][j]) for i in range(r)
+                         if raw[i][j] != ops.zero] for j in range(r)]
+                w = {j: ops.unwrap(x) for j, x in enumerate(vec)
+                     if x != ctx.zero()}
+                assert (ops.smatvec(cols, w)
+                        == self.dense_oracle(ctx, ops, m, vec))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_entries_cancelling_to_zero_are_dropped(self, d):
+        ctx = make_context(3, d, 6)
+        ops = ops_for(ctx)
+        a = ctx.from_int(5) if d == 1 else ctx.scalar((5, 7))
+        b = ctx.from_int(3) if d == 1 else ctx.scalar((3, 0))
+        # row 0: a*b + (-a)*b = 0; row 1: 3^5 * 3 = 0 mod 3^6; row 2: a*b
+        m = [[a, -a], [ctx.from_int(3 ** 5), ctx.zero()], [a, ctx.zero()]]
+        vec = [b, b]
+        cols = [[(i, ops.unwrap(m[i][j])) for i in range(3)
+                 if m[i][j] != ctx.zero()] for j in range(2)]
+        got = ops.smatvec(cols, {0: ops.unwrap(b), 1: ops.unwrap(b)})
+        assert got == self.dense_oracle(ctx, ops, m, vec)
+        assert set(got) == {2}
+
+    def test_empty_vector(self):
+        ops = ops_for(make_context(3, 2, 6))
+        assert ops.smatvec([[(0, (1, 0))]], {}) == {}
+
+
+def nilpotent_matrices(ctx, rng, entry):
+    """Strictly upper triangular matrices under a random basis order, and
+    the 2 x 2 single-component nilpotent [[a, a], [-a, -a]]."""
+    out = []
+    for r in (3, 5):
+        rows = [[entry() if j > i and rng.random() < 0.6 else ctx.zero()
+                 for j in range(r)] for i in range(r)]
+        perm = rng.sample(range(r), r)
+        out.append([[rows[perm[i]][perm[j]] for j in range(r)]
+                    for i in range(r)])
+    a = entry()
+    out.append([[a, a], [-a, -a]])
+    return out
+
+
+def monomial_matrices(ctx, rng, entry):
+    """Random permutation matrices and monomial matrices whose entries are
+    units times powers of p, including one with a fixed point."""
+    out = []
+    for r, scaled in ((4, False), (5, True), (6, True)):
+        perm = rng.sample(range(r), r)
+        if r == 5:
+            perm[perm.index(0)], perm[0] = perm[0], 0
+        out.append([[(entry() * ctx.from_int(ctx.p ** rng.randrange(3))
+                      if scaled else ctx.one())
+                     if j == perm[i] else ctx.zero()
+                     for j in range(r)] for i in range(r)])
+    return out
+
+
+def structured_cases(d):
+    """(ctx, name, PadicScalar rows) for the structured matrix families."""
+    ctx = make_context(3, d, 6)
+    rng = random.Random(77 + d)
+    entry = (ext_entry(rng, ctx) if d > 1
+             else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+    cases = [("one_by_one", [[entry()]]),
+             ("one_by_one_zero", [[ctx.zero()]]),
+             ("zero", [[ctx.zero()] * 3 for _ in range(3)])]
+    cases += [("nilpotent", m) for m in nilpotent_matrices(ctx, rng, entry)]
+    cases += [("monomial", m) for m in monomial_matrices(ctx, rng, entry)]
+    for m in (2, 3):
+        display = parse_module_spec(f"M({m})").build(ctx)
+        cases.append(("M(2h)", [list(row) for row in display.frobenius]))
+    return ctx, cases
+
+
+class TestStructuredMatrices:
+    """charpoly and adjugate_action on nilpotent, permutation, monomial,
+    1 x 1 and zero matrices, against the Leibniz expansion and
+    M * B = B * M = -c0 * I."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_charpoly_against_leibniz(self, d):
+        ctx, cases = structured_cases(d)
+        ops = ops_for(ctx)
+        for name, m in cases:
+            raw = [[ops.unwrap(e) for e in row] for row in m]
+            got = [ops.wrap(c) for c in charpoly(ops, raw)]
+            assert got == leibniz_charpoly_scalar(m, ctx), name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_adjugate_both_sides_give_minus_c0(self, d):
+        ctx, cases = structured_cases(d)
+        ops = ops_for(ctx)
+        for name, m in cases:
+            raw = [[ops.unwrap(e) for e in row] for row in m]
+            cp = charpoly(ops, raw)
+            b = [[ops.wrap(e) for e in row]
+                 for row in adjugate_action(ops, raw, cp)]
+            expected = minus_c0_identity(ops, cp, len(m), ctx)
+            assert scalar_product(m, b, ctx) == expected, name
+            assert scalar_product(b, m, ctx) == expected, name
+
+    def test_zero_and_one_by_one_exactly(self):
+        ctx = make_context(3, 1, 6)
+        ops = ops_for(ctx)
+        assert charpoly(ops, [[0] * 3 for _ in range(3)]) == [0, 0, 0, 1]
+        assert adjugate_action(ops, [[0] * 3 for _ in range(3)],
+                               [0, 0, 0, 1]) == [[0] * 3 for _ in range(3)]
+        assert charpoly(ops, [[7]]) == [ctx.q - 7, 1]
+        assert adjugate_action(ops, [[7]], [ctx.q - 7, 1]) == [[1]]
 
 
 class TestCharpolyReduction:

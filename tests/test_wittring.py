@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,39 @@ class TestMakeContext:
             make_context(4, 1, 8)
         with pytest.raises(ValueError, match="prime"):
             make_context(1, 1, 8)
+
+    def test_primality_matches_a_sieve_below_1e5(self):
+        limit = 10 ** 5
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, limit, i))
+        assert [n for n in range(limit) if wittring._is_prime(n)] == \
+            [n for n in range(limit) if sieve[n]]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # strong pseudoprimes to the bases 2..7 and to every prime base up
+        # to 37; the second is why 41 is among the bases
+        for n, factors in ((3215031751, (151, 751, 28351)),
+                           (318665857834031151167461,
+                            (399165290221, 798330580441))):
+            assert math.prod(factors) == n
+            assert not wittring._is_prime(n)
+
+    def test_sixty_bit_prime_accepted_fast(self):
+        p = 1000000000000000003
+        start = time.perf_counter()
+        ctx = make_context(p, 1, 8)
+        assert time.perf_counter() - start < 0.5
+        assert ctx.p == p
+
+    def test_p_beyond_the_proven_range_rejected(self):
+        limit = wittring._PRIME_LIMIT
+        with pytest.raises(ValueError, match="must be below"):
+            make_context(limit, 1, 8)
+        with pytest.raises(ValueError, match="must be below"):
+            make_context(10 ** 25 - 1, 1, 8)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
