@@ -91,6 +91,10 @@ class _IntOps:
     def mul(self, a, b):
         return (a * b) % self.q
 
+    def scale(self, k, a):
+        """k * a for an integer k."""
+        return k * a % self.q
+
     def smatvec(self, cols, w):
         """M * w for the matrix M given by its columns as lists of (row,
         value) pairs and the sparse vector w, a dict from index to nonzero
@@ -182,6 +186,11 @@ class _ExtOps:
                         conv[i + j] += ai * bj
         return self._reduce(conv)
 
+    def scale(self, k, a):
+        """k * a for an integer k: it scales every power-basis coordinate."""
+        q = self.q
+        return tuple(k * c % q for c in a)
+
     def smatvec(self, cols, w):
         """M * w for the matrix M given by its columns as lists of (row,
         value) pairs and the sparse vector w, a dict from index to nonzero
@@ -233,10 +242,6 @@ def ops_for(ctx):
 # matrices (lists of rows of raw scalars)
 
 
-def unwrap_matrix(ops, rows_of_scalars):
-    return [[ops.unwrap(s) for s in row] for row in rows_of_scalars]
-
-
 def wrap_matrix(ops, rows):
     return tuple(tuple(ops.wrap(e) for e in row) for row in rows)
 
@@ -245,7 +250,7 @@ def mat_mul(ops, a, b):
     """Product a * b, one column at a time: column j is the sparse
     matrix-vector product of a with the nonzero entries of column j of b."""
     zero, smatvec = ops.zero, ops.smatvec
-    cols = _transpose(sparse_rows(ops, a), len(b))
+    cols = sparse_transpose(sparse_rows(ops, a), len(b))
     out = [[zero] * len(b[0]) for _ in a]
     for j, bcol in enumerate(zip(*b)):
         w = {t: e for t, e in enumerate(bcol) if e != zero}
@@ -276,9 +281,10 @@ def sparse_rows(ops, rows):
     return [[(j, e) for j, e in enumerate(row) if e != zero] for row in rows]
 
 
-def _transpose(srows, ncols):
+def sparse_transpose(srows, ncols):
     """Sparse columns, as (row, value) pairs with rows ascending, of the
-    matrix with ncols columns given by its sparse rows."""
+    matrix with ncols columns given by its sparse rows (and, read the other
+    way, sparse rows from sparse columns)."""
     cols = [[] for _ in range(ncols)]
     for i, srow in enumerate(srows):
         for j, a in srow:
@@ -401,7 +407,7 @@ def _berkowitz(ops, srows):
     """
     r = len(srows)
     zero, neg, smatvec = ops.zero, ops.neg, ops.smatvec
-    cols = _transpose(srows, r)
+    cols = sparse_transpose(srows, r)
     diag = [zero] * r
     for i, srow in enumerate(srows):
         for j, a in srow:
@@ -462,7 +468,7 @@ def adjugate_action(ops, rows, cp):
     """
     r = len(rows)
     srows = sparse_rows(ops, rows)
-    cols = _transpose(srows, r)
+    cols = sparse_transpose(srows, r)
     blocks = _blocks(srows)
     block_of = [0] * r
     for b, block in enumerate(blocks):

@@ -13,6 +13,7 @@ p, d, N, the modulus polynomial and the tool version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -95,6 +96,14 @@ def _build_parser():
     p_verify.add_argument("--format", choices=("json", "tsv"),
                           default="json")
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built on first use and shared by every later call:
+    parse_args keeps no state between calls, each returns a new
+    namespace."""
+    return _build_parser()
 
 
 def _make_module_context(args, half_rank):
@@ -237,9 +246,8 @@ def main(argv=None, out=None):
         argv = sys.argv[1:]
     if out is None:
         out = sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,8 +9,10 @@ Teichmuller lifts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from ._linalg import ops_for
 from .fcrystal import BasisLabel, DieudonneDisplay, U, V
 from .wittring import FieldElement
 
@@ -21,40 +23,46 @@ __all__ = [
 ]
 
 
-def _build(ctx, labels, relations, pairing_entries, summands=None):
-    """Assemble a display from sparse column data.
-
-    relations maps source label -> list of (target label, coefficient);
-    pairing_entries maps (row label, col label) -> coefficient.
-    """
+def _build(ctx, labels, relations, pairing):
+    """Assemble a display from integer coefficients: relations maps
+    (source, target) label pairs to the target coefficient of F source,
+    pairing maps (row, column) label pairs to the pairing entry."""
     idx = {lab: k for k, lab in enumerate(labels)}
-    rank = len(labels)
-    zero = ctx.zero()
-    columns = [[zero] * rank for _ in range(rank)]
-    for frm, targets in relations.items():
-        for to, coeff in targets:
-            columns[idx[frm]][idx[to]] = _as_scalar(ctx, coeff)
-    pairing = [[zero] * rank for _ in range(rank)]
-    for (a, b), coeff in pairing_entries.items():
-        pairing[idx[a]][idx[b]] = _as_scalar(ctx, coeff)
-    return DieudonneDisplay(ctx, labels, columns, pairing, summands=summands)
+    return DieudonneDisplay._from_sparse(
+        ctx, labels, _sparse_raw(ctx, idx, relations),
+        _sparse_raw(ctx, idx, pairing))
 
 
-def _as_scalar(ctx, coeff):
-    if isinstance(coeff, int):
-        return ctx.from_int(coeff)
-    return coeff
+def _sparse_raw(ctx, idx, entries):
+    """Sparse raw lines of the integer entries {(a, b): c}: line idx[a]
+    holds the (idx[b], raw c) pairs, idx[b] ascending, zeros dropped."""
+    ops = ops_for(ctx)
+    lines = [{} for _ in idx]
+    for (a, b), c in entries.items():
+        lines[idx[a]][idx[b]] = ops.scale(c, ops.one)
+    return tuple(tuple((k, c) for k, c in sorted(line.items())
+                       if c != ops.zero)
+                 for line in lines)
+
+
+def _m_basis(m):
+    """Labels u_1..u_m, v_1..v_m and the pairing
+    <u_i, v_i> = (-1)^i = -<v_i, u_i>."""
+    labels = tuple(U(i) for i in range(1, m + 1)) + tuple(
+        V(i) for i in range(1, m + 1))
+    pairing = {}
+    for i in range(1, m + 1):
+        pairing[(U(i), V(i))] = (-1) ** i
+        pairing[(V(i), U(i))] = -(-1) ** i
+    return labels, pairing
 
 
 def module_N(ctx):
     """The rank-2 display with F v0 = -u0 and u0 = V v0; both slopes 1/2."""
-    labels = (U(0), V(0))
-    relations = {
-        V(0): [(U(0), -1)],
-        U(0): [(V(0), ctx.p)],  # from u0 = V v0 and F V = p
-    }
+    relations = {(V(0), U(0)): -1,
+                 (U(0), V(0)): ctx.p}  # from u0 = V v0 and F V = p
     pairing = {(U(0), V(0)): 1, (V(0), U(0)): -1}
-    return _build(ctx, labels, relations, pairing)
+    return _build(ctx, (U(0), V(0)), relations, pairing)
 
 
 def module_M(ctx, m):
@@ -66,17 +74,11 @@ def module_M(ctx, m):
     """
     if m < 2:
         raise ValueError(f"module_M needs m >= 2, got {m}")
-    labels = tuple(U(i) for i in range(1, m + 1)) + tuple(
-        V(i) for i in range(1, m + 1))
-    relations = {U(1): [(V(m), (-1) ** m)], V(1): [(U(m), ctx.p)]}
+    labels, pairing = _m_basis(m)
+    relations = {(U(1), V(m)): (-1) ** m, (V(1), U(m)): ctx.p}
     for k in range(2, m + 1):
-        relations[V(k)] = [(U(k - 1), 1)]
-        relations[U(k)] = [(V(k - 1), ctx.p)]
-    pairing = {}
-    for i in range(1, m + 1):
-        sign = (-1) ** i
-        pairing[(U(i), V(i))] = sign
-        pairing[(V(i), U(i))] = -sign
+        relations[(V(k), U(k - 1))] = 1
+        relations[(U(k), V(k - 1))] = ctx.p
     return _build(ctx, labels, relations, pairing)
 
 
@@ -111,19 +113,15 @@ def direct_sum(*displays):
             prev.extend(disp.summands)
         else:
             prev.append(tuple(mapping))
-    rank = len(labels)
-    zero = ctx.zero()
-    columns = [[zero] * rank for _ in range(rank)]
-    pairing = [[zero] * rank for _ in range(rank)]
+    fcols, jrows = [], []
     off = 0
     for disp in displays:
-        r = disp.rank
-        for i in range(r):
-            columns[off + i][off:off + r] = disp.column(i)
-            pairing[off + i][off:off + r] = disp.pairing[i]
-        off += r
-    return DieudonneDisplay(ctx, labels, columns, pairing,
-                            summands=tuple(prev))
+        for lines, out in ((disp.sparse_frobenius, fcols),
+                           (disp.sparse_pairing, jrows)):
+            out.extend(tuple((k + off, a) for k, a in line) for line in lines)
+        off += disp.rank
+    return DieudonneDisplay._from_sparse(ctx, labels, tuple(fcols),
+                                         tuple(jrows), summands=tuple(prev))
 
 
 def expected_module(ctx, n, j):
@@ -171,9 +169,7 @@ class DeformationPoint:
 
     @property
     def indices(self):
-        if self.n % 2:
-            return tuple(range(2, self.n + 1))
-        return (0,) + tuple(range(2, self.n))
+        return _parameter_indices(self.n)
 
     def as_dict(self):
         return dict(zip(self.indices, self.values))
@@ -203,74 +199,83 @@ class DeformationPoint:
 def deformation_display(ctx, point):
     """The universal-family display specialized at a residue field point.
 
-    Parameters enter through their Teichmuller lifts.  At the zero point
-    this reproduces supersingular_module(point.n) entrywise.
+    Parameters enter through their Teichmuller lifts [s_j].  For odd n,
+    on u_1..u_n, v_1..v_n:
 
-    The coefficient of the top-index term in the F u_2 sum is +s (not the
-    alternating sign), and for even n the sum carries the extra term
-    p * s_0 * v_0: with the convention F v_1 = p(u - s u_1) and
+        F u_1 = -v_n,   F u_2 = p v_1 + sum_{j=2}^{n-1} (-1)^j p [s_j] v_j
+                                + p [s_n] v_n,
+        F v_1 = p u_n - p [s_n] u_1,   F v_2 = u_1,
+        F u_k = p v_{k-1},   F v_k = u_{k-1} + [s_{k-1}] u_1   (k >= 3),
+
+    with <u_i, v_i> = (-1)^i = -<v_i, u_i>.  For even n these relations on
+    m = n-1 are followed by u_0, v_0 with F u_0 = p v_0,
+    F v_0 = -u_0 - [s_0] u_1, the extra term p [s_0] v_0 in F u_2 and
+    <u_0, v_0> = 1 = -<v_0, u_0>.  At the zero point this reproduces
+    supersingular_module(point.n) entrywise.
+
+    The coefficient of the top-index term in the F u_2 sum is +[s] (not
+    the alternating sign), and for even n the sum carries the extra term
+    p [s_0] v_0: with the convention F v_1 = p(u - s u_1) and
     F v_0 = -u_0 - s_0 u_1 these are the unique coefficients for which the
     pairing satisfies <F x, y> = sigma(<x, V y>) identically in the
     parameters; polarization_check verifies this on every specialization.
+
+    Each entry is an integer factor times 1 or a lift, so only those
+    products are formed per point (see _deformation_template).
     """
-    n = point.n
-    s = {i: ctx.teichmuller(v) for i, v in zip(point.indices, point.values)}
     for v in point.values:
         if v.ctx.residue_params() != ctx.residue_params():
             raise ValueError("point lives over a different residue field")
+    labels, slots, jrows = _deformation_template(ctx, point.n)
+    ops = ops_for(ctx)
+    lifts = [ops.unwrap(ctx.teichmuller(v)) for v in point.values]
+    scale, one, zero = ops.scale, ops.one, ops.zero
+    fcols = tuple(
+        tuple((i, a) for i, f, k in col
+              if (a := scale(f, one if k is None else lifts[k])) != zero)
+        for col in slots)
+    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows)
+
+
+@functools.lru_cache(maxsize=32)
+def _deformation_template(ctx, n):
+    """(labels, slots, sparse raw pairing) of deformation_display for n.
+
+    slots[j] lists column j of F as (row, integer factor, parameter
+    position) triples, rows ascending: the entry is the factor times the
+    lift of point.values[position], or the factor alone for position None.
+    Even n is the odd family on m = n - 1 plus the u_0, v_0 block.
+    """
     p = ctx.p
-    if n % 2:
-        labels = tuple(U(i) for i in range(1, n + 1)) + tuple(
-            V(i) for i in range(1, n + 1))
-        relations = {
-            U(1): [(V(n), -1)],
-            U(2): [(V(1), p)]
-            + [(V(j), p * (-1) ** j * s[j]) for j in range(2, n)]
-            + [(V(n), p * s[n])],
-            V(1): [(U(n), p), (U(1), -p * s[n])],
-            V(2): [(U(1), 1)],
-        }
-        for k in range(3, n + 1):
-            relations[U(k)] = [(V(k - 1), p)]
-            relations[V(k)] = [(U(k - 1), 1), (U(1), s[k - 1])]
-        pairing = {}
-        for i in range(1, n + 1):
-            sign = (-1) ** i
-            pairing[(U(i), V(i))] = sign
-            pairing[(V(i), U(i))] = -sign
-    else:
-        m = n - 1
-        labels = (tuple(U(i) for i in range(1, m + 1))
-                  + tuple(V(i) for i in range(1, m + 1))
-                  + (U(0), V(0)))
-        relations = {
-            U(1): [(V(m), -1)],
-            U(2): [(V(1), p)]
-            + [(V(j), p * (-1) ** j * s[j]) for j in range(2, m)]
-            + [(V(m), p * s[m]), (V(0), p * s[0])],
-            V(1): [(U(m), p), (U(1), -p * s[m])],
-            V(2): [(U(1), 1)],
-            U(0): [(V(0), p)],
-            V(0): [(U(0), -1), (U(1), -s[0])],
-        }
-        for k in range(3, m + 1):
-            relations[U(k)] = [(V(k - 1), p)]
-            relations[V(k)] = [(U(k - 1), 1), (U(1), s[k - 1])]
-        pairing = {(U(0), V(0)): 1, (V(0), U(0)): -1}
-        for i in range(1, m + 1):
-            sign = (-1) ** i
-            pairing[(U(i), V(i))] = sign
-            pairing[(V(i), U(i))] = -sign
-    relations = {frm: [(to, c) for to, c in targets
-                       if not _is_zero_coeff(c)]
-                 for frm, targets in relations.items()}
-    return _build(ctx, labels, relations, pairing)
+    m = n if n % 2 else n - 1
+    pos = {j: t for t, j in enumerate(_parameter_indices(n))}
+    labels, pairing = _m_basis(m)
+    slots = {(U(1), V(m)): (-1, None), (U(2), V(1)): (p, None),
+             (U(2), V(m)): (p, pos[m]), (V(1), U(m)): (p, None),
+             (V(1), U(1)): (-p, pos[m]), (V(2), U(1)): (1, None)}
+    for j in range(2, m):
+        slots[(U(2), V(j))] = ((-1) ** j * p, pos[j])
+    for k in range(3, m + 1):
+        slots[(U(k), V(k - 1))] = (p, None)
+        slots[(V(k), U(k - 1))] = (1, None)
+        slots[(V(k), U(1))] = (1, pos[k - 1])
+    if m < n:
+        labels += (U(0), V(0))
+        slots.update({(U(2), V(0)): (p, pos[0]), (U(0), V(0)): (p, None),
+                      (V(0), U(0)): (-1, None), (V(0), U(1)): (-1, pos[0])})
+        pairing.update({(U(0), V(0)): 1, (V(0), U(0)): -1})
+    idx = {lab: k for k, lab in enumerate(labels)}
+    cols = [[] for _ in labels]
+    for (a, b), (f, k) in slots.items():
+        cols[idx[a]].append((idx[b], f, k))
+    return (labels, tuple(tuple(sorted(col)) for col in cols),
+            _sparse_raw(ctx, idx, pairing))
 
 
-def _is_zero_coeff(c):
-    if isinstance(c, int):
-        return c == 0
-    return c.is_zero()
+def _parameter_indices(n):
+    """The deformation parameters: s_2..s_n for odd n, s_0, s_2..s_{n-1}
+    for even n."""
+    return tuple(range(2, n + 1)) if n % 2 else (0,) + tuple(range(2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,7 @@ class ModuleSpec:
 
 
 def _point_from_assignments(ctx, n, assignments):
-    indices = ((0,) + tuple(range(2, n))) if n % 2 == 0 else tuple(
-        range(2, n + 1))
+    indices = _parameter_indices(n)
     bad = set(assignments) - set(indices)
     if bad:
         raise ValueError(

@@ -6,6 +6,21 @@ basis vector j), and the Gram matrix of the quasipolarization.  V is never
 stored: it is derived from F via F V = V F = p, so that relation holds by
 construction once integrality of p * A^(-1) is checked.
 
+Both matrices are stored sparse and raw, in the form the kernels use: F by
+its columns and the pairing by its rows, each a tuple of (index, raw)
+pairs with indices ascending and zero entries left out, where raw is the
+reduced coordinate data ops.unwrap gives (an int mod p^N for d = 1, a
+coordinate tuple otherwise).  Reduced coordinates are unique, so this form
+is canonical and two displays are equal exactly when their sparse data
+are.  The dense rows of scalars, frobenius and pairing, are views wrapped
+from it on first use; wrapping inverts unwrapping on reduced data, so a
+display built from dense scalars gives back the same scalars.
+Deformation points are built straight into this form from a per-n
+template: each entry of the family is an integer times 1 or times a
+Teichmuller lift, and an integer times a Witt vector scales each of its
+power-basis coordinates, so factor * coordinate mod p^N is exactly the
+scalar product.
+
 Newton slopes are computed from the p-adic Newton polygon of the
 characteristic polynomial of the d-fold twisted product
 A * sigma(A) * ... * sigma^(d-1)(A), divided by d.  Every polygon is
@@ -33,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from ._linalg import PrecisionError, ops_for
+from ._linalg import PrecisionError, ops_for, sparse_transpose
 from .wittring import context_from_json, scalar_from_json
 
 __all__ = [
@@ -165,26 +180,49 @@ class ValidationReport:
 class DieudonneDisplay:
     """One quasipolarized module with an action splitting it into u/v parts.
 
+    Stored sparse and raw (see the module docstring): sparse_frobenius
+    holds the columns of F and sparse_pairing the rows of the pairing.
     Immutable after construction; invariant computations are cached.
     """
 
     def __init__(self, ctx, basis, columns, pairing, summands=None):
-        self.ctx = ctx
-        self.basis = tuple(basis)
-        rank = len(self.basis)
-        if len(set(self.basis)) != rank:
+        basis = tuple(basis)
+        rank = len(basis)
+        if len(set(basis)) != rank:
             raise ValueError("basis labels must be distinct")
-        if any(b.family not in ("u", "v") for b in self.basis):
+        if any(b.family not in ("u", "v") for b in basis):
             raise ValueError("basis families must be 'u' or 'v'")
         if len(columns) != rank or any(len(c) != rank for c in columns):
             raise ValueError("frobenius matrix shape mismatch")
         if len(pairing) != rank or any(len(r) != rank for r in pairing):
             raise ValueError("pairing matrix shape mismatch")
-        self.frobenius = tuple(tuple(columns[j][i] for j in range(rank))
-                               for i in range(rank))  # stored by rows
-        self.pairing = tuple(tuple(row) for row in pairing)
+        ops = ops_for(ctx)
+        unwrap, zero = ops.unwrap, ops.zero
+
+        def sparse(lines):
+            return tuple(tuple((k, a) for k, e in enumerate(line)
+                               if (a := unwrap(e)) != zero)
+                         for line in lines)
+
+        self._set(ctx, basis, sparse(columns), sparse(pairing), summands, ops)
+
+    @classmethod
+    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None):
+        """A display from sparse raw data, taken as it is: fcols[j] lists
+        the (row, raw) entries of column j of F and jrows[i] the (column,
+        raw) entries of row i of the pairing, indices ascending, no zero
+        and every raw value reduced."""
+        disp = cls.__new__(cls)
+        disp._set(ctx, tuple(basis), fcols, jrows, summands, ops_for(ctx))
+        return disp
+
+    def _set(self, ctx, basis, fcols, jrows, summands, ops):
+        self.ctx = ctx
+        self.basis = basis
+        self.sparse_frobenius = fcols
+        self.sparse_pairing = jrows
         self.summands = summands
-        self._cache = {}
+        self._cache = {"ops": ops}
 
     # -- shape ----------------------------------------------------------------
 
@@ -204,47 +242,65 @@ class DieudonneDisplay:
     def v_indices(self):
         return tuple(i for i, b in enumerate(self.basis) if b.family == "v")
 
+    # -- dense views ------------------------------------------------------------
+
+    @property
+    def frobenius(self):
+        """Matrix of F as rows of scalars (a read-only view, cached)."""
+        return self._memo("F", lambda: self._wrap(self._raw_frobenius()))
+
+    @property
+    def pairing(self):
+        """Gram matrix of the pairing as rows of scalars (read-only, cached)."""
+        return self._memo("J", lambda: self._wrap(self._raw_pairing()))
+
+    def _wrap(self, raw):
+        wrap = self._ops().wrap
+        return tuple(tuple(map(wrap, row)) for row in raw)
+
     def entry(self, i, j):
         return self.frobenius[i][j]
-
-    def column(self, j):
-        return tuple(self.frobenius[i][j] for i in range(self.rank))
 
     def label_index(self, label):
         return self.basis.index(label)
 
     # -- cached raw data --------------------------------------------------------
 
+    def _memo(self, key, make):
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = make()
+        return value
+
     def _ops(self):
-        ops = self._cache.get("ops")
-        if ops is None:
-            ops = ops_for(self.ctx)
-            self._cache["ops"] = ops
-        return ops
+        return self._cache["ops"]
 
     def _raw_frobenius(self):
-        raw = self._cache.get("rawA")
-        if raw is None:
-            raw = _linalg.unwrap_matrix(self._ops(), self.frobenius)
-            self._cache["rawA"] = raw
-        return raw
+        """Matrix of F as dense rows of raw data."""
+        return self._memo("rawA", lambda: self._dense(
+            sparse_transpose(self.sparse_frobenius, self.rank)))
+
+    def _raw_pairing(self):
+        """Gram matrix of the pairing as dense rows of raw data."""
+        return self._memo("rawJ", lambda: self._dense(self.sparse_pairing))
+
+    def _dense(self, srows):
+        zero = self._ops().zero
+        rows = [[zero] * self.rank for _ in srows]
+        for row, srow in zip(rows, srows):
+            for j, a in srow:
+                row[j] = a
+        return rows
 
     def _charpoly_frobenius(self):
         """Characteristic polynomial of the (untwisted) matrix of F."""
-        cp = self._cache.get("cpA")
-        if cp is None:
-            cp = _linalg.charpoly(self._ops(), self._raw_frobenius())
-            self._cache["cpA"] = cp
-        return cp
+        return self._memo("cpA", lambda: _linalg.charpoly(
+            self._ops(), self._raw_frobenius()))
 
     def _adjugate_frobenius(self):
         """Adjugate action B of the matrix of F: A * B = -c_0 * I."""
-        adj = self._cache.get("adjA")
-        if adj is None:
-            adj = _linalg.adjugate_action(self._ops(), self._raw_frobenius(),
-                                          self._charpoly_frobenius())
-            self._cache["adjA"] = adj
-        return adj
+        return self._memo("adjA", lambda: _linalg.adjugate_action(
+            self._ops(), self._raw_frobenius(), self._charpoly_frobenius()))
 
     def _verschiebung(self):
         """(context, matrix rows) of V = sigma^(-1)(p A^(-1)).
@@ -337,32 +393,12 @@ class DieudonneDisplay:
         return (isinstance(other, DieudonneDisplay)
                 and self.ctx.params() == other.ctx.params()
                 and self.basis == other.basis
-                and self.frobenius == other.frobenius
-                and self.pairing == other.pairing)
+                and self.sparse_frobenius == other.sparse_frobenius
+                and self.sparse_pairing == other.sparse_pairing)
 
     def __repr__(self):
         return (f"DieudonneDisplay(rank={self.rank}, "
                 f"p={self.ctx.p}, d={self.ctx.d}, N={self.ctx.N})")
-
-    # -- invariants --------------------------------------------------------------
-
-    def validate(self):
-        return validate_display(self)
-
-    def newton_slopes(self, certify=True):
-        return newton_slopes(self, certify=certify)
-
-    def polarization_check(self):
-        return polarization_check(self)
-
-    def a_number(self):
-        return a_number(self)
-
-    def p_rank(self):
-        return p_rank(self)
-
-    def signature(self):
-        return signature(self)
 
 
 def display_from_json(obj, ctx=None):
@@ -390,7 +426,6 @@ def validate_display(display):
     """Check the display axioms; each failure reports offending entries."""
     ops = display._ops()
     ctx = display.ctx
-    rank = display.rank
     checks = []
 
     checks.append(CheckResult("frobenius_integral", True,
@@ -424,28 +459,29 @@ def validate_display(display):
             tuple(f"entry ({i},{j}) valuation {v} < {det_val - 1}"
                   for i, j, v in bad[:8])))
 
-    bad_alt = []
-    for i in range(rank):
-        if not display.pairing[i][i].is_zero():
-            bad_alt.append((i, i))
-        for j in range(i + 1, rank):
-            if not (display.pairing[i][j] + display.pairing[j][i]).is_zero():
-                bad_alt.append((i, j))
+    # J is alternating when its diagonal and every J_ij + J_ji vanish, so
+    # only positions holding a nonzero entry, or mirroring one, can fail
+    pairs = {(i, j): a for i, row in enumerate(display.sparse_pairing)
+             for j, a in row}
+    zero = ops.zero
+    bad_alt = sorted(
+        pos for pos in {(min(ij), max(ij)) for ij in pairs}
+        if pos[0] == pos[1]
+        or ops.add(pairs.get(pos, zero), pairs.get(pos[::-1], zero)) != zero)
     checks.append(CheckResult(
         "pairing_alternating", not bad_alt,
         tuple(f"entry ({i},{j})" for i, j in bad_alt[:8])))
 
-    raw_j = _linalg.unwrap_matrix(ops, display.pairing)
-    cp_j = _linalg.charpoly(ops, raw_j)
+    cp_j = _linalg.charpoly(ops, display._raw_pairing())
     det_j_val = ops.val(cp_j[0])
     checks.append(CheckResult(
         "pairing_unimodular", det_j_val == 0,
         () if det_j_val == 0 else (f"val det J = {det_j_val}",)))
 
-    bad_grading = [
-        (i, j) for i in range(rank) for j in range(rank)
-        if display.basis[i].family == display.basis[j].family
-        and not display.frobenius[i][j].is_zero()]
+    family = [b.family for b in display.basis]
+    bad_grading = sorted(
+        (i, j) for j, col in enumerate(display.sparse_frobenius)
+        for i, _ in col if family[i] == family[j])
     checks.append(CheckResult(
         "grading_block_antidiagonal", not bad_grading,
         tuple(f"entry ({i},{j})" for i, j in bad_grading[:8])))
@@ -512,20 +548,23 @@ def polarization_check(display):
     """
     ctx_v, vrows = display._verschiebung()
     ops_v = ops_for(ctx_v)
-    rank = display.rank
-    raw_a = [[ops_v.truncate(e) for e in row]
-             for row in display._raw_frobenius()]
-    raw_j = [[ops_v.truncate(ops_v.unwrap(e)) for e in row]
-             for row in display.pairing]
+    zero, truncate, smatvec = ops_v.zero, ops_v.truncate, ops_v.smatvec
 
-    lhs = _linalg.mat_mul(ops_v, [[raw_a[k][i] for k in range(rank)]
-                                  for i in range(rank)], raw_j)
-    # lhs[i][j] = sum_k A_ki J_kj = <F e_i, e_j>
-    rhs = _linalg.mat_mul(ops_v, raw_j, vrows)
+    def cut(srows):
+        """Sparse rows reduced to the precision of V, zeros dropped."""
+        return [[(j, t) for j, a in srow if (t := truncate(a)) != zero]
+                for srow in srows]
+
+    j_rows = cut(display.sparse_pairing)
+    v_rows = _linalg.sparse_rows(ops_v, vrows)
     violations = []
-    for i in range(rank):
-        for j in range(rank):
-            diff = ops_v.sub(lhs[i][j], ops_v.frob(rhs[i][j], 1))
+    for i, (a_col, j_row) in enumerate(zip(cut(display.sparse_frobenius),
+                                           j_rows)):
+        # <F e_i, e_j> = sum_k A_ki J_kj, row i of A^T J; row i of J V
+        lhs = smatvec(j_rows, dict(a_col))
+        rhs = smatvec(v_rows, dict(j_row))
+        for j in sorted(lhs.keys() | rhs.keys()):
+            diff = ops_v.sub(lhs.get(j, zero), ops_v.frob(rhs.get(j, zero), 1))
             if not ops_v.is_zero(diff):
                 violations.append((display.basis[i], display.basis[j],
                                    ops_v.wrap(diff)))

@@ -74,16 +74,13 @@ class SlopeGraph:
 
 def build_graph(display):
     """One edge per nonzero F-matrix entry, weighted by valuation; edges are
-    emitted column-major (by source, then target) for determinism."""
-    n_prec = display.ctx.N
+    emitted column-major (by source, then target) for determinism.  A
+    stored entry is nonzero mod p^N, so its valuation is below N."""
+    val = display._ops().val
     basis = display.basis
-    rank = display.rank
-    edges = []
-    for j in range(rank):
-        for i in range(rank):
-            w = display.frobenius[i][j].valuation()
-            if w < n_prec:
-                edges.append((basis[j], basis[i], w))
+    edges = [(basis[j], basis[i], val(a))
+             for j, col in enumerate(display.sparse_frobenius)
+             for i, a in col]
     return SlopeGraph(basis, edges)
 
 
@@ -205,6 +202,8 @@ def _karp_scc(nodes, edges):
             da = prev[a]
             if da is not None and (row[b] is None or da + w < row[b]):
                 row[b] = da + w
+    # the mean (dv - dt) / (k - t) as a (numerator, positive denominator)
+    # pair, compared by cross-multiplying: max over t, then min over v
     best = None
     last = dist[k]
     for v in range(k):
@@ -216,12 +215,13 @@ def _karp_scc(nodes, edges):
             dt = dist[t][v]
             if dt is None:
                 continue
-            cand = Fraction(dv - dt, k - t)
-            if worst is None or cand > worst:
-                worst = cand
-        if worst is not None and (best is None or worst < best):
+            num, den = dv - dt, k - t
+            if worst is None or num * worst[1] > worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (
+                best is None or worst[0] * best[1] < best[0] * worst[1]):
             best = worst
-    return best
+    return None if best is None else Fraction(*best)
 
 
 def to_dot(graph, context=None, version=None):

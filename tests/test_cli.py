@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gustrata import RingContext, __version__, _linalg
+from gustrata import RingContext, __version__, _linalg, cli
 from gustrata.cli import main
 
 
@@ -200,3 +200,48 @@ class TestDoubledPrecisionCapacity:
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "capacity exceeded" in err
+
+
+class TestParserReuse:
+    """main builds its argparse parser once per process."""
+
+    SEQUENCE = [
+        ["verify", "--n", "3", "--random", "4", "--seed", "9"],
+        ["verify", "--n", "3", "--format", "tsv"],
+        ["verify", "--n", "3"],  # exhaustive, json again
+        ["slopes", "--module", "M(3)", "--d", "2", "--format", "tsv"],
+        ["slopes", "--module", "M(3)"],  # d = 1, json again
+        ["check", "--module", "N^2", "--p", "5"],
+        ["slopes", "--bogus"],  # usage error
+        ["check", "--module", "N^2"],  # p = 3 again
+        ["verify", "--n", "3", "--random", "4"],  # seed 0 again
+    ]
+    # position in SEQUENCE -> (the same call with its defaults spelt out,
+    # the earlier call whose value must not carry over)
+    EXPLICIT = {
+        2: (["verify", "--n", "3", "--format", "json"], 1),
+        4: (["slopes", "--module", "M(3)", "--d", "1", "--format", "json"],
+            3),
+        7: (["check", "--module", "N^2", "--p", "3"], 5),
+        8: (["verify", "--n", "3", "--random", "4", "--seed", "0"], 0),
+    }
+
+    def test_same_results_as_fresh_parsers(self, monkeypatch):
+        cached = [run(argv) for argv in self.SEQUENCE]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli._build_parser)
+        fresh = [run(argv) for argv in self.SEQUENCE]
+        assert cached == fresh
+        assert [code for code, _ in cached] == [0, 0, 0, 0, 0, 0, 2, 0, 0]
+        # a value given in one call does not carry over into the next
+        for k, (argv, earlier) in self.EXPLICIT.items():
+            assert cached[k] == run(argv)
+            assert cached[k] != cached[earlier]
+
+    def test_no_argument_leaks_between_calls(self):
+        parser = cli._parser()
+        for argv in self.SEQUENCE:
+            if argv[1:] == ["--bogus"]:
+                continue
+            assert vars(parser.parse_args(argv)) == \
+                vars(cli._build_parser().parse_args(argv))

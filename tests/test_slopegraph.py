@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,36 @@ class TestKarp:
     def test_acyclic_returns_none(self):
         G = SlopeGraph((U(1), V(1)), ((U(1), V(1), 1),))
         assert karp_min_cycle_mean(G) is None
+
+    @pytest.mark.parametrize("seed", range(240))
+    def test_random_graphs_against_brute_enumeration(self, seed):
+        # small weights make equal cycle means common; self-loops and
+        # vertices outside every cycle (acyclic components) are included
+        rng = random.Random(seed)
+        k = rng.randrange(1, 8)
+        verts = [U(i) for i in range(k)]
+        edges = [(a, b, rng.randrange(3)) for a in verts for b in verts
+                 if rng.random() < (0.3 if a == b else 0.25)]
+        if seed % 4 == 0:  # force a DAG: only edges to later vertices
+            edges = [(a, b, w) for a, b, w in edges
+                     if verts.index(a) < verts.index(b)]
+        G = SlopeGraph(verts, edges)
+        assert karp_min_cycle_mean(G) == min_cycle_mean_brute(G)
+
+    def test_equal_means_and_loops(self):
+        a, b, c, d, e = (U(i) for i in range(5))
+        # cycles a->b->a (mean 1/2), c->d->e->c (2/3), self-loop e (1)
+        G = SlopeGraph((a, b, c, d, e),
+                       ((a, b, 1), (b, a, 0), (c, d, 1), (d, e, 1),
+                        (e, c, 0), (e, e, 1), (b, c, 0)))
+        assert karp_min_cycle_mean(G) == Fraction(1, 2)
+        # two cycles with the same mean 2/4 = 1/2 in one component
+        G = SlopeGraph((a, b, c, d),
+                       ((a, b, 1), (b, a, 0), (b, c, 1), (c, d, 0),
+                        (d, a, 1)))
+        assert karp_min_cycle_mean(G) == Fraction(1, 2) == \
+            min_cycle_mean_brute(G)
+        assert karp_min_cycle_mean(SlopeGraph((a,), ((a, a, 3),))) == 3
 
     def test_agrees_with_u1_restriction_on_family(self):
         ctx = ctx_for(5, p=2)

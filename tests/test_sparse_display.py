@@ -1,0 +1,304 @@
+"""Sparse raw storage of displays against dense constructions.
+
+Every display here is also built entry by entry as dense matrices of
+scalars and passed through the public constructor; the deformation
+relations are written out again from the deformation_display docstring, so
+the template in displayzoo is checked against an independent reading.
+"""
+
+import json
+import random
+
+import pytest
+
+from gustrata import (DeformationPoint, DieudonneDisplay, build_graph,
+                      default_precision, deformation_display, direct_sum,
+                      display_from_json, make_context, module_M, module_N,
+                      polarization_check, validate_display)
+from gustrata.fcrystal import U, V
+from gustrata.wittring import PadicScalar
+
+
+def ctx_for(n, p=3, d=1):
+    return make_context(p, d, default_precision(n, d))
+
+
+def dense_deformation(ctx, point):
+    """(labels, columns, pairing) of the deformation family at point, as
+    dense lists of scalars; columns[j][i] is the v_i-coefficient of F e_j."""
+    n, p = point.n, ctx.p
+    s = {i: ctx.teichmuller(v) for i, v in zip(point.indices, point.values)}
+    m = n if n % 2 else n - 1
+    labels = [U(i) for i in range(1, m + 1)] + [V(i) for i in range(1, m + 1)]
+    F = {(U(1), V(m)): -1, (U(2), V(1)): p, (U(2), V(m)): p * s[m],
+         (V(1), U(m)): p, (V(1), U(1)): -p * s[m], (V(2), U(1)): 1}
+    for j in range(2, m):
+        F[(U(2), V(j))] = (-1) ** j * p * s[j]
+    for k in range(3, m + 1):
+        F[(U(k), V(k - 1))] = p
+        F[(V(k), U(k - 1))] = 1
+        F[(V(k), U(1))] = s[k - 1]
+    J = {}
+    for i in range(1, m + 1):
+        J[(U(i), V(i))] = (-1) ** i
+        J[(V(i), U(i))] = -(-1) ** i
+    if n % 2 == 0:
+        labels += [U(0), V(0)]
+        F[(U(2), V(0))] = p * s[0]
+        F[(U(0), V(0))] = p
+        F[(V(0), U(0))] = -1
+        F[(V(0), U(1))] = -s[0]
+        J[(U(0), V(0))] = 1
+        J[(V(0), U(0))] = -1
+    return labels, _dense(ctx, labels, F), _dense(ctx, labels, J)
+
+
+def _dense(ctx, labels, entries):
+    """out[index of a][index of b] = entries[(a, b)], zero elsewhere."""
+    idx = {lab: k for k, lab in enumerate(labels)}
+    r = len(labels)
+    out = [[ctx.zero() for _ in range(r)] for _ in range(r)]
+    for (a, b), c in entries.items():
+        if not isinstance(c, PadicScalar):
+            c = ctx.from_int(c)
+        out[idx[a]][idx[b]] = c
+    return out
+
+
+def dense_edges(labels, columns):
+    return [(labels[j], labels[i], e.valuation())
+            for j, col in enumerate(columns) for i, e in enumerate(col)
+            if not e.is_zero()]
+
+
+def dense_alternating_failures(pairing):
+    r = len(pairing)
+    bad = []
+    for i in range(r):
+        if not pairing[i][i].is_zero():
+            bad.append((i, i))
+        for j in range(i + 1, r):
+            if not (pairing[i][j] + pairing[j][i]).is_zero():
+                bad.append((i, j))
+    return bad
+
+
+def dense_grading_failures(labels, columns):
+    r = len(labels)
+    return [(i, j) for i in range(r) for j in range(r)
+            if labels[i].family == labels[j].family
+            and not columns[j][i].is_zero()]
+
+
+def points(ctx, n, count, seed):
+    rng = random.Random(seed)
+    q = ctx.p ** ctx.d
+    yield (0,) * (n - 1)
+    for _ in range(count):
+        yield tuple(rng.randrange(q) for _ in range(n - 1))
+
+
+CASES = [(n, p, d) for n in range(3, 10) for p in (3, 5) for d in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n,p,d", CASES)
+def test_deformation_matches_dense_builder(n, p, d):
+    ctx = ctx_for(n, p, d)
+    for ints in points(ctx, n, 2, seed=1000 * n + 10 * p + d):
+        point = DeformationPoint.from_ints(ctx, n, ints)
+        D = deformation_display(ctx, point)
+        labels, columns, pairing = dense_deformation(ctx, point)
+        dense = DieudonneDisplay(ctx, labels, columns, pairing)
+        assert D == dense, ints
+        assert json.dumps(D.to_json()) == json.dumps(dense.to_json())
+        r = len(labels)
+        assert all(D.frobenius[i][j] == columns[j][i]
+                   for i in range(r) for j in range(r))
+        assert D.pairing == tuple(map(tuple, pairing))
+        assert list(build_graph(D).edges) == dense_edges(labels, columns)
+        assert display_from_json(json.loads(json.dumps(D.to_json()))) == D
+        # storage is canonical: indices ascending, no zero, reduced raw
+        zero = (0,) * d if d > 1 else 0
+        for lines in (D.sparse_frobenius, D.sparse_pairing):
+            for line in lines:
+                assert [k for k, _ in line] == sorted({k for k, _ in line})
+                assert all(a != zero for _, a in line)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_integer_builders_drop_zeros_at_precision_one(d):
+    # at N = 1 the coefficient p of F u_k is 0
+    ctx = make_context(3, d, 1)
+    for D in (module_N(ctx), module_M(ctx, 3),
+              deformation_display(ctx, DeformationPoint.from_ints(
+                  ctx, 4, (1, 2, 0)))):
+        r = D.rank
+        columns = [[D.frobenius[i][j] for i in range(r)] for j in range(r)]
+        assert D == DieudonneDisplay(ctx, D.basis, columns, D.pairing)
+        assert len(build_graph(D).edges) == sum(
+            not e.is_zero() for col in columns for e in col)
+
+
+def test_views_are_immutable_tuples():
+    ctx = ctx_for(6)
+    D = deformation_display(ctx, DeformationPoint.from_ints(
+        ctx, 6, (1, 2, 0, 1, 2)))
+    for view in (D.frobenius, D.pairing, D.sparse_frobenius,
+                 D.sparse_pairing):
+        assert isinstance(view, tuple)
+        assert all(isinstance(row, tuple) for row in view)
+    assert D.frobenius is D.frobenius
+    with pytest.raises(TypeError):
+        D.frobenius[0][0] = ctx.one()
+    with pytest.raises(TypeError):
+        D.pairing[0] = ()
+    with pytest.raises(AttributeError):
+        D.frobenius = ()
+    with pytest.raises(AttributeError):
+        D.pairing = ()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_direct_sum_is_dense_block_placement(d):
+    ctx = ctx_for(7, d=d)
+    q = ctx.p ** d
+    inner = direct_sum(module_M(ctx, 3), module_N(ctx))
+    parts = [module_N(ctx),
+             deformation_display(ctx, DeformationPoint.from_ints(
+                 ctx, 4, (1, q - 1, 2 % q))),
+             inner, module_M(ctx, 2)]
+    S = direct_sum(*parts)
+    r = sum(D.rank for D in parts)
+    zero = ctx.zero()
+    columns = [[zero] * r for _ in range(r)]
+    pairing = [[zero] * r for _ in range(r)]
+    off = 0
+    for D in parts:
+        for i in range(D.rank):
+            for j in range(D.rank):
+                columns[off + j][off + i] = D.frobenius[i][j]
+                pairing[off + i][off + j] = D.pairing[i][j]
+        off += D.rank
+    assert S == DieudonneDisplay(ctx, S.basis, columns, pairing)
+    assert len(S.summands) == 5  # the nested sum contributes its two parts
+    assert display_from_json(S.to_json()) == S
+
+
+BROKEN_REPORTS = {
+    "flipped_pairing": [("pairing_alternating", ["entry (0,2)"])],
+    "grading": [("grading_block_antidiagonal", ["entry (0,0)"])],
+    "singular": [("frobenius_invertible",
+                  ["V not computable at this precision"]),
+                 ("verschiebung_integral",
+                  ["skipped: V not computable at this precision"])],
+    "broken_sign": [],
+}
+
+
+def broken_display(kind):
+    """The broken displays of tests/test_fcrystal.py."""
+    ctx = ctx_for(1 if kind == "broken_sign" else 2)
+    good = module_M(ctx, 2) if kind == "flipped_pairing" else module_N(ctx)
+    r = good.rank
+    cols = [[good.frobenius[i][j] for i in range(r)] for j in range(r)]
+    pairing = [list(row) for row in good.pairing]
+    if kind == "flipped_pairing":
+        for i, a in enumerate(good.basis):
+            for j, b in enumerate(good.basis):
+                if (a.family, b.family) == ("u", "v") and a.index == b.index:
+                    pairing[i][j] = ctx.one()
+    elif kind == "grading":
+        cols[0][0] = ctx.one()
+    elif kind == "singular":
+        cols = [[ctx.zero()] * 2 for _ in range(2)]
+    else:
+        cols[1][0] = ctx.one()
+    return DieudonneDisplay(ctx, good.basis, cols, pairing)
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_REPORTS))
+def test_validation_failures_unchanged(kind):
+    report = validate_display(broken_display(kind))
+    assert [(c.name, list(c.details)) for c in report.failed()] == \
+        BROKEN_REPORTS[kind]
+    if kind == "broken_sign":
+        assert [(str(a), str(b), s.coords)
+                for a, b, s in polarization_check(broken_display(kind))] == \
+            [("u0", "u0", (531435,)), ("v0", "v0", (177149,))]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_validation_failures_match_dense_scan(seed):
+    rng = random.Random(seed)
+    n, d = rng.choice([(3, 1), (4, 1), (5, 2), (6, 1)])
+    ctx = ctx_for(n, d=d)
+    point = DeformationPoint.from_ints(ctx, n, tuple(
+        rng.randrange(ctx.p ** d) for _ in range(n - 1)))
+    labels, columns, pairing = dense_deformation(ctx, point)
+    r = len(labels)
+    for _ in range(rng.randrange(3, 12)):
+        i, j = rng.randrange(r), rng.randrange(r)
+        entry = ctx.scalar([rng.randrange(3) for _ in range(d)])
+        if rng.random() < 0.5:
+            columns[j][i] = entry
+        else:
+            pairing[i][i if rng.random() < 0.3 else j] = entry
+    report = validate_display(DieudonneDisplay(ctx, labels, columns,
+                                               pairing))
+    details = {c.name: list(c.details) for c in report.checks}
+    assert details["pairing_alternating"] == [
+        f"entry ({i},{j})" for i, j in dense_alternating_failures(pairing)[:8]]
+    assert details["grading_block_antidiagonal"] == [
+        f"entry ({i},{j})"
+        for i, j in dense_grading_failures(labels, columns)[:8]]
+
+
+def test_alternation_diagonal_at_p2():
+    # at p = 2 a diagonal entry 2^(N-1) has J_ii + J_ii = 0 mod 2^N, so only
+    # the diagonal test itself reports it
+    ctx = ctx_for(3, p=2)
+    labels, columns, pairing = dense_deformation(
+        ctx, DeformationPoint.from_ints(ctx, 3, (1, 0)))
+    pairing[1][1] = ctx.from_int(2 ** (ctx.N - 1))
+    report = validate_display(DieudonneDisplay(ctx, labels, columns,
+                                               pairing))
+    assert dense_alternating_failures(pairing) == [(1, 1)]
+    assert [(c.name, c.details) for c in report.failed()] == \
+        [("pairing_alternating", ("entry (1,1)",))]
+
+
+def dense_polarization(D):
+    """<F e_i, e_j> - sigma(<e_i, V e_j>) over all (i, j), densely, at the
+    precision of V."""
+    ctx_v, vmat = D.verschiebung_matrix()
+    r = D.rank
+    A = [[ctx_v.scalar(e.coords) for e in row] for row in D.frobenius]
+    J = [[ctx_v.scalar(e.coords) for e in row] for row in D.pairing]
+    out = []
+    for i in range(r):
+        for j in range(r):
+            lhs = sum((A[k][i] * J[k][j] for k in range(r)), ctx_v.zero())
+            rhs = sum((J[i][k] * vmat[k][j] for k in range(r)), ctx_v.zero())
+            diff = lhs - rhs.frobenius()
+            if not diff.is_zero():
+                out.append((D.basis[i], D.basis[j], diff))
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(5, 1), (6, 1), (4, 2), (5, 2)])
+@pytest.mark.parametrize("a,b", [(U(2), V(2)), (U(1), U(3)), (V(1), V(3))])
+def test_polarization_check_wrong_pairing_entry(n, d, a, b):
+    ctx = ctx_for(n, d=d)
+    point = DeformationPoint.from_ints(ctx, n, tuple(
+        (3 * k + 1) % ctx.p ** d for k in range(n - 1)))
+    labels, columns, pairing = dense_deformation(ctx, point)
+    good = DieudonneDisplay(ctx, labels, columns, pairing)
+    assert polarization_check(good) == [] == dense_polarization(good)
+    # still alternating and unimodular, but no longer compatible with F
+    i, j = labels.index(a), labels.index(b)
+    pairing[i][j] = pairing[i][j] + ctx.from_int(ctx.p)
+    pairing[j][i] = pairing[j][i] - ctx.from_int(ctx.p)
+    bad = DieudonneDisplay(ctx, labels, columns, pairing)
+    assert validate_display(bad).ok
+    found = polarization_check(bad)
+    assert found and found == dense_polarization(bad)
