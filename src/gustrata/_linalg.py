@@ -2,10 +2,10 @@
 
 Internal module: division-free characteristic polynomials (Berkowitz),
 Frobenius-twisted matrix products, adjugate columns via Cayley-Hamilton,
-lower convex hulls for Newton polygons, and mod-p linear algebra.  Raw
-coordinate data (plain ints when d == 1, coordinate tuples otherwise) is
-used throughout; the coefficient ring Z/p^N has zero divisors, so nothing
-here divides by a non-unit.
+lower convex hulls for Newton polygons, and ranks over the residue field
+F_{p^d}.  Raw coordinate data (plain ints when d == 1, coordinate tuples
+otherwise) is used throughout; the coefficient ring Z/p^N has zero
+divisors, so nothing here divides by a non-unit.
 
 Display matrices are sparse (a rank-16 deformation display has 26 nonzero
 entries out of 256), and so are the vectors the kernels iterate on.  Each
@@ -52,6 +52,13 @@ Every kernel takes dense rows and returns exactly what the dense
 computation would: the ring is exact, so skipping zero terms, reordering
 sums and reducing by polynomial identities changes no coefficient.  A
 matrix with a single component goes through the same code as one block.
+
+Ranks over F_{p^d} run on the same ops, those of the context at precision
+1, whose ring W_1(F_{p^d}) is the field itself; truncate reduces any
+finer raw data into it.  Elimination is fraction-free (see rank): each
+step multiplies a row by a nonzero field element and subtracts a multiple
+of another, an invertible row operation, so the count of pivot rows is
+exactly the rank and no inverse is needed.
 """
 from __future__ import annotations
 
@@ -130,9 +137,6 @@ class _IntOps:
     def divexact_p(self, a, k):
         return a // self.p ** k
 
-    def mod_p(self, a):
-        return (a % self.p,)
-
 
 class _ExtOps:
     """Raw arithmetic for d >= 2: scalars are length-d coordinate tuples."""
@@ -145,6 +149,7 @@ class _ExtOps:
         self.cap = ctx.N
         self.zero = (0,) * ctx.d
         self.one = (1,) + (0,) * (ctx.d - 1)
+        self.mul = ctx._wmul
 
     def unwrap(self, scalar):
         return scalar.coords
@@ -163,28 +168,6 @@ class _ExtOps:
     def sub(self, a, b):
         q = self.q
         return tuple((x - y) % q for x, y in zip(a, b))
-
-    def _reduce(self, conv):
-        d, q = self.d, self.q
-        out = list(conv[:d])
-        red = self.ctx._red
-        for k in range(d, len(conv)):
-            c = conv[k]
-            if c:
-                row = red[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(v % q for v in out)
-
-    def mul(self, a, b):
-        d = self.d
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return self._reduce(conv)
 
     def scale(self, k, a):
         """k * a for an integer k: it scales every power-basis coordinate."""
@@ -208,7 +191,7 @@ class _ExtOps:
                     if a_s:
                         for k, bk in b:
                             conv[s + k] += a_s * bk
-        zero, reduce = self.zero, self._reduce
+        zero, reduce = self.zero, self.ctx._reduce
         return {i: e for i, conv in acc.items() if (e := reduce(conv)) != zero}
 
     def truncate(self, a):
@@ -228,10 +211,6 @@ class _ExtOps:
     def divexact_p(self, a, k):
         pk = self.p ** k
         return tuple(c // pk for c in a)
-
-    def mod_p(self, a):
-        p = self.p
-        return tuple(c % p for c in a)
 
 
 def ops_for(ctx):
@@ -548,84 +527,32 @@ def charpoly_slope_pairs(ops, cp, twist):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p and F_{p^d}
+# linear algebra over the residue field
 
 
-def gf_rank(rows, p):
-    """Rank of an integer matrix over F_p (destructive on a copy)."""
-    m = [[e % p for e in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row_idx = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row_idx, len(m)):
-            if m[i][col]:
-                pivot = i
+def rank(ops, rows):
+    """Rank of the matrix with the given sparse rows, dicts from column to
+    nonzero raw entry, over the field of ops: F_{p^d} for a context at
+    precision 1.
+
+    Fraction-free echelon form: a row whose leading column c already has a
+    pivot row piv is replaced by piv[c] * row - row[c] * piv, which clears
+    column c.  Over a field piv[c] is a unit, so this is an invertible row
+    operation and the rank is unchanged; no inverse is ever taken.  The
+    rank is the number of pivot rows."""
+    mul, sub, zero = ops.mul, ops.sub, ops.zero
+    pivots = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            piv = pivots.get(c)
+            if piv is None:
+                pivots[c] = row
                 break
-        if pivot is None:
-            continue
-        m[row_idx], m[pivot] = m[pivot], m[row_idx]
-        inv = pow(m[row_idx][col], p - 2, p)
-        m[row_idx] = [(e * inv) % p for e in m[row_idx]]
-        for i in range(len(m)):
-            if i != row_idx and m[i][col]:
-                c = m[i][col]
-                m[i] = [(a - c * b) % p for a, b in zip(m[i], m[row_idx])]
-        row_idx += 1
-        rank += 1
-        if row_idx == len(m):
-            break
-    return rank
-
-
-def gf_mult_matrix(coords, ctx):
-    """d x d matrix over F_p of multiplication by a residue field element."""
-    p, d = ctx.p, ctx.d
-    cols = []
-    for s in range(d):
-        conv = [0] * (s + d)
-        for i, c in enumerate(coords):
-            conv[s + i] = c % p
-        out = conv[:d] + [0] * (d - len(conv[:d]))
-        for k in range(d, len(conv)):
-            c = conv[k]
-            if c:
-                row = ctx._red_p[k - d]
-                for i in range(d):
-                    out[i] = (out[i] + c * row[i]) % p
-        cols.append(out)
-    return [[cols[s][t] for s in range(d)] for t in range(d)]
-
-
-def gf_blowup(coord_rows, ctx, sigma_power=None):
-    """F_p matrix of the map x -> M.sigma^k(x) on F_{p^d}-coordinate vectors.
-
-    coord_rows holds residue field elements as coordinate tuples; the result
-    is the (rows*d) x (cols*d) matrix acting on stacked F_p coordinates.
-    """
-    p, d = ctx.p, ctx.d
-    nr = len(coord_rows)
-    nc = len(coord_rows[0]) if nr else 0
-    sig = None
-    if sigma_power is not None and sigma_power % d != 0:
-        tab = ctx._frob[sigma_power % d]
-        sig = [[tab[s][t] % p for s in range(d)] for t in range(d)]
-    big = [[0] * (nc * d) for _ in range(nr * d)]
-    for i in range(nr):
-        for j in range(nc):
-            coords = coord_rows[i][j]
-            if all(c % p == 0 for c in coords):
-                continue
-            block = gf_mult_matrix(coords, ctx)
-            if sig is not None:
-                block = [[sum(block[t][u] * sig[u][s] for u in range(d)) % p
-                          for s in range(d)] for t in range(d)]
-            for t in range(d):
-                row = big[i * d + t]
-                bt = block[t]
-                for s in range(d):
-                    row[j * d + s] = bt[s]
-    return big
+            a, b = piv[c], row[c]
+            new = {j: mul(a, e) for j, e in row.items() if j != c}
+            for j, e in piv.items():
+                if j != c:
+                    new[j] = sub(new.get(j, zero), mul(b, e))
+            row = {j: e for j, e in new.items() if e != zero}
+    return len(pivots)

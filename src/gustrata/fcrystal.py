@@ -572,26 +572,30 @@ def polarization_check(display):
 
 
 def a_number(display):
-    """dim over F_{p^d} of ker(F mod p) intersected with ker(V mod p)."""
-    ctx = display.ctx
-    ops = display._ops()
-    d = ctx.d
-    ctx_v, vrows = display._verschiebung()
-    ops_v = ops_for(ctx_v)
-    a_bar = [[ops.mod_p(e) for e in row] for row in display._raw_frobenius()]
-    b_bar = [[ops_v.mod_p(e) for e in row] for row in vrows]
-    if d == 1:
-        stacked = ([[e[0] for e in row] for row in a_bar]
-                   + [[e[0] for e in row] for row in b_bar])
-        kernel = display.rank - _linalg.gf_rank(stacked, ctx.p)
-        return kernel
-    mf = _linalg.gf_blowup(a_bar, ctx, sigma_power=1)
-    mv = _linalg.gf_blowup(b_bar, ctx, sigma_power=d - 1)
-    stacked = mf + mv
-    kernel = display.rank * d - _linalg.gf_rank(stacked, ctx.p)
-    if kernel % d:
-        raise RuntimeError("kernel is not stable under the residue field")
-    return kernel // d
+    """dim over F_{p^d} of ker(F mod p) intersected with ker(V mod p).
+
+    With A the matrix of F and B that of V, F x = A sigma(x) and
+    V x = B sigma^(-1)(x), so the kernel is {x : A sigma(x) = 0 and
+    B sigma^(-1)(x) = 0 mod p}.  Put y = sigma(x), a bijection: the
+    conditions become A y = 0 and B sigma^(-2)(y) = 0, and applying sigma^2
+    to the second gives sigma^2(B) y = 0.  So the kernel is sigma^(-1) of
+    the null space of the F_{p^d}-matrix [A; sigma^2(B)] mod p, and its
+    dimension is rank - rank_{F_{p^d}} [A; sigma^2(B)].
+    """
+    ops1 = ops_for(display.ctx.at_precision(1))
+    vrows = display._verschiebung()[1]
+    rows = (_residue_rows(ops1, display._raw_frobenius())
+            + _residue_rows(ops1, vrows, 2))
+    return display.rank - _linalg.rank(ops1, rows)
+
+
+def _residue_rows(ops1, rows, power=0):
+    """sigma^power of the matrix with the given dense raw rows, of any
+    precision, reduced mod p: sparse rows for _linalg.rank.  Raw zero is
+    the same at every precision, so sparse_rows may use the ops at 1."""
+    truncate, frob, zero = ops1.truncate, ops1.frob, ops1.zero
+    return [{j: frob(t, power) for j, a in srow if (t := truncate(a)) != zero}
+            for srow in _linalg.sparse_rows(ops1, rows)]
 
 
 def p_rank(display):
@@ -601,23 +605,15 @@ def p_rank(display):
 
 def signature(display):
     """Dimensions over the residue field of the u- and v-graded parts of
-    D / V D."""
-    ctx = display.ctx
-    d = ctx.d
-    ctx_v, vrows = display._verschiebung()
-    ops_v = ops_for(ctx_v)
-    b_bar = [[ops_v.mod_p(e) for e in row] for row in vrows]
+    D / V D: each is its part's rank minus the F_{p^d} rank of the block
+    of V mod p mapping the other part into it."""
+    ops1 = ops_for(display.ctx.at_precision(1))
+    b_bar = _residue_rows(ops1, display._verschiebung()[1])
     uu, vv = display.u_indices, display.v_indices
 
     def block_rank(rows_idx, cols_idx):
-        sub = [[b_bar[i][j] for j in cols_idx] for i in rows_idx]
-        if not sub or not sub[0]:
-            return 0
-        if d == 1:
-            return _linalg.gf_rank([[e[0] for e in row] for row in sub],
-                                   ctx.p)
-        return _linalg.gf_rank(_linalg.gf_blowup(sub, ctx), ctx.p) // d
+        cols = set(cols_idx)
+        return _linalg.rank(ops1, [{j: e for j, e in b_bar[i].items()
+                                    if j in cols} for i in rows_idx])
 
-    dim_u = len(uu) - block_rank(uu, vv)
-    dim_v = len(vv) - block_rank(vv, uu)
-    return (dim_u, dim_v)
+    return (len(uu) - block_rank(uu, vv), len(vv) - block_rank(vv, uu))

@@ -239,7 +239,7 @@ class RingContext:
     iterates, so Frobenius twists are plain linear maps afterwards.
     """
 
-    __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_red_p", "_frob",
+    __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_frob",
                  "_prec_cache", "_teich_cache")
 
     def __init__(self, p, d, N, modulus):
@@ -275,7 +275,6 @@ class RingContext:
                             for i in range(d))
                 red.append(row)
         self._red = tuple(red)
-        self._red_p = tuple(tuple(c % self.p for c in row) for row in red)
         # power-basis images of sigma^k for k = 0..d-1
         ident = tuple(tuple(1 if i == j else 0 for j in range(d))
                       for i in range(d))
@@ -320,20 +319,26 @@ class RingContext:
     # -- raw coordinate kernels ----------------------------------------------
 
     def _wmul(self, a, b):
-        d, q = self.d, self.q
+        d = self.d
         if d == 1:
-            return ((a[0] * b[0]) % q,)
+            return ((a[0] * b[0]) % self.q,)
         conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
+        return self._reduce(conv)
+
+    def _reduce(self, conv):
+        """Coordinates of the polynomial with coefficients conv (at most
+        2d - 1 of them, low degree first) modulo the modulus and p^N."""
+        d, q, red = self.d, self.q, self._red
         out = conv[:d]
-        for k in range(d, 2 * d - 1):
+        for k in range(d, len(conv)):
             c = conv[k]
             if c:
-                row = self._red[k - d]
+                row = red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
         return tuple(v % q for v in out)
@@ -620,7 +625,12 @@ def scalar_from_json(ctx, obj):
 
 
 class FieldElement:
-    """Element of the residue field F_{p^d} of a context."""
+    """Element of the residue field F_{p^d} of a context.
+
+    Products and inverses run on the context at precision 1, whose ring
+    W_1(F_{p^d}) is the field: its tables are those of any precision
+    reduced mod p, since reducing mod p commutes with the integer
+    recurrences that build them."""
 
     __slots__ = ("ctx", "coords")
 
@@ -666,32 +676,14 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ctx, p, d = self.ctx, self.ctx.p, self.ctx.d
-        if d == 1:
-            return FieldElement(ctx, ((self.coords[0] * other.coords[0]) % p,))
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.coords):
-            if ai:
-                for j, bj in enumerate(other.coords):
-                    conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = ctx._red_p[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return FieldElement(ctx, tuple(v % p for v in out))
+        return FieldElement(self.ctx, self.ctx.at_precision(1)._wmul(
+            self.coords, other.coords))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise NonInvertibleError(1)
-        inv = _pext_inv(_pstrip(list(self.coords)),
-                        list(self.ctx.modulus) + [1], self.ctx.p)
-        return FieldElement(self.ctx, tuple(
-            inv[i] if i < len(inv) else 0 for i in range(self.ctx.d)))
+        return FieldElement(self.ctx,
+                            self.ctx.at_precision(1)._winv(self.coords))
 
     def __pow__(self, e):
         result = FieldElement(self.ctx, (1,) + (0,) * (self.ctx.d - 1))

@@ -3,7 +3,9 @@
 These deliberately avoid the production code paths: characteristic
 polynomials by the Leibniz permutation expansion, irreducible-polynomial
 enumeration by brute root/factor search, simple-cycle enumeration via
-networkx, and the M(m) polygon from its closed form.
+networkx, the M(m) polygon from its closed form, residue field arithmetic
+by schoolbook polynomial products, and the a-number and signature by dense
+elimination on the F_p blow-up.
 """
 
 import itertools
@@ -183,6 +185,142 @@ def blowup_slope_pairs(display):
                     big[i * d + t][j * d + s] = block[t][s]
     ops = ops_for(make_context(ctx.p, 1, ctx.N))
     return charpoly_slope_pairs(ops, charpoly(ops, big), 1)
+
+
+def field_mul_brute(a, b, p, modulus):
+    """Product of two F_{p^d} coordinate tuples: the full polynomial
+    product reduced by long division modulo the monic polynomial with
+    non-leading coefficients modulus, then mod p."""
+    d = len(modulus)
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    f = list(modulus) + [1]
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = prod[top]
+        for i, fi in enumerate(f):
+            prod[top - d + i] -= c * fi
+    return tuple(c % p for c in prod[:d])
+
+
+def field_inv_brute(a, p, modulus):
+    """Inverse of a nonzero F_{p^d} coordinate tuple, by search."""
+    d = len(modulus)
+    one = (1,) + (0,) * (d - 1)
+    for x in itertools.product(range(p), repeat=d):
+        if field_mul_brute(a, x, p, modulus) == one:
+            return x
+    raise ZeroDivisionError("zero has no inverse")
+
+
+def field_rank_brute(rows, p, modulus):
+    """Rank over F_{p^d} of a dense matrix of coordinate tuples, by
+    Gauss-Jordan elimination with normalised pivots."""
+    d = len(modulus)
+    zero = (0,) * d
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != zero),
+                     None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = field_inv_brute(m[rank][col], p, modulus)
+        m[rank] = [field_mul_brute(inv, e, p, modulus) for e in m[rank]]
+        for i in range(len(m)):
+            c = m[i][col]
+            if i != rank and c != zero:
+                m[i] = [tuple((x - y) % p for x, y in zip(
+                    e, field_mul_brute(c, f, p, modulus)))
+                    for e, f in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _fp_rank(rows, p):
+    """Rank of an integer matrix over F_p by Gaussian elimination."""
+    m = [[e % p for e in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [e * inv % p for e in m[rank]]
+        for i in range(len(m)):
+            c = m[i][col]
+            if i != rank and c:
+                m[i] = [(x - c * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _fp_blowup(ctx, rows, sigma_power):
+    """F_p matrix of x -> M sigma^k(x) on stacked F_p coordinates, for the
+    matrix M of scalars reduced mod p; built from the context's reduction
+    and Frobenius tables only."""
+    p, d = ctx.p, ctx.d
+    red = [[c % p for c in row] for row in ctx._red]
+    tab = ctx._frob[sigma_power % d]
+    sig = [[tab[s][t] % p for s in range(d)] for t in range(d)]
+
+    def mult_mat(coords):
+        cols = []
+        for s in range(d):
+            shifted = [0] * s + [c % p for c in coords]
+            out = shifted[:d]
+            for k in range(d, len(shifted)):
+                for i in range(d):
+                    out[i] = (out[i] + shifted[k] * red[k - d][i]) % p
+            cols.append(out)
+        return [[cols[s][t] for s in range(d)] for t in range(d)]
+
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    big = [[0] * (nc * d) for _ in range(nr * d)]
+    for i in range(nr):
+        for j in range(nc):
+            mm = mult_mat(rows[i][j].coords)
+            for t in range(d):
+                for s in range(d):
+                    big[i * d + t][j * d + s] = sum(
+                        mm[t][u] * sig[u][s] for u in range(d)) % p
+    return big
+
+
+def blowup_a_number(display):
+    """a-number as the F_p dimension of ker(F mod p) and ker(V mod p) on
+    the rank r*d F_p-space of coordinates, divided by d: F acts as
+    x -> A sigma(x) and V as x -> B sigma^(-1)(x)."""
+    ctx = display.ctx
+    d = ctx.d
+    _, vmat = display.verschiebung_matrix()
+    stacked = (_fp_blowup(ctx, display.frobenius, 1)
+               + _fp_blowup(ctx, vmat, d - 1))
+    kernel = display.rank * d - _fp_rank(stacked, ctx.p)
+    assert kernel % d == 0, "kernel is not stable under the residue field"
+    return kernel // d
+
+
+def blowup_signature(display):
+    """(u, v) dimensions of D / V D: each part's rank minus the F_p rank
+    of the blow-up of the V mod p block mapping the other part into it,
+    divided by d."""
+    ctx = display.ctx
+    _, vmat = display.verschiebung_matrix()
+    uu, vv = display.u_indices, display.v_indices
+
+    def block_rank(rows_idx, cols_idx):
+        sub = [[vmat[i][j] for j in cols_idx] for i in rows_idx]
+        r = _fp_rank(_fp_blowup(ctx, sub, 0), ctx.p)
+        assert r % ctx.d == 0, "rank is not a multiple of d"
+        return r // ctx.d
+
+    return (len(uu) - block_rank(uu, vv), len(vv) - block_rank(vv, uu))
 
 
 def min_cycle_mean_brute(graph):
