@@ -21,7 +21,8 @@ from .displayzoo import (DeformationPoint, ModuleSpec, deformation_display,
                          parse_module_spec, supersingular_module)
 from .slopegraph import (CycleSummary, SlopeGraph, build_graph,
                          cycle_decomposition, cycles_through,
-                         karp_min_cycle_mean, min_cycle_slope, to_dot)
+                         karp_min_cycle_mean, least_slope_cycle,
+                         min_cycle_slope, to_dot)
 from .strata import (BudgetError, StrataReport, StratumDescriptor, catalog,
                      classify, lambda_min, predicted_stratum,
                      verify_local_strata)
@@ -37,7 +38,8 @@ __all__ = [
     "expected_module", "module_M", "module_N", "parse_module_spec",
     "supersingular_module",
     "CycleSummary", "SlopeGraph", "build_graph", "cycle_decomposition",
-    "cycles_through", "karp_min_cycle_mean", "min_cycle_slope", "to_dot",
+    "cycles_through", "karp_min_cycle_mean", "least_slope_cycle",
+    "min_cycle_slope", "to_dot",
     "BudgetError", "StrataReport", "StratumDescriptor", "catalog",
     "classify", "lambda_min", "predicted_stratum", "verify_local_strata",
 ]

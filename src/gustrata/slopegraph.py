@@ -7,29 +7,54 @@ gray/black coloring is weight 0 / weight 1.  The minimum slope
 (weight/length) over cycles through u_1 is the combinatorial slope
 algorithm, independent of the characteristic polynomial route; Karp's
 global minimum cycle mean is included as a cross-check.
+
+Inside, a graph is integer successor lists over the positions of its
+vertex tuple, and every traversal (cycle enumeration, Tarjan, Karp) runs on
+those integers; labels are looked up only for output and for the label
+API (``edges``, ``successors``, ``to_json``, ``to_dot``,
+``CycleSummary.vertices``).  Slopes are compared as cross-multiplied
+(weight, length) pairs; a ``Fraction`` is built only for a value that is
+returned or reported.
+
+One enumeration serves two graphs.  The simple cycles of the subgraph
+that keeps only some edges are exactly the cycles of the full graph all of
+whose edges are kept, so ``cycles_through`` marks each cycle it finds as
+kept or not, and the least slope of the reduced graph is the least slope
+among the kept cycles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import strongly_connected_components
 
 __all__ = [
     "SlopeGraph", "CycleSummary", "build_graph", "cycles_through",
-    "min_cycle_slope", "cycle_decomposition", "karp_min_cycle_mean",
-    "to_dot",
+    "least_slope_cycle", "min_cycle_slope", "cycle_decomposition",
+    "karp_min_cycle_mean", "to_dot",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CycleSummary:
-    """A simple cycle: vertex sequence (start not repeated), edge count,
-    total weight, and exact slope weight/length."""
-    vertices: tuple
-    length: int
+    """A simple cycle: the positions ``path`` of its vertices in the graph's
+    vertex tuple ``labels`` (start not repeated), total weight, and whether
+    every edge of it was kept (see ``cycles_through``)."""
+    labels: tuple = field(repr=False, compare=False)
+    path: tuple
     weight: int
+    kept: bool = True
+
+    @property
+    def vertices(self):
+        labels = self.labels
+        return tuple(labels[k] for k in self.path)
+
+    @property
+    def length(self):
+        return len(self.path)
 
     @property
     def slope(self):
@@ -41,26 +66,60 @@ class CycleSummary:
 
 
 class SlopeGraph:
-    """Directed graph on basis labels with p-valuation edge weights."""
+    """Directed graph on basis labels with p-valuation edge weights.
+
+    Stored as integer successor lists: ``_succ[k]`` holds the
+    ``(target position, weight)`` pairs of the edges leaving
+    ``vertices[k]``, in edge order.  Every traversal runs on these lists;
+    labels appear only in ``edges`` (whose label triples are built on
+    first use), ``successors``, ``to_json`` and ``to_dot``.
+    """
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
-        self.edges = tuple(edges)  # (src label, dst label, weight)
-        adj = {v: [] for v in self.vertices}
-        for src, dst, w in self.edges:
-            adj[src].append((dst, w))
-        self._adj = adj
+        self._edges = tuple(edges)  # (src label, dst label, weight)
+        index = {v: k for k, v in enumerate(self.vertices)}
+        self._succ = [[] for _ in self.vertices]
+        for src, dst, w in self._edges:
+            self._succ[index[src]].append((index[dst], w))
+
+    @classmethod
+    def _from_successors(cls, vertices, succ):
+        """The graph with integer successor lists ``succ``; its edges are
+        listed by source, then in successor order."""
+        graph = cls.__new__(cls)
+        graph.vertices = tuple(vertices)
+        graph._edges = None
+        graph._succ = succ
+        return graph
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            labels = self.vertices
+            self._edges = tuple((labels[a], labels[b], w)
+                                for a, row in enumerate(self._succ)
+                                for b, w in row)
+        return self._edges
+
+    def _position(self, v):
+        """The index of vertex v in ``vertices``."""
+        try:
+            return self.vertices.index(v)
+        except ValueError:
+            raise ValueError(f"vertex {v} not in graph") from None
+
+    def edge_positions(self):
+        """The set of (source, target) position pairs of the edges."""
+        return {(a, b) for a, row in enumerate(self._succ) for b, _ in row}
 
     def successors(self, v):
-        return tuple(self._adj[v])
+        labels = self.vertices
+        row = self._succ[self._position(v)]
+        return tuple((labels[b], w) for b, w in row)
 
     def out_degree(self, v):
-        return len(self._adj[v])
-
-    def subgraph_edges(self, keep):
-        """New graph on the same vertices with the filtered edge list."""
-        return SlopeGraph(self.vertices,
-                          tuple(e for e in self.edges if keep(e)))
+        return len(self._succ[self._position(v)])
 
     def to_json(self):
         return {"vertices": [str(v) for v in self.vertices],
@@ -69,7 +128,7 @@ class SlopeGraph:
 
     def __repr__(self):
         return (f"SlopeGraph({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges)")
+                f"{sum(map(len, self._succ))} edges)")
 
 
 def build_graph(display):
@@ -77,48 +136,71 @@ def build_graph(display):
     emitted column-major (by source, then target) for determinism.  A
     stored entry is nonzero mod p^N, so its valuation is below N."""
     val = display._ops().val
-    basis = display.basis
-    edges = [(basis[j], basis[i], val(a))
-             for j, col in enumerate(display.sparse_frobenius)
-             for i, a in col]
-    return SlopeGraph(basis, edges)
+    return SlopeGraph._from_successors(
+        display.basis,
+        [[(i, val(a)) for i, a in col] for col in display.sparse_frobenius])
 
 
-def cycles_through(graph, v):
+def cycles_through(graph, v, base_edges=None):
     """All simple cycles containing v, by depth-first search over simple
-    paths starting at v; deterministic order (edge insertion order)."""
-    if v not in graph._adj:
-        raise ValueError(f"vertex {v} not in graph")
+    paths starting at v; deterministic order (edge insertion order).
+
+    ``base_edges`` is a set of (source, target) position pairs.  A cycle is
+    kept unless it uses an edge of positive weight whose pair is not in
+    ``base_edges``; without ``base_edges`` every cycle is kept.  The search
+    is iterative, with one successor iterator per path vertex, so cycles
+    of any length are found without recursion.
+    """
+    start = graph._position(v)
+    labels = graph.vertices
+    if base_edges is None:
+        succ = [[(b, w, 0) for b, w in row] for row in graph._succ]
+    else:
+        succ = [[(b, w, w and (a, b) not in base_edges) for b, w in row]
+                for a, row in enumerate(graph._succ)]
     cycles = []
-    path = [v]
-    weights = []
-    on_path = {v}
-
-    def walk(cur):
-        for nxt, w in graph._adj[cur]:
-            if nxt == v:
-                cycles.append(CycleSummary(tuple(path), len(path),
-                                           sum(weights) + w))
-            elif nxt not in on_path:
-                path.append(nxt)
-                weights.append(w)
-                on_path.add(nxt)
-                walk(nxt)
-                on_path.discard(nxt)
-                weights.pop()
-                path.pop()
-
-    walk(v)
+    path = [start]
+    on_path = [False] * len(succ)
+    on_path[start] = True
+    # one frame per path vertex: its successor iterator, the weight of the
+    # path up to it, and whether an extra edge has been used on the way
+    frames = [(iter(succ[start]), 0, 0)]
+    while frames:
+        it, total, extra = frames[-1]
+        for b, w, x in it:
+            if b == start:
+                cycles.append(CycleSummary(labels, tuple(path), total + w,
+                                           not (extra or x)))
+            elif not on_path[b]:
+                on_path[b] = True
+                path.append(b)
+                frames.append((iter(succ[b]), total + w, extra or x))
+                break
+        else:
+            frames.pop()
+            on_path[path.pop()] = False
     return cycles
+
+
+def least_slope_cycle(cycles, v, kept_only=False):
+    """The first cycle of least slope among ``cycles`` (the cycles through
+    v), or among the kept ones; slopes are compared by cross-multiplying.
+    Raises RuntimeError when there is no such cycle."""
+    best = None
+    for c in cycles:
+        if (c.kept or not kept_only) and (
+                best is None
+                or c.weight * best.length < best.weight * c.length):
+            best = c
+    if best is None:
+        raise RuntimeError(
+            f"no cycles through {v}: anomalous graph for a valid display")
+    return best
 
 
 def min_cycle_slope(graph, v):
     """Minimum of weight/length over all simple cycles through v."""
-    cycles = cycles_through(graph, v)
-    if not cycles:
-        raise RuntimeError(
-            f"no cycles through {v}: anomalous graph for a valid display")
-    return min(c.slope for c in cycles)
+    return least_slope_cycle(cycles_through(graph, v), v).slope
 
 
 def cycle_decomposition(graph):
@@ -128,28 +210,28 @@ def cycle_decomposition(graph):
     into disjoint cycles; returns the list of CycleSummary.  Raises when
     some vertex branches.
     """
-    for v in graph.vertices:
-        if graph.out_degree(v) != 1:
+    succ = graph._succ
+    for k, row in enumerate(succ):
+        if len(row) != 1:
             raise ValueError(
-                f"vertex {v} has out-degree {graph.out_degree(v)}; "
+                f"vertex {graph.vertices[k]} has out-degree {len(row)}; "
                 "cycle decomposition needs a functional graph")
-    seen = set()
+    seen = [False] * len(succ)
     cycles = []
-    for start in graph.vertices:
-        if start in seen:
+    for start in range(len(succ)):
+        if seen[start]:
             continue
         trail = []
         weights = []
         cur = start
-        while cur not in seen:
-            seen.add(cur)
+        while not seen[cur]:
+            seen[cur] = True
             trail.append(cur)
-            nxt, w = graph._adj[cur][0]
+            cur, w = succ[cur][0]
             weights.append(w)
-            cur = nxt
         if cur in trail:
             k = trail.index(cur)
-            cycles.append(CycleSummary(tuple(trail[k:]), len(trail) - k,
+            cycles.append(CycleSummary(graph.vertices, tuple(trail[k:]),
                                        sum(weights[k:])))
     return cycles
 
@@ -158,41 +240,29 @@ def karp_min_cycle_mean(graph):
     """Global minimum cycle mean over the whole graph (Karp), as an exact
     Fraction; None when the graph is acyclic.  Cross-check oracle for the
     u_1-restricted minimum."""
-    comps = _strongly_connected_components(graph)
-    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
-    nodes = [[] for _ in comps]
-    for v in graph.vertices:
-        nodes[comp_of[v]].append(v)
-    inner = [[] for _ in comps]
-    for a, b, w in graph.edges:
-        if comp_of[a] == comp_of[b]:
-            inner[comp_of[a]].append((a, b, w))
+    succ = graph._succ
+    comps = strongly_connected_components([[b for b, _ in row]
+                                           for row in succ])
     best = None
-    for comp_nodes, edges in zip(nodes, inner):
-        # a component without inner edges is one vertex without a loop
+    for comp in comps:
+        # positions within the component, and its inner edges; a component
+        # without inner edges is one vertex without a loop
+        pos = {a: i for i, a in enumerate(comp)}
+        edges = [(pos[a], pos[b], w) for a in comp for b, w in succ[a]
+                 if b in pos]
         if edges:
-            mu = _karp_scc(comp_nodes, edges)
-            if mu is not None and (best is None or mu < best):
-                best = mu
-    return best
+            mean = _karp_scc(len(comp), edges)
+            if best is None or mean[0] * best[1] < best[0] * mean[1]:
+                best = mean
+    return None if best is None else Fraction(*best)
 
 
-def _strongly_connected_components(graph):
-    """Tarjan's algorithm on the labels: a list of vertex sets."""
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    comps = strongly_connected_components(
-        [[index[dst] for dst, _ in graph._adj[v]] for v in graph.vertices])
-    return [{graph.vertices[k] for k in comp} for comp in comps]
-
-
-def _karp_scc(nodes, edges):
-    """Minimum cycle mean of one strongly connected component, given its
-    vertices in graph order and its inner edges."""
-    k = len(nodes)
-    pos = {v: i for i, v in enumerate(nodes)}
-    edges = [(pos[a], pos[b], w) for a, b, w in edges]
+def _karp_scc(k, edges):
+    """Minimum cycle mean of one strongly connected component on positions
+    0..k-1, given its inner edges, as a (numerator, positive denominator)
+    pair."""
     inf = None
-    # dist[t][v] = min weight of a t-edge walk from nodes[0] to v
+    # dist[t][v] = min weight of a t-edge walk from position 0 to v
     dist = [[inf] * k for _ in range(k + 1)]
     dist[0][0] = 0
     for t in range(1, k + 1):
@@ -221,7 +291,7 @@ def _karp_scc(nodes, edges):
         if worst is not None and (
                 best is None or worst[0] * best[1] < best[0] * worst[1]):
             best = worst
-    return None if best is None else Fraction(*best)
+    return best
 
 
 def to_dot(graph, context=None, version=None):

@@ -25,7 +25,7 @@ from ._version import __version__
 from .displayzoo import DeformationPoint, deformation_display
 from .fcrystal import NewtonPolygon, PrecisionError, U, newton_slopes
 from .slopegraph import (build_graph, cycles_through, karp_min_cycle_mean,
-                         min_cycle_slope)
+                         least_slope_cycle)
 from .wittring import default_precision, make_context
 
 __all__ = [
@@ -285,10 +285,11 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     total = 0
     s0_map = {} if n % 2 == 0 else None
 
+    # Every point shares the template's basis order, so edges compare by
+    # their (source, target) positions.
     base_point = DeformationPoint.from_ints(ctx, n, (0,) * (n - 1))
-    base_edges = {(str(a), str(b))
-                  for a, b, _ in build_graph(
-                      deformation_display(ctx, base_point)).edges}
+    base_edges = build_graph(
+        deformation_display(ctx, base_point)).edge_positions()
 
     for ints in _enumerate_points(n, q_res, mode, count, seed, budget):
         total += 1
@@ -318,39 +319,42 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
             matches += 1
 
         graph = build_graph(display)
-        cycles = cycles_through(graph, u1)
+        cycles = cycles_through(graph, u1, base_edges)
         min_newton = polygon.min_slope()
-        min_cycle = min(c.slope for c in cycles) if cycles else None
         if cycles:
-            bad = [c for c in cycles if min_newton > c.slope]
-            if bad:
+            num, den = min_newton.numerator, min_newton.denominator
+            bad = next((c for c in cycles if num * c.length > c.weight * den),
+                       None)
+            if bad is not None:
                 lemma_violations.append({
                     "point": point_doc,
                     "min_newton": _frac_str(min_newton),
-                    "cycle": bad[0].to_json(),
+                    "cycle": bad.to_json(),
                 })
-            if min_newton != min_cycle:
+            full = least_slope_cycle(cycles, u1)
+            if num * full.length != full.weight * den:
                 remark_violations.append({
                     "point": point_doc,
                     "min_newton": _frac_str(min_newton),
-                    "min_cycle": _frac_str(min_cycle),
+                    "min_cycle": _frac_str(full.slope),
                 })
             karp = karp_min_cycle_mean(graph)
-            if karp != min_cycle:
+            if karp is None or (karp.numerator * full.length
+                                != full.weight * karp.denominator):
                 karp_disagreements.append({
                     "point": point_doc,
-                    "min_cycle_u1": _frac_str(min_cycle),
+                    "min_cycle_u1": _frac_str(full.slope),
                     "karp_global": _frac_str(karp) if karp is not None
                     else None,
                 })
-            reduced = graph.subgraph_edges(
-                lambda e: e[2] == 0 or (str(e[0]), str(e[1])) in base_edges)
-            reduced_min = min_cycle_slope(reduced, u1)
-            if reduced_min != min_cycle:
+            # the kept cycles are the cycles of the graph without the
+            # extra black edges
+            reduced = least_slope_cycle(cycles, u1, kept_only=True)
+            if reduced.weight * full.length != full.weight * reduced.length:
                 extra_edge_effects.append({
                     "point": point_doc,
-                    "full": _frac_str(min_cycle),
-                    "without_extra_black_edges": _frac_str(reduced_min),
+                    "full": _frac_str(full.slope),
+                    "without_extra_black_edges": _frac_str(reduced.slope),
                 })
         else:
             lemma_violations.append({
@@ -362,7 +366,8 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
             key = ints[1:]
             s0_map.setdefault(key, set()).add(label)
         if retain:
-            retained.append((point, display, polygon, min_cycle))
+            retained.append((point, display, polygon,
+                             full.slope if cycles else None))
 
     s0_effect = None
     if s0_map is not None:

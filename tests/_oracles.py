@@ -4,12 +4,14 @@ These deliberately avoid the production code paths: characteristic
 polynomials by the Leibniz permutation expansion, irreducible-polynomial
 enumeration by brute root/factor search, simple-cycle enumeration via
 networkx, the M(m) polygon from its closed form, residue field arithmetic
-by schoolbook polynomial products, and the a-number and signature by dense
-elimination on the F_p blow-up.
+by schoolbook polynomial products, the a-number and signature by dense
+elimination on the F_p blow-up, and the extra-edge effects of a sweep by a
+label-keyed edge filter on the dense F matrix.
 """
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 from gustrata import NewtonPolygon
 
@@ -144,6 +146,76 @@ def simple_cycles_through_nx(graph, v):
                     for i in range(len(rot)))
         found.add((rot, len(rot), total))
     return found
+
+
+def label_edges(display):
+    """(source, target, valuation) label triples of the nonzero entries of
+    the dense F matrix, column by column."""
+    F = display.frobenius
+    labels = display.basis
+    r = len(labels)
+    return [(labels[j], labels[i], F[i][j].valuation())
+            for j in range(r) for i in range(r) if not F[i][j].is_zero()]
+
+
+def min_slope_through_nx(vertices, edges, v, base_pairs=None):
+    """Least weight/length over the simple cycles through v (networkx) of
+    the graph on ``vertices`` with the label triples ``edges``; with
+    ``base_pairs`` (a set of (str(source), str(target))), only the edges
+    of weight 0 or with their pair in it are kept.  None without cycles."""
+    if base_pairs is not None:
+        edges = [(a, b, w) for a, b, w in edges
+                 if w == 0 or (str(a), str(b)) in base_pairs]
+    graph = SimpleNamespace(vertices=vertices, edges=edges)
+    return min((Fraction(w, length) for _, length, w
+                in simple_cycles_through_nx(graph, v)), default=None)
+
+
+def extra_edge_effects_oracle(n, p, d):
+    """The ``extra_edge_effects`` list of the exhaustive verify sweep at
+    (n, p, d), recomputed with two separate cycle enumerations per point:
+    all cycles through u1, and those of the graph whose positive-weight
+    edges are restricted to the zero point's edges, matched by label
+    string.  Points whose polygon fails at 2N are skipped, as in the
+    sweep."""
+    from gustrata import (DeformationPoint, PrecisionError,
+                          default_precision, deformation_display,
+                          make_context, newton_slopes)
+    from gustrata.fcrystal import U
+
+    ctx = make_context(p, d, default_precision(n, d))
+    base = deformation_display(
+        ctx, DeformationPoint.from_ints(ctx, n, (0,) * (n - 1)))
+    base_pairs = {(str(a), str(b)) for a, b, _ in label_edges(base)}
+    u1 = U(1)
+    out = []
+    for ints in itertools.product(range(p ** d), repeat=n - 1):
+        point = DeformationPoint.from_ints(ctx, n, ints)
+        display = deformation_display(ctx, point)
+        try:
+            newton_slopes(display)
+        except PrecisionError:
+            ctx2 = ctx.at_precision(2 * ctx.N)
+            display = deformation_display(ctx2, point.at_context(ctx2))
+            try:
+                newton_slopes(display)
+            except PrecisionError:
+                continue
+        edges = label_edges(display)
+        full = min_slope_through_nx(display.basis, edges, u1)
+        if full is None:
+            continue
+        reduced = min_slope_through_nx(display.basis, edges, u1, base_pairs)
+        if reduced is None:
+            raise RuntimeError(f"no cycles through {u1}")
+        if reduced != full:
+            out.append({
+                "point": {f"s{i}": v for i, v in zip(point.indices, ints)},
+                "full": f"{full.numerator}/{full.denominator}",
+                "without_extra_black_edges":
+                    f"{reduced.numerator}/{reduced.denominator}",
+            })
+    return out
 
 
 def blowup_slope_pairs(display):

@@ -88,6 +88,13 @@ class TestGraph:
             {"vertices": ["u1", "v3", "u2", "v1", "u3", "v2"],
              "length": 6, "weight": 3}]
 
+    def test_long_cycle(self):
+        # the u1 cycle of M(1100) passes through 1100 vertices
+        code, out = run(["graph", "--module", "M(1100)", "--p", "3"])
+        assert code == 0
+        cycles = json.loads(out)["cycles_through_u1"]
+        assert [c["length"] for c in cycles] == [1100]
+
     def test_deformation_edge(self):
         code, out = run(["graph", "--module", "def(3; s2=1)", "--dot"])
         assert code == 0

@@ -6,13 +6,15 @@ import pytest
 
 from gustrata import (DeformationPoint, build_graph, cycle_decomposition,
                       cycles_through, deformation_display, default_precision,
-                      karp_min_cycle_mean, make_context, min_cycle_slope,
+                      karp_min_cycle_mean, least_slope_cycle, make_context,
+                      min_cycle_slope,
                       module_M, module_N, newton_slopes, supersingular_module,
                       to_dot)
 from gustrata.fcrystal import U, V
 from gustrata.slopegraph import SlopeGraph
 
-from _oracles import min_cycle_mean_brute, simple_cycles_through_nx
+from _oracles import (min_cycle_mean_brute, min_slope_through_nx,
+                      simple_cycles_through_nx)
 
 
 def ctx_for(n, p=3, d=1):
@@ -123,6 +125,68 @@ class TestCyclesThrough:
         c = cycles_through(G, U(0))[0]
         assert c.to_json() == {"vertices": ["u0", "v0"], "length": 2,
                                "weight": 1}
+
+
+    def test_long_cycle_without_recursion(self):
+        verts = [U(i) for i in range(5000)]
+        edges = [(verts[i], verts[(i + 1) % 5000], i % 2)
+                 for i in range(5000)]
+        cycles = cycles_through(SlopeGraph(verts, edges), U(0))
+        assert [(c.length, c.weight) for c in cycles] == [(5000, 2500)]
+        assert cycles[0].vertices == tuple(verts)
+
+
+class TestKeptCycles:
+    """One enumeration marks the cycles whose positive-weight edges all lie
+    in a base edge set; they are the cycles of the filtered graph."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_graphs_against_label_filter(self, seed):
+        # of the 120 seeds, 29 have no cycle through u0, 28 no kept one,
+        # and 18 a kept minimum above the full one
+        rng = random.Random(seed)
+        k = rng.randrange(2, 8)
+        verts = [U(i) for i in range(k)]
+        edges = [(a, b, rng.randrange(3)) for a in verts for b in verts
+                 if rng.random() < (0.2 if a == b else 0.5)]
+        base = {(a, b) for a in range(k) for b in range(k)
+                if rng.random() < 0.5}
+        base_labels = {(str(verts[a]), str(verts[b])) for a, b in base}
+        G = SlopeGraph(verts, edges)
+        v = verts[0]
+        cycles = cycles_through(G, v, base)
+        # the full enumeration does not depend on the base set
+        assert [(c.vertices, c.weight) for c in cycles] == \
+            [(c.vertices, c.weight) for c in cycles_through(G, v)]
+        kept = [(a, b, w) for a, b, w in edges
+                if w == 0 or (str(a), str(b)) in base_labels]
+        assert {(c.vertices, c.length, c.weight)
+                for c in cycles if c.kept} == simple_cycles_through_nx(
+                    SlopeGraph(verts, kept), v)
+        full = min_slope_through_nx(verts, edges, v)
+        reduced = min_slope_through_nx(verts, edges, v, base_labels)
+        if full is None:
+            assert cycles == []
+            return
+        assert least_slope_cycle(cycles, v).slope == full
+        if reduced is None:
+            with pytest.raises(RuntimeError, match="no cycles through u0"):
+                least_slope_cycle(cycles, v, kept_only=True)
+        else:
+            assert least_slope_cycle(cycles, v, kept_only=True).slope == \
+                reduced
+
+    def test_no_kept_cycle_raises(self):
+        # the only cycle through u1 uses the black edge u1 -> v1, which is
+        # not a base edge
+        G = SlopeGraph((U(1), V(1)), ((U(1), V(1), 1), (V(1), U(1), 0)))
+        cycles = cycles_through(G, U(1), base_edges=set())
+        assert [c.kept for c in cycles] == [False]
+        assert min_slope_through_nx(G.vertices, G.edges, U(1), set()) is None
+        with pytest.raises(RuntimeError, match="no cycles through u1: "
+                           "anomalous graph for a valid display"):
+            least_slope_cycle(cycles, U(1), kept_only=True)
+        assert cycles_through(G, U(1), {(0, 1)})[0].kept
 
 
 class TestMinCycleSlope:

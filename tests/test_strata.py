@@ -10,6 +10,8 @@ from gustrata import (BudgetError, DeformationPoint, NewtonPolygon, catalog,
                       lambda_min, make_context,
                       newton_slopes, predicted_stratum, verify_local_strata)
 
+from _oracles import extra_edge_effects_oracle
+
 CALIBRATION = pathlib.Path(__file__).resolve().parent.parent / \
     "calibration" / "even_stratum_rule.json"
 
@@ -270,6 +272,16 @@ class TestVerifyLocalStrata:
         # entries occur only at even n here, so n = 6 keeps the loop above
         # from being vacuous
         assert bool(rep.extra_edge_effects) == (n % 2 == 0)
+
+    @pytest.mark.parametrize("n,p,entries", [(6, 3, 18), (4, 5, 20),
+                                             (8, 2, 8)])
+    def test_extra_edge_effects_against_two_enumerations(self, n, p,
+                                                         entries):
+        # one enumeration with kept marks gives the list that two
+        # separate enumerations (label-keyed filter, networkx) give
+        rep = verify_local_strata(n, p, 1)
+        assert rep.extra_edge_effects == extra_edge_effects_oracle(n, p, 1)
+        assert len(rep.extra_edge_effects) == entries
 
     def test_precision_failure_retries_at_doubled_precision(self):
         # at N = 3 the rank-6 determinant valuation hits the cap, so every
