@@ -48,10 +48,15 @@ sum of displays is block diagonal.
   the current vector only.  For the monomial matrix of M(14) that support
   never exceeds two entries, so a column costs O(rank).
 
-Every kernel takes dense rows and returns exactly what the dense
-computation would: the ring is exact, so skipping zero terms, reordering
-sums and reducing by polynomial identities changes no coefficient.  A
-matrix with a single component goes through the same code as one block.
+charpoly takes the sparse rows of its matrix and twisted_product the
+sparse columns of A, so the display's stored sparse data feeds the twisted
+charpoly with no dense matrix in between: column j of
+A * sigma(A) * ... * sigma^k(A) is the product up to sigma^(k-1) applied to
+sigma^k of column j of A, one smatvec.  adjugate_action and mat_mul still
+take dense rows.  Every kernel returns exactly what the dense computation
+would: the ring is exact, so skipping zero terms, reordering sums and
+reducing by polynomial identities changes no coefficient.  A matrix with a
+single component goes through the same code as one block.
 
 Ranks over F_{p^d} run on the same ops, those of the context at precision
 1, whose ring W_1(F_{p^d}) is the field itself; truncate reduces any
@@ -238,19 +243,19 @@ def mat_mul(ops, a, b):
     return out
 
 
-def frob_matrix(ops, rows, power):
-    """sigma^power of every entry; zero entries are left as they are."""
-    zero, frob = ops.zero, ops.frob
-    return [[e if e == zero else frob(e, power) for e in row] for row in rows]
+def twisted_product(ops, cols, d):
+    """Sparse rows of A * sigma(A) * ... * sigma^(d-1)(A), the d-fold
+    linearization of a sigma-semilinear operator whose matrix A is given by
+    its sparse columns.
 
-
-def twisted_product(ops, rows, d):
-    """A * sigma(A) * ... * sigma^(d-1)(A), the d-fold linearization of a
-    sigma-semilinear operator with matrix A."""
-    out = rows
+    With T_0 = A and T_k = T_(k-1) * sigma^k(A), column j of T_k is T_(k-1)
+    applied to sigma^k of column j of A: one smatvec per column and step.
+    sigma is an automorphism, so it keeps nonzero entries nonzero."""
+    out, frob, smatvec = cols, ops.frob, ops.smatvec
     for k in range(1, d):
-        out = mat_mul(ops, out, frob_matrix(ops, rows, k))
-    return out
+        out = [smatvec(out, {i: frob(a, k) for i, a in col}).items()
+               for col in cols]
+    return sparse_transpose(out, len(cols))
 
 
 def sparse_rows(ops, rows):
@@ -425,10 +430,10 @@ def _poly_prod(ops, polys):
     return [ops.one] if out is None else out
 
 
-def charpoly(ops, rows):
-    """Coefficients of det(xI - M), low degree first: the product of the
-    Berkowitz polynomials of the diagonal blocks of the SCC order."""
-    srows = sparse_rows(ops, rows)
+def charpoly(ops, srows):
+    """Coefficients of det(xI - M), low degree first, for the matrix M
+    given by its sparse rows: the product of the Berkowitz polynomials of
+    the diagonal blocks of the SCC order."""
     return _poly_prod(ops, [_berkowitz(ops, _restrict(srows, block))
                             for block in _blocks(srows)])[::-1]
 
@@ -505,25 +510,35 @@ def lower_hull(points):
     return hull
 
 
-def charpoly_slope_pairs(ops, cp, twist):
-    """(slope, multiplicity) pairs of the p-adic Newton polygon of cp, with
-    every root valuation divided by twist.
+def certified_hull(vals, cap):
+    """Lower hull vertices of the points (i, vals[i]), for coefficient
+    valuations capped at cap.
 
-    Raises PrecisionError when a hull vertex sits at the valuation cap: the
-    polygon is then not determined at this precision.
+    Raises PrecisionError when a hull vertex sits at the cap: the polygon
+    is then not determined at this precision.
     """
-    cap = ops.cap
-    vals = [ops.val(c) for c in cp]
     hull = lower_hull(list(enumerate(vals)))
     for (i, v) in hull:
         if v >= cap:
             raise PrecisionError(
                 f"insufficient precision: hull vertex at degree {i} has "
                 f"valuation >= {cap}")
-    pairs = []
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        pairs.append((Fraction(v1 - v2, (i2 - i1) * twist), i2 - i1))
-    return pairs
+    return hull
+
+
+def hull_slope_pairs(hull, twist):
+    """(slope, multiplicity) pairs of the segments between hull vertices,
+    with every root valuation divided by twist."""
+    return [(Fraction(v1 - v2, (i2 - i1) * twist), i2 - i1)
+            for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
+
+
+def charpoly_slope_pairs(ops, cp, twist):
+    """(slope, multiplicity) pairs of the p-adic Newton polygon of cp, with
+    every root valuation divided by twist; PrecisionError as in
+    certified_hull."""
+    return hull_slope_pairs(certified_hull([ops.val(c) for c in cp],
+                                           ops.cap), twist)
 
 
 # ---------------------------------------------------------------------------

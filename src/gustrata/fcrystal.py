@@ -252,7 +252,8 @@ class DieudonneDisplay:
     @property
     def pairing(self):
         """Gram matrix of the pairing as rows of scalars (read-only, cached)."""
-        return self._memo("J", lambda: self._wrap(self._raw_pairing()))
+        return self._memo("J", lambda: self._wrap(
+            self._dense(self.sparse_pairing)))
 
     def _wrap(self, raw):
         wrap = self._ops().wrap
@@ -280,10 +281,6 @@ class DieudonneDisplay:
         return self._memo("rawA", lambda: self._dense(
             sparse_transpose(self.sparse_frobenius, self.rank)))
 
-    def _raw_pairing(self):
-        """Gram matrix of the pairing as dense rows of raw data."""
-        return self._memo("rawJ", lambda: self._dense(self.sparse_pairing))
-
     def _dense(self, srows):
         zero = self._ops().zero
         rows = [[zero] * self.rank for _ in srows]
@@ -295,7 +292,7 @@ class DieudonneDisplay:
     def _charpoly_frobenius(self):
         """Characteristic polynomial of the (untwisted) matrix of F."""
         return self._memo("cpA", lambda: _linalg.charpoly(
-            self._ops(), self._raw_frobenius()))
+            self._ops(), sparse_transpose(self.sparse_frobenius, self.rank)))
 
     def _adjugate_frobenius(self):
         """Adjugate action B of the matrix of F: A * B = -c_0 * I."""
@@ -472,7 +469,7 @@ def validate_display(display):
         "pairing_alternating", not bad_alt,
         tuple(f"entry ({i},{j})" for i, j in bad_alt[:8])))
 
-    cp_j = _linalg.charpoly(ops, display._raw_pairing())
+    cp_j = _linalg.charpoly(ops, display.sparse_pairing)
     det_j_val = ops.val(cp_j[0])
     checks.append(CheckResult(
         "pairing_unimodular", det_j_val == 0,
@@ -499,8 +496,11 @@ def newton_slopes(display, certify=True):
     With certify=True (the default) that polynomial is computed once, at
     precision 2N, from the same integer entries; its coefficients reduced
     mod p^N are exactly the precision-N polynomial (see the module
-    docstring).  The polygon at N is read first, then the polygon at 2N,
-    and the two must agree.  The comparison still certifies: reading the
+    docstring).  The valuations are read once, at 2N; those at N are their
+    minima with N.  The hull at N is read first, then the hull at 2N, and
+    the two must agree as integer vertex lists, which determine the
+    polygons, so only the one polygon returned is built (and the 2N one
+    only for an error message).  The comparison still certifies: reading the
     polygon at N raises PrecisionError unless every hull vertex lies below
     N, so each coefficient whose valuation was capped at N is a non-vertex
     point.  Its true valuation is at least N, so revealing it at 2N only
@@ -513,30 +513,31 @@ def newton_slopes(display, certify=True):
     if cached is not None:
         return cached
     ctx, ops = display.ctx, display._ops()
+    N, d = ctx.N, ctx.d
     if not certify:
-        poly = _polygon(ops, _twisted_charpoly(ops, display))
+        poly = NewtonPolygon(_linalg.charpoly_slope_pairs(
+            ops, _twisted_charpoly(ops, display), d))
     else:
-        ops2 = ops_for(ctx.at_precision(2 * ctx.N))
-        cp2 = _twisted_charpoly(ops2, display)
-        poly = _polygon(ops, [ops.truncate(c) for c in cp2])
-        poly2 = _polygon(ops2, cp2)
-        if poly2 != poly:
+        # val(c mod p^N) = min(val(c), N)
+        ops2 = ops_for(ctx.at_precision(2 * N))
+        vals2 = [ops2.val(c) for c in _twisted_charpoly(ops2, display)]
+        hull = _linalg.certified_hull([min(v, N) for v in vals2], N)
+        hull2 = _linalg.certified_hull(vals2, 2 * N)
+        poly = NewtonPolygon(_linalg.hull_slope_pairs(hull, d))
+        if hull2 != hull:
+            poly2 = NewtonPolygon(_linalg.hull_slope_pairs(hull2, d))
             raise PrecisionError(
                 "slopes unstable under precision doubling: "
-                f"{poly!r} at N={ctx.N} vs {poly2!r} at 2N")
+                f"{poly!r} at N={N} vs {poly2!r} at 2N")
     display._cache[("slopes", certify)] = poly
     return poly
 
 
 def _twisted_charpoly(ops, display):
     """Charpoly of A * sigma(A) * ... * sigma^(d-1)(A) in the context of
-    ops, from the display's integer entries."""
-    raw = display._raw_frobenius()
-    return _linalg.charpoly(ops, _linalg.twisted_product(ops, raw, ops.ctx.d))
-
-
-def _polygon(ops, cp):
-    return NewtonPolygon(_linalg.charpoly_slope_pairs(ops, cp, ops.ctx.d))
+    ops, from the display's sparse columns of integer entries."""
+    return _linalg.charpoly(ops, _linalg.twisted_product(
+        ops, display.sparse_frobenius, ops.ctx.d))
 
 
 def polarization_check(display):

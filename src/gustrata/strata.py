@@ -26,7 +26,7 @@ from .displayzoo import DeformationPoint, deformation_display
 from .fcrystal import NewtonPolygon, PrecisionError, U, newton_slopes
 from .slopegraph import (build_graph, cycles_through, karp_min_cycle_mean,
                          least_slope_cycle)
-from .wittring import default_precision, make_context
+from .wittring import _check_capacity, default_precision, make_context
 
 __all__ = [
     "StratumDescriptor", "StrataReport", "BudgetError", "lambda_min",
@@ -266,9 +266,10 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     budget = _resolve_budget(budget)
     nprec = precision if precision is not None else default_precision(n, d)
     ctx = make_context(p, d, nprec)
-    # Certification runs at 2N: make that context (and fail on its
-    # capacity) before any point is built.
+    # Certification runs at 2N, and a retried point certifies at 4N: make
+    # the 2N context and check the 4N capacity before any point is built.
     ctx.at_precision(2 * nprec)
+    _check_capacity(p, d, 4 * nprec)
     q_res = p ** d
     u1 = U(1)
 

@@ -7,6 +7,19 @@ basis of f.  The ring comes with an exact Frobenius lift (the unique ring
 automorphism reducing to the p-power map mod p), the Teichmuller section of
 the residue field, and p-adic valuations capped at the working precision.
 
+Both p-adic roots, the image of x under the Frobenius lift (the root of f
+congruent to x^p) and each Teichmuller lift (the root of x^(p^d) - x with a
+given reduction), come from one Newton iteration that carries an
+approximate inverse of the derivative and refines it by one Newton step per
+step, so no inverse is recomputed and the precision doubles per step:
+about log2(N) steps.  It applies because both derivatives are units: f is
+separable mod p, and the derivative p^d x^(p^d - 1) - 1 is -1 mod p.  The
+roots are unique by Hensel's lemma, so every lift is exactly the one any
+other convergent method gives.  A context at another precision is derived
+from an existing one (see RingContext.at_precision): the capacity check
+runs first, the modulus is reused, and the root lift starts from the
+existing root.
+
 The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
 reproducible from (p, d, N) alone.
@@ -239,15 +252,13 @@ class RingContext:
     iterates, so Frobenius twists are plain linear maps afterwards.
     """
 
-    __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_frob",
+    __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_frob", "_root",
                  "_prec_cache", "_teich_cache")
 
     def __init__(self, p, d, N, modulus):
         _check_capacity(p, d, N)
         self.p = p
         self.d = d
-        self.N = N
-        self.q = p ** N
         self.modulus = tuple(int(c) for c in modulus)
         if len(self.modulus) != d:
             raise ValueError("modulus must list the d non-leading coefficients")
@@ -255,13 +266,20 @@ class RingContext:
             raise ValueError("modulus coefficients must lie in [0, p)")
         if not _is_irreducible(list(self.modulus) + [1], p):
             raise ValueError("modulus is reducible mod p")
-        self._prec_cache = {}
-        self._teich_cache = {}
-        self._build_tables()
+        self._init(N, None)
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_tables(self):
+    def _init(self, N, root):
+        """Set the precision and build the tables; root is None or a
+        (root, inverse) pair to start the Frobenius root's lift from."""
+        self.N = N
+        self.q = self.p ** N
+        self._prec_cache = {}
+        self._teich_cache = {}
+        self._build_tables(root)
+
+    def _build_tables(self, root):
         d, q = self.d, self.q
         # x^(d+k) mod f for k = 0..d-2
         red = []
@@ -280,9 +298,10 @@ class RingContext:
                       for i in range(d))
         if d == 1:
             self._frob = (ident,)
+            self._root = None
             return
-        theta_p = self._wpow(ident[1], self.p)
-        y = self._hensel_root(theta_p)
+        self._root = self._hensel_root(root)
+        y = self._root[0]
         tab1 = [ident[0]]
         for _ in range(d - 1):
             tab1.append(self._wmul(tab1[-1], y))
@@ -292,29 +311,54 @@ class RingContext:
             tables.append(tuple(self._apply_lin(tables[1], v) for v in prev))
         self._frob = tuple(tables)
 
-    def _hensel_root(self, y):
-        """Lift y to the root of the modulus congruent to it mod p."""
+    def _hensel_root(self, start):
+        """(y, z): the root y of the modulus with y = x^p mod p, the image
+        of x under the Frobenius lift, and z, an approximate inverse of
+        f'(y).  Newton's method starts from start, a pair of any
+        precision, or else from x^p and the inverse of f'(x^p) mod p."""
         d, q = self.d, self.q
         f_coeffs = list(self.modulus) + [1]
         fprime = [(i * c) % q for i, c in enumerate(f_coeffs)][1:]
 
         def horner(coeffs, x):
-            acc = (0,) * d
-            for c in reversed(coeffs):
+            acc = (coeffs[-1],) + (0,) * (d - 1)
+            for c in reversed(coeffs[:-1]):
                 acc = self._wmul(acc, x)
-                acc = (acc[0] + c,) + acc[1:] if d > 1 else ((acc[0] + c) % q,)
-                acc = tuple(v % q for v in acc)
+                acc = ((acc[0] + c) % q,) + acc[1:]
             return acc
 
-        zero = (0,) * d
-        for _ in range(self.N + 2):
-            fy = horner(f_coeffs, y)
-            if fy == zero:
-                return y
-            dz = self._winv(horner(fprime, y))
-            step = self._wmul(fy, dz)
-            y = tuple((a - b) % q for a, b in zip(y, step))
-        raise RuntimeError("Frobenius lift did not converge")
+        if start is None:
+            y = self._wpow((0, 1) + (0,) * (d - 2), self.p)
+            z = self._inv_mod_p(horner(fprime, y))
+        else:
+            y, z = (tuple(c % q for c in v) for v in start)
+        return self._newton_root(
+            y, z, lambda x: (horner(f_coeffs, x), horner(fprime, x)),
+            "Frobenius lift did not converge")
+
+    def _newton_root(self, x, z, g, failure):
+        """(root, z): the root of g congruent to x mod p, and z refined.
+
+        g(x) returns the pair (g(x), g'(x)), g'(x) must be a unit and z
+        must be its inverse mod p.  Each step first refines z by one Newton
+        step for the inverse, z <- z (2 - g'(x) z), which squares the error
+        1 - g'(x) z, and then sets x <- x - g(x) z.  The precision of x and
+        of z both double per step (von zur Gathen and Gerhard, Modern
+        Computer Algebra, chapter 9), so log2(N) + 1 steps reach a root
+        mod p^N from one mod p, and fewer from a better start; the root is
+        unique by Hensel's lemma.  Raises RuntimeError(failure) if g(x)
+        does not reach 0 within that bound.
+        """
+        zero = (0,) * self.d
+        two = (2,) + zero[1:]
+        mul, q = self._wmul, self.q
+        for _ in range(self.N.bit_length() + 2):
+            gx, dgx = g(x)
+            if gx == zero:
+                return x, z
+            z = mul(z, tuple((a - b) % q for a, b in zip(two, mul(dgx, z))))
+            x = tuple((a - b) % q for a, b in zip(x, mul(gx, z)))
+        raise RuntimeError(failure)
 
     # -- raw coordinate kernels ----------------------------------------------
 
@@ -341,17 +385,20 @@ class RingContext:
                 row = red[k - d]
                 for i in range(d):
                     out[i] += c * row[i]
-        return tuple(v % q for v in out)
+        return tuple([v % q for v in out])
 
     def _wpow(self, a, e):
-        result = (1,) + (0,) * (self.d - 1)
-        base = a
-        while e > 0:
+        """a^e for reduced coordinates a, by square and multiply with no
+        product by 1 and no square after the top bit."""
+        result = None
+        while True:
             if e & 1:
-                result = self._wmul(result, base)
-            base = self._wmul(base, base)
+                result = a if result is None else self._wmul(result, a)
             e >>= 1
-        return result
+            if not e:
+                break
+            a = self._wmul(a, a)
+        return (1,) + (0,) * (self.d - 1) if result is None else result
 
     def _wval(self, coords):
         p, N = self.p, self.N
@@ -368,14 +415,19 @@ class RingContext:
                     return 0
         return best
 
+    def _inv_mod_p(self, a):
+        """Coordinates of an inverse of a modulo p (a must be a unit)."""
+        p = self.p
+        inv = _pext_inv(_pstrip([c % p for c in a]),
+                        list(self.modulus) + [1], p)
+        return tuple(inv[i] if i < len(inv) else 0 for i in range(self.d))
+
     def _winv(self, a):
         v = self._wval(a)
         if v > 0:
             raise NonInvertibleError(v)
-        p, q = self.p, self.q
-        a_bar = _pstrip([c % p for c in a])
-        inv_bar = _pext_inv(a_bar, list(self.modulus) + [1], p)
-        b = tuple(inv_bar[i] if i < len(inv_bar) else 0 for i in range(self.d))
+        q = self.q
+        b = self._inv_mod_p(a)
         one = (1,) + (0,) * (self.d - 1)
         for _ in range(self.N.bit_length() + 2):
             t = self._wmul(a, b)
@@ -395,7 +447,7 @@ class RingContext:
                 row = table[i]
                 for j in range(d):
                     out[j] += c * row[j]
-        return tuple(v % q for v in out)
+        return tuple([v % q for v in out])
 
     def frobenius_coords(self, coords, power=1):
         power %= self.d
@@ -428,12 +480,16 @@ class RingContext:
                                         for i in range(self.d)))
 
     def teichmuller(self, a):
-        """Multiplicative lift of a residue field element.
+        """Multiplicative lift of a residue field element: the unique
+        solution of x^(p^d) = x with the given reduction.
 
-        Iterates y -> y^(p^d) from the coordinate lift until stable, which
-        takes at most N steps; the result is the unique solution of
-        x^(p^d) = x with the given reduction.  Lifts are memoized per
-        context, up to _TEICH_MEMO_LIMIT of them.
+        It is the root of g(x) = x^Q - x, Q = p^d, found by Newton's method
+        from the coordinate lift (see _newton_root).  g'(x) = Q x^(Q-1) - 1
+        is -1 mod p, a unit, so -1 starts its carried inverse, and the
+        precision doubles per step: about log2(N) steps of one power
+        x^(Q-1) each, where iterating y -> y^Q gains only d digits per
+        step.  Lifts are memoized per context, up to _TEICH_MEMO_LIMIT of
+        them.
         """
         if isinstance(a, PadicScalar):
             a = a.reduce_mod_p()
@@ -450,21 +506,39 @@ class RingContext:
     def _teich_coords(self, y):
         if y == (0,) * self.d:
             return y
-        e = self.p ** self.d
-        for _ in range(self.N + 2):
-            y2 = self._wpow(y, e)
-            if y2 == y:
-                return y
-            y = y2
-        raise RuntimeError("Teichmuller iteration did not converge")
+        Q, q = self.p ** self.d, self.q
+
+        def g(x):
+            xq1 = self._wpow(x, Q - 1)
+            xq = self._wmul(xq1, x)
+            dg = tuple(Q * c % q for c in xq1)
+            return (tuple((a - b) % q for a, b in zip(xq, x)),
+                    ((dg[0] - 1) % q,) + dg[1:])
+
+        minus_one = (q - 1,) + (0,) * (self.d - 1)
+        return self._newton_root(y, minus_one, g,
+                                 "Teichmuller iteration did not converge")[0]
 
     def at_precision(self, N2):
-        """Same extension at a different truncation level."""
+        """Same extension at a different truncation level.
+
+        The new context is derived from this one: the capacity check for
+        N2 runs first, before p^N2 is formed; the modulus is reused
+        without a second irreducibility test; and the Frobenius root's
+        Newton iteration starts from this context's root and its carried
+        inverse, reduced mod p^N2.  That start is already exact when
+        N2 <= N and needs about log2(N2 / N) + 1 steps otherwise.  The
+        lift is unique, so the tables equal those of
+        RingContext(p, d, N2, modulus).
+        """
         if N2 == self.N:
             return self
         cached = self._prec_cache.get(N2)
         if cached is None:
-            cached = RingContext(self.p, self.d, N2, self.modulus)
+            _check_capacity(self.p, self.d, N2)
+            cached = RingContext.__new__(RingContext)
+            cached.p, cached.d, cached.modulus = self.p, self.d, self.modulus
+            cached._init(N2, self._root)
             self._prec_cache[N2] = cached
         return cached
 

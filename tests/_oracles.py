@@ -5,8 +5,10 @@ polynomials by the Leibniz permutation expansion, irreducible-polynomial
 enumeration by brute root/factor search, simple-cycle enumeration via
 networkx, the M(m) polygon from its closed form, residue field arithmetic
 by schoolbook polynomial products, the a-number and signature by dense
-elimination on the F_p blow-up, and the extra-edge effects of a sweep by a
-label-keyed edge filter on the dense F matrix.
+elimination on the F_p blow-up, the extra-edge effects of a sweep by a
+label-keyed edge filter on the dense F matrix, Teichmuller lifts by
+iterating the p^d-power map, and twisted products by dense scalar
+matrix products.
 """
 
 import itertools
@@ -223,7 +225,8 @@ def blowup_slope_pairs(display):
     Z_p-module: every module slope should appear with multiplicity
     multiplied by d.  Independent of the twisted-product route."""
     from gustrata import make_context
-    from gustrata._linalg import charpoly, charpoly_slope_pairs, ops_for
+    from gustrata._linalg import (charpoly, charpoly_slope_pairs, ops_for,
+                                  sparse_rows)
 
     ctx = display.ctx
     d, q, r = ctx.d, ctx.q, display.rank
@@ -256,7 +259,7 @@ def blowup_slope_pairs(display):
                 for s in range(d):
                     big[i * d + t][j * d + s] = block[t][s]
     ops = ops_for(make_context(ctx.p, 1, ctx.N))
-    return charpoly_slope_pairs(ops, charpoly(ops, big), 1)
+    return charpoly_slope_pairs(ops, charpoly(ops, sparse_rows(ops, big)), 1)
 
 
 def field_mul_brute(a, b, p, modulus):
@@ -413,3 +416,53 @@ def min_cycle_mean_brute(graph):
         if best is None or mean < best:
             best = mean
     return best
+
+
+def teichmuller_oracle(p, d, N, modulus, coords):
+    """Teichmuller lift mod p^N of the residue field element with the given
+    coordinates in F_p[x]/(f), f the monic polynomial with non-leading
+    coefficients modulus: iterate y -> y^(p^d) in (Z/p^N)[x]/(f) from the
+    coordinate lift until it is stable.  Each step gains d digits."""
+    q = p ** N
+    f = list(modulus) + [1]
+
+    def mulmod(a, b):
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        for top in range(len(prod) - 1, d - 1, -1):
+            c = prod[top]
+            for i, fi in enumerate(f):
+                prod[top - d + i] -= c * fi
+        return tuple(c % q for c in prod[:d])
+
+    def power(a, e):
+        result = (1,) + (0,) * (d - 1)
+        while e:
+            if e & 1:
+                result = mulmod(result, a)
+            a = mulmod(a, a)
+            e >>= 1
+        return result
+
+    y = tuple(c % q for c in coords)
+    for _ in range(N + 2):
+        nxt = power(y, p ** d)
+        if nxt == y:
+            return y
+        y = nxt
+    raise AssertionError("p^d-power iteration did not stabilise")
+
+
+def twisted_product_dense(rows, d):
+    """A * sigma(A) * ... * sigma^(d-1)(A) for a dense matrix of scalars,
+    by plain row-by-column products of scalars."""
+    r = len(rows)
+    zero = rows[0][0].ctx.zero()
+    out = rows
+    for k in range(1, d):
+        twisted = [[e.frobenius(k) for e in row] for row in rows]
+        out = [[sum((out[i][t] * twisted[t][j] for t in range(r)), zero)
+                for j in range(r)] for i in range(r)]
+    return out

@@ -209,6 +209,24 @@ class TestDoubledPrecisionCapacity:
         assert err.count("\n") == 1 and "capacity exceeded" in err
 
 
+class TestRetryPrecisionCapacity:
+    """--precision 2^19 fits at p = 3, d = 1, and so does twice it, but a
+    retried point would certify at four times it, which does not."""
+
+    def test_exit_2_before_any_lift(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("work started before the capacity check")
+
+        monkeypatch.setattr(_linalg, "charpoly", refuse)
+        monkeypatch.setattr(RingContext, "teichmuller", refuse)
+        code, out = run(["verify", "--n", "3", "--random", "2", "--p", "3",
+                         "--precision", str(1 << 19)])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "capacity exceeded" in err
+        assert "N=2097152" in err and "Traceback" not in err
+
+
 class TestParserReuse:
     """main builds its argparse parser once per process."""
 

@@ -398,6 +398,23 @@ class TestOncePerDisplay:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
+    def test_certified_slopes_build_one_polygon(self, monkeypatch, text, d):
+        spec = parse_module_spec(text)
+        display = spec.build(ctx_for(spec.half_rank, d=d))
+        built = []
+        original = NewtonPolygon.__init__
+
+        def counting(self, pairs):
+            built.append(None)
+            original(self, pairs)
+
+        monkeypatch.setattr(NewtonPolygon, "__init__", counting)
+        polygon = newton_slopes(display)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert polygon == newton_slopes(display, certify=False)
+
+    @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):
         spec = parse_module_spec(text)
         display = spec.build(ctx_for(spec.half_rank, d=d))

@@ -7,10 +7,11 @@ from gustrata import (DeformationPoint, deformation_display, make_context,
                       parse_module_spec)
 from gustrata._linalg import (PrecisionError, _berkowitz, adjugate_action,
                               charpoly, charpoly_slope_pairs, lower_hull,
-                              mat_mul, ops_for, sparse_rows,
+                              mat_mul, ops_for, sparse_rows, sparse_transpose,
                               strongly_connected_components, twisted_product)
 
-from _oracles import leibniz_charpoly_int, leibniz_charpoly_scalar
+from _oracles import (leibniz_charpoly_int, leibniz_charpoly_scalar,
+                      twisted_product_dense)
 
 
 class TestCharpolyAgainstLeibniz:
@@ -22,7 +23,8 @@ class TestCharpolyAgainstLeibniz:
         for _ in range(6):
             rows = [[rng.randrange(ctx.q) for _ in range(r)]
                     for _ in range(r)]
-            assert charpoly(ops, rows) == leibniz_charpoly_int(rows, ctx.q)
+            assert charpoly(ops, sparse_rows(ops, rows)) == \
+                leibniz_charpoly_int(rows, ctx.q)
 
     def test_power_of_two_modulus(self):
         ctx = make_context(2, 1, 12)
@@ -31,7 +33,8 @@ class TestCharpolyAgainstLeibniz:
         for r in (2, 4, 5):
             rows = [[rng.randrange(ctx.q) for _ in range(r)]
                     for _ in range(r)]
-            assert charpoly(ops, rows) == leibniz_charpoly_int(rows, ctx.q)
+            assert charpoly(ops, sparse_rows(ops, rows)) == \
+                leibniz_charpoly_int(rows, ctx.q)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_extension_ring_matrices(self, r):
@@ -41,14 +44,14 @@ class TestCharpolyAgainstLeibniz:
         rows = [[ctx.scalar((rng.randrange(ctx.q), rng.randrange(ctx.q)))
                  for _ in range(r)] for _ in range(r)]
         raw = [[ops.unwrap(e) for e in row] for row in rows]
-        got = [ops.wrap(c) for c in charpoly(ops, raw)]
+        got = [ops.wrap(c) for c in charpoly(ops, sparse_rows(ops, raw))]
         assert got == leibniz_charpoly_scalar(rows, ctx)
 
     def test_monic_and_degree(self):
         ctx = make_context(5, 1, 8)
         ops = ops_for(ctx)
         rows = [[1, 2], [3, 4]]
-        cp = charpoly(ops, rows)
+        cp = charpoly(ops, sparse_rows(ops, rows))
         assert len(cp) == 3 and cp[-1] == 1
         # trace and determinant of [[1,2],[3,4]] mod 5^8
         assert cp[1] == (-5) % ctx.q
@@ -93,7 +96,8 @@ class TestSparseCharpoly:
             rows = [[0 if e is None else e for e in row]
                     for row in sparse_matrix(rng, r, density,
                                              int_entry(rng, ctx.q))]
-            assert charpoly(ops, rows) == leibniz_charpoly_int(rows, ctx.q)
+            assert charpoly(ops, sparse_rows(ops, rows)) == \
+                leibniz_charpoly_int(rows, ctx.q)
 
     @pytest.mark.parametrize("density", [0.1, 0.3])
     @pytest.mark.parametrize("r", [1, 3, 5, 7])
@@ -105,7 +109,7 @@ class TestSparseCharpoly:
                 for row in sparse_matrix(rng, r, density,
                                          ext_entry(rng, ctx))]
         raw = [[ops.unwrap(e) for e in row] for row in rows]
-        got = [ops.wrap(c) for c in charpoly(ops, raw)]
+        got = [ops.wrap(c) for c in charpoly(ops, sparse_rows(ops, raw))]
         assert got == leibniz_charpoly_scalar(rows, ctx)
 
     def test_sparse_rows_keep_only_nonzero_entries(self):
@@ -140,7 +144,7 @@ class TestSparseAdjugate:
             m = [[ctx.zero() if e is None else e for e in row]
                  for row in sparse_matrix(rng, r, density, entry)]
             raw = [[ops.unwrap(e) for e in row] for row in m]
-            cp = charpoly(ops, raw)
+            cp = charpoly(ops, sparse_rows(ops, raw))
             b = [[ops.wrap(e) for e in row]
                  for row in adjugate_action(ops, raw, cp)]
             expected = minus_c0_identity(ops, cp, r, ctx)
@@ -201,9 +205,11 @@ class TestBlockKernels:
             ctx, ops, m, raw = block_case(d, layout, 10 * seed + d)
             assert scc_count(ops, raw) >= len(layout[0])
             if d == 1:
-                assert charpoly(ops, raw) == leibniz_charpoly_int(raw, ctx.q)
+                assert charpoly(ops, sparse_rows(ops, raw)) == \
+                    leibniz_charpoly_int(raw, ctx.q)
             else:
-                got = [ops.wrap(c) for c in charpoly(ops, raw)]
+                got = [ops.wrap(c)
+                       for c in charpoly(ops, sparse_rows(ops, raw))]
                 assert got == leibniz_charpoly_scalar(m, ctx)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -211,7 +217,7 @@ class TestBlockKernels:
     def test_adjugate_both_sides_give_minus_c0(self, layout, d):
         for seed in range(2):
             ctx, ops, m, raw = block_case(d, layout, 10 * seed + d)
-            cp = charpoly(ops, raw)
+            cp = charpoly(ops, sparse_rows(ops, raw))
             b = [[ops.wrap(e) for e in row]
                  for row in adjugate_action(ops, raw, cp)]
             expected = minus_c0_identity(ops, cp, len(m), ctx)
@@ -236,7 +242,7 @@ class TestBlockKernels:
         ctx = make_context(3, 1, 8)
         ops = ops_for(ctx)
         raw = parse_module_spec(f"N^{k}").build(ctx)._raw_frobenius()
-        cp = charpoly(ops, raw)
+        cp = charpoly(ops, sparse_rows(ops, raw))
         calls = count_smatvec(ops)
         adj = adjugate_action(ops, raw, cp)
         assert len(calls) == 4 * k
@@ -292,7 +298,7 @@ class TestBerkowitzEarlyStop:
         cp = _berkowitz(ops, sparse_rows(ops, rows))[::-1]
         assert len(calls) == r + 3
         del ops.smatvec
-        assert cp == charpoly(ops, rows)
+        assert cp == charpoly(ops, sparse_rows(ops, rows))
         if r <= 7:
             assert cp == leibniz_charpoly_int(rows, ctx.q)
 
@@ -462,7 +468,7 @@ class TestStructuredMatrices:
         ops = ops_for(ctx)
         for name, m in cases:
             raw = [[ops.unwrap(e) for e in row] for row in m]
-            got = [ops.wrap(c) for c in charpoly(ops, raw)]
+            got = [ops.wrap(c) for c in charpoly(ops, sparse_rows(ops, raw))]
             assert got == leibniz_charpoly_scalar(m, ctx), name
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -471,7 +477,7 @@ class TestStructuredMatrices:
         ops = ops_for(ctx)
         for name, m in cases:
             raw = [[ops.unwrap(e) for e in row] for row in m]
-            cp = charpoly(ops, raw)
+            cp = charpoly(ops, sparse_rows(ops, raw))
             b = [[ops.wrap(e) for e in row]
                  for row in adjugate_action(ops, raw, cp)]
             expected = minus_c0_identity(ops, cp, len(m), ctx)
@@ -481,10 +487,11 @@ class TestStructuredMatrices:
     def test_zero_and_one_by_one_exactly(self):
         ctx = make_context(3, 1, 6)
         ops = ops_for(ctx)
-        assert charpoly(ops, [[0] * 3 for _ in range(3)]) == [0, 0, 0, 1]
+        assert charpoly(ops, sparse_rows(
+            ops, [[0] * 3 for _ in range(3)])) == [0, 0, 0, 1]
         assert adjugate_action(ops, [[0] * 3 for _ in range(3)],
                                [0, 0, 0, 1]) == [[0] * 3 for _ in range(3)]
-        assert charpoly(ops, [[7]]) == [ctx.q - 7, 1]
+        assert charpoly(ops, sparse_rows(ops, [[7]])) == [ctx.q - 7, 1]
         assert adjugate_action(ops, [[7]], [ctx.q - 7, 1]) == [[1]]
 
 
@@ -502,8 +509,9 @@ class TestCharpolyReduction:
             display = deformation_display(
                 ctx, DeformationPoint.from_ints(ctx, n, ints))
             raw = display._raw_frobenius()
-            at_n = charpoly(ops, twisted_product(ops, raw, d))
-            at_2n = charpoly(ops2, twisted_product(ops2, raw, d))
+            cols = sparse_transpose(sparse_rows(ops, raw), len(raw))
+            at_n = charpoly(ops, twisted_product(ops, cols, d))
+            at_2n = charpoly(ops2, twisted_product(ops2, cols, d))
             assert [ops.truncate(c) for c in at_2n] == at_n
 
 
@@ -512,7 +520,8 @@ class TestTwistedProduct:
         ctx = make_context(3, 1, 8)
         ops = ops_for(ctx)
         rows = [[1, 2], [3, 4]]
-        assert twisted_product(ops, rows, 1) == rows
+        srows = sparse_rows(ops, rows)
+        assert twisted_product(ops, sparse_transpose(srows, 2), 1) == srows
 
     def test_matches_manual_twist(self):
         ctx = make_context(3, 2, 6)
@@ -521,7 +530,38 @@ class TestTwistedProduct:
         rows = [[(rng.randrange(ctx.q), rng.randrange(ctx.q))
                  for _ in range(3)] for _ in range(3)]
         twisted = [[ops.frob(e, 1) for e in row] for row in rows]
-        assert twisted_product(ops, rows, 2) == mat_mul(ops, rows, twisted)
+        cols = sparse_transpose(sparse_rows(ops, rows), 3)
+        assert twisted_product(ops, cols, 2) == sparse_rows(
+            ops, mat_mul(ops, rows, twisted))
+
+
+class TestSparseTwistedProduct:
+    """twisted_product on sparse columns against dense scalar products."""
+
+    @pytest.mark.parametrize("p,d", [(3, 2), (2, 3), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 6])
+    def test_against_dense_chain(self, p, d, r):
+        ctx = make_context(p, d, 9)
+        ops = ops_for(ctx)
+        rng = random.Random(100 * p + 10 * d + r)
+
+        def entry():
+            coords = (0,) * d
+            while not any(coords):
+                # units and multiples of p alike
+                coords = tuple(rng.randrange(ctx.q) * p ** rng.randrange(2)
+                               for _ in range(d))
+            return ctx.scalar(coords)
+
+        for density in (0.0, 0.2, 0.5, 1.0):
+            m = [[ctx.zero() if e is None else e for e in row]
+                 for row in sparse_matrix(rng, r, density, entry)]
+            raw = [[ops.unwrap(e) for e in row] for row in m]
+            cols = sparse_transpose(sparse_rows(ops, raw), r)
+            expected = [[ops.unwrap(e) for e in row]
+                        for row in twisted_product_dense(m, d)]
+            assert twisted_product(ops, cols, d) == \
+                sparse_rows(ops, expected), density
 
 
 class TestLowerHull:
