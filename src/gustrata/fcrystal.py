@@ -23,23 +23,41 @@ scalar product.
 
 Newton slopes are computed from the p-adic Newton polygon of the
 characteristic polynomial of the d-fold twisted product
-A * sigma(A) * ... * sigma^(d-1)(A), divided by d.  Every polygon is
-certified at doubled precision: the polygon read at precision N must equal
-the one read at 2N, otherwise the computation fails instead of guessing.
+Phi = A * sigma(A) * ... * sigma^(d-1)(A), divided by d, at the working
+precision N.  The polygon is certified there: certified_hull raises
+PrecisionError unless every hull vertex lies below N.  A coefficient that
+reads as 0 mod p^N has valuation N, the cap, so it is no vertex of a hull
+that passes; its true valuation is at least N, so revealing it only
+raises a point lying on or above the hull, and a hull whose vertices all
+lie below N does not move.
 
-One characteristic polynomial, computed at 2N, serves both precisions.  The
-Berkowitz algorithm is division-free, so each coefficient is a polynomial
-with integer coefficients in the matrix entries, and reducing it mod p^N
-commutes with computing it.  The entries themselves agree: the Frobenius
-lift is the unique automorphism reducing to the p-power map, so the 2N
-Frobenius table reduces mod p^N to the N table, and so does the reduction
-table of the modulus; hence the 2N twisted product reduces to the N one.
-The characteristic polynomial at 2N reduced mod p^N is therefore exactly the
-one a computation at N would give, byte for byte.
+The prime is inert in L, so F swaps the u- and v-families.  When F is
+graded that way (every nonzero entry joins the two families, and both
+have n members), A = [[0, X], [Y, 0]] with X = A[U][V], Y = A[V][U], and
+G = X sigma(Y) is the matrix of F^2 on the u-part, the sigma^2-linear
+operator that carries the Newton polygon in the GU(1, n-1) setting
+(Vollaard, Canad. J. Math. 62, 2010).  Every polynomial
+below is then computed from n x n matrices, by three identities that hold
+over any commutative ring, hence coefficient by coefficient mod p^N:
+
+* odd d: Phi = [[0, P], [Q, 0]] with PQ = G sigma^2(G) ... sigma^(2(d-1))(G)
+  (sigma^d = 1 lets the 2d alternating factors pair up), and
+  det(tI - Phi) = det(t^2 I - PQ) by the Schur complement of tI, so the
+  twisted charpoly is h(t^2) for h = charpoly(PQ);
+* even d: Phi = diag(Phi_uu, Phi_vv) with
+  Phi_uu = G sigma^2(G) ... sigma^(d-2)(G); Phi_vv = Y W and
+  sigma(Phi_uu) = W Y for W = sigma(X) sigma^2(Y) ... sigma^(d-1)(X), and
+  det(tI - YW) = det(tI - WY), so charpoly(Phi_vv) = sigma(h) for
+  h = charpoly(Phi_uu), and the twisted charpoly is h * sigma(h);
+* the charpoly of A itself is the untwisted case: charpoly(XY)(t^2).  At
+  d = 1 it is the twisted charpoly, and one cached polynomial serves both.
+
+Displays that are not graded this way (only library input, such as
+display_from_json, can give one) use the full rank-2n product.
 
 The adjugate of A, from which both the validation and V are derived, is
-likewise computed once per display and cached next to the characteristic
-polynomial of A.
+computed once per display and cached next to the characteristic
+polynomial of A; V is cached as sparse rows.
 """
 
 from __future__ import annotations
@@ -282,6 +300,8 @@ class DieudonneDisplay:
             sparse_transpose(self.sparse_frobenius, self.rank)))
 
     def _dense(self, srows):
+        """Dense raw rows from sparse ones, of any precision: raw zero is
+        the same at every precision."""
         zero = self._ops().zero
         rows = [[zero] * self.rank for _ in srows]
         for row, srow in zip(rows, srows):
@@ -290,9 +310,28 @@ class DieudonneDisplay:
         return rows
 
     def _charpoly_frobenius(self):
-        """Characteristic polynomial of the (untwisted) matrix of F."""
-        return self._memo("cpA", lambda: _linalg.charpoly(
-            self._ops(), sparse_transpose(self.sparse_frobenius, self.rank)))
+        """Characteristic polynomial of the (untwisted) matrix of F:
+        charpoly(XY)(t^2) for a graded display, one charpoly on n rows.
+        At d = 1 it is also the twisted charpoly that newton_slopes reads."""
+        return self._memo("cpA", lambda: _frobenius_charpoly(self, 1, 0))
+
+    def _graded_blocks(self):
+        """Sparse columns (X, Y) of the blocks X = A[U][V] and Y = A[V][U]
+        of a graded F, rows and columns numbered by position in u_indices
+        and v_indices; () when F is not graded (see the module docstring).
+        """
+        def make():
+            uu, vv = self.u_indices, self.v_indices
+            family = [b.family for b in self.basis]
+            cols = self.sparse_frobenius
+            if len(uu) != len(vv) or any(family[i] == family[j]
+                                         for j, col in enumerate(cols)
+                                         for i, _ in col):
+                return ()
+            pos = {i: t for idx in (uu, vv) for t, i in enumerate(idx)}
+            return tuple([[(pos[i], a) for i, a in cols[j]] for j in idx]
+                         for idx in (vv, uu))
+        return self._memo("XY", make)
 
     def _adjugate_frobenius(self):
         """Adjugate action B of the matrix of F: A * B = -c_0 * I."""
@@ -300,13 +339,14 @@ class DieudonneDisplay:
             self._ops(), self._raw_frobenius(), self._charpoly_frobenius()))
 
     def _verschiebung(self):
-        """(context, matrix rows) of V = sigma^(-1)(p A^(-1)).
+        """(context, sparse rows) of V = sigma^(-1)(p A^(-1)), each row a
+        list of (column, raw) pairs, columns ascending, no zeros.
 
         Dividing by det(A) = p^v * unit costs v - 1 digits of precision, so
         the result lives at precision N - v + 1.  Raises PrecisionError when
         A is singular mod p^N and ValueError when p A^(-1) is not integral.
         """
-        cached = self._cache.get("vmat")
+        cached = self._cache.get("vrows")
         if cached is not None:
             return cached
         ops = self._ops()
@@ -317,7 +357,9 @@ class DieudonneDisplay:
         if v >= ctx.N:
             raise PrecisionError("V not computable at this precision")
         # Every map below sends 0 to 0 (and val(0) = N > v - 1), so only
-        # the nonzero entries of the adjugate are visited.
+        # the nonzero entries of the adjugate are visited.  A nonzero entry
+        # e has val(e) < N, so p e / p^v is nonzero at precision N - v + 1
+        # and stays so under a unit and sigma: V has the adjugate's support.
         zero = ops.zero
         entries = [(i, j, e)
                    for i, row in enumerate(self._adjugate_frobenius())
@@ -333,7 +375,7 @@ class DieudonneDisplay:
         u_scalar = ctx_v.scalar((u_unit,) if ctx.d == 1 else u_unit)
         u_inv_raw = ops_v.unwrap(u_scalar.inverse())
         d = ctx.d
-        rows = [[ops_v.zero] * self.rank for _ in range(self.rank)]
+        rows = [[] for _ in range(self.rank)]
         for i, j, e in entries:
             # p * B_ij / p^v, exact on the integer coordinates
             if v >= 1:
@@ -343,15 +385,15 @@ class DieudonneDisplay:
             else:
                 w = tuple(c * ctx.p for c in e)
             t = ops_v.neg(ops_v.mul(ops_v.truncate(w), u_inv_raw))
-            rows[i][j] = ops_v.frob(t, d - 1)
+            rows[i].append((j, ops_v.frob(t, d - 1)))
         cached = (ctx_v, rows)
-        self._cache["vmat"] = cached
+        self._cache["vrows"] = cached
         return cached
 
     def verschiebung_matrix(self):
         """Matrix of V as (context at reduced precision, rows of scalars)."""
-        ctx_v, rows = self._verschiebung()
-        return ctx_v, _linalg.wrap_matrix(ops_for(ctx_v), rows)
+        ctx_v, srows = self._verschiebung()
+        return ctx_v, _linalg.wrap_matrix(ops_for(ctx_v), self._dense(srows))
 
     # -- semilinear application (mainly for tests and diagnostics) -------------
 
@@ -365,12 +407,12 @@ class DieudonneDisplay:
 
     def apply_verschiebung(self, vec):
         """V(sum x_j e_j) at the reduced precision of the derived V."""
-        ctx_v, rows = self._verschiebung()
+        ctx_v, srows = self._verschiebung()
         ops_v = ops_for(ctx_v)
         twisted = [ctx_v.frobenius_coords(x.coords, ctx_v.d - 1)
                    for x in vec]
         raws = [ops_v.unwrap(ctx_v.scalar(t)) for t in twisted]
-        out = _linalg.mat_mul(ops_v, rows, [[x] for x in raws])
+        out = _linalg.mat_mul(ops_v, self._dense(srows), [[x] for x in raws])
         return tuple(ops_v.wrap(row[0]) for row in out)
 
     # -- serialization ----------------------------------------------------------
@@ -486,58 +528,58 @@ def validate_display(display):
     return ValidationReport(tuple(checks))
 
 
-def newton_slopes(display, certify=True):
+def newton_slopes(display):
     """Newton polygon of the display.
 
-    Computes the characteristic polynomial of the d-fold twisted product of
-    the F-matrix (division-free), takes the lower hull of coefficient
-    valuations, and divides all slopes by d.
-
-    With certify=True (the default) that polynomial is computed once, at
-    precision 2N, from the same integer entries; its coefficients reduced
-    mod p^N are exactly the precision-N polynomial (see the module
-    docstring).  The valuations are read once, at 2N; those at N are their
-    minima with N.  The hull at N is read first, then the hull at 2N, and
-    the two must agree as integer vertex lists, which determine the
-    polygons, so only the one polygon returned is built (and the 2N one
-    only for an error message).  The comparison still certifies: reading the
-    polygon at N raises PrecisionError unless every hull vertex lies below
-    N, so each coefficient whose valuation was capped at N is a non-vertex
-    point.  Its true valuation is at least N, so revealing it at 2N only
-    raises a point lying on or above the hull, and a hull whose vertices
-    all lie below N does not move.  A disagreement would expose a
-    truncation artefact and raises PrecisionError.  With certify=False a
-    single charpoly is computed at N.
+    Computes the characteristic polynomial of the d-fold twisted product
+    of the F-matrix (division-free), in the display's own context, takes
+    the lower hull of the coefficient valuations, and divides all slopes by
+    d.  certified_hull is the certificate (see the module docstring): it
+    raises PrecisionError unless every hull vertex lies below N, and a hull
+    that passes does not move when capped coefficients are revealed.  For
+    a graded display the polynomial comes from one charpoly on n rows.
     """
-    cached = display._cache.get(("slopes", certify))
-    if cached is not None:
-        return cached
-    ctx, ops = display.ctx, display._ops()
-    N, d = ctx.N, ctx.d
-    if not certify:
-        poly = NewtonPolygon(_linalg.charpoly_slope_pairs(
-            ops, _twisted_charpoly(ops, display), d))
-    else:
-        # val(c mod p^N) = min(val(c), N)
-        ops2 = ops_for(ctx.at_precision(2 * N))
-        vals2 = [ops2.val(c) for c in _twisted_charpoly(ops2, display)]
-        hull = _linalg.certified_hull([min(v, N) for v in vals2], N)
-        hull2 = _linalg.certified_hull(vals2, 2 * N)
-        poly = NewtonPolygon(_linalg.hull_slope_pairs(hull, d))
-        if hull2 != hull:
-            poly2 = NewtonPolygon(_linalg.hull_slope_pairs(hull2, d))
-            raise PrecisionError(
-                "slopes unstable under precision doubling: "
-                f"{poly!r} at N={N} vs {poly2!r} at 2N")
-    display._cache[("slopes", certify)] = poly
-    return poly
+    cached = display._cache.get("slopes")
+    if cached is None:
+        cached = display._cache["slopes"] = NewtonPolygon(
+            _linalg.charpoly_slope_pairs(display._ops(),
+                                         _twisted_charpoly(display),
+                                         display.ctx.d))
+    return cached
 
 
-def _twisted_charpoly(ops, display):
-    """Charpoly of A * sigma(A) * ... * sigma^(d-1)(A) in the context of
-    ops, from the display's sparse columns of integer entries."""
-    return _linalg.charpoly(ops, _linalg.twisted_product(
-        ops, display.sparse_frobenius, ops.ctx.d))
+def _twisted_charpoly(display):
+    """Charpoly of A * sigma(A) * ... * sigma^(d-1)(A); at d = 1 it is the
+    cached charpoly of A."""
+    d = display.ctx.d
+    if d == 1:
+        return display._charpoly_frobenius()
+    return _frobenius_charpoly(display, d, 1)
+
+
+def _frobenius_charpoly(display, length, step):
+    """Charpoly of A * sigma^s(A) * ... * sigma^((length-1)s)(A) for
+    s = step: the twisted one for (d, 1), that of A for (1, 0).
+
+    A graded display uses the identities of the module docstring: with
+    Z = X sigma^s(Y) sigma^(2s)(X) ... of 2 * length factors for odd
+    length, the polynomial is charpoly(Z)(t^2); with length factors for
+    even length, it is h * sigma^s(h) for h = charpoly(Z).  Either way
+    twisted_product forms Z and charpoly runs on n rows."""
+    ops = display._ops()
+    blocks = display._graded_blocks()
+    if not blocks:
+        return _linalg.charpoly(ops, _linalg.twisted_product(
+            ops, display.sparse_frobenius, length, step))
+    x, y = blocks
+    odd = length % 2
+    h = _linalg.charpoly(ops, _linalg.twisted_product(
+        ops, x, length << odd, step, y))
+    if odd:
+        out = [ops.zero] * (2 * len(h) - 1)
+        out[::2] = h
+        return out
+    return _linalg.poly_mul(ops, h, [ops.frob(c, step) for c in h])
 
 
 def polarization_check(display):
@@ -547,7 +589,7 @@ def polarization_check(display):
     are measured there.  Returns (label_i, label_j, discrepancy) triples;
     an empty list means the pairing is compatible with F and V.
     """
-    ctx_v, vrows = display._verschiebung()
+    ctx_v, v_rows = display._verschiebung()
     ops_v = ops_for(ctx_v)
     zero, truncate, smatvec = ops_v.zero, ops_v.truncate, ops_v.smatvec
 
@@ -557,7 +599,6 @@ def polarization_check(display):
                 for srow in srows]
 
     j_rows = cut(display.sparse_pairing)
-    v_rows = _linalg.sparse_rows(ops_v, vrows)
     violations = []
     for i, (a_col, j_row) in enumerate(zip(cut(display.sparse_frobenius),
                                            j_rows)):
@@ -584,19 +625,18 @@ def a_number(display):
     dimension is rank - rank_{F_{p^d}} [A; sigma^2(B)].
     """
     ops1 = ops_for(display.ctx.at_precision(1))
-    vrows = display._verschiebung()[1]
-    rows = (_residue_rows(ops1, display._raw_frobenius())
-            + _residue_rows(ops1, vrows, 2))
+    a_rows = sparse_transpose(display.sparse_frobenius, display.rank)
+    rows = (_residue_rows(ops1, a_rows)
+            + _residue_rows(ops1, display._verschiebung()[1], 2))
     return display.rank - _linalg.rank(ops1, rows)
 
 
-def _residue_rows(ops1, rows, power=0):
-    """sigma^power of the matrix with the given dense raw rows, of any
-    precision, reduced mod p: sparse rows for _linalg.rank.  Raw zero is
-    the same at every precision, so sparse_rows may use the ops at 1."""
+def _residue_rows(ops1, srows, power=0):
+    """sigma^power of the matrix with the given sparse raw rows, of any
+    precision, reduced mod p: dict rows for _linalg.rank."""
     truncate, frob, zero = ops1.truncate, ops1.frob, ops1.zero
     return [{j: frob(t, power) for j, a in srow if (t := truncate(a)) != zero}
-            for srow in _linalg.sparse_rows(ops1, rows)]
+            for srow in srows]
 
 
 def p_rank(display):

@@ -254,8 +254,8 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
                         budget=None, precision=None, retain=False):
     """Sweep deformation points and compare three slope computations.
 
-    For every point: the characteristic-polynomial Newton polygon (with its
-    built-in doubled-precision certification), the catalog classification,
+    For every point: the characteristic-polynomial Newton polygon
+    (certified at N, or else at 2N), the catalog classification,
     the vanishing-pattern prediction, and the cycle slopes through u_1.
     Checks that the minimal Newton slope never exceeds any cycle slope, and
     reports (without failing) whenever the min-cycle-slope equality or the
@@ -266,10 +266,9 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     budget = _resolve_budget(budget)
     nprec = precision if precision is not None else default_precision(n, d)
     ctx = make_context(p, d, nprec)
-    # Certification runs at 2N, and a retried point certifies at 4N: make
-    # the 2N context and check the 4N capacity before any point is built.
-    ctx.at_precision(2 * nprec)
-    _check_capacity(p, d, 4 * nprec)
+    # A point whose polygon is not certified at N retries at 2N: check that
+    # capacity before any point is built; the first retry makes the context.
+    _check_capacity(p, d, 2 * nprec)
     q_res = p ** d
     u1 = U(1)
 

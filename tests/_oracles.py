@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the production code paths: characteristic
-polynomials by the Leibniz permutation expansion, irreducible-polynomial
+polynomials by the Leibniz permutation expansion (or, for ranks where r!
+terms are too many, by cofactor expansion memoized on column sets),
+irreducible-polynomial
 enumeration by brute root/factor search, simple-cycle enumeration via
 networkx, the M(m) polygon from its closed form, residue field arithmetic
 by schoolbook polynomial products, the a-number and signature by dense
@@ -62,6 +64,39 @@ def leibniz_charpoly_scalar(rows, ctx):
         padded = poly + [zero] * (r + 1 - len(poly))
         coeffs = [c + sign * p for c, p in zip(coeffs, padded)]
     return coeffs
+
+
+def expansion_charpoly(rows, zero, one):
+    """det(xI - M), coefficients low degree first, by cofactor expansion
+    along the rows in order, memoized on the set of columns the earlier
+    rows took: 2^r minors instead of r! products.  Entries are ints (reduce
+    the result afterwards) or PadicScalars; only +, - and * are used."""
+    r = len(rows)
+    memo = {(1 << r) - 1: [one]}
+
+    def minor(used):
+        """det of (xI - M) on rows k.. and the columns not in used."""
+        if used in memo:
+            return memo[used]
+        k = bin(used).count("1")
+        total = [zero] * (r - k + 1)
+        position = 0  # of column j among the columns not yet used
+        for j in range(r):
+            if used >> j & 1:
+                continue
+            entry = -rows[k][j]
+            if j == k or entry != zero:
+                sub = minor(used | 1 << j)
+                term = [entry * c for c in sub] + [zero]
+                if j == k:
+                    term = [t + c for t, c in zip(term, [zero] + sub)]
+                total = [a - b if position % 2 else a + b
+                         for a, b in zip(total, term)]
+            position += 1
+        memo[used] = total
+        return total
+
+    return minor(0)
 
 
 def _perm_sign(perm):

@@ -190,11 +190,14 @@ class TestDeterminismAndUsage:
 
 
 class TestDoubledPrecisionCapacity:
-    """--precision 2^19 + 1 fits at p = 3, d = 1; twice it does not."""
+    """At p = 3, d = 1, --precision 2^19 + 1 fits but twice it does not,
+    which verify refuses because a retried point would certify at 2N;
+    slopes works at N only, and --precision 2^20 + 1 does not fit."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--n", "3", "--random", "2"],
-        ["slopes", "--module", "N"],
+        ["verify", "--n", "3", "--random", "2",
+         "--precision", str((1 << 19) + 1)],
+        ["slopes", "--module", "N", "--precision", str((1 << 20) + 1)],
     ])
     def test_exit_2_before_any_charpoly(self, argv, monkeypatch, capsys):
         def refuse(*args):
@@ -202,29 +205,62 @@ class TestDoubledPrecisionCapacity:
 
         monkeypatch.setattr(_linalg, "charpoly", refuse)
         monkeypatch.setattr(RingContext, "teichmuller", refuse)
-        code, out = run(argv + ["--p", "3", "--precision",
-                                str((1 << 19) + 1)])
+        code, out = run(argv + ["--p", "3"])
         err = capsys.readouterr().err
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "capacity exceeded" in err
 
+    def test_slopes_needs_no_doubled_context(self):
+        code, out = run(["slopes", "--module", "N", "--p", "3",
+                         "--precision", str((1 << 19) + 1)])
+        assert code == 0
+        assert json.loads(out)["polygon"]["slopes"] == [
+            {"num": 1, "den": 2, "mult": 2}]
 
-class TestRetryPrecisionCapacity:
-    """--precision 2^19 fits at p = 3, d = 1, and so does twice it, but a
-    retried point would certify at four times it, which does not."""
 
-    def test_exit_2_before_any_lift(self, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("work started before the capacity check")
+def contexts_built(monkeypatch):
+    """Precisions of the RingContexts set up from now on, fresh or
+    derived."""
+    built = []
+    original = RingContext._init
 
-        monkeypatch.setattr(_linalg, "charpoly", refuse)
-        monkeypatch.setattr(RingContext, "teichmuller", refuse)
-        code, out = run(["verify", "--n", "3", "--random", "2", "--p", "3",
-                         "--precision", str(1 << 19)])
-        err = capsys.readouterr().err
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "capacity exceeded" in err
-        assert "N=2097152" in err and "Traceback" not in err
+    def spy(self, N, root):
+        built.append(N)
+        original(self, N, root)
+
+    monkeypatch.setattr(RingContext, "_init", spy)
+    return built
+
+
+class TestRetryContexts:
+    """At --precision 3 every point retries at 2N = 6, where n = 5 certifies
+    and n = 4, d = 2 still fails; no context above 2N is ever built."""
+
+    @pytest.mark.parametrize("argv,points,failure", [
+        (["verify", "--n", "5", "--p", "3"], 81, None),
+        (["verify", "--n", "4", "--p", "3", "--d", "2"], 729,
+         "insufficient precision: hull vertex at degree 0 has valuation "
+         ">= 6"),
+    ])
+    def test_contexts_at_n_and_2n_only(self, argv, points, failure,
+                                       monkeypatch):
+        built = contexts_built(monkeypatch)
+        code, out = run(argv + ["--precision", "3"])
+        doc = json.loads(out)
+        assert {3, 6} <= set(built) <= {1, 3, 6}
+        assert doc["points"] == doc["precision_retries"] == points
+        failures = doc["precision_failures"]
+        if failure is None:
+            assert code == 0 and failures == []
+        else:
+            assert code == 3 and len(failures) == points
+            assert {f["error"] for f in failures} == {failure}
+
+    def test_no_retry_builds_no_doubled_context(self, monkeypatch):
+        built = contexts_built(monkeypatch)
+        code, out = run(["verify", "--n", "5", "--p", "3", "--precision", "9"])
+        assert code == 0 and json.loads(out)["precision_retries"] == 0
+        assert set(built) == {9}
 
 
 class TestParserReuse:

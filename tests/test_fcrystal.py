@@ -189,7 +189,7 @@ class TestNewtonSlopes:
     def test_insufficient_precision_raises(self):
         ctx = make_context(3, 1, 2)  # det has valuation 3 >= N
         with pytest.raises(PrecisionError):
-            newton_slopes(module_M(ctx, 3), certify=False)
+            newton_slopes(module_M(ctx, 3))
 
     def test_polygon_invariants_on_zoo(self):
         for n in (3, 4, 5):
@@ -384,6 +384,10 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+# the polygon of M(6) + N^2, which the deformation point SPEC below has too
+M6_N2 = expected_M_polygon(6).union(NewtonPolygon([(Fraction(1, 2), 4)]))
+
+
 class TestOncePerDisplay:
     SPEC = "def(8; s0=1, s2=2, s3=1, s5=2)"
 
@@ -392,10 +396,12 @@ class TestOncePerDisplay:
         calls = count_calls(monkeypatch, "charpoly")
         polygon = newton_slopes(D)
         assert len(calls) == 1
-        # the single charpoly runs in the doubled-precision context
-        assert calls[0][0].ctx.N == 2 * D.ctx.N
-        assert polygon == newton_slopes(D, certify=False)
-        assert len(calls) == 2
+        # the single charpoly runs in the display's own context, on the
+        # n x n matrix of F^2 on the u-part
+        ops, srows = calls[0]
+        assert ops.ctx is D.ctx
+        assert len(srows) == D.half_rank
+        assert polygon == M6_N2
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_certified_slopes_build_one_polygon(self, monkeypatch, text, d):
@@ -411,8 +417,7 @@ class TestOncePerDisplay:
         monkeypatch.setattr(NewtonPolygon, "__init__", counting)
         polygon = newton_slopes(display)
         assert len(built) == 1
-        monkeypatch.undo()
-        assert polygon == newton_slopes(display, certify=False)
+        assert polygon == M6_N2
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):

@@ -1,0 +1,240 @@
+"""Characteristic polynomials of graded displays from the n x n matrix of
+F^2 on the u-part, against the dense rank-2n oracles, and the certificate
+of newton_slopes at the working precision N."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
+                      RingContext, _linalg, default_precision, make_context,
+                      module_M, newton_slopes)
+from gustrata.displayzoo import parse_module_spec
+from gustrata.fcrystal import U, V, BasisLabel, _twisted_charpoly
+
+from _oracles import (expansion_charpoly, leibniz_charpoly_int,
+                      leibniz_charpoly_scalar, twisted_product_dense)
+
+
+def dense_charpoly(rows, ctx):
+    """det(xI - M) for dense scalar rows: Leibniz while r! is small."""
+    if len(rows) <= 6:
+        return leibniz_charpoly_scalar(rows, ctx)
+    return expansion_charpoly(rows, ctx.zero(), ctx.one())
+
+
+def random_entry(rng, ctx):
+    """A nonzero scalar, a unit or a multiple of p or p^2."""
+    while True:
+        e = ctx.scalar(tuple(rng.randrange(ctx.q) * ctx.p ** rng.randrange(3)
+                             for _ in range(ctx.d)))
+        if not e.is_zero():
+            return e
+
+
+def random_display(rng, ctx, labels, density, crossing_only=True,
+                   zero_columns=()):
+    """Display on the labels with random F entries: each allowed entry is
+    nonzero with the given density, an entry is allowed when it joins the
+    two families (or always, without crossing_only), and the columns in
+    zero_columns vanish.  The pairing is zero: no charpoly reads it."""
+    r = len(labels)
+    zero = ctx.zero()
+
+    def allowed(i, j):
+        return (j not in zero_columns
+                and (not crossing_only or labels[i].family != labels[j].family))
+
+    columns = [[random_entry(rng, ctx)
+                if allowed(i, j) and rng.random() < density else zero
+                for i in range(r)] for j in range(r)]
+    return DieudonneDisplay(ctx, labels, columns, [[zero] * r] * r)
+
+
+def shuffled_labels(rng, n):
+    labels = [U(i) for i in range(n)] + [V(i) for i in range(n)]
+    rng.shuffle(labels)
+    return labels
+
+
+def charpoly_rows(monkeypatch):
+    """Row counts of the matrices _linalg.charpoly receives from now on."""
+    rows = []
+    original = _linalg.charpoly
+
+    def counting(ops, srows):
+        rows.append(len(srows))
+        return original(ops, srows)
+
+    monkeypatch.setattr(_linalg, "charpoly", counting)
+    return rows
+
+
+def assert_matches_dense(display):
+    """The twisted charpoly and that of A agree with the dense oracles."""
+    ctx, ops = display.ctx, display._ops()
+    rows = display.frobenius
+    twisted = [ops.wrap(c) for c in _twisted_charpoly(display)]
+    plain = [ops.wrap(c) for c in display._charpoly_frobenius()]
+    assert twisted == dense_charpoly(twisted_product_dense(rows, ctx.d), ctx)
+    assert plain == dense_charpoly(rows, ctx)
+
+
+class TestExpansionOracle:
+    """The memoized cofactor expansion is the Leibniz expansion."""
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_against_leibniz(self, r):
+        rng = random.Random(r)
+        q = 3 ** 4
+        m = [[rng.randrange(q) if rng.random() < 0.6 else 0
+              for _ in range(r)] for _ in range(r)]
+        assert [c % q for c in expansion_charpoly(m, 0, 1)] == \
+            leibniz_charpoly_int(m, q)
+        ctx = make_context(2, 3, 5)
+        s = [[random_entry(rng, ctx) if rng.random() < 0.6 else ctx.zero()
+              for _ in range(r)] for _ in range(r)]
+        assert expansion_charpoly(s, ctx.zero(), ctx.one()) == \
+            leibniz_charpoly_scalar(s, ctx)
+
+
+class TestGradedAgainstDense:
+    """Random graded displays, basis order shuffled, with a zero column in
+    X and one in Y on every other draw: one charpoly on n rows gives both
+    polynomials of the dense route."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_twisted_and_plain(self, n, d, monkeypatch):
+        p = (2, 3, 5)[(n + d) % 3]
+        ctx = make_context(p, d, 6)
+        rng = random.Random(100 * n + 10 * d + p)
+        for draw, density in enumerate((0.4, 0.8) if n < 5 else (0.5,)):
+            labels = shuffled_labels(rng, n)
+            dead = ()
+            if draw % 2 == 0:
+                dead = {labels.index(U(rng.randrange(n))),
+                        labels.index(V(rng.randrange(n)))}
+            display = random_display(rng, ctx, labels, density,
+                                     zero_columns=dead)
+            rows = charpoly_rows(monkeypatch)
+            assert_matches_dense(display)
+            # one charpoly each at d > 1; at d = 1 the two are one
+            assert rows == [n] * (1 if d == 1 else 2)
+            monkeypatch.undo()
+
+
+class TestUngradedAgainstDense:
+    """Displays that are not graded take the full rank-2n route."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_entry_inside_a_family(self, n, d, monkeypatch):
+        ctx = make_context(3, d, 6)
+        rng = random.Random(10 * n + d)
+        labels = shuffled_labels(rng, n)
+        graded = random_display(rng, ctx, labels, 0.6)
+        i, j = labels.index(U(rng.randrange(n))), labels.index(U(0))
+        columns = [list(col) for col in zip(*graded.frobenius)]
+        columns[j][i] = random_entry(rng, ctx)
+        display = DieudonneDisplay(ctx, labels, columns, graded.pairing)
+        rows = charpoly_rows(monkeypatch)
+        assert_matches_dense(display)
+        assert rows == [2 * n] * (1 if d == 1 else 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_halves_of_unequal_size(self, n, d, monkeypatch):
+        ctx = make_context(5, d, 6)
+        rng = random.Random(20 * n + d)
+        labels = [U(i) for i in range(n + 1)] + [V(i) for i in range(n - 1)]
+        rng.shuffle(labels)
+        display = random_display(rng, ctx, labels, 0.6)
+        rows = charpoly_rows(monkeypatch)
+        assert_matches_dense(display)
+        assert rows == [2 * n] * (1 if d == 1 else 2)
+
+
+class TestHalfRankCount:
+    @pytest.mark.parametrize("text,d", [
+        ("def(8; s0=1, s2=2, s3=1, s5=2)", 1), ("M(6)+N^2", 2),
+        ("M(7)+N^3", 3), ("ss(5)", 4)])
+    def test_charpoly_receives_n_rows(self, text, d, monkeypatch):
+        spec = parse_module_spec(text)
+        display = spec.build(make_context(
+            2 if d == 4 else 3, d, default_precision(spec.half_rank, d)))
+        rows = charpoly_rows(monkeypatch)
+        newton_slopes(display)
+        assert rows == [display.half_rank]
+
+
+class TestCertificateAtN:
+    def graded(self, N, k):
+        """F on u0, u1, v0, v1 with X = I and Y = diag(1, -1 - p^k): the
+        twisted charpoly t^4 + p^k t^2 - (1 + p^k) has unit roots and a
+        t^2 coefficient of valuation k."""
+        ctx = make_context(3, 1, N)
+        one, zero = ctx.one(), ctx.zero()
+        y1 = ctx.from_int(-1 - 3 ** k)
+        columns = [[zero, zero, one, zero], [zero, zero, zero, y1],
+                   [one, zero, zero, zero], [zero, one, zero, zero]]
+        return DieudonneDisplay(ctx, (U(0), U(1), V(0), V(1)), columns,
+                                [[zero] * 4] * 4)
+
+    def test_capped_non_vertex_is_certified(self):
+        at_n, exact = self.graded(3, 5), self.graded(12, 5)
+        for display, val in ((at_n, 3), (exact, 5)):
+            ops = display._ops()
+            vals = [ops.val(c) for c in _twisted_charpoly(display)]
+            assert vals == [0, display.ctx.N, val, display.ctx.N, 0]
+        # capped at N = 3, the t^2 coefficient is no hull vertex
+        assert newton_slopes(at_n) == newton_slopes(exact) == \
+            NewtonPolygon([(Fraction(0), 4)])
+
+    def test_exactly_zero_coefficients_are_capped_too(self):
+        # M(4) has twisted charpoly t^8 + (unit) p t^4 + p^4: the odd
+        # coefficients and t^2, t^6 vanish, and read as valuation N
+        display = module_M(make_context(3, 1, 5), 4)
+        ops = display._ops()
+        assert [ops.val(c) for c in _twisted_charpoly(display)] == \
+            [4, 5, 5, 5, 1, 5, 5, 5, 0]
+        assert newton_slopes(display) == NewtonPolygon(
+            [(Fraction(1, 4), 4), (Fraction(3, 4), 4)])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_vertex_at_cap_on_both_routes(self, d, monkeypatch):
+        graded = module_M(make_context(3, d, 2), 3)
+        # the same matrix with a v-label renamed into the u-family: its
+        # halves differ in size, so the full-rank route runs
+        basis = tuple(BasisLabel("u", 99) if b == V(3) else b
+                      for b in graded.basis)
+        ungraded = DieudonneDisplay._from_sparse(
+            graded.ctx, basis, graded.sparse_frobenius,
+            graded.sparse_pairing)
+        rows = charpoly_rows(monkeypatch)
+        for display in (graded, ungraded):
+            with pytest.raises(PrecisionError) as err:
+                newton_slopes(display)
+            assert str(err.value) == ("insufficient precision: hull vertex "
+                                      "at degree 0 has valuation >= 2")
+        assert rows == [3, 6]
+
+    @pytest.mark.parametrize("text,d,N", [
+        ("def(6; s0=1, s2=2)", 1, 9), ("M(5)+N", 2, 4), ("M(3)", 3, 2),
+        ("M(4)", 1, 3)])
+    def test_no_context_above_n(self, text, d, N, monkeypatch):
+        display = parse_module_spec(text).build(make_context(3, d, N))
+        built = []
+        original = RingContext._init
+
+        def spy(self, prec, root):
+            built.append(prec)
+            original(self, prec, root)
+
+        monkeypatch.setattr(RingContext, "_init", spy)
+        try:
+            newton_slopes(display)
+        except PrecisionError:
+            pass
+        assert built == []
