@@ -520,16 +520,19 @@ def lower_hull(points):
     return hull
 
 
-def certified_hull(vals, cap):
+def certified_hull(vals, cap, scale=(1, 1)):
     """Lower hull vertices of the points (i, vals[i]), for coefficient
-    valuations capped at cap.
+    valuations capped at cap, each vertex (i, v) moved to (sx * i, sy * v)
+    for scale = (sx, sy).
 
-    Raises PrecisionError when a hull vertex sits at the cap: the polygon
-    is then not determined at this precision.  Otherwise it is: a capped
-    point is no vertex, its true valuation is at least cap, and revealing
-    it only raises a point on or above a hull whose vertices lie below it.
+    Raises PrecisionError when a moved vertex sits at or above the cap:
+    the polygon is then not determined at this precision.  Otherwise it
+    is: a capped point is no vertex, its true valuation is at least cap,
+    and revealing it only raises a point on or above a hull whose vertices
+    lie below it.
     """
-    hull = lower_hull(list(enumerate(vals)))
+    sx, sy = scale
+    hull = [(sx * i, sy * v) for i, v in lower_hull(list(enumerate(vals)))]
     for (i, v) in hull:
         if v >= cap:
             raise PrecisionError(
@@ -538,11 +541,19 @@ def certified_hull(vals, cap):
     return hull
 
 
-def charpoly_slope_pairs(ops, cp, twist):
+def charpoly_slope_pairs(ops, cp, twist, scale=(1, 1)):
     """(slope, multiplicity) pairs of the p-adic Newton polygon of cp, with
     every root valuation divided by twist; PrecisionError as in
-    certified_hull."""
-    hull = certified_hull([ops.val(c) for c in cp], ops.cap)
+    certified_hull.
+
+    With scale (2, 1) these are the pairs of cp(t^2), and with (2, 2) those
+    of cp * sigma^s(cp), for a monic cp: the hull of cp(t^2) is that of cp
+    stretched in degree (its odd coefficients are 0), and that of the
+    product is the Minkowski sum of two hulls equal to cp's, sigma keeping
+    valuations.  Both polynomials are monic, so their certificate fails
+    exactly when their constant term, of valuation val c_0 or 2 val c_0,
+    reaches the cap: that is the moved vertex at degree 0."""
+    hull = certified_hull([ops.val(c) for c in cp], ops.cap, scale)
     return [(Fraction(v1 - v2, (i2 - i1) * twist), i2 - i1)
             for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
 

@@ -19,8 +19,12 @@ from .wittring import FieldElement
 __all__ = [
     "module_N", "module_M", "direct_sum", "expected_module",
     "supersingular_module", "DeformationPoint", "deformation_display",
-    "ModuleSpec", "parse_module_spec",
+    "ModuleSpec", "parse_module_spec", "MAX_SPEC_HALF_RANK",
 ]
+
+# Largest half rank a module spec may have: parse_module_spec refuses a
+# larger one before expanding any power or building anything.
+MAX_SPEC_HALF_RANK = 4096
 
 
 def _build(ctx, labels, relations, pairing):
@@ -221,12 +225,14 @@ def deformation_display(ctx, point):
     parameters; polarization_check verifies this on every specialization.
 
     Each entry is an integer factor times 1 or a lift, so only those
-    products are formed per point (see _deformation_template).
+    products are formed per point (see _deformation_template).  The family
+    is graded, so the display comes with its blocks X and Y, read off F's
+    columns by the template's u/v split.
     """
     for v in point.values:
         if v.ctx.residue_params() != ctx.residue_params():
             raise ValueError("point lives over a different residue field")
-    labels, slots, jrows = _deformation_template(ctx, point.n)
+    labels, slots, jrows, (pos, halves) = _deformation_template(ctx, point.n)
     ops = ops_for(ctx)
     lifts = [ops.unwrap(ctx.teichmuller(v)) for v in point.values]
     scale, one, zero = ops.scale, ops.one, ops.zero
@@ -234,17 +240,25 @@ def deformation_display(ctx, point):
         tuple((i, a) for i, f, k in col
               if (a := scale(f, one if k is None else lifts[k])) != zero)
         for col in slots)
-    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows)
+    blocks = tuple([[(pos[i], a) for i, a in fcols[j]] for j in half]
+                   for half in halves)
+    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows,
+                                         blocks=blocks)
 
 
 @functools.lru_cache(maxsize=32)
 def _deformation_template(ctx, n):
-    """(labels, slots, sparse raw pairing) of deformation_display for n.
+    """(labels, slots, sparse raw pairing, u/v split) of
+    deformation_display for n.
 
     slots[j] lists column j of F as (row, integer factor, parameter
     position) triples, rows ascending: the entry is the factor times the
     lift of point.values[position], or the factor alone for position None.
-    Even n is the odd family on m = n - 1 plus the u_0, v_0 block.
+    Even n is the odd family on m = n - 1 plus the u_0, v_0 block.  The
+    split is (pos, (v-indices, u-indices)), pos[i] the position of basis
+    index i within its family: every slot joins the two families, so the
+    columns at the v- and then the u-indices, rows renumbered by pos, are
+    the blocks X and Y of DieudonneDisplay._graded_blocks.
     """
     p = ctx.p
     m = n if n % 2 else n - 1
@@ -268,8 +282,11 @@ def _deformation_template(ctx, n):
     cols = [[] for _ in labels]
     for (a, b), (f, k) in slots.items():
         cols[idx[a]].append((idx[b], f, k))
+    halves = tuple(tuple(k for k, lab in enumerate(labels)
+                         if lab.family == fam) for fam in ("v", "u"))
+    pos = {k: t for half in halves for t, k in enumerate(half)}
     return (labels, tuple(tuple(sorted(col)) for col in cols),
-            _sparse_raw(ctx, idx, pairing))
+            _sparse_raw(ctx, idx, pairing), (pos, halves))
 
 
 def _parameter_indices(n):
@@ -289,7 +306,7 @@ class ModuleSpec:
 
     @property
     def half_rank(self):
-        return sum(1 if term[0] == "N" else term[1] for term in self.terms)
+        return sum(map(_term_half_rank, self.terms))
 
     def build(self, ctx):
         displays = []
@@ -327,6 +344,10 @@ class ModuleSpec:
         return " + ".join(parts)
 
 
+def _term_half_rank(term):
+    return 1 if term[0] == "N" else term[1]
+
+
 def _point_from_assignments(ctx, n, assignments):
     indices = _parameter_indices(n)
     bad = set(assignments) - set(indices)
@@ -342,8 +363,12 @@ def parse_module_spec(text):
     """Parse the module mini-grammar.
 
     Examples: "N", "M(4)", "ss(6)", "M(2)+N^2", "def(5; s2=1, s4=2)".
+    Raises ValueError when the half ranks of the terms, powers counted
+    before they are expanded, add up to more than MAX_SPEC_HALF_RANK; a
+    term counts at least 1, as the smallest valid term N does.
     """
     terms = []
+    total = 0
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -355,7 +380,12 @@ def parse_module_spec(text):
             power = _parse_int(ptext.strip(), "power")
             if power < 1:
                 raise ValueError(f"power must be >= 1, got {power}")
-        terms.extend([_parse_term(chunk)] * power)
+        term = _parse_term(chunk)
+        total += max(_term_half_rank(term), 1) * power
+        if total > MAX_SPEC_HALF_RANK:
+            raise ValueError(f"module spec exceeds half rank "
+                             f"{MAX_SPEC_HALF_RANK}")
+        terms.extend([term] * power)
     if not terms:
         raise ValueError("empty module spec")
     return ModuleSpec(tuple(terms))

@@ -29,7 +29,10 @@ PrecisionError unless every hull vertex lies below N.  A coefficient that
 reads as 0 mod p^N has valuation N, the cap, so it is no vertex of a hull
 that passes; its true valuation is at least N, so revealing it only
 raises a point lying on or above the hull, and a hull whose vertices all
-lie below N does not move.
+lie below N does not move.  A characteristic polynomial is monic, so its
+hull runs from (0, val c_0) down to (deg, 0) and, being convex, lies at
+or below val c_0: the certificate fails exactly when val c_0 >= N, and it
+then names degree 0.
 
 The prime is inert in L, so F swaps the u- and v-families.  When F is
 graded that way (every nonzero entry joins the two families, and both
@@ -51,6 +54,19 @@ over any commutative ring, hence coefficient by coefficient mod p^N:
   h = charpoly(Phi_uu), and the twisted charpoly is h * sigma(h);
 * the charpoly of A itself is the untwisted case: charpoly(XY)(t^2).  At
   d = 1 it is the twisted charpoly, and one cached polynomial serves both.
+
+Neither h(t^2) nor h * sigma(h) is formed to read the polygon.  The hull
+of h(t^2) is that of h stretched by 2 in degree: its odd coefficients
+vanish and read as N, above every segment of a hull that passes.  The
+polygon of a product is the union of its factors' polygons (the hull of
+the product is the Minkowski sum of the factors' hulls), and sigma keeps
+valuations, so the hull of h * sigma(h) is that of h scaled by 2 in both
+coordinates: every slope of h with its multiplicity doubled.  Either way
+the scaled hull of h is certified exactly when the twisted charpoly's
+would be, since both are monic: val h_0 < N for odd d, and
+2 val h_0 < N for even d, as h_0 sigma(h_0) is the constant term of the
+product.  So newton_slopes reads the same slopes, and raises the same
+PrecisionError, from h alone (see _linalg.charpoly_slope_pairs).
 
 Displays that are not graded this way (only library input, such as
 display_from_json, can give one) use the full rank-2n product.
@@ -225,13 +241,17 @@ class DieudonneDisplay:
         self._set(ctx, basis, sparse(columns), sparse(pairing), summands, ops)
 
     @classmethod
-    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None):
+    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None,
+                     blocks=None):
         """A display from sparse raw data, taken as it is: fcols[j] lists
         the (row, raw) entries of column j of F and jrows[i] the (column,
         raw) entries of row i of the pairing, indices ascending, no zero
-        and every raw value reduced."""
+        and every raw value reduced.  blocks, when given, are the graded
+        blocks (X, Y) exactly as _graded_blocks would find them."""
         disp = cls.__new__(cls)
         disp._set(ctx, tuple(basis), fcols, jrows, summands, ops_for(ctx))
+        if blocks is not None:
+            disp._cache["XY"] = blocks
         return disp
 
     def _set(self, ctx, basis, fcols, jrows, summands, ops):
@@ -309,16 +329,28 @@ class DieudonneDisplay:
                 row[j] = a
         return rows
 
+    def _frobenius_factor(self):
+        """_charpoly_factor of the (untwisted) matrix of F, cached: for a
+        graded display h = charpoly(XY), one charpoly on n rows.  At d = 1
+        it is also the twisted factor that newton_slopes reads."""
+        return self._memo("hA", lambda: _charpoly_factor(self, 1, 0))
+
     def _charpoly_frobenius(self):
-        """Characteristic polynomial of the (untwisted) matrix of F:
-        charpoly(XY)(t^2) for a graded display, one charpoly on n rows.
-        At d = 1 it is also the twisted charpoly that newton_slopes reads."""
-        return self._memo("cpA", lambda: _frobenius_charpoly(self, 1, 0))
+        """Characteristic polynomial of the (untwisted) matrix of F: h(t^2)
+        for a graded display."""
+        def make():
+            h, (stretch, _) = self._frobenius_factor()
+            out = [self._ops().zero] * (stretch * (len(h) - 1) + 1)
+            out[::stretch] = h
+            return out
+        return self._memo("cpA", make)
 
     def _graded_blocks(self):
         """Sparse columns (X, Y) of the blocks X = A[U][V] and Y = A[V][U]
         of a graded F, rows and columns numbered by position in u_indices
         and v_indices; () when F is not graded (see the module docstring).
+        A deformation display comes with them from its template; any other
+        display finds them by one scan of F's columns.
         """
         def make():
             uu, vv = self.u_indices, self.v_indices
@@ -537,49 +569,49 @@ def newton_slopes(display):
     d.  certified_hull is the certificate (see the module docstring): it
     raises PrecisionError unless every hull vertex lies below N, and a hull
     that passes does not move when capped coefficients are revealed.  For
-    a graded display the polynomial comes from one charpoly on n rows.
+    a graded display the hull is read from the factor h, one charpoly on
+    n rows, scaled as _charpoly_factor says.
     """
     cached = display._cache.get("slopes")
     if cached is None:
+        h, scale = _twisted_factor(display)
         cached = display._cache["slopes"] = NewtonPolygon(
-            _linalg.charpoly_slope_pairs(display._ops(),
-                                         _twisted_charpoly(display),
-                                         display.ctx.d))
+            _linalg.charpoly_slope_pairs(display._ops(), h, display.ctx.d,
+                                         scale))
     return cached
 
 
-def _twisted_charpoly(display):
-    """Charpoly of A * sigma(A) * ... * sigma^(d-1)(A); at d = 1 it is the
-    cached charpoly of A."""
+def _twisted_factor(display):
+    """_charpoly_factor of A * sigma(A) * ... * sigma^(d-1)(A); at d = 1
+    it is the cached factor of A."""
     d = display.ctx.d
     if d == 1:
-        return display._charpoly_frobenius()
-    return _frobenius_charpoly(display, d, 1)
+        return display._frobenius_factor()
+    return _charpoly_factor(display, d, 1)
 
 
-def _frobenius_charpoly(display, length, step):
-    """Charpoly of A * sigma^s(A) * ... * sigma^((length-1)s)(A) for
-    s = step: the twisted one for (d, 1), that of A for (1, 0).
+def _charpoly_factor(display, length, step):
+    """(h, scale) for Phi = A * sigma^s(A) * ... * sigma^((length-1)s)(A)
+    with s = step (the twisted product for (d, 1), A for (1, 0)): the
+    lower hull of charpoly(Phi) is that of h with each vertex (i, v) moved
+    to (sx * i, sy * v) for scale = (sx, sy).
 
-    A graded display uses the identities of the module docstring: with
+    A display that is not graded gives h = charpoly(Phi) and scale (1, 1).
+    A graded display uses the identities of the module docstring, with
     Z = X sigma^s(Y) sigma^(2s)(X) ... of 2 * length factors for odd
-    length, the polynomial is charpoly(Z)(t^2); with length factors for
-    even length, it is h * sigma^s(h) for h = charpoly(Z).  Either way
-    twisted_product forms Z and charpoly runs on n rows."""
+    length and of length factors for even length, and h = charpoly(Z) on
+    n rows: charpoly(Phi) is h(t^2), scale (2, 1), for odd length, and
+    h * sigma^s(h), scale (2, 2), for even length."""
     ops = display._ops()
     blocks = display._graded_blocks()
     if not blocks:
         return _linalg.charpoly(ops, _linalg.twisted_product(
-            ops, display.sparse_frobenius, length, step))
+            ops, display.sparse_frobenius, length, step)), (1, 1)
     x, y = blocks
     odd = length % 2
     h = _linalg.charpoly(ops, _linalg.twisted_product(
         ops, x, length << odd, step, y))
-    if odd:
-        out = [ops.zero] * (2 * len(h) - 1)
-        out[::2] = h
-        return out
-    return _linalg.poly_mul(ops, h, [ops.frob(c, step) for c in h])
+    return h, (2, 2 - odd)
 
 
 def polarization_check(display):

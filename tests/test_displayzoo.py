@@ -7,6 +7,7 @@ from gustrata import (DeformationPoint, deformation_display, direct_sum,
                       make_context, module_M, module_N, newton_slopes,
                       parse_module_spec, polarization_check, signature,
                       supersingular_module, validate_display, NewtonPolygon)
+from gustrata.displayzoo import MAX_SPEC_HALF_RANK
 from gustrata.fcrystal import U, V
 
 
@@ -267,6 +268,18 @@ class TestModuleSpecGrammar:
             with pytest.raises(ValueError):
                 spec = parse_module_spec(text)
                 spec.build(ctx_for(4))
+
+    def test_half_rank_limit(self):
+        for text in ("M(1100)", f"N^{MAX_SPEC_HALF_RANK}",
+                     f"M({MAX_SPEC_HALF_RANK})",
+                     f"M(4000) + N^{MAX_SPEC_HALF_RANK - 4000}"):
+            assert parse_module_spec(text).half_rank <= MAX_SPEC_HALF_RANK
+        for text in (f"N^{MAX_SPEC_HALF_RANK + 1}", "M(4000) + N^97",
+                     "N^99999999999", "M(200000)", "ss(100001)",
+                     "def(5000; s2=1)", "M(-100000) + N^100000",
+                     "M(0)^5000"):
+            with pytest.raises(ValueError, match="exceeds half rank 4096"):
+                parse_module_spec(text)
 
     def test_even_parameter_indices(self):
         spec = parse_module_spec("def(4; s0=1, s3=1)")

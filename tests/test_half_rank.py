@@ -1,7 +1,9 @@
 """Characteristic polynomials of graded displays from the n x n matrix of
-F^2 on the u-part, against the dense rank-2n oracles, and the certificate
-of newton_slopes at the working precision N."""
+F^2 on the u-part, against the dense rank-2n oracles, the slopes that
+newton_slopes reads from the half-rank factor h against those of the dense
+twisted charpoly, and the certificate at the working precision N."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +13,8 @@ from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
                       RingContext, _linalg, default_precision, make_context,
                       module_M, newton_slopes)
 from gustrata.displayzoo import parse_module_spec
-from gustrata.fcrystal import U, V, BasisLabel, _twisted_charpoly
+from gustrata.fcrystal import (U, V, BasisLabel, _charpoly_factor,
+                               _twisted_factor)
 
 from _oracles import (expansion_charpoly, leibniz_charpoly_int,
                       leibniz_charpoly_scalar, twisted_product_dense)
@@ -71,11 +74,39 @@ def charpoly_rows(monkeypatch):
     return rows
 
 
+def expand_factor(display, h, scale):
+    """The polynomial a factor (h, scale) of _charpoly_factor stands for,
+    as scalars: h itself, h(t^2), or h * sigma(h) by schoolbook products."""
+    ops, zero = display._ops(), display.ctx.zero()
+    h = [ops.wrap(c) for c in h]
+    if scale == (1, 1):
+        return h
+    if scale == (2, 1):
+        out = [zero] * (2 * len(h) - 1)
+        out[::2] = h
+        return out
+    assert scale == (2, 2)
+    out = [zero] * (2 * len(h) - 1)
+    for i, a in enumerate(h):
+        for j, b in enumerate(h):
+            out[i + j] = out[i + j] + a * b.frobenius()
+    return out
+
+
+def dense_twisted_charpoly(display):
+    """Raw coefficients of the full rank-2n twisted charpoly, from the
+    dense oracles alone."""
+    ops, ctx = display._ops(), display.ctx
+    return [ops.unwrap(c) for c in expansion_charpoly(
+        twisted_product_dense(display.frobenius, ctx.d), ctx.zero(),
+        ctx.one())]
+
+
 def assert_matches_dense(display):
     """The twisted charpoly and that of A agree with the dense oracles."""
     ctx, ops = display.ctx, display._ops()
     rows = display.frobenius
-    twisted = [ops.wrap(c) for c in _twisted_charpoly(display)]
+    twisted = expand_factor(display, *_twisted_factor(display))
     plain = [ops.wrap(c) for c in display._charpoly_frobenius()]
     assert twisted == dense_charpoly(twisted_product_dense(rows, ctx.d), ctx)
     assert plain == dense_charpoly(rows, ctx)
@@ -186,7 +217,8 @@ class TestCertificateAtN:
         at_n, exact = self.graded(3, 5), self.graded(12, 5)
         for display, val in ((at_n, 3), (exact, 5)):
             ops = display._ops()
-            vals = [ops.val(c) for c in _twisted_charpoly(display)]
+            # at d = 1 the charpoly of A is the twisted one
+            vals = [ops.val(c) for c in display._charpoly_frobenius()]
             assert vals == [0, display.ctx.N, val, display.ctx.N, 0]
         # capped at N = 3, the t^2 coefficient is no hull vertex
         assert newton_slopes(at_n) == newton_slopes(exact) == \
@@ -197,7 +229,7 @@ class TestCertificateAtN:
         # coefficients and t^2, t^6 vanish, and read as valuation N
         display = module_M(make_context(3, 1, 5), 4)
         ops = display._ops()
-        assert [ops.val(c) for c in _twisted_charpoly(display)] == \
+        assert [ops.val(c) for c in display._charpoly_frobenius()] == \
             [4, 5, 5, 5, 1, 5, 5, 5, 0]
         assert newton_slopes(display) == NewtonPolygon(
             [(Fraction(1, 4), 4), (Fraction(3, 4), 4)])
@@ -238,3 +270,101 @@ class TestCertificateAtN:
         except PrecisionError:
             pass
         assert built == []
+
+
+def outcome(compute):
+    """The value of compute(), or the text of the PrecisionError it
+    raises."""
+    try:
+        return compute()
+    except PrecisionError as exc:
+        return str(exc)
+
+
+class TestSlopesFromFactor:
+    """newton_slopes reads a graded display's polygon from h; the dense
+    oracle takes the hull of the full rank-2n twisted charpoly.  They agree
+    on every slope and, where the polygon is not certified, on the text of
+    the PrecisionError."""
+
+    @staticmethod
+    def draw(seed, ctx, n, zero_columns, density=0.9):
+        """A random graded display on shuffled labels; the integer data
+        depend on the seed alone, not on the precision, and entries are
+        units or multiples of p and p^2.  A zero column makes h_0 = 0, so
+        such a polygon is never certified."""
+        rng = random.Random(seed)
+        labels = shuffled_labels(rng, n)
+        dead = set()
+        if zero_columns:
+            dead = {labels.index(U(rng.randrange(n))),
+                    labels.index(V(rng.randrange(n)))}
+        zero = ctx.zero()
+        columns = []
+        for j in range(2 * n):
+            col = []
+            for i in range(2 * n):
+                if (j in dead or labels[i].family == labels[j].family
+                        or rng.random() > density):
+                    col.append(zero)
+                    continue
+                scale = ctx.p ** rng.randrange(3)
+                col.append(ctx.scalar(tuple(
+                    rng.randrange(1, ctx.p ** 4) * scale % ctx.q
+                    for _ in range(ctx.d))))
+            columns.append(col)
+        return DieudonneDisplay(ctx, labels, columns, [[zero] * (2 * n)] *
+                                (2 * n))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_against_dense_twisted_charpoly(self, n, d):
+        p = (2, 3)[(n + d) % 2]
+        top = default_precision(n, d)
+        raised = set()
+        for N in sorted({2, 3, 4, 6, 9, top}):
+            ctx = make_context(p, d, N)
+            for draw in range(3):
+                seed = 1000 * n + 100 * d + 10 * draw + N
+                display = self.draw(seed, ctx, n, zero_columns=draw == 0,
+                                    density=(0.6, 0.9, 1.0)[draw])
+                assert display._graded_blocks()
+                ops = display._ops()
+                slopes = outcome(lambda: newton_slopes(display))
+                dense = outcome(lambda: NewtonPolygon(
+                    _linalg.charpoly_slope_pairs(
+                        ops, dense_twisted_charpoly(display), d)))
+                assert slopes == dense, (N, draw)
+                raised.add(isinstance(slopes, str))
+        # both the certified and the failing path are exercised
+        assert raised == {False, True}
+
+    @pytest.mark.parametrize("n,d,p", [(2, 2, 3), (3, 2, 2), (2, 4, 2),
+                                       (3, 4, 3)])
+    def test_even_d_doubles_the_constant_term(self, n, d, p):
+        """Even d with N / 2 <= val h_0 < N: h alone is certified, but the
+        constant term h_0 sigma(h_0) of the twisted charpoly has valuation
+        2 val h_0 >= N, so the polygon is not, on either route."""
+        # the first draw whose twisted charpoly has a constant term of
+        # valuation 2 val h_0 in [2, 40)
+        for seed in itertools.count(77 * n + d):
+            exact = self.draw(seed, make_context(p, d, 40), n, False)
+            v = exact._ops().val(dense_twisted_charpoly(exact)[0])
+            if 2 <= v < 40:
+                break
+        assert v % 2 == 0
+        for N in sorted({v // 2 + 1, v}):
+            display = self.draw(seed, make_context(p, d, N), n, False)
+            ops = display._ops()
+            h, scale = _charpoly_factor(display, d, 1)
+            assert scale == (2, 2) and ops.val(h[0]) == v // 2
+            assert _linalg.charpoly_slope_pairs(ops, h, d)
+            message = ("insufficient precision: hull vertex at degree 0 "
+                       f"has valuation >= {N}")
+            assert outcome(lambda: newton_slopes(display)) == message
+            assert outcome(lambda: _linalg.charpoly_slope_pairs(
+                ops, dense_twisted_charpoly(display), d)) == message
+        above = self.draw(seed, make_context(p, d, v + 1), n, False)
+        assert newton_slopes(above) == NewtonPolygon(
+            _linalg.charpoly_slope_pairs(above._ops(),
+                                         dense_twisted_charpoly(above), d))

@@ -117,6 +117,8 @@ def test_deformation_matches_dense_builder(n, p, d):
         assert D.pairing == tuple(map(tuple, pairing))
         assert list(build_graph(D).edges) == dense_edges(labels, columns)
         assert display_from_json(json.loads(json.dumps(D.to_json()))) == D
+        # the template's u/v blocks are the ones a scan of F finds
+        assert D._graded_blocks() == dense._graded_blocks() != ()
         # storage is canonical: indices ascending, no zero, reduced raw
         zero = (0,) * d if d > 1 else 0
         for lines in (D.sparse_frobenius, D.sparse_pairing):
