@@ -225,14 +225,12 @@ def deformation_display(ctx, point):
     parameters; polarization_check verifies this on every specialization.
 
     Each entry is an integer factor times 1 or a lift, so only those
-    products are formed per point (see _deformation_template).  The family
-    is graded, so the display comes with its blocks X and Y, read off F's
-    columns by the template's u/v split.
+    products are formed per point (see _deformation_template).
     """
     for v in point.values:
         if v.ctx.residue_params() != ctx.residue_params():
             raise ValueError("point lives over a different residue field")
-    labels, slots, jrows, (pos, halves) = _deformation_template(ctx, point.n)
+    labels, slots, jrows = _deformation_template(ctx, point.n)
     ops = ops_for(ctx)
     lifts = [ops.unwrap(ctx.teichmuller(v)) for v in point.values]
     scale, one, zero = ops.scale, ops.one, ops.zero
@@ -240,25 +238,17 @@ def deformation_display(ctx, point):
         tuple((i, a) for i, f, k in col
               if (a := scale(f, one if k is None else lifts[k])) != zero)
         for col in slots)
-    blocks = tuple([[(pos[i], a) for i, a in fcols[j]] for j in half]
-                   for half in halves)
-    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows,
-                                         blocks=blocks)
+    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows)
 
 
 @functools.lru_cache(maxsize=32)
 def _deformation_template(ctx, n):
-    """(labels, slots, sparse raw pairing, u/v split) of
-    deformation_display for n.
+    """(labels, slots, sparse raw pairing) of deformation_display for n.
 
     slots[j] lists column j of F as (row, integer factor, parameter
     position) triples, rows ascending: the entry is the factor times the
     lift of point.values[position], or the factor alone for position None.
-    Even n is the odd family on m = n - 1 plus the u_0, v_0 block.  The
-    split is (pos, (v-indices, u-indices)), pos[i] the position of basis
-    index i within its family: every slot joins the two families, so the
-    columns at the v- and then the u-indices, rows renumbered by pos, are
-    the blocks X and Y of DieudonneDisplay._graded_blocks.
+    Even n is the odd family on m = n - 1 plus the u_0, v_0 block.
     """
     p = ctx.p
     m = n if n % 2 else n - 1
@@ -282,11 +272,8 @@ def _deformation_template(ctx, n):
     cols = [[] for _ in labels]
     for (a, b), (f, k) in slots.items():
         cols[idx[a]].append((idx[b], f, k))
-    halves = tuple(tuple(k for k, lab in enumerate(labels)
-                         if lab.family == fam) for fam in ("v", "u"))
-    pos = {k: t for half in halves for t, k in enumerate(half)}
     return (labels, tuple(tuple(sorted(col)) for col in cols),
-            _sparse_raw(ctx, idx, pairing), (pos, halves))
+            _sparse_raw(ctx, idx, pairing))
 
 
 def _parameter_indices(n):

@@ -78,6 +78,7 @@ polynomial of A; V is cached as sparse rows.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,6 +117,22 @@ def U(i):
 
 def V(i):
     return BasisLabel("v", i)
+
+
+@functools.lru_cache(maxsize=32)
+def _basis_halves(basis):
+    """((v-indices, u-position map), (u-indices, v-position map)) of a
+    basis, each map sending an index to its position within its family;
+    () when the families differ in size.  Column j of the block X (Y) is
+    column j of F at the v-indices (u-indices), rows renumbered by the
+    u-map (v-map).  Cached per basis: every point of a sweep shares the
+    template's basis."""
+    uu = tuple(i for i, b in enumerate(basis) if b.family == "u")
+    vv = tuple(i for i, b in enumerate(basis) if b.family == "v")
+    if len(uu) != len(vv):
+        return ()
+    return ((vv, dict(zip(uu, range(len(uu))))),
+            (uu, dict(zip(vv, range(len(vv))))))
 
 
 class NewtonPolygon:
@@ -241,17 +258,13 @@ class DieudonneDisplay:
         self._set(ctx, basis, sparse(columns), sparse(pairing), summands, ops)
 
     @classmethod
-    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None,
-                     blocks=None):
+    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None):
         """A display from sparse raw data, taken as it is: fcols[j] lists
         the (row, raw) entries of column j of F and jrows[i] the (column,
         raw) entries of row i of the pairing, indices ascending, no zero
-        and every raw value reduced.  blocks, when given, are the graded
-        blocks (X, Y) exactly as _graded_blocks would find them."""
+        and every raw value reduced."""
         disp = cls.__new__(cls)
         disp._set(ctx, tuple(basis), fcols, jrows, summands, ops_for(ctx))
-        if blocks is not None:
-            disp._cache["XY"] = blocks
         return disp
 
     def _set(self, ctx, basis, fcols, jrows, summands, ops):
@@ -349,20 +362,16 @@ class DieudonneDisplay:
         """Sparse columns (X, Y) of the blocks X = A[U][V] and Y = A[V][U]
         of a graded F, rows and columns numbered by position in u_indices
         and v_indices; () when F is not graded (see the module docstring).
-        A deformation display comes with them from its template; any other
-        display finds them by one scan of F's columns.
         """
         def make():
-            uu, vv = self.u_indices, self.v_indices
-            family = [b.family for b in self.basis]
             cols = self.sparse_frobenius
-            if len(uu) != len(vv) or any(family[i] == family[j]
-                                         for j, col in enumerate(cols)
-                                         for i, _ in col):
+            # a row outside the other family's position map is an entry
+            # inside one family: F is not graded
+            try:
+                return tuple([[(pos[i], a) for i, a in cols[j]] for j in idx]
+                             for idx, pos in _basis_halves(self.basis))
+            except KeyError:
                 return ()
-            pos = {i: t for idx in (uu, vv) for t, i in enumerate(idx)}
-            return tuple([[(pos[i], a) for i, a in cols[j]] for j in idx]
-                         for idx in (vv, uu))
         return self._memo("XY", make)
 
     def _adjugate_frobenius(self):

@@ -250,21 +250,6 @@ def _enumerate_points(n, q_res, mode, count, seed, budget):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-@functools.lru_cache(maxsize=8)
-def _sweep_context(p, d, N):
-    """The context of every sweep at (p, d, N), made once per process so
-    that its Teichmuller lifts and its derived 2N context serve every later
-    sweep with the same parameters.
-
-    A point whose polygon is not certified at N retries at 2N, so that
-    capacity is checked here too, before any point is built; the first
-    retry makes the 2N context.  A call that raises caches nothing.
-    """
-    ctx = make_context(p, d, N)
-    _check_capacity(p, d, 2 * N)
-    return ctx
-
-
 def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
                         budget=None, precision=None, retain=False):
     """Sweep deformation points and compare three slope computations.
@@ -280,7 +265,10 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
         raise ValueError(f"need n >= 3, got {n}")
     budget = _resolve_budget(budget)
     nprec = precision if precision is not None else default_precision(n, d)
-    ctx = _sweep_context(p, d, nprec)
+    ctx = make_context(p, d, nprec)
+    # A point whose polygon is not certified at N retries at 2N: check that
+    # capacity before any point is built; the first retry makes the context.
+    _check_capacity(p, d, 2 * nprec)
     q_res = p ** d
     u1 = U(1)
 

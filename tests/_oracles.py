@@ -9,8 +9,9 @@ networkx, the M(m) polygon from its closed form, residue field arithmetic
 by schoolbook polynomial products, the a-number and signature by dense
 elimination on the F_p blow-up, the extra-edge effects of a sweep by a
 label-keyed edge filter on the dense F matrix, Teichmuller lifts by
-iterating the p^d-power map, and twisted products by dense scalar
-matrix products.
+iterating the p^d-power map, twisted products by dense scalar
+matrix products, and Newton polygons with their precision certificate by
+gift wrapping over valuations read from the coordinates.
 """
 
 import itertools
@@ -255,14 +256,52 @@ def extra_edge_effects_oracle(n, p, d):
     return out
 
 
+def int_valuation(a, p, cap):
+    """p-adic valuation of the integer a, capped at cap (so 0 gives cap)."""
+    v = 0
+    while v < cap and a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+def scalar_valuation(c, cap):
+    """Valuation of a Witt scalar, capped at cap: the least valuation of
+    its coordinates, since the basis 1, x, ..., x^(d-1) of the unramified
+    ring stays independent mod p."""
+    return min(int_valuation(a, c.ctx.p, cap) for a in c.coords)
+
+
+def certified_slope_pairs_oracle(vals, cap, twist):
+    """(slope, multiplicity) pairs of the Newton polygon of the points
+    (i, vals[i]), valuations capped at cap, each slope divided by twist.
+    The vertices are found by gift wrapping: from a vertex, the next is the
+    farthest point of least slope.  A vertex at the cap raises
+    PrecisionError with the text the sweep reports."""
+    from gustrata import PrecisionError
+
+    vertices = [0]
+    while vertices[-1] < len(vals) - 1:
+        i = vertices[-1]
+        best = None
+        for j in range(i + 1, len(vals)):
+            slope = Fraction(vals[j] - vals[i], j - i)
+            if best is None or slope <= best[0]:
+                best = (slope, j)
+        vertices.append(best[1])
+    for i in vertices:
+        if vals[i] >= cap:
+            raise PrecisionError(
+                f"insufficient precision: hull vertex at degree {i} has "
+                f"valuation >= {cap}")
+    return [(Fraction(vals[i] - vals[j], (j - i) * twist), j - i)
+            for i, j in zip(vertices, vertices[1:])]
+
+
 def blowup_slope_pairs(display):
     """Slopes of F as a Z_p-linear operator on the underlying rank r*d
     Z_p-module: every module slope should appear with multiplicity
     multiplied by d.  Independent of the twisted-product route."""
-    from gustrata import make_context
-    from gustrata._linalg import (charpoly, charpoly_slope_pairs, ops_for,
-                                  sparse_rows)
-
     ctx = display.ctx
     d, q, r = ctx.d, ctx.q, display.rank
 
@@ -293,8 +332,9 @@ def blowup_slope_pairs(display):
             for t in range(d):
                 for s in range(d):
                     big[i * d + t][j * d + s] = block[t][s]
-    ops = ops_for(make_context(ctx.p, 1, ctx.N))
-    return charpoly_slope_pairs(ops, charpoly(ops, sparse_rows(ops, big)), 1)
+    cp = expansion_charpoly(big, 0, 1)
+    return certified_slope_pairs_oracle(
+        [int_valuation(c % q, ctx.p, ctx.N) for c in cp], ctx.N, 1)
 
 
 def field_mul_brute(a, b, p, modulus):

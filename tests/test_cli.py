@@ -4,7 +4,6 @@ import json
 import pytest
 
 from gustrata import RingContext, __version__, _linalg, cli, displayzoo
-from gustrata import make_context, strata
 from gustrata.cli import main
 
 
@@ -241,8 +240,7 @@ class TestDoubledPrecisionCapacity:
 
 def contexts_built(monkeypatch):
     """Precisions of the RingContexts set up from now on, fresh or
-    derived; the sweep contexts cached by earlier calls are dropped."""
-    strata._sweep_context.cache_clear()
+    derived."""
     built = []
     original = RingContext._init
 
@@ -283,56 +281,6 @@ class TestRetryContexts:
         code, out = run(["verify", "--n", "5", "--p", "3", "--precision", "9"])
         assert code == 0 and json.loads(out)["precision_retries"] == 0
         assert set(built) == {9}
-
-
-class TestSharedSweepContext:
-    """Sweeps with the same (p, d, N) share one context, with its
-    Teichmuller lifts and its 2N context; nothing else changes."""
-
-    def test_one_context_per_parameters(self, monkeypatch):
-        strata._sweep_context.cache_clear()
-        made = []
-        original = strata.make_context
-
-        def spy(*args):
-            made.append(original(*args))
-            return made[-1]
-
-        monkeypatch.setattr(strata, "make_context", spy)
-        reports = [strata.verify_local_strata(4, 3, 2, mode="random",
-                                              count=3, seed=seed, retain=True)
-                   for seed in (1, 2)]
-        assert len(made) == 1
-        assert {id(display.ctx) for report in reports
-                for _, display, _, _ in report.retained} == {id(made[0])}
-
-    def test_cold_and_warm_calls_print_the_same(self):
-        # at --precision 4 some points retry at 2N
-        argv = ["verify", "--n", "5", "--p", "3", "--d", "2", "--random",
-                "20", "--seed", "5", "--precision", "4"]
-        strata._sweep_context.cache_clear()
-        cold = run(argv)
-        assert json.loads(cold[1])["precision_retries"] > 0
-        assert run(argv) == cold
-        strata._sweep_context.cache_clear()
-        assert run(argv) == cold
-
-    def test_make_context_stays_fresh(self):
-        assert make_context(3, 2, 6) is not make_context(3, 2, 6)
-
-    def test_refused_requests_cache_nothing(self):
-        strata._sweep_context.cache_clear()
-        assert run(["verify", "--n", "3", "--p", "4"])[0] == 2
-        assert run(["verify", "--n", "3", "--p", "3", "--random", "2",
-                    "--precision", str((1 << 19) + 1)])[0] == 2
-        assert strata._sweep_context.cache_info().currsize == 0
-
-    def test_cache_stays_bounded(self):
-        strata._sweep_context.cache_clear()
-        limit = strata._sweep_context.cache_info().maxsize
-        for N in range(2, limit + 6):
-            strata._sweep_context(2, 1, N)
-        assert strata._sweep_context.cache_info().currsize == limit
 
 
 class TestParserReuse:

@@ -16,8 +16,9 @@ from gustrata.displayzoo import parse_module_spec
 from gustrata.fcrystal import (U, V, BasisLabel, _charpoly_factor,
                                _twisted_factor)
 
-from _oracles import (expansion_charpoly, leibniz_charpoly_int,
-                      leibniz_charpoly_scalar, twisted_product_dense)
+from _oracles import (certified_slope_pairs_oracle, expansion_charpoly,
+                      leibniz_charpoly_int, leibniz_charpoly_scalar,
+                      scalar_valuation, twisted_product_dense)
 
 
 def dense_charpoly(rows, ctx):
@@ -94,12 +95,20 @@ def expand_factor(display, h, scale):
 
 
 def dense_twisted_charpoly(display):
-    """Raw coefficients of the full rank-2n twisted charpoly, from the
-    dense oracles alone."""
-    ops, ctx = display._ops(), display.ctx
-    return [ops.unwrap(c) for c in expansion_charpoly(
-        twisted_product_dense(display.frobenius, ctx.d), ctx.zero(),
-        ctx.one())]
+    """The full rank-2n twisted charpoly as scalars, from the dense
+    oracles alone."""
+    ctx = display.ctx
+    return expansion_charpoly(twisted_product_dense(display.frobenius, ctx.d),
+                              ctx.zero(), ctx.one())
+
+
+def dense_twisted_polygon(display):
+    """The certified polygon of dense_twisted_charpoly, by the hull oracle;
+    PrecisionError as newton_slopes raises it."""
+    N = display.ctx.N
+    return NewtonPolygon(certified_slope_pairs_oracle(
+        [scalar_valuation(c, N) for c in dense_twisted_charpoly(display)],
+        N, display.ctx.d))
 
 
 def assert_matches_dense(display):
@@ -329,11 +338,8 @@ class TestSlopesFromFactor:
                 display = self.draw(seed, ctx, n, zero_columns=draw == 0,
                                     density=(0.6, 0.9, 1.0)[draw])
                 assert display._graded_blocks()
-                ops = display._ops()
                 slopes = outcome(lambda: newton_slopes(display))
-                dense = outcome(lambda: NewtonPolygon(
-                    _linalg.charpoly_slope_pairs(
-                        ops, dense_twisted_charpoly(display), d)))
+                dense = outcome(lambda: dense_twisted_polygon(display))
                 assert slopes == dense, (N, draw)
                 raised.add(isinstance(slopes, str))
         # both the certified and the failing path are exercised
@@ -349,7 +355,7 @@ class TestSlopesFromFactor:
         # valuation 2 val h_0 in [2, 40)
         for seed in itertools.count(77 * n + d):
             exact = self.draw(seed, make_context(p, d, 40), n, False)
-            v = exact._ops().val(dense_twisted_charpoly(exact)[0])
+            v = scalar_valuation(dense_twisted_charpoly(exact)[0], 40)
             if 2 <= v < 40:
                 break
         assert v % 2 == 0
@@ -362,9 +368,22 @@ class TestSlopesFromFactor:
             message = ("insufficient precision: hull vertex at degree 0 "
                        f"has valuation >= {N}")
             assert outcome(lambda: newton_slopes(display)) == message
-            assert outcome(lambda: _linalg.charpoly_slope_pairs(
-                ops, dense_twisted_charpoly(display), d)) == message
+            assert outcome(lambda: dense_twisted_polygon(display)) == message
         above = self.draw(seed, make_context(p, d, v + 1), n, False)
-        assert newton_slopes(above) == NewtonPolygon(
-            _linalg.charpoly_slope_pairs(above._ops(),
-                                         dense_twisted_charpoly(above), d))
+        assert newton_slopes(above) == dense_twisted_polygon(above)
+
+
+class TestHullOracle:
+    """The hull oracle on hand-computed points."""
+
+    def test_vertices_and_slopes(self):
+        half = Fraction(1, 2)
+        assert certified_slope_pairs_oracle([3, 2, 1, 0], 9, 1) == [(1, 3)]
+        assert certified_slope_pairs_oracle([4, 1, 1, 0], 9, 1) == [
+            (3, 1), (half, 2)]
+        assert certified_slope_pairs_oracle([2, 5, 0], 5, 2) == [(half, 2)]
+
+    def test_vertex_at_cap_raises(self):
+        with pytest.raises(PrecisionError, match="degree 0 has valuation "
+                                                 ">= 5$"):
+            certified_slope_pairs_oracle([5, 5, 0], 5, 1)

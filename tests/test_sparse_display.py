@@ -15,6 +15,7 @@ from gustrata import (DeformationPoint, DieudonneDisplay, build_graph,
                       default_precision, deformation_display, direct_sum,
                       display_from_json, make_context, module_M, module_N,
                       polarization_check, validate_display)
+from gustrata._linalg import ops_for
 from gustrata.fcrystal import U, V
 from gustrata.wittring import PadicScalar
 
@@ -104,6 +105,7 @@ CASES = [(n, p, d) for n in range(3, 10) for p in (3, 5) for d in (1, 2, 3)]
 @pytest.mark.parametrize("n,p,d", CASES)
 def test_deformation_matches_dense_builder(n, p, d):
     ctx = ctx_for(n, p, d)
+    ops = ops_for(ctx)
     for ints in points(ctx, n, 2, seed=1000 * n + 10 * p + d):
         point = DeformationPoint.from_ints(ctx, n, ints)
         D = deformation_display(ctx, point)
@@ -117,10 +119,19 @@ def test_deformation_matches_dense_builder(n, p, d):
         assert D.pairing == tuple(map(tuple, pairing))
         assert list(build_graph(D).edges) == dense_edges(labels, columns)
         assert display_from_json(json.loads(json.dumps(D.to_json()))) == D
-        # the template's u/v blocks are the ones a scan of F finds
-        assert D._graded_blocks() == dense._graded_blocks() != ()
         # storage is canonical: indices ascending, no zero, reduced raw
         zero = (0,) * d if d > 1 else 0
+        # the family is graded: X = A[U][V] and Y = A[V][U], rows and
+        # columns numbered within their family
+        uu = [i for i, b in enumerate(labels) if b.family == "u"]
+        vv = [i for i, b in enumerate(labels) if b.family == "v"]
+        assert all(labels[i].family != labels[j].family
+                   for j in range(r) for i in range(r)
+                   if ops.unwrap(columns[j][i]) != zero)
+        assert D._graded_blocks() == tuple(
+            [[(t, a) for t, i in enumerate(rows)
+              if (a := ops.unwrap(columns[j][i])) != zero] for j in cols]
+            for cols, rows in ((vv, uu), (uu, vv)))
         for lines in (D.sparse_frobenius, D.sparse_pairing):
             for line in lines:
                 assert [k for k, _ in line] == sorted({k for k, _ in line})
