@@ -1,23 +1,24 @@
 """Matrix kernels over truncated Witt rings.
 
 Internal module: division-free characteristic polynomials (Berkowitz),
-Frobenius-twisted matrix products, adjugate columns via Cayley-Hamilton,
-lower convex hulls for Newton polygons, and ranks over the residue field
-F_{p^d}.  Raw coordinate data (plain ints when d == 1, coordinate tuples
-otherwise) is used throughout; the coefficient ring Z/p^N has zero
-divisors, so nothing here divides by a non-unit.
+Frobenius-twisted matrix products, the inverse of F by valuation-pivoted
+elimination, lower convex hulls for Newton polygons, and ranks over the
+residue field F_{p^d}.  Raw coordinate data (plain ints when d == 1,
+coordinate tuples otherwise) is used throughout; the coefficient ring
+Z/p^N has zero divisors, so nothing here divides by a non-unit except
+where p^k is known to divide exactly (see adjugate_action).
 
 Display matrices are sparse (a rank-16 deformation display has 26 nonzero
 entries out of 256), and so are the vectors the kernels iterate on.  Each
 ops class has one sparse primitive, smatvec(cols, w): the product M * w for
 M given by its columns as (row, value) pairs and w a dict holding only the
 nonzero entries.  It adds up each output entry's raw products and reduces
-once, and it leaves out entries that reduce to zero.  Every product of
-the kernels runs on it: Berkowitz's Krylov vectors A^i C and their
-products with the bordering row, the Horner steps of the adjugate, the
-product of two polynomials (multiplication by a polynomial is a matrix
-whose columns are its shifts) and mat_mul, one column at a time.  This is
-exact, not an approximation:
+once, and it leaves out entries that reduce to zero.  The products of the
+kernels run on it: Berkowitz's Krylov vectors A^i C and their products
+with the bordering row, the rows of the back substitution in
+adjugate_action, the product of two polynomials (multiplication by a
+polynomial is a matrix whose columns are its shifts) and mat_mul, one
+column at a time.  This is exact, not an approximation:
 
 * support tracking: an index missing from a dict holds exactly 0 in Z/p^N
   or W_N, so a product that would read it contributes exactly 0, and
@@ -28,45 +29,39 @@ exact, not an approximation:
   for d > 1, one convolution reduced modulo the modulus polynomial and
   p^N) is the same residue as the sum of products reduced one by one.
 
-The kernels also split along the strongly connected components of the
-graph with an edge i -> j for each nonzero M[i][j]: listed in topological
-order, the components put M into block upper-triangular form, and a direct
-sum of displays is block diagonal.
-
-* charpoly runs Berkowitz on each diagonal block and multiplies the block
-  polynomials.  det(xI - M) of a block-triangular matrix is the product of
-  the diagonal blocks' determinants as a polynomial identity, so this holds
-  over any commutative ring, Z/p^N and W_N(F_{p^d}) included.
-* adjugate_action evaluates column j of h(M) = sum_{k>=1} c_k M^(k-1) only
-  on the rows R whose blocks reach the block of j: every other entry of
-  M^k e_j is identically zero, and the coordinate subspace on R is stable
-  under M.  So the column is h(M_R) e_j for the principal submatrix M_R.
-  The characteristic polynomial of M_R is monic and annihilates M_R
-  (Cayley-Hamilton over a commutative ring), so h may first be replaced by
-  its remainder modulo that polynomial, an exact division; Horner's rule
-  then needs |R| - 1 steps instead of rank - 1, each over the support of
-  the current vector only.  For the monomial matrix of M(14) that support
-  never exceeds two entries, so a column costs O(rank).
+charpoly splits along the strongly connected components of the graph with
+an edge i -> j for each nonzero M[i][j]: listed in topological order, the
+components put M into block upper-triangular form (a direct sum of
+displays is block diagonal), and it runs Berkowitz on each diagonal block
+and multiplies the block polynomials.  det(xI - M) of a block-triangular
+matrix is the product of the diagonal blocks' determinants as a
+polynomial identity, so this holds over any commutative ring, Z/p^N and
+W_N(F_{p^d}) included.  A matrix with a single component goes through the
+same code as one block.
 
 charpoly takes the sparse rows of its matrix and twisted_product the
 sparse columns of its factors, so the display's stored sparse data feeds
 the twisted charpoly with no dense matrix in between: column j of
 A * sigma(A) * ... * sigma^k(A) is the product up to sigma^(k-1) applied to
-sigma^k of column j of A, one smatvec.  adjugate_action and mat_mul still
-take dense rows.  Every kernel returns exactly what the dense computation
-would: the ring is exact, so skipping zero terms, reordering sums and
-reducing by polynomial identities changes no coefficient.  A matrix with a
-single component goes through the same code as one block.
+sigma^k of column j of A, one smatvec.  mat_mul still takes dense rows.
+Every kernel returns exactly what the dense computation would: the ring
+is exact, so skipping zero terms, reordering sums and reducing by
+polynomial identities changes no coefficient.
 
-Ranks over F_{p^d} run on the same ops, those of the context at precision
-1, whose ring W_1(F_{p^d}) is the field itself; truncate reduces any
-finer raw data into it.  Elimination is fraction-free (see rank): each
-step multiplies a row by a nonzero field element and subtracts a multiple
-of another, an invertible row operation, so the count of pivot rows is
-exactly the rank and no inverse is needed.
+adjugate_action and rank share one elimination on sparse dict rows,
+_eliminate, which takes at each step an entry of least valuation in the
+remaining matrix as its pivot.  Over W_N that keeps every Schur complement
+exact mod p^N and finds val det and p^v A^(-1) without a characteristic
+polynomial (proof in adjugate_action); no block structure is needed, since
+a pivot alone in its row and column eliminates nothing, so a monomial or
+block-diagonal matrix costs O(nonzeros) plus a heap.  At precision 1 the
+ring W_1(F_{p^d}) is the field itself, every nonzero entry is a unit
+pivot, and the number of pivots is the rank; truncate reduces any finer
+raw data into it.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 
@@ -139,8 +134,15 @@ class _IntOps:
     def frob(self, a, power=1):
         return a
 
+    def inv(self, a):
+        """Inverse of a unit."""
+        return pow(a, -1, self.q)
+
     def divexact_p(self, a, k):
-        return a // self.p ** k
+        """a / p^k on the integer coordinates, for k >= -1: exact when p^k
+        divides them; for k = -1, p * a unreduced."""
+        p = self.p
+        return a * p // p ** (k + 1)
 
 
 class _ExtOps:
@@ -155,6 +157,7 @@ class _ExtOps:
         self.zero = (0,) * ctx.d
         self.one = (1,) + (0,) * (ctx.d - 1)
         self.mul = ctx._wmul
+        self.inv = ctx._winv
 
     def unwrap(self, scalar):
         return scalar.coords
@@ -214,8 +217,11 @@ class _ExtOps:
         return self.ctx.frobenius_coords(a, power)
 
     def divexact_p(self, a, k):
-        pk = self.p ** k
-        return tuple(c // pk for c in a)
+        """a / p^k on the integer coordinates, for k >= -1: exact when p^k
+        divides them; for k = -1, p * a unreduced."""
+        p = self.p
+        pk = p ** (k + 1)
+        return tuple(c * p // pk for c in a)
 
 
 def ops_for(ctx):
@@ -224,10 +230,6 @@ def ops_for(ctx):
 
 # ---------------------------------------------------------------------------
 # matrices (lists of rows of raw scalars)
-
-
-def wrap_matrix(ops, rows):
-    return tuple(tuple(ops.wrap(e) for e in row) for row in rows)
 
 
 def mat_mul(ops, a, b):
@@ -243,26 +245,25 @@ def mat_mul(ops, a, b):
     return out
 
 
-def twisted_product(ops, cols, length, step=1, odd=None):
-    """Sparse rows of Z_0 * sigma^s(Z_1) * sigma^(2s)(Z_2) * ... with length
-    square factors and s = step, where Z_k has the sparse columns cols for
-    even k and odd (cols again by default) for odd k.
+def twisted_product(ops, cols, length, odd=None):
+    """Sparse rows of Z_0 * sigma(Z_1) * sigma^2(Z_2) * ... with length
+    square factors, where Z_k has the sparse columns cols for even k and
+    odd (cols again by default) for odd k.
 
-    With the defaults this is A * sigma(A) * ... * sigma^(d-1)(A), the
+    With the default this is A * sigma(A) * ... * sigma^(d-1)(A), the
     d-fold linearization of a sigma-semilinear operator with matrix A.  For
     a graded F with blocks X (v-part to u-part) and Y (u-part to v-part),
     cols = X and odd = Y give X sigma(Y) sigma^2(X) ..., whose factors pair
-    up into sigma^(2m) of G = X sigma(Y), the matrix of F^2 on the u-part;
-    step 0 gives the untwisted product X Y X ....
+    up into sigma^(2m) of G = X sigma(Y), the matrix of F^2 on the u-part.
 
-    With T_0 = Z_0 and T_k = T_(k-1) * sigma^(ks)(Z_k), column j of T_k is
-    T_(k-1) applied to sigma^(ks) of column j of Z_k: one smatvec per
-    column and step.  sigma is an automorphism, so it keeps nonzero entries
+    With T_0 = Z_0 and T_k = T_(k-1) * sigma^k(Z_k), column j of T_k is
+    T_(k-1) applied to sigma^k of column j of Z_k: one smatvec per column
+    and step.  sigma is an automorphism, so it keeps nonzero entries
     nonzero."""
     factors = (cols, cols if odd is None else odd)
     out, frob, smatvec = cols, ops.frob, ops.smatvec
     for k in range(1, length):
-        out = [smatvec(out, {i: frob(a, k * step) for i, a in col}).items()
+        out = [smatvec(out, {i: frob(a, k) for i, a in col}).items()
                for col in factors[k % 2]]
     return sparse_transpose(out, len(cols))
 
@@ -374,20 +375,6 @@ def poly_mul(ops, a, b, terms=None):
     return [prod.get(k, zero) for k in range(terms)]
 
 
-def _poly_rem(ops, a, m):
-    """Remainder of a modulo the monic polynomial m, low degree first."""
-    k = len(m) - 1
-    a = list(a)
-    sub, mul, is_zero = ops.sub, ops.mul, ops.is_zero
-    for top in range(len(a) - 1, k - 1, -1):
-        c = a[top]
-        if not is_zero(c):
-            base = top - k
-            for i in range(k):
-                a[base + i] = sub(a[base + i], mul(c, m[i]))
-    return a[:k]
-
-
 def _berkowitz(ops, srows):
     """det(xI - M) for the matrix M with the given sparse rows, high degree
     first, by the Berkowitz algorithm (division-free, sound over Z/p^N).
@@ -448,58 +435,122 @@ def charpoly(ops, srows):
                             for block in _blocks(srows)])[::-1]
 
 
-def adjugate_action(ops, rows, cp):
-    """Matrix B = sum_{k>=1} c_k M^(k-1) with M * B = -c_0 * I, from the
-    characteristic polynomial cp of M (Cayley-Hamilton).
+def _eliminate(ops, rows, ncols):
+    """Gaussian elimination with least-valuation pivoting on sparse rows,
+    dicts from column to nonzero raw entry, changed in place.  Only columns
+    below ncols are pivoted; any others are carried along.
 
-    Column j is B e_j = h(M) e_j with h(x) = sum_{k>=1} c_k x^(k-1).  It is
-    supported on R, the rows of the blocks that reach the block of j, and
-    equals h(M_R) e_j for the principal submatrix M_R.  When R is not every
-    row, h is first reduced modulo the characteristic polynomial of M_R
-    (the product of its block polynomials), which M_R annihilates.  Horner's
-    rule w <- M w + c e_j then costs |R| - 1 sparse matrix-vector products,
-    each over the support of w only, which never leaves R.
-    """
-    r = len(rows)
-    srows = sparse_rows(ops, rows)
-    cols = sparse_transpose(srows, r)
-    blocks = _blocks(srows)
-    block_of = [0] * r
-    for b, block in enumerate(blocks):
-        for i in block:
-            block_of[i] = b
-    feeders = [set() for _ in blocks]
-    for i, srow in enumerate(srows):
-        for j, _ in srow:
-            if block_of[i] != block_of[j]:
-                feeders[block_of[j]].add(block_of[i])
-    smatvec, add, zero = ops.smatvec, ops.add, ops.zero
-    horner = cp[1:]
-    block_cp = {}
-    upstream = []
-    out = [[zero] * r for _ in range(r)]
-    for b, block in enumerate(blocks):
-        up = {b}.union(*(upstream[f] for f in feeders[b]))
-        upstream.append(up)
-        coeffs = horner
-        if sum(len(blocks[c]) for c in up) < r:
-            for c in up - block_cp.keys():
-                block_cp[c] = _berkowitz(ops, _restrict(srows, blocks[c]))
-            cp_reach = _poly_prod(ops, [block_cp[c] for c in sorted(up)])
-            coeffs = _poly_rem(ops, horner, cp_reach[::-1])
-        for j in block:
-            w = {j: coeffs[-1]} if coeffs[-1] != zero else {}
-            for coeff in reversed(coeffs[:-1]):
-                w = smatvec(cols, w)
-                if coeff != zero:
-                    e = add(w.get(j, zero), coeff)
-                    if e == zero:
-                        del w[j]
-                    else:
-                        w[j] = e
-            for i, e in w.items():
-                out[i][j] = e
-    return out
+    Each step takes an entry a = p^k u (u a unit) of least valuation k in
+    the rows and columns not yet pivoted, lowest (k, row, column) first,
+    and clears its column from every other unpivoted row i:
+    row_i <- row_i - f * pivot row with f = (row_i[c] / p^k) * u^(-1).
+    Every entry of the remaining matrix has valuation >= k, so p^k divides
+    its coordinates exactly and f is integral.  Valuations in the remaining
+    matrix never drop below k, so the pivot valuations k ascend.
+
+    Returns (steps, v): one (column, k, u^(-1), pivot row without its
+    pivot entry) per pivot, in order, and v the sum of the k, except that
+    it stops with v = ops.cap once that sum reaches it."""
+    cap, zero = ops.cap, ops.zero
+    val, mul, sub, divexact_p = ops.val, ops.mul, ops.sub, ops.divexact_p
+    holders = [set() for _ in range(ncols)]  # unpivoted rows per column
+    heap = []
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if j < ncols:
+                holders[j].add(i)
+                heap.append((val(a), i, j))
+    heapq.heapify(heap)
+    steps, v = [], 0
+    while heap:
+        k, i, c = heapq.heappop(heap)
+        row = rows[i]
+        if row is None or val(row.get(c, zero)) != k:
+            continue  # pivoted row, or an entry changed since it was pushed
+        v += k
+        if v >= cap:
+            return steps, cap
+        rows[i] = None
+        unit_inv = ops.inv(divexact_p(row.pop(c), k))
+        for j in row:
+            if j < ncols:
+                holders[j].discard(i)
+        for t in holders[c]:
+            other = rows[t]
+            if other is None:
+                continue
+            f = mul(divexact_p(other.pop(c), k), unit_inv)
+            for j, b in row.items():
+                e = sub(other.get(j, zero), mul(f, b))
+                if e != zero:
+                    other[j] = e
+                    if j < ncols:
+                        holders[j].add(t)
+                        heapq.heappush(heap, (val(e), t, j))
+                elif other.pop(j, None) is not None and j < ncols:
+                    holders[j].discard(t)
+        holders[c] = ()
+        steps.append((c, k, unit_inv, row))
+    return steps, v
+
+
+def adjugate_action(ops, cols):
+    """(v, W) for the square matrix A over W_N with the given sparse
+    columns: v = val det A, capped at N, and, when v < N, the sparse rows
+    of W = p^v A^(-1) = adj(A) / u, the adjugate up to the unit
+    u = det A / p^v, each a list of (column, raw) pairs with columns
+    ascending and no zero; W is None when v = N.
+
+    _eliminate runs on the rows of [A | I].  With E the accumulated row
+    operations (the right half), E A = U, where the pivot row of step t,
+    r_t, holds the pivot pi_t = p^(k_t) u_t at column c_t and otherwise
+    entries at the columns pivoted later, all of valuation >= k_t.  Then
+
+    * the Schur complements are exact mod p^N: for any lift of A to W (and
+      the same pivots) they reduce to the computed ones.  By induction, let
+      S be a lift of the remaining matrix; its pivot column divided by p^k
+      and u^(-1) are known mod p^(N-k), so f is known mod p^(N-k), and it
+      multiplies the pivot row, whose entries have valuation >= k: the
+      error f * row is 0 mod p^N.  Hence v = val det A = sum k_t below N,
+      as det E = 1 and det U = +-prod pi_t; a step with no nonzero entry
+      left, or a sum reaching N, means det A = 0 mod p^N, v = N.
+    * back substitution loses at most m = max k_t digits, and m <= 1 when
+      p A^(-1) is integral.  Write U = D T with D = diag(pi_t) and T the
+      rows of U divided by their pivots: T is integral (every entry of a
+      pivot row has valuation >= k_t) and unitriangular in pivot order, so
+      A^(-1) = T^(-1) D^(-1) E with T^(-1) and E integral.  The only
+      denominators are the p^(-k_t) of D^(-1), so val A^(-1) >= -m.
+      Conversely D^(-1) = T A^(-1) E^(-1), so p A^(-1) integral gives
+      k_t <= 1 for every t.
+
+    So W = T^(-1) diag(p^(v - k_t) u_t^(-1)) E has only integral factors:
+    row c_t of W is p^(v - k_t) u_t^(-1) E[r_t] minus T[r_t][c_s] W[c_s]
+    over the later pivots s, one smatvec per row, latest pivot first, and
+    the only divisions are the exact ones by p^(k_t).  Every computed
+    quantity is that of the lift E^(-1) U of A (E and U taken as their
+    integer coordinates) reduced mod p^N, and adj of any lift is adj(A)
+    mod p^N, so each entry of W below valuation N has the valuation of
+    the matching entry of adj(A)."""
+    r = len(cols)
+    rows = [{r + i: ops.one} for i in range(r)]
+    for j, col in enumerate(cols):
+        for i, a in col:
+            rows[i][j] = a
+    steps, v = _eliminate(ops, rows, r)
+    if v >= ops.cap or len(steps) < r:
+        return ops.cap, None
+    neg, mul, divexact_p = ops.neg, ops.mul, ops.divexact_p
+    out = [None] * r
+    for c, k, unit_inv, row in reversed(steps):
+        srcs, coeffs = {-1: []}, {-1: ops.scale(ops.p ** (v - k), unit_inv)}
+        for j, b in row.items():
+            if j < r:
+                srcs[j] = out[j].items()
+                coeffs[j] = neg(mul(divexact_p(b, k), unit_inv))
+            else:
+                srcs[-1].append((j - r, b))
+        out[c] = ops.smatvec(srcs, coeffs)
+    return v, [sorted(w.items()) for w in out]
 
 
 # ---------------------------------------------------------------------------
@@ -565,26 +616,7 @@ def charpoly_slope_pairs(ops, cp, twist, scale=(1, 1)):
 def rank(ops, rows):
     """Rank of the matrix with the given sparse rows, dicts from column to
     nonzero raw entry, over the field of ops: F_{p^d} for a context at
-    precision 1.
-
-    Fraction-free echelon form: a row whose leading column c already has a
-    pivot row piv is replaced by piv[c] * row - row[c] * piv, which clears
-    column c.  Over a field piv[c] is a unit, so this is an invertible row
-    operation and the rank is unchanged; no inverse is ever taken.  The
-    rank is the number of pivot rows."""
-    mul, sub, zero = ops.mul, ops.sub, ops.zero
-    pivots = {}
-    for row in rows:
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = row
-                break
-            a, b = piv[c], row[c]
-            new = {j: mul(a, e) for j, e in row.items() if j != c}
-            for j, e in piv.items():
-                if j != c:
-                    new[j] = sub(new.get(j, zero), mul(b, e))
-            row = {j: e for j, e in new.items() if e != zero}
-    return len(pivots)
+    precision 1, where every nonzero entry is a unit pivot and _eliminate
+    stops when nothing nonzero is left."""
+    ncols = 1 + max((j for row in rows for j in row), default=-1)
+    return len(_eliminate(ops, [dict(row) for row in rows], ncols)[0])

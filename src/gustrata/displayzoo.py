@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from ._linalg import ops_for
-from .fcrystal import BasisLabel, DieudonneDisplay, U, V
+from .fcrystal import MAX_SPEC_HALF_RANK, BasisLabel, DieudonneDisplay, U, V
 from .wittring import FieldElement
 
 __all__ = [
@@ -21,11 +21,6 @@ __all__ = [
     "supersingular_module", "DeformationPoint", "deformation_display",
     "ModuleSpec", "parse_module_spec", "MAX_SPEC_HALF_RANK",
 ]
-
-# Largest half rank a module spec may have: parse_module_spec refuses a
-# larger one before expanding any power or building anything.
-MAX_SPEC_HALF_RANK = 4096
-
 
 def _build(ctx, labels, relations, pairing):
     """Assemble a display from integer coefficients: relations maps

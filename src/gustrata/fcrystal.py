@@ -52,8 +52,8 @@ over any commutative ring, hence coefficient by coefficient mod p^N:
   sigma(Phi_uu) = W Y for W = sigma(X) sigma^2(Y) ... sigma^(d-1)(X), and
   det(tI - YW) = det(tI - WY), so charpoly(Phi_vv) = sigma(h) for
   h = charpoly(Phi_uu), and the twisted charpoly is h * sigma(h);
-* the charpoly of A itself is the untwisted case: charpoly(XY)(t^2).  At
-  d = 1 it is the twisted charpoly, and one cached polynomial serves both.
+* at d = 1 sigma is the identity, G = XY, and the twisted charpoly is
+  the charpoly of A itself, h(t^2).
 
 Neither h(t^2) nor h * sigma(h) is formed to read the polygon.  The hull
 of h(t^2) is that of h stretched by 2 in degree: its odd coefficients
@@ -71,9 +71,11 @@ PrecisionError, from h alone (see _linalg.charpoly_slope_pairs).
 Displays that are not graded this way (only library input, such as
 display_from_json, can give one) use the full rank-2n product.
 
-The adjugate of A, from which both the validation and V are derived, is
-computed once per display and cached next to the characteristic
-polynomial of A; V is cached as sparse rows.
+V and the validation of F both read one call of
+_linalg.adjugate_action per display, cached: v = val det A and
+W = p^v A^(-1) by valuation-pivoted elimination on the sparse columns of
+F, with no characteristic polynomial of A.  V = sigma^(-1)(W / p^(v-1)) is
+cached as sparse rows.
 """
 
 from __future__ import annotations
@@ -92,6 +94,11 @@ __all__ = [
     "polarization_check", "a_number", "p_rank", "signature",
     "display_from_json",
 ]
+
+# Largest half rank of library input: parse_module_spec refuses a larger
+# module spec before expanding any power, and display_from_json more than
+# twice as many basis labels before parsing any scalar.
+MAX_SPEC_HALF_RANK = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -243,10 +250,7 @@ class DieudonneDisplay:
             raise ValueError("basis labels must be distinct")
         if any(b.family not in ("u", "v") for b in basis):
             raise ValueError("basis families must be 'u' or 'v'")
-        if len(columns) != rank or any(len(c) != rank for c in columns):
-            raise ValueError("frobenius matrix shape mismatch")
-        if len(pairing) != rank or any(len(r) != rank for r in pairing):
-            raise ValueError("pairing matrix shape mismatch")
+        _check_shapes(rank, columns, pairing)
         ops = ops_for(ctx)
         unwrap, zero = ops.unwrap, ops.zero
 
@@ -298,17 +302,18 @@ class DieudonneDisplay:
     @property
     def frobenius(self):
         """Matrix of F as rows of scalars (a read-only view, cached)."""
-        return self._memo("F", lambda: self._wrap(self._raw_frobenius()))
+        return self._memo("F", lambda: self._wrap(
+            sparse_transpose(self.sparse_frobenius, self.rank)))
 
     @property
     def pairing(self):
         """Gram matrix of the pairing as rows of scalars (read-only, cached)."""
-        return self._memo("J", lambda: self._wrap(
-            self._dense(self.sparse_pairing)))
+        return self._memo("J", lambda: self._wrap(self.sparse_pairing))
 
-    def _wrap(self, raw):
-        wrap = self._ops().wrap
-        return tuple(tuple(map(wrap, row)) for row in raw)
+    def _wrap(self, srows, ops=None):
+        """Dense rows of scalars, as tuples, from sparse raw rows."""
+        wrap = (ops or self._ops()).wrap
+        return tuple(tuple(map(wrap, row)) for row in self._dense(srows))
 
     def entry(self, i, j):
         return self.frobenius[i][j]
@@ -327,11 +332,6 @@ class DieudonneDisplay:
     def _ops(self):
         return self._cache["ops"]
 
-    def _raw_frobenius(self):
-        """Matrix of F as dense rows of raw data."""
-        return self._memo("rawA", lambda: self._dense(
-            sparse_transpose(self.sparse_frobenius, self.rank)))
-
     def _dense(self, srows):
         """Dense raw rows from sparse ones, of any precision: raw zero is
         the same at every precision."""
@@ -341,22 +341,6 @@ class DieudonneDisplay:
             for j, a in srow:
                 row[j] = a
         return rows
-
-    def _frobenius_factor(self):
-        """_charpoly_factor of the (untwisted) matrix of F, cached: for a
-        graded display h = charpoly(XY), one charpoly on n rows.  At d = 1
-        it is also the twisted factor that newton_slopes reads."""
-        return self._memo("hA", lambda: _charpoly_factor(self, 1, 0))
-
-    def _charpoly_frobenius(self):
-        """Characteristic polynomial of the (untwisted) matrix of F: h(t^2)
-        for a graded display."""
-        def make():
-            h, (stretch, _) = self._frobenius_factor()
-            out = [self._ops().zero] * (stretch * (len(h) - 1) + 1)
-            out[::stretch] = h
-            return out
-        return self._memo("cpA", make)
 
     def _graded_blocks(self):
         """Sparse columns (X, Y) of the blocks X = A[U][V] and Y = A[V][U]
@@ -374,67 +358,66 @@ class DieudonneDisplay:
                 return ()
         return self._memo("XY", make)
 
-    def _adjugate_frobenius(self):
-        """Adjugate action B of the matrix of F: A * B = -c_0 * I."""
+    def _adjugate(self):
+        """_linalg.adjugate_action of the matrix of F, cached: (v, W) with
+        v = val det A and W = p^v A^(-1) as sparse rows, None when v = N.
+        """
         return self._memo("adjA", lambda: _linalg.adjugate_action(
-            self._ops(), self._raw_frobenius(), self._charpoly_frobenius()))
+            self._ops(), self.sparse_frobenius))
+
+    def _non_integral(self):
+        """(i, j, valuation) of the entries of W = p^v A^(-1) below valuation
+        v - 1, row by row, for v < N: where p A^(-1) = W / p^(v-1) is not
+        integral.  Such an entry is one that is nonzero mod p^(v-1), so
+        only those get a valuation."""
+        v, w_rows = self._adjugate()
+        if v < 2:
+            return []
+        ops, low = self._ops(), ops_for(self.ctx.at_precision(v - 1))
+        return [(i, j, ops.val(e)) for i, row in enumerate(w_rows)
+                for j, e in row if low.truncate(e) != low.zero]
 
     def _verschiebung(self):
         """(context, sparse rows) of V = sigma^(-1)(p A^(-1)), each row a
         list of (column, raw) pairs, columns ascending, no zeros.
 
-        Dividing by det(A) = p^v * unit costs v - 1 digits of precision, so
-        the result lives at precision N - v + 1.  Raises PrecisionError when
-        A is singular mod p^N and ValueError when p A^(-1) is not integral.
+        Raises PrecisionError when A is singular mod p^N and ValueError
+        when p A^(-1) is not integral.  p A^(-1) = W / p^(v-1) is read from
+        W = p^v A^(-1), which adjugate_action computes exactly for one lift
+        of A (see there), so it holds at precision N - v + 1.  Another lift
+        A + p^N E changes p A^(-1) by p A^(-1) (p^N E) A^(-1) + ..., of
+        valuation >= N + 1 - 2m, where A^(-1) has valuation >= -m: m = 0
+        when v = 0 and m = 1 when v >= 1 and p A^(-1) is integral.  So V is
+        determined, and reported, at precision N + 1 for v = 0, N - 1 for
+        v = 1 (lifting the p of module N to p + p^N turns V[0][1] = 1 into
+        1 - p^(N-1)), and N - v + 1 <= N - 1 for v >= 2.
         """
         cached = self._cache.get("vrows")
         if cached is not None:
             return cached
-        ops = self._ops()
-        ctx = self.ctx
-        cp = self._charpoly_frobenius()
-        c0 = cp[0]
-        v = ops.val(c0)
+        ops, ctx = self._ops(), self.ctx
+        v, w_rows = self._adjugate()
         if v >= ctx.N:
             raise PrecisionError("V not computable at this precision")
-        # Every map below sends 0 to 0 (and val(0) = N > v - 1), so only
-        # the nonzero entries of the adjugate are visited.  A nonzero entry
-        # e has val(e) < N, so p e / p^v is nonzero at precision N - v + 1
-        # and stays so under a unit and sigma: V has the adjugate's support.
-        zero = ops.zero
-        entries = [(i, j, e)
-                   for i, row in enumerate(self._adjugate_frobenius())
-                   for j, e in enumerate(row) if e != zero]
-        bad = [(i, j) for i, j, e in entries if ops.val(e) < v - 1]
+        bad = self._non_integral()
         if bad:
-            raise ValueError(
-                f"p*A^(-1) is not integral (first offending entry {bad[0]})")
-        nv = ctx.N - v + 1
-        ctx_v = ctx.at_precision(nv)
+            raise ValueError(f"p*A^(-1) is not integral (first offending "
+                             f"entry {bad[0][:2]})")
+        ctx_v = ctx.at_precision(ctx.N - v + 1 - (v == 1))
         ops_v = ops_for(ctx_v)
-        u_unit = ops.divexact_p(c0, v)
-        u_scalar = ctx_v.scalar((u_unit,) if ctx.d == 1 else u_unit)
-        u_inv_raw = ops_v.unwrap(u_scalar.inverse())
-        d = ctx.d
-        rows = [[] for _ in range(self.rank)]
-        for i, j, e in entries:
-            # p * B_ij / p^v, exact on the integer coordinates
-            if v >= 1:
-                w = ops.divexact_p(e, v - 1)
-            elif d == 1:
-                w = e * ctx.p
-            else:
-                w = tuple(c * ctx.p for c in e)
-            t = ops_v.neg(ops_v.mul(ops_v.truncate(w), u_inv_raw))
-            rows[i].append((j, ops_v.frob(t, d - 1)))
-        cached = (ctx_v, rows)
-        self._cache["vrows"] = cached
+        zero, truncate, frob = ops_v.zero, ops_v.truncate, ops_v.frob
+        divexact_p, d = ops.divexact_p, ctx.d
+        # at v = 1 an entry of W can vanish at precision N - 1: drop it
+        rows = [[(j, frob(t, d - 1)) for j, e in row
+                 if (t := truncate(divexact_p(e, v - 1))) != zero]
+                for row in w_rows]
+        cached = self._cache["vrows"] = (ctx_v, rows)
         return cached
 
     def verschiebung_matrix(self):
         """Matrix of V as (context at reduced precision, rows of scalars)."""
         ctx_v, srows = self._verschiebung()
-        return ctx_v, _linalg.wrap_matrix(ops_for(ctx_v), self._dense(srows))
+        return ctx_v, self._wrap(srows, ops_for(ctx_v))
 
     # -- semilinear application (mainly for tests and diagnostics) -------------
 
@@ -481,7 +464,23 @@ class DieudonneDisplay:
                 f"p={self.ctx.p}, d={self.ctx.d}, N={self.ctx.N})")
 
 
+def _check_shapes(rank, columns, pairing):
+    """ValueError unless the columns of F and the rows of the pairing make
+    two rank x rank matrices."""
+    if len(columns) != rank or any(len(c) != rank for c in columns):
+        raise ValueError("frobenius matrix shape mismatch")
+    if len(pairing) != rank or any(len(r) != rank for r in pairing):
+        raise ValueError("pairing matrix shape mismatch")
+
+
 def display_from_json(obj, ctx=None):
+    """The display of a to_json document.  The rank cap and the matrix
+    shapes are checked before any label or scalar is parsed."""
+    rank = len(obj["basis"])
+    if rank > 2 * MAX_SPEC_HALF_RANK:
+        raise ValueError(f"display has more than {2 * MAX_SPEC_HALF_RANK} "
+                         f"basis labels")
+    _check_shapes(rank, obj["frobenius"], obj["pairing"])
     if ctx is None:
         ctx = context_from_json(obj["context"])
     basis = [BasisLabel.parse(t) for t in obj["basis"]]
@@ -511,14 +510,8 @@ def validate_display(display):
     checks.append(CheckResult("frobenius_integral", True,
                               ("entries live in W_N by construction",)))
 
-    try:
-        cp = display._charpoly_frobenius()
-        det_val = ops.val(cp[0])
-        singular = det_val >= ctx.N
-    except PrecisionError:
-        singular = True
-        det_val = ctx.N
-    if singular:
+    v = display._adjugate()[0]
+    if v >= ctx.N:
         checks.append(CheckResult(
             "frobenius_invertible", False,
             ("V not computable at this precision",)))
@@ -527,17 +520,12 @@ def validate_display(display):
             ("skipped: V not computable at this precision",)))
     else:
         checks.append(CheckResult("frobenius_invertible", True,
-                                  (f"val det = {det_val}",)))
-        # zero entries have valuation N > det_val - 1: skip them
-        zero = ops.zero
-        bad = [(i, j, v)
-               for i, row in enumerate(display._adjugate_frobenius())
-               for j, e in enumerate(row)
-               if e != zero and (v := ops.val(e)) < det_val - 1]
+                                  (f"val det = {v}",)))
+        bad = display._non_integral()
         checks.append(CheckResult(
             "verschiebung_integral", not bad,
-            tuple(f"entry ({i},{j}) valuation {v} < {det_val - 1}"
-                  for i, j, v in bad[:8])))
+            tuple(f"entry ({i},{j}) valuation {k} < {v - 1}"
+                  for i, j, k in bad[:8])))
 
     # J is alternating when its diagonal and every J_ij + J_ji vanish, so
     # only positions holding a nonzero entry, or mirroring one, can fail
@@ -579,7 +567,7 @@ def newton_slopes(display):
     raises PrecisionError unless every hull vertex lies below N, and a hull
     that passes does not move when capped coefficients are revealed.  For
     a graded display the hull is read from the factor h, one charpoly on
-    n rows, scaled as _charpoly_factor says.
+    n rows, scaled as _twisted_factor says.
     """
     cached = display._cache.get("slopes")
     if cached is None:
@@ -591,35 +579,24 @@ def newton_slopes(display):
 
 
 def _twisted_factor(display):
-    """_charpoly_factor of A * sigma(A) * ... * sigma^(d-1)(A); at d = 1
-    it is the cached factor of A."""
-    d = display.ctx.d
-    if d == 1:
-        return display._frobenius_factor()
-    return _charpoly_factor(display, d, 1)
-
-
-def _charpoly_factor(display, length, step):
-    """(h, scale) for Phi = A * sigma^s(A) * ... * sigma^((length-1)s)(A)
-    with s = step (the twisted product for (d, 1), A for (1, 0)): the
-    lower hull of charpoly(Phi) is that of h with each vertex (i, v) moved
-    to (sx * i, sy * v) for scale = (sx, sy).
+    """(h, scale) for the twisted product
+    Phi = A * sigma(A) * ... * sigma^(d-1)(A): the lower hull of
+    charpoly(Phi) is that of h with each vertex (i, v) moved to
+    (sx * i, sy * v) for scale = (sx, sy).
 
     A display that is not graded gives h = charpoly(Phi) and scale (1, 1).
     A graded display uses the identities of the module docstring, with
-    Z = X sigma^s(Y) sigma^(2s)(X) ... of 2 * length factors for odd
-    length and of length factors for even length, and h = charpoly(Z) on
-    n rows: charpoly(Phi) is h(t^2), scale (2, 1), for odd length, and
-    h * sigma^s(h), scale (2, 2), for even length."""
-    ops = display._ops()
+    Z = X sigma(Y) sigma^2(X) ... of 2d factors for odd d and of d factors
+    for even d, and h = charpoly(Z) on n rows: charpoly(Phi) is h(t^2),
+    scale (2, 1), for odd d, and h * sigma(h), scale (2, 2), for even d."""
+    ops, d = display._ops(), display.ctx.d
     blocks = display._graded_blocks()
     if not blocks:
         return _linalg.charpoly(ops, _linalg.twisted_product(
-            ops, display.sparse_frobenius, length, step)), (1, 1)
+            ops, display.sparse_frobenius, d)), (1, 1)
     x, y = blocks
-    odd = length % 2
-    h = _linalg.charpoly(ops, _linalg.twisted_product(
-        ops, x, length << odd, step, y))
+    odd = d % 2
+    h = _linalg.charpoly(ops, _linalg.twisted_product(ops, x, d << odd, y))
     return h, (2, 2 - odd)
 
 

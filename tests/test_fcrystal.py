@@ -9,8 +9,8 @@ from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
                       newton_slopes, p_rank, polarization_check, signature,
                       supersingular_module, validate_display,
                       default_precision, DeformationPoint)
-from gustrata import _linalg
-from gustrata.displayzoo import parse_module_spec
+from gustrata import _linalg, fcrystal
+from gustrata.displayzoo import MAX_SPEC_HALF_RANK, parse_module_spec
 from gustrata.fcrystal import BasisLabel, U, V
 
 from _oracles import expected_M_polygon, leibniz_charpoly_int
@@ -347,6 +347,38 @@ class TestDisplaySerialization:
         assert obj["frobenius"][0][1] == {"coords": [str(p)]}
         assert obj["frobenius"][1][0] == {
             "coords": [str(D.ctx.q - 1)]}
+
+    @pytest.mark.parametrize("kind", ["columns", "column", "pairing",
+                                      "rank"])
+    def test_shape_checked_before_any_scalar(self, monkeypatch, kind):
+        parsed = []
+        original = fcrystal.scalar_from_json
+
+        def spy(ctx, obj):
+            parsed.append(obj)
+            return original(ctx, obj)
+
+        monkeypatch.setattr(fcrystal, "scalar_from_json", spy)
+        obj = module_M(ctx_for(3), 3).to_json()
+        message = "frobenius matrix shape mismatch"
+        if kind == "columns":
+            obj["frobenius"].pop()
+        elif kind == "column":
+            obj["frobenius"][2].pop()
+        elif kind == "pairing":
+            obj["pairing"].append(obj["pairing"][0])
+            message = "pairing matrix shape mismatch"
+        else:
+            obj["basis"] = [f"u{i}" for i in range(2 * MAX_SPEC_HALF_RANK)]
+            obj["basis"].append("v0")
+            message = (f"display has more than {2 * MAX_SPEC_HALF_RANK} "
+                       "basis labels")
+        with pytest.raises(ValueError) as info:
+            display_from_json(obj)
+        assert str(info.value) == message
+        assert parsed == []
+        display_from_json(module_M(ctx_for(3), 3).to_json())
+        assert len(parsed) == 2 * 6 * 6
 
     def test_deformation_round_trip(self):
         ctx = ctx_for(4)

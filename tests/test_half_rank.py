@@ -13,8 +13,7 @@ from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
                       RingContext, _linalg, default_precision, make_context,
                       module_M, newton_slopes)
 from gustrata.displayzoo import parse_module_spec
-from gustrata.fcrystal import (U, V, BasisLabel, _charpoly_factor,
-                               _twisted_factor)
+from gustrata.fcrystal import U, V, BasisLabel, _twisted_factor
 
 from _oracles import (certified_slope_pairs_oracle, expansion_charpoly,
                       leibniz_charpoly_int, leibniz_charpoly_scalar,
@@ -76,7 +75,7 @@ def charpoly_rows(monkeypatch):
 
 
 def expand_factor(display, h, scale):
-    """The polynomial a factor (h, scale) of _charpoly_factor stands for,
+    """The polynomial a factor (h, scale) of _twisted_factor stands for,
     as scalars: h itself, h(t^2), or h * sigma(h) by schoolbook products."""
     ops, zero = display._ops(), display.ctx.zero()
     h = [ops.wrap(c) for c in h]
@@ -112,13 +111,14 @@ def dense_twisted_polygon(display):
 
 
 def assert_matches_dense(display):
-    """The twisted charpoly and that of A agree with the dense oracles."""
-    ctx, ops = display.ctx, display._ops()
+    """The twisted charpoly agrees with the dense oracle; at d = 1 it is
+    the charpoly of A."""
+    ctx = display.ctx
     rows = display.frobenius
     twisted = expand_factor(display, *_twisted_factor(display))
-    plain = [ops.wrap(c) for c in display._charpoly_frobenius()]
     assert twisted == dense_charpoly(twisted_product_dense(rows, ctx.d), ctx)
-    assert plain == dense_charpoly(rows, ctx)
+    if ctx.d == 1:
+        assert twisted == dense_charpoly(rows, ctx)
 
 
 class TestExpansionOracle:
@@ -142,7 +142,7 @@ class TestExpansionOracle:
 class TestGradedAgainstDense:
     """Random graded displays, basis order shuffled, with a zero column in
     X and one in Y on every other draw: one charpoly on n rows gives both
-    polynomials of the dense route."""
+    polynomial of the dense route, the charpoly of A at d = 1."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -160,8 +160,7 @@ class TestGradedAgainstDense:
                                      zero_columns=dead)
             rows = charpoly_rows(monkeypatch)
             assert_matches_dense(display)
-            # one charpoly each at d > 1; at d = 1 the two are one
-            assert rows == [n] * (1 if d == 1 else 2)
+            assert rows == [n]
             monkeypatch.undo()
 
 
@@ -181,7 +180,7 @@ class TestUngradedAgainstDense:
         display = DieudonneDisplay(ctx, labels, columns, graded.pairing)
         rows = charpoly_rows(monkeypatch)
         assert_matches_dense(display)
-        assert rows == [2 * n] * (1 if d == 1 else 2)
+        assert rows == [2 * n]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -193,7 +192,7 @@ class TestUngradedAgainstDense:
         display = random_display(rng, ctx, labels, 0.6)
         rows = charpoly_rows(monkeypatch)
         assert_matches_dense(display)
-        assert rows == [2 * n] * (1 if d == 1 else 2)
+        assert rows == [2 * n]
 
 
 class TestHalfRankCount:
@@ -225,9 +224,9 @@ class TestCertificateAtN:
     def test_capped_non_vertex_is_certified(self):
         at_n, exact = self.graded(3, 5), self.graded(12, 5)
         for display, val in ((at_n, 3), (exact, 5)):
-            ops = display._ops()
-            # at d = 1 the charpoly of A is the twisted one
-            vals = [ops.val(c) for c in display._charpoly_frobenius()]
+            # at d = 1 the charpoly of A is the twisted one, h(t^2)
+            vals = [scalar_valuation(c, display.ctx.N) for c in expand_factor(
+                display, *_twisted_factor(display))]
             assert vals == [0, display.ctx.N, val, display.ctx.N, 0]
         # capped at N = 3, the t^2 coefficient is no hull vertex
         assert newton_slopes(at_n) == newton_slopes(exact) == \
@@ -237,8 +236,8 @@ class TestCertificateAtN:
         # M(4) has twisted charpoly t^8 + (unit) p t^4 + p^4: the odd
         # coefficients and t^2, t^6 vanish, and read as valuation N
         display = module_M(make_context(3, 1, 5), 4)
-        ops = display._ops()
-        assert [ops.val(c) for c in display._charpoly_frobenius()] == \
+        assert [scalar_valuation(c, display.ctx.N) for c in expand_factor(
+            display, *_twisted_factor(display))] == \
             [4, 5, 5, 5, 1, 5, 5, 5, 0]
         assert newton_slopes(display) == NewtonPolygon(
             [(Fraction(1, 4), 4), (Fraction(3, 4), 4)])
@@ -362,7 +361,7 @@ class TestSlopesFromFactor:
         for N in sorted({v // 2 + 1, v}):
             display = self.draw(seed, make_context(p, d, N), n, False)
             ops = display._ops()
-            h, scale = _charpoly_factor(display, d, 1)
+            h, scale = _twisted_factor(display)
             assert scale == (2, 2) and ops.val(h[0]) == v // 2
             assert _linalg.charpoly_slope_pairs(ops, h, d)
             message = ("insufficient precision: hull vertex at degree 0 "

@@ -10,7 +10,8 @@ from gustrata._linalg import (PrecisionError, _berkowitz, adjugate_action,
                               mat_mul, ops_for, sparse_rows, sparse_transpose,
                               strongly_connected_components, twisted_product)
 
-from _oracles import (leibniz_charpoly_int, leibniz_charpoly_scalar,
+from _oracles import (cayley_hamilton_adjugate, leibniz_charpoly_int,
+                      leibniz_charpoly_scalar, scalar_valuation,
                       twisted_product_dense)
 
 
@@ -125,10 +126,56 @@ def scalar_product(a, b, ctx):
              for j in range(r)] for i in range(r)]
 
 
-def minus_c0_identity(ops, cp, r, ctx):
-    minus_c0 = -ops.wrap(cp[0])
-    return [[minus_c0 if i == j else ctx.zero() for j in range(r)]
+def scalar_identity(c, r, ctx):
+    return [[c if i == j else ctx.zero() for j in range(r)]
             for i in range(r)]
+
+
+def assert_adjugate_identities(ops, m):
+    """adjugate_action's (v, W) on the scalar rows m, checked: v is the
+    valuation of the constant term c0 of the charpoly, and when v < N,
+    M W = W M = p^v I, so B = (-c0 / p^v) W is the adjugate action with
+    M B = B M = -c0 I; each entry of W has the valuation of the matching
+    entry of the Cayley-Hamilton adjugate (capped at N), and its rows are
+    sparse, columns ascending.  Returns v."""
+    ctx, r = ops.ctx, len(m)
+    srows = sparse_rows(ops, [[ops.unwrap(e) for e in row] for row in m])
+    cp = charpoly(ops, srows)
+    v, w = adjugate_action(ops, sparse_transpose(srows, r))
+    assert v == ops.val(cp[0])
+    if v == ctx.N:
+        assert w is None
+        return v
+    dense = [[ctx.zero()] * r for _ in range(r)]
+    for i, row in enumerate(w):
+        assert [j for j, _ in row] == sorted({j for j, _ in row})
+        for j, e in row:
+            assert e != ops.zero
+            dense[i][j] = ops.wrap(e)
+    p_v = scalar_identity(ctx.from_int(ctx.p ** v), r, ctx)
+    assert scalar_product(m, dense, ctx) == p_v
+    assert scalar_product(dense, m, ctx) == p_v
+    unit = -ops.wrap(ops.divexact_p(cp[0], v))
+    b = [[unit * e for e in row] for row in dense]
+    minus_c0 = scalar_identity(-ops.wrap(cp[0]), r, ctx)
+    assert scalar_product(m, b, ctx) == minus_c0
+    assert scalar_product(b, m, ctx) == minus_c0
+    _, oracle = cayley_hamilton_adjugate(m, ctx.zero(), ctx.one())
+    assert [[scalar_valuation(e, ctx.N) for e in row] for row in dense] == \
+        [[scalar_valuation(e, ctx.N) for e in row] for row in oracle]
+    return v
+
+
+def shifted(rng, ctx, m, entry, permute=True):
+    """m plus a monomial (permute) or diagonal matrix with entries p^k
+    times units, k in 0..2, which is invertible whenever m is zero."""
+    r = len(m)
+    perm = rng.sample(range(r), r) if permute else list(range(r))
+    out = [list(row) for row in m]
+    for i, j in enumerate(perm):
+        out[i][j] = out[i][j] + entry() * ctx.from_int(
+            ctx.p ** rng.randrange(3))
+    return out
 
 
 class TestSparseAdjugate:
@@ -143,13 +190,9 @@ class TestSparseAdjugate:
         for density in (0.1, 0.2, 0.3):
             m = [[ctx.zero() if e is None else e for e in row]
                  for row in sparse_matrix(rng, r, density, entry)]
-            raw = [[ops.unwrap(e) for e in row] for row in m]
-            cp = charpoly(ops, sparse_rows(ops, raw))
-            b = [[ops.wrap(e) for e in row]
-                 for row in adjugate_action(ops, raw, cp)]
-            expected = minus_c0_identity(ops, cp, r, ctx)
-            assert scalar_product(m, b, ctx) == expected
-            assert scalar_product(b, m, ctx) == expected
+            # with its zero row and column m is singular for r > 1
+            assert_adjugate_identities(ops, m)
+            assert_adjugate_identities(ops, shifted(rng, ctx, m, entry))
 
 
 # (diagonal block sizes, indices of the all-zero diagonal blocks)
@@ -215,14 +258,17 @@ class TestBlockKernels:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
     def test_adjugate_both_sides_give_minus_c0(self, layout, d):
+        # the zero diagonal blocks make m singular; a diagonal shift keeps
+        # the blocks and makes it invertible
         for seed in range(2):
             ctx, ops, m, raw = block_case(d, layout, 10 * seed + d)
-            cp = charpoly(ops, sparse_rows(ops, raw))
-            b = [[ops.wrap(e) for e in row]
-                 for row in adjugate_action(ops, raw, cp)]
-            expected = minus_c0_identity(ops, cp, len(m), ctx)
-            assert scalar_product(m, b, ctx) == expected
-            assert scalar_product(b, m, ctx) == expected
+            rng = random.Random(seed)
+            entry = (ext_entry(rng, ctx) if d > 1
+                     else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+            v = assert_adjugate_identities(ops, m)
+            assert v == ctx.N or not layout[1]
+            assert_adjugate_identities(
+                ops, shifted(rng, ctx, m, entry, permute=False))
 
     def test_sccs_are_listed_sinks_first(self):
         # 0 -> 1 <-> 2 -> 3, and 4 alone
@@ -231,23 +277,22 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16])
     def test_adjugate_work_linear_in_summands(self, k):
-        # N^k is k diagonal 2 x 2 blocks, each reaching only itself.  Per
-        # block: the block's Berkowitz has one bordering step, which makes
-        # two sparse mat-vecs (the bordering row times C, and the
-        # polynomial update; no Krylov product, since its leading block is
-        # 1 x 1); each of the two columns then has its Horner polynomial
-        # reduced modulo the block's quadratic charpoly, so degree <= 1 and
-        # one Horner step.  4 per block, 4k in all.  The unsplit dense
-        # recurrence made 2k * (2k - 1) mat-vecs over all 2k rows.
-        ctx = make_context(3, 1, 8)
+        # N^k is k diagonal 2 x 2 blocks [[0, -1], [p, 0]].  Every pivot is
+        # alone in its column of the remaining matrix, so the elimination
+        # makes no row operation (no sub), and the back substitution makes
+        # one sparse mat-vec per row, over its one row of E: 2k calls of one
+        # term each.  v = k, one p per block, below N.
+        ctx = make_context(3, 1, 40)
         ops = ops_for(ctx)
-        raw = parse_module_spec(f"N^{k}").build(ctx)._raw_frobenius()
-        cp = charpoly(ops, sparse_rows(ops, raw))
+        cols = parse_module_spec(f"N^{k}").build(ctx).sparse_frobenius
         calls = count_smatvec(ops)
-        adj = adjugate_action(ops, raw, cp)
-        assert len(calls) == 4 * k
-        del ops.smatvec
-        assert adj == adjugate_action(ops, raw, cp)
+        subs = []
+        ops.sub = lambda a, b: subs.append(None)
+        adj = adjugate_action(ops, cols)
+        assert calls == [1] * (2 * k) and not subs
+        assert adj[0] == k
+        del ops.smatvec, ops.sub
+        assert adj == adjugate_action(ops, cols)
 
 
 def count_smatvec(ops):
@@ -475,24 +520,23 @@ class TestStructuredMatrices:
     def test_adjugate_both_sides_give_minus_c0(self, d):
         ctx, cases = structured_cases(d)
         ops = ops_for(ctx)
+        singular = {"one_by_one_zero", "zero", "nilpotent"}
         for name, m in cases:
-            raw = [[ops.unwrap(e) for e in row] for row in m]
-            cp = charpoly(ops, sparse_rows(ops, raw))
-            b = [[ops.wrap(e) for e in row]
-                 for row in adjugate_action(ops, raw, cp)]
-            expected = minus_c0_identity(ops, cp, len(m), ctx)
-            assert scalar_product(m, b, ctx) == expected, name
-            assert scalar_product(b, m, ctx) == expected, name
+            v = assert_adjugate_identities(ops, m)
+            assert v == ctx.N or name not in singular, name
 
     def test_zero_and_one_by_one_exactly(self):
         ctx = make_context(3, 1, 6)
         ops = ops_for(ctx)
         assert charpoly(ops, sparse_rows(
             ops, [[0] * 3 for _ in range(3)])) == [0, 0, 0, 1]
-        assert adjugate_action(ops, [[0] * 3 for _ in range(3)],
-                               [0, 0, 0, 1]) == [[0] * 3 for _ in range(3)]
+        assert adjugate_action(ops, [[], [], []]) == (6, None)
         assert charpoly(ops, sparse_rows(ops, [[7]])) == [ctx.q - 7, 1]
-        assert adjugate_action(ops, [[7]], [ctx.q - 7, 1]) == [[1]]
+        assert adjugate_action(ops, [[(0, 7)]]) == (
+            0, [[(0, pow(7, -1, ctx.q))]])
+        # p^2 * 9^(-1) = 1, and 3^6 reads as 0
+        assert adjugate_action(ops, [[(0, 9)]]) == (2, [[(0, 1)]])
+        assert adjugate_action(ops, [[(0, 3 ** 6 % ctx.q)]]) == (6, None)
 
 
 class TestCharpolyReduction:
@@ -508,8 +552,7 @@ class TestCharpolyReduction:
             ints = tuple(rng.randrange(p ** d) for _ in range(n - 1))
             display = deformation_display(
                 ctx, DeformationPoint.from_ints(ctx, n, ints))
-            raw = display._raw_frobenius()
-            cols = sparse_transpose(sparse_rows(ops, raw), len(raw))
+            cols = display.sparse_frobenius
             at_n = charpoly(ops, twisted_product(ops, cols, d))
             at_2n = charpoly(ops2, twisted_product(ops2, cols, d))
             assert [ops.truncate(c) for c in at_2n] == at_n

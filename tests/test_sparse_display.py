@@ -11,10 +11,11 @@ import random
 
 import pytest
 
-from gustrata import (DeformationPoint, DieudonneDisplay, build_graph,
-                      default_precision, deformation_display, direct_sum,
-                      display_from_json, make_context, module_M, module_N,
-                      polarization_check, validate_display)
+from gustrata import (DeformationPoint, DieudonneDisplay, PrecisionError,
+                      a_number, build_graph, default_precision,
+                      deformation_display, direct_sum, display_from_json,
+                      make_context, module_M, module_N, polarization_check,
+                      validate_display)
 from gustrata._linalg import ops_for
 from gustrata.fcrystal import U, V
 from gustrata.wittring import PadicScalar
@@ -205,12 +206,24 @@ BROKEN_REPORTS = {
                  ("verschiebung_integral",
                   ["skipped: V not computable at this precision"])],
     "broken_sign": [],
+    # A[0][1] = 1, A[1][0] = 9: val det = 2, and p A^(-1) has 1/3 at (0,1)
+    "non_integral": [("verschiebung_integral",
+                      ["entry (0,1) valuation 0 < 1"])],
+    # A[0][1] = A[1][0] = 3^11 at N = 12: det = -3^22 reads as 0
+    "singular_nonzero": [("frobenius_invertible",
+                          ["V not computable at this precision"]),
+                         ("verschiebung_integral",
+                          ["skipped: V not computable at this precision"])],
 }
 
 
 def broken_display(kind):
-    """The broken displays of tests/test_fcrystal.py."""
-    ctx = ctx_for(1 if kind == "broken_sign" else 2)
+    """The broken displays of tests/test_fcrystal.py, and two rank-2
+    displays on the basis of N at p = 3, N = 12 whose F is [[0, a], [b, 0]]
+    with a nonzero determinant: non-integral p A^(-1), or a determinant
+    below the precision."""
+    ctx = ctx_for(1 if kind in ("broken_sign", "non_integral",
+                                "singular_nonzero") else 2)
     good = module_M(ctx, 2) if kind == "flipped_pairing" else module_N(ctx)
     r = good.rank
     cols = [[good.frobenius[i][j] for i in range(r)] for j in range(r)]
@@ -224,6 +237,9 @@ def broken_display(kind):
         cols[0][0] = ctx.one()
     elif kind == "singular":
         cols = [[ctx.zero()] * 2 for _ in range(2)]
+    elif kind in ("non_integral", "singular_nonzero"):
+        a, b = (1, 9) if kind == "non_integral" else (3 ** 11, 3 ** 11)
+        cols = [[ctx.zero(), ctx.from_int(b)], [ctx.from_int(a), ctx.zero()]]
     else:
         cols[1][0] = ctx.one()
     return DieudonneDisplay(ctx, good.basis, cols, pairing)
@@ -237,7 +253,18 @@ def test_validation_failures_unchanged(kind):
     if kind == "broken_sign":
         assert [(str(a), str(b), s.coords)
                 for a, b, s in polarization_check(broken_display(kind))] == \
-            [("u0", "u0", (531435,)), ("v0", "v0", (177149,))]
+            [("u0", "u0", (177141,)), ("v0", "v0", (2,))]
+    if kind in ("non_integral", "singular_nonzero"):
+        display = broken_display(kind)
+        assert display.ctx.N == 12
+        error, text = ((ValueError, "p*A^(-1) is not integral (first "
+                                    "offending entry (0, 1))")
+                       if kind == "non_integral" else
+                       (PrecisionError, "V not computable at this precision"))
+        for consumer in (display._verschiebung, lambda: a_number(display)):
+            with pytest.raises(error) as info:
+                consumer()
+            assert str(info.value) == text
 
 
 @pytest.mark.parametrize("seed", range(24))
