@@ -14,8 +14,8 @@ import pytest
 from gustrata import (DeformationPoint, DieudonneDisplay, PrecisionError,
                       a_number, build_graph, default_precision,
                       deformation_display, direct_sum, display_from_json,
-                      make_context, module_M, module_N, polarization_check,
-                      validate_display)
+                      make_context, module_M, module_N, parse_module_spec,
+                      polarization_check, validate_display)
 from gustrata._linalg import ops_for
 from gustrata.fcrystal import U, V
 from gustrata.wittring import PadicScalar
@@ -214,6 +214,20 @@ BROKEN_REPORTS = {
                           ["V not computable at this precision"]),
                          ("verschiebung_integral",
                           ["skipped: V not computable at this precision"])],
+    # J = [[0, 3], [-3, 0]] on the basis of N
+    "pairing_p": [("pairing_unimodular", ["val det J = 2"])],
+    # J = 3^6 J_0 at N = 12: det J = 3^12 reads as 0
+    "pairing_capped": [("pairing_unimodular", ["val det J = 12"])],
+    # M(2) at d = 2, pairs scaled by 3(1 + x) and 9x: 2 * 1 + 2 * 2
+    "pairing_d2": [("pairing_unimodular", ["val det J = 6"])],
+}
+
+# (module, d, coordinates of the factor on each u_k/v_k pair of J, by k):
+# scaling J[u_k][v_k] and J[v_k][u_k] alike keeps J alternating
+PAIRING_SCALES = {
+    "pairing_p": ("N", 1, {0: (3,)}),
+    "pairing_capped": ("N", 1, {0: (3 ** 6,)}),
+    "pairing_d2": ("M(2)", 2, {1: (3, 3), 2: (0, 9)}),
 }
 
 
@@ -221,7 +235,16 @@ def broken_display(kind):
     """The broken displays of tests/test_fcrystal.py, and two rank-2
     displays on the basis of N at p = 3, N = 12 whose F is [[0, a], [b, 0]]
     with a nonzero determinant: non-integral p A^(-1), or a determinant
-    below the precision."""
+    below the precision; and N or M(2) with J scaled as in PAIRING_SCALES."""
+    if kind in PAIRING_SCALES:
+        spec, d, scales = PAIRING_SCALES[kind]
+        ctx = ctx_for(1, d=d)
+        good = parse_module_spec(spec).build(ctx)
+        pairing = [[e * ctx.scalar(scales[good.basis[i].index]) for e in row]
+                   for i, row in enumerate(good.pairing)]
+        return DieudonneDisplay(ctx, good.basis,
+                                [list(col) for col in zip(*good.frobenius)],
+                                pairing)
     ctx = ctx_for(1 if kind in ("broken_sign", "non_integral",
                                 "singular_nonzero") else 2)
     good = module_M(ctx, 2) if kind == "flipped_pairing" else module_N(ctx)
