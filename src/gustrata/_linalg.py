@@ -48,15 +48,17 @@ Every kernel returns exactly what the dense computation would: the ring
 is exact, so skipping zero terms, reordering sums and reducing by
 polynomial identities changes no coefficient.
 
-adjugate_action and rank share one elimination on sparse dict rows,
-_eliminate, which takes at each step an entry of least valuation in the
-remaining matrix as its pivot.  Over W_N that keeps every Schur complement
-exact mod p^N and finds val det and p^v A^(-1) without a characteristic
-polynomial (proof in adjugate_action); no block structure is needed, since
-a pivot alone in its row and column eliminates nothing, so a monomial or
-block-diagonal matrix costs O(nonzeros) plus a heap.  At precision 1 the
-ring W_1(F_{p^d}) is the field itself, every nonzero entry is a unit
-pivot, and the number of pivots is the rank; truncate reduces any finer
+adjugate_action, det_valuation and rank share one elimination on sparse
+dict rows, _eliminate, which takes at each step an entry of least
+valuation in the remaining matrix as its pivot.  Over W_N that keeps every
+Schur complement exact mod p^N and finds val det and p^v A^(-1) without a
+characteristic polynomial (proof in adjugate_action); no block structure
+is needed, since a pivot alone in its row and column eliminates nothing,
+so a monomial or block-diagonal matrix costs O(nonzeros) plus a heap.  It
+serves the adjugate of F behind V, val det J for the pairing check, and,
+at precision 1, where the ring W_1(F_{p^d}) is the field itself and every
+nonzero entry is a unit pivot, the ranks behind the a-number and the
+signature: the number of pivots is the rank; truncate reduces any finer
 raw data into it.
 """
 from __future__ import annotations
@@ -123,13 +125,7 @@ class _IntOps:
         return a == 0
 
     def val(self, a):
-        if a == 0:
-            return self.cap
-        p, v = self.p, 0
-        while a % p == 0:
-            a //= p
-            v += 1
-        return min(v, self.cap)
+        return self.ctx._ival(a) if a else self.cap
 
     def frob(self, a, power=1):
         return a
@@ -450,9 +446,12 @@ def _eliminate(ops, rows, ncols):
 
     Returns (steps, v): one (column, k, u^(-1), pivot row without its
     pivot entry) per pivot, in order, and v the sum of the k, except that
-    it stops with v = ops.cap once that sum reaches it."""
+    it stops with v = ops.cap once that sum reaches it.  Each distinct
+    unit u is inverted once per call: the pivots of a display's F are
+    mostly +-1 or +-p."""
     cap, zero = ops.cap, ops.zero
     val, mul, sub, divexact_p = ops.val, ops.mul, ops.sub, ops.divexact_p
+    inverses = {}
     holders = [set() for _ in range(ncols)]  # unpivoted rows per column
     heap = []
     for i, row in enumerate(rows):
@@ -471,7 +470,10 @@ def _eliminate(ops, rows, ncols):
         if v >= cap:
             return steps, cap
         rows[i] = None
-        unit_inv = ops.inv(divexact_p(row.pop(c), k))
+        unit = divexact_p(row.pop(c), k)
+        unit_inv = inverses.get(unit)
+        if unit_inv is None:
+            unit_inv = inverses[unit] = ops.inv(unit)
         for j in row:
             if j < ncols:
                 holders[j].discard(i)
@@ -551,6 +553,15 @@ def adjugate_action(ops, cols):
                 srcs[-1].append((j - r, b))
         out[c] = ops.smatvec(srcs, coeffs)
     return v, [sorted(w.items()) for w in out]
+
+
+def det_valuation(ops, srows):
+    """val det M, capped at N, for the square matrix M with the given
+    sparse rows: the sum of _eliminate's pivot valuations, exact below N
+    (see adjugate_action), and N when fewer pivots than rows are found,
+    i.e. when det M = 0 mod p^N."""
+    steps, v = _eliminate(ops, [dict(row) for row in srows], len(srows))
+    return v if len(steps) == len(srows) else ops.cap
 
 
 # ---------------------------------------------------------------------------

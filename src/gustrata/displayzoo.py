@@ -291,24 +291,16 @@ class ModuleSpec:
         return sum(map(_term_half_rank, self.terms))
 
     def build(self, ctx):
-        displays = []
+        """The display of the spec over ctx.  Each distinct term is built
+        once and the same display is summed at every repeat: displays are
+        immutable, and direct_sum relabels each occurrence."""
+        built = {}
         for term in self.terms:
-            kind = term[0]
-            if kind == "N":
-                displays.append(module_N(ctx))
-            elif kind == "M":
-                displays.append(module_M(ctx, term[1]))
-            elif kind == "ss":
-                displays.append(supersingular_module(ctx, term[1]))
-            elif kind == "def":
-                n, assignments = term[1], dict(term[2])
-                point = _point_from_assignments(ctx, n, assignments)
-                displays.append(deformation_display(ctx, point))
-            else:
-                raise ValueError(f"unknown term {term!r}")
-        if len(displays) == 1:
-            return displays[0]
-        return direct_sum(*displays)
+            if term not in built:
+                built[term] = _build_term(ctx, term)
+        if len(self.terms) == 1:
+            return built[self.terms[0]]
+        return direct_sum(*(built[term] for term in self.terms))
 
     def __str__(self):
         parts = []
@@ -324,6 +316,20 @@ class ModuleSpec:
                 assigns = ", ".join(f"s{i}={v}" for i, v in term[2])
                 parts.append(f"def({term[1]}; {assigns})")
         return " + ".join(parts)
+
+
+def _build_term(ctx, term):
+    kind = term[0]
+    if kind == "N":
+        return module_N(ctx)
+    if kind == "M":
+        return module_M(ctx, term[1])
+    if kind == "ss":
+        return supersingular_module(ctx, term[1])
+    if kind == "def":
+        point = _point_from_assignments(ctx, term[1], dict(term[2]))
+        return deformation_display(ctx, point)
+    raise ValueError(f"unknown term {term!r}")
 
 
 def _term_half_rank(term):

@@ -75,7 +75,8 @@ V and the validation of F both read one call of
 _linalg.adjugate_action per display, cached: v = val det A and
 W = p^v A^(-1) by valuation-pivoted elimination on the sparse columns of
 F, with no characteristic polynomial of A.  V = sigma^(-1)(W / p^(v-1)) is
-cached as sparse rows.
+cached as sparse rows.  The pairing check reads val det J from the same
+elimination on J's rows (_linalg.det_valuation).
 """
 
 from __future__ import annotations
@@ -540,8 +541,7 @@ def validate_display(display):
         "pairing_alternating", not bad_alt,
         tuple(f"entry ({i},{j})" for i, j in bad_alt[:8])))
 
-    cp_j = _linalg.charpoly(ops, display.sparse_pairing)
-    det_j_val = ops.val(cp_j[0])
+    det_j_val = _linalg.det_valuation(ops, display.sparse_pairing)
     checks.append(CheckResult(
         "pairing_unimodular", det_j_val == 0,
         () if det_j_val == 0 else (f"val det J = {det_j_val}",)))

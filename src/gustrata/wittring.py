@@ -253,7 +253,7 @@ class RingContext:
     """
 
     __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_frob", "_root",
-                 "_prec_cache", "_teich_cache")
+                 "_prec_cache", "_teich_cache", "_ppow")
 
     def __init__(self, p, d, N, modulus):
         _check_capacity(p, d, N)
@@ -275,6 +275,10 @@ class RingContext:
         (root, inverse) pair to start the Frobenius root's lift from."""
         self.N = N
         self.q = self.p ** N
+        # p^(2^k) for 2^k <= N, the steps of _ival's doubling search
+        self._ppow = [self.p]
+        while 1 << len(self._ppow) <= N:
+            self._ppow.append(self._ppow[-1] ** 2)
         self._prec_cache = {}
         self._teich_cache = {}
         self._build_tables(root)
@@ -400,19 +404,44 @@ class RingContext:
             a = self._wmul(a, a)
         return (1,) + (0,) * (self.d - 1) if result is None else result
 
+    def _ival(self, c):
+        """Valuation at p of the nonzero integer c, capped at N, by a
+        doubling search: one modulo when p does not divide c, and about
+        2 log2(v) divisions for valuation v, not v of them.
+
+        While p^(2^k) divides c it is divided out, k = 0, 1, ...; when it
+        first does not, the valuation left is below 2^k and the powers
+        p^(2^(k-1)), ..., p divided out where they divide give its binary
+        digits.  The table goes up to p^(2^K) with 2^(K+1) > N, so a
+        valuation of N or more shows as at least 2^(K+1) - 1 >= N."""
+        if c % self.p:
+            return 0
+        pows = self._ppow
+        c //= self.p
+        k = 1
+        while k < len(pows):
+            quo, rem = divmod(c, pows[k])
+            if rem:
+                break
+            c = quo
+            k += 1
+        v = (1 << k) - 1
+        for t in range(k - 1, -1, -1):
+            quo, rem = divmod(c, pows[t])
+            if not rem:
+                c = quo
+                v += 1 << t
+        return min(v, self.N)
+
     def _wval(self, coords):
-        p, N = self.p, self.N
-        best = N
+        best = self.N
         for c in coords:
             if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
+                v = self._ival(c)
                 if v < best:
+                    if v == 0:
+                        return 0
                     best = v
-                if best == 0:
-                    return 0
         return best
 
     def _inv_mod_p(self, a):

@@ -1,13 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gustrata import (DeformationPoint, deformation_display, direct_sum,
                       default_precision, expected_module, lambda_min,
                       make_context, module_M, module_N, newton_slopes,
                       parse_module_spec, polarization_check, signature,
                       supersingular_module, validate_display, NewtonPolygon)
-from gustrata.displayzoo import MAX_SPEC_HALF_RANK
+from gustrata import displayzoo
+from gustrata.displayzoo import MAX_SPEC_HALF_RANK, ModuleSpec
 from gustrata.fcrystal import U, V
 
 
@@ -285,3 +287,59 @@ class TestModuleSpecGrammar:
         spec = parse_module_spec("def(4; s0=1, s3=1)")
         D = spec.build(ctx_for(4, p=2))
         assert D.rank == 8
+
+
+# small contexts for the summand-reuse property: building needs no precision
+SPEC_CONTEXTS = [make_context(3, 1, 4), make_context(2, 2, 3)]
+
+
+@st.composite
+def spec_terms(draw, ctx):
+    """Text of one term: N, M(m), ss(n) or def(n; ...), with a power."""
+    kind = draw(st.sampled_from(["N", "M", "ss", "def"]))
+    if kind == "N":
+        text = "N"
+    elif kind in ("M", "ss"):
+        text = f"{kind}({draw(st.integers(2 if kind == 'M' else 3, 4))})"
+    else:
+        n = draw(st.integers(3, 5))
+        indices = (range(2, n + 1) if n % 2 else [0] + list(range(2, n)))
+        chosen = draw(st.lists(st.sampled_from(list(indices)), unique=True,
+                               max_size=3))
+        values = [draw(st.integers(0, ctx.p ** ctx.d - 1)) for _ in chosen]
+        text = f"def({n}; " + ", ".join(
+            f"s{i}={v}" for i, v in zip(chosen, values)) + ")"
+    power = draw(st.integers(1, 3))
+    return text if power == 1 else f"{text}^{power}"
+
+
+class TestSummandReuse:
+    """ModuleSpec.build builds each distinct term once and sums the same
+    display at every repeat; the result is that of fresh builds."""
+
+    @settings(max_examples=30, deadline=2000)
+    @given(data=st.data())
+    def test_equals_sum_of_fresh_builds(self, data):
+        ctx = data.draw(st.sampled_from(SPEC_CONTEXTS))
+        text = " + ".join(data.draw(st.lists(spec_terms(ctx), min_size=1,
+                                             max_size=4)))
+        spec = parse_module_spec(text)
+        built = spec.build(ctx)
+        fresh = [ModuleSpec((term,)).build(ctx) for term in spec.terms]
+        want = fresh[0] if len(fresh) == 1 else direct_sum(*fresh)
+        assert built.basis == want.basis
+        assert built.sparse_frobenius == want.sparse_frobenius
+        assert built.sparse_pairing == want.sparse_pairing
+        assert built.summands == want.summands
+
+    def test_each_distinct_term_built_once(self, monkeypatch):
+        built = []
+        for name in ("module_N", "module_M"):
+            original = getattr(displayzoo, name)
+            monkeypatch.setattr(
+                displayzoo, name,
+                lambda *args, _f=original, _n=name: built.append(_n)
+                or _f(*args))
+        D = parse_module_spec("N^5 + M(2) + N + M(3)^2").build(ctx_for(14))
+        assert sorted(built) == ["module_M", "module_M", "module_N"]
+        assert D.rank == 28 and len(D.summands) == 9

@@ -452,6 +452,16 @@ class TestOncePerDisplay:
         assert polygon == M6_N2
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
+    def test_validation_runs_no_charpoly(self, monkeypatch, text, d):
+        # val det J comes from an elimination on J's rows
+        spec = parse_module_spec(text)
+        display = spec.build(ctx_for(spec.half_rank, d=d))
+        calls = count_calls(monkeypatch, "charpoly")
+        dets = count_calls(monkeypatch, "det_valuation")
+        assert validate_display(display).ok
+        assert calls == [] and len(dets) == 1
+
+    @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):
         spec = parse_module_spec(text)
         display = spec.build(ctx_for(spec.half_rank, d=d))

@@ -6,9 +6,10 @@ import pytest
 from gustrata import (DeformationPoint, deformation_display, make_context,
                       parse_module_spec)
 from gustrata._linalg import (PrecisionError, _berkowitz, adjugate_action,
-                              charpoly, charpoly_slope_pairs, lower_hull,
-                              mat_mul, ops_for, sparse_rows, sparse_transpose,
-                              strongly_connected_components, twisted_product)
+                              charpoly, charpoly_slope_pairs, det_valuation,
+                              lower_hull, mat_mul, ops_for, sparse_rows,
+                              sparse_transpose, strongly_connected_components,
+                              twisted_product)
 
 from _oracles import (cayley_hamilton_adjugate, leibniz_charpoly_int,
                       leibniz_charpoly_scalar, scalar_valuation,
@@ -193,6 +194,116 @@ class TestSparseAdjugate:
             # with its zero row and column m is singular for r > 1
             assert_adjugate_identities(ops, m)
             assert_adjugate_identities(ops, shifted(rng, ctx, m, entry))
+
+
+def low_rank_matrix(rng, ctx, r, entry):
+    """r x r matrix of rank below r over W_N, so singular mod p^N: each row
+    a combination of the same r - 1 random rows."""
+    basis = [[entry() for _ in range(r)] for _ in range(r - 1)]
+    out = []
+    for _ in range(r):
+        coeffs = [entry() for _ in basis]
+        out.append([sum((c * row[j] for c, row in zip(coeffs, basis)),
+                        ctx.zero()) for j in range(r)])
+    return out
+
+
+class TestDetValuation:
+    """det_valuation against the valuation of the constant term of the
+    Leibniz charpoly, which is (-1)^r det M."""
+
+    @staticmethod
+    def cases(d):
+        ctx = make_context(3, d, 6)
+        rng = random.Random(500 + d)
+        entry = (ext_entry(rng, ctx) if d > 1
+                 else lambda: ctx.from_int(rng.randrange(1, ctx.q)))
+        cases = []
+        for r in (1, 2, 3, 4, 5):
+            for density in (0.3, 0.7):
+                m = [[ctx.zero() if e is None else e for e in row]
+                     for row in sparse_matrix(rng, r, density, entry)]
+                cases += [m, shifted(rng, ctx, m, entry),
+                          shifted(rng, ctx, m, entry, permute=False)]
+            # entries p^k * unit, k in 0..3: val det often at or above N
+            cases.append([[entry() * ctx.from_int(ctx.p ** rng.randrange(4))
+                           for _ in range(r)] for _ in range(r)])
+            if r > 1:
+                cases.append(low_rank_matrix(rng, ctx, r, entry))
+            # p^2 * unit on the diagonal: det = p^(2r) * unit, capped at N
+            cases.append([[entry() * ctx.from_int(ctx.p ** 2) if i == j
+                           else ctx.zero() for j in range(r)]
+                          for i in range(r)])
+        return ctx, cases
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_against_leibniz_constant_term(self, d):
+        ctx, cases = self.cases(d)
+        ops = ops_for(ctx)
+        seen = set()
+        for m in cases:
+            raw = [[ops.unwrap(e) for e in row] for row in m]
+            want = scalar_valuation(leibniz_charpoly_scalar(m, ctx)[0], ctx.N)
+            assert det_valuation(ops, sparse_rows(ops, raw)) == want, m
+            seen.add(min(want, 3) if want < ctx.N else "capped")
+        # units, positive valuations and determinants 0 mod p^N all occur
+        assert seen == {0, 1, 2, 3, "capped"}
+
+    def test_rows_are_not_changed(self):
+        ops = ops_for(make_context(3, 1, 6))
+        srows = [[(0, 3), (1, 1)], [(0, 9), (1, 6)]]
+        copy = [list(row) for row in srows]
+        assert det_valuation(ops, srows) == 2
+        assert srows == copy
+
+
+class TestPivotInverses:
+    """_eliminate inverts each distinct pivot unit once per call.  The
+    pivots of F for M(m) are 1 and p = p * 1, and (-1)^m at F u_1: one
+    distinct unit for even m, two for odd m."""
+
+    @staticmethod
+    def spy_inv(ops):
+        inverted = []
+        inv = ops.inv
+
+        def counting(u):
+            inverted.append(u)
+            return inv(u)
+
+        ops.inv = counting
+        return inverted
+
+    @pytest.mark.parametrize("m,units", [(14, 1), (13, 2)])
+    def test_adjugate_inverts_each_unit_once(self, m, units):
+        ctx = make_context(5, 2, 16)
+        ops = ops_for(ctx)
+        cols = parse_module_spec(f"M({m})").build(ctx).sparse_frobenius
+        inverted = self.spy_inv(ops)
+        v, w = adjugate_action(ops, cols)
+        assert len(inverted) == len(set(inverted)) == units
+        assert v == m and len(w) == 2 * m
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_adjugate_with_shared_inverses_matches_oracle(self, m):
+        # M(m) at v = m < N, checked against the Cayley-Hamilton adjugate
+        # with the spy in place
+        ctx = make_context(5, 2, 8)
+        ops = ops_for(ctx)
+        display = parse_module_spec(f"M({m})").build(ctx)
+        inverted = self.spy_inv(ops)
+        assert assert_adjugate_identities(
+            ops, [list(row) for row in display.frobenius]) == m
+        assert len(inverted) == 1 + m % 2
+
+    def test_det_valuation_of_the_pairing(self):
+        # J of M(14) holds +-1: two inverses for 28 pivots
+        ctx = make_context(5, 2, 16)
+        ops = ops_for(ctx)
+        display = parse_module_spec("M(14)").build(ctx)
+        inverted = self.spy_inv(ops)
+        assert det_valuation(ops, display.sparse_pairing) == 0
+        assert sorted(inverted) == sorted([ops.one, ops.neg(ops.one)])
 
 
 # (diagonal block sizes, indices of the all-zero diagonal blocks)

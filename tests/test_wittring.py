@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import time
 
 import pytest
@@ -11,7 +12,9 @@ from gustrata import (CapacityError, NonInvertibleError, RingContext,
 from gustrata import wittring
 from gustrata.wittring import scalar_from_json
 
-from _oracles import first_irreducible_brute
+from gustrata._linalg import ops_for
+
+from _oracles import first_irreducible_brute, int_valuation
 
 
 CONTEXTS = [(2, 1, 8), (3, 1, 12), (3, 2, 6), (2, 2, 10), (5, 2, 9),
@@ -282,6 +285,64 @@ class TestValuation:
         y = ctx.scalar((6, 3))
         assert x.valuation() == 1 and y.valuation() == 1
         assert (x * y).valuation() == 2
+
+
+class _CountingInt(int):
+    """An int that records each modulo or division it is the dividend of."""
+
+    ops = []
+
+    def __mod__(self, other):
+        self.ops.append("%")
+        return int(self) % other
+
+    def __floordiv__(self, other):
+        self.ops.append("//")
+        return int(self) // other
+
+    def __divmod__(self, other):
+        self.ops.append("divmod")
+        return divmod(int(self), other)
+
+
+class TestDoublingValuation:
+    """ops.val (RingContext._ival and _wval) against the digit-by-digit
+    loop, on raw data that need not be reduced: zero, units and p^k times
+    a unit for k up to N + 3, at precisions around powers of two."""
+
+    @pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 7, 8, 9, 16, 17, 33])
+    def test_against_naive_loop(self, p, d, N):
+        ctx = make_context(p, d, N)
+        ops = ops_for(ctx)
+        rng = random.Random(100 * p + 10 * d + N)
+
+        def unit():
+            return rng.choice([1, p - 1, 1 + p * rng.randrange(1, 50)])
+
+        assert ops.val(ops.zero) == N
+        for k in range(N + 4):
+            for _ in range(4):
+                # coordinates p^k * unit and p^(k + e) * (unit or 0), e > 0
+                shifts = [rng.randrange(3) for _ in range(d)]
+                shifts[rng.randrange(d)] = 0
+                coords = tuple(
+                    p ** (k + e) * (0 if e and rng.random() < 0.3 else unit())
+                    for e in shifts)
+                want = min(int_valuation(c, p, N + 5) for c in coords if c)
+                raw = coords[0] if d == 1 else coords
+                assert ops.val(raw) == min(want, N), (coords, k)
+                reduced = ctx.scalar(coords)
+                assert reduced.valuation() == min(want, N)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_unit_costs_one_modulo(self, d):
+        ctx = make_context(3, d, 40)
+        ops = ops_for(ctx)
+        _CountingInt.ops = []
+        unit = _CountingInt(3 ** 39 + 7)
+        assert ops.val(unit if d == 1 else (unit, 9)) == 0
+        assert _CountingInt.ops == ["%"]
 
 
 class TestSerialization:
