@@ -81,6 +81,7 @@ class _IntOps:
         self.cap = ctx.N
         self.zero = 0
         self.one = 1
+        self.val = ctx._ival
 
     def unwrap(self, scalar):
         return scalar.coords[0]
@@ -124,9 +125,6 @@ class _IntOps:
     def is_zero(self, a):
         return a == 0
 
-    def val(self, a):
-        return self.ctx._ival(a) if a else self.cap
-
     def frob(self, a, power=1):
         return a
 
@@ -154,6 +152,7 @@ class _ExtOps:
         self.one = (1,) + (0,) * (ctx.d - 1)
         self.mul = ctx._wmul
         self.inv = ctx._winv
+        self.val = ctx._wval
 
     def unwrap(self, scalar):
         return scalar.coords
@@ -205,9 +204,6 @@ class _ExtOps:
 
     def is_zero(self, a):
         return all(c == 0 for c in a)
-
-    def val(self, a):
-        return self.ctx._wval(a)
 
     def frob(self, a, power=1):
         return self.ctx.frobenius_coords(a, power)

@@ -27,6 +27,8 @@ reproducible from (p, d, N) alone.
 
 from __future__ import annotations
 
+import math
+
 
 # A single scalar may not exceed this many bits across its coordinates.
 _CAPACITY_BITS = 1 << 21
@@ -405,27 +407,34 @@ class RingContext:
         return (1,) + (0,) * (self.d - 1) if result is None else result
 
     def _ival(self, c):
-        """Valuation at p of the nonzero integer c, capped at N, by a
-        doubling search: one modulo when p does not divide c, and about
-        2 log2(v) divisions for valuation v, not v of them.
+        """Valuation at p of the integer c, capped at N (so 0 gives N).
 
-        While p^(2^k) divides c it is divided out, k = 0, 1, ...; when it
-        first does not, the valuation left is below 2^k and the powers
-        p^(2^(k-1)), ..., p divided out where they divide give its binary
-        digits.  The table goes up to p^(2^K) with 2^(K+1) > N, so a
-        valuation of N or more shows as at least 2^(K+1) - 1 >= N."""
-        if c % self.p:
+        A unit costs one modulo and valuation 1 two, as digit by digit;
+        from 2 on it is a doubling search, about 2 log2(v) divisions for
+        valuation v, not v of them.  While p^(2^k) divides what is left it
+        is divided out, k = 0, 1, ...; when it first does not, the
+        valuation left is below 2^k, and the powers p^(2^(k-1)), ..., p
+        divided out where they divide give its binary digits.  The table
+        goes up to p^(2^K) with 2^(K+1) > N, so a valuation of N or more
+        reads as at least N."""
+        p = self.p
+        if c % p:
             return 0
+        if not c:
+            return self.N
+        c //= p
+        if c % p:
+            return 1
+        c //= p
         pows = self._ppow
-        c //= self.p
-        k = 1
+        k = 0
         while k < len(pows):
             quo, rem = divmod(c, pows[k])
             if rem:
                 break
             c = quo
             k += 1
-        v = (1 << k) - 1
+        v = (1 << k) + 1
         for t in range(k - 1, -1, -1):
             quo, rem = divmod(c, pows[t])
             if not rem:
@@ -434,15 +443,9 @@ class RingContext:
         return min(v, self.N)
 
     def _wval(self, coords):
-        best = self.N
-        for c in coords:
-            if c:
-                v = self._ival(c)
-                if v < best:
-                    if v == 0:
-                        return 0
-                    best = v
-        return best
+        """The least valuation of the coordinates, which is that of their
+        gcd (0 when all are 0, which gives N)."""
+        return self._ival(math.gcd(*coords))
 
     def _inv_mod_p(self, a):
         """Coordinates of an inverse of a modulo p (a must be a unit)."""
