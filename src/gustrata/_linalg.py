@@ -412,11 +412,15 @@ def _berkowitz(ops, srows):
 
 
 def _poly_prod(ops, polys):
-    """Product of a list of coefficient lists (1 for an empty list)."""
-    out = None
-    for poly in polys:
-        out = poly if out is None else poly_mul(ops, out, poly)
-    return [ops.one] if out is None else out
+    """Product of a list of coefficient lists (1 for an empty list), by a
+    balanced tree: adjacent pairs are multiplied until one is left, so k
+    linear factors take about k^2 / 2 term products, not k^2 (Bernstein,
+    "Fast multiplication and its applications", MSRI Publ. 44, 2008)."""
+    polys = list(polys) or [[ops.one]]
+    while len(polys) > 1:
+        pairs = [poly_mul(ops, a, b) for a, b in zip(polys[::2], polys[1::2])]
+        polys = pairs + polys[2 * len(pairs):]
+    return polys[0]
 
 
 def charpoly(ops, srows):

@@ -86,7 +86,9 @@ def direct_sum(*displays):
 
     Colliding labels in a later summand are bumped to the smallest free
     index of their family; the mapping is recorded in the summands field,
-    which lists the summands of a summand that is itself a sum.
+    which lists the summands of a summand that is itself a sum.  The
+    search for a free index starts where the family's last one ended: no
+    index is ever freed, so the smallest free one only grows.
     """
     if not displays:
         raise ValueError("direct_sum needs at least one display")
@@ -94,6 +96,7 @@ def direct_sum(*displays):
     if any(disp.ctx.params() != ctx.params() for disp in displays[1:]):
         raise ValueError("context mismatch between summands")
     used = {"u": set(), "v": set()}
+    free = {"u": 0, "v": 0}  # no index below is free
     labels = []
     prev = []
     for disp in displays:
@@ -101,9 +104,10 @@ def direct_sum(*displays):
         for lab in disp.basis:
             fam, idx = lab.family, lab.index
             if idx in used[fam]:
-                idx = 0
+                idx = free[fam]
                 while idx in used[fam]:
                     idx += 1
+                free[fam] = idx + 1
             used[fam].add(idx)
             new = BasisLabel(fam, idx)
             labels.append(new)

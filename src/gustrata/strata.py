@@ -222,9 +222,13 @@ def _resolve_budget(budget):
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_POINT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_POINT_BUDGET
+    except ValueError:
+        raise ValueError(
+            f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _enumerate_points(n, q_res, mode, count, seed, budget):
@@ -263,6 +267,8 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
+    if mode == "random" and count is not None and count < 1:
+        raise ValueError(f"random sweep needs a count >= 1, got {count}")
     budget = _resolve_budget(budget)
     nprec = precision if precision is not None else default_precision(n, d)
     ctx = make_context(p, d, nprec)

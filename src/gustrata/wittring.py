@@ -23,11 +23,25 @@ existing root.
 The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
 reproducible from (p, d, N) alone.
+
+There is one polynomial kernel: the context's product, power and linear
+maps.  Irreducibility is decided on a bare ring at precision 1 that has
+only the reduction table (see _is_irreducible): the p-power map mod p is
+the linear map of the power table of x^p, f is irreducible exactly when
+x^(p^d) = x and x^(p^k) - x is a unit for every proper divisor k of d,
+and a unit test reads the (p - 1)-th power of the norm.  An inverse mod p,
+which starts each Newton inverse, comes from the norm as well (Itoh and
+Tsujii): with r the product of the conjugates sigma^k(a), k = 1..d-1, a r
+lies in F_p mod p, so r (a r)^(-1) inverts a with d - 1 products whatever
+the size of p.  sigma is the Frobenius lift's table, or for a fresh
+Frobenius root the power table of x^p.  make_context finds its modulus by
+that test and builds the context without testing it again.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 
 # A single scalar may not exceed this many bits across its coordinates.
@@ -100,130 +114,39 @@ def _is_prime(p):
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (lists, low degree first)
-
-
-def _pstrip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _pstrip(out)
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(da - db + 1, 0)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        c = (a[-1] * inv_lead) % p
-        quo[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _pstrip(a)
-    return quo, a
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    return a
-
-
-def _pext_inv(a, f, p):
-    """Inverse of a modulo (f, p); a must be coprime to f."""
-    r0, r1 = list(f), _pstrip(list(a))
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t2 = [0] * max(len(t0), len(q) + len(t1) - 1 if t1 else 0)
-        qt1 = _pmul(q, t1, p)
-        for i, c in enumerate(t0):
-            t2[i] = c
-        for i, c in enumerate(qt1):
-            t2[i] = (t2[i] - c) % p
-        t0, t1 = t1, _pstrip(t2)
-    if len(r0) != 1:
-        raise NonInvertibleError(0)
-    c_inv = pow(r0[0], p - 2, p)
-    return [(c * c_inv) % p for c in t0]
-
-
-def _ppowmod(g, e, f, p):
-    """g^e modulo (f, p) by square and multiply."""
-    result = [1]
-    base = _pdivmod(list(g), f, p)[1] if len(g) >= len(f) else _pstrip(list(g))
-    while e > 0:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), f, p)[1]
-        base = _pdivmod(_pmul(base, base, p), f, p)[1]
-        e >>= 1
-    return result
-
-
-def _prime_factors(n):
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_irreducible(f, p):
-    """Rabin irreducibility test for a monic f over F_p."""
+    """Whether the monic f (coefficients low degree first) is irreducible
+    over F_p, decided in R = F_p[x]/(f) on a bare ring at precision 1.
+
+    f is irreducible exactly when x^(p^d) = x in R and x^(p^k) - x is a
+    unit for every proper divisor k of d (Rabin's test, with every proper
+    divisor in place of the maximal ones).  Once x^(p^d) = x holds, f
+    divides x^(p^d) - x, so R is a product of fields whose degrees divide
+    d, and g is a unit exactly when its norm g sigma(g) ... sigma^(d-1)(g),
+    which is g^((p^d - 1)/(p - 1)), has (p - 1)-th power 1.  The p-power
+    map sigma is the linear map g(x) -> g(x^p), the power table of x^p.
+    """
     d = len(f) - 1
     if d == 1:
         return True
-    # x^(p^k) mod f, computed by iterating the p-power map
-    xp = _ppowmod([0, 1], p, f, p)
-    powers = {1: xp}
-    t = xp
-    for k in range(2, d + 1):
-        # t <- t^p = t(x^p) since coefficients are in F_p
-        acc = []
-        for c in reversed(t):
-            acc = _pdivmod(_pmul(acc, xp, p), f, p)[1] if acc else []
-            if c:
-                acc = _pstrip([(acc[0] + c) % p] + acc[1:]) if acc else [c]
-        powers[k] = acc
-        t = acc
-    # x^(p^d) must equal x
-    diff = list(powers[d])
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    if _pstrip(diff):
+    ring = RingContext.__new__(RingContext)
+    ring.p, ring.d, ring.N, ring.q = p, d, 1, p
+    ring.modulus = tuple(f[:-1])
+    ring._build_red()
+    x = (0, 1) + (0,) * (d - 2)
+    sigma = partial(ring._apply_lin, ring._power_table(ring._wpow(x, p)))
+    powers = [x]
+    for _ in range(d):
+        powers.append(sigma(powers[-1]))
+    if powers[d] != x:
         return False
-    for r in _prime_factors(d):
-        g = list(powers[d // r])
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        g = _pstrip(g)
-        gcd = _pgcd(f, g, p)
-        if len(gcd) != 1:
-            return False
+    one = (1,) + (0,) * (d - 1)
+    for k in range(1, d):
+        if d % k == 0:
+            g = (powers[k][0], (powers[k][1] - 1) % p) + powers[k][2:]
+            norm = ring._wmul(g, ring._conjugate_product(g, sigma))
+            if ring._wpow(norm, p - 1) != one:
+                return False
     return True
 
 
@@ -285,9 +208,18 @@ class RingContext:
         self._teich_cache = {}
         self._build_tables(root)
 
-    def _build_tables(self, root):
+    @classmethod
+    def _trusted(cls, p, d, modulus, N, root=None):
+        """A context for a modulus already known to be irreducible, so no
+        second test runs; root as in _init."""
+        ctx = cls.__new__(cls)
+        ctx.p, ctx.d, ctx.modulus = p, d, modulus
+        ctx._init(N, root)
+        return ctx
+
+    def _build_red(self):
+        """The reduction table: x^(d+k) mod f for k = 0..d-2."""
         d, q = self.d, self.q
-        # x^(d+k) mod f for k = 0..d-2
         red = []
         if d > 1:
             row = tuple((-c) % q for c in self.modulus)
@@ -299,6 +231,10 @@ class RingContext:
                             for i in range(d))
                 red.append(row)
         self._red = tuple(red)
+
+    def _build_tables(self, root):
+        self._build_red()
+        d = self.d
         # power-basis images of sigma^k for k = 0..d-1
         ident = tuple(tuple(1 if i == j else 0 for j in range(d))
                       for i in range(d))
@@ -307,21 +243,25 @@ class RingContext:
             self._root = None
             return
         self._root = self._hensel_root(root)
-        y = self._root[0]
-        tab1 = [ident[0]]
-        for _ in range(d - 1):
-            tab1.append(self._wmul(tab1[-1], y))
-        tables = [ident, tuple(tab1)]
+        tables = [ident, self._power_table(self._root[0])]
         for _ in range(d - 2):
             prev = tables[-1]
             tables.append(tuple(self._apply_lin(tables[1], v) for v in prev))
         self._frob = tuple(tables)
 
+    def _power_table(self, y):
+        """(1, y, ..., y^(d-1)): the matrix of g(x) -> g(y) for _apply_lin."""
+        tab = [(1,) + (0,) * (self.d - 1)]
+        for _ in range(self.d - 1):
+            tab.append(self._wmul(tab[-1], y))
+        return tuple(tab)
+
     def _hensel_root(self, start):
         """(y, z): the root y of the modulus with y = x^p mod p, the image
         of x under the Frobenius lift, and z, an approximate inverse of
         f'(y).  Newton's method starts from start, a pair of any
-        precision, or else from x^p and the inverse of f'(x^p) mod p."""
+        precision, or else from x^p and the inverse of f'(x^p) mod p,
+        whose conjugates come from the power table of x^p."""
         d, q = self.d, self.q
         f_coeffs = list(self.modulus) + [1]
         fprime = [(i * c) % q for i, c in enumerate(f_coeffs)][1:]
@@ -335,7 +275,8 @@ class RingContext:
 
         if start is None:
             y = self._wpow((0, 1) + (0,) * (d - 2), self.p)
-            z = self._inv_mod_p(horner(fprime, y))
+            z = self._inv_mod_p(horner(fprime, y),
+                                partial(self._apply_lin, self._power_table(y)))
         else:
             y, z = (tuple(c % q for c in v) for v in start)
         return self._newton_root(
@@ -447,19 +388,32 @@ class RingContext:
         gcd (0 when all are 0, which gives N)."""
         return self._ival(math.gcd(*coords))
 
-    def _inv_mod_p(self, a):
-        """Coordinates of an inverse of a modulo p (a must be a unit)."""
+    def _conjugate_product(self, a, sigma):
+        """sigma(a) sigma^2(a) ... sigma^(d-1)(a), d - 2 products (1 when
+        d = 1)."""
+        r = None
+        for _ in range(self.d - 1):
+            a = sigma(a)
+            r = a if r is None else self._wmul(r, a)
+        return (1,) + (0,) * (self.d - 1) if r is None else r
+
+    def _inv_mod_p(self, a, sigma):
+        """Coordinates of an inverse of the unit a modulo p, from its norm
+        (Itoh and Tsujii): sigma is a map that is the p-power map mod p,
+        r is the product of the conjugates sigma^k(a), k = 1..d-1, and
+        a r, the norm, lies in F_p mod p, so r (a r)^(-1) inverts a with
+        d - 1 products whatever the size of p."""
         p = self.p
-        inv = _pext_inv(_pstrip([c % p for c in a]),
-                        list(self.modulus) + [1], p)
-        return tuple(inv[i] if i < len(inv) else 0 for i in range(self.d))
+        r = self._conjugate_product(a, sigma)
+        c = pow(self._wmul(a, r)[0], -1, p)
+        return tuple(c * v % p for v in r)
 
     def _winv(self, a):
         v = self._wval(a)
         if v > 0:
             raise NonInvertibleError(v)
         q = self.q
-        b = self._inv_mod_p(a)
+        b = self._inv_mod_p(a, self.frobenius_coords)
         one = (1,) + (0,) * (self.d - 1)
         for _ in range(self.N.bit_length() + 2):
             t = self._wmul(a, b)
@@ -568,9 +522,8 @@ class RingContext:
         cached = self._prec_cache.get(N2)
         if cached is None:
             _check_capacity(self.p, self.d, N2)
-            cached = RingContext.__new__(RingContext)
-            cached.p, cached.d, cached.modulus = self.p, self.d, self.modulus
-            cached._init(N2, self._root)
+            cached = RingContext._trusted(self.p, self.d, self.modulus, N2,
+                                          self._root)
             self._prec_cache[N2] = cached
         return cached
 
@@ -619,7 +572,7 @@ def make_context(p, d, N):
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_capacity(p, d, N)
-    return RingContext(p, d, N, _first_irreducible(p, d))
+    return RingContext._trusted(p, d, _first_irreducible(p, d), N)
 
 
 # ---------------------------------------------------------------------------
@@ -792,17 +745,9 @@ class FieldElement:
                             self.ctx.at_precision(1)._winv(self.coords))
 
     def __pow__(self, e):
-        result = FieldElement(self.ctx, (1,) + (0,) * (self.ctx.d - 1))
-        base = self
-        if e < 0:
-            base = base.inverse()
-            e = -e
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        base = self.inverse() if e < 0 else self
+        return FieldElement(self.ctx, self.ctx.at_precision(1)._wpow(
+            base.coords, abs(e)))
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)

@@ -3,8 +3,8 @@
 These deliberately avoid the production code paths: characteristic
 polynomials by the Leibniz permutation expansion (or, for ranks where r!
 terms are too many, by cofactor expansion memoized on column sets),
-irreducible-polynomial
-enumeration by brute root/factor search, simple-cycle enumeration via
+irreducibility
+of polynomials over F_p by trial division, simple-cycle enumeration via
 networkx, the M(m) polygon from its closed form, residue field arithmetic
 by schoolbook polynomial products, the a-number and signature by dense
 elimination on the F_p blow-up, the extra-edge effects of a sweep by a
@@ -120,9 +120,9 @@ def _perm_sign(perm):
     return sign
 
 
-def first_irreducible_brute(p, d):
-    """Lexicographically first monic irreducible via trial factorization:
-    test divisibility by every monic polynomial of degree 1..d//2."""
+def is_irreducible_brute(f, p):
+    """Irreducibility of the monic f (low degree first) over F_p by trial
+    division by every monic polynomial of degree 1..deg(f)//2."""
     def poly_mod(a, b):
         a = list(a)
         while len(a) >= len(b):
@@ -134,23 +134,17 @@ def first_irreducible_brute(p, d):
                 a.pop()
         return a
 
-    def monic_polys(deg):
-        for tail in itertools.product(range(p), repeat=deg):
-            yield list(tail) + [1]
+    return all(poly_mod(f, list(tail) + [1])
+               for deg in range(1, (len(f) - 1) // 2 + 1)
+               for tail in itertools.product(range(p), repeat=deg))
 
+
+def first_irreducible_brute(p, d):
+    """Lexicographically first monic irreducible of degree d over F_p, the
+    constant coefficient varying fastest."""
     for k in range(p ** d):
         f = [(k // p ** i) % p for i in range(d)] + [1]
-        irreducible = True
-        for deg in range(1, d // 2 + 1):
-            for g in monic_polys(deg):
-                if not poly_mod(f, g):
-                    irreducible = False
-                    break
-            if not irreducible:
-                break
-        if irreducible and d > 1 and f[0] == 0:
-            irreducible = False  # divisible by x
-        if irreducible:
+        if is_irreducible_brute(f, p):
             return tuple(f[:-1])
     raise AssertionError("no irreducible found")
 

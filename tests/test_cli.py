@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from gustrata import RingContext, __version__, _linalg, cli, displayzoo
+from gustrata import (RingContext, __version__, _linalg, cli, displayzoo,
+                      strata)
 from gustrata.cli import main
 
 
@@ -141,6 +142,28 @@ class TestVerify:
         code, _ = run(["verify", "--n", "6", "--p", "5", "--d", "2",
                        "--exhaustive", "--budget", "100"])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--random", "0"],
+        ["--n", "4", "--random", "-3"],
+    ])
+    def test_random_count_below_one_exits_2(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("context built before the count was refused")
+
+        monkeypatch.setattr(strata, "make_context", refuse)
+        code, out = run(["verify", "--p", "3"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "count >= 1" in err
+
+    def test_non_integer_budget_variable_is_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("GUSTRATA_POINT_BUDGET", "abc")
+        code, out = run(["verify", "--n", "3", "--p", "2", "--d", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == ("error: GUSTRATA_POINT_BUDGET must be an integer, "
+                       "got 'abc'\n")
 
     def test_tsv(self):
         code, out = run(["verify", "--n", "3", "--p", "2", "--d", "1",

@@ -81,6 +81,25 @@ class TestDirectSum:
         assert S.summands is not None
         assert S.summands[1] == (("u0", "u1"), ("v0", "v1"))
 
+    def test_bumped_labels_take_the_smallest_free_index(self):
+        # M(2) finds u1, u2, v1, v2 taken: u1 -> u0 (free), then u2 -> u4
+        # (u0..u3 taken); each N after that takes the next free pair
+        ctx = ctx_for(10)
+        S = parse_module_spec("M(3)+M(2)+N^3+M(2)").build(ctx)
+        assert [str(b) for b in S.basis] == [
+            "u1", "u2", "u3", "v1", "v2", "v3",
+            "u0", "u4", "v0", "v4",
+            "u5", "v5", "u6", "v6", "u7", "v7",
+            "u8", "u9", "v8", "v9"]
+        assert S.summands == (
+            (("u1", "u1"), ("u2", "u2"), ("u3", "u3"),
+             ("v1", "v1"), ("v2", "v2"), ("v3", "v3")),
+            (("u1", "u0"), ("u2", "u4"), ("v1", "v0"), ("v2", "v4")),
+            (("u0", "u5"), ("v0", "v5")),
+            (("u0", "u6"), ("v0", "v6")),
+            (("u0", "u7"), ("v0", "v7")),
+            (("u1", "u8"), ("u2", "u9"), ("v1", "v8"), ("v2", "v9")))
+
     def test_triple_sum_passes(self):
         ctx = ctx_for(6)
         S = direct_sum(direct_sum(module_M(ctx, 4), module_N(ctx)),

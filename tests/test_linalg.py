@@ -5,7 +5,8 @@ import pytest
 
 from gustrata import (DeformationPoint, deformation_display, make_context,
                       parse_module_spec)
-from gustrata._linalg import (PrecisionError, _berkowitz, adjugate_action,
+from gustrata._linalg import (PrecisionError, _berkowitz, _poly_prod,
+                              adjugate_action,
                               charpoly, charpoly_slope_pairs, det_valuation,
                               lower_hull, mat_mul, ops_for, sparse_rows,
                               sparse_transpose, strongly_connected_components,
@@ -85,6 +86,33 @@ def ext_entry(rng, ctx):
             coords = (rng.randrange(ctx.q), rng.randrange(ctx.q))
         return ctx.scalar(coords)
     return entry
+
+
+class TestPolyProd:
+    """The product tree against a sequential integer convolution of the
+    factors t - a_i, and charpoly of the diagonal matrix of the a_i."""
+
+    @staticmethod
+    def convolution(roots, q):
+        out = [1]  # low degree first
+        for a in roots:
+            nxt = [0] * (len(out) + 1)
+            for i, c in enumerate(out):
+                nxt[i] -= a * c
+                nxt[i + 1] += c
+            out = [c % q for c in nxt]
+        return out
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 1000])
+    def test_linear_factors(self, k):
+        ops = ops_for(make_context(3, 1, 10))
+        rng = random.Random(k)
+        roots = [rng.randrange(ops.q) for _ in range(k)]
+        want = self.convolution(roots, ops.q)
+        factors = [[(-a) % ops.q, 1] for a in roots]
+        assert _poly_prod(ops, factors) == want
+        diagonal = [[(i, a)] if a else [] for i, a in enumerate(roots)]
+        assert charpoly(ops, diagonal) == want
 
 
 class TestSparseCharpoly:

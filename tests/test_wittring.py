@@ -14,11 +14,13 @@ from gustrata.wittring import scalar_from_json
 
 from gustrata._linalg import ops_for
 
-from _oracles import first_irreducible_brute, int_valuation
+from _oracles import (first_irreducible_brute, int_valuation,
+                      is_irreducible_brute)
 
 
+# (1000003, 2, 3) inverts with a norm whose cost does not grow with p
 CONTEXTS = [(2, 1, 8), (3, 1, 12), (3, 2, 6), (2, 2, 10), (5, 2, 9),
-            (2, 3, 7)]
+            (2, 3, 7), (2, 5, 6), (1000003, 2, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +40,45 @@ class TestMakeContext:
         ctx = make_context(3, 2, 6)
         assert ctx.modulus == (1, 0)
 
-    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 3), (5, 2), (7, 2)])
+    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 3), (5, 2), (7, 2),
+                                     (2, 6), (3, 4)])
     def test_modulus_matches_brute_force_enumeration(self, p, d):
         assert make_context(p, d, 4).modulus == first_irreducible_brute(p, d)
+
+    @pytest.mark.parametrize("p,top", [(2, 7), (3, 4), (5, 3)])
+    def test_irreducibility_matches_trial_division(self, p, top):
+        for d in range(1, top + 1):
+            for tail in itertools.product(range(p), repeat=d):
+                f = list(tail) + [1]
+                assert wittring._is_irreducible(f, p) == \
+                    is_irreducible_brute(f, p), f
+
+    # x (x^2 + x + 1) (x^3 + x + 1) over F_2: squarefree with factors of
+    # degrees dividing 6, so x^64 = x mod f, and only the unit test for
+    # the proper divisors of 6 refuses it
+    _REDUCIBLE = (0, 1, 0, 0, 0, 1)
+
+    def test_reducible_modulus_with_x_power_fixed_rejected(self):
+        f = list(self._REDUCIBLE) + [1]
+        assert not is_irreducible_brute(f, 2)
+        with pytest.raises(ValueError, match="modulus is reducible mod p"):
+            RingContext(2, 6, 4, self._REDUCIBLE)
+        with pytest.raises(ValueError, match="modulus is reducible mod p"):
+            context_from_json({"p": 2, "d": 6, "N": 4, "modulus": f})
+
+    def test_make_context_tests_irreducibility_once(self, monkeypatch):
+        calls = []
+        original = wittring._is_irreducible
+
+        def counting(f, p):
+            calls.append(tuple(f))
+            return original(f, p)
+
+        monkeypatch.setattr(wittring, "_is_irreducible", counting)
+        ctx = make_context(5, 2, 9)
+        # x^2, x^2 + 1 = (x - 2)(x + 2), then x^2 + 2: one test each
+        assert calls == [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+        assert ctx.modulus == (2, 0)
 
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):
