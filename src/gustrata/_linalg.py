@@ -55,11 +55,12 @@ Schur complement exact mod p^N and finds val det and p^v A^(-1) without a
 characteristic polynomial (proof in adjugate_action); no block structure
 is needed, since a pivot alone in its row and column eliminates nothing,
 so a monomial or block-diagonal matrix costs O(nonzeros) plus a heap.  It
-serves the adjugate of F behind V, val det J for the pairing check, and,
-at precision 1, where the ring W_1(F_{p^d}) is the field itself and every
-nonzero entry is a unit pivot, the ranks behind the a-number and the
-signature: the number of pivots is the rank; truncate reduces any finer
-raw data into it.
+serves the adjugate of F behind V, val det J for the pairing check, the
+pivots of F whose units give the rank of F mod p (the a-number and the
+signature), and, at precision 1, where the ring W_1(F_{p^d}) is the field
+itself and every nonzero entry is a unit pivot, ranks over F_{p^d}: the
+number of pivots is the rank; truncate reduces any finer raw data into
+it.
 """
 from __future__ import annotations
 
@@ -625,9 +626,10 @@ def charpoly_slope_pairs(ops, cp, twist, scale=(1, 1)):
 
 
 def rank(ops, rows):
-    """Rank of the matrix with the given sparse rows, dicts from column to
-    nonzero raw entry, over the field of ops: F_{p^d} for a context at
-    precision 1, where every nonzero entry is a unit pivot and _eliminate
-    stops when nothing nonzero is left."""
+    """Rank of the matrix with the given sparse rows, dicts or lists of
+    (column, nonzero raw entry) pairs, over the field of ops: F_{p^d} for a
+    context at precision 1, where every nonzero entry is a unit pivot and
+    _eliminate stops when nothing nonzero is left."""
+    rows = [dict(row) for row in rows]
     ncols = 1 + max((j for row in rows for j in row), default=-1)
-    return len(_eliminate(ops, [dict(row) for row in rows], ncols)[0])
+    return len(_eliminate(ops, rows, ncols)[0])

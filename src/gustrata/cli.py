@@ -193,6 +193,11 @@ def _cmd_graph(args, out):
     return EXIT_OK
 
 
+# The failed checks of a display whose det F vanishes mod p^N, and nothing
+# else: the mathematics did not disagree, the precision ran out.
+_V_UNDETERMINED = {"frobenius_invertible", "verschiebung_integral"}
+
+
 def _cmd_check(args, out):
     spec, ctx, display = _parse_and_build(args)
     report = validate_display(display)
@@ -209,6 +214,10 @@ def _cmd_check(args, out):
         doc["polarization_violations"] = None
     doc["ok"] = ok
     out.write(json.dumps(doc, indent=2) + "\n")
+    if {c.name for c in report.failed()} == _V_UNDETERMINED:
+        print("precision failure: V not computable at this precision",
+              file=sys.stderr)
+        return EXIT_PRECISION
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
 
@@ -226,6 +235,10 @@ def _cmd_verify(args, out):
     out.write(report.to_tsv() if args.format == "tsv"
               else report.to_json() + "\n")
     if report.precision_failures:
+        nprec = report.mode["precision"]
+        print(f"precision failure: {len(report.precision_failures)} of "
+              f"{report.points} points not certified at N = {nprec} or "
+              f"2N = {2 * nprec}", file=sys.stderr)
         return EXIT_PRECISION
     if not report.all_agree or report.lemma_violations:
         return EXIT_DISAGREEMENT

@@ -77,6 +77,16 @@ W = p^v A^(-1) by valuation-pivoted elimination on the sparse columns of
 F, with no characteristic polynomial of A.  V = sigma^(-1)(W / p^(v-1)) is
 cached as sparse rows.  The pairing check reads val det J from the same
 elimination on J's rows (_linalg.det_valuation).
+
+The a-number and the signature need no V.  On D / pD the relations
+FV = VF = p make ker F = im V and ker V = im F (Demazure, Lectures on
+p-divisible groups, LNM 302, ch. III), so both are ranks of F mod p:
+a(D) = rank F - rank F^2, and for a graded F the u- and v-parts of D / VD
+have dimensions rank Y and rank X mod p.  One elimination of A's rows at
+precision N, cached, gives all of it (_unit_pivots): least-valuation
+pivoting takes every unit pivot first, so they count rank A mod p, the
+blocks X and Y never mix, and the pivot valuations, the elementary
+divisors of A, say whether V is integral at all.
 """
 
 from __future__ import annotations
@@ -632,28 +642,57 @@ def polarization_check(display):
 
 
 def a_number(display):
-    """dim over F_{p^d} of ker(F mod p) intersected with ker(V mod p).
+    """dim over F_{p^d} of ker(F mod p) intersected with ker(V mod p),
+    read from F alone: rank(F mod p) - rank(F^2 mod p).
 
-    With A the matrix of F and B that of V, F x = A sigma(x) and
-    V x = B sigma^(-1)(x), so the kernel is {x : A sigma(x) = 0 and
-    B sigma^(-1)(x) = 0 mod p}.  Put y = sigma(x), a bijection: the
-    conditions become A y = 0 and B sigma^(-2)(y) = 0, and applying sigma^2
-    to the second gives sigma^2(B) y = 0.  So the kernel is sigma^(-1) of
-    the null space of the F_{p^d}-matrix [A; sigma^2(B)] mod p, and its
-    dimension is rank - rank_{F_{p^d}} [A; sigma^2(B)].
+    On D / pD, FV = VF = p gives ker F = im V and ker V = im F (Demazure,
+    Lectures on p-divisible groups, LNM 302, ch. III).  FV = VF = 0 mod p
+    gives im V in ker F and im F in ker V, and the dimensions add up to
+    the rank r: when V is integral the elementary divisors of A are 1 and
+    p, A mod p has rank #1 and p A^(-1) mod p, of the rank of V mod p,
+    has rank #p.  So ker F and ker V meet in ker F on im F, of dimension
+    rank F - rank F^2, and F^2 x = A sigma(A) sigma^2(x) has the rank of
+    A sigma(A) mod p.  The rank of A mod p is the number of unit pivots of
+    _unit_pivots, which also raises V's own errors when V is not
+    integral; this holds for every display, graded or not.
     """
+    units = _unit_pivots(display)
     ops1 = ops_for(display.ctx.at_precision(1))
-    a_rows = sparse_transpose(display.sparse_frobenius, display.rank)
-    rows = (_residue_rows(ops1, a_rows)
-            + _residue_rows(ops1, display._verschiebung()[1], 2))
-    return display.rank - _linalg.rank(ops1, rows)
+    a_bar = _residue_rows(ops1, display.sparse_frobenius)
+    return len(units) - _linalg.rank(
+        ops1, _linalg.twisted_product(ops1, a_bar, 2))
 
 
-def _residue_rows(ops1, srows, power=0):
-    """sigma^power of the matrix with the given sparse raw rows, of any
-    precision, reduced mod p: dict rows for _linalg.rank."""
-    truncate, frob, zero = ops1.truncate, ops1.frob, ops1.zero
-    return [{j: frob(t, power) for j, a in srow if (t := truncate(a)) != zero}
+def _unit_pivots(display):
+    """Columns of the unit pivots of one _linalg._eliminate on the rows of
+    A at precision N, cached per display; their number is the rank of
+    A mod p, since least-valuation pivoting takes every unit pivot first.
+
+    The pivot valuations are the elementary divisors of A (see
+    _linalg.adjugate_action, whose elimination of [A | I] picks the same
+    pivots), so V is integral exactly when there are rank-many pivots,
+    each of valuation <= 1, and their sum is below N.  Otherwise this
+    calls display._verschiebung, which raises its PrecisionError or
+    ValueError with its own text."""
+    def make():
+        r = display.rank
+        rows = [dict(row) for row in sparse_transpose(
+            display.sparse_frobenius, r)]
+        steps, _ = _linalg._eliminate(display._ops(), rows, r)
+        return (len(steps) == r and all(k <= 1 for _, k, _, _ in steps),
+                [c for c, k, _, _ in steps if k == 0])
+    integral, units = display._memo("pivotsA", make)
+    if not integral:
+        display._verschiebung()
+    return units
+
+
+def _residue_rows(ops1, srows):
+    """The matrix with the given sparse raw rows (or columns), of any
+    precision, reduced mod p: sparse rows of (column, residue) pairs,
+    zeros dropped."""
+    truncate, zero = ops1.truncate, ops1.zero
+    return [[(j, t) for j, a in srow if (t := truncate(a)) != zero]
             for srow in srows]
 
 
@@ -664,15 +703,27 @@ def p_rank(display):
 
 def signature(display):
     """Dimensions over the residue field of the u- and v-graded parts of
-    D / V D: each is its part's rank minus the F_{p^d} rank of the block
-    of V mod p mapping the other part into it."""
+    D / V D.
+
+    For a graded F, V D mod p = im V = ker F (see a_number), and F maps
+    the u-part into the v-part by Y and the v-part into the u-part by X,
+    so the u-part of D / V D has dimension n - dim ker Y = rank Y mod p,
+    and the v-part rank X mod p.  The rows of A in the u-family hold only
+    v-columns and vice versa, so the elimination of _unit_pivots never
+    mixes the blocks: its unit pivots in u-columns are those of Y, and
+    those in v-columns those of X.  A display that is not graded (library
+    input only) reads V: each part's rank minus the F_{p^d} rank of the
+    block of V mod p mapping the other part into it."""
+    if display._graded_blocks():
+        families = [display.basis[c].family for c in _unit_pivots(display)]
+        return families.count("u"), families.count("v")
     ops1 = ops_for(display.ctx.at_precision(1))
     b_bar = _residue_rows(ops1, display._verschiebung()[1])
     uu, vv = display.u_indices, display.v_indices
 
     def block_rank(rows_idx, cols_idx):
         cols = set(cols_idx)
-        return _linalg.rank(ops1, [{j: e for j, e in b_bar[i].items()
-                                    if j in cols} for i in rows_idx])
+        return _linalg.rank(ops1, [[(j, e) for j, e in b_bar[i] if j in cols]
+                                   for i in rows_idx])
 
     return (len(uu) - block_rank(uu, vv), len(vv) - block_rank(vv, uu))

@@ -26,7 +26,8 @@ from .displayzoo import DeformationPoint, deformation_display
 from .fcrystal import NewtonPolygon, PrecisionError, U, newton_slopes
 from .slopegraph import (build_graph, cycles_through, karp_min_cycle_mean,
                          least_slope_cycle)
-from .wittring import _check_capacity, default_precision, make_context
+from .wittring import (_check_capacity, _check_params, default_precision,
+                       make_context)
 
 __all__ = [
     "StratumDescriptor", "StrataReport", "BudgetError", "lambda_min",
@@ -231,27 +232,41 @@ def _resolve_budget(budget):
             f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _enumerate_points(n, q_res, mode, count, seed, budget):
-    """Yield parameter vectors as integer tuples, deterministically."""
-    width = n - 1
+def _check_budget(n, p, d, mode, count, seed, budget):
+    """Raise BudgetError when the sweep would enumerate more points than
+    the budget, and ValueError for a bad mode; runs before any context is
+    built."""
     if mode == "exhaustive":
-        total = q_res ** width
-        if total > budget:
+        exponent = d * (n - 1)
+        # p^exponent >= 2^(exponent * bits / 2), bits the bit length of p,
+        # so a total that long exceeds the budget: it is named as a power,
+        # neither computed nor printed in full
+        huge = exponent * p.bit_length() > max(
+            10_000, 2 * int(budget).bit_length())
+        total = f"{p}^{exponent}" if huge else p ** exponent
+        if huge or total > budget:
             raise BudgetError(
                 f"exhaustive sweep needs {total} points, budget is {budget} "
                 f"(override with {BUDGET_ENV_VAR} or --budget)")
-        yield from itertools.product(range(q_res), repeat=width)
     elif mode == "random":
         if count is None or seed is None:
             raise ValueError("random mode needs count and seed")
         if count > budget:
             raise BudgetError(
                 f"random sweep of {count} points exceeds budget {budget}")
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def _enumerate_points(n, q_res, mode, count, seed):
+    """Yield parameter vectors as integer tuples, deterministically."""
+    width = n - 1
+    if mode == "exhaustive":
+        yield from itertools.product(range(q_res), repeat=width)
+    else:
         rng = random.Random(seed)
         for _ in range(count):
             yield tuple(rng.randrange(q_res) for _ in range(width))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
 
 def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
@@ -271,10 +286,13 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
         raise ValueError(f"random sweep needs a count >= 1, got {count}")
     budget = _resolve_budget(budget)
     nprec = precision if precision is not None else default_precision(n, d)
-    ctx = make_context(p, d, nprec)
-    # A point whose polygon is not certified at N retries at 2N: check that
-    # capacity before any point is built; the first retry makes the context.
+    # Every limit is checked before any work: the context's parameters, the
+    # capacity at 2N, where a point whose polygon is not certified at N
+    # retries (the first retry makes that context), and the point budget.
+    _check_params(p, d, nprec)
     _check_capacity(p, d, 2 * nprec)
+    _check_budget(n, p, d, mode, count, seed, budget)
+    ctx = make_context(p, d, nprec)
     q_res = p ** d
     u1 = U(1)
 
@@ -297,7 +315,7 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     base_edges = build_graph(
         deformation_display(ctx, base_point)).edge_positions()
 
-    for ints in _enumerate_points(n, q_res, mode, count, seed, budget):
+    for ints in _enumerate_points(n, q_res, mode, count, seed):
         total += 1
         point = DeformationPoint.from_ints(ctx, n, ints)
         point_doc = {f"s{i}": v for i, v in zip(point.indices, ints)}

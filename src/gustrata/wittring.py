@@ -563,6 +563,13 @@ def make_context(p, d, N):
     monic degree-d polynomial over F_p that is irreducible, lifted with
     coefficients in [0, p).
     """
+    _check_params(p, d, N)
+    return RingContext._trusted(p, d, _first_irreducible(p, d), N)
+
+
+def _check_params(p, d, N):
+    """Raise ValueError (CapacityError) unless make_context accepts
+    (p, d, N); cheap, so a caller can check before any other work."""
     if isinstance(p, int) and p >= _PRIME_LIMIT:
         raise ValueError(f"p must be below {_PRIME_LIMIT}, got {p}")
     if not isinstance(p, int) or not _is_prime(p):
@@ -572,7 +579,6 @@ def make_context(p, d, N):
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_capacity(p, d, N)
-    return RingContext._trusted(p, d, _first_irreducible(p, d), N)
 
 
 # ---------------------------------------------------------------------------

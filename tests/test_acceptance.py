@@ -138,6 +138,21 @@ def test_criterion_4_local_strata_exhaustive(strata_reports):
                 f"{len(reports)} exhaustive sweeps ({elapsed:.1f} s)")
 
 
+def test_stratum_counts_closed_form(strata_reports):
+    """An exhaustive sweep counts the F_q-points of each local stratum
+    (q = p^d) in the (n - 1)-dimensional deformation space: q^dim for
+    sigma and q^(dim - 1) (q - 1) for each xi, dim = (n - 1) - codim."""
+    reports, _ = strata_reports
+    for (n, p, d), rep in reports.items():
+        q = p ** d
+        want = {}
+        for entry in catalog(n):
+            dim = (n - 1) - entry.codim
+            want[entry.label] = (q ** dim if entry.j is None
+                                 else q ** (dim - 1) * (q - 1))
+        assert rep.counts_by_stratum == want, (n, p, d)
+
+
 def test_criterion_5_slope_bound_inequality(strata_reports, random_reports):
     reports, _ = strata_reports
     violations = []

@@ -143,6 +143,21 @@ class TestVerify:
                        "--exhaustive", "--budget", "100"])
         assert code == 2
 
+    def test_huge_exhaustive_total_is_named_as_a_power(self, monkeypatch,
+                                                       capsys):
+        # 3^19000 has more digits than int-to-str converts, and a context
+        # of degree 1000 would take minutes to find its modulus
+        def refuse(*args):
+            raise AssertionError("context built before the budget check")
+
+        monkeypatch.setattr(strata, "make_context", refuse)
+        code, out = run(["verify", "--n", "20", "--p", "3", "--d", "1000",
+                         "--precision", "1", "--exhaustive"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: exhaustive sweep needs 3^19000 points, budget is 100000 "
+            "(override with GUSTRATA_POINT_BUDGET or --budget)\n")
+
     @pytest.mark.parametrize("argv", [
         ["--n", "5", "--random", "0"],
         ["--n", "4", "--random", "-3"],
@@ -304,6 +319,35 @@ class TestRetryContexts:
         code, out = run(["verify", "--n", "5", "--p", "3", "--precision", "9"])
         assert code == 0 and json.loads(out)["precision_retries"] == 0
         assert set(built) == {9}
+
+
+class TestPrecisionFailureLine:
+    """Every exit 3 writes one line to stderr and the usual document to
+    stdout."""
+
+    V_LINE = "precision failure: V not computable at this precision\n"
+
+    def test_verify(self, capsys):
+        code, out = run(["verify", "--n", "4", "--p", "3", "--precision", "1",
+                         "--random", "3"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "precision failure: 3 of 3 points not certified at N = 1 or "
+            "2N = 2\n")
+        assert len(json.loads(out)["precision_failures"]) == 3
+
+    @pytest.mark.parametrize("module,precision", [("N", 1), ("M(2)", 2)])
+    def test_check_with_v_undetermined(self, module, precision, capsys):
+        code, out = run(["check", "--module", module, "--p", "3",
+                         "--precision", str(precision)])
+        assert code == 3 and capsys.readouterr().err == self.V_LINE
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["polarization_violations"] is None
+        assert [(c["name"], c["details"])
+                for c in doc["validation"]["checks"] if not c["passed"]] == [
+            ("frobenius_invertible", ["V not computable at this precision"]),
+            ("verschiebung_integral",
+             ["skipped: V not computable at this precision"])]
 
 
 class TestParserReuse:

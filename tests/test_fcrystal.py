@@ -1,3 +1,4 @@
+import io
 import json
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
                       newton_slopes, p_rank, polarization_check, signature,
                       supersingular_module, validate_display,
                       default_precision, DeformationPoint)
-from gustrata import _linalg, fcrystal
+from gustrata import _linalg, cli, fcrystal
 from gustrata.displayzoo import MAX_SPEC_HALF_RANK, parse_module_spec
 from gustrata.fcrystal import BasisLabel, U, V
 
@@ -460,6 +461,33 @@ class TestOncePerDisplay:
         dets = count_calls(monkeypatch, "det_valuation")
         assert validate_display(display).ok
         assert calls == [] and len(dets) == 1
+
+    # the modules of the module_invariants benchmark, with a def(8) point
+    INVARIANT_MODULES = [("N^24", 3, 1), ("M(14)", 5, 2), (SPEC, 3, 1),
+                         ("M(6)+N^6", 3, 2)]
+
+    @pytest.mark.parametrize("text,p,d", INVARIANT_MODULES)
+    def test_slopes_reads_no_adjugate(self, monkeypatch, text, p, d):
+        # the a-number and the signature come from F mod p alone; check
+        # still derives V once for validation and the polarization
+        calls = count_calls(monkeypatch, "adjugate_action")
+        argv = ["--module", text, "--p", str(p), "--d", str(d)]
+        assert cli.main(["slopes"] + argv, out=io.StringIO()) == 0
+        assert calls == []
+        assert cli.main(["check"] + argv, out=io.StringIO()) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("text,p,d", INVARIANT_MODULES)
+    def test_invariants_share_one_elimination(self, monkeypatch, text, p, d):
+        spec = parse_module_spec(text)
+        display = spec.build(make_context(p, d, default_precision(
+            spec.half_rank, d)))
+        calls = count_calls(monkeypatch, "_eliminate")
+        a_number(display)
+        signature(display)
+        a_number(display)
+        assert [ops.cap for ops, _, _ in calls
+                if ops.cap != 1] == [display.ctx.N]
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):

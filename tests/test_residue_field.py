@@ -12,7 +12,7 @@ import random
 import pytest
 
 from gustrata import (DeformationPoint, DieudonneDisplay, NonInvertibleError,
-                      a_number, deformation_display, direct_sum,
+                      PrecisionError, a_number, deformation_display, direct_sum,
                       make_context, module_M, module_N, signature,
                       supersingular_module)
 from gustrata._linalg import ops_for, rank
@@ -184,8 +184,9 @@ def _random_point(ctx, n, rng):
 
 
 @pytest.mark.parametrize("p,d", ZOO_CASES)
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_zoo_against_blowup(p, d, n):
+    """a_number and signature read F alone; the blow-up oracles read V."""
     ctx = make_context(p, d, default_precision(n, d))
     rng = random.Random(1000 * p + 100 * d + n)
     displays = [
@@ -195,6 +196,10 @@ def test_zoo_against_blowup(p, d, n):
         direct_sum(module_N(ctx), module_M(ctx, 2),
                    deformation_display(ctx, _random_point(ctx, n, rng))),
     ]
+    if (p, d) == (2, 3):
+        displays.append(direct_sum(
+            module_N(ctx), deformation_display(ctx, _random_point(ctx, n, rng)),
+            module_M(ctx, 3)))
     for D in displays:
         assert a_number(D) == blowup_a_number(D)
         assert signature(D) == blowup_signature(D)
@@ -243,3 +248,57 @@ def test_random_displays_against_blowup(p, d):
                              zero_pairing)
         assert a_number(D) == blowup_a_number(D)
         assert signature(D) == blowup_signature(D)
+
+
+def _block_display(ctx, x, y):
+    """The graded display with F = [[0, X], [Y, 0]] on u0.., v0.. and a
+    zero pairing."""
+    h = len(x)
+    r = 2 * h
+    cols = [[ctx.zero()] * r for _ in range(r)]
+    for i in range(h):
+        for j in range(h):
+            cols[h + j][i] = x[i][j]
+            cols[j][h + i] = y[i][j]
+    basis = [U(i) for i in range(h)] + [V(i) for i in range(h)]
+    return DieudonneDisplay(ctx, basis, cols, [[ctx.zero()] * r] * r)
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (3, 1), (3, 2), (2, 3)])
+def test_any_elementary_divisors_against_v(p, d):
+    """F = U diag(e) W, graded or not, with e in {1, p, p^2, 0}: where V is
+    not integral, or not determined, a_number and signature raise V's own
+    exception and text; elsewhere they match the blow-up oracles."""
+    ctx = make_context(p, d, 6)
+    rng = random.Random(71 * p + d)
+
+    def scaled(h):
+        divisors = [rng.choice((1, 1, p, p, p * p, 0)) for _ in range(h)]
+        diag = [[ctx.from_int(divisors[i]) if i == j else ctx.zero()
+                 for j in range(h)] for i in range(h)]
+        return _mat_mul(ctx, _mat_mul(ctx, _random_unimodular(ctx, h, rng),
+                                      diag), _random_unimodular(ctx, h, rng))
+
+    outcomes = set()
+    for _ in range(25):
+        h = rng.randrange(1, 4)
+        full = scaled(2 * h)
+        basis = [U(i) for i in range(h)] + [V(i) for i in range(h)]
+        for D in (DieudonneDisplay(ctx, basis, [list(c) for c in zip(*full)],
+                                   [[ctx.zero()] * (2 * h)] * (2 * h)),
+                  _block_display(ctx, scaled(h), scaled(h))):
+            try:
+                D._verschiebung()
+            except (PrecisionError, ValueError) as exc:
+                outcomes.add(type(exc))
+                for consumer in (a_number, signature):
+                    fresh = DieudonneDisplay._from_sparse(
+                        ctx, D.basis, D.sparse_frobenius, D.sparse_pairing)
+                    with pytest.raises(type(exc)) as info:
+                        consumer(fresh)
+                    assert str(info.value) == str(exc)
+            else:
+                outcomes.add(None)
+                assert a_number(D) == blowup_a_number(D)
+                assert signature(D) == blowup_signature(D)
+    assert outcomes == {None, PrecisionError, ValueError}

@@ -15,7 +15,7 @@ from gustrata import (DeformationPoint, DieudonneDisplay, PrecisionError,
                       a_number, build_graph, default_precision,
                       deformation_display, direct_sum, display_from_json,
                       make_context, module_M, module_N, parse_module_spec,
-                      polarization_check, validate_display)
+                      polarization_check, signature, validate_display)
 from gustrata._linalg import ops_for
 from gustrata.fcrystal import U, V
 from gustrata.wittring import PadicScalar
@@ -284,10 +284,13 @@ def test_validation_failures_unchanged(kind):
                                     "offending entry (0, 1))")
                        if kind == "non_integral" else
                        (PrecisionError, "V not computable at this precision"))
-        for consumer in (display._verschiebung, lambda: a_number(display)):
-            with pytest.raises(error) as info:
-                consumer()
-            assert str(info.value) == text
+        # each consumer on the same display, then on a fresh one, so no
+        # cache left by another consumer decides the outcome
+        for consumer in (lambda D: D._verschiebung(), a_number, signature):
+            for D in (display, broken_display(kind)):
+                with pytest.raises(error) as info:
+                    consumer(D)
+                assert str(info.value) == text
 
 
 @pytest.mark.parametrize("seed", range(24))

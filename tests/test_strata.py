@@ -8,7 +8,8 @@ import pytest
 from gustrata import (BudgetError, DeformationPoint, NewtonPolygon, catalog,
                       classify, default_precision, deformation_display,
                       lambda_min, make_context,
-                      newton_slopes, predicted_stratum, verify_local_strata)
+                      newton_slopes, predicted_stratum, strata,
+                      verify_local_strata)
 
 from _oracles import extra_edge_effects_oracle
 
@@ -217,6 +218,23 @@ class TestVerifyLocalStrata:
         with pytest.raises(BudgetError):
             verify_local_strata(5, 3, 1, mode="random", count=100, seed=1,
                                 budget=10)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({}, "exhaustive sweep needs 9765625 points, budget is 100 "
+             "(override with GUSTRATA_POINT_BUDGET or --budget)"),
+        ({"mode": "random", "count": 101, "seed": 0},
+         "random sweep of 101 points exceeds budget 100"),
+    ])
+    def test_budget_checked_before_any_work(self, kwargs, message,
+                                            monkeypatch):
+        calls = []
+        for name in ("make_context", "build_graph"):
+            monkeypatch.setattr(strata, name,
+                                lambda *args, name=name: calls.append(name))
+        with pytest.raises(BudgetError) as info:
+            verify_local_strata(6, 5, 2, budget=100, **kwargs)
+        assert str(info.value) == message
+        assert calls == []
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("GUSTRATA_POINT_BUDGET", "4")
