@@ -48,19 +48,20 @@ Every kernel returns exactly what the dense computation would: the ring
 is exact, so skipping zero terms, reordering sums and reducing by
 polynomial identities changes no coefficient.
 
-adjugate_action, det_valuation and rank share one elimination on sparse
-dict rows, _eliminate, which takes at each step an entry of least
-valuation in the remaining matrix as its pivot.  Over W_N that keeps every
-Schur complement exact mod p^N and finds val det and p^v A^(-1) without a
-characteristic polynomial (proof in adjugate_action); no block structure
-is needed, since a pivot alone in its row and column eliminates nothing,
-so a monomial or block-diagonal matrix costs O(nonzeros) plus a heap.  It
-serves the adjugate of F behind V, val det J for the pairing check, the
-pivots of F whose units give the rank of F mod p (the a-number and the
-signature), and, at precision 1, where the ring W_1(F_{p^d}) is the field
-itself and every nonzero entry is a unit pivot, ranks over F_{p^d}: the
-number of pivots is the rank; truncate reduces any finer raw data into
-it.
+pivot_steps (behind adjugate_action), det_valuation and rank share one
+elimination on sparse dict rows, _eliminate, which takes at each step an
+entry of least valuation in the remaining matrix as its pivot.  Over W_N
+that keeps every Schur complement exact mod p^N and finds val det and
+p^v A^(-1) without a characteristic polynomial (proof in
+adjugate_action); no block structure is needed, since a pivot alone in
+its row and column eliminates nothing, so a monomial or block-diagonal
+matrix costs O(nonzeros) plus a heap.  It runs on F once per display,
+whose pivots give val det A, the integrality of V, the rank of F mod p
+(the a-number and the signature) and the adjugate behind V; on J for
+val det J in the pairing check; and, at precision 1, where the ring
+W_1(F_{p^d}) is the field itself and every nonzero entry is a unit pivot,
+it gives ranks over F_{p^d}: the number of pivots is the rank; truncate
+reduces any finer raw data into it.
 """
 from __future__ import annotations
 
@@ -151,6 +152,9 @@ class _ExtOps:
         self.cap = ctx.N
         self.zero = (0,) * ctx.d
         self.one = (1,) + (0,) * (ctx.d - 1)
+        self.neg = ctx._wneg
+        self.add = ctx._wadd
+        self.sub = ctx._wsub
         self.mul = ctx._wmul
         self.inv = ctx._winv
         self.val = ctx._wval
@@ -160,18 +164,6 @@ class _ExtOps:
 
     def wrap(self, raw):
         return self.ctx.scalar(raw)
-
-    def neg(self, a):
-        q = self.q
-        return tuple((-c) % q for c in a)
-
-    def add(self, a, b):
-        q = self.q
-        return tuple((x + y) % q for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        q = self.q
-        return tuple((x - y) % q for x, y in zip(a, b))
 
     def scale(self, k, a):
         """k * a for an integer k: it scales every power-basis coordinate."""
@@ -497,17 +489,35 @@ def _eliminate(ops, rows, ncols):
     return steps, v
 
 
-def adjugate_action(ops, cols):
-    """(v, W) for the square matrix A over W_N with the given sparse
-    columns: v = val det A, capped at N, and, when v < N, the sparse rows
-    of W = p^v A^(-1) = adj(A) / u, the adjugate up to the unit
-    u = det A / p^v, each a list of (column, raw) pairs with columns
-    ascending and no zero; W is None when v = N.
+def pivot_steps(ops, cols):
+    """The steps of _eliminate on the rows of [A | I], for the square
+    matrix A with the given sparse columns, pivoting only A's columns.
 
-    _eliminate runs on the rows of [A | I].  With E the accumulated row
-    operations (the right half), E A = U, where the pivot row of step t,
-    r_t, holds the pivot pi_t = p^(k_t) u_t at column c_t and otherwise
-    entries at the columns pivoted later, all of valuation >= k_t.  Then
+    They are the same pivots, in the same order, as an elimination of A
+    alone: the heap holds only entries of A's columns, and the carried
+    columns of I only collect the row operations.  There are fewer steps
+    than rows exactly when det A = 0 mod p^N; otherwise val det A is the
+    sum of their valuations k and lies below N (see adjugate_action)."""
+    r = len(cols)
+    rows = [{r + i: ops.one} for i in range(r)]
+    for j, col in enumerate(cols):
+        for i, a in col:
+            rows[i][j] = a
+    return _eliminate(ops, rows, r)[0]
+
+
+def adjugate_action(ops, cols, steps):
+    """(v, W) for the square matrix A over W_N with the given sparse
+    columns and steps = pivot_steps(ops, cols): v = val det A, capped at
+    N, and, when v < N, the sparse rows of W = p^v A^(-1) = adj(A) / u,
+    the adjugate up to the unit u = det A / p^v, each a list of (column,
+    raw) pairs with columns ascending and no zero; W is None when v = N.
+
+    pivot_steps runs _eliminate on the rows of [A | I].  With E the
+    accumulated row operations (the right half), E A = U, where the pivot
+    row of step t, r_t, holds the pivot pi_t = p^(k_t) u_t at column c_t
+    and otherwise entries at the columns pivoted later, all of valuation
+    >= k_t.  Then
 
     * the Schur complements are exact mod p^N: for any lift of A to W (and
       the same pivots) they reduce to the computed ones.  By induction, let
@@ -535,13 +545,9 @@ def adjugate_action(ops, cols):
     mod p^N, so each entry of W below valuation N has the valuation of
     the matching entry of adj(A)."""
     r = len(cols)
-    rows = [{r + i: ops.one} for i in range(r)]
-    for j, col in enumerate(cols):
-        for i, a in col:
-            rows[i][j] = a
-    steps, v = _eliminate(ops, rows, r)
-    if v >= ops.cap or len(steps) < r:
+    if len(steps) < r:
         return ops.cap, None
+    v = sum(k for _, k, _, _ in steps)
     neg, mul, divexact_p = ops.neg, ops.mul, ops.divexact_p
     out = [None] * r
     for c, k, unit_inv, row in reversed(steps):

@@ -187,12 +187,6 @@ class DeformationPoint:
     def to_ints(self):
         return tuple(v.to_int() for v in self.values)
 
-    def at_context(self, ctx):
-        """Rebind the coordinates to another context with the same residue
-        field (used when re-running at doubled precision)."""
-        return DeformationPoint(
-            self.n, tuple(ctx.field(v.coords) for v in self.values))
-
     def __str__(self):
         parts = ", ".join(f"s{i}={v.to_int()}"
                           for i, v in zip(self.indices, self.values))

@@ -71,22 +71,23 @@ PrecisionError, from h alone (see _linalg.charpoly_slope_pairs).
 Displays that are not graded this way (only library input, such as
 display_from_json, can give one) use the full rank-2n product.
 
-V and the validation of F both read one call of
-_linalg.adjugate_action per display, cached: v = val det A and
-W = p^v A^(-1) by valuation-pivoted elimination on the sparse columns of
-F, with no characteristic polynomial of A.  V = sigma^(-1)(W / p^(v-1)) is
-cached as sparse rows.  The pairing check reads val det J from the same
-elimination on J's rows (_linalg.det_valuation).
+Each display eliminates A once, cached (_linalg.pivot_steps on the rows
+of [A | I] at precision N, with no characteristic polynomial of A), and
+everything about F reads those pivots.  Their valuations are the
+elementary divisors of A: they sum to v = val det A, and p A^(-1) is
+integral exactly when there are rank-many, each at most 1.  Only V itself
+back-substitutes from them (_linalg.adjugate_action, cached):
+W = p^v A^(-1), and V = sigma^(-1)(W / p^(v-1)), cached as sparse rows.
+The pairing check reads val det J from the same elimination on J's rows
+(_linalg.det_valuation).
 
 The a-number and the signature need no V.  On D / pD the relations
 FV = VF = p make ker F = im V and ker V = im F (Demazure, Lectures on
 p-divisible groups, LNM 302, ch. III), so both are ranks of F mod p:
 a(D) = rank F - rank F^2, and for a graded F the u- and v-parts of D / VD
-have dimensions rank Y and rank X mod p.  One elimination of A's rows at
-precision N, cached, gives all of it (_unit_pivots): least-valuation
-pivoting takes every unit pivot first, so they count rank A mod p, the
-blocks X and Y never mix, and the pivot valuations, the elementary
-divisors of A, say whether V is integral at all.
+have dimensions rank Y and rank X mod p.  The pivots give all of it
+(_unit_pivots): least-valuation pivoting takes every unit pivot first,
+so they count rank A mod p, and the blocks X and Y never mix.
 """
 
 from __future__ import annotations
@@ -369,18 +370,35 @@ class DieudonneDisplay:
                 return ()
         return self._memo("XY", make)
 
+    def _pivots(self):
+        """_linalg.pivot_steps of the matrix of F, cached: the one
+        elimination of A per display."""
+        return self._memo("pivots", lambda: _linalg.pivot_steps(
+            self._ops(), self.sparse_frobenius))
+
+    def _det_valuation(self):
+        """(v, integral) from the pivots: v = val det A, capped at N, and
+        whether p A^(-1) is integral, which is when there are rank-many
+        pivots (so v < N), each of valuation at most 1 (see
+        _linalg.adjugate_action)."""
+        ks = [k for _, k, _, _ in self._pivots()]
+        if len(ks) < self.rank:
+            return self.ctx.N, False
+        return sum(ks), all(k <= 1 for k in ks)
+
     def _adjugate(self):
         """_linalg.adjugate_action of the matrix of F, cached: (v, W) with
         v = val det A and W = p^v A^(-1) as sparse rows, None when v = N.
         """
         return self._memo("adjA", lambda: _linalg.adjugate_action(
-            self._ops(), self.sparse_frobenius))
+            self._ops(), self.sparse_frobenius, self._pivots()))
 
     def _non_integral(self):
         """(i, j, valuation) of the entries of W = p^v A^(-1) below valuation
         v - 1, row by row, for v < N: where p A^(-1) = W / p^(v-1) is not
         integral.  Such an entry is one that is nonzero mod p^(v-1), so
-        only those get a valuation."""
+        only those get a valuation.  Read only to name the entries once
+        _det_valuation has found V not integral."""
         v, w_rows = self._adjugate()
         if v < 2:
             return []
@@ -407,13 +425,13 @@ class DieudonneDisplay:
         if cached is not None:
             return cached
         ops, ctx = self._ops(), self.ctx
-        v, w_rows = self._adjugate()
+        v, integral = self._det_valuation()
         if v >= ctx.N:
             raise PrecisionError("V not computable at this precision")
-        bad = self._non_integral()
-        if bad:
+        if not integral:
             raise ValueError(f"p*A^(-1) is not integral (first offending "
-                             f"entry {bad[0][:2]})")
+                             f"entry {self._non_integral()[0][:2]})")
+        w_rows = self._adjugate()[1]
         ctx_v = ctx.at_precision(ctx.N - v + 1 - (v == 1))
         ops_v = ops_for(ctx_v)
         zero, truncate, frob = ops_v.zero, ops_v.truncate, ops_v.frob
@@ -521,7 +539,7 @@ def validate_display(display):
     checks.append(CheckResult("frobenius_integral", True,
                               ("entries live in W_N by construction",)))
 
-    v = display._adjugate()[0]
+    v, integral = display._det_valuation()
     if v >= ctx.N:
         checks.append(CheckResult(
             "frobenius_invertible", False,
@@ -532,9 +550,9 @@ def validate_display(display):
     else:
         checks.append(CheckResult("frobenius_invertible", True,
                                   (f"val det = {v}",)))
-        bad = display._non_integral()
+        bad = [] if integral else display._non_integral()
         checks.append(CheckResult(
-            "verschiebung_integral", not bad,
+            "verschiebung_integral", integral,
             tuple(f"entry ({i},{j}) valuation {k} < {v - 1}"
                   for i, j, k in bad[:8])))
 
@@ -619,17 +637,11 @@ def polarization_check(display):
     """
     ctx_v, v_rows = display._verschiebung()
     ops_v = ops_for(ctx_v)
-    zero, truncate, smatvec = ops_v.zero, ops_v.truncate, ops_v.smatvec
-
-    def cut(srows):
-        """Sparse rows reduced to the precision of V, zeros dropped."""
-        return [[(j, t) for j, a in srow if (t := truncate(a)) != zero]
-                for srow in srows]
-
-    j_rows = cut(display.sparse_pairing)
+    zero, smatvec = ops_v.zero, ops_v.smatvec
+    j_rows = _residue_rows(ops_v, display.sparse_pairing)
+    a_cols = _residue_rows(ops_v, display.sparse_frobenius)
     violations = []
-    for i, (a_col, j_row) in enumerate(zip(cut(display.sparse_frobenius),
-                                           j_rows)):
+    for i, (a_col, j_row) in enumerate(zip(a_cols, j_rows)):
         # <F e_i, e_j> = sum_k A_ki J_kj, row i of A^T J; row i of J V
         lhs = smatvec(j_rows, dict(a_col))
         rhs = smatvec(v_rows, dict(j_row))
@@ -652,9 +664,9 @@ def a_number(display):
     p, A mod p has rank #1 and p A^(-1) mod p, of the rank of V mod p,
     has rank #p.  So ker F and ker V meet in ker F on im F, of dimension
     rank F - rank F^2, and F^2 x = A sigma(A) sigma^2(x) has the rank of
-    A sigma(A) mod p.  The rank of A mod p is the number of unit pivots of
-    _unit_pivots, which also raises V's own errors when V is not
-    integral; this holds for every display, graded or not.
+    A sigma(A) mod p.  The rank of A mod p is the number of unit pivots
+    (_unit_pivots, which also raises V's own errors when V is not
+    integral); this holds for every display, graded or not.
     """
     units = _unit_pivots(display)
     ops1 = ops_for(display.ctx.at_precision(1))
@@ -664,34 +676,21 @@ def a_number(display):
 
 
 def _unit_pivots(display):
-    """Columns of the unit pivots of one _linalg._eliminate on the rows of
-    A at precision N, cached per display; their number is the rank of
-    A mod p, since least-valuation pivoting takes every unit pivot first.
-
-    The pivot valuations are the elementary divisors of A (see
-    _linalg.adjugate_action, whose elimination of [A | I] picks the same
-    pivots), so V is integral exactly when there are rank-many pivots,
-    each of valuation <= 1, and their sum is below N.  Otherwise this
-    calls display._verschiebung, which raises its PrecisionError or
-    ValueError with its own text."""
-    def make():
-        r = display.rank
-        rows = [dict(row) for row in sparse_transpose(
-            display.sparse_frobenius, r)]
-        steps, _ = _linalg._eliminate(display._ops(), rows, r)
-        return (len(steps) == r and all(k <= 1 for _, k, _, _ in steps),
-                [c for c, k, _, _ in steps if k == 0])
-    integral, units = display._memo("pivotsA", make)
-    if not integral:
+    """Columns of the unit pivots of the display's elimination of A; their
+    number is the rank of A mod p, since least-valuation pivoting takes
+    every unit pivot first.  Unless V is integral this calls
+    display._verschiebung, which raises its PrecisionError or ValueError
+    with its own text."""
+    if not display._det_valuation()[1]:
         display._verschiebung()
-    return units
+    return [c for c, k, _, _ in display._pivots() if k == 0]
 
 
-def _residue_rows(ops1, srows):
+def _residue_rows(ops, srows):
     """The matrix with the given sparse raw rows (or columns), of any
-    precision, reduced mod p: sparse rows of (column, residue) pairs,
-    zeros dropped."""
-    truncate, zero = ops1.truncate, ops1.zero
+    precision, reduced to the precision of ops: sparse rows of (column,
+    value) pairs, zeros dropped."""
+    truncate, zero = ops.truncate, ops.zero
     return [[(j, t) for j, a in srow if (t := truncate(a)) != zero]
             for srow in srows]
 

@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from ._version import __version__
@@ -179,25 +179,11 @@ class StrataReport:
         return self.agreement_rate == 1
 
     def to_json_obj(self):
-        return {
-            "n": self.n,
-            "p": self.p,
-            "d": self.d,
-            "mode": self.mode,
-            "points": self.points,
-            "agreement": self.agreement,
-            "agreement_rate": _frac_str(self.agreement_rate),
-            "counts_by_stratum": self.counts_by_stratum,
-            "lemma_violations": self.lemma_violations,
-            "remark_violations": self.remark_violations,
-            "karp_disagreements": self.karp_disagreements,
-            "extra_edge_effects": self.extra_edge_effects,
-            "precision_retries": self.precision_retries,
-            "precision_failures": self.precision_failures,
-            "s0_effect": self.s0_effect,
-            "context": self.context,
-            "version": self.version,
-        }
+        """Every field but retained, in declaration order."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "retained"}
+        obj["agreement_rate"] = _frac_str(self.agreement_rate)
+        return obj
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), indent=2)
@@ -326,7 +312,7 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
         except PrecisionError:
             retries += 1
             ctx2 = ctx.at_precision(2 * nprec)
-            display = deformation_display(ctx2, point.at_context(ctx2))
+            display = deformation_display(ctx2, point)
             try:
                 polygon = newton_slopes(display)
             except PrecisionError as exc:

@@ -24,6 +24,11 @@ The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
 reproducible from (p, d, N) alone.
 
+There is one element implementation: PadicScalar (W_N) and FieldElement
+(W_1 = F_{p^d}) share their arithmetic, which runs on the raw coordinate
+kernels of a context (_wadd, _wsub, _wneg, _wmul, _winv), for a field
+element on the context at precision 1.
+
 There is one polynomial kernel: the context's product, power and linear
 maps.  Irreducibility is decided on a bare ring at precision 1 that has
 only the reduction table (see _is_irreducible): the p-power map mod p is
@@ -143,7 +148,7 @@ def _is_irreducible(f, p):
     one = (1,) + (0,) * (d - 1)
     for k in range(1, d):
         if d % k == 0:
-            g = (powers[k][0], (powers[k][1] - 1) % p) + powers[k][2:]
+            g = ring._wsub(powers[k], x)
             norm = ring._wmul(g, ring._conjugate_product(g, sigma))
             if ring._wpow(norm, p - 1) != one:
                 return False
@@ -298,16 +303,28 @@ class RingContext:
         """
         zero = (0,) * self.d
         two = (2,) + zero[1:]
-        mul, q = self._wmul, self.q
+        mul, sub = self._wmul, self._wsub
         for _ in range(self.N.bit_length() + 2):
             gx, dgx = g(x)
             if gx == zero:
                 return x, z
-            z = mul(z, tuple((a - b) % q for a, b in zip(two, mul(dgx, z))))
-            x = tuple((a - b) % q for a, b in zip(x, mul(gx, z)))
+            z = mul(z, sub(two, mul(dgx, z)))
+            x = sub(x, mul(gx, z))
         raise RuntimeError(failure)
 
     # -- raw coordinate kernels ----------------------------------------------
+
+    def _wadd(self, a, b):
+        q = self.q
+        return tuple([(x + y) % q for x, y in zip(a, b)])
+
+    def _wsub(self, a, b):
+        q = self.q
+        return tuple([(x - y) % q for x, y in zip(a, b)])
+
+    def _wneg(self, a):
+        q = self.q
+        return tuple([(-x) % q for x in a])
 
     def _wmul(self, a, b):
         d = self.d
@@ -412,16 +429,14 @@ class RingContext:
         v = self._wval(a)
         if v > 0:
             raise NonInvertibleError(v)
-        q = self.q
         b = self._inv_mod_p(a, self.frobenius_coords)
         one = (1,) + (0,) * (self.d - 1)
+        two = (2,) + one[1:]
         for _ in range(self.N.bit_length() + 2):
             t = self._wmul(a, b)
             if t == one:
                 return b
-            two_minus = tuple(((2 if i == 0 else 0) - c) % q
-                              for i, c in enumerate(t))
-            b = self._wmul(b, two_minus)
+            b = self._wmul(b, self._wsub(two, t))
         raise RuntimeError("inverse iteration did not converge")
 
     def _apply_lin(self, table, coords):
@@ -454,9 +469,6 @@ class RingContext:
 
     def scalar(self, coords):
         return PadicScalar(self, coords)
-
-    def field(self, coords):
-        return FieldElement(self, coords)
 
     def field_from_int(self, k):
         """Decode an integer in [0, p^d) into base-p field coordinates."""
@@ -496,9 +508,8 @@ class RingContext:
 
         def g(x):
             xq1 = self._wpow(x, Q - 1)
-            xq = self._wmul(xq1, x)
             dg = tuple(Q * c % q for c in xq1)
-            return (tuple((a - b) % q for a, b in zip(xq, x)),
+            return (self._wsub(self._wmul(xq1, x), x),
                     ((dg[0] - 1) % q,) + dg[1:])
 
         minus_one = (q - 1,) + (0,) * (self.d - 1)
@@ -585,34 +596,43 @@ def _check_params(p, d, N):
 # elements
 
 
-class PadicScalar:
-    """Element of W_N(F_{p^d}): a coordinate vector in the power basis."""
+class _Element:
+    """Shared arithmetic of PadicScalar and FieldElement, a coordinate
+    vector in the power basis, behind three hooks: _modulus(ctx), which
+    coordinates are reduced by on construction; _ring(), the context whose
+    raw kernels compute, looked up only when an operation runs; and
+    _key(), what two elements must share to be combined or equal."""
 
     __slots__ = ("ctx", "coords")
+    _mismatch = ""
 
     def __init__(self, ctx, coords):
         self.ctx = ctx
-        q = ctx.q
-        self.coords = tuple(int(c) % q for c in coords)
+        m = self._modulus(ctx)
+        self.coords = tuple(int(c) % m for c in coords)
         if len(self.coords) != ctx.d:
             raise ValueError("coordinate vector has wrong length")
 
+    def _new(self, coords):
+        """An element like self with the given reduced coordinates."""
+        out = object.__new__(type(self))
+        out.ctx, out.coords = self.ctx, coords
+        return out
+
     def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.ctx.params() != self.ctx.params():
-                raise ValueError("scalars from different contexts")
+        if isinstance(other, type(self)):
+            if other._key() != self._key():
+                raise ValueError(self._mismatch)
             return other
         if isinstance(other, int):
-            return self.ctx.from_int(other)
+            return type(self)(self.ctx, (other,) + (0,) * (self.ctx.d - 1))
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        q = self.ctx.q
-        return PadicScalar(self.ctx, tuple((a + b) % q for a, b in
-                                           zip(self.coords, other.coords)))
+        return self._new(self._ring()._wadd(self.coords, other.coords))
 
     __radd__ = __add__
 
@@ -620,9 +640,7 @@ class PadicScalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        q = self.ctx.q
-        return PadicScalar(self.ctx, tuple((a - b) % q for a, b in
-                                           zip(self.coords, other.coords)))
+        return self._new(self._ring()._wsub(self.coords, other.coords))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -631,26 +649,53 @@ class PadicScalar:
         return other - self
 
     def __neg__(self):
-        q = self.ctx.q
-        return PadicScalar(self.ctx, tuple((-a) % q for a in self.coords))
+        return self._new(self._ring()._wneg(self.coords))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PadicScalar(self.ctx, self.ctx._wmul(self.coords, other.coords))
+        return self._new(self._ring()._wmul(self.coords, other.coords))
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Multiplicative inverse; the element must be a unit."""
-        return PadicScalar(self.ctx, self.ctx._winv(self.coords))
+        return self._new(self._ring()._winv(self.coords))
+
+    def is_zero(self):
+        return not any(self.coords)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self._coerce(other)
+        return (isinstance(other, type(self)) and self._key() == other._key()
+                and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash((self._key(), self.coords))
+
+
+class PadicScalar(_Element):
+    """Element of W_N(F_{p^d}): a coordinate vector in the power basis."""
+
+    __slots__ = ()
+    _mismatch = "scalars from different contexts"
+
+    @staticmethod
+    def _modulus(ctx):
+        return ctx.q
+
+    def _ring(self):
+        return self.ctx
+
+    def _key(self):
+        return self.ctx.params()
 
     def frobenius(self, power=1):
         """The Frobenius lift: reduces to the p-power map mod p and has
         exact order d."""
-        return PadicScalar(self.ctx, self.ctx.frobenius_coords(self.coords,
-                                                               power))
+        return self._new(self.ctx.frobenius_coords(self.coords, power))
 
     def valuation(self):
         """Largest v <= N with x = 0 mod p^v; the value N is the ">= N"
@@ -658,28 +703,14 @@ class PadicScalar:
         the working precision."""
         return self.ctx._wval(self.coords)
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
     def is_unit(self):
         return self.ctx._wval(self.coords) == 0
 
     def reduce_mod_p(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple(c % p for c in self.coords))
+        return FieldElement(self.ctx, self.coords)
 
     def to_json(self):
         return {"coords": [str(c) for c in self.coords]}
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.from_int(other)
-        return (isinstance(other, PadicScalar)
-                and self.ctx.params() == other.ctx.params()
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.ctx.params(), self.coords))
 
     def __repr__(self):
         return f"W({list(self.coords)})"
@@ -689,91 +720,40 @@ def scalar_from_json(ctx, obj):
     return PadicScalar(ctx, tuple(int(c) for c in obj["coords"]))
 
 
-class FieldElement:
+class FieldElement(_Element):
     """Element of the residue field F_{p^d} of a context.
 
-    Products and inverses run on the context at precision 1, whose ring
-    W_1(F_{p^d}) is the field: its tables are those of any precision
-    reduced mod p, since reducing mod p commutes with the integer
-    recurrences that build them."""
+    Its ctx is the context it was made from, at any precision.  Arithmetic
+    runs on that context at precision 1, whose ring W_1(F_{p^d}) is the
+    field: its tables are those of any precision reduced mod p, since
+    reducing mod p commutes with the integer recurrences that build them.
+    Elements over one field are equal, and combine, whatever the
+    precision of their contexts.  Not a PadicScalar, so teichmuller tells
+    the two apart."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ()
+    _mismatch = "elements of different fields"
 
-    def __init__(self, ctx, coords):
-        self.ctx = ctx
-        p = ctx.p
-        self.coords = tuple(int(c) % p for c in coords)
-        if len(self.coords) != ctx.d:
-            raise ValueError("coordinate vector has wrong length")
+    @staticmethod
+    def _modulus(ctx):
+        return ctx.p
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx.residue_params() != self.ctx.residue_params():
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, int):
-            return FieldElement(self.ctx, (other,) + (0,) * (self.ctx.d - 1))
-        return NotImplemented
+    def _ring(self):
+        return self.ctx.at_precision(1)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p for a, b in
-                                            zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a - b) % p for a, b in
-                                            zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coords))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.at_precision(1)._wmul(
-            self.coords, other.coords))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return FieldElement(self.ctx,
-                            self.ctx.at_precision(1)._winv(self.coords))
+    def _key(self):
+        return self.ctx.residue_params()
 
     def __pow__(self, e):
         base = self.inverse() if e < 0 else self
-        return FieldElement(self.ctx, self.ctx.at_precision(1)._wpow(
-            base.coords, abs(e)))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return self._new(self._ring()._wpow(base.coords, abs(e)))
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coords)
 
     def to_int(self):
         """Encode as sum(c_i * p^i), the inverse of field_from_int."""
         return sum(c * self.ctx.p ** i for i, c in enumerate(self.coords))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._coerce(other)
-        return (isinstance(other, FieldElement)
-                and self.ctx.residue_params() == other.ctx.residue_params()
-                and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.ctx.residue_params(), self.coords))
 
     def __repr__(self):
         return f"F({list(self.coords)})"

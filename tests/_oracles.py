@@ -231,7 +231,7 @@ def extra_edge_effects_oracle(n, p, d):
             newton_slopes(display)
         except PrecisionError:
             ctx2 = ctx.at_precision(2 * ctx.N)
-            display = deformation_display(ctx2, point.at_context(ctx2))
+            display = deformation_display(ctx2, point)
             try:
                 newton_slopes(display)
             except PrecisionError:

@@ -224,7 +224,7 @@ def test_criterion_8_precision_doubling(strata_reports):
         nprec = default_precision(n, d)
         ctx2 = make_context(p, d, 2 * nprec)
         for point, _, polygon, _ in rep.retained:
-            display2 = deformation_display(ctx2, point.at_context(ctx2))
+            display2 = deformation_display(ctx2, point)
             polygon2 = newton_slopes(display2)
             assert polygon2 == polygon, (n, p, d, point.to_ints())
             assert json.dumps(polygon2.to_json()) == \

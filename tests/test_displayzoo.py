@@ -189,11 +189,15 @@ class TestDeformationPoint:
         with pytest.raises(ValueError, match="parameters"):
             DeformationPoint.from_ints(ctx, 5, (1, 0))
 
-    def test_rebind_context(self):
-        ctx = ctx_for(3)
+    @pytest.mark.parametrize("n,d", [(3, 1), (4, 2)])
+    def test_point_builds_at_doubled_precision(self, n, d):
+        # a precision retry passes the point made at N as it is
+        ctx = ctx_for(n, d=d)
         ctx2 = ctx.at_precision(2 * ctx.N)
-        pt = DeformationPoint.from_ints(ctx, 3, (1, 2))
-        assert pt.at_context(ctx2).to_ints() == (1, 2)
+        ints = tuple(range(1, n))
+        pt = DeformationPoint.from_ints(ctx, n, ints)
+        assert deformation_display(ctx2, pt) == deformation_display(
+            ctx2, DeformationPoint.from_ints(ctx2, n, ints))
 
 
 class TestDeformationDisplay:

@@ -489,6 +489,25 @@ class TestOncePerDisplay:
         assert [ops.cap for ops, _, _ in calls
                 if ops.cap != 1] == [display.ctx.N]
 
+    @pytest.mark.parametrize("text,p,d", INVARIANT_MODULES)
+    def test_check_and_invariants_eliminate_a_once(self, monkeypatch, text,
+                                                   p, d):
+        # validation, polarization, a-number and signature read one
+        # elimination of A (pivot_steps) and one of J (det_valuation)
+        spec = parse_module_spec(text)
+        display = spec.build(make_context(p, d, default_precision(
+            spec.half_rank, d)))
+        calls = count_calls(monkeypatch, "_eliminate")
+        pivots = count_calls(monkeypatch, "pivot_steps")
+        dets = count_calls(monkeypatch, "det_valuation")
+        assert validate_display(display).ok
+        assert polarization_check(display) == []
+        a_number(display)
+        signature(display)
+        assert [ops.cap for ops, _, _ in calls
+                if ops.cap != 1] == [display.ctx.N] * 2
+        assert len(pivots) == len(dets) == 1
+
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):
         spec = parse_module_spec(text)

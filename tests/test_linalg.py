@@ -10,7 +10,7 @@ from gustrata._linalg import (PrecisionError, _berkowitz, _poly_prod,
                               charpoly, charpoly_slope_pairs, det_valuation,
                               lower_hull, mat_mul, ops_for, sparse_rows,
                               sparse_transpose, strongly_connected_components,
-                              twisted_product)
+                              pivot_steps, twisted_product)
 
 from _oracles import (cayley_hamilton_adjugate, leibniz_charpoly_int,
                       leibniz_charpoly_scalar, scalar_valuation,
@@ -160,6 +160,11 @@ def scalar_identity(c, r, ctx):
             for i in range(r)]
 
 
+def adjugate(ops, cols):
+    """adjugate_action from the pivots of its own elimination."""
+    return adjugate_action(ops, cols, pivot_steps(ops, cols))
+
+
 def assert_adjugate_identities(ops, m):
     """adjugate_action's (v, W) on the scalar rows m, checked: v is the
     valuation of the constant term c0 of the charpoly, and when v < N,
@@ -170,7 +175,7 @@ def assert_adjugate_identities(ops, m):
     ctx, r = ops.ctx, len(m)
     srows = sparse_rows(ops, [[ops.unwrap(e) for e in row] for row in m])
     cp = charpoly(ops, srows)
-    v, w = adjugate_action(ops, sparse_transpose(srows, r))
+    v, w = adjugate(ops, sparse_transpose(srows, r))
     assert v == ops.val(cp[0])
     if v == ctx.N:
         assert w is None
@@ -308,7 +313,7 @@ class TestPivotInverses:
         ops = ops_for(ctx)
         cols = parse_module_spec(f"M({m})").build(ctx).sparse_frobenius
         inverted = self.spy_inv(ops)
-        v, w = adjugate_action(ops, cols)
+        v, w = adjugate(ops, cols)
         assert len(inverted) == len(set(inverted)) == units
         assert v == m and len(w) == 2 * m
 
@@ -427,11 +432,11 @@ class TestBlockKernels:
         calls = count_smatvec(ops)
         subs = []
         ops.sub = lambda a, b: subs.append(None)
-        adj = adjugate_action(ops, cols)
+        adj = adjugate(ops, cols)
         assert calls == [1] * (2 * k) and not subs
         assert adj[0] == k
         del ops.smatvec, ops.sub
-        assert adj == adjugate_action(ops, cols)
+        assert adj == adjugate(ops, cols)
 
 
 def count_smatvec(ops):
@@ -669,13 +674,13 @@ class TestStructuredMatrices:
         ops = ops_for(ctx)
         assert charpoly(ops, sparse_rows(
             ops, [[0] * 3 for _ in range(3)])) == [0, 0, 0, 1]
-        assert adjugate_action(ops, [[], [], []]) == (6, None)
+        assert adjugate(ops, [[], [], []]) == (6, None)
         assert charpoly(ops, sparse_rows(ops, [[7]])) == [ctx.q - 7, 1]
-        assert adjugate_action(ops, [[(0, 7)]]) == (
+        assert adjugate(ops, [[(0, 7)]]) == (
             0, [[(0, pow(7, -1, ctx.q))]])
         # p^2 * 9^(-1) = 1, and 3^6 reads as 0
-        assert adjugate_action(ops, [[(0, 9)]]) == (2, [[(0, 1)]])
-        assert adjugate_action(ops, [[(0, 3 ** 6 % ctx.q)]]) == (6, None)
+        assert adjugate(ops, [[(0, 9)]]) == (2, [[(0, 1)]])
+        assert adjugate(ops, [[(0, 3 ** 6 % ctx.q)]]) == (6, None)
 
 
 class TestCharpolyReduction:

@@ -303,6 +303,64 @@ class TestTeichmuller:
             assert power == t
 
 
+class TestElementSemantics:
+    """PadicScalar and FieldElement share one implementation; these pin
+    what must still tell them apart."""
+
+    def test_scalar_and_field_element_do_not_mix(self):
+        ctx = make_context(3, 2, 6)
+        s, x = ctx.from_int(2), ctx.field_from_int(2)
+        for a, b in ((s, x), (x, s)):
+            for op in (lambda a, b: a + b, lambda a, b: a - b,
+                       lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(a, b)
+            assert a != b and not a == b
+
+    def test_field_elements_over_one_field_at_any_precision(self):
+        lo, hi = make_context(3, 2, 4), make_context(3, 2, 11)
+        for k in range(9):
+            x, y = lo.field_from_int(k), hi.field_from_int(k)
+            assert x == y and hash(x) == hash(y)
+            assert x * y == y * x == lo.field_from_int(k) ** 2
+            assert x.ctx is lo and y.ctx is hi
+
+    def test_field_element_builds_no_context_until_it_computes(self):
+        ctx = make_context(3, 2, 6)
+        x = ctx.field_from_int(4)
+        assert x.ctx is ctx and ctx._prec_cache == {}
+        assert x + 1 == ctx.field_from_int(5) and 1 in ctx._prec_cache
+
+    def test_mismatch_texts(self):
+        ctx = make_context(3, 2, 6)
+        other_n = make_context(3, 2, 7)
+        other_field = make_context(3, 3, 6)
+        with pytest.raises(ValueError, match="scalars from different "
+                                             "contexts"):
+            ctx.one() + other_n.one()
+        with pytest.raises(ValueError, match="elements of different fields"):
+            ctx.field_from_int(1) * other_field.field_from_int(1)
+        assert ctx.one() != other_n.one()
+        assert ctx.field_from_int(1) != other_field.field_from_int(1)
+
+    def test_int_operands_reduce_by_each_modulus(self):
+        ctx = make_context(3, 2, 4)
+        assert (ctx.from_int(5) - 7).coords == (ctx.q - 2, 0)
+        assert (7 - ctx.from_int(5)).coords == (2, 0)
+        assert ctx.from_int(5) == 5 + ctx.q
+        assert (ctx.field_from_int(2) + 2).coords == (1, 0)
+        assert (-ctx.field_from_int(3)).coords == (0, 2)
+        assert ctx.field_from_int(2) == 5
+
+    def test_teichmuller_reduces_a_scalar(self):
+        ctx = make_context(3, 2, 6)
+        s = ctx.scalar((4, 7))
+        assert ctx.teichmuller(s) == ctx.teichmuller(s.reduce_mod_p())
+        assert ctx.teichmuller(s).coords[0] % 3 == 1
+        with pytest.raises(TypeError):
+            ctx.teichmuller(4)
+
+
 class TestValuation:
     def test_examples(self):
         ctx = make_context(3, 1, 8)
