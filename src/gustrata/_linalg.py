@@ -16,8 +16,8 @@ nonzero entries.  It adds up each output entry's raw products and reduces
 once, and it leaves out entries that reduce to zero.  The products of the
 kernels run on it: Berkowitz's Krylov vectors A^i C and their products
 with the bordering row, the rows of the back substitution in
-adjugate_action, the product of two polynomials (multiplication by a
-polynomial is a matrix whose columns are its shifts) and mat_mul, one
+adjugate_action, Berkowitz's product of two polynomials (multiplication
+by a polynomial is a matrix whose columns are its shifts) and mat_mul, one
 column at a time.  This is exact, not an approximation:
 
 * support tracking: an index missing from a dict holds exactly 0 in Z/p^N
@@ -29,19 +29,16 @@ column at a time.  This is exact, not an approximation:
   for d > 1, one convolution reduced modulo the modulus polynomial and
   p^N) is the same residue as the sum of products reduced one by one.
 
-charpoly splits along the strongly connected components of the graph with
-an edge i -> j for each nonzero M[i][j]: listed in topological order, the
-components put M into block upper-triangular form (a direct sum of
-displays is block diagonal), and it runs Berkowitz on each diagonal block
-and multiplies the block polynomials.  det(xI - M) of a block-triangular
-matrix is the product of the diagonal blocks' determinants as a
-polynomial identity, so this holds over any commutative ring, Z/p^N and
-W_N(F_{p^d}) included.  A matrix with a single component goes through the
-same code as one block.
+Newton polygons are read block by block (block_slope_pairs): the strongly
+connected components of the graph with an edge i -> j for each nonzero
+M[i][j] put M into block upper-triangular form, and the polygon of
+det(xI - M) is the union of the polygons of its diagonal blocks, so no
+polynomial product is formed.  charpoly, the whole det(xI - M), is one
+Berkowitz run on the whole matrix.
 
-charpoly takes the sparse rows of its matrix and twisted_product the
-sparse columns of its factors, so the display's stored sparse data feeds
-the twisted charpoly with no dense matrix in between: column j of
+Both take the sparse rows of their matrix and twisted_product the sparse
+columns of its factors, so the display's stored sparse data feeds the
+twisted Newton polygon with no dense matrix in between: column j of
 A * sigma(A) * ... * sigma^k(A) is the product up to sigma^(k-1) applied to
 sigma^k of column j of A, one smatvec.  mat_mul still takes dense rows.
 Every kernel returns exactly what the dense computation would: the ring
@@ -344,14 +341,12 @@ def _restrict(srows, idx):
     return [[(pos[j], a) for j, a in srows[i] if j in pos] for i in idx]
 
 
-def poly_mul(ops, a, b, terms=None):
-    """Product of two coefficient lists listed in the same degree order,
-    or its first terms coefficients.  Multiplication by b is the matrix
-    whose column i is b shifted up by i, so the product is one sparse
-    matrix-vector product: zero coefficients are skipped and each output
-    term is summed and reduced once."""
-    if terms is None:
-        terms = len(a) + len(b) - 1
+def poly_mul(ops, a, b, terms):
+    """The first terms coefficients of the product of two coefficient
+    lists listed in the same degree order.  Multiplication by b is the
+    matrix whose column i is b shifted up by i, so the product is one
+    sparse matrix-vector product: zero coefficients are skipped and each
+    output term is summed and reduced once."""
     zero = ops.zero
     a = {i: c for i, c in enumerate(a) if c != zero}
     b = [(j, c) for j, c in enumerate(b) if c != zero]
@@ -404,24 +399,10 @@ def _berkowitz(ops, srows):
     return poly
 
 
-def _poly_prod(ops, polys):
-    """Product of a list of coefficient lists (1 for an empty list), by a
-    balanced tree: adjacent pairs are multiplied until one is left, so k
-    linear factors take about k^2 / 2 term products, not k^2 (Bernstein,
-    "Fast multiplication and its applications", MSRI Publ. 44, 2008)."""
-    polys = list(polys) or [[ops.one]]
-    while len(polys) > 1:
-        pairs = [poly_mul(ops, a, b) for a, b in zip(polys[::2], polys[1::2])]
-        polys = pairs + polys[2 * len(pairs):]
-    return polys[0]
-
-
 def charpoly(ops, srows):
     """Coefficients of det(xI - M), low degree first, for the matrix M
-    given by its sparse rows: the product of the Berkowitz polynomials of
-    the diagonal blocks of the SCC order."""
-    return _poly_prod(ops, [_berkowitz(ops, _restrict(srows, block))
-                            for block in _blocks(srows)])[::-1]
+    given by its sparse rows ([1] for the 0 x 0 matrix)."""
+    return _berkowitz(ops, srows)[::-1] if srows else [ops.one]
 
 
 def _eliminate(ops, rows, ncols):
@@ -589,42 +570,54 @@ def lower_hull(points):
     return hull
 
 
-def certified_hull(vals, cap, scale=(1, 1)):
-    """Lower hull vertices of the points (i, vals[i]), for coefficient
-    valuations capped at cap, each vertex (i, v) moved to (sx * i, sy * v)
-    for scale = (sx, sy).
+def block_slope_pairs(ops, srows, twist, scale):
+    """(slope, multiplicity) pairs of the p-adic Newton polygon of
+    det(xI - M), for the matrix M given by its sparse rows, with each hull
+    vertex (i, v) moved to (sx * i, sy * v) for scale = (sx, sy) and each
+    slope divided by twist.  One pair per hull segment of each diagonal
+    block of the SCC order, so a slope may come more than once.
 
-    Raises PrecisionError when a moved vertex sits at or above the cap:
-    the polygon is then not determined at this precision.  Otherwise it
-    is: a capped point is no vertex, its true valuation is at least cap,
-    and revealing it only raises a point on or above a hull whose vertices
-    lie below it.
-    """
+    With scale (2, 1) these are the pairs of h(t^2), and with (2, 2) those
+    of h * sigma^s(h), for the monic h = det(xI - M): the hull of h(t^2) is
+    that of h stretched in degree (its odd coefficients are 0), and that
+    of the product is the Minkowski sum of two hulls equal to h's, sigma
+    keeping valuations.
+
+    Listed sources first, the blocks put M into block upper-triangular
+    form, so h is the product of the blocks' polynomials h_b: det(xI - M)
+    of a block-triangular matrix is the product of the diagonal blocks'
+    determinants, a polynomial identity over any commutative ring, Z/p^N
+    and W_N(F_{p^d}) included.  Valuations add under products, so the
+    polygon of h is the union of the polygons of the h_b (Neukirch,
+    Algebraic Number Theory, ch. II, section 6), each read from one
+    Berkowitz run on its block.
+
+    Raises PrecisionError when a moved vertex of the hull of h sits at or
+    above the cap N: the polygon is then not determined at this precision.
+    Otherwise it is: a coefficient that reads as 0 has valuation N, so it
+    is no vertex, and revealing it only raises a point on or above a hull
+    whose vertices lie below it.  A monic hull runs from (0, val h_0) down
+    to (deg, 0) and, being convex, lies at or below val h_0, so the check
+    fails exactly when sy * val h_0 >= N, and it names degree 0.  h_0 is
+    the product of the blocks' constant terms, so val h_0 is the sum s of
+    their valuations, capped at N, and with sy >= 1 the check is
+    sy * s >= N.  When it passes, each block's constant term lies below N,
+    so each block's hull is certified, and their union is h's polygon."""
     sx, sy = scale
-    hull = [(sx * i, sy * v) for i, v in lower_hull(list(enumerate(vals)))]
-    for (i, v) in hull:
-        if v >= cap:
-            raise PrecisionError(
-                f"insufficient precision: hull vertex at degree {i} has "
-                f"valuation >= {cap}")
-    return hull
-
-
-def charpoly_slope_pairs(ops, cp, twist, scale=(1, 1)):
-    """(slope, multiplicity) pairs of the p-adic Newton polygon of cp, with
-    every root valuation divided by twist; PrecisionError as in
-    certified_hull.
-
-    With scale (2, 1) these are the pairs of cp(t^2), and with (2, 2) those
-    of cp * sigma^s(cp), for a monic cp: the hull of cp(t^2) is that of cp
-    stretched in degree (its odd coefficients are 0), and that of the
-    product is the Minkowski sum of two hulls equal to cp's, sigma keeping
-    valuations.  Both polynomials are monic, so their certificate fails
-    exactly when their constant term, of valuation val c_0 or 2 val c_0,
-    reaches the cap: that is the moved vertex at degree 0."""
-    hull = certified_hull([ops.val(c) for c in cp], ops.cap, scale)
-    return [(Fraction(v1 - v2, (i2 - i1) * twist), i2 - i1)
-            for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
+    pairs, c0 = [], 0
+    for block in _blocks(srows):
+        vals = [ops.val(c)
+                for c in reversed(_berkowitz(ops, _restrict(srows, block)))]
+        c0 += vals[0]
+        hull = lower_hull(list(enumerate(vals)))
+        pairs += [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
+                   sx * (i2 - i1))
+                  for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
+    if sy * c0 >= ops.cap:
+        raise PrecisionError(
+            f"insufficient precision: hull vertex at degree 0 has "
+            f"valuation >= {ops.cap}")
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -338,9 +338,14 @@ def _point_from_assignments(ctx, n, assignments):
     indices = _parameter_indices(n)
     bad = set(assignments) - set(indices)
     if bad:
+        # 0 for even n, then a run 2..top of no or at least two indices:
+        # name the run by its ends, so the message stays short for any n
+        run = [i for i in indices if i]
+        valid = ["0"] * (0 in indices) + (
+            [f"{run[0]}..{run[-1]}"] if run else [])
         raise ValueError(
             f"parameter indices {sorted(bad)} invalid for n={n}; "
-            f"valid indices are {list(indices)}")
+            f"valid indices are {', '.join(valid) or 'none'}")
     ints = tuple(assignments.get(i, 0) for i in indices)
     return DeformationPoint.from_ints(ctx, n, ints)
 

@@ -24,15 +24,15 @@ scalar product.
 Newton slopes are computed from the p-adic Newton polygon of the
 characteristic polynomial of the d-fold twisted product
 Phi = A * sigma(A) * ... * sigma^(d-1)(A), divided by d, at the working
-precision N.  The polygon is certified there: certified_hull raises
-PrecisionError unless every hull vertex lies below N.  A coefficient that
-reads as 0 mod p^N has valuation N, the cap, so it is no vertex of a hull
-that passes; its true valuation is at least N, so revealing it only
-raises a point lying on or above the hull, and a hull whose vertices all
-lie below N does not move.  A characteristic polynomial is monic, so its
-hull runs from (0, val c_0) down to (deg, 0) and, being convex, lies at
-or below val c_0: the certificate fails exactly when val c_0 >= N, and it
-then names degree 0.
+precision N.  The polygon is certified there: _linalg.block_slope_pairs
+raises PrecisionError unless every hull vertex lies below N.  A
+coefficient that reads as 0 mod p^N has valuation N, the cap, so it is
+no vertex of a hull that passes; its true valuation is at least N, so
+revealing it only raises a point lying on or above the hull, and a hull
+whose vertices all lie below N does not move.  A characteristic
+polynomial is monic, so its hull runs from (0, val c_0) down to (deg, 0)
+and, being convex, lies at or below val c_0: the certificate fails
+exactly when val c_0 >= N, and it then names degree 0.
 
 The prime is inert in L, so F swaps the u- and v-families.  When F is
 graded that way (every nonzero entry joins the two families, and both
@@ -66,7 +66,9 @@ the scaled hull of h is certified exactly when the twisted charpoly's
 would be, since both are monic: val h_0 < N for odd d, and
 2 val h_0 < N for even d, as h_0 sigma(h_0) is the constant term of the
 product.  So newton_slopes reads the same slopes, and raises the same
-PrecisionError, from h alone (see _linalg.charpoly_slope_pairs).
+PrecisionError, from h alone.  Nor is h formed: its polygon is the union
+of the polygons of the diagonal blocks of its matrix, and its constant
+term's valuation the sum of theirs (see _linalg.block_slope_pairs).
 
 Displays that are not graded this way (only library input, such as
 display_from_json, can give one) use the full rank-2n product.
@@ -588,44 +590,42 @@ def validate_display(display):
 def newton_slopes(display):
     """Newton polygon of the display.
 
-    Computes the characteristic polynomial of the d-fold twisted product
-    of the F-matrix (division-free), in the display's own context, takes
-    the lower hull of the coefficient valuations, and divides all slopes by
-    d.  certified_hull is the certificate (see the module docstring): it
-    raises PrecisionError unless every hull vertex lies below N, and a hull
-    that passes does not move when capped coefficients are revealed.  For
-    a graded display the hull is read from the factor h, one charpoly on
-    n rows, scaled as _twisted_factor says.
+    Reads the p-adic Newton polygon of the characteristic polynomial of
+    the d-fold twisted product of the F-matrix, in the display's own
+    context, block by block (_linalg.block_slope_pairs), and divides all
+    slopes by d.  The polygon is certified (see the module docstring):
+    PrecisionError unless every hull vertex lies below N, and a hull that
+    passes does not move when capped coefficients are revealed.  For a
+    graded display the matrix has n rows, scaled as _twisted_factor says.
     """
     cached = display._cache.get("slopes")
     if cached is None:
-        h, scale = _twisted_factor(display)
+        srows, scale = _twisted_factor(display)
         cached = display._cache["slopes"] = NewtonPolygon(
-            _linalg.charpoly_slope_pairs(display._ops(), h, display.ctx.d,
-                                         scale))
+            _linalg.block_slope_pairs(display._ops(), srows, display.ctx.d,
+                                      scale))
     return cached
 
 
 def _twisted_factor(display):
-    """(h, scale) for the twisted product
-    Phi = A * sigma(A) * ... * sigma^(d-1)(A): the lower hull of
-    charpoly(Phi) is that of h with each vertex (i, v) moved to
-    (sx * i, sy * v) for scale = (sx, sy).
+    """(srows, scale) for the twisted product
+    Phi = A * sigma(A) * ... * sigma^(d-1)(A): srows are the sparse rows of
+    a matrix Z whose charpoly h has the lower hull of charpoly(Phi) once
+    each vertex (i, v) is moved to (sx * i, sy * v) for scale = (sx, sy).
 
-    A display that is not graded gives h = charpoly(Phi) and scale (1, 1).
-    A graded display uses the identities of the module docstring, with
+    A display that is not graded gives Z = Phi and scale (1, 1).  A graded
+    display uses the identities of the module docstring, with
     Z = X sigma(Y) sigma^2(X) ... of 2d factors for odd d and of d factors
-    for even d, and h = charpoly(Z) on n rows: charpoly(Phi) is h(t^2),
-    scale (2, 1), for odd d, and h * sigma(h), scale (2, 2), for even d."""
+    for even d, on n rows: charpoly(Phi) is h(t^2), scale (2, 1), for odd
+    d, and h * sigma(h), scale (2, 2), for even d."""
     ops, d = display._ops(), display.ctx.d
     blocks = display._graded_blocks()
     if not blocks:
-        return _linalg.charpoly(ops, _linalg.twisted_product(
-            ops, display.sparse_frobenius, d)), (1, 1)
+        return _linalg.twisted_product(ops, display.sparse_frobenius,
+                                       d), (1, 1)
     x, y = blocks
     odd = d % 2
-    h = _linalg.charpoly(ops, _linalg.twisted_product(ops, x, d << odd, y))
-    return h, (2, 2 - odd)
+    return _linalg.twisted_product(ops, x, d << odd, y), (2, 2 - odd)
 
 
 def polarization_check(display):

@@ -213,6 +213,17 @@ class TestDeterminismAndUsage:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be below" in err
 
+    @pytest.mark.parametrize("n,valid", [(4096, "0, 2..4095"),
+                                         (4095, "2..4095"), (3, "2..3"),
+                                         (2, "0")])
+    def test_bad_deformation_index_names_the_range(self, n, valid, capsys):
+        code, out = run(["slopes", "--module", f"def({n}; s1=1)"])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == (f"error: parameter indices [1] invalid for n={n}; "
+                       f"valid indices are {valid}\n")
+        assert len(err.encode()) < 200
+
     def test_sixty_bit_prime_runs(self):
         code, out = run(["slopes", "--module", "N", "--p",
                          "1000000000000000003"])
@@ -262,6 +273,7 @@ class TestDoubledPrecisionCapacity:
             raise AssertionError("work started before the capacity check")
 
         monkeypatch.setattr(_linalg, "charpoly", refuse)
+        monkeypatch.setattr(_linalg, "_berkowitz", refuse)
         monkeypatch.setattr(RingContext, "teichmuller", refuse)
         code, out = run(argv + ["--p", "3"])
         err = capsys.readouterr().err

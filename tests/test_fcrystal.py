@@ -426,15 +426,27 @@ class TestOncePerDisplay:
 
     def test_certified_slopes_run_one_charpoly(self, monkeypatch):
         D = parse_module_spec(self.SPEC).build(ctx_for(8))
-        calls = count_calls(monkeypatch, "charpoly")
+        whole = count_calls(monkeypatch, "charpoly")
+        calls = count_calls(monkeypatch, "_berkowitz")
         polygon = newton_slopes(D)
-        assert len(calls) == 1
-        # the single charpoly runs in the display's own context, on the
-        # n x n matrix of F^2 on the u-part
-        ops, srows = calls[0]
-        assert ops.ctx is D.ctx
-        assert len(srows) == D.half_rank
+        assert newton_slopes(D) is polygon
+        # Berkowitz runs once per display on the diagonal blocks of the
+        # n x n matrix of F^2 on the u-part, in the display's own context;
+        # no whole charpoly is formed
+        assert whole == []
+        assert all(ops.ctx is D.ctx for ops, _ in calls)
+        assert sum(len(srows) for _, srows in calls) == D.half_rank
         assert polygon == M6_N2
+
+    def test_direct_sum_runs_one_row_blocks(self, monkeypatch):
+        # N^64 is 64 blocks of one row each: no polynomial is multiplied
+        whole = count_calls(monkeypatch, "charpoly")
+        products = count_calls(monkeypatch, "poly_mul")
+        calls = count_calls(monkeypatch, "_berkowitz")
+        assert cli.main(["slopes", "--module", "N^64"],
+                        out=io.StringIO()) == 0
+        assert whole == [] and products == []
+        assert [len(srows) for _, srows in calls] == [1] * 64
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_certified_slopes_build_one_polygon(self, monkeypatch, text, d):

@@ -61,24 +61,25 @@ def shuffled_labels(rng, n):
     return labels
 
 
-def charpoly_rows(monkeypatch):
-    """Row counts of the matrices _linalg.charpoly receives from now on."""
+def row_counts(monkeypatch, name):
+    """Row counts of the matrices _linalg.<name> receives from now on."""
     rows = []
-    original = _linalg.charpoly
+    original = getattr(_linalg, name)
 
     def counting(ops, srows):
         rows.append(len(srows))
         return original(ops, srows)
 
-    monkeypatch.setattr(_linalg, "charpoly", counting)
+    monkeypatch.setattr(_linalg, name, counting)
     return rows
 
 
-def expand_factor(display, h, scale):
-    """The polynomial a factor (h, scale) of _twisted_factor stands for,
-    as scalars: h itself, h(t^2), or h * sigma(h) by schoolbook products."""
+def expand_factor(display, srows, scale):
+    """The polynomial a factor (srows, scale) of _twisted_factor stands
+    for, as scalars, with h the charpoly of srows: h itself, h(t^2), or
+    h * sigma(h) by schoolbook products."""
     ops, zero = display._ops(), display.ctx.zero()
-    h = [ops.wrap(c) for c in h]
+    h = [ops.wrap(c) for c in _linalg.charpoly(ops, srows)]
     if scale == (1, 1):
         return h
     if scale == (2, 1):
@@ -158,7 +159,7 @@ class TestGradedAgainstDense:
                         labels.index(V(rng.randrange(n)))}
             display = random_display(rng, ctx, labels, density,
                                      zero_columns=dead)
-            rows = charpoly_rows(monkeypatch)
+            rows = row_counts(monkeypatch, "charpoly")
             assert_matches_dense(display)
             assert rows == [n]
             monkeypatch.undo()
@@ -178,7 +179,7 @@ class TestUngradedAgainstDense:
         columns = [list(col) for col in zip(*graded.frobenius)]
         columns[j][i] = random_entry(rng, ctx)
         display = DieudonneDisplay(ctx, labels, columns, graded.pairing)
-        rows = charpoly_rows(monkeypatch)
+        rows = row_counts(monkeypatch, "charpoly")
         assert_matches_dense(display)
         assert rows == [2 * n]
 
@@ -190,7 +191,7 @@ class TestUngradedAgainstDense:
         labels = [U(i) for i in range(n + 1)] + [V(i) for i in range(n - 1)]
         rng.shuffle(labels)
         display = random_display(rng, ctx, labels, 0.6)
-        rows = charpoly_rows(monkeypatch)
+        rows = row_counts(monkeypatch, "charpoly")
         assert_matches_dense(display)
         assert rows == [2 * n]
 
@@ -200,12 +201,16 @@ class TestHalfRankCount:
         ("def(8; s0=1, s2=2, s3=1, s5=2)", 1), ("M(6)+N^2", 2),
         ("M(7)+N^3", 3), ("ss(5)", 4)])
     def test_charpoly_receives_n_rows(self, text, d, monkeypatch):
+        # newton_slopes runs Berkowitz on the diagonal blocks of the n x n
+        # matrix, once per display, and forms no whole charpoly
         spec = parse_module_spec(text)
         display = spec.build(make_context(
             2 if d == 4 else 3, d, default_precision(spec.half_rank, d)))
-        rows = charpoly_rows(monkeypatch)
+        whole = row_counts(monkeypatch, "charpoly")
+        rows = row_counts(monkeypatch, "_berkowitz")
         newton_slopes(display)
-        assert rows == [display.half_rank]
+        newton_slopes(display)
+        assert sum(rows) == display.half_rank and whole == []
 
 
 class TestCertificateAtN:
@@ -252,13 +257,15 @@ class TestCertificateAtN:
         ungraded = DieudonneDisplay._from_sparse(
             graded.ctx, basis, graded.sparse_frobenius,
             graded.sparse_pairing)
-        rows = charpoly_rows(monkeypatch)
+        rows = row_counts(monkeypatch, "_berkowitz")
+        per_display = []
         for display in (graded, ungraded):
             with pytest.raises(PrecisionError) as err:
                 newton_slopes(display)
             assert str(err.value) == ("insufficient precision: hull vertex "
                                       "at degree 0 has valuation >= 2")
-        assert rows == [3, 6]
+            per_display.append(sum(rows) - sum(per_display))
+        assert per_display == [3, 6]
 
     @pytest.mark.parametrize("text,d,N", [
         ("def(6; s0=1, s2=2)", 1, 9), ("M(5)+N", 2, 4), ("M(3)", 3, 2),
@@ -361,9 +368,10 @@ class TestSlopesFromFactor:
         for N in sorted({v // 2 + 1, v}):
             display = self.draw(seed, make_context(p, d, N), n, False)
             ops = display._ops()
-            h, scale = _twisted_factor(display)
+            srows, scale = _twisted_factor(display)
+            h = _linalg.charpoly(ops, srows)
             assert scale == (2, 2) and ops.val(h[0]) == v // 2
-            assert _linalg.charpoly_slope_pairs(ops, h, d)
+            assert _linalg.block_slope_pairs(ops, srows, d, (1, 1))
             message = ("insufficient precision: hull vertex at degree 0 "
                        f"has valuation >= {N}")
             assert outcome(lambda: newton_slopes(display)) == message

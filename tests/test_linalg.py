@@ -5,16 +5,17 @@ import pytest
 
 from gustrata import (DeformationPoint, deformation_display, make_context,
                       parse_module_spec)
-from gustrata._linalg import (PrecisionError, _berkowitz, _poly_prod,
-                              adjugate_action,
-                              charpoly, charpoly_slope_pairs, det_valuation,
+from gustrata import NewtonPolygon
+from gustrata._linalg import (PrecisionError, _berkowitz, _blocks, _restrict,
+                              adjugate_action, block_slope_pairs,
+                              charpoly, det_valuation,
                               lower_hull, mat_mul, ops_for, sparse_rows,
                               sparse_transpose, strongly_connected_components,
                               pivot_steps, twisted_product)
 
-from _oracles import (cayley_hamilton_adjugate, leibniz_charpoly_int,
-                      leibniz_charpoly_scalar, scalar_valuation,
-                      twisted_product_dense)
+from _oracles import (cayley_hamilton_adjugate, certified_slope_pairs_oracle,
+                      leibniz_charpoly_int, leibniz_charpoly_scalar,
+                      scalar_valuation, twisted_product_dense)
 
 
 class TestCharpolyAgainstLeibniz:
@@ -89,8 +90,9 @@ def ext_entry(rng, ctx):
 
 
 class TestPolyProd:
-    """The product tree against a sequential integer convolution of the
-    factors t - a_i, and charpoly of the diagonal matrix of the a_i."""
+    """charpoly of the diagonal matrix of the a_i, one Berkowitz run on
+    the whole matrix, against a sequential integer convolution of the
+    factors t - a_i."""
 
     @staticmethod
     def convolution(roots, q):
@@ -109,8 +111,6 @@ class TestPolyProd:
         rng = random.Random(k)
         roots = [rng.randrange(ops.q) for _ in range(k)]
         want = self.convolution(roots, ops.q)
-        factors = [[(-a) % ops.q, 1] for a in roots]
-        assert _poly_prod(ops, factors) == want
         diagonal = [[(i, a)] if a else [] for i, a in enumerate(roots)]
         assert charpoly(ops, diagonal) == want
 
@@ -381,9 +381,10 @@ def scc_count(ops, raw):
 
 
 class TestBlockKernels:
-    """charpoly and adjugate_action split along the strongly connected
-    components; permuted block upper-triangular matrices hide the blocks
-    behind a random basis order."""
+    """charpoly and adjugate_action on permuted block upper-triangular
+    matrices, which hide the strongly connected components behind a
+    random basis order (block_slope_pairs splits along them: see
+    TestSlopePairs)."""
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
@@ -764,31 +765,146 @@ class TestLowerHull:
         assert lower_hull([(0, 1)]) == [(0, 1)]
 
 
+def companion(ops, cp):
+    """Sparse rows of the companion matrix of the monic cp, low degree
+    first: ones below the diagonal and -cp[i] in the last column, so
+    det(xI - C) = cp."""
+    r = len(cp) - 1
+    rows = [[(i - 1, ops.one)] if i else [] for i in range(r)]
+    for i, c in enumerate(cp[:-1]):
+        if c != ops.zero:
+            rows[i].append((r - 1, ops.neg(c)))
+    return rows
+
+
+def outcome(compute):
+    """The value of compute(), or the text of the PrecisionError it
+    raises."""
+    try:
+        return compute()
+    except PrecisionError as exc:
+        return str(exc)
+
+
+def block_polygon(ops, srows, twist, scale):
+    return outcome(lambda: NewtonPolygon(
+        block_slope_pairs(ops, srows, twist, scale)))
+
+
+def unsplit_polygon(ops, srows, twist, scale):
+    """What block_polygon should give: the hull oracle on the valuations of
+    the unsplit charpoly, each point (i, v) moved to (sx * i, sy * v).  The
+    degrees a stretch leaves out read sy * N, above any hull that passes:
+    the odd coefficients of h(t^2) are 0, and those of h * sigma(h) lie on
+    or above the Minkowski sum of the two hulls."""
+    (sx, sy), cap = scale, ops.cap
+    vals = [sy * cap] * (sx * len(srows) + 1)
+    for i, c in enumerate(charpoly(ops, srows)):
+        vals[sx * i] = sy * ops.val(c)
+    return outcome(lambda: NewtonPolygon(
+        certified_slope_pairs_oracle(vals, cap, twist)))
+
+
+def block_product(ops, srows):
+    """The product of the charpolys of the diagonal blocks of the SCC
+    order, as scalars, by schoolbook products."""
+    ctx = ops.ctx
+    out = [ctx.one()]
+    for block in _blocks(srows):
+        factor = [ops.wrap(c) for c in charpoly(ops, _restrict(srows, block))]
+        prod = [ctx.zero()] * (len(out) + len(factor) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(factor):
+                prod[i + j] = prod[i + j] + a * b
+        out = prod
+    return out
+
+
+def valued_entry(rng, ctx):
+    """Nonzero scalars of valuation 0, 1 or 2 (or more, when the random
+    unit part is divisible by p)."""
+    def entry():
+        while True:
+            e = ctx.scalar(tuple(
+                rng.randrange(ctx.q) * ctx.p ** rng.randrange(3) % ctx.q
+                for _ in range(ctx.d)))
+            if not e.is_zero():
+                return e
+    return entry
+
+
 class TestSlopePairs:
+    """block_slope_pairs against the hull oracle on the unsplit charpoly:
+    the same polygon, or the same PrecisionError text.  The named cases
+    are companion matrices of the given polynomials."""
+
+    @staticmethod
+    def pairs(ops, cp, twist, scale=(1, 1)):
+        srows = companion(ops, cp)
+        assert charpoly(ops, srows) == cp
+        pairs = block_slope_pairs(ops, srows, twist, scale)
+        assert NewtonPolygon(pairs) == unsplit_polygon(ops, srows, twist,
+                                                       scale)
+        return pairs
+
     def test_x_squared_plus_p(self):
-        ctx = make_context(3, 1, 8)
-        ops = ops_for(ctx)
+        ops = ops_for(make_context(3, 1, 8))
         # x^2 + 3: both roots have valuation 1/2
-        pairs = charpoly_slope_pairs(ops, [3, 0, 1], 1)
-        assert pairs == [(Fraction(1, 2), 2)]
+        assert self.pairs(ops, [3, 0, 1], 1) == [(Fraction(1, 2), 2)]
 
     def test_split_slopes(self):
         ctx = make_context(3, 1, 8)
         ops = ops_for(ctx)
         # (x^2 - 1)(x^2 - 9) = x^4 - 10x^2 + 9
         cp = [9, 0, (-10) % ctx.q, 0, 1]
-        pairs = charpoly_slope_pairs(ops, cp, 1)
-        assert sorted(pairs) == [(Fraction(0), 2), (Fraction(1), 2)]
+        assert sorted(self.pairs(ops, cp, 1)) == [(Fraction(0), 2),
+                                                  (Fraction(1), 2)]
 
     def test_twist_divides_slopes(self):
-        ctx = make_context(3, 1, 8)
-        ops = ops_for(ctx)
-        pairs = charpoly_slope_pairs(ops, [9, 0, 1], 2)
-        assert pairs == [(Fraction(1, 2), 2)]
+        ops = ops_for(make_context(3, 1, 8))
+        assert self.pairs(ops, [9, 0, 1], 2) == [(Fraction(1, 2), 2)]
+        # h(t^2) and h * sigma(h) for h = x^2 + 9
+        assert self.pairs(ops, [9, 0, 1], 2, (2, 1)) == [(Fraction(1, 4), 4)]
+        assert self.pairs(ops, [9, 0, 1], 2, (2, 2)) == [(Fraction(1, 2), 4)]
 
     def test_insufficient_precision(self):
         ctx = make_context(3, 1, 2)
         ops = ops_for(ctx)
-        # constant term indistinguishable from 0 at N = 2
+        # constant term indistinguishable from 0 at N = 2; the companion
+        # matrix then splits into two zero blocks
+        srows = companion(ops, [9 % ctx.q, 0, 1])
+        assert len(_blocks(srows)) == 2
         with pytest.raises(PrecisionError, match="insufficient precision"):
-            charpoly_slope_pairs(ops, [9, 0, 1], 1)
+            block_slope_pairs(ops, srows, 1, (1, 1))
+        assert block_polygon(ops, srows, 1, (1, 1)) == \
+            unsplit_polygon(ops, srows, 1, (1, 1))
+
+    @pytest.mark.parametrize("scale", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_permuted_block_matrices(self, d, scale):
+        """Random permuted block-triangular matrices, drawn once at
+        precision 12 and read at N = 2, 3, 4, 6, 9: sy * val c_0 falls
+        below, at and above N.  The blocks' charpolys multiply to the
+        unsplit one."""
+        hi = make_context(3, d, 12)
+        ops_hi = ops_for(hi)
+        sides = set()
+        # each layout as it is, and with no all-zero diagonal block
+        layouts = BLOCK_LAYOUTS + [(sizes, ()) for sizes, _ in BLOCK_LAYOUTS]
+        for seed, layout in enumerate(layouts):
+            rng = random.Random(100 * d + seed)
+            m = permuted_block_matrix(rng, *layout, valued_entry(rng, hi),
+                                      hi.zero())
+            raw = [[ops_hi.unwrap(e) for e in row] for row in m]
+            v0 = ops_hi.val(charpoly(ops_hi, sparse_rows(ops_hi, raw))[0])
+            for N in (2, 3, 4, 6, 9):
+                ops = ops_for(make_context(3, d, N))
+                srows = sparse_rows(ops, [[ops.truncate(a) for a in row]
+                                          for row in raw])
+                assert len(_blocks(srows)) >= len(layout[0])
+                assert block_product(ops, srows) == \
+                    [ops.wrap(c) for c in charpoly(ops, srows)]
+                got = block_polygon(ops, srows, d, scale)
+                assert got == unsplit_polygon(ops, srows, d, scale), (seed, N)
+                sides.add((scale[1] * v0 > N) - (scale[1] * v0 < N))
+        assert sides == {-1, 0, 1}

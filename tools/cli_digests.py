@@ -1,0 +1,53 @@
+"""Digest the output of a fixed list of CLI invocations.
+
+    PYTHONPATH=src python3 tools/cli_digests.py
+
+Runs each invocation in one process through gustrata.cli.main and prints
+one line per invocation: "sha256(stdout) sha256(stderr) exit  argv".  Run
+it on two trees and diff the outputs: an empty diff means every listed
+invocation writes the same bytes and exits the same way.  The list covers
+large direct sums that the golden file does not (slopes and check, with
+precision failures), exhaustive sweeps at n = 4..7 and one at d = 2, a
+random rank-16 sweep and a sweep that fails for lack of precision.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+
+from gustrata import cli
+
+ARGVS = [
+    ["slopes", "--module", "N^1000"],
+    ["slopes", "--module", "M(600)+N^600"],
+    ["slopes", "--module", "N^300", "--d", "2"],
+    ["slopes", "--module", "M(40)+N^100", "--p", "5", "--d", "3"],
+    ["slopes", "--module", "N^60", "--precision", "3"],
+    ["slopes", "--module", "M(9)+N^9", "--d", "2", "--precision", "2"],
+    ["check", "--module", "N^1000"],
+    *[["verify", "--n", str(n), "--p", "3"] for n in (4, 5, 6, 7)],
+    ["verify", "--n", "4", "--p", "3", "--d", "2"],
+    ["verify", "--n", "8", "--p", "3", "--random", "200", "--seed", "1"],
+    ["verify", "--n", "5", "--p", "3", "--precision", "2", "--random", "20"],
+]
+
+
+def digest(argv):
+    """(stdout sha256, stderr sha256, exit code) of one invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return tuple(hashlib.sha256(s.getvalue().encode()).hexdigest()
+                 for s in (out, err)) + (code,)
+
+
+def main():
+    for argv in ARGVS:
+        out, err, code = digest(argv)
+        print(out, err, code, " ".join(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
