@@ -45,6 +45,20 @@ Every kernel returns exactly what the dense computation would: the ring
 is exact, so skipping zero terms, reordering sums and reducing by
 polynomial identities changes no coefficient.
 
+A third ops class, _LaneOps, runs the slope kernels (twisted_product,
+_berkowitz and poly_mul, unchanged) on many matrices at once, as a
+sweep's points need: a lane value is a tuple of one raw scalar per
+matrix, and every operation acts lane by lane, so one call costs the
+interpreter overhead of one matrix and the arithmetic of all of them.
+The lane matrix has the union of the lanes' supports, and its zero is the
+all-zero lane, so the kernels skip an entry, or stop early, only when it
+vanishes in every lane.  That changes no lane's result: an entry that
+vanishes in one lane contributes exactly 0 to that lane's sums, and a
+vector that vanishes in a lane stays 0 there.  lane_slope_pairs reads
+each lane's polygon from the blocks of the union support (its docstring
+shows they give the lane's own polygon and certificate), through the hull
+and certificate step it shares with block_slope_pairs, _hull_pairs.
+
 pivot_steps (behind adjugate_action), det_valuation and rank share one
 elimination on sparse dict rows, _eliminate, which takes at each step an
 entry of least valuation in the remaining matrix as its pivot.  Over W_N
@@ -64,6 +78,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import add as _add, mul as _mul
 
 
 class PrecisionError(ArithmeticError):
@@ -208,6 +223,69 @@ class _ExtOps:
 
 def ops_for(ctx):
     return _IntOps(ctx) if ctx.d == 1 else _ExtOps(ctx)
+
+
+class _LaneOps:
+    """Raw arithmetic on lanes: a lane value is a tuple of width raw
+    scalars of the base ops, one per matrix of a batch, and every
+    operation acts lane by lane.  Only what twisted_product, _berkowitz
+    and poly_mul use is provided.  The zero is the all-zero lane, so a
+    kernel skips an entry, or stops early, only when it vanishes in every
+    lane, and each lane gets exactly what the base ops would give for its
+    own matrix (see the module docstring)."""
+
+    def __init__(self, base, width):
+        self.base = base
+        self.width = width
+        self.cap = base.cap
+        self.zero = (base.zero,) * width
+        self.one = (base.one,) * width
+        if isinstance(base, _ExtOps):
+            self.smatvec = self._ext_smatvec
+
+    def neg(self, a):
+        return tuple(map(self.base.neg, a))
+
+    def frob(self, a, power=1):
+        frob = self.base.frob
+        return tuple([frob(x, power) for x in a])
+
+    def smatvec(self, cols, w):
+        """M * w lane by lane, for d == 1: each output entry sums its
+        products in every lane and reduces once; entries that vanish in
+        every lane are dropped."""
+        acc = {}
+        get = acc.get
+        for j, b in w.items():
+            for i, a in cols[j]:
+                s = get(i)
+                acc[i] = (list(map(_mul, a, b)) if s is None
+                          else list(map(_add, s, map(_mul, a, b))))
+        q, zero = self.base.q, self.zero
+        return {i: e for i, s in acc.items()
+                if (e := tuple([x % q for x in s])) != zero}
+
+    def _ext_smatvec(self, cols, w):
+        """M * w lane by lane, for d >= 2: one convolution buffer per lane
+        and output entry, reduced once, as _ExtOps.smatvec does; entries
+        that vanish in every lane are dropped."""
+        size = 2 * self.base.d - 1
+        width = self.width
+        acc = {}
+        for j, b in w.items():
+            b = [[(k, bk) for k, bk in enumerate(bl) if bk] for bl in b]
+            for i, a in cols[j]:
+                bufs = acc.get(i)
+                if bufs is None:
+                    bufs = acc[i] = [[0] * size for _ in range(width)]
+                for conv, al, bl in zip(bufs, a, b):
+                    for s, a_s in enumerate(al):
+                        if a_s:
+                            for k, bk in bl:
+                                conv[s + k] += a_s * bk
+        zero, reduce = self.zero, self.base.ctx._reduce
+        return {i: e for i, bufs in acc.items()
+                if (e := tuple(map(reduce, bufs))) != zero}
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +608,15 @@ def adjugate_action(ops, cols, steps):
         return ops.cap, None
     v = sum(k for _, k, _, _ in steps)
     neg, mul, divexact_p = ops.neg, ops.mul, ops.divexact_p
+    # p^(v - k) u^(-1) per distinct pivot (k, u^(-1)): a direct sum of k
+    # copies of one summand has only that summand's few
+    leads = {}
     out = [None] * r
     for c, k, unit_inv, row in reversed(steps):
-        srcs, coeffs = {-1: []}, {-1: ops.scale(ops.p ** (v - k), unit_inv)}
+        lead = leads.get((k, unit_inv))
+        if lead is None:
+            lead = leads[k, unit_inv] = ops.scale(ops.p ** (v - k), unit_inv)
+        srcs, coeffs = {-1: []}, {-1: lead}
         for j, b in row.items():
             if j < r:
                 srcs[j] = out[j].items()
@@ -592,31 +676,74 @@ def block_slope_pairs(ops, srows, twist, scale):
     Algebraic Number Theory, ch. II, section 6), each read from one
     Berkowitz run on its block.
 
-    Raises PrecisionError when a moved vertex of the hull of h sits at or
-    above the cap N: the polygon is then not determined at this precision.
-    Otherwise it is: a coefficient that reads as 0 has valuation N, so it
-    is no vertex, and revealing it only raises a point on or above a hull
-    whose vertices lie below it.  A monic hull runs from (0, val h_0) down
-    to (deg, 0) and, being convex, lies at or below val h_0, so the check
-    fails exactly when sy * val h_0 >= N, and it names degree 0.  h_0 is
-    the product of the blocks' constant terms, so val h_0 is the sum s of
-    their valuations, capped at N, and with sy >= 1 the check is
-    sy * s >= N.  When it passes, each block's constant term lies below N,
-    so each block's hull is certified, and their union is h's polygon."""
+    Raises PrecisionError unless the polygon is certified (see
+    _hull_pairs)."""
+    polys = [_berkowitz(ops, _restrict(srows, block))
+             for block in _blocks(srows)]
+    return _hull_pairs(polys, ops.val, ops.cap, twist, scale)
+
+
+def lane_slope_pairs(lops, srows, twist, scale):
+    """block_slope_pairs for every lane of the lane matrix M with the
+    given sparse rows (lops a _LaneOps): one list of pairs per lane, or
+    None for a lane whose polygon is not certified.
+
+    The blocks are those of the union of the lanes' supports, and
+    Berkowitz runs once per block for all lanes.  A lane may see coarser
+    blocks than its own matrix has, since the union support can join
+    blocks, and that changes no result: a coarse block of the lane's
+    matrix is block upper-triangular in the lane's own finer blocks, so
+    its polynomial is the product of theirs; the polygon of the coarse
+    block is the union of the sub-blocks' polygons; val c_0 of the coarse
+    block is min(N, the sum of the sub-blocks' val c_0), so
+    sy * sum(val c_0) >= N decides the certificate exactly as it does on
+    the lane's own blocks (a capped term already fails it); and
+    NewtonPolygon merges repeated slope pairs.  Each lane's polygon is
+    therefore that of block_slope_pairs on the lane's own matrix."""
+    base = lops.base
+    polys = [list(zip(*_berkowitz(lops, _restrict(srows, block))))
+             for block in _blocks(srows)]
+    out = []
+    for lane in range(lops.width):
+        try:
+            out.append(_hull_pairs([poly[lane] for poly in polys], base.val,
+                                   base.cap, twist, scale))
+        except PrecisionError:
+            out.append(None)
+    return out
+
+
+def _hull_pairs(polys, val, cap, twist, scale):
+    """The scaled (slope, multiplicity) pairs of the lower hulls of the
+    diagonal blocks' polynomials polys (each det(xI - block), high degree
+    first), as block_slope_pairs lists them, with val the valuation of a
+    coefficient and cap the precision N.
+
+    Raises PrecisionError when a moved vertex of the hull of h, the
+    product of the polys, sits at or above the cap N: the polygon is then
+    not determined at this precision.  Otherwise it is: a coefficient that
+    reads as 0 has valuation N, so it is no vertex, and revealing it only
+    raises a point on or above a hull whose vertices lie below it.  A
+    monic hull runs from (0, val h_0) down to (deg, 0) and, being convex,
+    lies at or below val h_0, so the check fails exactly when
+    sy * val h_0 >= N, and it names degree 0.  h_0 is the product of the
+    blocks' constant terms, so val h_0 is the sum s of their valuations,
+    capped at N, and with sy >= 1 the check is sy * s >= N.  When it
+    passes, each block's constant term lies below N, so each block's hull
+    is certified, and their union is h's polygon."""
     sx, sy = scale
     pairs, c0 = [], 0
-    for block in _blocks(srows):
-        vals = [ops.val(c)
-                for c in reversed(_berkowitz(ops, _restrict(srows, block)))]
+    for poly in polys:
+        vals = [val(c) for c in reversed(poly)]
         c0 += vals[0]
         hull = lower_hull(list(enumerate(vals)))
         pairs += [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
                    sx * (i2 - i1))
                   for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
-    if sy * c0 >= ops.cap:
+    if sy * c0 >= cap:
         raise PrecisionError(
             f"insufficient precision: hull vertex at degree 0 has "
-            f"valuation >= {ops.cap}")
+            f"valuation >= {cap}")
     return pairs
 
 

@@ -607,6 +607,41 @@ def newton_slopes(display):
     return cached
 
 
+def newton_slopes_batch(displays):
+    """newton_slopes of every display of a list that shares one context
+    and one graded basis (the points of a sweep): one NewtonPolygon per
+    display, or None for one whose polygon is not certified at N.
+
+    The displays run as lanes (_linalg._LaneOps): one lane column of X and
+    Y per column, holding each display's entry, and one twisted product
+    and one Berkowitz run per block for all of them
+    (_linalg.lane_slope_pairs, which shows that each lane reads the
+    polygon newton_slopes reads).  Each polygon is stored in its display's
+    slopes cache, so newton_slopes(display) then returns it."""
+    first = displays[0]
+    zero, width = first._ops().zero, len(displays)
+    blocks = []
+    for idx, pos in _basis_halves(first.basis):
+        cols = []
+        for j in idx:
+            entries = {}
+            for lane, display in enumerate(displays):
+                for i, a in display.sparse_frobenius[j]:
+                    entries.setdefault(pos[i], [zero] * width)[lane] = a
+            cols.append([(i, tuple(e)) for i, e in sorted(entries.items())])
+        blocks.append(cols)
+    lops = _linalg._LaneOps(first._ops(), width)
+    srows, scale = _graded_factor(lops, first.ctx.d, *blocks)
+    out = []
+    for display, pairs in zip(displays, _linalg.lane_slope_pairs(
+            lops, srows, first.ctx.d, scale)):
+        polygon = None
+        if pairs is not None:
+            polygon = display._cache["slopes"] = NewtonPolygon(pairs)
+        out.append(polygon)
+    return out
+
+
 def _twisted_factor(display):
     """(srows, scale) for the twisted product
     Phi = A * sigma(A) * ... * sigma^(d-1)(A): srows are the sparse rows of
@@ -614,16 +649,21 @@ def _twisted_factor(display):
     each vertex (i, v) is moved to (sx * i, sy * v) for scale = (sx, sy).
 
     A display that is not graded gives Z = Phi and scale (1, 1).  A graded
-    display uses the identities of the module docstring, with
-    Z = X sigma(Y) sigma^2(X) ... of 2d factors for odd d and of d factors
-    for even d, on n rows: charpoly(Phi) is h(t^2), scale (2, 1), for odd
-    d, and h * sigma(h), scale (2, 2), for even d."""
+    display uses the identities of the module docstring (_graded_factor).
+    """
     ops, d = display._ops(), display.ctx.d
     blocks = display._graded_blocks()
     if not blocks:
         return _linalg.twisted_product(ops, display.sparse_frobenius,
                                        d), (1, 1)
-    x, y = blocks
+    return _graded_factor(ops, d, *blocks)
+
+
+def _graded_factor(ops, d, x, y):
+    """_twisted_factor of a graded F with blocks of sparse columns x and y:
+    Z = X sigma(Y) sigma^2(X) ... of 2d factors for odd d and of d factors
+    for even d, on n rows: charpoly(Phi) is h(t^2), scale (2, 1), for odd
+    d, and h * sigma(h), scale (2, 2), for even d."""
     odd = d % 2
     return _linalg.twisted_product(ops, x, d << odd, y), (2, 2 - odd)
 

@@ -172,6 +172,31 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "count >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "257", "--random", "1"],
+        ["--n", "800", "--random", "1", "--seed", "4"],
+        ["--n", "100000", "--exhaustive"],
+        ["--n", "400", "--d", "2", "--random", "64"],
+    ])
+    def test_n_above_the_cap_exits_2(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("context built before n was refused")
+
+        monkeypatch.setattr(strata, "make_context", refuse)
+        code, out = run(["verify", "--p", "3"] + argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: need 3 <= n <= {strata.MAX_VERIFY_N}, got {argv[1]}\n")
+
+    def test_n_at_the_cap_passes_the_guards(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("context built")
+
+        monkeypatch.setattr(strata, "make_context", refuse)
+        with pytest.raises(AssertionError, match="context built"):
+            run(["verify", "--p", "3", "--n", str(strata.MAX_VERIFY_N),
+                 "--random", "1"])
+
     def test_non_integer_budget_variable_is_named(self, monkeypatch, capsys):
         monkeypatch.setenv("GUSTRATA_POINT_BUDGET", "abc")
         code, out = run(["verify", "--n", "3", "--p", "2", "--d", "1"])

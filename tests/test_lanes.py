@@ -1,0 +1,222 @@
+"""Lanes: the slope kernels run once for a batch of matrices.
+
+Each lane of twisted_product, _berkowitz and poly_mul on _LaneOps must be
+what the base ops give for that lane's own matrix, lane_slope_pairs must
+read each lane's certified polygon (or its failure) as block_slope_pairs
+does, and a sweep's polygons, read in lanes, must equal newton_slopes of
+freshly built displays.
+"""
+import random
+
+import pytest
+
+from gustrata import (DeformationPoint, NewtonPolygon, deformation_display,
+                      make_context, newton_slopes, verify_local_strata)
+from gustrata._linalg import (PrecisionError, _berkowitz, _blocks, _LaneOps,
+                              block_slope_pairs, lane_slope_pairs, ops_for,
+                              poly_mul, sparse_transpose, twisted_product)
+from gustrata.fcrystal import newton_slopes_batch
+from gustrata.strata import CHUNK
+
+
+def raw_entry(rng, ops, d):
+    """A random nonzero raw scalar of random valuation below 3."""
+    p, q = ops.p, ops.q
+    while True:
+        k = p ** rng.randrange(3)
+        raw = (rng.randrange(q) * k % q if d == 1
+               else tuple(rng.randrange(q) * k % q for _ in range(d)))
+        if raw != ops.zero:
+            return raw
+
+
+def lane_matrices(rng, ops, d, r, width, density=0.45, vanish=0.35):
+    """(lane columns, per-lane columns) of width random r x r matrices on
+    one union support: each entry of the support vanishes in a lane with
+    probability vanish, and in every lane never (it is dropped)."""
+    zero = ops.zero
+    lane_cols = [[] for _ in range(r)]
+    for j in range(r):
+        for i in range(r):
+            if rng.random() >= density:
+                continue
+            e = tuple(zero if rng.random() < vanish else raw_entry(rng, ops, d)
+                      for _ in range(width))
+            if any(x != zero for x in e):
+                lane_cols[j].append((i, e))
+    return lane_cols, [lane_of(lane_cols, lane, zero) for lane in range(width)]
+
+
+def lane_of(sparse, lane, zero):
+    """Sparse rows (or columns) of one lane of a lane matrix."""
+    return [[(j, e[lane]) for j, e in line if e[lane] != zero]
+            for line in sparse]
+
+
+def as_dicts(sparse):
+    return [dict(line) for line in sparse]
+
+
+CASES = [(d, width) for d in (1, 2, 3) for width in (1, 5)]
+
+
+@pytest.mark.parametrize("d,width", CASES)
+class TestKernelParity:
+    def setup(self, d):
+        ctx = make_context(3, d, 7)
+        return ops_for(ctx)
+
+    def test_twisted_product(self, d, width):
+        ops = self.setup(d)
+        lops = _LaneOps(ops, width)
+        rng = random.Random(10 * d + width)
+        for r in (1, 3, 5, 7):
+            x, xs = lane_matrices(rng, ops, d, r, width)
+            y, ys = lane_matrices(rng, ops, d, r, width)
+            for length in (1, 2, 3, 4):
+                got = twisted_product(lops, x, length, y)
+                for lane in range(width):
+                    want = twisted_product(ops, xs[lane], length, ys[lane])
+                    assert as_dicts(lane_of(got, lane, ops.zero)) == \
+                        as_dicts(want)
+
+    def test_berkowitz(self, d, width):
+        ops = self.setup(d)
+        lops = _LaneOps(ops, width)
+        rng = random.Random(100 + 10 * d + width)
+        for r in (1, 2, 4, 6, 8):
+            for _ in range(3):
+                cols, lanes = lane_matrices(rng, ops, d, r, width)
+                got = _berkowitz(lops, sparse_transpose(cols, r))
+                for lane in range(width):
+                    want = _berkowitz(ops, sparse_transpose(lanes[lane], r))
+                    assert [c[lane] for c in got] == want
+
+    def test_poly_mul(self, d, width):
+        ops = self.setup(d)
+        lops = _LaneOps(ops, width)
+        rng = random.Random(200 + 10 * d + width)
+        zero = ops.zero
+
+        def lane_poly(size):
+            return [tuple(zero if rng.random() < 0.4
+                          else raw_entry(rng, ops, d) for _ in range(width))
+                    for _ in range(size)]
+
+        for la, lb in ((1, 1), (3, 2), (5, 4), (6, 6)):
+            a, b = lane_poly(la), lane_poly(lb)
+            for terms in (1, la + lb - 1, la + 1):
+                got = poly_mul(lops, a, b, terms)
+                for lane in range(width):
+                    want = poly_mul(ops, [c[lane] for c in a],
+                                    [c[lane] for c in b], terms)
+                    assert [c[lane] for c in got] == want
+
+
+def outcome(compute):
+    try:
+        return NewtonPolygon(compute())
+    except PrecisionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mixed_certified_lanes(d):
+    """Lanes whose matrices are scaled by p (which raises val det) fail the
+    certificate next to lanes that pass; each lane reads what
+    block_slope_pairs reads on its own matrix, and some lane's own blocks
+    are finer than the blocks of the union support."""
+    ctx = make_context(3, d, 6)
+    ops = ops_for(ctx)
+    rng = random.Random(300 + d)
+    width = 6
+    lops = _LaneOps(ops, width)
+    seen = set()
+    finer = False
+    for r in (3, 4, 5, 6):
+        for twist, scale in ((1, (1, 1)), (d, (2, 1)), (d, (2, 2))):
+            for _ in range(4):
+                cols, lanes = lane_matrices(rng, ops, d, r, width,
+                                            density=0.6)
+                # scale the odd lanes by p
+                cols = [[(i, tuple(ops.scale(ops.p, x) if t % 2 else x
+                                   for t, x in enumerate(e)))
+                         for i, e in col] for col in cols]
+                cols = [[(i, e) for i, e in col
+                         if any(x != ops.zero for x in e)] for col in cols]
+                srows = sparse_transpose(cols, r)
+                got = lane_slope_pairs(lops, srows, twist, scale)
+                union_blocks = len(_blocks(srows))
+                for lane in range(width):
+                    own = lane_of(srows, lane, ops.zero)
+                    finer |= len(_blocks(own)) > union_blocks
+                    want = outcome(lambda: block_slope_pairs(
+                        ops, own, twist, scale))
+                    if got[lane] is None:
+                        assert isinstance(want, str), (r, lane)
+                        seen.add("failed")
+                    else:
+                        assert NewtonPolygon(got[lane]) == want, (r, lane)
+                        seen.add("certified")
+    assert seen == {"failed", "certified"}
+    assert finer
+
+
+def test_batch_caches_polygons_and_marks_uncertified():
+    """The batch stores each certified polygon in its display's cache, equal
+    to newton_slopes of a fresh display, and returns None where the
+    certificate fails (precision 5 is too low for every point at n = 5,
+    p = 3), caching nothing there."""
+    for nprec, certified in ((28, True), (5, False)):
+        ctx = make_context(3, 1, nprec)
+        rng = random.Random(nprec)
+        points = [DeformationPoint.from_ints(
+            ctx, 5, tuple(rng.randrange(3) for _ in range(4)))
+            for _ in range(7)]
+        displays = [deformation_display(ctx, pt) for pt in points]
+        polygons = newton_slopes_batch(displays)
+        for point, display, polygon in zip(points, displays, polygons):
+            if certified:
+                assert newton_slopes(display) is polygon
+                assert newton_slopes(deformation_display(ctx, point)) == \
+                    polygon
+            else:
+                assert polygon is None
+                assert "slopes" not in display._cache
+                with pytest.raises(PrecisionError):
+                    newton_slopes(display)
+
+
+SWEEPS = [(n, 3, 1) for n in (4, 5, 6, 7)] + [(4, 3, 2), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("n,p,d", SWEEPS)
+def test_sweep_polygons_equal_fresh_displays(n, p, d):
+    rep = verify_local_strata(n, p, d, retain=True)
+    assert rep.points == (p ** d) ** (n - 1) == len(rep.retained)
+    for point, display, polygon, _ in rep.retained:
+        fresh = deformation_display(display.ctx, point)
+        assert newton_slopes(fresh) == polygon, point.to_ints()
+
+
+def test_random_sweep_across_chunk_edges():
+    """A random sweep of 2 * CHUNK + 1 points gives the same polygons as
+    one point at a time."""
+    rep = verify_local_strata(8, 3, 1, mode="random", count=2 * CHUNK + 1,
+                              seed=3, retain=True)
+    assert len(rep.retained) == 2 * CHUNK + 1
+    for point, display, polygon, _ in rep.retained:
+        fresh = deformation_display(display.ctx, point)
+        assert newton_slopes(fresh) == polygon
+
+
+def test_every_point_retries_once_at_low_precision():
+    """At n = 5, p = 3 and precision 5 no point is certified at N and
+    every point is at 2N: val det is the same at every point."""
+    rep = verify_local_strata(5, 3, 1, precision=5, retain=True)
+    assert rep.points == rep.precision_retries == 81
+    assert rep.precision_failures == []
+    for point, display, polygon, _ in rep.retained:
+        assert display.ctx.N == 10
+        assert newton_slopes(deformation_display(display.ctx, point)) == \
+            polygon

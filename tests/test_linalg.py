@@ -329,6 +329,28 @@ class TestPivotInverses:
             ops, [list(row) for row in display.frobenius]) == m
         assert len(inverted) == 1 + m % 2
 
+    @pytest.mark.parametrize("spec,d", [("N^8", 1), ("M(5)+N^3", 2)])
+    def test_adjugate_scales_once_per_distinct_pivot(self, spec, d):
+        # each distinct (k, u^(-1)) gets its p^(v - k) u^(-1) once; the
+        # back substitution still agrees with the oracle's identities
+        ctx = make_context(3, d, 24)
+        ops = ops_for(ctx)
+        display = parse_module_spec(spec).build(ctx)
+        steps = pivot_steps(ops, display.sparse_frobenius)
+        pairs = {(k, u) for _, k, u, _ in steps}
+        scaled = []
+        scale = ops.scale
+
+        def counting(k, a):
+            scaled.append((k, a))
+            return scale(k, a)
+
+        ops.scale = counting
+        v, w = adjugate_action(ops, display.sparse_frobenius, steps)
+        assert len(scaled) == len(pairs) <= 4 < len(steps)
+        assert assert_adjugate_identities(
+            ops, [list(row) for row in display.frobenius]) == v
+
     def test_det_valuation_of_the_pairing(self):
         # J of M(14) holds +-1: two inverses for 28 pivots
         ctx = make_context(5, 2, 16)

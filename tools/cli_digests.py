@@ -7,8 +7,10 @@ one line per invocation: "sha256(stdout) sha256(stderr) exit  argv".  Run
 it on two trees and diff the outputs: an empty diff means every listed
 invocation writes the same bytes and exits the same way.  The list covers
 large direct sums that the golden file does not (slopes and check, with
-precision failures), exhaustive sweeps at n = 4..7 and one at d = 2, a
-random rank-16 sweep and a sweep that fails for lack of precision.
+precision failures), exhaustive sweeps at n = 4..7, at d = 2 and d = 3, a
+random rank-16 sweep, one of 129 points (across the edges of the sweep's
+point chunks), one at d = 2, a sweep that fails for lack of precision and
+one whose every point is certified only at 2N.
 """
 
 import contextlib
@@ -30,6 +32,10 @@ ARGVS = [
     ["verify", "--n", "4", "--p", "3", "--d", "2"],
     ["verify", "--n", "8", "--p", "3", "--random", "200", "--seed", "1"],
     ["verify", "--n", "5", "--p", "3", "--precision", "2", "--random", "20"],
+    ["verify", "--n", "8", "--p", "3", "--random", "129", "--seed", "3"],
+    ["verify", "--n", "5", "--p", "3", "--precision", "5"],
+    ["verify", "--n", "3", "--p", "3", "--d", "3"],
+    ["verify", "--n", "6", "--p", "3", "--d", "2", "--random", "100"],
 ]
 
 
