@@ -29,12 +29,12 @@ column at a time.  This is exact, not an approximation:
   for d > 1, one convolution reduced modulo the modulus polynomial and
   p^N) is the same residue as the sum of products reduced one by one.
 
-Newton polygons are read block by block (block_slope_pairs): the strongly
-connected components of the graph with an edge i -> j for each nonzero
-M[i][j] put M into block upper-triangular form, and the polygon of
-det(xI - M) is the union of the polygons of its diagonal blocks, so no
-polynomial product is formed.  charpoly, the whole det(xI - M), is one
-Berkowitz run on the whole matrix.
+Newton polygons are read block by block (lane_slope_pairs, which also
+states their certificate): the strongly connected components of the graph
+with an edge i -> j for each nonzero M[i][j] put M into block
+upper-triangular form, and the polygon of det(xI - M) is the union of the
+polygons of its diagonal blocks, so no polynomial product is formed.
+charpoly, the whole det(xI - M), is one Berkowitz run on the whole matrix.
 
 Both take the sparse rows of their matrix and twisted_product the sparse
 columns of its factors, so the display's stored sparse data feeds the
@@ -56,8 +56,8 @@ vanishes in every lane.  That changes no lane's result: an entry that
 vanishes in one lane contributes exactly 0 to that lane's sums, and a
 vector that vanishes in a lane stays 0 there.  lane_slope_pairs reads
 each lane's polygon from the blocks of the union support (its docstring
-shows they give the lane's own polygon and certificate), through the hull
-and certificate step it shares with block_slope_pairs, _hull_pairs.
+shows they give the lane's own polygon and certificate); one display is
+one lane.
 
 pivot_steps (behind adjugate_action), det_valuation and rank share one
 elimination on sparse dict rows, _eliminate, which takes at each step an
@@ -79,10 +79,6 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from operator import add as _add, mul as _mul
-
-
-class PrecisionError(ArithmeticError):
-    """A result is not determined at the working precision."""
 
 
 class _IntOps:
@@ -654,97 +650,64 @@ def lower_hull(points):
     return hull
 
 
-def block_slope_pairs(ops, srows, twist, scale):
+def lane_slope_pairs(lops, srows, twist, scale):
     """(slope, multiplicity) pairs of the p-adic Newton polygon of
-    det(xI - M), for the matrix M given by its sparse rows, with each hull
-    vertex (i, v) moved to (sx * i, sy * v) for scale = (sx, sy) and each
-    slope divided by twist.  One pair per hull segment of each diagonal
-    block of the SCC order, so a slope may come more than once.
+    det(xI - M) for every lane of the lane matrix M with the given sparse
+    rows (lops a _LaneOps), each hull vertex (i, v) moved to
+    (sx * i, sy * v) for scale = (sx, sy) and each slope divided by twist:
+    one list per lane, or None for a lane whose polygon is not certified.
+    One pair per hull segment of each diagonal block, so a slope may come
+    more than once.
 
-    With scale (2, 1) these are the pairs of h(t^2), and with (2, 2) those
-    of h * sigma^s(h), for the monic h = det(xI - M): the hull of h(t^2) is
-    that of h stretched in degree (its odd coefficients are 0), and that
-    of the product is the Minkowski sum of two hulls equal to h's, sigma
-    keeping valuations.
+    Scale: with (2, 1) these are the pairs of h(t^2), and with (2, 2)
+    those of h * sigma^s(h), for the monic h = det(xI - M).  The hull of
+    h(t^2) is that of h stretched in degree (its odd coefficients are 0),
+    and that of the product is the Minkowski sum of two hulls equal to
+    h's, sigma keeping valuations.
 
-    Listed sources first, the blocks put M into block upper-triangular
-    form, so h is the product of the blocks' polynomials h_b: det(xI - M)
-    of a block-triangular matrix is the product of the diagonal blocks'
-    determinants, a polynomial identity over any commutative ring, Z/p^N
+    Blocks: listed sources first, the blocks of the SCC order put M into
+    block upper-triangular form, so h is the product of the blocks'
+    polynomials h_b, a polynomial identity over any commutative ring, Z/p^N
     and W_N(F_{p^d}) included.  Valuations add under products, so the
     polygon of h is the union of the polygons of the h_b (Neukirch,
     Algebraic Number Theory, ch. II, section 6), each read from one
-    Berkowitz run on its block.
+    Berkowitz run on its block for all lanes.
 
-    Raises PrecisionError unless the polygon is certified (see
-    _hull_pairs)."""
-    polys = [_berkowitz(ops, _restrict(srows, block))
-             for block in _blocks(srows)]
-    return _hull_pairs(polys, ops.val, ops.cap, twist, scale)
+    Certificate: a lane's polygon is determined at precision N unless a
+    moved vertex of the hull of h sits at or above N.  A coefficient that
+    reads as 0 has valuation N, the cap, so it is no vertex, and revealing
+    it only raises a point on or above a hull whose vertices lie below it.
+    A monic hull runs from (0, val h_0) down to (deg, 0) and, being convex,
+    lies at or below val h_0, so the check fails exactly when
+    sy * val h_0 >= N.  h_0 is the product of the blocks' constant terms,
+    so val h_0 is the sum s of their valuations, capped at N, and with
+    sy >= 1 the check is sy * s >= N.  When it passes, each block's
+    constant term lies below N, so each block's hull is certified, and
+    their union is h's polygon.
 
-
-def lane_slope_pairs(lops, srows, twist, scale):
-    """block_slope_pairs for every lane of the lane matrix M with the
-    given sparse rows (lops a _LaneOps): one list of pairs per lane, or
-    None for a lane whose polygon is not certified.
-
-    The blocks are those of the union of the lanes' supports, and
-    Berkowitz runs once per block for all lanes.  A lane may see coarser
-    blocks than its own matrix has, since the union support can join
-    blocks, and that changes no result: a coarse block of the lane's
-    matrix is block upper-triangular in the lane's own finer blocks, so
-    its polynomial is the product of theirs; the polygon of the coarse
-    block is the union of the sub-blocks' polygons; val c_0 of the coarse
-    block is min(N, the sum of the sub-blocks' val c_0), so
-    sy * sum(val c_0) >= N decides the certificate exactly as it does on
-    the lane's own blocks (a capped term already fails it); and
-    NewtonPolygon merges repeated slope pairs.  Each lane's polygon is
-    therefore that of block_slope_pairs on the lane's own matrix."""
-    base = lops.base
+    Lanes: the blocks are those of the union of the lanes' supports.  A
+    lane may see coarser blocks than its own matrix has, and that changes
+    no result: a coarse block of the lane's matrix is block
+    upper-triangular in the lane's own finer blocks, so its polynomial is
+    the product of theirs, its polygon the union of theirs, and its val c_0
+    min(N, the sum of theirs), which decides the certificate as they do (a
+    capped term already fails it); NewtonPolygon merges repeated pairs."""
+    val, cap = lops.base.val, lops.cap
+    sx, sy = scale
     polys = [list(zip(*_berkowitz(lops, _restrict(srows, block))))
              for block in _blocks(srows)]
     out = []
     for lane in range(lops.width):
-        try:
-            out.append(_hull_pairs([poly[lane] for poly in polys], base.val,
-                                   base.cap, twist, scale))
-        except PrecisionError:
-            out.append(None)
+        pairs, c0 = [], 0
+        for poly in polys:
+            vals = [val(c) for c in reversed(poly[lane])]
+            c0 += vals[0]
+            hull = lower_hull(list(enumerate(vals)))
+            pairs += [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
+                       sx * (i2 - i1))
+                      for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
+        out.append(None if sy * c0 >= cap else pairs)
     return out
-
-
-def _hull_pairs(polys, val, cap, twist, scale):
-    """The scaled (slope, multiplicity) pairs of the lower hulls of the
-    diagonal blocks' polynomials polys (each det(xI - block), high degree
-    first), as block_slope_pairs lists them, with val the valuation of a
-    coefficient and cap the precision N.
-
-    Raises PrecisionError when a moved vertex of the hull of h, the
-    product of the polys, sits at or above the cap N: the polygon is then
-    not determined at this precision.  Otherwise it is: a coefficient that
-    reads as 0 has valuation N, so it is no vertex, and revealing it only
-    raises a point on or above a hull whose vertices lie below it.  A
-    monic hull runs from (0, val h_0) down to (deg, 0) and, being convex,
-    lies at or below val h_0, so the check fails exactly when
-    sy * val h_0 >= N, and it names degree 0.  h_0 is the product of the
-    blocks' constant terms, so val h_0 is the sum s of their valuations,
-    capped at N, and with sy >= 1 the check is sy * s >= N.  When it
-    passes, each block's constant term lies below N, so each block's hull
-    is certified, and their union is h's polygon."""
-    sx, sy = scale
-    pairs, c0 = [], 0
-    for poly in polys:
-        vals = [val(c) for c in reversed(poly)]
-        c0 += vals[0]
-        hull = lower_hull(list(enumerate(vals)))
-        pairs += [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
-                   sx * (i2 - i1))
-                  for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
-    if sy * c0 >= cap:
-        raise PrecisionError(
-            f"insufficient precision: hull vertex at degree 0 has "
-            f"valuation >= {cap}")
-    return pairs
 
 
 # ---------------------------------------------------------------------------

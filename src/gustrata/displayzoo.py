@@ -64,6 +64,16 @@ def module_N(ctx):
     return _build(ctx, (U(0), V(0)), relations, pairing)
 
 
+def _check_m(m):
+    if m < 2:
+        raise ValueError(f"module_M needs m >= 2, got {m}")
+
+
+def _check_n(n):
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+
+
 def module_M(ctx, m):
     """The rank-2m display on u_1..u_m, v_1..v_m.
 
@@ -71,8 +81,7 @@ def module_M(ctx, m):
     v_1 = V u_m, u_k = V v_{k-1} give F v_1 = p u_m, F u_k = p v_{k-1}.
     The pairing is <u_i, v_j> = (-1)^i delta_ij.
     """
-    if m < 2:
-        raise ValueError(f"module_M needs m >= 2, got {m}")
+    _check_m(m)
     labels, pairing = _m_basis(m)
     relations = {(U(1), V(m)): (-1) ** m, (V(1), U(m)): ctx.p}
     for k in range(2, m + 1):
@@ -130,8 +139,7 @@ def direct_sum(*displays):
 def expected_module(ctx, n, j):
     """The module on the stratum with the j-th smallest positive slope gap:
     M(2(floor(n/2)+1-j)) + N^r with r forced by total rank 2n."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_n(n)
     if not 1 <= j <= n // 2:
         raise ValueError(f"j must lie in [1, {n // 2}], got {j}")
     m = 2 * (n // 2 + 1 - j)
@@ -143,8 +151,7 @@ def expected_module(ctx, n, j):
 
 def supersingular_module(ctx, n):
     """M(n) for odd n, M(n-1) + N for even n; all slopes 1/2."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    _check_n(n)
     if n % 2:
         return module_M(ctx, n)
     return direct_sum(module_M(ctx, n - 1), module_N(ctx))
@@ -161,8 +168,7 @@ class DeformationPoint:
     values: tuple
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got {self.n}")
+        _check_n(self.n)
         if len(self.values) != self.n - 1:
             raise ValueError(
                 f"expected {self.n - 1} parameters, got {len(self.values)}")
@@ -325,7 +331,8 @@ def _build_term(ctx, term):
     if kind == "ss":
         return supersingular_module(ctx, term[1])
     if kind == "def":
-        point = _point_from_assignments(ctx, term[1], dict(term[2]))
+        point = DeformationPoint.from_ints(
+            ctx, term[1], _def_ints(term[1], dict(term[2])))
         return deformation_display(ctx, point)
     raise ValueError(f"unknown term {term!r}")
 
@@ -334,7 +341,22 @@ def _term_half_rank(term):
     return 1 if term[0] == "N" else term[1]
 
 
-def _point_from_assignments(ctx, n, assignments):
+def _check_term(term):
+    """ValueError unless the term can be built: M(m) needs m >= 2, ss(n)
+    n >= 3, and def(n; ...) n >= 3 and parameter indices of n."""
+    kind = term[0]
+    if kind == "M":
+        _check_m(term[1])
+    elif kind == "ss":
+        _check_n(term[1])
+    elif kind == "def":
+        _def_ints(term[1], dict(term[2]))
+
+
+def _def_ints(n, assignments):
+    """The parameter vector of def(n; assignments), unassigned parameters
+    0.  ValueError for indices that are not parameters of n, checked
+    first, and then for n < 3."""
     indices = _parameter_indices(n)
     bad = set(assignments) - set(indices)
     if bad:
@@ -346,17 +368,20 @@ def _point_from_assignments(ctx, n, assignments):
         raise ValueError(
             f"parameter indices {sorted(bad)} invalid for n={n}; "
             f"valid indices are {', '.join(valid) or 'none'}")
-    ints = tuple(assignments.get(i, 0) for i in indices)
-    return DeformationPoint.from_ints(ctx, n, ints)
+    _check_n(n)
+    return tuple(assignments.get(i, 0) for i in indices)
 
 
 def parse_module_spec(text):
     """Parse the module mini-grammar.
 
     Examples: "N", "M(4)", "ss(6)", "M(2)+N^2", "def(5; s2=1, s4=2)".
-    Raises ValueError when the half ranks of the terms, powers counted
-    before they are expanded, add up to more than MAX_SPEC_HALF_RANK; a
-    term counts at least 1, as the smallest valid term N does.
+    Every check runs before any context is made.  Raises ValueError when
+    the half ranks of the terms, powers counted before they are expanded,
+    add up to more than MAX_SPEC_HALF_RANK (a term counts at least 1, as
+    the smallest valid term N does); then for a term that cannot be built
+    (_check_term), with the message building it would give.  A parameter
+    index given twice is refused as the term is read.
     """
     terms = []
     total = 0
@@ -379,6 +404,8 @@ def parse_module_spec(text):
         terms.extend([term] * power)
     if not terms:
         raise ValueError("empty module spec")
+    for term in dict.fromkeys(terms):
+        _check_term(term)
     return ModuleSpec(tuple(terms))
 
 
@@ -396,7 +423,7 @@ def _parse_term(chunk):
                 return ("ss", n)
             npart, _, rest = inner.partition(";")
             n = _parse_int(npart.strip(), "def argument")
-            assignments = []
+            assignments = {}
             rest = rest.strip()
             if rest:
                 for piece in rest.split(","):
@@ -405,9 +432,11 @@ def _parse_term(chunk):
                     if not key.startswith("s"):
                         raise ValueError(f"bad parameter assignment {piece!r}")
                     idx = _parse_int(key[1:], "parameter index")
-                    assignments.append((idx, _parse_int(val.strip(),
-                                                        "parameter value")))
-            return ("def", n, tuple(sorted(assignments)))
+                    if idx in assignments:
+                        raise ValueError(f"parameter s{idx} given twice")
+                    assignments[idx] = _parse_int(val.strip(),
+                                                  "parameter value")
+            return ("def", n, tuple(sorted(assignments.items())))
     raise ValueError(f"cannot parse module term {chunk!r}")
 
 

@@ -24,24 +24,19 @@ scalar product.
 Newton slopes are computed from the p-adic Newton polygon of the
 characteristic polynomial of the d-fold twisted product
 Phi = A * sigma(A) * ... * sigma^(d-1)(A), divided by d, at the working
-precision N.  The polygon is certified there: _linalg.block_slope_pairs
-raises PrecisionError unless every hull vertex lies below N.  A
-coefficient that reads as 0 mod p^N has valuation N, the cap, so it is
-no vertex of a hull that passes; its true valuation is at least N, so
-revealing it only raises a point lying on or above the hull, and a hull
-whose vertices all lie below N does not move.  A characteristic
-polynomial is monic, so its hull runs from (0, val c_0) down to (deg, 0)
-and, being convex, lies at or below val c_0: the certificate fails
-exactly when val c_0 >= N, and it then names degree 0.
+precision N, and certified there: _linalg.lane_slope_pairs states the
+certificate, reads the polygon block by block and forms no polynomial
+product.  newton_slopes_batch reads many displays at once, as lanes, and
+newton_slopes is its one-lane case.
 
 The prime is inert in L, so F swaps the u- and v-families.  When F is
 graded that way (every nonzero entry joins the two families, and both
 have n members), A = [[0, X], [Y, 0]] with X = A[U][V], Y = A[V][U], and
 G = X sigma(Y) is the matrix of F^2 on the u-part, the sigma^2-linear
 operator that carries the Newton polygon in the GU(1, n-1) setting
-(Vollaard, Canad. J. Math. 62, 2010).  Every polynomial
-below is then computed from n x n matrices, by three identities that hold
-over any commutative ring, hence coefficient by coefficient mod p^N:
+(Vollaard, Canad. J. Math. 62, 2010).  The twisted charpoly is then
+computed from n x n matrices, by three identities that hold over any
+commutative ring, hence coefficient by coefficient mod p^N:
 
 * odd d: Phi = [[0, P], [Q, 0]] with PQ = G sigma^2(G) ... sigma^(2(d-1))(G)
   (sigma^d = 1 lets the 2d alternating factors pair up), and
@@ -55,21 +50,8 @@ over any commutative ring, hence coefficient by coefficient mod p^N:
 * at d = 1 sigma is the identity, G = XY, and the twisted charpoly is
   the charpoly of A itself, h(t^2).
 
-Neither h(t^2) nor h * sigma(h) is formed to read the polygon.  The hull
-of h(t^2) is that of h stretched by 2 in degree: its odd coefficients
-vanish and read as N, above every segment of a hull that passes.  The
-polygon of a product is the union of its factors' polygons (the hull of
-the product is the Minkowski sum of the factors' hulls), and sigma keeps
-valuations, so the hull of h * sigma(h) is that of h scaled by 2 in both
-coordinates: every slope of h with its multiplicity doubled.  Either way
-the scaled hull of h is certified exactly when the twisted charpoly's
-would be, since both are monic: val h_0 < N for odd d, and
-2 val h_0 < N for even d, as h_0 sigma(h_0) is the constant term of the
-product.  So newton_slopes reads the same slopes, and raises the same
-PrecisionError, from h alone.  Nor is h formed: its polygon is the union
-of the polygons of the diagonal blocks of its matrix, and its constant
-term's valuation the sum of theirs (see _linalg.block_slope_pairs).
-
+Neither h(t^2) nor h * sigma(h) is formed: lane_slope_pairs reads their
+polygons, and their certificates, from h with scale (2, 1) and (2, 2).
 Displays that are not graded this way (only library input, such as
 display_from_json, can give one) use the full rank-2n product.
 
@@ -95,11 +77,12 @@ so they count rank A mod p, and the blocks X and Y never mix.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from ._linalg import PrecisionError, ops_for, sparse_transpose
+from ._linalg import ops_for, sparse_transpose
 from .wittring import context_from_json, scalar_from_json
 
 __all__ = [
@@ -108,6 +91,11 @@ __all__ = [
     "polarization_check", "a_number", "p_rank", "signature",
     "display_from_json",
 ]
+
+
+class PrecisionError(ArithmeticError):
+    """A result is not determined at the working precision."""
+
 
 # Largest half rank of library input: parse_module_spec refuses a larger
 # module spec before expanding any power, and display_from_json more than
@@ -356,22 +344,6 @@ class DieudonneDisplay:
                 row[j] = a
         return rows
 
-    def _graded_blocks(self):
-        """Sparse columns (X, Y) of the blocks X = A[U][V] and Y = A[V][U]
-        of a graded F, rows and columns numbered by position in u_indices
-        and v_indices; () when F is not graded (see the module docstring).
-        """
-        def make():
-            cols = self.sparse_frobenius
-            # a row outside the other family's position map is an entry
-            # inside one family: F is not graded
-            try:
-                return tuple([[(pos[i], a) for i, a in cols[j]] for j in idx]
-                             for idx, pos in _basis_halves(self.basis))
-            except KeyError:
-                return ()
-        return self._memo("XY", make)
-
     def _pivots(self):
         """_linalg.pivot_steps of the matrix of F, cached: the one
         elimination of A per display."""
@@ -576,10 +548,7 @@ def validate_display(display):
         "pairing_unimodular", det_j_val == 0,
         () if det_j_val == 0 else (f"val det J = {det_j_val}",)))
 
-    family = [b.family for b in display.basis]
-    bad_grading = sorted(
-        (i, j) for j, col in enumerate(display.sparse_frobenius)
-        for i, _ in col if family[i] == family[j])
+    bad_grading = sorted(_same_family_entries(display))
     checks.append(CheckResult(
         "grading_block_antidiagonal", not bad_grading,
         tuple(f"entry ({i},{j})" for i, j in bad_grading[:8])))
@@ -587,54 +556,69 @@ def validate_display(display):
     return ValidationReport(tuple(checks))
 
 
-def newton_slopes(display):
-    """Newton polygon of the display.
+def _same_family_entries(display):
+    """(row, column) of each nonzero entry of F inside one family, column
+    by column.  When there is none, F swaps the families; it is graded
+    (see the module docstring) when both also have n members."""
+    family = [b.family for b in display.basis]
+    return ((i, j) for j, col in enumerate(display.sparse_frobenius)
+            for i, _ in col if family[i] == family[j])
 
-    Reads the p-adic Newton polygon of the characteristic polynomial of
-    the d-fold twisted product of the F-matrix, in the display's own
-    context, block by block (_linalg.block_slope_pairs), and divides all
-    slopes by d.  The polygon is certified (see the module docstring):
-    PrecisionError unless every hull vertex lies below N, and a hull that
-    passes does not move when capped coefficients are revealed.  For a
-    graded display the matrix has n rows, scaled as _twisted_factor says.
-    """
-    cached = display._cache.get("slopes")
-    if cached is None:
-        srows, scale = _twisted_factor(display)
-        cached = display._cache["slopes"] = NewtonPolygon(
-            _linalg.block_slope_pairs(display._ops(), srows, display.ctx.d,
-                                      scale))
-    return cached
+
+def newton_slopes(display):
+    """Newton polygon of the display: newton_slopes_batch of the display
+    alone, cached.  PrecisionError unless the polygon is certified at the
+    working precision N (see _linalg.lane_slope_pairs)."""
+    polygon = display._cache.get("slopes")
+    if polygon is None:
+        polygon = newton_slopes_batch([display])[0]
+        if polygon is None:
+            raise PrecisionError(
+                f"insufficient precision: hull vertex at degree 0 has "
+                f"valuation >= {display.ctx.N}")
+    return polygon
 
 
 def newton_slopes_batch(displays):
-    """newton_slopes of every display of a list that shares one context
-    and one graded basis (the points of a sweep): one NewtonPolygon per
-    display, or None for one whose polygon is not certified at N.
+    """The Newton polygons of a list of displays that share one context
+    and one basis (the points of a sweep): one NewtonPolygon per display,
+    or None for one whose polygon is not certified at N; ValueError when
+    the displays do not share them.
 
-    The displays run as lanes (_linalg._LaneOps): one lane column of X and
-    Y per column, holding each display's entry, and one twisted product
-    and one Berkowitz run per block for all of them
-    (_linalg.lane_slope_pairs, which shows that each lane reads the
-    polygon newton_slopes reads).  Each polygon is stored in its display's
-    slopes cache, so newton_slopes(display) then returns it."""
+    The displays run as lanes (_linalg._LaneOps): one twisted product and
+    one Berkowitz run per block for all of them, each lane reading its own
+    display's polygon (_linalg.lane_slope_pairs).  The lane matrix is the
+    n-row factor Z = X sigma(Y) sigma^2(X) ... of the module docstring, of
+    2d factors and scale (2, 1) for odd d (the twisted charpoly is h(t^2))
+    and of d factors and scale (2, 2) for even d (it is h * sigma(h)).
+    When some display's F is not graded, every lane takes the full d-fold
+    product A * sigma(A) * ... with scale (1, 1), whose polygon and
+    certificate are the same for a graded lane.  Each polygon is stored in
+    its display's slopes cache."""
     first = displays[0]
-    zero, width = first._ops().zero, len(displays)
-    blocks = []
-    for idx, pos in _basis_halves(first.basis):
-        cols = []
-        for j in idx:
-            entries = {}
-            for lane, display in enumerate(displays):
-                for i, a in display.sparse_frobenius[j]:
-                    entries.setdefault(pos[i], [zero] * width)[lane] = a
-            cols.append([(i, tuple(e)) for i, e in sorted(entries.items())])
-        blocks.append(cols)
-    lops = _linalg._LaneOps(first._ops(), width)
-    srows, scale = _graded_factor(lops, first.ctx.d, *blocks)
+    ctx, basis, d = first.ctx, first.basis, first.ctx.d
+    if any(display.ctx != ctx or display.basis != basis
+           for display in displays):
+        raise ValueError("a batch of displays needs one context and one "
+                         "basis")
+    lops = _linalg._LaneOps(first._ops(), len(displays))
+    try:
+        # KeyError: an entry inside one family, whose row is missing from
+        # the other family's position map; ValueError: halves of different
+        # sizes, for which _basis_halves gives ()
+        x, y = [_lane_columns(displays, idx, pos)
+                for idx, pos in _basis_halves(basis)]
+    except (KeyError, ValueError):
+        whole = range(len(basis))
+        srows, scale = _linalg.twisted_product(
+            lops, _lane_columns(displays, whole, whole), d), (1, 1)
+    else:
+        odd = d % 2
+        srows, scale = _linalg.twisted_product(lops, x, d << odd, y), (
+            2, 2 - odd)
     out = []
     for display, pairs in zip(displays, _linalg.lane_slope_pairs(
-            lops, srows, first.ctx.d, scale)):
+            lops, srows, d, scale)):
         polygon = None
         if pairs is not None:
             polygon = display._cache["slopes"] = NewtonPolygon(pairs)
@@ -642,30 +626,19 @@ def newton_slopes_batch(displays):
     return out
 
 
-def _twisted_factor(display):
-    """(srows, scale) for the twisted product
-    Phi = A * sigma(A) * ... * sigma^(d-1)(A): srows are the sparse rows of
-    a matrix Z whose charpoly h has the lower hull of charpoly(Phi) once
-    each vertex (i, v) is moved to (sx * i, sy * v) for scale = (sx, sy).
-
-    A display that is not graded gives Z = Phi and scale (1, 1).  A graded
-    display uses the identities of the module docstring (_graded_factor).
-    """
-    ops, d = display._ops(), display.ctx.d
-    blocks = display._graded_blocks()
-    if not blocks:
-        return _linalg.twisted_product(ops, display.sparse_frobenius,
-                                       d), (1, 1)
-    return _graded_factor(ops, d, *blocks)
-
-
-def _graded_factor(ops, d, x, y):
-    """_twisted_factor of a graded F with blocks of sparse columns x and y:
-    Z = X sigma(Y) sigma^2(X) ... of 2d factors for odd d and of d factors
-    for even d, on n rows: charpoly(Phi) is h(t^2), scale (2, 1), for odd
-    d, and h * sigma(h), scale (2, 2), for even d."""
-    odd = d % 2
-    return _linalg.twisted_product(ops, x, d << odd, y), (2, 2 - odd)
+def _lane_columns(displays, idx, pos):
+    """Sparse lane columns of the block of F on the columns idx, rows
+    renumbered by pos (KeyError for a row outside it): one pass over the
+    displays per column, one lane per display."""
+    fill = [displays[0]._ops().zero] * len(displays)
+    cols = []
+    for j in idx:
+        entries = defaultdict(fill.copy)
+        for lane, display in enumerate(displays):
+            for i, a in display.sparse_frobenius[j]:
+                entries[pos[i]][lane] = a
+        cols.append([(i, tuple(e)) for i, e in sorted(entries.items())])
+    return cols
 
 
 def polarization_check(display):
@@ -750,10 +723,12 @@ def signature(display):
     and the v-part rank X mod p.  The rows of A in the u-family hold only
     v-columns and vice versa, so the elimination of _unit_pivots never
     mixes the blocks: its unit pivots in u-columns are those of Y, and
-    those in v-columns those of X.  A display that is not graded (library
-    input only) reads V: each part's rank minus the F_{p^d} rank of the
-    block of V mod p mapping the other part into it."""
-    if display._graded_blocks():
+    those in v-columns those of X.  Families of different sizes force
+    det A = 0, and both routes then raise V's PrecisionError.  A display
+    whose F has an entry inside one family (library input only) reads V:
+    each part's rank minus the F_{p^d} rank of the block of V mod p
+    mapping the other part into it."""
+    if not any(_same_family_entries(display)):
         families = [display.basis[c].family for c in _unit_pivots(display)]
         return families.count("u"), families.count("v")
     ops1 = ops_for(display.ctx.at_precision(1))

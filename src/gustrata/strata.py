@@ -16,10 +16,7 @@ time and runs one twisted product and one Berkowitz run per block for the
 whole chunk (fcrystal.newton_slopes_batch), each lane reading exactly the
 polygon newton_slopes reads for its point.  A point not certified at N
 retries alone at 2N; classification, the slope graph, its cycles and
-Karp's check stay per point, in point order.  `verify --n 9 --p 3`
-(19683 points, exhaustive) takes about 2.6 s against 4.0 s point by
-point, and `verify --n 8 --p 3 --random 2000` about 0.8 s against 1.3 s
-(one process each, medians of 3, 2-core Xeon, CPython 3.11).  n is capped at
+Karp's check stay per point, in point order.  n is capped at
 MAX_VERIFY_N, checked with the other limits before any context is built.
 """
 

@@ -316,7 +316,8 @@ def blowup_slope_pairs(display):
             cols.append([v % q for v in out])
         return [[cols[s][t] for s in range(d)] for t in range(d)]
 
-    sig = [[ctx._frob[1][s][t] for s in range(d)] for t in range(d)]
+    # sigma^d = 1: at d = 1 sigma is the identity, table 0
+    sig = [[ctx._frob[1 % d][s][t] for s in range(d)] for t in range(d)]
     big = [[0] * (r * d) for _ in range(r * d)]
     for i in range(r):
         for j in range(r):

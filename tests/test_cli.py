@@ -283,6 +283,33 @@ class TestHugeModuleSpec:
         assert err == "error: module spec exceeds half rank 4096\n"
 
 
+class TestInvalidTermSize:
+    """A term of invalid size, a parameter given twice or one that n does
+    not have exits 2 with that term's own one-line message, before any
+    context is made."""
+
+    @pytest.mark.parametrize("spec,message", [
+        ("M(-100)+N", "module_M needs m >= 2, got -100"),
+        ("ss(-50)+N^3", "need n >= 3, got -50"),
+        ("def(-9; )", "need n >= 3, got -9"),
+        ("M(1)", "module_M needs m >= 2, got 1"),
+        ("def(5; s2=1, s2=2)", "parameter s2 given twice"),
+        ("def(4; s1=1)", "parameter indices [1] invalid for n=4; valid "
+                         "indices are 0, 2..3"),
+    ])
+    @pytest.mark.parametrize("command", ["slopes", "check"])
+    def test_refused_before_any_context(self, spec, message, command,
+                                        monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a context was made before the spec was "
+                                 "refused")
+
+        monkeypatch.setattr(cli, "make_context", refuse)
+        code, out = run([command, "--module", spec])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestDoubledPrecisionCapacity:
     """At p = 3, d = 1, --precision 2^19 + 1 fits but twice it does not,
     which verify refuses because a retried point would certify at 2N;

@@ -13,7 +13,7 @@ from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
                       RingContext, _linalg, default_precision, make_context,
                       module_M, newton_slopes)
 from gustrata.displayzoo import parse_module_spec
-from gustrata.fcrystal import U, V, BasisLabel, _twisted_factor
+from gustrata.fcrystal import U, V, BasisLabel
 
 from _oracles import (certified_slope_pairs_oracle, expansion_charpoly,
                       leibniz_charpoly_int, leibniz_charpoly_scalar,
@@ -74,8 +74,33 @@ def row_counts(monkeypatch, name):
     return rows
 
 
+def twisted_factor(display):
+    """(srows, scale) of the matrix Z whose polygon newton_slopes reads
+    for the display, as the one lane of its batch: caught on its way into
+    _linalg.lane_slope_pairs, and read back from the lane.  Z has n rows
+    for a graded display and the whole rank otherwise."""
+    seen = []
+    original = _linalg.lane_slope_pairs
+
+    def spy(lops, srows, twist, scale):
+        seen.append(([[(j, a) for j, (a,) in row] for row in srows], scale))
+        return original(lops, srows, twist, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_linalg, "lane_slope_pairs", spy)
+        fresh = DieudonneDisplay._from_sparse(
+            display.ctx, display.basis, display.sparse_frobenius,
+            display.sparse_pairing)
+        try:
+            newton_slopes(fresh)
+        except PrecisionError:
+            pass
+    [factor] = seen
+    return factor
+
+
 def expand_factor(display, srows, scale):
-    """The polynomial a factor (srows, scale) of _twisted_factor stands
+    """The polynomial a factor (srows, scale) of twisted_factor stands
     for, as scalars, with h the charpoly of srows: h itself, h(t^2), or
     h * sigma(h) by schoolbook products."""
     ops, zero = display._ops(), display.ctx.zero()
@@ -116,7 +141,7 @@ def assert_matches_dense(display):
     the charpoly of A."""
     ctx = display.ctx
     rows = display.frobenius
-    twisted = expand_factor(display, *_twisted_factor(display))
+    twisted = expand_factor(display, *twisted_factor(display))
     assert twisted == dense_charpoly(twisted_product_dense(rows, ctx.d), ctx)
     if ctx.d == 1:
         assert twisted == dense_charpoly(rows, ctx)
@@ -231,7 +256,7 @@ class TestCertificateAtN:
         for display, val in ((at_n, 3), (exact, 5)):
             # at d = 1 the charpoly of A is the twisted one, h(t^2)
             vals = [scalar_valuation(c, display.ctx.N) for c in expand_factor(
-                display, *_twisted_factor(display))]
+                display, *twisted_factor(display))]
             assert vals == [0, display.ctx.N, val, display.ctx.N, 0]
         # capped at N = 3, the t^2 coefficient is no hull vertex
         assert newton_slopes(at_n) == newton_slopes(exact) == \
@@ -242,7 +267,7 @@ class TestCertificateAtN:
         # coefficients and t^2, t^6 vanish, and read as valuation N
         display = module_M(make_context(3, 1, 5), 4)
         assert [scalar_valuation(c, display.ctx.N) for c in expand_factor(
-            display, *_twisted_factor(display))] == \
+            display, *twisted_factor(display))] == \
             [4, 5, 5, 5, 1, 5, 5, 5, 0]
         assert newton_slopes(display) == NewtonPolygon(
             [(Fraction(1, 4), 4), (Fraction(3, 4), 4)])
@@ -343,7 +368,7 @@ class TestSlopesFromFactor:
                 seed = 1000 * n + 100 * d + 10 * draw + N
                 display = self.draw(seed, ctx, n, zero_columns=draw == 0,
                                     density=(0.6, 0.9, 1.0)[draw])
-                assert display._graded_blocks()
+                assert twisted_factor(display)[1] != (1, 1)
                 slopes = outcome(lambda: newton_slopes(display))
                 dense = outcome(lambda: dense_twisted_polygon(display))
                 assert slopes == dense, (N, draw)
@@ -368,10 +393,13 @@ class TestSlopesFromFactor:
         for N in sorted({v // 2 + 1, v}):
             display = self.draw(seed, make_context(p, d, N), n, False)
             ops = display._ops()
-            srows, scale = _twisted_factor(display)
+            srows, scale = twisted_factor(display)
             h = _linalg.charpoly(ops, srows)
             assert scale == (2, 2) and ops.val(h[0]) == v // 2
-            assert _linalg.block_slope_pairs(ops, srows, d, (1, 1))
+            # h alone, unscaled, is certified
+            assert _linalg.lane_slope_pairs(
+                _linalg._LaneOps(ops, 1),
+                [[(j, (a,)) for j, a in row] for row in srows], d, (1, 1))[0]
             message = ("insufficient precision: hull vertex at degree 0 "
                        f"has valuation >= {N}")
             assert outcome(lambda: newton_slopes(display)) == message

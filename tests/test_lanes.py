@@ -2,21 +2,28 @@
 
 Each lane of twisted_product, _berkowitz and poly_mul on _LaneOps must be
 what the base ops give for that lane's own matrix, lane_slope_pairs must
-read each lane's certified polygon (or its failure) as block_slope_pairs
-does, and a sweep's polygons, read in lanes, must equal newton_slopes of
+read each lane's certified polygon (or its failure) as the oracles do on
+the lane's own matrix, a batch must read each display's polygon, graded or
+not, and a sweep's polygons, read in lanes, must equal newton_slopes of
 freshly built displays.
 """
 import random
+from fractions import Fraction
 
 import pytest
 
-from gustrata import (DeformationPoint, NewtonPolygon, deformation_display,
-                      make_context, newton_slopes, verify_local_strata)
-from gustrata._linalg import (PrecisionError, _berkowitz, _blocks, _LaneOps,
-                              block_slope_pairs, lane_slope_pairs, ops_for,
-                              poly_mul, sparse_transpose, twisted_product)
-from gustrata.fcrystal import newton_slopes_batch
+from gustrata import (DeformationPoint, DieudonneDisplay, NewtonPolygon,
+                      PrecisionError, deformation_display, make_context,
+                      module_M, newton_slopes, parse_module_spec,
+                      verify_local_strata)
+from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
+                              lane_slope_pairs, ops_for, poly_mul,
+                              sparse_transpose, twisted_product)
+from gustrata.fcrystal import U, newton_slopes_batch
 from gustrata.strata import CHUNK
+
+from _oracles import (blowup_slope_pairs, certified_slope_pairs_oracle,
+                      expansion_charpoly, scalar_valuation)
 
 
 def raw_entry(rng, ops, d):
@@ -113,19 +120,32 @@ class TestKernelParity:
                     assert [c[lane] for c in got] == want
 
 
-def outcome(compute):
+def oracle_polygon(ops, srows, twist, scale):
+    """The polygon of a matrix given by its sparse raw rows, by the oracles
+    alone, or None when it is not certified: the cofactor expansion of
+    det(xI - M), each point (i, v) moved to (sx * i, sy * v), the degrees a
+    stretch leaves out reading sy * N, and the gift-wrapping hull."""
+    ctx, r = ops.ctx, len(srows)
+    rows = [[ctx.zero()] * r for _ in range(r)]
+    for i, srow in enumerate(srows):
+        for j, a in srow:
+            rows[i][j] = ops.wrap(a)
+    (sx, sy), cap = scale, ctx.N
+    vals = [sy * cap] * (sx * r + 1)
+    for i, c in enumerate(expansion_charpoly(rows, ctx.zero(), ctx.one())):
+        vals[sx * i] = sy * scalar_valuation(c, cap)
     try:
-        return NewtonPolygon(compute())
-    except PrecisionError as exc:
-        return str(exc)
+        return NewtonPolygon(certified_slope_pairs_oracle(vals, cap, twist))
+    except PrecisionError:
+        return None
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_mixed_certified_lanes(d):
     """Lanes whose matrices are scaled by p (which raises val det) fail the
-    certificate next to lanes that pass; each lane reads what
-    block_slope_pairs reads on its own matrix, and some lane's own blocks
-    are finer than the blocks of the union support."""
+    certificate next to lanes that pass; each lane reads the oracle
+    polygon of its own matrix, and some lane's own blocks are finer than
+    the blocks of the union support."""
     ctx = make_context(3, d, 6)
     ops = ops_for(ctx)
     rng = random.Random(300 + d)
@@ -150,16 +170,64 @@ def test_mixed_certified_lanes(d):
                 for lane in range(width):
                     own = lane_of(srows, lane, ops.zero)
                     finer |= len(_blocks(own)) > union_blocks
-                    want = outcome(lambda: block_slope_pairs(
-                        ops, own, twist, scale))
+                    want = oracle_polygon(ops, own, twist, scale)
                     if got[lane] is None:
-                        assert isinstance(want, str), (r, lane)
+                        assert want is None, (r, lane)
                         seen.add("failed")
                     else:
                         assert NewtonPolygon(got[lane]) == want, (r, lane)
                         seen.add("certified")
     assert seen == {"failed", "certified"}
     assert finer
+
+
+def with_same_family_entry(display, source, target):
+    """The display with 1 added at F source -> target, two labels of one
+    family: F is then not graded."""
+    basis = display.basis
+    i, j = basis.index(target), basis.index(source)
+    columns = [list(col) for col in zip(*display.frobenius)]
+    columns[j][i] = columns[j][i] + display.ctx.one()
+    return DieudonneDisplay(display.ctx, basis, columns, display.pairing)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mixed_batch_of_graded_and_ungraded_lanes(d):
+    """A batch holding displays whose F is not graded reads every lane
+    from the full d-fold product: each lane is the Z_p-linear blow-up
+    oracle's polygon, slopes counted d times there, and newton_slopes of
+    a fresh copy of its display alone."""
+    ctx = make_context(3, d, 12)
+    m3 = module_M(ctx, 3)
+    point = deformation_display(
+        ctx, DeformationPoint.from_ints(ctx, 3, (1, 2)))
+    displays = [m3, with_same_family_entry(m3, U(1), U(1)), point,
+                with_same_family_entry(point, U(2), U(3))]
+    polygons = newton_slopes_batch(displays)
+    for display, polygon in zip(displays, polygons):
+        assert NewtonPolygon(blowup_slope_pairs(display)) == NewtonPolygon(
+            [(s, m * d) for s, m in polygon.slopes])
+        fresh = DieudonneDisplay._from_sparse(
+            ctx, display.basis, display.sparse_frobenius,
+            display.sparse_pairing)
+        assert newton_slopes(fresh) == polygon
+    # each entry inside a family moves the polygon
+    assert polygons[0] != polygons[1] and polygons[2] != polygons[3]
+
+
+def test_batch_refuses_mixed_contexts_and_bases():
+    spec = [parse_module_spec(t) for t in ("def(5; s2=1)", "def(5; s4=1)")]
+    low, high = make_context(3, 1, 3), make_context(3, 1, 40)
+    alone = spec[1].build(high)
+    assert newton_slopes(alone) == NewtonPolygon(
+        [(0, 2), (Fraction(1, 2), 6), (1, 2)])
+    with pytest.raises(ValueError, match="one context and one basis"):
+        newton_slopes_batch([spec[0].build(low), spec[1].build(high)])
+    other = parse_module_spec("M(2)+N").build(high)
+    m3 = module_M(high, 3)
+    assert other.basis != m3.basis and other.rank == m3.rank
+    with pytest.raises(ValueError, match="one context and one basis"):
+        newton_slopes_batch([m3, other])
 
 
 def test_batch_caches_polygons_and_marks_uncertified():

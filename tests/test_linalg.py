@@ -5,10 +5,10 @@ import pytest
 
 from gustrata import (DeformationPoint, deformation_display, make_context,
                       parse_module_spec)
-from gustrata import NewtonPolygon
-from gustrata._linalg import (PrecisionError, _berkowitz, _blocks, _restrict,
-                              adjugate_action, block_slope_pairs,
-                              charpoly, det_valuation,
+from gustrata import NewtonPolygon, PrecisionError
+from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
+                              _restrict, adjugate_action, charpoly,
+                              det_valuation, lane_slope_pairs,
                               lower_hull, mat_mul, ops_for, sparse_rows,
                               sparse_transpose, strongly_connected_components,
                               pivot_steps, twisted_product)
@@ -405,7 +405,7 @@ def scc_count(ops, raw):
 class TestBlockKernels:
     """charpoly and adjugate_action on permuted block upper-triangular
     matrices, which hide the strongly connected components behind a
-    random basis order (block_slope_pairs splits along them: see
+    random basis order (lane_slope_pairs splits along them: see
     TestSlopePairs)."""
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -799,32 +799,34 @@ def companion(ops, cp):
     return rows
 
 
-def outcome(compute):
-    """The value of compute(), or the text of the PrecisionError it
-    raises."""
-    try:
-        return compute()
-    except PrecisionError as exc:
-        return str(exc)
+def one_lane_pairs(ops, srows, twist, scale):
+    """lane_slope_pairs of the matrix with the given sparse rows as the
+    one lane of a batch: its pairs, or None when they are not certified."""
+    return lane_slope_pairs(_LaneOps(ops, 1),
+                            [[(j, (a,)) for j, a in row] for row in srows],
+                            twist, scale)[0]
 
 
-def block_polygon(ops, srows, twist, scale):
-    return outcome(lambda: NewtonPolygon(
-        block_slope_pairs(ops, srows, twist, scale)))
+def lane_polygon(ops, srows, twist, scale):
+    pairs = one_lane_pairs(ops, srows, twist, scale)
+    return None if pairs is None else NewtonPolygon(pairs)
 
 
 def unsplit_polygon(ops, srows, twist, scale):
-    """What block_polygon should give: the hull oracle on the valuations of
-    the unsplit charpoly, each point (i, v) moved to (sx * i, sy * v).  The
-    degrees a stretch leaves out read sy * N, above any hull that passes:
-    the odd coefficients of h(t^2) are 0, and those of h * sigma(h) lie on
-    or above the Minkowski sum of the two hulls."""
+    """What lane_polygon should give: the hull oracle on the valuations of
+    the unsplit charpoly, each point (i, v) moved to (sx * i, sy * v), or
+    None when the oracle raises PrecisionError.  The degrees a stretch
+    leaves out read sy * N, above any hull that passes: the odd
+    coefficients of h(t^2) are 0, and those of h * sigma(h) lie on or
+    above the Minkowski sum of the two hulls."""
     (sx, sy), cap = scale, ops.cap
     vals = [sy * cap] * (sx * len(srows) + 1)
     for i, c in enumerate(charpoly(ops, srows)):
         vals[sx * i] = sy * ops.val(c)
-    return outcome(lambda: NewtonPolygon(
-        certified_slope_pairs_oracle(vals, cap, twist)))
+    try:
+        return NewtonPolygon(certified_slope_pairs_oracle(vals, cap, twist))
+    except PrecisionError:
+        return None
 
 
 def block_product(ops, srows):
@@ -856,15 +858,15 @@ def valued_entry(rng, ctx):
 
 
 class TestSlopePairs:
-    """block_slope_pairs against the hull oracle on the unsplit charpoly:
-    the same polygon, or the same PrecisionError text.  The named cases
-    are companion matrices of the given polynomials."""
+    """lane_slope_pairs at width 1 against the hull oracle on the unsplit
+    charpoly: the same polygon, or no certificate on either side.  The
+    named cases are companion matrices of the given polynomials."""
 
     @staticmethod
     def pairs(ops, cp, twist, scale=(1, 1)):
         srows = companion(ops, cp)
         assert charpoly(ops, srows) == cp
-        pairs = block_slope_pairs(ops, srows, twist, scale)
+        pairs = one_lane_pairs(ops, srows, twist, scale)
         assert NewtonPolygon(pairs) == unsplit_polygon(ops, srows, twist,
                                                        scale)
         return pairs
@@ -896,10 +898,8 @@ class TestSlopePairs:
         # matrix then splits into two zero blocks
         srows = companion(ops, [9 % ctx.q, 0, 1])
         assert len(_blocks(srows)) == 2
-        with pytest.raises(PrecisionError, match="insufficient precision"):
-            block_slope_pairs(ops, srows, 1, (1, 1))
-        assert block_polygon(ops, srows, 1, (1, 1)) == \
-            unsplit_polygon(ops, srows, 1, (1, 1))
+        assert one_lane_pairs(ops, srows, 1, (1, 1)) is None
+        assert unsplit_polygon(ops, srows, 1, (1, 1)) is None
 
     @pytest.mark.parametrize("scale", [(1, 1), (2, 1), (2, 2)])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -926,7 +926,7 @@ class TestSlopePairs:
                 assert len(_blocks(srows)) >= len(layout[0])
                 assert block_product(ops, srows) == \
                     [ops.wrap(c) for c in charpoly(ops, srows)]
-                got = block_polygon(ops, srows, d, scale)
+                got = lane_polygon(ops, srows, d, scale)
                 assert got == unsplit_polygon(ops, srows, d, scale), (seed, N)
                 sides.add((scale[1] * v0 > N) - (scale[1] * v0 < N))
         assert sides == {-1, 0, 1}

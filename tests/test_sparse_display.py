@@ -17,7 +17,7 @@ from gustrata import (DeformationPoint, DieudonneDisplay, PrecisionError,
                       make_context, module_M, module_N, parse_module_spec,
                       polarization_check, signature, validate_display)
 from gustrata._linalg import ops_for
-from gustrata.fcrystal import U, V
+from gustrata.fcrystal import U, V, _basis_halves, _lane_columns
 from gustrata.wittring import PadicScalar
 
 
@@ -123,16 +123,18 @@ def test_deformation_matches_dense_builder(n, p, d):
         # storage is canonical: indices ascending, no zero, reduced raw
         zero = (0,) * d if d > 1 else 0
         # the family is graded: X = A[U][V] and Y = A[V][U], rows and
-        # columns numbered within their family
+        # columns numbered within their family, as the one-lane columns
+        # newton_slopes reads
         uu = [i for i, b in enumerate(labels) if b.family == "u"]
         vv = [i for i, b in enumerate(labels) if b.family == "v"]
         assert all(labels[i].family != labels[j].family
                    for j in range(r) for i in range(r)
                    if ops.unwrap(columns[j][i]) != zero)
-        assert D._graded_blocks() == tuple(
-            [[(t, a) for t, i in enumerate(rows)
+        assert [_lane_columns([D], idx, pos)
+                for idx, pos in _basis_halves(D.basis)] == [
+            [[(t, (a,)) for t, i in enumerate(rows)
               if (a := ops.unwrap(columns[j][i])) != zero] for j in cols]
-            for cols, rows in ((vv, uu), (uu, vv)))
+            for cols, rows in ((vv, uu), (uu, vv))]
         for lines in (D.sparse_frobenius, D.sparse_pairing):
             for line in lines:
                 assert [k for k, _ in line] == sorted({k for k, _ in line})

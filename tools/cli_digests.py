@@ -1,24 +1,29 @@
 """Digest the output of a fixed list of CLI invocations.
 
-    PYTHONPATH=src python3 tools/cli_digests.py
+    python3 tools/cli_digests.py
 
 Runs each invocation in one process through gustrata.cli.main and prints
 one line per invocation: "sha256(stdout) sha256(stderr) exit  argv".  Run
 it on two trees and diff the outputs: an empty diff means every listed
-invocation writes the same bytes and exits the same way.  The list covers
-large direct sums that the golden file does not (slopes and check, with
-precision failures), exhaustive sweeps at n = 4..7, at d = 2 and d = 3, a
-random rank-16 sweep, one of 129 points (across the edges of the sweep's
-point chunks), one at d = 2, a sweep that fails for lack of precision and
-one whose every point is certified only at 2N.
+invocation writes the same bytes and exits the same way.  gustrata is
+imported from the src/ directory of the script's own tree, put first on
+sys.path, so an installed copy is never digested in its place.
+
+The list covers large direct sums that the golden file does not (slopes
+and check, with precision failures), exhaustive sweeps at n = 4..7, at
+d = 2 and d = 3, a random rank-16 sweep, one of 129 points (across the
+edges of the sweep's point chunks), one at d = 2, a sweep that fails for
+lack of precision and one whose every point is certified only at 2N.
 """
 
 import contextlib
 import hashlib
 import io
 import sys
+from pathlib import Path
 
-from gustrata import cli
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from gustrata import cli  # noqa: E402
 
 ARGVS = [
     ["slopes", "--module", "N^1000"],
