@@ -5,16 +5,19 @@ the y-coefficient of F x has valuation w below the working precision.  For
 the zero-parameter displays this is a disjoint union of cycles whose
 gray/black coloring is weight 0 / weight 1.  The minimum slope
 (weight/length) over cycles through u_1 is the combinatorial slope
-algorithm, independent of the characteristic polynomial route; Karp's
-global minimum cycle mean is included as a cross-check.
+algorithm, independent of the characteristic polynomial route.  That it
+is also the global minimum cycle mean is checked for the known value by a
+potential certificate (``least_cycle_mean_is``, a few O(E) rounds);
+Karp's algorithm, which computes the global minimum in O(V * E), runs only
+where the certificate fails.
 
 Inside, a graph is integer successor lists over the positions of its
-vertex tuple, and every traversal (cycle enumeration, Tarjan, Karp) runs on
-those integers; labels are looked up only for output and for the label
-API (``edges``, ``successors``, ``to_json``, ``to_dot``,
-``CycleSummary.vertices``).  Slopes are compared as cross-multiplied
-(weight, length) pairs; a ``Fraction`` is built only for a value that is
-returned or reported.
+vertex tuple, and every traversal (cycle enumeration, Tarjan,
+Bellman-Ford, Kahn, Karp) runs on those integers; labels are looked up
+only for output and for the label API (``edges``, ``successors``,
+``to_json``, ``to_dot``, ``CycleSummary.vertices``).  Slopes are compared
+as cross-multiplied (weight, length) pairs; a ``Fraction`` is built only
+for a value that is returned or reported.
 
 One enumeration serves two graphs.  The simple cycles of the subgraph
 that keeps only some edges are exactly the cycles of the full graph all of
@@ -33,7 +36,7 @@ from ._linalg import strongly_connected_components
 __all__ = [
     "SlopeGraph", "CycleSummary", "build_graph", "cycles_through",
     "least_slope_cycle", "min_cycle_slope", "cycle_decomposition",
-    "karp_min_cycle_mean", "to_dot",
+    "least_cycle_mean_is", "karp_min_cycle_mean", "to_dot",
 ]
 
 
@@ -236,10 +239,79 @@ def cycle_decomposition(graph):
     return cycles
 
 
+def least_cycle_mean_is(graph, weight, length):
+    """Whether the least mean over all cycles of the graph is exactly
+    weight/length (length > 0); False for an acyclic graph.
+
+    Reweight every edge a -> b of weight w to w' = w * length - weight, so
+    that a cycle's mean is below, at or above weight/length as its w'-sum
+    is negative, 0 or positive.  Bellman-Ford from a virtual source joined
+    to every vertex by a 0-edge starts every potential pi at 0; each round
+    relaxes the edges of the vertices lowered in the round before (of all
+    vertices in the first).  A round that lowers nothing leaves
+    pi(b) <= pi(a) + w' on every edge, and summed around a cycle the
+    potentials cancel, so every cycle has w'-sum >= 0: mean >= weight/length.
+    Without a cycle of negative w'-sum a shortest path has fewer than k
+    edges (k vertices), so round k at the latest lowers nothing; a graph
+    still lowered in round k + 1 has a cycle of smaller mean.
+
+    Once the potentials are settled, a cycle's w'-sum is the sum of the
+    slacks pi(a) + w' - pi(b) >= 0 of its edges, so its mean is exactly
+    weight/length if and only if every edge of it is tight (slack 0).  The
+    least mean is therefore weight/length exactly when the tight edges hold
+    a cycle, that is when Kahn's algorithm on them cannot remove every
+    vertex.  Karp's ``karp_min_cycle_mean`` answers the same question by
+    computing the least mean, in O(V * E) time rather than a few O(E)
+    rounds.
+    """
+    succ = graph._succ
+    k = len(succ)
+    pi = [0] * k
+    active = range(k)
+    for _ in range(k + 1):
+        queued = [False] * k
+        lowered = []
+        for a in active:
+            pa = pi[a] - weight
+            for b, w in succ[a]:
+                t = pa + w * length
+                if t < pi[b]:
+                    pi[b] = t
+                    if not queued[b]:
+                        queued[b] = True
+                        lowered.append(b)
+        if not lowered:
+            break
+        active = lowered
+    else:
+        return False
+    # Kahn's algorithm on the tight edges; tightness is tested again when a
+    # vertex is removed, which costs less than storing the tight lists
+    indegree = [0] * k
+    for a, row in enumerate(succ):
+        pa = pi[a] - weight
+        for b, w in row:
+            if pa + w * length == pi[b]:
+                indegree[b] += 1
+    free = [a for a in range(k) if not indegree[a]]
+    left = k
+    while free:
+        a = free.pop()
+        left -= 1
+        pa = pi[a] - weight
+        for b, w in succ[a]:
+            if pa + w * length == pi[b]:
+                indegree[b] -= 1
+                if not indegree[b]:
+                    free.append(b)
+    return left > 0
+
+
 def karp_min_cycle_mean(graph):
     """Global minimum cycle mean over the whole graph (Karp), as an exact
-    Fraction; None when the graph is acyclic.  Cross-check oracle for the
-    u_1-restricted minimum."""
+    Fraction; None when the graph is acyclic.  Sweeps call it only where
+    ``least_cycle_mean_is`` finds the u_1-restricted minimum is not the
+    global one, and report its value."""
     succ = graph._succ
     comps = strongly_connected_components([[b for b, _ in row]
                                            for row in succ])

@@ -16,7 +16,10 @@ time and runs one twisted product and one Berkowitz run per block for the
 whole chunk (fcrystal.newton_slopes_batch), each lane reading exactly the
 polygon newton_slopes reads for its point.  A point not certified at N
 retries alone at 2N; classification, the slope graph, its cycles and
-Karp's check stay per point, in point order.  n is capped at
+the check that their least slope is the global minimum cycle mean stay
+per point, in point order.  That check is a potential certificate for the
+known value (slopegraph.least_cycle_mean_is); Karp's algorithm runs only
+where the certificate fails, and decides what is reported.  n is capped at
 MAX_VERIFY_N, checked with the other limits before any context is built.
 """
 
@@ -35,7 +38,7 @@ from .displayzoo import DeformationPoint, deformation_display
 from .fcrystal import (NewtonPolygon, PrecisionError, U, newton_slopes,
                        newton_slopes_batch)
 from .slopegraph import (build_graph, cycles_through, karp_min_cycle_mean,
-                         least_slope_cycle)
+                         least_cycle_mean_is, least_slope_cycle)
 from .wittring import (_check_capacity, _check_params, default_precision,
                        make_context)
 
@@ -375,15 +378,16 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
                     "min_newton": _frac_str(min_newton),
                     "min_cycle": _frac_str(full.slope),
                 })
-            karp = karp_min_cycle_mean(graph)
-            if karp is None or (karp.numerator * full.length
-                                != full.weight * karp.denominator):
-                karp_disagreements.append({
-                    "point": point_doc,
-                    "min_cycle_u1": _frac_str(full.slope),
-                    "karp_global": _frac_str(karp) if karp is not None
-                    else None,
-                })
+            if not least_cycle_mean_is(graph, full.weight, full.length):
+                karp = karp_min_cycle_mean(graph)
+                if karp is None or (karp.numerator * full.length
+                                    != full.weight * karp.denominator):
+                    karp_disagreements.append({
+                        "point": point_doc,
+                        "min_cycle_u1": _frac_str(full.slope),
+                        "karp_global": _frac_str(karp) if karp is not None
+                        else None,
+                    })
             # the kept cycles are the cycles of the graph without the
             # extra black edges
             reduced = least_slope_cycle(cycles, u1, kept_only=True)

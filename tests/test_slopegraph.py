@@ -11,7 +11,7 @@ from gustrata import (DeformationPoint, build_graph, cycle_decomposition,
                       module_M, module_N, newton_slopes, supersingular_module,
                       to_dot)
 from gustrata.fcrystal import U, V
-from gustrata.slopegraph import SlopeGraph
+from gustrata.slopegraph import SlopeGraph, least_cycle_mean_is
 
 from _oracles import (min_cycle_mean_brute, min_slope_through_nx,
                       simple_cycles_through_nx)
@@ -282,6 +282,95 @@ class TestKarp:
                 ctx, DeformationPoint.from_ints(ctx, 5, ints))
             G = graph_for(D)
             assert karp_min_cycle_mean(G) == min_cycle_slope(G, U(1))
+
+
+def _random_graph(seed):
+    """A seeded graph of 1 to 9 vertices in one to three blocks: edges inside
+    a block at random (self-loops included), edges between blocks only
+    forward, so every block is its own set of strongly connected
+    components.  Weights 0..2 make zero-weight cycles and equal means
+    common; every fourth seed keeps only forward edges (a DAG)."""
+    rng = random.Random(seed)
+    k = rng.randrange(1, 10)
+    verts = [U(i) for i in range(k)]
+    block = sorted(rng.randrange(3) for _ in verts)
+    edges = []
+    for i, a in enumerate(verts):
+        for j, b in enumerate(verts):
+            if block[i] == block[j]:
+                keep = rng.random() < 0.3
+            else:
+                keep = block[i] < block[j] and rng.random() < 0.15
+            if keep and (seed % 4 or i < j):
+                edges.append((a, b, rng.randrange(3)))
+    return SlopeGraph(verts, edges)
+
+
+# every candidate mean weight/length with weight <= 6 and length <= 5
+CANDIDATES = sorted({Fraction(w, l) for w in range(7) for l in range(1, 6)})
+
+
+def _assert_certificate(G, truth, candidates):
+    """least_cycle_mean_is holds at the true least mean ``truth`` (None for
+    an acyclic graph) and nowhere else among ``candidates``."""
+    for mean in {*candidates, *([truth] if truth is not None else [])}:
+        assert least_cycle_mean_is(G, mean.numerator, mean.denominator) == \
+            (mean == truth), (mean, truth)
+
+
+class TestLeastCycleMeanIs:
+    @pytest.mark.parametrize("seed", range(240))
+    def test_random_graphs_against_brute_enumeration(self, seed):
+        G = _random_graph(seed)
+        truth = min_cycle_mean_brute(G)
+        assert karp_min_cycle_mean(G) == truth
+        if seed % 4 == 0:
+            assert truth is None
+        _assert_certificate(G, truth, CANDIDATES)
+
+    def test_non_reduced_fractions(self):
+        # the certificate reads weight/length as a mean, not as a pair
+        a, b = U(0), U(1)
+        G = SlopeGraph((a, b), ((a, b, 1), (b, a, 0), (b, b, 2)))
+        assert least_cycle_mean_is(G, 1, 2)
+        assert least_cycle_mean_is(G, 3, 6)
+        assert not least_cycle_mean_is(G, 1, 3)
+
+    def test_acyclic_and_empty(self):
+        G = SlopeGraph((U(1), V(1)), ((U(1), V(1), 0),))
+        _assert_certificate(G, None, CANDIDATES)
+        assert not least_cycle_mean_is(SlopeGraph((), ()), 0, 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_every_deformation_graph_p2(self, n):
+        ctx = ctx_for(n, p=2)
+        for ints in itertools.product(range(2), repeat=n - 1):
+            G = graph_for(deformation_display(
+                ctx, DeformationPoint.from_ints(ctx, n, ints)))
+            truth = min_cycle_mean_brute(G)
+            assert karp_min_cycle_mean(G) == truth
+            full = least_slope_cycle(cycles_through(G, U(1)), U(1))
+            # as the sweep asks it: the pair of the least cycle through u_1
+            assert least_cycle_mean_is(G, full.weight, full.length) == \
+                (full.slope == truth)
+            _assert_certificate(G, truth, CANDIDATES)
+
+    def test_random_deformation_graphs_n40(self):
+        n, p = 40, 3
+        ctx = ctx_for(n, p=p)
+        rng = random.Random(40)
+        for _ in range(20):
+            ints = tuple(rng.randrange(p) for _ in range(n - 1))
+            G = graph_for(deformation_display(
+                ctx, DeformationPoint.from_ints(ctx, n, ints)))
+            truth = karp_min_cycle_mean(G)
+            full = least_slope_cycle(cycles_through(G, U(1)), U(1))
+            assert full.slope == truth
+            assert least_cycle_mean_is(G, full.weight, full.length)
+            # rationals just above and just below the true mean
+            near = [Fraction(truth.numerator * m + e, truth.denominator * m)
+                    for m in (1, 2, 2 * n) for e in (-1, 1)]
+            _assert_certificate(G, truth, [*CANDIDATES, *near])
 
 
 class TestDot:

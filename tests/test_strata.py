@@ -10,6 +10,8 @@ from gustrata import (BudgetError, DeformationPoint, NewtonPolygon, catalog,
                       lambda_min, make_context,
                       newton_slopes, predicted_stratum, strata,
                       verify_local_strata)
+from gustrata.fcrystal import U
+from gustrata.slopegraph import build_graph, karp_min_cycle_mean
 
 from _oracles import extra_edge_effects_oracle
 
@@ -313,3 +315,69 @@ class TestVerifyLocalStrata:
         rep = verify_local_strata(3, 2, 1, budget=500)
         assert rep.mode == {"kind": "exhaustive", "budget": 500,
                             "precision": 20}
+
+
+class TestKarpFallback:
+    """Karp runs only where the least-cycle-mean certificate fails, and then
+    records exactly what running it at every point would record."""
+
+    @staticmethod
+    def _count_karp(monkeypatch):
+        calls = []
+
+        def spy(graph):
+            calls.append(graph)
+            return karp_min_cycle_mean(graph)
+
+        monkeypatch.setattr(strata, "karp_min_cycle_mean", spy)
+        return calls
+
+    @pytest.mark.parametrize("n,p,d,kwargs", [
+        (5, 3, 1, {}), (3, 2, 2, {}),
+        (8, 3, 1, {"mode": "random", "count": 40, "seed": 5}),
+    ])
+    def test_not_called_when_the_certificate_holds(self, n, p, d, kwargs,
+                                                   monkeypatch):
+        calls = self._count_karp(monkeypatch)
+        rep = verify_local_strata(n, p, d, **kwargs)
+        assert rep.points > 0
+        assert rep.karp_disagreements == []
+        assert calls == []
+
+    def test_lighter_cycle_off_u1_is_recorded_by_karp(self, monkeypatch):
+        # a weight-0 self-loop on the last basis vertex is a cycle of mean
+        # 0 that avoids u_1, so the global minimum drops to 0 while the
+        # least slope through u_1 stays as it was
+        n, p = 5, 2
+        plain = verify_local_strata(n, p, 1, retain=True)
+
+        def looped(display):
+            graph = build_graph(display)
+            last = len(graph.vertices) - 1
+            assert graph.vertices[last] != U(1)
+            graph._succ[last].append((last, 0))
+            return graph
+
+        monkeypatch.setattr(strata, "build_graph", looped)
+        calls = self._count_karp(monkeypatch)
+        rep = verify_local_strata(n, p, 1)
+        # what unconditional Karp records on the same graphs
+        expected = []
+        for point, display, _, min_cycle in plain.retained:
+            karp = karp_min_cycle_mean(looped(display))
+            if karp != min_cycle:
+                expected.append({
+                    "point": {f"s{i}": v for i, v in
+                              zip(point.indices, point.to_ints())},
+                    "min_cycle_u1": strata._frac_str(min_cycle),
+                    "karp_global": strata._frac_str(karp),
+                })
+        assert rep.karp_disagreements == expected
+        # every point off the slope-0 stratum disagrees, with Karp's value
+        positive = [m for *_, m in plain.retained if m != 0]
+        assert len(expected) == len(positive) == len(calls) > 0
+        assert all(e["karp_global"] == "0/1" for e in expected)
+        # the rest of the report does not see the loop
+        for key in ("agreement", "counts_by_stratum", "lemma_violations",
+                    "remark_violations", "extra_edge_effects"):
+            assert getattr(rep, key) == getattr(plain, key)

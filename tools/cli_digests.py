@@ -14,6 +14,9 @@ and check, with precision failures), exhaustive sweeps at n = 4..7, at
 d = 2 and d = 3, a random rank-16 sweep, one of 129 points (across the
 edges of the sweep's point chunks), one at d = 2, a sweep that fails for
 lack of precision and one whose every point is certified only at 2N.
+Three larger random sweeps (n = 40 at p = 3, n = 24 at p = 2 and n = 9 at
+d = 2) give slope graphs on which the Bellman-Ford potentials of the
+least-cycle-mean certificate take several rounds to settle.
 """
 
 import contextlib
@@ -41,6 +44,10 @@ ARGVS = [
     ["verify", "--n", "5", "--p", "3", "--precision", "5"],
     ["verify", "--n", "3", "--p", "3", "--d", "3"],
     ["verify", "--n", "6", "--p", "3", "--d", "2", "--random", "100"],
+    ["verify", "--n", "40", "--p", "3", "--random", "64", "--seed", "2"],
+    ["verify", "--n", "24", "--p", "2", "--random", "200", "--seed", "4"],
+    ["verify", "--n", "9", "--p", "3", "--d", "2", "--random", "100",
+     "--seed", "6"],
 ]
 
 
