@@ -10,17 +10,30 @@ computes the polygon by the characteristic polynomial route, classifies
 it, and compares with the vanishing-pattern prediction; it also checks the
 cycle-slope upper bound and reports on the min-cycle-slope equality.
 
+A sweep is one stream in three parts:
+
+* sweep checks every limit (n at most MAX_VERIFY_N, the context's
+  parameters, the capacity at 2N, the point budget) and makes the context,
+  at the call and before any work; it returns the mode document, the
+  context and a lazy iterator of PointRecords, one per point in order.
+* evaluate_point makes one point's record: the retry at 2N when its
+  polygon is not certified at N, the slope graph, the cycles through u_1
+  and their least slope, and the lemma, remark, Karp and extra-edge
+  entries the point adds to the report.
+* reduce_records reads the records once, in order, without holding them,
+  and builds the StrataReport; it classifies each polygon and reads the
+  stratum counts and the agreement rate off the agreement matrix.
+  verify_local_strata is reduce_records of sweep.
+
 Every point of a sweep shares one context, one template and one basis, so
-the harness reads polygons in lanes: it takes the points CHUNK (64) at a
+the stream reads polygons in lanes: it takes the points CHUNK (64) at a
 time and runs one twisted product and one Berkowitz run per block for the
 whole chunk (fcrystal.newton_slopes_batch), each lane reading exactly the
-polygon newton_slopes reads for its point.  A point not certified at N
-retries alone at 2N; classification, the slope graph, its cycles and
-the check that their least slope is the global minimum cycle mean stay
-per point, in point order.  That check is a potential certificate for the
-known value (slopegraph.least_cycle_mean_is); Karp's algorithm runs only
-where the certificate fails, and decides what is reported.  n is capped at
-MAX_VERIFY_N, checked with the other limits before any context is built.
+polygon newton_slopes reads for its point.  Everything else stays per
+point, in point order.  The check that the least cycle slope through u_1
+is the global minimum cycle mean is a potential certificate for the known
+value (slopegraph.least_cycle_mean_is); Karp's algorithm runs only where
+the certificate fails, and decides what is reported.
 """
 
 from __future__ import annotations
@@ -30,13 +43,15 @@ import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field, fields
+from collections import Counter, defaultdict
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._version import __version__
 from .displayzoo import DeformationPoint, deformation_display
-from .fcrystal import (NewtonPolygon, PrecisionError, U, newton_slopes,
-                       newton_slopes_batch)
+from .fcrystal import (DieudonneDisplay, NewtonPolygon, PrecisionError, U,
+                       newton_slopes, newton_slopes_batch)
 from .slopegraph import (build_graph, cycles_through, karp_min_cycle_mean,
                          least_cycle_mean_is, least_slope_cycle)
 from .wittring import (_check_capacity, _check_params, default_precision,
@@ -45,12 +60,15 @@ from .wittring import (_check_capacity, _check_params, default_precision,
 __all__ = [
     "StratumDescriptor", "StrataReport", "BudgetError", "lambda_min",
     "catalog", "classify", "predicted_stratum", "verify_local_strata",
+    "PointRecord", "sweep", "evaluate_point", "reduce_records",
     "DEFAULT_POINT_BUDGET", "BUDGET_ENV_VAR", "MAX_VERIFY_N",
 ]
 
 DEFAULT_POINT_BUDGET = 100_000
 BUDGET_ENV_VAR = "GUSTRATA_POINT_BUDGET"
-# Points per lane chunk of a sweep (see _chunked_polygons).
+# The vertex every checked cycle passes through.
+_U1 = U(1)
+# Points per lane chunk of a sweep (see _records).
 CHUNK = 64
 # Largest n a sweep accepts.  The point budget counts points, not their
 # size: one point costs about n^3 in time and n^2 in memory, and a chunk
@@ -193,16 +211,14 @@ class StrataReport:
     s0_effect: dict | None
     context: dict
     version: str = __version__
-    retained: list = field(default_factory=list, repr=False)
 
     @property
     def all_agree(self):
         return self.agreement_rate == 1
 
     def to_json_obj(self):
-        """Every field but retained, in declaration order."""
-        obj = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "retained"}
+        """Every field, in declaration order."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
         obj["agreement_rate"] = _frac_str(self.agreement_rate)
         return obj
 
@@ -224,6 +240,11 @@ class StrataReport:
         for label in sorted(self.counts_by_stratum):
             lines.append(f"{label}\t{self.counts_by_stratum[label]}")
         return "\n".join(lines) + "\n"
+
+
+# The report's lists of per-point entries, filled from PointRecord.entries.
+_REPORT_LISTS = ("lemma_violations", "remark_violations", "karp_disagreements",
+                 "extra_edge_effects", "precision_failures")
 
 
 def _resolve_budget(budget):
@@ -276,30 +297,30 @@ def _enumerate_points(n, q_res, mode, count, seed):
             yield tuple(rng.randrange(q_res) for _ in range(width))
 
 
-def _chunked_polygons(ctx, n, points):
-    """(ints, point, display, polygon) for each parameter vector of points,
-    in order, the polygon at the context's precision N or None when it is
-    not certified there.  The points are taken CHUNK at a time and each
-    chunk's polygons are read as lanes, in one twisted product and one
-    Berkowitz run per block (fcrystal.newton_slopes_batch)."""
-    points = iter(points)
-    while chunk := list(itertools.islice(points, CHUNK)):
-        pts = [DeformationPoint.from_ints(ctx, n, ints) for ints in chunk]
-        displays = [deformation_display(ctx, pt) for pt in pts]
-        yield from zip(chunk, pts, displays, newton_slopes_batch(displays))
+class PointRecord(NamedTuple):
+    """What one sweep point contributes to its report.
+
+    display and polygon are those at 2N when the point was retried, and
+    polygon is None when it is certified at neither N nor 2N.  min_cycle
+    is the least slope of the cycles through u_1, or None without a polygon
+    or without such a cycle.  entries are the (report list, entry) pairs
+    the point adds to the report's lists."""
+    ints: tuple
+    point: DeformationPoint
+    display: DieudonneDisplay
+    polygon: NewtonPolygon | None
+    retried: bool
+    min_cycle: Fraction | None
+    entries: tuple
 
 
-def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
-                        budget=None, precision=None, retain=False):
-    """Sweep deformation points and compare three slope computations.
-
-    For every point: the characteristic-polynomial Newton polygon
-    (certified at N, or else at 2N), the catalog classification,
-    the vanishing-pattern prediction, and the cycle slopes through u_1.
-    Checks that the minimal Newton slope never exceeds any cycle slope, and
-    reports (without failing) whenever the min-cycle-slope equality or the
-    Karp cross-check disagrees.  Deterministic for a fixed seed.
-    """
+def sweep(n, p, d, mode="exhaustive", count=None, seed=None, budget=None,
+          precision=None):
+    """Check every limit, make the context, and return (mode document,
+    context, records), records a lazy iterator of the PointRecord of each
+    point in enumeration order.  The checks run at the call, before the
+    context is built; the points are built and evaluated as records are
+    drawn."""
     if not 3 <= n <= MAX_VERIFY_N:
         raise ValueError(f"need 3 <= n <= {MAX_VERIFY_N}, got {n}")
     if mode == "random" and count is not None and count < 1:
@@ -313,102 +334,122 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
     _check_capacity(p, d, 2 * nprec)
     _check_budget(n, p, d, mode, count, seed, budget)
     ctx = make_context(p, d, nprec)
-    q_res = p ** d
-    u1 = U(1)
+    mode_doc = {"kind": mode, "budget": budget, "precision": nprec}
+    if mode == "random":
+        mode_doc.update(count=count, seed=seed)
+    points = _enumerate_points(n, p ** d, mode, count, seed)
+    return mode_doc, ctx, _records(ctx, n, points)
 
-    agreement = {}
-    counts = {}
-    lemma_violations = []
-    remark_violations = []
-    karp_disagreements = []
-    extra_edge_effects = []
-    precision_failures = []
-    retained = []
-    retries = 0
-    matches = 0
-    total = 0
-    s0_map = {} if n % 2 == 0 else None
 
+def _records(ctx, n, points):
+    """The PointRecord of each parameter vector drawn from the iterator
+    points, in order.  The points are taken CHUNK at a time and each
+    chunk's polygons at N are read as lanes, in one twisted product and one
+    Berkowitz run per block (fcrystal.newton_slopes_batch)."""
     # Every point shares the template's basis order, so edges compare by
     # their (source, target) positions.
     base_point = DeformationPoint.from_ints(ctx, n, (0,) * (n - 1))
     base_edges = build_graph(
         deformation_display(ctx, base_point)).edge_positions()
+    while chunk := list(itertools.islice(points, CHUNK)):
+        pts = [DeformationPoint.from_ints(ctx, n, ints) for ints in chunk]
+        displays = [deformation_display(ctx, pt) for pt in pts]
+        for args in zip(chunk, pts, displays, newton_slopes_batch(displays)):
+            yield evaluate_point(ctx, base_edges, *args)
 
-    for ints, point, display, polygon in _chunked_polygons(
-            ctx, n, _enumerate_points(n, q_res, mode, count, seed)):
+
+def _point_doc(point, ints):
+    """A point's parameters as report entries name them, {"s<i>": value}."""
+    return {f"s{i}": v for i, v in zip(point.indices, ints)}
+
+
+def evaluate_point(ctx, base_edges, ints, point, display, polygon):
+    """The PointRecord of one point, given its display at the sweep's
+    context ctx, of precision N, and its polygon there (None when not
+    certified at N, and then the point retries at 2N).
+
+    Checks that the least Newton slope exceeds no cycle slope through u_1
+    (lemma), and records without failing where it differs from the least
+    cycle slope (remark), where that is not the global minimum cycle mean
+    (Karp), and where the extra black edges change it."""
+    retried = polygon is None
+    if retried:
+        display = deformation_display(ctx.at_precision(2 * ctx.N), point)
+        try:
+            polygon = newton_slopes(display)
+        except PrecisionError as exc:
+            return PointRecord(ints, point, display, None, True, None, (
+                ("precision_failures", {"point": _point_doc(point, ints),
+                                        "error": str(exc)}),))
+    graph = build_graph(display)
+    cycles = cycles_through(graph, _U1, base_edges)
+    if not cycles:
+        return PointRecord(ints, point, display, polygon, retried, None, (
+            ("lemma_violations", {"point": _point_doc(point, ints),
+                                  "error": "no cycles through u1"}),))
+    entries = []
+    min_newton = polygon.min_slope()
+    num, den = min_newton.numerator, min_newton.denominator
+    bad = next((c for c in cycles if num * c.length > c.weight * den), None)
+    if bad is not None:
+        entries.append(("lemma_violations", {
+            "point": _point_doc(point, ints),
+            "min_newton": _frac_str(min_newton),
+            "cycle": bad.to_json(),
+        }))
+    full = least_slope_cycle(cycles, _U1)
+    if num * full.length != full.weight * den:
+        entries.append(("remark_violations", {
+            "point": _point_doc(point, ints),
+            "min_newton": _frac_str(min_newton),
+            "min_cycle": _frac_str(full.slope),
+        }))
+    if not least_cycle_mean_is(graph, full.weight, full.length):
+        karp = karp_min_cycle_mean(graph)
+        if karp is None or (karp.numerator * full.length
+                            != full.weight * karp.denominator):
+            entries.append(("karp_disagreements", {
+                "point": _point_doc(point, ints),
+                "min_cycle_u1": _frac_str(full.slope),
+                "karp_global": _frac_str(karp) if karp is not None else None,
+            }))
+    # the kept cycles are the cycles of the graph without the extra black
+    # edges
+    reduced = least_slope_cycle(cycles, _U1, kept_only=True)
+    if reduced.weight * full.length != full.weight * reduced.length:
+        entries.append(("extra_edge_effects", {
+            "point": _point_doc(point, ints),
+            "full": _frac_str(full.slope),
+            "without_extra_black_edges": _frac_str(reduced.slope),
+        }))
+    return PointRecord(ints, point, display, polygon, retried, full.slope,
+                       tuple(entries))
+
+
+def reduce_records(n, mode_doc, ctx, records):
+    """The StrataReport of a sweep's records, read once in order and not
+    held.  Each report list is the records' entries for it, in point order;
+    the stratum counts and the agreement rate are read off the agreement
+    matrix (predicted stratum -> classified stratum -> points)."""
+    lists = {name: [] for name in _REPORT_LISTS}
+    agreement = defaultdict(Counter)
+    total = retries = 0
+    s0_map = {} if n % 2 == 0 else None
+    for rec in records:
         total += 1
-        point_doc = {f"s{i}": v for i, v in zip(point.indices, ints)}
-        if polygon is None:
-            retries += 1
-            ctx2 = ctx.at_precision(2 * nprec)
-            display = deformation_display(ctx2, point)
-            try:
-                polygon = newton_slopes(display)
-            except PrecisionError as exc:
-                precision_failures.append(
-                    {"point": point_doc, "error": str(exc)})
-                continue
-
-        label = classify(n, polygon)
-        predicted = predicted_stratum(point)
-        agreement.setdefault(predicted, {})
-        agreement[predicted][label] = agreement[predicted].get(label, 0) + 1
-        counts[label] = counts.get(label, 0) + 1
-        if label == predicted:
-            matches += 1
-
-        graph = build_graph(display)
-        cycles = cycles_through(graph, u1, base_edges)
-        min_newton = polygon.min_slope()
-        if cycles:
-            num, den = min_newton.numerator, min_newton.denominator
-            bad = next((c for c in cycles if num * c.length > c.weight * den),
-                       None)
-            if bad is not None:
-                lemma_violations.append({
-                    "point": point_doc,
-                    "min_newton": _frac_str(min_newton),
-                    "cycle": bad.to_json(),
-                })
-            full = least_slope_cycle(cycles, u1)
-            if num * full.length != full.weight * den:
-                remark_violations.append({
-                    "point": point_doc,
-                    "min_newton": _frac_str(min_newton),
-                    "min_cycle": _frac_str(full.slope),
-                })
-            if not least_cycle_mean_is(graph, full.weight, full.length):
-                karp = karp_min_cycle_mean(graph)
-                if karp is None or (karp.numerator * full.length
-                                    != full.weight * karp.denominator):
-                    karp_disagreements.append({
-                        "point": point_doc,
-                        "min_cycle_u1": _frac_str(full.slope),
-                        "karp_global": _frac_str(karp) if karp is not None
-                        else None,
-                    })
-            # the kept cycles are the cycles of the graph without the
-            # extra black edges
-            reduced = least_slope_cycle(cycles, u1, kept_only=True)
-            if reduced.weight * full.length != full.weight * reduced.length:
-                extra_edge_effects.append({
-                    "point": point_doc,
-                    "full": _frac_str(full.slope),
-                    "without_extra_black_edges": _frac_str(reduced.slope),
-                })
-        else:
-            lemma_violations.append({
-                "point": point_doc,
-                "error": "no cycles through u1",
-            })
-
+        retries += rec.retried
+        for name, entry in rec.entries:
+            lists[name].append(entry)
+        if rec.polygon is None:
+            continue
+        label = classify(n, rec.polygon)
+        agreement[predicted_stratum(rec.point)][label] += 1
         if s0_map is not None:
-            key = ints[1:]
-            s0_map.setdefault(key, set()).add(label)
-        if retain:
-            retained.append((point, display, polygon,
-                             full.slope if cycles else None))
+            s0_map.setdefault(rec.ints[1:], set()).add(label)
+
+    counts = sum(agreement.values(), Counter())
+    matches = sum(row[predicted] for predicted, row in agreement.items())
+    evaluated = counts.total()
 
     s0_effect = None
     if s0_map is not None:
@@ -422,26 +463,31 @@ def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
             "changed_patterns": [dict(c) for c in changed],
         }
 
-    mode_doc = {"kind": mode, "budget": budget, "precision": nprec}
-    if mode == "random":
-        mode_doc["count"] = count
-        mode_doc["seed"] = seed
-
-    evaluated = total - len(precision_failures)
-    rate = Fraction(matches, evaluated) if evaluated else Fraction(0)
     return StrataReport(
-        n=n, p=p, d=d, mode=mode_doc, points=total,
+        n=n, p=ctx.p, d=ctx.d, mode=mode_doc, points=total,
         agreement={k: dict(sorted(v.items()))
                    for k, v in sorted(agreement.items())},
-        agreement_rate=rate,
+        agreement_rate=Fraction(matches, evaluated) if evaluated
+        else Fraction(0),
         counts_by_stratum=dict(sorted(counts.items())),
-        lemma_violations=lemma_violations,
-        remark_violations=remark_violations,
-        karp_disagreements=karp_disagreements,
-        extra_edge_effects=extra_edge_effects,
         precision_retries=retries,
-        precision_failures=precision_failures,
         s0_effect=s0_effect,
         context=ctx.to_json(),
-        retained=retained,
+        **lists,
     )
+
+
+def verify_local_strata(n, p, d, mode="exhaustive", count=None, seed=None,
+                        budget=None, precision=None):
+    """Sweep deformation points and compare three slope computations.
+
+    For every point: the characteristic-polynomial Newton polygon
+    (certified at N, or else at 2N), the catalog classification,
+    the vanishing-pattern prediction, and the cycle slopes through u_1.
+    Checks that the minimal Newton slope never exceeds any cycle slope, and
+    reports (without failing) whenever the min-cycle-slope equality or the
+    Karp cross-check disagrees.  Deterministic for a fixed seed.  The
+    report is reduce_records of sweep's records.
+    """
+    return reduce_records(n, *sweep(n, p, d, mode, count, seed, budget,
+                                    precision))

@@ -18,6 +18,7 @@ inverses by powering.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -159,27 +160,38 @@ def expected_M_polygon(m):
                           (Fraction(h + 1, 2 * h), 2 * h)])
 
 
-def simple_cycles_through_nx(graph, v):
-    """All simple cycles through v via networkx, as (normalized vertex
-    tuple, length, weight) triples for order-insensitive comparison."""
+def _parallel_weights(graph):
+    """networkx DiGraph of the graph's vertex pairs, and for each pair the
+    weights of its edges, one per parallel edge, in edge order."""
     import networkx as nx
 
-    G = nx.MultiDiGraph()
+    G = nx.DiGraph()
     G.add_nodes_from(graph.vertices)
+    weights = {}
     for a, b, w in graph.edges:
-        G.add_edge(a, b, weight=w)
-    weight = {}
-    for a, b, w in graph.edges:
-        weight[(a, b)] = w  # display graphs have no parallel edges
-    found = set()
+        G.add_edge(a, b)
+        weights.setdefault((a, b), []).append(w)
+    return G, weights
+
+
+def simple_cycles_through_nx(graph, v):
+    """All simple cycles through v via networkx, as a Counter of
+    (normalized vertex tuple, length, weight) triples for order-insensitive
+    comparison.  A vertex cycle is one cycle per choice of parallel edge
+    at each step, each with its own weight."""
+    import networkx as nx
+
+    G, weights = _parallel_weights(graph)
+    found = Counter()
     for cyc in nx.simple_cycles(G):
         if v not in cyc:
             continue
         k = cyc.index(v)
         rot = tuple(cyc[k:] + cyc[:k])
-        total = sum(weight[(rot[i], rot[(i + 1) % len(rot)])]
-                    for i in range(len(rot)))
-        found.add((rot, len(rot), total))
+        steps = [weights[(rot[i], rot[(i + 1) % len(rot)])]
+                 for i in range(len(rot))]
+        for choice in itertools.product(*steps):
+            found[(rot, len(rot), sum(choice))] += 1
     return found
 
 
@@ -472,18 +484,14 @@ def blowup_signature(display):
 
 
 def min_cycle_mean_brute(graph):
-    """Minimum mean over all simple cycles, by exhaustive enumeration."""
+    """Minimum mean over all simple cycles, by exhaustive enumeration; of
+    parallel edges the lightest gives a vertex cycle its least mean."""
     import networkx as nx
 
-    G = nx.DiGraph()
-    G.add_nodes_from(graph.vertices)
-    weight = {}
-    for a, b, w in graph.edges:
-        G.add_edge(a, b)
-        weight[(a, b)] = w
+    G, weights = _parallel_weights(graph)
     best = None
     for cyc in nx.simple_cycles(G):
-        total = sum(weight[(cyc[i], cyc[(i + 1) % len(cyc)])]
+        total = sum(min(weights[(cyc[i], cyc[(i + 1) % len(cyc)])])
                     for i in range(len(cyc)))
         mean = Fraction(total, len(cyc))
         if best is None or mean < best:

@@ -18,6 +18,7 @@ from gustrata import (NewtonPolygon, a_number, build_graph, catalog,
                       validate_display, verify_local_strata)
 
 from _oracles import expected_M_polygon
+from _sweeps import report_and_records
 
 CRITERION2_PRIMES = (2, 3, 5)
 CRITERION2_DEGREES = (1, 2)
@@ -62,11 +63,13 @@ def decomposition_data():
 
 @pytest.fixture(scope="session")
 def strata_reports():
+    """Each criterion-4 case's report and its points' records, from one
+    sweep, and the time of all sweeps."""
     t0 = time.perf_counter()
-    reports = {}
-    for n, p, d in CRITERION4_CASES:
-        reports[(n, p, d)] = verify_local_strata(n, p, d, retain=True)
-    return reports, time.perf_counter() - t0
+    reports, records = {}, {}
+    for case in CRITERION4_CASES:
+        reports[case], records[case] = report_and_records(*case)
+    return reports, records, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -126,7 +129,7 @@ def test_criterion_3_decomposition_consistency(decomposition_data):
 
 
 def test_criterion_4_local_strata_exhaustive(strata_reports):
-    reports, elapsed = strata_reports
+    reports, _, elapsed = strata_reports
     total = 0
     for (n, p, d), rep in reports.items():
         assert rep.points == (p ** d) ** (n - 1)
@@ -142,7 +145,7 @@ def test_stratum_counts_closed_form(strata_reports):
     """An exhaustive sweep counts the F_q-points of each local stratum
     (q = p^d) in the (n - 1)-dimensional deformation space: q^dim for
     sigma and q^(dim - 1) (q - 1) for each xi, dim = (n - 1) - codim."""
-    reports, _ = strata_reports
+    reports, _, _ = strata_reports
     for (n, p, d), rep in reports.items():
         q = p ** d
         want = {}
@@ -154,7 +157,7 @@ def test_stratum_counts_closed_form(strata_reports):
 
 
 def test_criterion_5_slope_bound_inequality(strata_reports, random_reports):
-    reports, _ = strata_reports
+    reports, _, _ = strata_reports
     violations = []
     points = 0
     for rep in list(reports.values()) + random_reports:
@@ -166,7 +169,7 @@ def test_criterion_5_slope_bound_inequality(strata_reports, random_reports):
 
 
 def test_criterion_6_remark_equality(strata_reports, random_reports):
-    reports, _ = strata_reports
+    reports, _, _ = strata_reports
     disagreements = []
     points = 0
     for rep in list(reports.values()) + random_reports:
@@ -189,7 +192,7 @@ def test_criterion_7_structural_invariants(module_slope_data,
                                            strata_reports):
     rows, _ = module_slope_data
     decomp, _ = decomposition_data
-    reports, _ = strata_reports
+    _, records, _ = strata_reports
     checked = 0
     for _, _, m, display, polygon, _ in rows:
         assert validate_display(display).ok, display
@@ -203,12 +206,12 @@ def test_criterion_7_structural_invariants(module_slope_data,
         assert signature(display) == (1, n - 1)
         assert p_rank(display) == polygon.multiplicity(0)
         checked += 1
-    for (n, p, d), rep in reports.items():
-        for _, display, polygon, _ in rep.retained:
-            assert validate_display(display).ok
-            assert polarization_check(display) == []
-            assert signature(display) == (1, n - 1)
-            assert p_rank(display) == polygon.multiplicity(0)
+    for (n, p, d), recs in records.items():
+        for rec in recs:
+            assert validate_display(rec.display).ok
+            assert polarization_check(rec.display) == []
+            assert signature(rec.display) == (1, n - 1)
+            assert p_rank(rec.display) == rec.polygon.multiplicity(0)
             checked += 1
     ctx = make_context(3, 1, default_precision(2, 1))
     assert a_number(module_N(ctx)) == 1
@@ -218,17 +221,17 @@ def test_criterion_7_structural_invariants(module_slope_data,
 
 
 def test_criterion_8_precision_doubling(strata_reports):
-    reports, _ = strata_reports
+    _, records, _ = strata_reports
     recomputed = 0
-    for (n, p, d), rep in reports.items():
+    for (n, p, d), recs in records.items():
         nprec = default_precision(n, d)
         ctx2 = make_context(p, d, 2 * nprec)
-        for point, _, polygon, _ in rep.retained:
-            display2 = deformation_display(ctx2, point)
+        for rec in recs:
+            display2 = deformation_display(ctx2, rec.point)
             polygon2 = newton_slopes(display2)
-            assert polygon2 == polygon, (n, p, d, point.to_ints())
+            assert polygon2 == rec.polygon, (n, p, d, rec.ints)
             assert json.dumps(polygon2.to_json()) == \
-                json.dumps(polygon.to_json())
+                json.dumps(rec.polygon.to_json())
             recomputed += 1
     announce(8, f"all {recomputed} criterion-4 polygons bit-identical at "
                 f"doubled precision")

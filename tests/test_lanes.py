@@ -14,16 +14,16 @@ import pytest
 
 from gustrata import (DeformationPoint, DieudonneDisplay, NewtonPolygon,
                       PrecisionError, deformation_display, make_context,
-                      module_M, newton_slopes, parse_module_spec,
-                      verify_local_strata)
+                      module_M, newton_slopes, parse_module_spec)
 from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
                               lane_slope_pairs, ops_for, poly_mul,
                               sparse_transpose, twisted_product)
 from gustrata.fcrystal import U, newton_slopes_batch
-from gustrata.strata import CHUNK
+from gustrata.strata import CHUNK, _enumerate_points
 
 from _oracles import (blowup_slope_pairs, certified_slope_pairs_oracle,
                       expansion_charpoly, scalar_valuation)
+from _sweeps import report_and_records
 
 
 def raw_entry(rng, ops, d):
@@ -260,31 +260,35 @@ SWEEPS = [(n, 3, 1) for n in (4, 5, 6, 7)] + [(4, 3, 2), (3, 3, 3)]
 
 @pytest.mark.parametrize("n,p,d", SWEEPS)
 def test_sweep_polygons_equal_fresh_displays(n, p, d):
-    rep = verify_local_strata(n, p, d, retain=True)
-    assert rep.points == (p ** d) ** (n - 1) == len(rep.retained)
-    for point, display, polygon, _ in rep.retained:
-        fresh = deformation_display(display.ctx, point)
-        assert newton_slopes(fresh) == polygon, point.to_ints()
+    rep, records = report_and_records(n, p, d)
+    assert rep.points == (p ** d) ** (n - 1) == len(records)
+    for rec in records:
+        fresh = deformation_display(rec.display.ctx, rec.point)
+        assert newton_slopes(fresh) == rec.polygon, rec.ints
 
 
 def test_random_sweep_across_chunk_edges():
     """A random sweep of 2 * CHUNK + 1 points gives the same polygons as
-    one point at a time."""
-    rep = verify_local_strata(8, 3, 1, mode="random", count=2 * CHUNK + 1,
-                              seed=3, retain=True)
-    assert len(rep.retained) == 2 * CHUNK + 1
-    for point, display, polygon, _ in rep.retained:
-        fresh = deformation_display(display.ctx, point)
-        assert newton_slopes(fresh) == polygon
+    one point at a time, and its records are its points, in order."""
+    count = 2 * CHUNK + 1
+    rep, records = report_and_records(8, 3, 1, mode="random", count=count,
+                                      seed=3)
+    assert rep.points == len(records) == count
+    assert [rec.ints for rec in records] == \
+        list(_enumerate_points(8, 3, "random", count, 3))
+    for rec in records:
+        assert rec.point.to_ints() == rec.ints
+        fresh = deformation_display(rec.display.ctx, rec.point)
+        assert newton_slopes(fresh) == rec.polygon
 
 
 def test_every_point_retries_once_at_low_precision():
     """At n = 5, p = 3 and precision 5 no point is certified at N and
     every point is at 2N: val det is the same at every point."""
-    rep = verify_local_strata(5, 3, 1, precision=5, retain=True)
-    assert rep.points == rep.precision_retries == 81
+    rep, records = report_and_records(5, 3, 1, precision=5)
+    assert rep.points == rep.precision_retries == len(records) == 81
     assert rep.precision_failures == []
-    for point, display, polygon, _ in rep.retained:
-        assert display.ctx.N == 10
-        assert newton_slopes(deformation_display(display.ctx, point)) == \
-            polygon
+    for rec in records:
+        assert rec.retried and rec.display.ctx.N == 10
+        assert newton_slopes(deformation_display(rec.display.ctx,
+                                                 rec.point)) == rec.polygon

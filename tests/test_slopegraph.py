@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,12 @@ from gustrata.slopegraph import SlopeGraph, least_cycle_mean_is
 
 from _oracles import (min_cycle_mean_brute, min_slope_through_nx,
                       simple_cycles_through_nx)
+
+
+def _cycle_counter(cycles):
+    """The (vertices, length, weight) triples of cycles, with multiplicity,
+    as simple_cycles_through_nx gives them."""
+    return Counter((c.vertices, c.length, c.weight) for c in cycles)
 
 
 def ctx_for(n, p=3, d=1):
@@ -111,9 +118,8 @@ class TestCyclesThrough:
                 ctx, DeformationPoint.from_ints(ctx, n, ints))
         G = graph_for(D)
         assert len(G.vertices) <= 16
-        ours = {(c.vertices, c.length, c.weight)
-                for c in cycles_through(G, U(1))}
-        assert ours == simple_cycles_through_nx(G, U(1))
+        assert _cycle_counter(cycles_through(G, U(1))) == \
+            simple_cycles_through_nx(G, U(1))
 
     def test_slope_values(self):
         G = graph_for(module_M(ctx_for(4), 4))
@@ -160,9 +166,8 @@ class TestKeptCycles:
             [(c.vertices, c.weight) for c in cycles_through(G, v)]
         kept = [(a, b, w) for a, b, w in edges
                 if w == 0 or (str(a), str(b)) in base_labels]
-        assert {(c.vertices, c.length, c.weight)
-                for c in cycles if c.kept} == simple_cycles_through_nx(
-                    SlopeGraph(verts, kept), v)
+        assert _cycle_counter(c for c in cycles if c.kept) == \
+            simple_cycles_through_nx(SlopeGraph(verts, kept), v)
         full = min_slope_through_nx(verts, edges, v)
         reduced = min_slope_through_nx(verts, edges, v, base_labels)
         if full is None:
@@ -306,6 +311,21 @@ def _random_graph(seed):
     return SlopeGraph(verts, edges)
 
 
+def _parallel_graph(seed):
+    """_random_graph(seed) with about two in five of its edges doubled, the
+    copy next to the original and of its own weight 0..4, so that parallel
+    edges of different weights, lighter or heavier first, and of equal
+    weights are all common."""
+    G = _random_graph(seed)
+    rng = random.Random(-1 - seed)
+    edges = []
+    for a, b, w in G.edges:
+        edges.append((a, b, w))
+        if rng.random() < 0.4:
+            edges.append((a, b, rng.randrange(5)))
+    return SlopeGraph(G.vertices, edges)
+
+
 # every candidate mean weight/length with weight <= 6 and length <= 5
 CANDIDATES = sorted({Fraction(w, l) for w in range(7) for l in range(1, 6)})
 
@@ -371,6 +391,35 @@ class TestLeastCycleMeanIs:
             near = [Fraction(truth.numerator * m + e, truth.denominator * m)
                     for m in (1, 2, 2 * n) for e in (-1, 1)]
             _assert_certificate(G, truth, [*CANDIDATES, *near])
+
+
+class TestParallelEdges:
+    """A graph may hold several edges a -> b.  Each is its own step of a
+    cycle, with its own weight, and the least mean takes the lightest."""
+
+    def test_lighter_parallel_edge_sets_the_least_mean(self):
+        a, b = U(0), U(1)
+        G = SlopeGraph((a, b), ((a, b, 0), (a, b, 5), (b, a, 0)))
+        assert min_cycle_mean_brute(G) == karp_min_cycle_mean(G) == 0
+        _assert_certificate(G, Fraction(0), CANDIDATES)
+        assert _cycle_counter(cycles_through(G, a)) == \
+            simple_cycles_through_nx(G, a) == \
+            Counter({((a, b), 2, 0): 1, ((a, b), 2, 5): 1})
+        assert min_slope_through_nx(G.vertices, G.edges, b) == 0
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_graphs_against_brute_enumeration(self, seed):
+        # of the 120 seeds, 85 have parallel edges and 70 a cycle; on 19 a
+        # brute enumeration that keeps one weight per vertex pair gets the
+        # least mean wrong, and on 17 one vertex cycle is two cycles of the
+        # same weight
+        G = _parallel_graph(seed)
+        truth = min_cycle_mean_brute(G)
+        assert karp_min_cycle_mean(G) == truth
+        _assert_certificate(G, truth, CANDIDATES)
+        for v in G.vertices:
+            assert _cycle_counter(cycles_through(G, v)) == \
+                simple_cycles_through_nx(G, v)
 
 
 class TestDot:

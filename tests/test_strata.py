@@ -1,11 +1,14 @@
 import itertools
 import json
 import pathlib
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gustrata import (BudgetError, DeformationPoint, NewtonPolygon, catalog,
+from gustrata import (BudgetError, CapacityError, DeformationPoint,
+                      NewtonPolygon, catalog,
                       classify, default_precision, deformation_display,
                       lambda_min, make_context,
                       newton_slopes, predicted_stratum, strata,
@@ -14,6 +17,7 @@ from gustrata.fcrystal import U
 from gustrata.slopegraph import build_graph, karp_min_cycle_mean
 
 from _oracles import extra_edge_effects_oracle
+from _sweeps import report_and_records
 
 CALIBRATION = pathlib.Path(__file__).resolve().parent.parent / \
     "calibration" / "even_stratum_rule.json"
@@ -265,23 +269,22 @@ class TestVerifyLocalStrata:
         for predicted, row in rep.agreement.items():
             assert list(row) == [predicted]
 
-    def test_retained_points(self):
-        rep = verify_local_strata(3, 2, 1, retain=True)
-        assert len(rep.retained) == rep.points
-        pt, display, polygon, min_cycle = rep.retained[0]
-        assert polygon.rank == display.rank
+    def test_records_cover_every_point(self):
+        rep, records = report_and_records(3, 2, 1)
+        assert len(records) == rep.points
+        assert records[0].polygon.rank == records[0].display.rank
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_extra_edge_effects(self, n):
         # Deleting edges only removes cycles, so the minimum cycle slope
         # without the extra black edges is never below the full one; an
         # entry is recorded only when the two differ.
-        rep = verify_local_strata(n, 3, 1, retain=True)
+        rep, records = report_and_records(n, 3, 1)
         swept = {}
-        for point, _, _, min_cycle in rep.retained:
-            doc = dict(zip((f"s{i}" for i in point.indices),
-                           point.to_ints()))
-            swept[tuple(sorted(doc.items()))] = min_cycle
+        for rec in records:
+            doc = dict(zip((f"s{i}" for i in rec.point.indices),
+                           rec.point.to_ints()))
+            swept[tuple(sorted(doc.items()))] = rec.min_cycle
         assert len(swept) == rep.points == 3 ** (n - 1)
         for entry in rep.extra_edge_effects:
             key = tuple(sorted(entry["point"].items()))
@@ -349,7 +352,7 @@ class TestKarpFallback:
         # 0 that avoids u_1, so the global minimum drops to 0 while the
         # least slope through u_1 stays as it was
         n, p = 5, 2
-        plain = verify_local_strata(n, p, 1, retain=True)
+        plain, records = report_and_records(n, p, 1)
 
         def looped(display):
             graph = build_graph(display)
@@ -363,21 +366,143 @@ class TestKarpFallback:
         rep = verify_local_strata(n, p, 1)
         # what unconditional Karp records on the same graphs
         expected = []
-        for point, display, _, min_cycle in plain.retained:
-            karp = karp_min_cycle_mean(looped(display))
-            if karp != min_cycle:
+        for rec in records:
+            karp = karp_min_cycle_mean(looped(rec.display))
+            if karp != rec.min_cycle:
                 expected.append({
                     "point": {f"s{i}": v for i, v in
-                              zip(point.indices, point.to_ints())},
-                    "min_cycle_u1": strata._frac_str(min_cycle),
+                              zip(rec.point.indices, rec.point.to_ints())},
+                    "min_cycle_u1": strata._frac_str(rec.min_cycle),
                     "karp_global": strata._frac_str(karp),
                 })
         assert rep.karp_disagreements == expected
         # every point off the slope-0 stratum disagrees, with Karp's value
-        positive = [m for *_, m in plain.retained if m != 0]
+        positive = [rec for rec in records if rec.min_cycle != 0]
         assert len(expected) == len(positive) == len(calls) > 0
         assert all(e["karp_global"] == "0/1" for e in expected)
         # the rest of the report does not see the loop
         for key in ("agreement", "counts_by_stratum", "lemma_violations",
                     "remark_violations", "extra_edge_effects"):
             assert getattr(rep, key) == getattr(plain, key)
+
+
+# sweeps whose reports have entries: extra-edge effects (n = 6, p = 3 and
+# n = 4, p = 5), every point retried (precision 3), every point failed
+# (precision 2), and d = 2
+STREAM_CASES = [
+    (6, 3, 1, {}), (4, 5, 1, {}), (3, 2, 1, {"precision": 3}),
+    (5, 3, 1, {"mode": "random", "count": 20, "seed": 0, "precision": 2}),
+    (3, 2, 2, {}),
+]
+
+
+class _Marker:
+    """A weakly referenceable stand-in for a record's display."""
+
+
+class TestSweepStream:
+    """sweep checks its arguments and returns a lazy stream of per-point
+    records; reduce_records makes the report from the stream alone."""
+
+    @pytest.mark.parametrize("n,p,d,kwargs", STREAM_CASES)
+    def test_report_is_the_reduced_records(self, n, p, d, kwargs):
+        rep, records = report_and_records(n, p, d, **kwargs)
+        direct = verify_local_strata(n, p, d, **kwargs)
+        assert rep == direct
+        assert rep.to_json() == direct.to_json()
+        assert rep.to_tsv() == direct.to_tsv()
+        assert rep.points == len(records)
+
+    @pytest.mark.parametrize("n,p,d,kwargs", STREAM_CASES)
+    def test_report_lists_are_the_records_entries(self, n, p, d, kwargs):
+        rep, records = report_and_records(n, p, d, **kwargs)
+        names = strata._REPORT_LISTS
+        assert {key for rec in records for key, _ in rec.entries} <= \
+            set(names)
+        for name in names:
+            assert getattr(rep, name) == [
+                entry for rec in records for key, entry in rec.entries
+                if key == name], name
+        nprec = rep.mode["precision"]
+        assert rep.precision_retries == sum(rec.retried for rec in records)
+        for rec in records:
+            assert rec.point.to_ints() == rec.ints
+            assert rec.display.ctx.N == (2 if rec.retried else 1) * nprec
+            failed = [e for key, e in rec.entries
+                      if key == "precision_failures"]
+            assert (rec.polygon is None) == bool(failed) == \
+                (rec.min_cycle is None)
+            if failed:
+                assert rec.retried and len(rec.entries) == 1
+
+    def test_counts_and_rate_come_from_the_agreement_matrix(self):
+        # real records with their polygons shifted by one point, so that
+        # prediction and classification disagree, and every fifth point
+        # failed
+        n = 4
+        rep, records = report_and_records(n, 3, 1)
+        shifted = [
+            rec._replace(polygon=None, entries=(("precision_failures", {}),))
+            if k % 5 == 0 else
+            rec._replace(polygon=records[k - 1].polygon)
+            for k, rec in enumerate(records)]
+        mode_doc, ctx, _ = strata.sweep(n, 3, 1)
+        got = strata.reduce_records(n, mode_doc, ctx, shifted)
+        pairs = [(predicted_stratum(rec.point), classify(n, rec.polygon))
+                 for rec in shifted if rec.polygon is not None]
+        assert got.points == len(records) == 27
+        assert len(got.precision_failures) == 6
+        assert got.counts_by_stratum == dict(sorted(
+            Counter(label for _, label in pairs).items()))
+        assert got.agreement == {
+            pred: dict(sorted(Counter(
+                label for p_, label in pairs if p_ == pred).items()))
+            for pred in sorted({p_ for p_, _ in pairs})}
+        matches = sum(pred == label for pred, label in pairs)
+        assert got.agreement_rate == Fraction(matches, len(pairs))
+        assert 0 < matches < len(pairs)
+
+    def test_reducer_reads_a_one_shot_stream_and_holds_no_record(self):
+        n, p = 4, 3
+        mode_doc, ctx, stream = strata.sweep(n, p, 1)
+        records = list(stream)
+        assert list(stream) == []
+        rep = strata.reduce_records(n, mode_doc, ctx, records)
+        refs = []
+
+        def one_shot():
+            for rec in records:
+                # the reducer may still hold the record before this one,
+                # and no earlier record
+                assert all(ref() is None for ref in refs[:-1])
+                marked = rec._replace(display=_Marker())
+                refs.append(weakref.ref(marked.display))
+                yield marked
+
+        assert strata.reduce_records(n, mode_doc, ctx, one_shot()) == rep
+        assert len(refs) == len(records) == 27
+
+    @pytest.mark.parametrize("args,kwargs,error", [
+        ((2, 3, 1), {}, ValueError),
+        ((strata.MAX_VERIFY_N + 1, 3, 1), {}, ValueError),
+        ((3, 4, 1), {}, ValueError),
+        ((3, 3, 0), {}, ValueError),
+        ((3, 3, 1), {"precision": 0}, ValueError),
+        # fits at N = 2^20, not at 2N
+        ((3, 3, 1), {"precision": 1 << 20}, CapacityError),
+        ((3, 3, 1), {"mode": "random"}, ValueError),
+        ((3, 3, 1), {"mode": "random", "count": 0, "seed": 1}, ValueError),
+        ((3, 3, 1), {"mode": "stratified"}, ValueError),
+        ((5, 3, 1), {"budget": 10}, BudgetError),
+        ((5, 3, 1), {"mode": "random", "count": 11, "seed": 1,
+                     "budget": 10}, BudgetError),
+    ])
+    def test_bad_argument_raises_at_the_call(self, args, kwargs, error,
+                                             monkeypatch):
+        calls = []
+        for name in ("make_context", "deformation_display", "build_graph"):
+            monkeypatch.setattr(strata, name,
+                                lambda *a, name=name: calls.append(name))
+        with pytest.raises(error):
+            strata.sweep(*args, **kwargs)
+        assert calls == []

@@ -16,7 +16,9 @@ edges of the sweep's point chunks), one at d = 2, a sweep that fails for
 lack of precision and one whose every point is certified only at 2N.
 Three larger random sweeps (n = 40 at p = 3, n = 24 at p = 2 and n = 9 at
 d = 2) give slope graphs on which the Bellman-Ford potentials of the
-least-cycle-mean certificate take several rounds to settle.
+least-cycle-mean certificate take several rounds to settle.  The last three
+lines digest the TSV report: an exhaustive sweep, one whose every point is
+retried at 2N, and one that fails for lack of precision (exit 3).
 """
 
 import contextlib
@@ -48,6 +50,10 @@ ARGVS = [
     ["verify", "--n", "24", "--p", "2", "--random", "200", "--seed", "4"],
     ["verify", "--n", "9", "--p", "3", "--d", "2", "--random", "100",
      "--seed", "6"],
+    ["verify", "--n", "6", "--p", "3", "--format", "tsv"],
+    ["verify", "--n", "5", "--p", "3", "--precision", "5", "--format", "tsv"],
+    ["verify", "--n", "5", "--p", "3", "--precision", "2", "--random", "20",
+     "--format", "tsv"],
 ]
 
 
