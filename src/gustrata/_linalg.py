@@ -67,9 +67,11 @@ p^v A^(-1) without a characteristic polynomial (proof in
 adjugate_action); no block structure is needed, since a pivot alone in
 its row and column eliminates nothing, so a monomial or block-diagonal
 matrix costs O(nonzeros) plus a heap.  It runs on F once per display,
-whose pivots give val det A, the integrality of V, the rank of F mod p
-(the a-number and the signature) and the adjugate behind V; on J for
-val det J in the pairing check; and, at precision 1, where the ring
+or once per distinct summand of a direct sum, which reads its invariants
+from its summands (fcrystal._parts); the pivots give val det A, the
+integrality of V, the rank of F mod p (the a-number and the signature)
+and the adjugate behind V.  It runs on J, likewise, for val det J in the
+pairing check; and, at precision 1, where the ring
 W_1(F_{p^d}) is the field itself and every nonzero entry is a unit pivot,
 it gives ranks over F_{p^d}: the number of pivots is the rank; truncate
 reduces any finer raw data into it.
@@ -655,9 +657,9 @@ def lane_slope_pairs(lops, srows, twist, scale):
     det(xI - M) for every lane of the lane matrix M with the given sparse
     rows (lops a _LaneOps), each hull vertex (i, v) moved to
     (sx * i, sy * v) for scale = (sx, sy) and each slope divided by twist:
-    one list per lane, or None for a lane whose polygon is not certified.
-    One pair per hull segment of each diagonal block, so a slope may come
-    more than once.
+    one (pairs, term) per lane, whose pairs are certified exactly when its
+    certificate term sy * s (below) lies below N.  One pair per hull
+    segment of each diagonal block, so a slope may come more than once.
 
     Scale: with (2, 1) these are the pairs of h(t^2), and with (2, 2)
     those of h * sigma^s(h), for the monic h = det(xI - M).  The hull of
@@ -692,7 +694,7 @@ def lane_slope_pairs(lops, srows, twist, scale):
     the product of theirs, its polygon the union of theirs, and its val c_0
     min(N, the sum of theirs), which decides the certificate as they do (a
     capped term already fails it); NewtonPolygon merges repeated pairs."""
-    val, cap = lops.base.val, lops.cap
+    val = lops.base.val
     sx, sy = scale
     polys = [list(zip(*_berkowitz(lops, _restrict(srows, block))))
              for block in _blocks(srows)]
@@ -706,7 +708,7 @@ def lane_slope_pairs(lops, srows, twist, scale):
             pairs += [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
                        sx * (i2 - i1))
                       for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
-        out.append(None if sy * c0 >= cap else pairs)
+        out.append((pairs, sy * c0))
     return out
 
 

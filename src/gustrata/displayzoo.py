@@ -98,6 +98,11 @@ def direct_sum(*displays):
     which lists the summands of a summand that is itself a sum.  The
     search for a free index starts where the family's last one ended: no
     index is ever freed, so the smallest free one only grows.
+
+    The parts field holds each distinct leaf summand (a summand that is a
+    sum contributes its parts) once, with its count: a display summed k
+    times, as ModuleSpec.build sums every repeat of a term, has its
+    invariants computed once, not k times (see fcrystal._parts).
     """
     if not displays:
         raise ValueError("direct_sum needs at least one display")
@@ -108,7 +113,10 @@ def direct_sum(*displays):
     free = {"u": 0, "v": 0}  # no index below is free
     labels = []
     prev = []
+    parts = {}  # id of a leaf summand -> [leaf, count]
     for disp in displays:
+        for part, count in disp.parts or ((disp, 1),):
+            parts.setdefault(id(part), [part, 0])[1] += count
         mapping = []
         for lab in disp.basis:
             fam, idx = lab.family, lab.index
@@ -132,8 +140,9 @@ def direct_sum(*displays):
                            (disp.sparse_pairing, jrows)):
             out.extend(tuple((k + off, a) for k, a in line) for line in lines)
         off += disp.rank
-    return DieudonneDisplay._from_sparse(ctx, labels, tuple(fcols),
-                                         tuple(jrows), summands=tuple(prev))
+    return DieudonneDisplay._from_sparse(
+        ctx, labels, tuple(fcols), tuple(jrows), summands=tuple(prev),
+        parts=tuple(map(tuple, parts.values())))
 
 
 def expected_module(ctx, n, j):

@@ -65,6 +65,13 @@ W = p^v A^(-1), and V = sigma^(-1)(W / p^(v-1)), cached as sparse rows.
 The pairing check reads val det J from the same elimination on J's rows
 (_linalg.det_valuation).
 
+A direct sum records its distinct summands with their counts (the parts
+field), and when its A is invertible at N with V integral (_parts) its
+invariants read them, each summand computed once however often it
+repeats: val det A, val det J, the lane polygon and its certificate term,
+the a-number and the signature add up count times, and the polarization
+check is empty when every summand's is.  Any other sum is read whole.
+
 The a-number and the signature need no V.  On D / pD the relations
 FV = VF = p make ker F = im V and ker V = im F (Demazure, Lectures on
 p-divisible groups, LNM 302, ch. III), so both are ranks of F mod p:
@@ -243,6 +250,12 @@ class DieudonneDisplay:
     Stored sparse and raw (see the module docstring): sparse_frobenius
     holds the columns of F and sparse_pairing the rows of the pairing.
     Immutable after construction; invariant computations are cached.
+
+    A direct sum (displayzoo.direct_sum) records in summands the label
+    mapping of each leaf summand, and in parts its distinct leaf summands,
+    each once, as (display, count) pairs in order of first occurrence;
+    distinct means a distinct object.  parts is None for every other
+    display.  Its invariants are read from the parts (see _parts).
     """
 
     def __init__(self, ctx, basis, columns, pairing, summands=None):
@@ -261,24 +274,28 @@ class DieudonneDisplay:
                                if (a := unwrap(e)) != zero)
                          for line in lines)
 
-        self._set(ctx, basis, sparse(columns), sparse(pairing), summands, ops)
+        self._set(ctx, basis, sparse(columns), sparse(pairing), summands,
+                  None, ops)
 
     @classmethod
-    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None):
+    def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None,
+                     parts=None):
         """A display from sparse raw data, taken as it is: fcols[j] lists
         the (row, raw) entries of column j of F and jrows[i] the (column,
         raw) entries of row i of the pairing, indices ascending, no zero
         and every raw value reduced."""
         disp = cls.__new__(cls)
-        disp._set(ctx, tuple(basis), fcols, jrows, summands, ops_for(ctx))
+        disp._set(ctx, tuple(basis), fcols, jrows, summands, parts,
+                  ops_for(ctx))
         return disp
 
-    def _set(self, ctx, basis, fcols, jrows, summands, ops):
+    def _set(self, ctx, basis, fcols, jrows, summands, parts, ops):
         self.ctx = ctx
         self.basis = basis
         self.sparse_frobenius = fcols
         self.sparse_pairing = jrows
         self.summands = summands
+        self.parts = parts
         self._cache = {"ops": ops}
 
     # -- shape ----------------------------------------------------------------
@@ -354,7 +371,20 @@ class DieudonneDisplay:
         """(v, integral) from the pivots: v = val det A, capped at N, and
         whether p A^(-1) is integral, which is when there are rank-many
         pivots (so v < N), each of valuation at most 1 (see
-        _linalg.adjugate_action)."""
+        _linalg.adjugate_action).
+
+        A direct sum reads the pivots of its parts: the sum of count * v
+        over them, with every part integral, capped to (N, False).  That is
+        exact.  Least-valuation pivoting on a block-diagonal A takes each
+        block's pivots in the block's own order (ties go by row, then
+        column, and the offsets keep that order), so the whole elimination
+        stops at N exactly when the parts' sum reaches it."""
+        if self.parts is not None:
+            vs = [(part._det_valuation(), count) for part, count in self.parts]
+            v = sum(count * k for (k, _), count in vs)
+            if v >= self.ctx.N:
+                return self.ctx.N, False
+            return v, all(integral for (_, integral), _ in vs)
         ks = [k for _, k, _, _ in self._pivots()]
         if len(ks) < self.rank:
             return self.ctx.N, False
@@ -504,10 +534,26 @@ def display_from_json(obj, ctx=None):
 # operations
 
 
+def _parts(display):
+    """The display's parts, (summand, count) pairs, when its invariants may
+    be read summand by summand: it is a direct sum whose A is invertible at
+    N with V integral (v < N and every part integral).  None otherwise, and
+    the invariant reads the whole display, so every error text, offending
+    entry and violation, with its labels and values, is the whole one."""
+    if display.parts is not None and display._det_valuation()[1]:
+        return display.parts
+    return None
+
+
 def validate_display(display):
-    """Check the display axioms; each failure reports offending entries."""
+    """Check the display axioms; each failure reports offending entries.
+
+    On a direct sum read by parts (_parts) val det J is the sum of count *
+    val det J over the parts, capped at N: exact, as _det_valuation shows
+    for A."""
     ops = display._ops()
     ctx = display.ctx
+    parts = _parts(display)
     checks = []
 
     checks.append(CheckResult("frobenius_integral", True,
@@ -543,7 +589,12 @@ def validate_display(display):
         "pairing_alternating", not bad_alt,
         tuple(f"entry ({i},{j})" for i, j in bad_alt[:8])))
 
-    det_j_val = _linalg.det_valuation(ops, display.sparse_pairing)
+    if parts is None:
+        det_j_val = _linalg.det_valuation(ops, display.sparse_pairing)
+    else:
+        det_j_val = min(ctx.N, sum(
+            count * _linalg.det_valuation(ops, part.sparse_pairing)
+            for part, count in parts))
     checks.append(CheckResult(
         "pairing_unimodular", det_j_val == 0,
         () if det_j_val == 0 else (f"val det J = {det_j_val}",)))
@@ -568,10 +619,26 @@ def _same_family_entries(display):
 def newton_slopes(display):
     """Newton polygon of the display: newton_slopes_batch of the display
     alone, cached.  PrecisionError unless the polygon is certified at the
-    working precision N (see _linalg.lane_slope_pairs)."""
+    working precision N (see _linalg.lane_slope_pairs).
+
+    A direct sum read by parts (_parts) takes the union of its parts' lane
+    polygons, each multiplicity times the part's count, and as certificate
+    term the sum of count * term over the parts.  The blocks of a
+    block-diagonal matrix are those of its diagonal blocks, so this is the
+    whole display's polygon, and the term decides as the whole one does:
+    a term below N has no capped block, and then each part's term is d
+    times its own val det A, which add up to d * v."""
     polygon = display._cache.get("slopes")
     if polygon is None:
-        polygon = newton_slopes_batch([display])[0]
+        parts = _parts(display)
+        if parts is None:
+            polygon = newton_slopes_batch([display])[0]
+        else:
+            lanes = [(_lane_pairs([part])[0], count) for part, count in parts]
+            polygon = _certified(
+                display, [(s, count * m) for (pairs, _), count in lanes
+                          for s, m in pairs],
+                sum(count * term for (_, term), count in lanes))
         if polygon is None:
             raise PrecisionError(
                 f"insufficient precision: hull vertex at degree 0 has "
@@ -595,6 +662,23 @@ def newton_slopes_batch(displays):
     product A * sigma(A) * ... with scale (1, 1), whose polygon and
     certificate are the same for a graded lane.  Each polygon is stored in
     its display's slopes cache."""
+    return [_certified(display, *lane)
+            for display, lane in zip(displays, _lane_pairs(displays))]
+
+
+def _certified(display, pairs, term):
+    """The NewtonPolygon of the pairs, stored in the display's slopes
+    cache, when the certificate term of _linalg.lane_slope_pairs lies
+    below N; None otherwise."""
+    if term >= display.ctx.N:
+        return None
+    polygon = display._cache["slopes"] = NewtonPolygon(pairs)
+    return polygon
+
+
+def _lane_pairs(displays):
+    """_linalg.lane_slope_pairs of the displays as lanes, one (pairs, term)
+    per display (see newton_slopes_batch)."""
     first = displays[0]
     ctx, basis, d = first.ctx, first.basis, first.ctx.d
     if any(display.ctx != ctx or display.basis != basis
@@ -616,14 +700,7 @@ def newton_slopes_batch(displays):
         odd = d % 2
         srows, scale = _linalg.twisted_product(lops, x, d << odd, y), (
             2, 2 - odd)
-    out = []
-    for display, pairs in zip(displays, _linalg.lane_slope_pairs(
-            lops, srows, d, scale)):
-        polygon = None
-        if pairs is not None:
-            polygon = display._cache["slopes"] = NewtonPolygon(pairs)
-        out.append(polygon)
-    return out
+    return _linalg.lane_slope_pairs(lops, srows, d, scale)
 
 
 def _lane_columns(displays, idx, pos):
@@ -647,7 +724,17 @@ def polarization_check(display):
     V is only determined at precision N - val(det A) + 1, so discrepancies
     are measured there.  Returns (label_i, label_j, discrepancy) triples;
     an empty list means the pairing is compatible with F and V.
+
+    A direct sum read by parts (_parts) returns [] when every part's check
+    does: a part's V is determined at N - v_part + 1 >= N - v + 1, so a
+    part with no violation at its own precision has none at the sum's.
+    Otherwise the whole display is checked, so each violation carries its
+    labels and value in the sum.
     """
+    parts = _parts(display)
+    if parts is not None and not any(
+            polarization_check(part) for part, _ in parts):
+        return []
     ctx_v, v_rows = display._verschiebung()
     ops_v = ops_for(ctx_v)
     zero, smatvec = ops_v.zero, ops_v.smatvec
@@ -679,8 +766,13 @@ def a_number(display):
     rank F - rank F^2, and F^2 x = A sigma(A) sigma^2(x) has the rank of
     A sigma(A) mod p.  The rank of A mod p is the number of unit pivots
     (_unit_pivots, which also raises V's own errors when V is not
-    integral); this holds for every display, graded or not.
+    integral); this holds for every display, graded or not.  Ranks add
+    over a direct sum, so one read by parts (_parts) sums count * a over
+    them.
     """
+    parts = _parts(display)
+    if parts is not None:
+        return sum(count * a_number(part) for part, count in parts)
     units = _unit_pivots(display)
     ops1 = ops_for(display.ctx.at_precision(1))
     a_bar = _residue_rows(ops1, display.sparse_frobenius)
@@ -727,7 +819,13 @@ def signature(display):
     det A = 0, and both routes then raise V's PrecisionError.  A display
     whose F has an entry inside one family (library input only) reads V:
     each part's rank minus the F_{p^d} rank of the block of V mod p
-    mapping the other part into it."""
+    mapping the other part into it.  Both dimensions add over a direct
+    sum, so one read by parts (_parts) sums count times its parts'."""
+    parts = _parts(display)
+    if parts is not None:
+        sigs = [(signature(part), count) for part, count in parts]
+        return tuple(sum(count * sig[k] for sig, count in sigs)
+                     for k in (0, 1))
     if not any(_same_family_entries(display)):
         families = [display.basis[c].family for c in _unit_pivots(display)]
         return families.count("u"), families.count("v")

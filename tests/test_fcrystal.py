@@ -439,12 +439,19 @@ class TestOncePerDisplay:
         assert polygon == M6_N2
 
     def test_direct_sum_runs_one_row_blocks(self, monkeypatch):
-        # N^64 is 64 blocks of one row each: no polynomial is multiplied
+        # N^64 reads its one distinct summand N: one Berkowitz run on one
+        # row.  Its twin read from JSON has no parts and reads 64 blocks of
+        # one row each.  No polynomial is multiplied either way.
         whole = count_calls(monkeypatch, "charpoly")
         products = count_calls(monkeypatch, "poly_mul")
         calls = count_calls(monkeypatch, "_berkowitz")
         assert cli.main(["slopes", "--module", "N^64"],
                         out=io.StringIO()) == 0
+        assert whole == [] and products == []
+        assert [len(srows) for _, srows in calls] == [1]
+        del calls[:]
+        D = parse_module_spec("N^64").build(ctx_for(64))
+        newton_slopes(display_from_json(D.to_json()))
         assert whole == [] and products == []
         assert [len(srows) for _, srows in calls] == [1] * 64
 
@@ -464,15 +471,22 @@ class TestOncePerDisplay:
         assert len(built) == 1
         assert polygon == M6_N2
 
+    # the ranks of the distinct summands each invariant reads: the display
+    # itself, or each distinct part of a direct sum once
+    RANKS = {SPEC: [16], "M(6)+N^2": [12, 2], "N^24": [2], "M(14)": [28],
+             "M(6)+N^6": [12, 2]}
+
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_validation_runs_no_charpoly(self, monkeypatch, text, d):
-        # val det J comes from an elimination on J's rows
+        # val det J comes from an elimination on J's rows, one per
+        # distinct summand
         spec = parse_module_spec(text)
         display = spec.build(ctx_for(spec.half_rank, d=d))
         calls = count_calls(monkeypatch, "charpoly")
         dets = count_calls(monkeypatch, "det_valuation")
         assert validate_display(display).ok
-        assert calls == [] and len(dets) == 1
+        assert calls == [] and [len(srows) for _, srows in dets] == \
+            self.RANKS[text]
 
     # the modules of the module_invariants benchmark, with a def(8) point
     INVARIANT_MODULES = [("N^24", 3, 1), ("M(14)", 5, 2), (SPEC, 3, 1),
@@ -481,13 +495,14 @@ class TestOncePerDisplay:
     @pytest.mark.parametrize("text,p,d", INVARIANT_MODULES)
     def test_slopes_reads_no_adjugate(self, monkeypatch, text, p, d):
         # the a-number and the signature come from F mod p alone; check
-        # still derives V once for validation and the polarization
+        # still derives V once per distinct summand for validation and the
+        # polarization
         calls = count_calls(monkeypatch, "adjugate_action")
         argv = ["--module", text, "--p", str(p), "--d", str(d)]
         assert cli.main(["slopes"] + argv, out=io.StringIO()) == 0
         assert calls == []
         assert cli.main(["check"] + argv, out=io.StringIO()) == 0
-        assert len(calls) == 1
+        assert [len(cols) for _, cols, _ in calls] == self.RANKS[text]
 
     @pytest.mark.parametrize("text,p,d", INVARIANT_MODULES)
     def test_invariants_share_one_elimination(self, monkeypatch, text, p, d):
@@ -498,17 +513,20 @@ class TestOncePerDisplay:
         a_number(display)
         signature(display)
         a_number(display)
-        assert [ops.cap for ops, _, _ in calls
-                if ops.cap != 1] == [display.ctx.N]
+        assert [(ops.cap, ncols) for ops, _, ncols in calls
+                if ops.cap != 1] == [(display.ctx.N, r)
+                                     for r in self.RANKS[text]]
 
     @pytest.mark.parametrize("text,p,d", INVARIANT_MODULES)
     def test_check_and_invariants_eliminate_a_once(self, monkeypatch, text,
                                                    p, d):
         # validation, polarization, a-number and signature read one
-        # elimination of A (pivot_steps) and one of J (det_valuation)
+        # elimination of A (pivot_steps) and one of J (det_valuation) per
+        # distinct summand
         spec = parse_module_spec(text)
         display = spec.build(make_context(p, d, default_precision(
             spec.half_rank, d)))
+        ranks = self.RANKS[text]
         calls = count_calls(monkeypatch, "_eliminate")
         pivots = count_calls(monkeypatch, "pivot_steps")
         dets = count_calls(monkeypatch, "det_valuation")
@@ -516,9 +534,11 @@ class TestOncePerDisplay:
         assert polarization_check(display) == []
         a_number(display)
         signature(display)
-        assert [ops.cap for ops, _, _ in calls
-                if ops.cap != 1] == [display.ctx.N] * 2
-        assert len(pivots) == len(dets) == 1
+        assert sorted((ops.cap, ncols) for ops, _, ncols in calls
+                      if ops.cap != 1) == sorted(
+            [(display.ctx.N, r) for r in ranks] * 2)
+        assert [len(cols) for _, cols in pivots] == ranks
+        assert [len(srows) for _, srows in dets] == ranks
 
     @pytest.mark.parametrize("text,d", [(SPEC, 1), ("M(6)+N^2", 2)])
     def test_one_adjugate_for_all_v_consumers(self, monkeypatch, text, d):
@@ -529,4 +549,4 @@ class TestOncePerDisplay:
         assert polarization_check(display) == []
         a_number(display)
         signature(display)
-        assert len(calls) == 1
+        assert [len(cols) for _, cols, _ in calls] == self.RANKS[text]

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from gustrata import (DieudonneDisplay, NewtonPolygon, PrecisionError,
-                      RingContext, _linalg, default_precision, make_context,
-                      module_M, newton_slopes)
+                      RingContext, _linalg, default_precision,
+                      display_from_json, make_context, module_M,
+                      newton_slopes)
 from gustrata.displayzoo import parse_module_spec
 from gustrata.fcrystal import U, V, BasisLabel
 
@@ -222,20 +223,30 @@ class TestUngradedAgainstDense:
 
 
 class TestHalfRankCount:
+    # the rows Berkowitz reads: n, or the distinct summands' half ranks
+    ROWS = {"def(8; s0=1, s2=2, s3=1, s5=2)": 8, "M(6)+N^2": 6 + 1,
+            "M(7)+N^3": 7 + 1, "ss(5)": 5}
+
     @pytest.mark.parametrize("text,d", [
         ("def(8; s0=1, s2=2, s3=1, s5=2)", 1), ("M(6)+N^2", 2),
         ("M(7)+N^3", 3), ("ss(5)", 4)])
     def test_charpoly_receives_n_rows(self, text, d, monkeypatch):
         # newton_slopes runs Berkowitz on the diagonal blocks of the n x n
-        # matrix, once per display, and forms no whole charpoly
+        # matrix, once per display or, for a direct sum, once per distinct
+        # summand, and forms no whole charpoly; the display's twin read
+        # from JSON has no parts and reads its whole n x n matrix
         spec = parse_module_spec(text)
         display = spec.build(make_context(
             2 if d == 4 else 3, d, default_precision(spec.half_rank, d)))
+        twin = display_from_json(display.to_json())
         whole = row_counts(monkeypatch, "charpoly")
         rows = row_counts(monkeypatch, "_berkowitz")
         newton_slopes(display)
         newton_slopes(display)
-        assert sum(rows) == display.half_rank and whole == []
+        assert sum(rows) == self.ROWS[text] and whole == []
+        del rows[:]
+        newton_slopes(twin)
+        assert sum(rows) == twin.half_rank and whole == []
 
 
 class TestCertificateAtN:
@@ -396,10 +407,11 @@ class TestSlopesFromFactor:
             srows, scale = twisted_factor(display)
             h = _linalg.charpoly(ops, srows)
             assert scale == (2, 2) and ops.val(h[0]) == v // 2
-            # h alone, unscaled, is certified
-            assert _linalg.lane_slope_pairs(
+            # h alone, unscaled, is certified: its term is val h_0 < N
+            [(pairs, term)] = _linalg.lane_slope_pairs(
                 _linalg._LaneOps(ops, 1),
-                [[(j, (a,)) for j, a in row] for row in srows], d, (1, 1))[0]
+                [[(j, (a,)) for j, a in row] for row in srows], d, (1, 1))
+            assert pairs and term == v // 2 < N
             message = ("insufficient precision: hull vertex at degree 0 "
                        f"has valuation >= {N}")
             assert outcome(lambda: newton_slopes(display)) == message

@@ -10,7 +10,10 @@ imported from the src/ directory of the script's own tree, put first on
 sys.path, so an installed copy is never digested in its place.
 
 The list covers large direct sums that the golden file does not (slopes
-and check, with precision failures), exhaustive sweeps at n = 4..7, at
+and check, with precision failures), sums with repeated and nested
+summands (M(6)+N^6 at d = 2, ss(6)+ss(6)+N, M(40)+N^100 at p = 5, d = 3,
+and N^6 at N = 5, whose V is computable for each summand but not for the
+sum, exit 3), exhaustive sweeps at n = 4..7, at
 d = 2 and d = 3, a random rank-16 sweep, one of 129 points (across the
 edges of the sweep's point chunks), one at d = 2, a sweep that fails for
 lack of precision and one whose every point is certified only at 2N.
@@ -38,6 +41,10 @@ ARGVS = [
     ["slopes", "--module", "N^60", "--precision", "3"],
     ["slopes", "--module", "M(9)+N^9", "--d", "2", "--precision", "2"],
     ["check", "--module", "N^1000"],
+    ["check", "--module", "M(6)+N^6", "--d", "2"],
+    ["check", "--module", "N^6", "--precision", "5"],
+    ["slopes", "--module", "ss(6)+ss(6)+N", "--d", "2"],
+    ["check", "--module", "M(40)+N^100", "--p", "5", "--d", "3"],
     *[["verify", "--n", str(n), "--p", "3"] for n in (4, 5, 6, 7)],
     ["verify", "--n", "4", "--p", "3", "--d", "2"],
     ["verify", "--n", "8", "--p", "3", "--random", "200", "--seed", "1"],
