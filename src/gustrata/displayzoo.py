@@ -5,6 +5,14 @@ sums, the per-stratum decompositions M(2(floor(n/2)+1-j)) + N^r(j), the
 supersingular module for each n, and the n-1 parameter family deforming the
 supersingular module, specialized at residue field points through
 Teichmuller lifts.
+
+Every builder writes the canonical sparse form of fcrystal (F by columns,
+the pairing by rows, (position, raw) pairs with positions ascending and no
+zero) directly, by index arithmetic: M(m) puts u_k at position k - 1 and
+v_k at m + k - 1, each integer coefficient (1, -1, p) is one raw value
+shared by its entries, and the p entries vanish, and are left out, at
+N = 1.  direct_sum shifts its summands' lines by their offsets, and the
+deformation family fills a per-n template (see deformation_display).
 """
 
 from __future__ import annotations
@@ -22,46 +30,38 @@ __all__ = [
     "ModuleSpec", "parse_module_spec", "MAX_SPEC_HALF_RANK",
 ]
 
-def _build(ctx, labels, relations, pairing):
-    """Assemble a display from integer coefficients: relations maps
-    (source, target) label pairs to the target coefficient of F source,
-    pairing maps (row, column) label pairs to the pairing entry."""
-    idx = {lab: k for k, lab in enumerate(labels)}
-    return DieudonneDisplay._from_sparse(
-        ctx, labels, _sparse_raw(ctx, idx, relations),
-        _sparse_raw(ctx, idx, pairing))
 
-
-def _sparse_raw(ctx, idx, entries):
-    """Sparse raw lines of the integer entries {(a, b): c}: line idx[a]
-    holds the (idx[b], raw c) pairs, idx[b] ascending, zeros dropped."""
+def _coefficients(ctx):
+    """(raw 1, raw -1, p_at), p_at(k) the sparse line of p at position k:
+    one raw value per integer coefficient, and an empty line at N = 1,
+    where p is 0."""
     ops = ops_for(ctx)
-    lines = [{} for _ in idx]
-    for (a, b), c in entries.items():
-        lines[idx[a]][idx[b]] = ops.scale(c, ops.one)
-    return tuple(tuple((k, c) for k, c in sorted(line.items())
-                       if c != ops.zero)
-                 for line in lines)
+    one = ops.one
+    p = ops.scale(ctx.p, one)
+    return (one, ops.neg(one),
+            (lambda k: ((k, p),)) if p != ops.zero else (lambda k: ()))
 
 
-def _m_basis(m):
-    """Labels u_1..u_m, v_1..v_m and the pairing
-    <u_i, v_i> = (-1)^i = -<v_i, u_i>."""
-    labels = tuple(U(i) for i in range(1, m + 1)) + tuple(
-        V(i) for i in range(1, m + 1))
-    pairing = {}
-    for i in range(1, m + 1):
-        pairing[(U(i), V(i))] = (-1) ** i
-        pairing[(V(i), U(i))] = -(-1) ** i
-    return labels, pairing
+def _m_labels(m):
+    """u_1..u_m at positions 0..m-1, then v_1..v_m at m..2m-1."""
+    return tuple(map(U, range(1, m + 1))) + tuple(map(V, range(1, m + 1)))
+
+
+def _m_pairing(m, one, minus):
+    """Sparse rows of the pairing <u_i, v_i> = (-1)^i = -<v_i, u_i>."""
+    sign = (one, minus)  # sign[k % 2] = (-1)^k
+    return (tuple(((m + k, sign[(k + 1) % 2]),) for k in range(m))
+            + tuple(((k, sign[k % 2]),) for k in range(m)))
 
 
 def module_N(ctx):
-    """The rank-2 display with F v0 = -u0 and u0 = V v0; both slopes 1/2."""
-    relations = {(V(0), U(0)): -1,
-                 (U(0), V(0)): ctx.p}  # from u0 = V v0 and F V = p
-    pairing = {(U(0), V(0)): 1, (V(0), U(0)): -1}
-    return _build(ctx, (U(0), V(0)), relations, pairing)
+    """The rank-2 display on u0, v0 with F v0 = -u0 and u0 = V v0, so
+    F u0 = p v0 (F V = p), and <u0, v0> = 1 = -<v0, u0>; both slopes 1/2.
+    Written straight into the canonical sparse form."""
+    one, minus, p_at = _coefficients(ctx)
+    return DieudonneDisplay._from_sparse(
+        ctx, (U(0), V(0)), (p_at(1), ((0, minus),)),
+        (((1, one),), ((0, minus),)))
 
 
 def _check_m(m):
@@ -79,15 +79,17 @@ def module_M(ctx, m):
 
     F u_1 = (-1)^m v_m, F v_k = u_{k-1} for k >= 2, and the V-relations
     v_1 = V u_m, u_k = V v_{k-1} give F v_1 = p u_m, F u_k = p v_{k-1}.
-    The pairing is <u_i, v_j> = (-1)^i delta_ij.
+    The pairing is <u_i, v_j> = (-1)^i delta_ij.  Written straight into
+    the canonical sparse form, u_k at position k - 1 and v_k at m + k - 1.
     """
     _check_m(m)
-    labels, pairing = _m_basis(m)
-    relations = {(U(1), V(m)): (-1) ** m, (V(1), U(m)): ctx.p}
-    for k in range(2, m + 1):
-        relations[(V(k), U(k - 1))] = 1
-        relations[(U(k), V(k - 1))] = ctx.p
-    return _build(ctx, labels, relations, pairing)
+    one, minus, p_at = _coefficients(ctx)
+    fcols = (((2 * m - 1, minus if m % 2 else one),),     # F u_1
+             *(p_at(m + k) for k in range(m - 1)),        # F u_k, k >= 2
+             p_at(m - 1),                                 # F v_1
+             *(((k, one),) for k in range(m - 1)))        # F v_k, k >= 2
+    return DieudonneDisplay._from_sparse(
+        ctx, _m_labels(m), fcols, _m_pairing(m, one, minus))
 
 
 def direct_sum(*displays):
@@ -99,6 +101,11 @@ def direct_sum(*displays):
     search for a free index starts where the family's last one ended: no
     index is ever freed, so the smallest free one only grows.
 
+    The sum is written straight into the canonical sparse form: each
+    summand's lines are shifted by its offset, a label that is not bumped
+    is the summand's own object, and each distinct summand's label names
+    are formatted once.
+
     The parts field holds each distinct leaf summand (a summand that is a
     sum contributes its parts) once, with its count: a display summed k
     times, as ModuleSpec.build sums every repeat of a term, has its
@@ -107,42 +114,55 @@ def direct_sum(*displays):
     if not displays:
         raise ValueError("direct_sum needs at least one display")
     ctx = displays[0].ctx
-    if any(disp.ctx.params() != ctx.params() for disp in displays[1:]):
+    params = ctx.params()
+    if any(disp.ctx is not ctx and disp.ctx.params() != params
+           for disp in displays[1:]):
         raise ValueError("context mismatch between summands")
     used = {"u": set(), "v": set()}
     free = {"u": 0, "v": 0}  # no index below is free
-    labels = []
-    prev = []
+    labels, prev, fcols, jrows = [], [], [], []
     parts = {}  # id of a leaf summand -> [leaf, count]
+    seen = {}  # id of a summand -> (label, family, index, name) of each
+    off = 0
     for disp in displays:
         for part, count in disp.parts or ((disp, 1),):
             parts.setdefault(id(part), [part, 0])[1] += count
+        own = seen.get(id(disp))
+        if own is None:
+            own = seen[id(disp)] = [(lab, lab.family, lab.index, str(lab))
+                                    for lab in disp.basis]
         mapping = []
-        for lab in disp.basis:
-            fam, idx = lab.family, lab.index
-            if idx in used[fam]:
+        for lab, fam, idx, name in own:
+            taken = used[fam]
+            if idx in taken:
                 idx = free[fam]
-                while idx in used[fam]:
+                while idx in taken:
                     idx += 1
                 free[fam] = idx + 1
-            used[fam].add(idx)
-            new = BasisLabel(fam, idx)
-            labels.append(new)
-            mapping.append((str(lab), str(new)))
+                lab = BasisLabel(fam, idx)
+                mapping.append((name, f"{fam}{idx}"))
+            else:
+                mapping.append((name, name))
+            taken.add(idx)
+            labels.append(lab)
         if disp.summands is not None:
             prev.extend(disp.summands)
         else:
             prev.append(tuple(mapping))
-    fcols, jrows = [], []
-    off = 0
-    for disp in displays:
-        for lines, out in ((disp.sparse_frobenius, fcols),
-                           (disp.sparse_pairing, jrows)):
-            out.extend(tuple((k + off, a) for k, a in line) for line in lines)
+        fcols.extend(_shifted(disp.sparse_frobenius, off))
+        jrows.extend(_shifted(disp.sparse_pairing, off))
         off += disp.rank
     return DieudonneDisplay._from_sparse(
         ctx, labels, tuple(fcols), tuple(jrows), summands=tuple(prev),
         parts=tuple(map(tuple, parts.values())))
+
+
+def _shifted(lines, off):
+    """Sparse lines with every position moved up by off."""
+    if not off:
+        return lines
+    return [((line[0][0] + off, line[0][1]),) if len(line) == 1
+            else tuple([(k + off, a) for k, a in line]) for line in lines]
 
 
 def expected_module(ctx, n, j):
@@ -261,7 +281,8 @@ def _deformation_template(ctx, n):
     p = ctx.p
     m = n if n % 2 else n - 1
     pos = {j: t for t, j in enumerate(_parameter_indices(n))}
-    labels, pairing = _m_basis(m)
+    one, minus, _ = _coefficients(ctx)
+    labels, jrows = _m_labels(m), _m_pairing(m, one, minus)
     slots = {(U(1), V(m)): (-1, None), (U(2), V(1)): (p, None),
              (U(2), V(m)): (p, pos[m]), (V(1), U(m)): (p, None),
              (V(1), U(1)): (-p, pos[m]), (V(2), U(1)): (1, None)}
@@ -275,13 +296,12 @@ def _deformation_template(ctx, n):
         labels += (U(0), V(0))
         slots.update({(U(2), V(0)): (p, pos[0]), (U(0), V(0)): (p, None),
                       (V(0), U(0)): (-1, None), (V(0), U(1)): (-1, pos[0])})
-        pairing.update({(U(0), V(0)): 1, (V(0), U(0)): -1})
+        jrows += (((2 * m + 1, one),), ((2 * m, minus),))
     idx = {lab: k for k, lab in enumerate(labels)}
     cols = [[] for _ in labels]
     for (a, b), (f, k) in slots.items():
         cols[idx[a]].append((idx[b], f, k))
-    return (labels, tuple(tuple(sorted(col)) for col in cols),
-            _sparse_raw(ctx, idx, pairing))
+    return labels, tuple(tuple(sorted(col)) for col in cols), jrows
 
 
 def _parameter_indices(n):

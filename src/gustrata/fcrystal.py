@@ -14,12 +14,12 @@ coordinate tuple otherwise).  Reduced coordinates are unique, so this form
 is canonical and two displays are equal exactly when their sparse data
 are.  The dense rows of scalars, frobenius and pairing, are views wrapped
 from it on first use; wrapping inverts unwrapping on reduced data, so a
-display built from dense scalars gives back the same scalars.
-Deformation points are built straight into this form from a per-n
-template: each entry of the family is an integer times 1 or times a
-Teichmuller lift, and an integer times a Witt vector scales each of its
-power-basis coordinates, so factor * coordinate mod p^N is exactly the
-scalar product.
+display built from dense scalars gives back the same scalars.  The zoo
+builders write this form directly (see displayzoo); deformation points
+are filled into it from a per-n template: each entry of the family is
+an integer times 1 or times a Teichmuller lift, and an integer times a
+Witt vector scales each of its power-basis coordinates, so factor *
+coordinate mod p^N is exactly the scalar product.
 
 Newton slopes are computed from the p-adic Newton polygon of the
 characteristic polynomial of the d-fold twisted product

@@ -15,7 +15,9 @@ step, so no inverse is recomputed and the precision doubles per step:
 about log2(N) steps.  It applies because both derivatives are units: f is
 separable mod p, and the derivative p^d x^(p^d - 1) - 1 is -1 mod p.  The
 roots are unique by Hensel's lemma, so every lift is exactly the one any
-other convergent method gives.  A context at another precision is derived
+other convergent method gives.  At d = 2 the Frobenius root needs no
+iteration: it is the other root of the quadratic modulus, -a_1 - x (see
+RingContext._hensel_root).  A context at another precision is derived
 from an existing one (see RingContext.at_precision): the capacity check
 runs first, the modulus is reused, and the root lift starts from the
 existing root.
@@ -266,8 +268,16 @@ class RingContext:
         of x under the Frobenius lift, and z, an approximate inverse of
         f'(y).  Newton's method starts from start, a pair of any
         precision, or else from x^p and the inverse of f'(x^p) mod p,
-        whose conjugates come from the power table of x^p."""
+        whose conjugates come from the power table of x^p.
+
+        At d = 2 the root has a closed form and z is None, as is the
+        carried inverse of start, which is unused: f = x^2 + a_1 x + a_0
+        has the roots x and sigma(x), whose sum is -a_1, so
+        sigma(x) = -a_1 - x exactly at every precision (and it is x^p
+        mod p, the other root of the irreducible f mod p)."""
         d, q = self.d, self.q
+        if d == 2:
+            return ((-self.modulus[1]) % q, q - 1), None
         f_coeffs = list(self.modulus) + [1]
         fprime = [(i * c) % q for i, c in enumerate(f_coeffs)][1:]
 
@@ -524,9 +534,10 @@ class RingContext:
         without a second irreducibility test; and the Frobenius root's
         Newton iteration starts from this context's root and its carried
         inverse, reduced mod p^N2.  That start is already exact when
-        N2 <= N and needs about log2(N2 / N) + 1 steps otherwise.  The
-        lift is unique, so the tables equal those of
-        RingContext(p, d, N2, modulus).
+        N2 <= N and needs about log2(N2 / N) + 1 steps otherwise.  At
+        d = 2 no iteration runs: the root is -a_1 - x in closed form (see
+        _hensel_root) and the carried inverse is unused.  The lift is
+        unique, so the tables equal those of RingContext(p, d, N2, modulus).
         """
         if N2 == self.N:
             return self

@@ -14,8 +14,9 @@ import pytest
 from gustrata import (DeformationPoint, DieudonneDisplay, PrecisionError,
                       a_number, build_graph, default_precision,
                       deformation_display, direct_sum, display_from_json,
-                      make_context, module_M, module_N, parse_module_spec,
-                      polarization_check, signature, validate_display)
+                      expected_module, make_context, module_M, module_N,
+                      parse_module_spec, polarization_check, signature,
+                      supersingular_module, validate_display)
 from gustrata._linalg import ops_for
 from gustrata.fcrystal import U, V, _basis_halves, _lane_columns
 from gustrata.wittring import PadicScalar
@@ -198,6 +199,150 @@ def test_direct_sum_is_dense_block_placement(d):
     assert S == DieudonneDisplay(ctx, S.basis, columns, pairing)
     assert len(S.summands) == 5  # the nested sum contributes its two parts
     assert display_from_json(S.to_json()) == S
+
+
+# The zoo builders against dense twins.  A twin is written out here from
+# the docstring relations as integer entries and built through the public
+# constructor; a sum's twin bumps colliding labels to the smallest free
+# index of their family, places the blocks, and records the summands and
+# the parts (leaf twins by identity, with counts) by the rules of the
+# direct_sum docstring.  Nothing of a twin comes from displayzoo.
+
+
+class Twin:
+    """F[(a, b)] is the b-coefficient of F a and J[(a, b)] = <a, b>, as
+    integers; display is built from them densely."""
+
+    def __init__(self, ctx, basis, F, J, summands=None, parts=None):
+        self.basis, self.F, self.J = tuple(basis), F, J
+        self.summands, self.parts = summands, parts
+        self.display = DieudonneDisplay(
+            ctx, basis, _dense(ctx, basis, F), _dense(ctx, basis, J),
+            summands)
+
+
+def twin_N(ctx):
+    # F v0 = -u0, F u0 = p v0, <u0, v0> = 1 = -<v0, u0>
+    return Twin(ctx, [U(0), V(0)],
+                {(V(0), U(0)): -1, (U(0), V(0)): ctx.p},
+                {(U(0), V(0)): 1, (V(0), U(0)): -1})
+
+
+def twin_M(ctx, m):
+    # F u_1 = (-1)^m v_m, F v_1 = p u_m, F v_k = u_{k-1}, F u_k = p v_{k-1}
+    # (k >= 2), <u_i, v_i> = (-1)^i = -<v_i, u_i>
+    F = {(U(1), V(m)): (-1) ** m, (V(1), U(m)): ctx.p}
+    J = {}
+    for k in range(2, m + 1):
+        F[(V(k), U(k - 1))] = 1
+        F[(U(k), V(k - 1))] = ctx.p
+    for i in range(1, m + 1):
+        J[(U(i), V(i))] = (-1) ** i
+        J[(V(i), U(i))] = -(-1) ** i
+    return Twin(ctx, [U(i) for i in range(1, m + 1)]
+                + [V(i) for i in range(1, m + 1)], F, J)
+
+
+def twin_sum(ctx, *children):
+    used = {"u": set(), "v": set()}
+    basis, F, J, summands, parts = [], {}, {}, [], {}
+    for child in children:
+        rename = {}
+        for lab in child.basis:
+            taken = used[lab.family]
+            idx = lab.index
+            if idx in taken:
+                idx = min(set(range(len(taken) + 1)) - taken)
+            taken.add(idx)
+            rename[lab] = (U if lab.family == "u" else V)(idx)
+            basis.append(rename[lab])
+        for ours, theirs in ((F, child.F), (J, child.J)):
+            ours.update({(rename[a], rename[b]): c
+                         for (a, b), c in theirs.items()})
+        if child.summands is None:
+            summands.append(tuple((str(a), str(rename[a]))
+                                  for a in child.basis))
+        else:
+            summands.extend(child.summands)
+        for leaf, count in child.parts or ((child, 1),):
+            parts.setdefault(id(leaf), [leaf, 0])[1] += count
+    return Twin(ctx, basis, F, J, tuple(summands),
+                tuple(tuple(entry) for entry in parts.values()))
+
+
+def twin_ss(ctx, n):
+    # M(n) for odd n, M(n - 1) + N for even n
+    if n % 2:
+        return twin_M(ctx, n)
+    return twin_sum(ctx, twin_M(ctx, n - 1), twin_N(ctx))
+
+
+def assert_twin(D, twin):
+    assert D == twin.display
+    assert D.basis == twin.display.basis
+    assert D.summands == twin.summands == twin.display.summands
+    assert D.parts == (None if twin.parts is None else tuple(
+        (leaf.display, count) for leaf, count in twin.parts))
+
+
+ZOO_CONTEXTS = [(p, d, N) for d in (1, 2, 3) for N in (1, None)
+                for p in (2, 3)]
+
+
+def zoo_context(p, d, N):
+    return make_context(p, d, N or default_precision(9, d))
+
+
+@pytest.mark.parametrize("p,d,N", ZOO_CONTEXTS)
+def test_module_M_and_N_match_twins(p, d, N):
+    # m = 2..9 gives F u_1 = +v_m and -v_m; at N = 1 the p entries vanish
+    ctx = zoo_context(p, d, N)
+    assert_twin(module_N(ctx), twin_N(ctx))
+    for m in range(2, 10):
+        assert_twin(module_M(ctx, m), twin_M(ctx, m))
+
+
+@pytest.mark.parametrize("p,d,N", ZOO_CONTEXTS)
+def test_supersingular_and_expected_modules_match_twins(p, d, N):
+    ctx = zoo_context(p, d, N)
+    for n in range(3, 10):
+        assert_twin(supersingular_module(ctx, n), twin_ss(ctx, n))
+        for j in range(1, n // 2 + 1):
+            # M(2(floor(n/2)+1-j)) + N^r, each N its own display
+            m = 2 * (n // 2 + 1 - j)
+            twin = (twin_M(ctx, m) if m == n else twin_sum(
+                ctx, twin_M(ctx, m), *(twin_N(ctx) for _ in range(n - m))))
+            assert_twin(expected_module(ctx, n, j), twin)
+
+
+@pytest.mark.parametrize("p,d,N", ZOO_CONTEXTS)
+def test_sums_match_twins(p, d, N):
+    ctx = zoo_context(p, d, N)
+    n, m3 = module_N(ctx), module_M(ctx, 3)
+    tn, tm3 = twin_N(ctx), twin_M(ctx, 3)
+    inner, tinner = direct_sum(m3, n), twin_sum(ctx, tm3, tn)
+    pair, tpair = direct_sum(n, n), twin_sum(ctx, tn, tn)
+    cases = [
+        # one object repeated, in one family pair and in both families
+        (direct_sum(n, n, n), twin_sum(ctx, tn, tn, tn)),
+        (direct_sum(m3, n, m3), twin_sum(ctx, tm3, tn, tm3)),
+        # nested sums, one of them repeated
+        (direct_sum(inner, n, supersingular_module(ctx, 6)),
+         twin_sum(ctx, tinner, tn, twin_ss(ctx, 6))),
+        (direct_sum(pair, n, pair), twin_sum(ctx, tpair, tn, tpair)),
+        # equal displays that are distinct objects
+        (direct_sum(module_N(ctx), module_N(ctx), module_M(ctx, 2),
+                    module_M(ctx, 2)),
+         twin_sum(ctx, twin_N(ctx), twin_N(ctx), twin_M(ctx, 2),
+                  twin_M(ctx, 2))),
+        # module specs build each distinct term once
+        (parse_module_spec("M(7)+M(3)+N^2").build(ctx),
+         twin_sum(ctx, twin_M(ctx, 7), tm3, tn, tn)),
+        (parse_module_spec("ss(8)+N").build(ctx),
+         twin_sum(ctx, twin_ss(ctx, 8), tn)),
+    ]
+    for D, twin in cases:
+        assert_twin(D, twin)
 
 
 BROKEN_REPORTS = {

@@ -21,7 +21,12 @@ Three larger random sweeps (n = 40 at p = 3, n = 24 at p = 2 and n = 9 at
 d = 2) give slope graphs on which the Bellman-Ford potentials of the
 least-cycle-mean certificate take several rounds to settle.  The last three
 lines digest the TSV report: an exhaustive sweep, one whose every point is
-retried at 2N, and one that fails for lack of precision (exit 3).
+retried at 2N, and one that fails for lack of precision (exit 3).  Four
+module commands cover the zoo builders' sparse form and the d = 2
+Frobenius root: M(5) at N = 1, where the p entries vanish (exit 3), a sum
+of two odd M(m) and N^2 that bumps labels in both families at p = 5, a
+nested sum ss(8) + N at p = 7, and N^5 at d = 3, whose root comes from
+Newton's method.
 """
 
 import contextlib
@@ -61,6 +66,10 @@ ARGVS = [
     ["verify", "--n", "5", "--p", "3", "--precision", "5", "--format", "tsv"],
     ["verify", "--n", "5", "--p", "3", "--precision", "2", "--random", "20",
      "--format", "tsv"],
+    ["check", "--module", "M(5)", "--d", "2", "--precision", "1"],
+    ["slopes", "--module", "M(7)+M(3)+N^2", "--p", "5", "--d", "2"],
+    ["check", "--module", "ss(8)+N", "--p", "7", "--d", "2"],
+    ["slopes", "--module", "N^5", "--p", "5", "--d", "3"],
 ]
 
 
