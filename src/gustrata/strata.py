@@ -153,16 +153,38 @@ def _catalog(n):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=16)
+def _labels(n):
+    """The catalog's labels keyed by _slope_key of their polygons, built
+    once per n beside _catalog(n)."""
+    return {_slope_key(desc.polygon): desc.label for desc in _catalog(n)}
+
+
+def _slope_key(polygon):
+    """(numerator, denominator, multiplicity) of each slope in ascending
+    order: equal exactly when the polygons are, and integers, which hash
+    several times faster than the polygon's Fractions."""
+    return tuple([(s.numerator, s.denominator, m) for s, m in polygon.slopes])
+
+
 def classify(n, polygon):
     """Label for a rank-2n polygon: the catalog entry it equals, or
     "inadmissible"."""
     if polygon.rank != 2 * n:
         raise ValueError(
             f"rank mismatch: polygon has rank {polygon.rank}, expected {2 * n}")
-    for desc in _catalog(n):
-        if polygon == desc.polygon:
-            return desc.label
-    return "inadmissible"
+    return _labels(n).get(_slope_key(polygon), "inadmissible")
+
+
+@functools.lru_cache(maxsize=16)
+def _predictors(indices):
+    """(position in indices, stratum index j) of each parameter whose
+    nonvanishing contributes j to predicted_stratum: s_{2j} for odd n;
+    s_0 (j = 1) and s_{2i} (j = i + 1) for even n, the n whose indices
+    include 0."""
+    shift = 1 if 0 in indices else 0
+    return tuple((t, i // 2 + shift if i else 1)
+                 for t, i in enumerate(indices) if i % 2 == 0)
 
 
 def predicted_stratum(point):
@@ -177,18 +199,10 @@ def predicted_stratum(point):
     rule calibrated against brute-force slope computations at n = 4 and
     n = 6 and frozen; the table ships in calibration/ in the repo.
     """
-    n = point.n
-    values = point.as_dict()
-    if n % 2:
-        nonzero = [i for i in range(2, n, 2) if values[i]]
-        if not nonzero:
-            return "sigma"
-        return f"xi_{max(nonzero)}"
-    contributed = [1] if values[0] else []
-    contributed += [i // 2 + 1 for i in range(2, n - 1, 2) if values[i]]
-    if not contributed:
-        return "sigma"
-    return f"xi_{2 * max(contributed)}"
+    values = point.values
+    j = max((k for t, k in _predictors(point.indices) if values[t]),
+            default=0)
+    return f"xi_{2 * j}" if j else "sigma"
 
 
 @dataclass

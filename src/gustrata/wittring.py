@@ -24,7 +24,9 @@ existing root.
 
 The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
-reproducible from (p, d, N) alone.
+reproducible from (p, d, N) alone.  A context memoizes its derived
+precisions, its Teichmuller lifts and its residue field elements by code,
+the last two up to _TEICH_MEMO_LIMIT of each.
 
 There is one element implementation: PadicScalar (W_N) and FieldElement
 (W_1 = F_{p^d}) share their arithmetic, which runs on the raw coordinate
@@ -53,8 +55,9 @@ from functools import partial
 
 # A single scalar may not exceed this many bits across its coordinates.
 _CAPACITY_BITS = 1 << 21
-# Teichmuller lifts memoized per context; a context has p^d of them, which
-# for a large residue field is more than a sweep should keep alive.
+# Teichmuller lifts, and residue field elements by code, memoized per
+# context; a context has p^d of each, which for a large residue field is
+# more than a sweep should keep alive.
 _TEICH_MEMO_LIMIT = 4096
 
 
@@ -185,7 +188,7 @@ class RingContext:
     """
 
     __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_frob", "_root",
-                 "_prec_cache", "_teich_cache", "_ppow")
+                 "_prec_cache", "_teich_cache", "_field_cache", "_ppow")
 
     def __init__(self, p, d, N, modulus):
         _check_capacity(p, d, N)
@@ -213,6 +216,7 @@ class RingContext:
             self._ppow.append(self._ppow[-1] ** 2)
         self._prec_cache = {}
         self._teich_cache = {}
+        self._field_cache = {}
         self._build_tables(root)
 
     @classmethod
@@ -481,11 +485,19 @@ class RingContext:
         return PadicScalar(self, coords)
 
     def field_from_int(self, k):
-        """Decode an integer in [0, p^d) into base-p field coordinates."""
-        if not 0 <= k < self.p ** self.d:
-            raise ValueError(f"field element code {k} out of range [0, p^d)")
-        return FieldElement(self, tuple((k // self.p ** i) % self.p
-                                        for i in range(self.d)))
+        """Decode an integer in [0, p^d) into base-p field coordinates.
+        Elements are memoized by code per context, up to _TEICH_MEMO_LIMIT
+        of them."""
+        cached = self._field_cache.get(k) if type(k) is int else None
+        if cached is None:
+            if not 0 <= k < self.p ** self.d:
+                raise ValueError(
+                    f"field element code {k} out of range [0, p^d)")
+            cached = FieldElement(self, tuple((k // self.p ** i) % self.p
+                                              for i in range(self.d)))
+            if type(k) is int and len(self._field_cache) < _TEICH_MEMO_LIMIT:
+                self._field_cache[k] = cached
+        return cached
 
     def teichmuller(self, a):
         """Multiplicative lift of a residue field element: the unique
@@ -498,18 +510,59 @@ class RingContext:
         x^(Q-1) each, where iterating y -> y^Q gains only d digits per
         step.  Lifts are memoized per context, up to _TEICH_MEMO_LIMIT of
         them.
+
+        A product of lifts is the lift of the product of the residues
+        (roots of x^Q - x are closed under products, and the root over a
+        residue is unique).  So when the residue field is small, p^d - 1
+        at most N.bit_length() * (p^d).bit_length(), about the products
+        of one Newton lift, a new nonzero lift other than 1 memoizes the
+        group it generates with the lifts already memoized (see
+        _memo_subgroup).  Every other lift in that group then costs no
+        iteration; the products, one per lift memoized and one more per
+        call, about p^d - 1 in all, cost about one Newton lift.
         """
         if isinstance(a, PadicScalar):
             a = a.reduce_mod_p()
         if not isinstance(a, FieldElement):
             raise TypeError("teichmuller expects a residue field element")
         y = tuple(a.coords)
-        cached = self._teich_cache.get(y)
+        cache = self._teich_cache
+        cached = cache.get(y)
         if cached is None:
             cached = PadicScalar(self, self._teich_coords(y))
-            if len(self._teich_cache) < _TEICH_MEMO_LIMIT:
-                self._teich_cache[y] = cached
+            if len(cache) < _TEICH_MEMO_LIMIT:
+                Q = self.p ** self.d
+                if (any(y[1:]) or y[0] > 1) and \
+                        Q - 1 <= self.N.bit_length() * Q.bit_length():
+                    self._memo_subgroup(cached)
+                else:
+                    cache[y] = cached
         return cached
+
+    def _memo_subgroup(self, lift):
+        """Memoize the group generated by the lift t of a residue not yet
+        memoized and by the group H of 1 and the nonzero lifts memoized,
+        until the memo is full.
+
+        H is a group because this method adds every nonzero lift but 1:
+        it adds the cosets H t, H t^2, ... up to the first power of t in
+        H.  Those cosets are disjoint from H and from each other, so each
+        product is a new lift, and t itself is memoized as the object
+        lift."""
+        p, cache = self.p, self._teich_cache
+        one = (1,) + (0,) * (self.d - 1)
+        group = [one] + [s.coords for y, s in cache.items()
+                         if any(y) and y != one]
+        known = set(cache) | {one}
+        t = x = lift.coords
+        while tuple([c % p for c in x]) not in known:
+            for h in group:
+                if len(cache) >= _TEICH_MEMO_LIMIT:
+                    return
+                hx = x if h is one else self._wmul(h, x)
+                cache[tuple([c % p for c in hx])] = (
+                    lift if hx is t else PadicScalar(self, hx))
+            x = self._wmul(x, t)
 
     def _teich_coords(self, y):
         if y == (0,) * self.d:

@@ -385,6 +385,33 @@ class TestRetryContexts:
         assert set(built) == {9}
 
 
+class TestRepeatedCommands:
+    """One batch of each bench/run.py workload, run twice in one process:
+    the second run, on what the first left in the process's memos (the
+    parser, the deformation templates, the basis halves, the catalogs),
+    prints the same bytes."""
+
+    _DEF8 = "def(8; s0=2, s2=1, s3=0, s4=2, s5=1, s6=0, s7=2)"
+    WORKLOADS = {
+        "sweep_d1": [["verify", "--n", "8", "--p", "3", "--d", "1",
+                      "--random", "25", "--seed", "7"]],
+        "sweep_ext": [["verify", "--n", "5", "--p", "3", "--d", "2",
+                       "--random", "12", "--seed", "7"]],
+        "module_invariants": [
+            [command, "--module", spec, "--p", p, "--d", d]
+            for spec, p, d in (("N^24", "3", "1"), ("M(14)", "5", "2"),
+                               (_DEF8, "3", "1"), ("M(6)+N^6", "3", "2"))
+            for command in ("slopes", "check")],
+    }
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_second_run_prints_the_same_bytes(self, name):
+        first = [run(argv) for argv in self.WORKLOADS[name]]
+        second = [run(argv) for argv in self.WORKLOADS[name]]
+        assert second == first
+        assert {code for code, _ in first} == {0}
+
+
 class TestPrecisionFailureLine:
     """Every exit 3 writes one line to stderr and the usual document to
     stdout."""

@@ -129,6 +129,48 @@ class TestClassify:
             assert classify(n, e.polygon) == e.label
 
 
+class TestLookupAgainstComparison:
+    """classify looks the polygon up by its integer slopes and
+    predicted_stratum reads the parameters by position; both agree with
+    the comparison with each catalog polygon and the index dict on every
+    exhaustive record."""
+
+    @staticmethod
+    def _compared(n, polygon):
+        return next((e.label for e in catalog(n) if e.polygon == polygon),
+                    "inadmissible")
+
+    @staticmethod
+    def _predicted_by_index(point):
+        n, values = point.n, point.as_dict()
+        if n % 2:
+            nonzero = [i for i in range(2, n, 2) if values[i]]
+            return f"xi_{max(nonzero)}" if nonzero else "sigma"
+        contributed = [1] if values[0] else []
+        contributed += [i // 2 + 1 for i in range(2, n - 1, 2) if values[i]]
+        return f"xi_{2 * max(contributed)}" if contributed else "sigma"
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_every_exhaustive_record(self, n):
+        _, records = report_and_records(n, 3, 1)
+        assert len(records) == 3 ** (n - 1)
+        for rec in records:
+            assert classify(n, rec.polygon) == \
+                self._compared(n, rec.polygon)
+            assert predicted_stratum(rec.point) == \
+                self._predicted_by_index(rec.point)
+
+    def test_near_misses_are_inadmissible(self):
+        # the slopes of xi_2 at n = 5 with other multiplicities, and the
+        # multiplicities with one slope moved
+        for parts in ([(Fraction(1, 4), 8), (Fraction(3, 4), 2)],
+                      [(Fraction(1, 4), 4), (Fraction(1, 2), 2),
+                       (Fraction(4, 5), 4)]):
+            polygon = NewtonPolygon(parts)
+            assert classify(5, polygon) == self._compared(5, polygon) == \
+                "inadmissible"
+
+
 class TestPredictedStratum:
     def _pt(self, ctx, n, assignments):
         indices = ((0,) + tuple(range(2, n))) if n % 2 == 0 \

@@ -15,7 +15,7 @@ from gustrata.wittring import scalar_from_json
 from gustrata._linalg import ops_for
 
 from _oracles import (first_irreducible_brute, int_valuation,
-                      is_irreducible_brute)
+                      is_irreducible_brute, teichmuller_oracle)
 
 
 # (1000003, 2, 3) inverts with a norm whose cost does not grow with p
@@ -301,6 +301,84 @@ class TestTeichmuller:
             for _ in range(2):
                 power = power * power * power  # t^9 after two cubings
             assert power == t
+
+
+class TestLiftsByProducts:
+    """In a small residue field a new lift memoizes the group it generates
+    with the lifts already memoized, so a field's lifts take at most one
+    Newton iteration per prime factor of p^d - 1, and one for 1."""
+
+    @staticmethod
+    def _prime_factors(m):
+        count, f = 0, 2
+        while m > 1:
+            while m % f == 0:
+                m, count = m // f, count + 1
+            f += 1
+        return count
+
+    @pytest.mark.parametrize("p,d,N", [(3, 2, 48), (3, 2, 96), (5, 2, 48),
+                                       (2, 4, 40), (7, 1, 30)])
+    def test_every_order_gives_the_lifts(self, p, d, N, monkeypatch):
+        ref = make_context(p, d, N)
+        expected = {k: teichmuller_oracle(p, d, N, ref.modulus,
+                                          ref.field_from_int(k).coords)
+                    for k in range(p ** d)}
+        newton = []
+        original = RingContext._newton_root
+
+        def counting(self, *args):
+            newton.append(None)
+            return original(self, *args)
+
+        monkeypatch.setattr(RingContext, "_newton_root", counting)
+        for seed in range(4):
+            codes = list(range(p ** d))
+            random.Random(seed).shuffle(codes)
+            ctx = make_context(p, d, N)
+            newton.clear()
+            lifts = {k: ctx.teichmuller(ctx.field_from_int(k))
+                     for k in codes}
+            assert {k: t.coords for k, t in lifts.items()} == expected
+            assert len(ctx._teich_cache) == p ** d
+            assert len(newton) <= self._prime_factors(p ** d - 1) + 1
+            assert all(ctx.teichmuller(ctx.field_from_int(k)) is lifts[k]
+                       for k in codes)
+
+    def test_large_field_lifts_one_at_a_time(self):
+        # 7^3 - 1 = 342 > 4 * 9: products would cost more than a lift
+        ctx = make_context(7, 3, 8)
+        ctx.teichmuller(ctx.field_from_int(10))
+        assert list(ctx._teich_cache) == [ctx.field_from_int(10).coords]
+
+
+class TestFieldMemo:
+    """field_from_int memoizes its elements by code, per context and up to
+    _TEICH_MEMO_LIMIT of them."""
+
+    def test_repeated_code_gives_the_same_element(self):
+        ctx = make_context(5, 2, 9)
+        first = [ctx.field_from_int(k) for k in range(25)]
+        assert all(ctx.field_from_int(k) is x for k, x in enumerate(first))
+        assert [x.to_int() for x in first] == list(range(25))
+
+    def test_out_of_range_code_raises_every_time(self):
+        ctx = make_context(3, 2, 6)
+        for k in (-1, 9, 10 ** 6):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"field element code "
+                                                     f"{k} out of range"):
+                    ctx.field_from_int(k)
+        assert ctx._field_cache == {}
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(wittring, "_TEICH_MEMO_LIMIT", 3)
+        ctx = make_context(3, 2, 6)
+        elements = [ctx.field_from_int(k) for k in range(9)]
+        assert len(ctx._field_cache) == 3
+        again = [ctx.field_from_int(k) for k in range(9)]
+        assert again == elements
+        assert [x.to_int() for x in again] == list(range(9))
 
 
 class TestElementSemantics:

@@ -5,7 +5,11 @@
 Runs each invocation in one process through gustrata.cli.main and prints
 one line per invocation: "sha256(stdout) sha256(stderr) exit  argv".  Run
 it on two trees and diff the outputs: an empty diff means every listed
-invocation writes the same bytes and exits the same way.  gustrata is
+invocation writes the same bytes and exits the same way.  Each invocation
+runs twice in a row, the second time on what the first left in the
+process's memos (the parser, the deformation templates, the basis halves
+and the catalogs); the line is printed once, and if the two digests
+differ the script names the argv on stderr and exits 1.  gustrata is
 imported from the src/ directory of the script's own tree, put first on
 sys.path, so an installed copy is never digested in its place.
 
@@ -83,10 +87,15 @@ def digest(argv):
 
 
 def main():
+    status = 0
     for argv in ARGVS:
-        out, err, code = digest(argv)
+        first = digest(argv)
+        out, err, code = first
         print(out, err, code, " ".join(argv))
-    return 0
+        if digest(argv) != first:
+            print(f"second run differs: {' '.join(argv)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
