@@ -26,8 +26,9 @@ column at a time.  This is exact, not an approximation:
 * early stopping: once A^i C is the zero vector, so is every A^k C after
   it, and the Berkowitz terms -R A^k C it would give are exactly 0;
 * reducing once per entry: a sum of integer products reduced mod p^N (or,
-  for d > 1, one convolution reduced modulo the modulus polynomial and
-  p^N) is the same residue as the sum of products reduced one by one.
+  for d > 1, a sum of polynomial products, of degree at most 2d - 2,
+  reduced modulo the modulus polynomial and p^N) is the same residue as
+  the sum of the products reduced one by one.
 
 Newton polygons are read block by block (lane_slope_pairs, which also
 states their certificate): the strongly connected components of the graph
@@ -47,10 +48,10 @@ polynomial identities changes no coefficient.
 
 A third ops class, _LaneOps, runs the slope kernels (twisted_product,
 _berkowitz and poly_mul, unchanged) on many matrices at once, as a
-sweep's points need: a lane value is a tuple of one raw scalar per
-matrix, and every operation acts lane by lane, so one call costs the
-interpreter overhead of one matrix and the arithmetic of all of them.
-The lane matrix has the union of the lanes' supports, and its zero is the
+sweep's points need: a lane value is a tuple of one scalar per matrix,
+and every operation acts lane by lane, so one call costs the interpreter
+overhead of one matrix and the arithmetic of all of them.  The lane
+matrix has the union of the lanes' supports, and its zero is the
 all-zero lane, so the kernels skip an entry, or stop early, only when it
 vanishes in every lane.  That changes no lane's result: an entry that
 vanishes in one lane contributes exactly 0 to that lane's sums, and a
@@ -58,6 +59,34 @@ vector that vanishes in a lane stays 0 there.  lane_slope_pairs reads
 each lane's polygon from the blocks of the union support (its docstring
 shows they give the lane's own polygon and certificate); one display is
 one lane.
+
+A lane scalar is one int for every d.  At d == 1 it is the raw int mod
+p^N.  At d > 1, c_0 + c_1 x + ... + c_(d-1) x^(d-1) with coordinates
+reduced into [0, q), q = p^N, is packed as sum c_i 2^(B i), d slots of B
+bits (Kronecker substitution: von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 8), so one integer product holds the 2d - 1 coefficients of
+a polynomial product in its slots, and smatvec is the d == 1 loop of
+products and sums.  No slot may carry into the next:
+
+* a coefficient of one product is a sum of at most d terms c_i c_j, each
+  at most (q - 1)^2, and an output entry of smatvec sums at most T
+  products, T the size given to _LaneOps, the number of rows of the lane
+  matrix: a column of twisted_product's factors, a vector of a Berkowitz
+  block and the shorter factor of a poly_mul in Berkowitz (t + 1 terms
+  at step t) have at most that many entries;
+* the reduction, once per output entry, folds each top slot
+  k = 2d - 2, ..., d, taken mod q, times the packed x^d mod the modulus
+  into slots k - d .. k - 1 (x^k = x^(k-d) x^d), top slot first, which
+  adds at most d - 1 terms below (q - 1)^2 to any slot, and then takes
+  each of the d slots mod q.
+
+So B is the bit length of (T d + d - 1)(q - 1)^2: T d (q - 1)^2 plus
+(d - 1)(q - 1)^2 from the folds lies below 2^B.  The reduction runs
+across all lanes in list passes, one per fold and per slot (on the one
+int at width 1).  neg is the reduction of (q, ..., q) packed minus the
+value, frob the sum of slot i times the packed image of x^i under the
+power of sigma, reduced, and a lane's valuation is that of the gcd of
+its slots.
 
 pivot_steps (behind adjugate_action), det_valuation and rank share one
 elimination on sparse dict rows, _eliminate, which takes at each step an
@@ -80,7 +109,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import add as _add, mul as _mul
+from math import gcd
+from operator import add as _add, lshift as _lshift, mul as _mul
 
 
 class _IntOps:
@@ -224,34 +254,96 @@ def ops_for(ctx):
 
 
 class _LaneOps:
-    """Raw arithmetic on lanes: a lane value is a tuple of width raw
-    scalars of the base ops, one per matrix of a batch, and every
-    operation acts lane by lane.  Only what twisted_product, _berkowitz
-    and poly_mul use is provided.  The zero is the all-zero lane, so a
-    kernel skips an entry, or stops early, only when it vanishes in every
-    lane, and each lane gets exactly what the base ops would give for its
-    own matrix (see the module docstring)."""
+    """Raw arithmetic on lanes: a lane value is a tuple of width scalars,
+    one per matrix of a batch of matrices of at most size rows, and every
+    operation acts lane by lane.  Only what twisted_product, _berkowitz and
+    poly_mul use is provided.  A scalar is the base ops' raw int at
+    d == 1 and its packed coordinates at d >= 2 (see the module docstring
+    for the packing and its slot width B); pack, unpack and packed convert
+    at the boundary.  The zero is the all-zero lane, so a kernel skips an
+    entry, or stops early, only when it vanishes in every lane, and each
+    lane gets exactly what the base ops would give for its own matrix."""
 
-    def __init__(self, base, width):
-        self.base = base
-        self.width = width
-        self.cap = base.cap
-        self.zero = (base.zero,) * width
-        self.one = (base.one,) * width
-        if isinstance(base, _ExtOps):
-            self.smatvec = self._ext_smatvec
+    def __init__(self, base, width, size):
+        self.base, self.width = base, width
+        self.zero, self.one = (0,) * width, (1,) * width
+        ctx, q, d = base.ctx, base.q, base.ctx.d
+        self.q, self.d = q, d
+        if d == 1:  # raw ints: the base valuation, sigma the identity
+            self.val, self._frob = base.val, [None]
+            return
+        B = ((size * d + d - 1) * (q - 1) ** 2).bit_length()
+        self._shifts, self._mask = [B * i for i in range(d)], (1 << B) - 1
+        self._qpack = self.pack((q,) * d)
+        row = self.pack(ctx._red[0])  # x^d
+        self._folds = [((1 << B * k) - 1, B * k, row << B * (k - d))
+                       for k in range(2 * d - 2, d - 1, -1)]
+        self._frob = [None] + [list(map(self.pack, t)) for t in ctx._frob[1:]]
+
+    def pack(self, raw):
+        """One lane's scalar from the base ops' raw scalar."""
+        return raw if self.d == 1 else sum(map(_lshift, raw, self._shifts))
+
+    def unpack(self, x):
+        """The base ops' raw scalar of one lane's reduced scalar."""
+        if self.d == 1:
+            return x
+        mask = self._mask
+        return tuple([x >> s & mask for s in self._shifts])
+
+    def packed(self, lines):
+        """Sparse lines (rows or columns) of lane values whose lanes hold the
+        base ops' raw scalars, with each lane packed; unchanged at d == 1."""
+        if self.d == 1:
+            return lines
+        shifts = self._shifts
+        return [[(i, tuple([sum(map(_lshift, x, shifts)) for x in e]))
+                 for i, e in line] for line in lines]
+
+    def val(self, x):
+        """The valuation of one lane's scalar, that of its slots' gcd."""
+        mask = self._mask
+        return self.base.ctx._ival(gcd(*[x >> s & mask for s in self._shifts]))
 
     def neg(self, a):
-        return tuple(map(self.base.neg, a))
+        if self.d == 1:
+            return tuple(map(self.base.neg, a))
+        qpack = self._qpack
+        return self._reduce([qpack - x for x in a], ())
 
     def frob(self, a, power=1):
-        frob = self.base.frob
-        return tuple([frob(x, power) for x in a])
+        rows = self._frob[power % self.d]
+        if rows is None:
+            return a
+        mask = self._mask
+        out = [x & mask for x in a]  # sigma(1) = 1
+        for s, r in zip(self._shifts[1:], rows[1:]):
+            out = [o + (x >> s & mask) * r for o, x in zip(out, a)]
+        return self._reduce(out, ())
+
+    def _reduce(self, s, folds):
+        """The lane values s, packed but unreduced, reduced (d >= 2): each
+        (low, shift, row) of folds adds the slot at shift, mod p^N, times
+        row to the slots below it, top slot first; then each slot is taken
+        mod p^N.  One list pass per step, or scalars at width 1."""
+        q, mask, shifts = self.q, self._mask, self._shifts
+        if self.width == 1:
+            (x,) = s
+            for low, sh, row in folds:
+                x = (x & low) + (x >> sh) % q * row
+            return (sum([(x >> sh & mask) % q << sh for sh in shifts]),)
+        for low, sh, row in folds:
+            s = [(x & low) + (x >> sh) % q * row for x in s]
+        top = shifts[-1]
+        out = [(x >> top) % q << top for x in s]
+        for sh in shifts[:-1]:
+            out = [o | (x >> sh & mask) % q << sh for o, x in zip(out, s)]
+        return tuple(out)
 
     def smatvec(self, cols, w):
-        """M * w lane by lane, for d == 1: each output entry sums its
-        products in every lane and reduces once; entries that vanish in
-        every lane are dropped."""
+        """M * w lane by lane: each output entry sums its products in every
+        lane, one integer product per lane, and reduces once; entries that
+        vanish in every lane are dropped."""
         acc = {}
         get = acc.get
         for j, b in w.items():
@@ -259,31 +351,14 @@ class _LaneOps:
                 s = get(i)
                 acc[i] = (list(map(_mul, a, b)) if s is None
                           else list(map(_add, s, map(_mul, a, b))))
-        q, zero = self.base.q, self.zero
+        zero = self.zero
+        if self.d == 1:
+            q = self.q
+            return {i: e for i, s in acc.items()
+                    if (e := tuple([x % q for x in s])) != zero}
+        reduce, folds = self._reduce, self._folds
         return {i: e for i, s in acc.items()
-                if (e := tuple([x % q for x in s])) != zero}
-
-    def _ext_smatvec(self, cols, w):
-        """M * w lane by lane, for d >= 2: one convolution buffer per lane
-        and output entry, reduced once, as _ExtOps.smatvec does; entries
-        that vanish in every lane are dropped."""
-        size = 2 * self.base.d - 1
-        width = self.width
-        acc = {}
-        for j, b in w.items():
-            b = [[(k, bk) for k, bk in enumerate(bl) if bk] for bl in b]
-            for i, a in cols[j]:
-                bufs = acc.get(i)
-                if bufs is None:
-                    bufs = acc[i] = [[0] * size for _ in range(width)]
-                for conv, al, bl in zip(bufs, a, b):
-                    for s, a_s in enumerate(al):
-                        if a_s:
-                            for k, bk in bl:
-                                conv[s + k] += a_s * bk
-        zero, reduce = self.zero, self.base.ctx._reduce
-        return {i: e for i, bufs in acc.items()
-                if (e := tuple(map(reduce, bufs))) != zero}
+                if (e := reduce(s, folds)) != zero}
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +769,7 @@ def lane_slope_pairs(lops, srows, twist, scale):
     the product of theirs, its polygon the union of theirs, and its val c_0
     min(N, the sum of theirs), which decides the certificate as they do (a
     capped term already fails it); NewtonPolygon merges repeated pairs."""
-    val = lops.base.val
+    val = lops.val
     sx, sy = scale
     polys = [list(zip(*_berkowitz(lops, _restrict(srows, block))))
              for block in _blocks(srows)]

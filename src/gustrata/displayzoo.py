@@ -252,8 +252,9 @@ def deformation_display(ctx, point):
     pairing satisfies <F x, y> = sigma(<x, V y>) identically in the
     parameters; polarization_check verifies this on every specialization.
 
-    Each entry is an integer factor times 1 or a lift, so only those
-    products are formed per point (see _deformation_template).
+    Each entry is a constant, scaled once per context and n, or an integer
+    factor times a lift, the only products formed per point (see
+    _deformation_template).
     """
     for v in point.values:
         if v.ctx.residue_params() != ctx.residue_params():
@@ -261,21 +262,22 @@ def deformation_display(ctx, point):
     labels, slots, jrows = _deformation_template(ctx, point.n)
     ops = ops_for(ctx)
     lifts = [ops.unwrap(ctx.teichmuller(v)) for v in point.values]
-    scale, one, zero = ops.scale, ops.one, ops.zero
+    scale, zero = ops.scale, ops.zero
     fcols = tuple(
         tuple((i, a) for i, f, k in col
-              if (a := scale(f, one if k is None else lifts[k])) != zero)
+              if (a := f if k is None else scale(f, lifts[k])) != zero)
         for col in slots)
-    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows)
+    return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows, ops=ops)
 
 
 @functools.lru_cache(maxsize=32)
 def _deformation_template(ctx, n):
     """(labels, slots, sparse raw pairing) of deformation_display for n.
 
-    slots[j] lists column j of F as (row, integer factor, parameter
-    position) triples, rows ascending: the entry is the factor times the
-    lift of point.values[position], or the factor alone for position None.
+    slots[j] lists column j of F as (row, f, parameter position) triples,
+    rows ascending: the entry is the integer f times the lift of
+    point.values[position], or, for position None, the raw entry f itself,
+    scaled here once (one that is 0 mod p^N, p at N = 1, is left out).
     Even n is the odd family on m = n - 1 plus the u_0, v_0 block.
     """
     p = ctx.p
@@ -297,10 +299,12 @@ def _deformation_template(ctx, n):
         slots.update({(U(2), V(0)): (p, pos[0]), (U(0), V(0)): (p, None),
                       (V(0), U(0)): (-1, None), (V(0), U(1)): (-1, pos[0])})
         jrows += (((2 * m + 1, one),), ((2 * m, minus),))
+    ops = ops_for(ctx)
     idx = {lab: k for k, lab in enumerate(labels)}
     cols = [[] for _ in labels]
     for (a, b), (f, k) in slots.items():
-        cols[idx[a]].append((idx[b], f, k))
+        if k is not None or (f := ops.scale(f, ops.one)) != ops.zero:
+            cols[idx[a]].append((idx[b], f, k))
     return labels, tuple(tuple(sorted(col)) for col in cols), jrows
 
 

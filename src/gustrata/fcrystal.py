@@ -279,14 +279,14 @@ class DieudonneDisplay:
 
     @classmethod
     def _from_sparse(cls, ctx, basis, fcols, jrows, summands=None,
-                     parts=None):
+                     parts=None, ops=None):
         """A display from sparse raw data, taken as it is: fcols[j] lists
         the (row, raw) entries of column j of F and jrows[i] the (column,
         raw) entries of row i of the pairing, indices ascending, no zero
-        and every raw value reduced."""
+        and every raw value reduced; ops, when given, is ops_for(ctx)."""
         disp = cls.__new__(cls)
         disp._set(ctx, tuple(basis), fcols, jrows, summands, parts,
-                  ops_for(ctx))
+                  ops_for(ctx) if ops is None else ops)
         return disp
 
     def _set(self, ctx, basis, fcols, jrows, summands, parts, ops):
@@ -649,8 +649,8 @@ def newton_slopes(display):
 def newton_slopes_batch(displays):
     """The Newton polygons of a list of displays that share one context
     and one basis (the points of a sweep): one NewtonPolygon per display,
-    or None for one whose polygon is not certified at N; ValueError when
-    the displays do not share them.
+    or None for one whose polygon is not certified at N, and [] for no
+    display; ValueError when the displays do not share them.
 
     The displays run as lanes (_linalg._LaneOps): one twisted product and
     one Berkowitz run per block for all of them, each lane reading its own
@@ -662,6 +662,8 @@ def newton_slopes_batch(displays):
     product A * sigma(A) * ... with scale (1, 1), whose polygon and
     certificate are the same for a graded lane.  Each polygon is stored in
     its display's slopes cache."""
+    if not displays:
+        return []
     return [_certified(display, *lane)
             for display, lane in zip(displays, _lane_pairs(displays))]
 
@@ -685,17 +687,17 @@ def _lane_pairs(displays):
            for display in displays):
         raise ValueError("a batch of displays needs one context and one "
                          "basis")
-    lops = _linalg._LaneOps(first._ops(), len(displays))
+    lops = _linalg._LaneOps(first._ops(), len(displays), len(basis))
     try:
         # KeyError: an entry inside one family, whose row is missing from
         # the other family's position map; ValueError: halves of different
         # sizes, for which _basis_halves gives ()
-        x, y = [_lane_columns(displays, idx, pos)
+        x, y = [lops.packed(_lane_columns(displays, idx, pos))
                 for idx, pos in _basis_halves(basis)]
     except (KeyError, ValueError):
         whole = range(len(basis))
-        srows, scale = _linalg.twisted_product(
-            lops, _lane_columns(displays, whole, whole), d), (1, 1)
+        cols = lops.packed(_lane_columns(displays, whole, whole))
+        srows, scale = _linalg.twisted_product(lops, cols, d), (1, 1)
     else:
         odd = d % 2
         srows, scale = _linalg.twisted_product(lops, x, d << odd, y), (

@@ -84,7 +84,8 @@ def twisted_factor(display):
     original = _linalg.lane_slope_pairs
 
     def spy(lops, srows, twist, scale):
-        seen.append(([[(j, a) for j, (a,) in row] for row in srows], scale))
+        seen.append(([[(j, lops.unpack(a)) for j, (a,) in row]
+                      for row in srows], scale))
         return original(lops, srows, twist, scale)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -408,9 +409,10 @@ class TestSlopesFromFactor:
             h = _linalg.charpoly(ops, srows)
             assert scale == (2, 2) and ops.val(h[0]) == v // 2
             # h alone, unscaled, is certified: its term is val h_0 < N
+            lops = _linalg._LaneOps(ops, 1, len(srows))
             [(pairs, term)] = _linalg.lane_slope_pairs(
-                _linalg._LaneOps(ops, 1),
-                [[(j, (a,)) for j, a in row] for row in srows], d, (1, 1))
+                lops, lops.packed([[(j, (a,)) for j, a in row]
+                                   for row in srows]), d, (1, 1))
             assert pairs and term == v // 2 < N
             message = ("insufficient precision: hull vertex at degree 0 "
                        f"has valuation >= {N}")

@@ -1,20 +1,24 @@
 """Lanes: the slope kernels run once for a batch of matrices.
 
-Each lane of twisted_product, _berkowitz and poly_mul on _LaneOps must be
-what the base ops give for that lane's own matrix, lane_slope_pairs must
-read each lane's certified polygon (or its failure) as the oracles do on
-the lane's own matrix, a batch must read each display's polygon, graded or
-not, and a sweep's polygons, read in lanes, must equal newton_slopes of
-freshly built displays.
+Each lane of twisted_product, _berkowitz, poly_mul, neg and frob on
+_LaneOps must be what the base ops give for that lane's own matrix (lane
+scalars packed at d >= 2 on the way in and unpacked on the way out), also
+at the largest number of products the packed slots are sized for;
+lane_slope_pairs must read each lane's certified polygon (or its failure)
+as the oracles do on the lane's own matrix, a batch must read each
+display's polygon, graded or not, and a sweep's polygons, read in lanes,
+must equal newton_slopes of freshly built displays.
 """
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from gustrata import (DeformationPoint, DieudonneDisplay, NewtonPolygon,
-                      PrecisionError, deformation_display, make_context,
-                      module_M, newton_slopes, parse_module_spec)
+                      PrecisionError, RingContext, deformation_display,
+                      make_context, module_M, newton_slopes,
+                      parse_module_spec)
 from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
                               lane_slope_pairs, ops_for, poly_mul,
                               sparse_transpose, twisted_product)
@@ -64,45 +68,79 @@ def as_dicts(sparse):
     return [dict(line) for line in sparse]
 
 
-CASES = [(d, width) for d in (1, 2, 3) for width in (1, 5)]
+def unpacked(lops, lines):
+    """Sparse lines of lane values with each lane's raw scalar."""
+    return [[(j, tuple(map(lops.unpack, e))) for j, e in line]
+            for line in lines]
 
 
-@pytest.mark.parametrize("d,width", CASES)
+def packed_values(lops, values):
+    return [tuple(map(lops.pack, e)) for e in values]
+
+
+def unpacked_values(lops, values):
+    return [tuple(map(lops.unpack, e)) for e in values]
+
+
+def lane_context(p, d):
+    """A context at precision 7 over F_{p^d}: the canonical one, except
+    where its modulus search would scan about p^d candidates (p = 1000003,
+    d = 4, where no x^4 + c is irreducible); there the modulus is the
+    first irreducible x^d + x + c, as the kernels take any modulus."""
+    if p ** d < 10 ** 12:
+        return make_context(p, d, 7)
+    for c in range(1, p):
+        try:
+            return RingContext(p, d, 7, (c, 1) + (0,) * (d - 2))
+        except ValueError:
+            continue
+
+
+# the cases at p = 3, d <= 3 and width <= 5 keep their ids "d-width"
+CASES = [pytest.param(p, d, width, id=f"{d}-{width}" if p == 3 and d < 4
+                      and width < 64 else f"{p}-{d}-{width}")
+         for p in (2, 3, 1000003) for d in (1, 2, 3, 4)
+         for width in (1, 5, 64)]
+
+
+@pytest.mark.parametrize("p,d,width", CASES)
 class TestKernelParity:
-    def setup(self, d):
-        ctx = make_context(3, d, 7)
-        return ops_for(ctx)
+    """Each lane of the kernels on packed lanes is what the base ops give
+    on that lane's own matrix; lane values are packed on the way in and
+    unpacked on the way out."""
 
-    def test_twisted_product(self, d, width):
-        ops = self.setup(d)
-        lops = _LaneOps(ops, width)
-        rng = random.Random(10 * d + width)
+    @staticmethod
+    def setup(p, d, width):
+        return ops_for(lane_context(p, d)), random.Random(f"{p} {d} {width}")
+
+    def test_twisted_product(self, p, d, width):
+        ops, rng = self.setup(p, d, width)
         for r in (1, 3, 5, 7):
+            lops = _LaneOps(ops, width, r)
             x, xs = lane_matrices(rng, ops, d, r, width)
             y, ys = lane_matrices(rng, ops, d, r, width)
             for length in (1, 2, 3, 4):
-                got = twisted_product(lops, x, length, y)
+                got = unpacked(lops, twisted_product(
+                    lops, lops.packed(x), length, lops.packed(y)))
                 for lane in range(width):
                     want = twisted_product(ops, xs[lane], length, ys[lane])
                     assert as_dicts(lane_of(got, lane, ops.zero)) == \
                         as_dicts(want)
 
-    def test_berkowitz(self, d, width):
-        ops = self.setup(d)
-        lops = _LaneOps(ops, width)
-        rng = random.Random(100 + 10 * d + width)
+    def test_berkowitz(self, p, d, width):
+        ops, rng = self.setup(p, d, width)
         for r in (1, 2, 4, 6, 8):
+            lops = _LaneOps(ops, width, r)
             for _ in range(3):
                 cols, lanes = lane_matrices(rng, ops, d, r, width)
-                got = _berkowitz(lops, sparse_transpose(cols, r))
+                got = unpacked_values(lops, _berkowitz(
+                    lops, sparse_transpose(lops.packed(cols), r)))
                 for lane in range(width):
                     want = _berkowitz(ops, sparse_transpose(lanes[lane], r))
                     assert [c[lane] for c in got] == want
 
-    def test_poly_mul(self, d, width):
-        ops = self.setup(d)
-        lops = _LaneOps(ops, width)
-        rng = random.Random(200 + 10 * d + width)
+    def test_poly_mul(self, p, d, width):
+        ops, rng = self.setup(p, d, width)
         zero = ops.zero
 
         def lane_poly(size):
@@ -111,13 +149,70 @@ class TestKernelParity:
                     for _ in range(size)]
 
         for la, lb in ((1, 1), (3, 2), (5, 4), (6, 6)):
+            lops = _LaneOps(ops, width, max(la, lb))
             a, b = lane_poly(la), lane_poly(lb)
             for terms in (1, la + lb - 1, la + 1):
-                got = poly_mul(lops, a, b, terms)
+                got = unpacked_values(lops, poly_mul(
+                    lops, packed_values(lops, a), packed_values(lops, b),
+                    terms))
                 for lane in range(width):
                     want = poly_mul(ops, [c[lane] for c in a],
                                     [c[lane] for c in b], terms)
                     assert [c[lane] for c in got] == want
+
+    def test_neg_and_frob(self, p, d, width):
+        """neg and every power of frob on lanes with zero coordinates,
+        zero lanes and the coordinate q - 1."""
+        ops, rng = self.setup(p, d, width)
+        lops = _LaneOps(ops, width, 4)
+        q = ops.q
+        for _ in range(20):
+            lanes = [ops.zero if rng.random() < 0.2 else
+                     (q - 1 if d == 1 else tuple(
+                         rng.choice((0, q - 1, rng.randrange(q)))
+                         for _ in range(d)))
+                     for _ in range(width)]
+            value = tuple(map(lops.pack, lanes))
+            assert tuple(map(lops.unpack, value)) == tuple(lanes)
+            assert tuple(map(lops.unpack, lops.neg(value))) == tuple(
+                map(ops.neg, lanes))
+            for power in range(-1, 2 * d + 1):
+                assert tuple(map(lops.unpack, lops.frob(value, power))) == \
+                    tuple(ops.frob(x, power) for x in lanes)
+
+
+def carrying_size(q, d):
+    """The least number of products T at which slots sized for T - 1
+    products carry: T products of d terms q - 1 sum to T d (q - 1)^2 in
+    slot d - 1, and that reaches 2^B for B the bit length of the bound
+    ((T - 1) d + d - 1) (q - 1)^2 of T - 1 products."""
+    square = (q - 1) ** 2
+    return next(t for t in itertools.count(1)
+                if (t * d * square).bit_length()
+                > ((t * d - 1) * square).bit_length())
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 1000003])
+def test_worst_case_slots(p, d, width):
+    """Dense columns whose every coordinate is q - 1, times a dense vector
+    of the same, at the largest number of products the slot width is
+    sized for (slot d - 1 of each sum reaches T d (q - 1)^2 before the
+    folds), and each lane is still the base ops' product.  The number of
+    products is chosen so that slots one product narrower would carry."""
+    ops = ops_for(lane_context(p, d))
+    full = (ops.q - 1,) * d
+    size, rows = carrying_size(ops.q, d), 3
+    lops = _LaneOps(ops, width, size)
+    cols = [[(i, full) for i in range(rows)] for _ in range(size)]
+    want = ops.smatvec(cols, dict.fromkeys(range(size), full))
+    assert len(want) == rows
+    got = lops.smatvec(lops.packed([[(i, (a,) * width) for i, a in col]
+                                    for col in cols]),
+                       dict.fromkeys(range(size), (lops.pack(full),) * width))
+    assert {i: tuple(map(lops.unpack, e)) for i, e in got.items()} == {
+        i: (a,) * width for i, a in want.items()}
 
 
 def oracle_polygon(ops, srows, twist, scale):
@@ -150,7 +245,7 @@ def test_mixed_certified_lanes(d):
     ops = ops_for(ctx)
     rng = random.Random(300 + d)
     width = 6
-    lops = _LaneOps(ops, width)
+    lops = _LaneOps(ops, width, 6)
     seen = set()
     finer = False
     for r in (3, 4, 5, 6):
@@ -165,7 +260,8 @@ def test_mixed_certified_lanes(d):
                 cols = [[(i, e) for i, e in col
                          if any(x != ops.zero for x in e)] for col in cols]
                 srows = sparse_transpose(cols, r)
-                got = lane_slope_pairs(lops, srows, twist, scale)
+                got = lane_slope_pairs(lops, lops.packed(srows), twist,
+                                       scale)
                 union_blocks = len(_blocks(srows))
                 for lane in range(width):
                     own = lane_of(srows, lane, ops.zero)
@@ -229,6 +325,10 @@ def test_batch_refuses_mixed_contexts_and_bases():
     assert other.basis != m3.basis and other.rank == m3.rank
     with pytest.raises(ValueError, match="one context and one basis"):
         newton_slopes_batch([m3, other])
+
+
+def test_empty_batch_has_no_polygons():
+    assert newton_slopes_batch([]) == []
 
 
 def test_batch_caches_polygons_and_marks_uncertified():

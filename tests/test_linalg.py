@@ -803,8 +803,9 @@ def one_lane_pairs(ops, srows, twist, scale):
     """lane_slope_pairs of the matrix with the given sparse rows as the
     one lane of a batch: its pairs, or None when they are not certified
     (its certificate term reaches N)."""
+    lops = _LaneOps(ops, 1, len(srows))
     [(pairs, term)] = lane_slope_pairs(
-        _LaneOps(ops, 1), [[(j, (a,)) for j, a in row] for row in srows],
+        lops, lops.packed([[(j, (a,)) for j, a in row] for row in srows]),
         twist, scale)
     return pairs if term < ops.cap else None
 

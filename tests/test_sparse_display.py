@@ -104,6 +104,25 @@ def points(ctx, n, count, seed):
 CASES = [(n, p, d) for n in range(3, 10) for p in (3, 5) for d in (1, 2, 3)]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_deformation_at_precision_one_leaves_out_p_entries(d):
+    """At N = 1 every p entry vanishes: the template's constant entries,
+    scaled once, leave them out as the dense builder's zeros do.  A second,
+    equal context reuses the template of the first and gives the same
+    display, which keeps its own context."""
+    for n in (4, 5):
+        ctx, other = make_context(3, d, 1), make_context(3, d, 1)
+        assert ctx is not other and ctx == other
+        for ints in points(ctx, n, 3, seed=7 * n + d):
+            point = DeformationPoint.from_ints(ctx, n, ints)
+            D = deformation_display(ctx, point)
+            labels, columns, pairing = dense_deformation(ctx, point)
+            assert D == DieudonneDisplay(ctx, labels, columns, pairing)
+            twin = deformation_display(
+                other, DeformationPoint.from_ints(other, n, ints))
+            assert twin == D and twin._ops().ctx is twin.ctx is other
+
+
 @pytest.mark.parametrize("n,p,d", CASES)
 def test_deformation_matches_dense_builder(n, p, d):
     ctx = ctx_for(n, p, d)

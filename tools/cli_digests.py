@@ -30,7 +30,10 @@ module commands cover the zoo builders' sparse form and the d = 2
 Frobenius root: M(5) at N = 1, where the p entries vanish (exit 3), a sum
 of two odd M(m) and N^2 that bumps labels in both families at p = 5, a
 nested sum ss(8) + N at p = 7, and N^5 at d = 3, whose root comes from
-Newton's method.
+Newton's method.  The last four lines cover the packed lanes of the
+extension-ring polygons: random sweeps at d = 2 (p = 3), at d = 4 (p = 2,
+where three top slots are folded) and at d = 2 with p = 1000003, and
+M(14) at p = 5, d = 2, one lane of a large p^N.
 """
 
 import contextlib
@@ -74,6 +77,13 @@ ARGVS = [
     ["slopes", "--module", "M(7)+M(3)+N^2", "--p", "5", "--d", "2"],
     ["check", "--module", "ss(8)+N", "--p", "7", "--d", "2"],
     ["slopes", "--module", "N^5", "--p", "5", "--d", "3"],
+    ["verify", "--n", "5", "--p", "3", "--d", "2", "--random", "300",
+     "--seed", "4"],
+    ["verify", "--n", "4", "--p", "2", "--d", "4", "--random", "200",
+     "--seed", "2"],
+    ["verify", "--n", "5", "--p", "1000003", "--d", "2", "--random", "20",
+     "--seed", "1"],
+    ["slopes", "--module", "M(14)", "--p", "5", "--d", "2"],
 ]
 
 
