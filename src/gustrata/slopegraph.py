@@ -19,15 +19,22 @@ only for output and for the label API (``edges``, ``successors``,
 as cross-multiplied (weight, length) pairs; a ``Fraction`` is built only
 for a value that is returned or reported.
 
-One enumeration serves two graphs.  The simple cycles of the subgraph
-that keeps only some edges are exactly the cycles of the full graph all of
-whose edges are kept, so ``cycles_through`` marks each cycle it finds as
-kept or not, and the least slope of the reduced graph is the least slope
-among the kept cycles.
+One enumeration serves every subgraph.  The simple cycles of a subgraph
+are exactly the cycles of the full graph all of whose edges it keeps, and
+a depth-first search that skips the deleted edges meets them in the same
+order.  So ``cycles_through`` gives each cycle the OR of its edges'
+integer tags: a cycle lies in the subgraph that deletes the edges tagged
+with some bits exactly when its mask avoids those bits.  The bit EXTRA
+marks the positive-weight edges outside a base edge set, and a cycle
+without it is kept: the least slope of the reduced graph is the least
+slope among the kept cycles.  A sweep enumerates once, on the deformation
+template's graph, and reads each point's cycles off the masks (see
+``strata``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,19 +43,26 @@ from ._linalg import strongly_connected_components
 __all__ = [
     "SlopeGraph", "CycleSummary", "build_graph", "cycles_through",
     "least_slope_cycle", "min_cycle_slope", "cycle_decomposition",
-    "least_cycle_mean_is", "karp_min_cycle_mean", "to_dot",
+    "least_cycle_mean_is", "settle_potentials", "karp_min_cycle_mean",
+    "to_dot", "EXTRA",
 ]
+
+# The tag bit cycles_through gives an edge of positive weight outside its
+# base edge set; a cycle is kept when its mask lacks it.
+EXTRA = 1
 
 
 @dataclass(slots=True)
 class CycleSummary:
     """A simple cycle: the positions ``path`` of its vertices in the graph's
-    vertex tuple ``labels`` (start not repeated), total weight, and whether
-    every edge of it was kept (see ``cycles_through``)."""
+    vertex tuple ``labels`` (start not repeated), total weight, whether
+    every edge of it was kept, and the OR of its edges' tags (see
+    ``cycles_through``)."""
     labels: tuple = field(repr=False, compare=False)
     path: tuple
     weight: int
     kept: bool = True
+    mask: int = 0
 
     @property
     def vertices(self):
@@ -112,10 +126,6 @@ class SlopeGraph:
         except ValueError:
             raise ValueError(f"vertex {v} not in graph") from None
 
-    def edge_positions(self):
-        """The set of (source, target) position pairs of the edges."""
-        return {(a, b) for a, row in enumerate(self._succ) for b, _ in row}
-
     def successors(self, v):
         labels = self.vertices
         row = self._succ[self._position(v)]
@@ -144,40 +154,45 @@ def build_graph(display):
         [[(i, val(a)) for i, a in col] for col in display.sparse_frobenius])
 
 
-def cycles_through(graph, v, base_edges=None):
+def cycles_through(graph, v, base_edges=None, tags=None):
     """All simple cycles containing v, by depth-first search over simple
     paths starting at v; deterministic order (edge insertion order).
 
-    ``base_edges`` is a set of (source, target) position pairs.  A cycle is
-    kept unless it uses an edge of positive weight whose pair is not in
-    ``base_edges``; without ``base_edges`` every cycle is kept.  The search
-    is iterative, with one successor iterator per path vertex, so cycles
-    of any length are found without recursion.
+    Each cycle's ``mask`` is the OR of its edges' tags.  ``tags[a][i]``,
+    when given, is the tag of the i-th edge leaving position a; every other
+    tag is 0.  ``base_edges`` is a set of (source, target) position pairs,
+    and an edge of positive weight whose pair is not in it also gets the
+    bit EXTRA.  A cycle is kept unless its mask has the bit EXTRA; without
+    ``base_edges`` and tags every cycle is kept.  The search is iterative,
+    with one successor iterator per path vertex, so cycles of any length
+    are found without recursion.
     """
     start = graph._position(v)
     labels = graph.vertices
-    if base_edges is None:
-        succ = [[(b, w, 0) for b, w in row] for row in graph._succ]
-    else:
-        succ = [[(b, w, w and (a, b) not in base_edges) for b, w in row]
-                for a, row in enumerate(graph._succ)]
+    succ = []
+    for a, row in enumerate(graph._succ):
+        trow = itertools.repeat(0) if tags is None else tags[a]
+        succ.append([(b, w, t | EXTRA if base_edges is not None and w
+                      and (a, b) not in base_edges else t)
+                     for (b, w), t in zip(row, trow)])
     cycles = []
     path = [start]
     on_path = [False] * len(succ)
     on_path[start] = True
     # one frame per path vertex: its successor iterator, the weight of the
-    # path up to it, and whether an extra edge has been used on the way
+    # path up to it, and the OR of the tags of the edges on the way
     frames = [(iter(succ[start]), 0, 0)]
     while frames:
-        it, total, extra = frames[-1]
-        for b, w, x in it:
+        it, total, mask = frames[-1]
+        for b, w, t in it:
             if b == start:
+                t |= mask
                 cycles.append(CycleSummary(labels, tuple(path), total + w,
-                                           not (extra or x)))
+                                           not t & EXTRA, t))
             elif not on_path[b]:
                 on_path[b] = True
                 path.append(b)
-                frames.append((iter(succ[b]), total + w, extra or x))
+                frames.append((iter(succ[b]), total + w, mask | t))
                 break
         else:
             frames.pop()
@@ -239,9 +254,10 @@ def cycle_decomposition(graph):
     return cycles
 
 
-def least_cycle_mean_is(graph, weight, length):
-    """Whether the least mean over all cycles of the graph is exactly
-    weight/length (length > 0); False for an acyclic graph.
+def settle_potentials(graph, weight, length):
+    """Potentials pi showing that every cycle of the graph has mean at
+    least weight/length (length > 0), or None when some cycle has a
+    smaller mean.
 
     Reweight every edge a -> b of weight w to w' = w * length - weight, so
     that a cycle's mean is below, at or above weight/length as its w'-sum
@@ -254,15 +270,6 @@ def least_cycle_mean_is(graph, weight, length):
     Without a cycle of negative w'-sum a shortest path has fewer than k
     edges (k vertices), so round k at the latest lowers nothing; a graph
     still lowered in round k + 1 has a cycle of smaller mean.
-
-    Once the potentials are settled, a cycle's w'-sum is the sum of the
-    slacks pi(a) + w' - pi(b) >= 0 of its edges, so its mean is exactly
-    weight/length if and only if every edge of it is tight (slack 0).  The
-    least mean is therefore weight/length exactly when the tight edges hold
-    a cycle, that is when Kahn's algorithm on them cannot remove every
-    vertex.  Karp's ``karp_min_cycle_mean`` answers the same question by
-    computing the least mean, in O(V * E) time rather than a few O(E)
-    rounds.
     """
     succ = graph._succ
     k = len(succ)
@@ -281,10 +288,30 @@ def least_cycle_mean_is(graph, weight, length):
                         queued[b] = True
                         lowered.append(b)
         if not lowered:
-            break
+            return pi
         active = lowered
-    else:
+    return None
+
+
+def least_cycle_mean_is(graph, weight, length):
+    """Whether the least mean over all cycles of the graph is exactly
+    weight/length (length > 0); False for an acyclic graph.
+
+    ``settle_potentials`` shows that no cycle has a smaller mean, with
+    potentials pi.  Then, with w' as there, a cycle's w'-sum is the sum of
+    the slacks pi(a) + w' - pi(b) >= 0 of its edges, so its mean is exactly
+    weight/length if and only if every edge of it is tight (slack 0).  The
+    least mean is therefore weight/length exactly when the tight edges hold
+    a cycle, that is when Kahn's algorithm on them cannot remove every
+    vertex.  Karp's ``karp_min_cycle_mean`` answers the same question by
+    computing the least mean, in O(V * E) time rather than a few O(E)
+    rounds.
+    """
+    pi = settle_potentials(graph, weight, length)
+    if pi is None:
         return False
+    succ = graph._succ
+    k = len(succ)
     # Kahn's algorithm on the tight edges; tightness is tested again when a
     # vertex is removed, which costs less than storing the tight lists
     indegree = [0] * k

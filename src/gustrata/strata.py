@@ -17,9 +17,9 @@ A sweep is one stream in three parts:
   at the call and before any work; it returns the mode document, the
   context and a lazy iterator of PointRecords, one per point in order.
 * evaluate_point makes one point's record: the retry at 2N when its
-  polygon is not certified at N, the slope graph, the cycles through u_1
-  and their least slope, and the lemma, remark, Karp and extra-edge
-  entries the point adds to the report.
+  polygon is not certified at N, the least slope of its cycles through
+  u_1, and the lemma, remark, Karp and extra-edge entries the point adds
+  to the report.
 * reduce_records reads the records once, in order, without holding them,
   and builds the StrataReport; it classifies each polygon and reads the
   stratum counts and the agreement rate off the agreement matrix.
@@ -29,11 +29,21 @@ Every point of a sweep shares one context, one template and one basis, so
 the stream reads polygons in lanes: it takes the points CHUNK (64) at a
 time and runs one twisted product and one Berkowitz run per block for the
 whole chunk (fcrystal.newton_slopes_batch), each lane reading exactly the
-polygon newton_slopes reads for its point.  Everything else stays per
-point, in point order.  The check that the least cycle slope through u_1
-is the global minimum cycle mean is a potential certificate for the known
-value (slopegraph.least_cycle_mean_is); Karp's algorithm runs only where
-the certificate fails, and decides what is reported.
+polygon newton_slopes reads for its point.
+
+The slope graph stage runs once per sweep and precision, on the template
+(_CycleTable).  Every F entry of the template is a constant or an integer
+f times the Teichmuller lift of one parameter, a unit when the parameter
+is nonzero, so a point's graph is the template's graph without the edges
+of its zero parameters, in the same order.  So its cycles through u_1 are
+the template's cycles whose parameter mask avoids its zero set, in the
+same order, and each point reads its least cycles off one slope-sorted
+table.  A cycle that avoids u_1 lies in the template's graph without u_1,
+so one Bellman-Ford settle there, at the largest slope of the table,
+shows for every point at once that its least cycle slope through u_1 is
+its global minimum cycle mean.  Where that settle fails, each point runs
+the certificate on its own graph (slopegraph.least_cycle_mean_is), and
+Karp's algorithm runs only where that fails, and decides what is reported.
 """
 
 from __future__ import annotations
@@ -49,11 +59,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ._version import __version__
-from .displayzoo import DeformationPoint, deformation_display
+from ._linalg import ops_for
+from .displayzoo import (DeformationPoint, _deformation_template,
+                         deformation_display)
 from .fcrystal import (DieudonneDisplay, NewtonPolygon, PrecisionError, U,
                        newton_slopes, newton_slopes_batch)
-from .slopegraph import (build_graph, cycles_through, karp_min_cycle_mean,
-                         least_cycle_mean_is, least_slope_cycle)
+from .slopegraph import (EXTRA, SlopeGraph, cycles_through,
+                         karp_min_cycle_mean, least_cycle_mean_is,
+                         settle_potentials)
 from .wittring import (_check_capacity, _check_params, default_precision,
                        make_context)
 
@@ -359,17 +372,91 @@ def _records(ctx, n, points):
     """The PointRecord of each parameter vector drawn from the iterator
     points, in order.  The points are taken CHUNK at a time and each
     chunk's polygons at N are read as lanes, in one twisted product and one
-    Berkowitz run per block (fcrystal.newton_slopes_batch)."""
-    # Every point shares the template's basis order, so edges compare by
-    # their (source, target) positions.
-    base_point = DeformationPoint.from_ints(ctx, n, (0,) * (n - 1))
-    base_edges = build_graph(
-        deformation_display(ctx, base_point)).edge_positions()
+    Berkowitz run per block (fcrystal.newton_slopes_batch); every point
+    reads its cycles off one _CycleTable."""
+    table = _CycleTable(ctx, n)
     while chunk := list(itertools.islice(points, CHUNK)):
         pts = [DeformationPoint.from_ints(ctx, n, ints) for ints in chunk]
         displays = [deformation_display(ctx, pt) for pt in pts]
         for args in zip(chunk, pts, displays, newton_slopes_batch(displays)):
-            yield evaluate_point(ctx, base_edges, *args)
+            yield evaluate_point(table, *args)
+
+
+def _template_graph(ctx, n):
+    """(labels, successor lists, tags) of the slope graph of the
+    deformation template at ctx, the graph of its display at a point
+    whose parameters are all nonzero.  An entry f [s_k] is f times a unit
+    there, so its edge has weight val f and the tag 2 << k, the bit of
+    parameter position k; a constant entry's edge has tag 0.  tags is
+    parallel to the successor lists."""
+    labels, slots, _ = _deformation_template(ctx, n)
+    ops = ops_for(ctx)
+    succ, tags = [], []
+    for col in slots:
+        row, trow = [], []
+        for i, f, k in col:
+            if k is not None and (f := ops.scale(f, ops.one)) == ops.zero:
+                continue
+            row.append((i, ops.val(f)))
+            trow.append(0 if k is None else 2 << k)
+        succ.append(row)
+        tags.append(trow)
+    return labels, succ, tags
+
+
+def _zero_bits(ints):
+    """The tag bits (see _template_graph) of a point's zero parameters."""
+    return sum(2 << k for k, v in enumerate(ints) if not v)
+
+
+class _CycleTable:
+    """The slope-graph stage of a sweep at one precision, shared by its
+    points: the template's cycles through u_1 in enumeration order
+    (cycles), the same sorted by slope (by_slope, ties in enumeration
+    order), and whether one settle decides the certificate for every point
+    (settled).
+
+    A cycle's mask holds the bits of the parameters its edges use, and
+    EXTRA when it uses a positive-weight edge outside base, the template's
+    untagged edges at the sweep's precision N, so its kept flag is that of
+    the point's own enumeration.  The table at 2N (doubled, for retried
+    points) keeps N's base set."""
+
+    def __init__(self, ctx, n, base=None):
+        labels, succ, tags = _template_graph(ctx, n)
+        if base is None:
+            base = {(a, b) for a, (row, trow) in enumerate(zip(succ, tags))
+                    for (b, _), t in zip(row, trow) if not t}
+        self.ctx, self.n, self.base = ctx, n, base
+        self.labels, self.succ, self.tags = labels, succ, tags
+        self.cycles = cycles_through(
+            SlopeGraph._from_successors(labels, succ), _U1, base, tags)
+        self.by_slope = sorted(self.cycles, key=lambda c: c.slope)
+        self.settled = False
+        if self.cycles:
+            # the template's graph without the edges leaving u_1
+            off = list(succ)
+            off[labels.index(_U1)] = []
+            top = self.by_slope[-1]
+            self.settled = settle_potentials(
+                SlopeGraph._from_successors(labels, off),
+                top.weight, top.length) is not None
+
+    @functools.cached_property
+    def doubled(self):
+        return _CycleTable(self.ctx.at_precision(2 * self.ctx.N), self.n,
+                           self.base)
+
+    def least(self, skip):
+        """The first cycle of least slope whose mask avoids skip, or None."""
+        return next((c for c in self.by_slope if not c.mask & skip), None)
+
+    def graph(self, zero):
+        """The slope graph of a point whose zero parameters have the bits
+        zero."""
+        return SlopeGraph._from_successors(self.labels, [
+            [e for e, t in zip(row, trow) if not t & zero]
+            for row, trow in zip(self.succ, self.tags)])
 
 
 def _point_doc(point, ints):
@@ -377,48 +464,51 @@ def _point_doc(point, ints):
     return {f"s{i}": v for i, v in zip(point.indices, ints)}
 
 
-def evaluate_point(ctx, base_edges, ints, point, display, polygon):
-    """The PointRecord of one point, given its display at the sweep's
-    context ctx, of precision N, and its polygon there (None when not
-    certified at N, and then the point retries at 2N).
+def evaluate_point(table, ints, point, display, polygon):
+    """The PointRecord of one point, given the sweep's _CycleTable at its
+    context, of precision N, the point's display there and its polygon
+    (None when not certified at N, and then the point retries at 2N).
 
     Checks that the least Newton slope exceeds no cycle slope through u_1
     (lemma), and records without failing where it differs from the least
     cycle slope (remark), where that is not the global minimum cycle mean
-    (Karp), and where the extra black edges change it."""
+    (Karp), and where the extra black edges change it.  The point's cycles
+    are the table's cycles whose masks avoid its zero parameters."""
     retried = polygon is None
     if retried:
-        display = deformation_display(ctx.at_precision(2 * ctx.N), point)
+        table = table.doubled
+        display = deformation_display(table.ctx, point)
         try:
             polygon = newton_slopes(display)
         except PrecisionError as exc:
             return PointRecord(ints, point, display, None, True, None, (
                 ("precision_failures", {"point": _point_doc(point, ints),
                                         "error": str(exc)}),))
-    graph = build_graph(display)
-    cycles = cycles_through(graph, _U1, base_edges)
-    if not cycles:
+    zero = _zero_bits(ints)
+    full = table.least(zero)
+    if full is None:
         return PointRecord(ints, point, display, polygon, retried, None, (
             ("lemma_violations", {"point": _point_doc(point, ints),
                                   "error": "no cycles through u1"}),))
     entries = []
     min_newton = polygon.min_slope()
     num, den = min_newton.numerator, min_newton.denominator
-    bad = next((c for c in cycles if num * c.length > c.weight * den), None)
-    if bad is not None:
+    if num * full.length > full.weight * den:
+        bad = next(c for c in table.cycles if not c.mask & zero
+                   and num * c.length > c.weight * den)
         entries.append(("lemma_violations", {
             "point": _point_doc(point, ints),
             "min_newton": _frac_str(min_newton),
             "cycle": bad.to_json(),
         }))
-    full = least_slope_cycle(cycles, _U1)
     if num * full.length != full.weight * den:
         entries.append(("remark_violations", {
             "point": _point_doc(point, ints),
             "min_newton": _frac_str(min_newton),
             "min_cycle": _frac_str(full.slope),
         }))
-    if not least_cycle_mean_is(graph, full.weight, full.length):
+    if not table.settled and not least_cycle_mean_is(
+            graph := table.graph(zero), full.weight, full.length):
         karp = karp_min_cycle_mean(graph)
         if karp is None or (karp.numerator * full.length
                             != full.weight * karp.denominator):
@@ -429,7 +519,10 @@ def evaluate_point(ctx, base_edges, ints, point, display, polygon):
             }))
     # the kept cycles are the cycles of the graph without the extra black
     # edges
-    reduced = least_slope_cycle(cycles, _U1, kept_only=True)
+    reduced = table.least(zero | EXTRA)
+    if reduced is None:
+        raise RuntimeError(
+            f"no cycles through {_U1}: anomalous graph for a valid display")
     if reduced.weight * full.length != full.weight * reduced.length:
         entries.append(("extra_edge_effects", {
             "point": _point_doc(point, ints),

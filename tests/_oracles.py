@@ -174,24 +174,36 @@ def _parallel_weights(graph):
     return G, weights
 
 
-def simple_cycles_through_nx(graph, v):
+def simple_cycles_through_nx(graph, v, tags=None):
     """All simple cycles through v via networkx, as a Counter of
     (normalized vertex tuple, length, weight) triples for order-insensitive
     comparison.  A vertex cycle is one cycle per choice of parallel edge
-    at each step, each with its own weight."""
+    at each step, each with its own weight.  With ``tags``, integers
+    parallel to graph.edges, each key also holds the OR of the tags of the
+    chosen edges, as a fourth entry."""
     import networkx as nx
 
     G, weights = _parallel_weights(graph)
+    marks = {}
+    for (a, b, _), t in zip(graph.edges, tags or itertools.repeat(0)):
+        marks.setdefault((a, b), []).append(t)
     found = Counter()
     for cyc in nx.simple_cycles(G):
         if v not in cyc:
             continue
         k = cyc.index(v)
         rot = tuple(cyc[k:] + cyc[:k])
-        steps = [weights[(rot[i], rot[(i + 1) % len(rot)])]
-                 for i in range(len(rot))]
-        for choice in itertools.product(*steps):
-            found[(rot, len(rot), sum(choice))] += 1
+        steps = [(rot[i], rot[(i + 1) % len(rot)]) for i in range(len(rot))]
+        for choice in itertools.product(
+                *(range(len(weights[e])) for e in steps)):
+            key = (rot, len(rot),
+                   sum(weights[e][c] for e, c in zip(steps, choice)))
+            if tags is not None:
+                mask = 0
+                for e, c in zip(steps, choice):
+                    mask |= marks[e][c]
+                key += (mask,)
+            found[key] += 1
     return found
 
 

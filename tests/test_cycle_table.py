@@ -1,0 +1,96 @@
+"""The sweep's cycle table against the per-point slope graph stage.
+
+A sweep enumerates the cycles through u_1 once, on the deformation
+template's graph, and reads each point's cycles off their parameter masks
+(strata._CycleTable).  Here every point of exhaustive sweeps is checked
+against its own graph, built from its own display: the successor lists,
+the cycles through u_1 in order with their kept flags, the least cycles,
+and the certificate wherever the table's one settle decides it.
+"""
+
+import itertools
+
+import pytest
+
+from gustrata import (DeformationPoint, build_graph, cycles_through,
+                      default_precision, deformation_display,
+                      least_slope_cycle, make_context, strata)
+from gustrata.fcrystal import U
+from gustrata.slopegraph import EXTRA, least_cycle_mean_is
+
+U1 = U(1)
+
+
+def _edge_pairs(graph):
+    return {(a, b) for a, row in enumerate(graph._succ) for b, _ in row}
+
+
+def _check_points(table, n, base_ctx):
+    """Compare table with the graph of every point over base_ctx's residue
+    field, the displays built at table's precision; the kept flags come
+    from the edges of the zero point at base_ctx's precision."""
+    zero_point = DeformationPoint.from_ints(base_ctx, n, (0,) * (n - 1))
+    base = _edge_pairs(build_graph(deformation_display(base_ctx,
+                                                       zero_point)))
+    settled = 0
+    q = base_ctx.p ** base_ctx.d
+    for ints in itertools.product(range(q), repeat=n - 1):
+        point = DeformationPoint.from_ints(base_ctx, n, ints)
+        graph = build_graph(deformation_display(table.ctx, point))
+        zero = strata._zero_bits(ints)
+        assert table.graph(zero)._succ == graph._succ, ints
+        cycles = cycles_through(graph, U1, base)
+        masked = [c for c in table.cycles if not c.mask & zero]
+        assert [(c.path, c.weight, c.kept) for c in masked] == \
+            [(c.path, c.weight, c.kept) for c in cycles], ints
+        full = least_slope_cycle(cycles, U1)
+        assert (table.least(zero).path, table.least(zero).weight) == \
+            (full.path, full.weight)
+        kept = table.least(zero | EXTRA)
+        if any(c.kept for c in cycles):
+            reduced = least_slope_cycle(cycles, U1, kept_only=True)
+            assert (kept.path, kept.weight) == (reduced.path, reduced.weight)
+        else:
+            # only at 2N over a base set at N = 1
+            assert kept is None and table.ctx.N == 2
+        if table.settled:
+            settled += 1
+            assert least_cycle_mean_is(graph, full.weight, full.length)
+    return settled
+
+
+@pytest.mark.parametrize("n,p,d", [
+    *[(n, p, 1) for n in range(3, 8) for p in (2, 3)],
+    (4, 3, 2), (3, 3, 3),
+])
+def test_table_matches_every_point_graph(n, p, d):
+    ctx = make_context(p, d, default_precision(n, d))
+    table = strata._CycleTable(ctx, n)
+    assert _check_points(table, n, ctx) == (ctx.p ** ctx.d) ** (n - 1)
+
+
+@pytest.mark.parametrize("n,p,N", [(3, 2, 1), (3, 2, 3), (4, 3, 3),
+                                   (5, 3, 3)])
+def test_doubled_table_keeps_the_base_set_of_N(n, p, N):
+    # at these precisions every point retries at 2N; its kept flags are
+    # read against the zero point's edges at N, which at N = 1 lack the
+    # p entries that 2N has
+    ctx = make_context(p, 1, N)
+    table = strata._CycleTable(ctx, n)
+    doubled = table.doubled
+    assert doubled.ctx.N == 2 * N and doubled.base is table.base
+    assert table.doubled is doubled
+    _check_points(doubled, n, ctx)
+    _, records = strata.sweep(n, p, 1, precision=N)[1:]
+    assert all(rec.retried for rec in records)
+
+
+def test_records_read_the_table():
+    # the least cycle slope of every record is the table's least slope
+    # over the point's cycles
+    n, p = 6, 3
+    mode_doc, ctx, records = strata.sweep(n, p, 1)
+    table = strata._CycleTable(ctx, n)
+    for rec in records:
+        zero = strata._zero_bits(rec.ints)
+        assert rec.min_cycle == table.least(zero).slope

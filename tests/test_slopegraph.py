@@ -12,7 +12,8 @@ from gustrata import (DeformationPoint, build_graph, cycle_decomposition,
                       module_M, module_N, newton_slopes, supersingular_module,
                       to_dot)
 from gustrata.fcrystal import U, V
-from gustrata.slopegraph import SlopeGraph, least_cycle_mean_is
+from gustrata.slopegraph import (EXTRA, SlopeGraph, least_cycle_mean_is,
+                                 settle_potentials)
 
 from _oracles import (min_cycle_mean_brute, min_slope_through_nx,
                       simple_cycles_through_nx)
@@ -420,6 +421,102 @@ class TestParallelEdges:
         for v in G.vertices:
             assert _cycle_counter(cycles_through(G, v)) == \
                 simple_cycles_through_nx(G, v)
+
+
+def _random_tags(G, seed):
+    """Tags 0..15 for the edges of G, in edge order (bit 0 is EXTRA), and
+    the same tags laid out as cycles_through takes them, parallel to the
+    successor lists."""
+    rng = random.Random(1000 + seed)
+    tags = [rng.randrange(16) for _ in G.edges]
+    index = {v: k for k, v in enumerate(G.vertices)}
+    succ_tags = [[] for _ in G.vertices]
+    for (a, _, _), t in zip(G.edges, tags):
+        succ_tags[index[a]].append(t)
+    return tags, succ_tags
+
+
+def _tagged_graphs():
+    """The random graphs of TestLeastCycleMeanIs and TestParallelEdges."""
+    return [pytest.param(maker, seed, id=f"{maker.__name__}-{seed}")
+            for maker in (_random_graph, _parallel_graph)
+            for seed in range(0, 240, 2)]
+
+
+class TestTaggedCycles:
+    """A cycle's mask is the OR of its edges' tags, and the cycles whose
+    masks avoid some bits are the cycles of the graph without the edges
+    tagged with them, in the same order."""
+
+    @pytest.mark.parametrize("maker,seed", _tagged_graphs())
+    def test_masks_against_brute_enumeration(self, maker, seed):
+        G = maker(seed)
+        tags, succ_tags = _random_tags(G, seed)
+        for v in G.vertices:
+            cycles = cycles_through(G, v, tags=succ_tags)
+            assert Counter((c.vertices, c.length, c.weight, c.mask)
+                           for c in cycles) == \
+                simple_cycles_through_nx(G, v, tags)
+            assert [c.kept for c in cycles] == \
+                [not c.mask & EXTRA for c in cycles]
+
+    @pytest.mark.parametrize("maker,seed", _tagged_graphs())
+    def test_masks_select_the_cycles_of_subgraphs(self, maker, seed):
+        G = maker(seed)
+        tags, succ_tags = _random_tags(G, seed)
+        v = G.vertices[0]
+        cycles = cycles_through(G, v, tags=succ_tags)
+        for zero in range(16):
+            sub = SlopeGraph(G.vertices, [e for e, t in zip(G.edges, tags)
+                                          if not t & zero])
+            assert [(c.path, c.weight) for c in cycles
+                    if not c.mask & zero] == \
+                [(c.path, c.weight) for c in cycles_through(sub, v)]
+
+    @pytest.mark.parametrize("seed", range(0, 120, 3))
+    def test_base_edges_add_the_extra_bit(self, seed):
+        # with a base set, an edge of positive weight outside it also
+        # carries EXTRA, and the kept flags are those without tags
+        G = _parallel_graph(seed)
+        rng = random.Random(seed)
+        k = len(G.vertices)
+        base = {(a, b) for a in range(k) for b in range(k)
+                if rng.random() < 0.5}
+        _, succ_tags = _random_tags(G, seed)
+        succ_tags = [[t & ~EXTRA for t in row] for row in succ_tags]
+        for v in G.vertices:
+            plain = cycles_through(G, v, base)
+            tagged = cycles_through(G, v, base, succ_tags)
+            untagged = cycles_through(G, v, tags=succ_tags)
+            assert [(c.path, c.weight, c.kept) for c in tagged] == \
+                [(c.path, c.weight, c.kept) for c in plain]
+            assert [c.mask & ~EXTRA for c in tagged] == \
+                [c.mask for c in untagged]
+            assert [c.mask for c in plain] == \
+                [0 if c.kept else EXTRA for c in plain]
+
+
+class TestSettlePotentials:
+    """settle_potentials returns potentials exactly when no cycle has a
+    mean below the value, and they then satisfy every reweighted edge."""
+
+    @pytest.mark.parametrize("maker,seed", _tagged_graphs())
+    def test_against_brute_enumeration(self, maker, seed):
+        G = maker(seed)
+        truth = min_cycle_mean_brute(G)
+        near = [] if truth is None else [truth, truth - Fraction(1, 7),
+                                         truth + Fraction(1, 7)]
+        for mean in {*CANDIDATES, *near}:
+            w, l = mean.numerator, mean.denominator
+            pi = settle_potentials(G, w, l)
+            assert (pi is not None) == (truth is None or truth >= mean)
+            if pi is not None:
+                index = {v: k for k, v in enumerate(G.vertices)}
+                assert all(pi[index[b]] <= pi[index[a]] + x * l - w
+                           for a, b, x in G.edges)
+
+    def test_empty_graph_settles(self):
+        assert settle_potentials(SlopeGraph((), ()), 0, 1) == []
 
 
 class TestDot:

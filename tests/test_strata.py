@@ -276,7 +276,7 @@ class TestVerifyLocalStrata:
     def test_budget_checked_before_any_work(self, kwargs, message,
                                             monkeypatch):
         calls = []
-        for name in ("make_context", "build_graph"):
+        for name in ("make_context", "_template_graph"):
             monkeypatch.setattr(strata, name,
                                 lambda *args, name=name: calls.append(name))
         with pytest.raises(BudgetError) as info:
@@ -389,27 +389,34 @@ class TestKarpFallback:
         assert rep.karp_disagreements == []
         assert calls == []
 
-    def test_lighter_cycle_off_u1_is_recorded_by_karp(self, monkeypatch):
-        # a weight-0 self-loop on the last basis vertex is a cycle of mean
-        # 0 that avoids u_1, so the global minimum drops to 0 while the
-        # least slope through u_1 stays as it was
-        n, p = 5, 2
-        plain, records = report_and_records(n, p, 1)
+    @staticmethod
+    def _loop_template(monkeypatch, tag):
+        """Give the sweep's template graph a weight-0 self-loop on its last
+        vertex, with the given tag: a cycle of mean 0 that avoids u_1, in
+        the graph of every point whose zero parameters miss the tag."""
+        template_graph = strata._template_graph
 
-        def looped(display):
-            graph = build_graph(display)
-            last = len(graph.vertices) - 1
-            assert graph.vertices[last] != U(1)
-            graph._succ[last].append((last, 0))
-            return graph
+        def looped(ctx, n):
+            labels, succ, tags = template_graph(ctx, n)
+            last = len(labels) - 1
+            assert labels[last] != U(1)
+            succ[last].append((last, 0))
+            tags[last].append(tag)
+            return labels, succ, tags
 
-        monkeypatch.setattr(strata, "build_graph", looped)
-        calls = self._count_karp(monkeypatch)
-        rep = verify_local_strata(n, p, 1)
-        # what unconditional Karp records on the same graphs
+        monkeypatch.setattr(strata, "_template_graph", looped)
+
+    @staticmethod
+    def _karp_entries(records, has_loop):
+        """What unconditional Karp records on each point's own graph, with
+        the loop where has_loop(record) holds."""
         expected = []
         for rec in records:
-            karp = karp_min_cycle_mean(looped(rec.display))
+            graph = build_graph(rec.display)
+            if has_loop(rec):
+                last = len(graph.vertices) - 1
+                graph._succ[last].append((last, 0))
+            karp = karp_min_cycle_mean(graph)
             if karp != rec.min_cycle:
                 expected.append({
                     "point": {f"s{i}": v for i, v in
@@ -417,12 +424,44 @@ class TestKarpFallback:
                     "min_cycle_u1": strata._frac_str(rec.min_cycle),
                     "karp_global": strata._frac_str(karp),
                 })
+        return expected
+
+    def test_lighter_cycle_off_u1_is_recorded_by_karp(self, monkeypatch):
+        # the loop is in every point's graph, so the global minimum drops
+        # to 0 while the least slope through u_1 stays as it was
+        n, p = 5, 2
+        plain, records = report_and_records(n, p, 1)
+        self._loop_template(monkeypatch, 0)
+        calls = self._count_karp(monkeypatch)
+        rep = verify_local_strata(n, p, 1)
+        expected = self._karp_entries(records, lambda rec: True)
         assert rep.karp_disagreements == expected
         # every point off the slope-0 stratum disagrees, with Karp's value
         positive = [rec for rec in records if rec.min_cycle != 0]
         assert len(expected) == len(positive) == len(calls) > 0
         assert all(e["karp_global"] == "0/1" for e in expected)
         # the rest of the report does not see the loop
+        for key in ("agreement", "counts_by_stratum", "lemma_violations",
+                    "remark_violations", "extra_edge_effects"):
+            assert getattr(rep, key) == getattr(plain, key)
+
+    def test_loop_of_one_parameter_reaches_karp_where_it_is_nonzero(
+            self, monkeypatch):
+        # the loop carries the bit of parameter position 0 (s_2): where
+        # s_2 = 0 the point's graph has no loop and its own certificate
+        # holds, elsewhere Karp records the loop's mean
+        n, p, k = 5, 2, 0
+        plain, records = report_and_records(n, p, 1)
+        self._loop_template(monkeypatch, 2 << k)
+        calls = self._count_karp(monkeypatch)
+        rep = verify_local_strata(n, p, 1)
+        expected = self._karp_entries(records, lambda rec: rec.ints[k])
+        assert rep.karp_disagreements == expected
+        positive = [rec for rec in records if rec.min_cycle != 0]
+        looped = [rec for rec in positive if rec.ints[k]]
+        assert len(expected) == len(looped) == len(calls) > 0
+        assert len(positive) > len(looped)
+        assert all(e["karp_global"] == "0/1" for e in expected)
         for key in ("agreement", "counts_by_stratum", "lemma_violations",
                     "remark_violations", "extra_edge_effects"):
             assert getattr(rep, key) == getattr(plain, key)
@@ -542,7 +581,8 @@ class TestSweepStream:
     def test_bad_argument_raises_at_the_call(self, args, kwargs, error,
                                              monkeypatch):
         calls = []
-        for name in ("make_context", "deformation_display", "build_graph"):
+        for name in ("make_context", "deformation_display",
+                     "_template_graph"):
             monkeypatch.setattr(strata, name,
                                 lambda *a, name=name: calls.append(name))
         with pytest.raises(error):

@@ -33,7 +33,11 @@ nested sum ss(8) + N at p = 7, and N^5 at d = 3, whose root comes from
 Newton's method.  The last four lines cover the packed lanes of the
 extension-ring polygons: random sweeps at d = 2 (p = 3), at d = 4 (p = 2,
 where three top slots are folded) and at d = 2 with p = 1000003, and
-M(14) at p = 5, d = 2, one lane of a large p^N.
+M(14) at p = 5, d = 2, one lane of a large p^N.  The last two lines
+cover the cycle table of the sweeps: the exhaustive rank-16 sweep, whose
+points meet all 128 vanishing patterns of the parameters and record
+extra-edge entries, and a random sweep at n = 64, whose template has
+several hundred cycles through u_1.
 """
 
 import contextlib
@@ -84,6 +88,8 @@ ARGVS = [
     ["verify", "--n", "5", "--p", "1000003", "--d", "2", "--random", "20",
      "--seed", "1"],
     ["slopes", "--module", "M(14)", "--p", "5", "--d", "2"],
+    ["verify", "--n", "8", "--p", "3"],
+    ["verify", "--n", "64", "--p", "3", "--random", "64", "--seed", "5"],
 ]
 
 
