@@ -5,15 +5,15 @@ the y-coefficient of F x has valuation w below the working precision.  For
 the zero-parameter displays this is a disjoint union of cycles whose
 gray/black coloring is weight 0 / weight 1.  The minimum slope
 (weight/length) over cycles through u_1 is the combinatorial slope
-algorithm, independent of the characteristic polynomial route.  That it
-is also the global minimum cycle mean is checked for the known value by a
-potential certificate (``least_cycle_mean_is``, a few O(E) rounds);
-Karp's algorithm, which computes the global minimum in O(V * E), runs only
-where the certificate fails.
+algorithm, independent of the characteristic polynomial route.
+Potentials (``settle_potentials``, a few O(E) Bellman-Ford rounds) show
+that no cycle has a mean below a given value, and Karp's algorithm
+(``karp_min_cycle_mean``) computes the global minimum cycle mean in
+O(V * E).
 
 Inside, a graph is integer successor lists over the positions of its
 vertex tuple, and every traversal (cycle enumeration, Tarjan,
-Bellman-Ford, Kahn, Karp) runs on those integers; labels are looked up
+Bellman-Ford, Karp) runs on those integers; labels are looked up
 only for output and for the label API (``edges``, ``successors``,
 ``to_json``, ``to_dot``, ``CycleSummary.vertices``).  Slopes are compared
 as cross-multiplied (weight, length) pairs; a ``Fraction`` is built only
@@ -24,10 +24,10 @@ are exactly the cycles of the full graph all of whose edges it keeps, and
 a depth-first search that skips the deleted edges meets them in the same
 order.  So ``cycles_through`` gives each cycle the OR of its edges'
 integer tags: a cycle lies in the subgraph that deletes the edges tagged
-with some bits exactly when its mask avoids those bits.  The bit EXTRA
-marks the positive-weight edges outside a base edge set, and a cycle
-without it is kept: the least slope of the reduced graph is the least
-slope among the kept cycles.  A sweep enumerates once, on the deformation
+with some bits exactly when its mask avoids those bits.  The caller's
+tags may include the bit EXTRA, and a cycle without it is kept: the least
+slope of the graph without the EXTRA edges is the least slope among the
+kept cycles.  A sweep enumerates once, on the deformation
 template's graph, and reads each point's cycles off the masks (see
 ``strata``).
 """
@@ -43,26 +43,28 @@ from ._linalg import strongly_connected_components
 __all__ = [
     "SlopeGraph", "CycleSummary", "build_graph", "cycles_through",
     "least_slope_cycle", "min_cycle_slope", "cycle_decomposition",
-    "least_cycle_mean_is", "settle_potentials", "karp_min_cycle_mean",
+    "settle_potentials", "karp_min_cycle_mean",
     "to_dot", "EXTRA",
 ]
 
-# The tag bit cycles_through gives an edge of positive weight outside its
-# base edge set; a cycle is kept when its mask lacks it.
+# The tag bit of an extra edge: a cycle is kept when its mask lacks it.
 EXTRA = 1
 
 
 @dataclass(slots=True)
 class CycleSummary:
     """A simple cycle: the positions ``path`` of its vertices in the graph's
-    vertex tuple ``labels`` (start not repeated), total weight, whether
-    every edge of it was kept, and the OR of its edges' tags (see
-    ``cycles_through``)."""
+    vertex tuple ``labels`` (start not repeated), total weight, and the OR
+    of its edges' tags (see ``cycles_through``)."""
     labels: tuple = field(repr=False, compare=False)
     path: tuple
     weight: int
-    kept: bool = True
     mask: int = 0
+
+    @property
+    def kept(self):
+        """Whether no edge of the cycle carries the bit EXTRA."""
+        return not self.mask & EXTRA
 
     @property
     def vertices(self):
@@ -154,16 +156,13 @@ def build_graph(display):
         [[(i, val(a)) for i, a in col] for col in display.sparse_frobenius])
 
 
-def cycles_through(graph, v, base_edges=None, tags=None):
+def cycles_through(graph, v, tags=None):
     """All simple cycles containing v, by depth-first search over simple
     paths starting at v; deterministic order (edge insertion order).
 
     Each cycle's ``mask`` is the OR of its edges' tags.  ``tags[a][i]``,
-    when given, is the tag of the i-th edge leaving position a; every other
-    tag is 0.  ``base_edges`` is a set of (source, target) position pairs,
-    and an edge of positive weight whose pair is not in it also gets the
-    bit EXTRA.  A cycle is kept unless its mask has the bit EXTRA; without
-    ``base_edges`` and tags every cycle is kept.  The search is iterative,
+    when given, is the tag of the i-th edge leaving position a; without
+    tags every tag is 0 and every cycle is kept.  The search is iterative,
     with one successor iterator per path vertex, so cycles of any length
     are found without recursion.
     """
@@ -172,9 +171,7 @@ def cycles_through(graph, v, base_edges=None, tags=None):
     succ = []
     for a, row in enumerate(graph._succ):
         trow = itertools.repeat(0) if tags is None else tags[a]
-        succ.append([(b, w, t | EXTRA if base_edges is not None and w
-                      and (a, b) not in base_edges else t)
-                     for (b, w), t in zip(row, trow)])
+        succ.append([(b, w, t) for (b, w), t in zip(row, trow)])
     cycles = []
     path = [start]
     on_path = [False] * len(succ)
@@ -188,7 +185,7 @@ def cycles_through(graph, v, base_edges=None, tags=None):
             if b == start:
                 t |= mask
                 cycles.append(CycleSummary(labels, tuple(path), total + w,
-                                           not t & EXTRA, t))
+                                           t))
             elif not on_path[b]:
                 on_path[b] = True
                 path.append(b)
@@ -293,52 +290,12 @@ def settle_potentials(graph, weight, length):
     return None
 
 
-def least_cycle_mean_is(graph, weight, length):
-    """Whether the least mean over all cycles of the graph is exactly
-    weight/length (length > 0); False for an acyclic graph.
-
-    ``settle_potentials`` shows that no cycle has a smaller mean, with
-    potentials pi.  Then, with w' as there, a cycle's w'-sum is the sum of
-    the slacks pi(a) + w' - pi(b) >= 0 of its edges, so its mean is exactly
-    weight/length if and only if every edge of it is tight (slack 0).  The
-    least mean is therefore weight/length exactly when the tight edges hold
-    a cycle, that is when Kahn's algorithm on them cannot remove every
-    vertex.  Karp's ``karp_min_cycle_mean`` answers the same question by
-    computing the least mean, in O(V * E) time rather than a few O(E)
-    rounds.
-    """
-    pi = settle_potentials(graph, weight, length)
-    if pi is None:
-        return False
-    succ = graph._succ
-    k = len(succ)
-    # Kahn's algorithm on the tight edges; tightness is tested again when a
-    # vertex is removed, which costs less than storing the tight lists
-    indegree = [0] * k
-    for a, row in enumerate(succ):
-        pa = pi[a] - weight
-        for b, w in row:
-            if pa + w * length == pi[b]:
-                indegree[b] += 1
-    free = [a for a in range(k) if not indegree[a]]
-    left = k
-    while free:
-        a = free.pop()
-        left -= 1
-        pa = pi[a] - weight
-        for b, w in succ[a]:
-            if pa + w * length == pi[b]:
-                indegree[b] -= 1
-                if not indegree[b]:
-                    free.append(b)
-    return left > 0
-
-
 def karp_min_cycle_mean(graph):
     """Global minimum cycle mean over the whole graph (Karp), as an exact
-    Fraction; None when the graph is acyclic.  Sweeps call it only where
-    ``least_cycle_mean_is`` finds the u_1-restricted minimum is not the
-    global one, and report its value."""
+    Fraction; None when the graph is acyclic.  Sweeps call it at every
+    point only where ``settle_potentials`` cannot show, once for the whole
+    sweep, that the least slope through u_1 is the global minimum, and
+    report its value where the two differ."""
     succ = graph._succ
     comps = strongly_connected_components([[b for b, _ in row]
                                            for row in succ])

@@ -41,9 +41,11 @@ same order, and each point reads its least cycles off one slope-sorted
 table.  A cycle that avoids u_1 lies in the template's graph without u_1,
 so one Bellman-Ford settle there, at the largest slope of the table,
 shows for every point at once that its least cycle slope through u_1 is
-its global minimum cycle mean.  Where that settle fails, each point runs
-the certificate on its own graph (slopegraph.least_cycle_mean_is), and
-Karp's algorithm runs only where that fails, and decides what is reported.
+its global minimum cycle mean.  Where that settle fails, Karp's algorithm
+runs on every point's own graph and decides what is reported.  The
+extra black edges are the positive-weight edges tagged EXTRA by the table
+itself: the parameter edges, and at 2N the constant edges that vanish at
+the sweep's precision N.
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ from .displayzoo import (DeformationPoint, _deformation_template,
 from .fcrystal import (DieudonneDisplay, NewtonPolygon, PrecisionError, U,
                        newton_slopes, newton_slopes_batch)
 from .slopegraph import (EXTRA, SlopeGraph, cycles_through,
-                         karp_min_cycle_mean, least_cycle_mean_is,
-                         settle_potentials)
+                         karp_min_cycle_mean, settle_potentials)
 from .wittring import (_check_capacity, _check_params, default_precision,
                        make_context)
 
@@ -417,20 +418,23 @@ class _CycleTable:
     (settled).
 
     A cycle's mask holds the bits of the parameters its edges use, and
-    EXTRA when it uses a positive-weight edge outside base, the template's
-    untagged edges at the sweep's precision N, so its kept flag is that of
-    the point's own enumeration.  The table at 2N (doubled, for retried
-    points) keeps N's base set."""
+    EXTRA when it uses an extra black edge: an edge of positive weight
+    that is a parameter edge or has weight at least N, the sweep's
+    precision.  A constant entry is nonzero mod p^N exactly when its
+    weight is below N, so at N every constant edge is a base edge, and the
+    table at 2N (doubled, for retried points) passes N to mark the
+    constant edges that vanish there."""
 
-    def __init__(self, ctx, n, base=None):
+    def __init__(self, ctx, n, N=None):
         labels, succ, tags = _template_graph(ctx, n)
-        if base is None:
-            base = {(a, b) for a, (row, trow) in enumerate(zip(succ, tags))
-                    for (b, _), t in zip(row, trow) if not t}
-        self.ctx, self.n, self.base = ctx, n, base
+        N = ctx.N if N is None else N
+        tags = [[t | EXTRA if w and (t or w >= N) else t
+                 for (_, w), t in zip(row, trow)]
+                for row, trow in zip(succ, tags)]
+        self.ctx, self.n = ctx, n
         self.labels, self.succ, self.tags = labels, succ, tags
         self.cycles = cycles_through(
-            SlopeGraph._from_successors(labels, succ), _U1, base, tags)
+            SlopeGraph._from_successors(labels, succ), _U1, tags)
         self.by_slope = sorted(self.cycles, key=lambda c: c.slope)
         self.settled = False
         if self.cycles:
@@ -445,7 +449,7 @@ class _CycleTable:
     @functools.cached_property
     def doubled(self):
         return _CycleTable(self.ctx.at_precision(2 * self.ctx.N), self.n,
-                           self.base)
+                           self.ctx.N)
 
     def least(self, skip):
         """The first cycle of least slope whose mask avoids skip, or None."""
@@ -507,15 +511,14 @@ def evaluate_point(table, ints, point, display, polygon):
             "min_newton": _frac_str(min_newton),
             "min_cycle": _frac_str(full.slope),
         }))
-    if not table.settled and not least_cycle_mean_is(
-            graph := table.graph(zero), full.weight, full.length):
-        karp = karp_min_cycle_mean(graph)
-        if karp is None or (karp.numerator * full.length
-                            != full.weight * karp.denominator):
+    if not table.settled:
+        # the point's graph holds the cycle full, so Karp finds a mean
+        karp = karp_min_cycle_mean(table.graph(zero))
+        if karp != full.slope:
             entries.append(("karp_disagreements", {
                 "point": _point_doc(point, ints),
                 "min_cycle_u1": _frac_str(full.slope),
-                "karp_global": _frac_str(karp) if karp is not None else None,
+                "karp_global": _frac_str(karp),
             }))
     # the kept cycles are the cycles of the graph without the extra black
     # edges

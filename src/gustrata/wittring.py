@@ -164,9 +164,14 @@ def _first_irreducible(p, d):
     """Lexicographically smallest monic irreducible of degree d over F_p.
 
     Candidates are ordered by the integer sum(c_i * p^i) over the non-leading
-    coefficients, so the constant coefficient varies fastest.
+    coefficients, so the constant coefficient varies fastest.  The first p
+    are the binomials x^d + c, and none of them is irreducible when some
+    prime r | d does not divide p - 1, or when 4 | d and p = 3 mod 4 (Lidl
+    & Niederreiter, Finite Fields, Thm. 3.75); the search then skips them.
     """
-    for k in range(p ** d):
+    skip = d % 4 == 0 and p % 4 == 3 or any(
+        d % r == 0 and (p - 1) % r and _is_prime(r) for r in range(2, d + 1))
+    for k in range(p if skip else 0, p ** d):
         coeffs = [(k // p ** i) % p for i in range(d)]
         f = coeffs + [1]
         if _is_irreducible(f, p):

@@ -72,6 +72,17 @@ class TestSlopes:
         assert code == 0
         assert "1/2\t2" in out
 
+    def test_large_prime_quartic_field(self):
+        # no x^4 + c is irreducible mod 1000003, and the modulus search
+        # skips them instead of testing a million binomials
+        code, out = run(["slopes", "--module", "N", "--p", "1000003",
+                         "--d", "4"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["context"]["modulus"] == [1, 1, 0, 0, 1]
+        assert doc["polygon"] == {"slopes": [{"num": 1, "den": 2,
+                                              "mult": 2}]}
+
 
 class TestGraph:
     def test_dot(self):

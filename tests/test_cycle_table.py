@@ -5,7 +5,7 @@ template's graph, and reads each point's cycles off their parameter masks
 (strata._CycleTable).  Here every point of exhaustive sweeps is checked
 against its own graph, built from its own display: the successor lists,
 the cycles through u_1 in order with their kept flags, the least cycles,
-and the certificate wherever the table's one settle decides it.
+and Karp's least mean wherever the table's one settle decides it.
 """
 
 import itertools
@@ -14,15 +14,23 @@ import pytest
 
 from gustrata import (DeformationPoint, build_graph, cycles_through,
                       default_precision, deformation_display,
-                      least_slope_cycle, make_context, strata)
+                      karp_min_cycle_mean, least_slope_cycle, make_context,
+                      strata)
 from gustrata.fcrystal import U
-from gustrata.slopegraph import EXTRA, least_cycle_mean_is
+from gustrata.slopegraph import EXTRA
 
 U1 = U(1)
 
 
 def _edge_pairs(graph):
     return {(a, b) for a, row in enumerate(graph._succ) for b, _ in row}
+
+
+def _extra_tags(graph, base):
+    """EXTRA on each edge of positive weight whose position pair is not in
+    base, parallel to the graph's successor lists."""
+    return [[EXTRA if w and (a, b) not in base else 0 for b, w in row]
+            for a, row in enumerate(graph._succ)]
 
 
 def _check_points(table, n, base_ctx):
@@ -39,7 +47,7 @@ def _check_points(table, n, base_ctx):
         graph = build_graph(deformation_display(table.ctx, point))
         zero = strata._zero_bits(ints)
         assert table.graph(zero)._succ == graph._succ, ints
-        cycles = cycles_through(graph, U1, base)
+        cycles = cycles_through(graph, U1, _extra_tags(graph, base))
         masked = [c for c in table.cycles if not c.mask & zero]
         assert [(c.path, c.weight, c.kept) for c in masked] == \
             [(c.path, c.weight, c.kept) for c in cycles], ints
@@ -55,7 +63,7 @@ def _check_points(table, n, base_ctx):
             assert kept is None and table.ctx.N == 2
         if table.settled:
             settled += 1
-            assert least_cycle_mean_is(graph, full.weight, full.length)
+            assert karp_min_cycle_mean(graph) == full.slope
     return settled
 
 
@@ -78,7 +86,7 @@ def test_doubled_table_keeps_the_base_set_of_N(n, p, N):
     ctx = make_context(p, 1, N)
     table = strata._CycleTable(ctx, n)
     doubled = table.doubled
-    assert doubled.ctx.N == 2 * N and doubled.base is table.base
+    assert doubled.ctx.N == 2 * N
     assert table.doubled is doubled
     _check_points(doubled, n, ctx)
     _, records = strata.sweep(n, p, 1, precision=N)[1:]
@@ -94,3 +102,14 @@ def test_records_read_the_table():
     for rec in records:
         zero = strata._zero_bits(rec.ints)
         assert rec.min_cycle == table.least(zero).slope
+
+
+@pytest.mark.parametrize("p,d,top", [(3, 1, 64), (2, 1, 48), (3, 2, 32),
+                                     (5, 1, 24)])
+def test_every_template_settles(p, d, top):
+    # a template that does not settle makes every point of its sweeps run
+    # Karp on its own graph, an O(V * E) run per point
+    unsettled = [n for n in range(3, top + 1)
+                 if not strata._CycleTable(
+                     make_context(p, d, default_precision(n, d)), n).settled]
+    assert unsettled == []

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from gustrata import (DeformationPoint, DieudonneDisplay, NewtonPolygon,
-                      PrecisionError, RingContext, deformation_display,
+                      PrecisionError, deformation_display,
                       make_context, module_M, newton_slopes,
                       parse_module_spec)
 from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
@@ -82,20 +82,6 @@ def unpacked_values(lops, values):
     return [tuple(map(lops.unpack, e)) for e in values]
 
 
-def lane_context(p, d):
-    """A context at precision 7 over F_{p^d}: the canonical one, except
-    where its modulus search would scan about p^d candidates (p = 1000003,
-    d = 4, where no x^4 + c is irreducible); there the modulus is the
-    first irreducible x^d + x + c, as the kernels take any modulus."""
-    if p ** d < 10 ** 12:
-        return make_context(p, d, 7)
-    for c in range(1, p):
-        try:
-            return RingContext(p, d, 7, (c, 1) + (0,) * (d - 2))
-        except ValueError:
-            continue
-
-
 # the cases at p = 3, d <= 3 and width <= 5 keep their ids "d-width"
 CASES = [pytest.param(p, d, width, id=f"{d}-{width}" if p == 3 and d < 4
                       and width < 64 else f"{p}-{d}-{width}")
@@ -111,7 +97,8 @@ class TestKernelParity:
 
     @staticmethod
     def setup(p, d, width):
-        return ops_for(lane_context(p, d)), random.Random(f"{p} {d} {width}")
+        return (ops_for(make_context(p, d, 7)),
+                random.Random(f"{p} {d} {width}"))
 
     def test_twisted_product(self, p, d, width):
         ops, rng = self.setup(p, d, width)
@@ -201,7 +188,7 @@ def test_worst_case_slots(p, d, width):
     sized for (slot d - 1 of each sum reaches T d (q - 1)^2 before the
     folds), and each lane is still the base ops' product.  The number of
     products is chosen so that slots one product narrower would carry."""
-    ops = ops_for(lane_context(p, d))
+    ops = ops_for(make_context(p, d, 7))
     full = (ops.q - 1,) * d
     size, rows = carrying_size(ops.q, d), 3
     lops = _LaneOps(ops, width, size)

@@ -12,8 +12,7 @@ from gustrata import (DeformationPoint, build_graph, cycle_decomposition,
                       module_M, module_N, newton_slopes, supersingular_module,
                       to_dot)
 from gustrata.fcrystal import U, V
-from gustrata.slopegraph import (EXTRA, SlopeGraph, least_cycle_mean_is,
-                                 settle_potentials)
+from gustrata.slopegraph import EXTRA, SlopeGraph, settle_potentials
 
 from _oracles import (min_cycle_mean_brute, min_slope_through_nx,
                       simple_cycles_through_nx)
@@ -23,6 +22,16 @@ def _cycle_counter(cycles):
     """The (vertices, length, weight) triples of cycles, with multiplicity,
     as simple_cycles_through_nx gives them."""
     return Counter((c.vertices, c.length, c.weight) for c in cycles)
+
+
+def _extra_tags(G, base, tags=None):
+    """Tags parallel to G's successor lists: EXTRA on each edge of positive
+    weight whose (source, target) position pair is not in base, ORed into
+    ``tags`` (same layout) when given."""
+    return [[(0 if tags is None else tags[a][i])
+             | (EXTRA if w and (a, b) not in base else 0)
+             for i, (b, w) in enumerate(row)]
+            for a, row in enumerate(G._succ)]
 
 
 def ctx_for(n, p=3, d=1):
@@ -144,8 +153,9 @@ class TestCyclesThrough:
 
 
 class TestKeptCycles:
-    """One enumeration marks the cycles whose positive-weight edges all lie
-    in a base edge set; they are the cycles of the filtered graph."""
+    """One enumeration with EXTRA on the positive-weight edges outside a
+    base edge set marks the kept cycles; they are the cycles of the
+    filtered graph."""
 
     @pytest.mark.parametrize("seed", range(120))
     def test_random_graphs_against_label_filter(self, seed):
@@ -161,7 +171,7 @@ class TestKeptCycles:
         base_labels = {(str(verts[a]), str(verts[b])) for a, b in base}
         G = SlopeGraph(verts, edges)
         v = verts[0]
-        cycles = cycles_through(G, v, base)
+        cycles = cycles_through(G, v, _extra_tags(G, base))
         # the full enumeration does not depend on the base set
         assert [(c.vertices, c.weight) for c in cycles] == \
             [(c.vertices, c.weight) for c in cycles_through(G, v)]
@@ -186,13 +196,13 @@ class TestKeptCycles:
         # the only cycle through u1 uses the black edge u1 -> v1, which is
         # not a base edge
         G = SlopeGraph((U(1), V(1)), ((U(1), V(1), 1), (V(1), U(1), 0)))
-        cycles = cycles_through(G, U(1), base_edges=set())
+        cycles = cycles_through(G, U(1), _extra_tags(G, set()))
         assert [c.kept for c in cycles] == [False]
         assert min_slope_through_nx(G.vertices, G.edges, U(1), set()) is None
         with pytest.raises(RuntimeError, match="no cycles through u1: "
                            "anomalous graph for a valid display"):
             least_slope_cycle(cycles, U(1), kept_only=True)
-        assert cycles_through(G, U(1), {(0, 1)})[0].kept
+        assert cycles_through(G, U(1), _extra_tags(G, {(0, 1)}))[0].kept
 
 
 class TestMinCycleSlope:
@@ -331,36 +341,43 @@ def _parallel_graph(seed):
 CANDIDATES = sorted({Fraction(w, l) for w in range(7) for l in range(1, 6)})
 
 
-def _assert_certificate(G, truth, candidates):
-    """least_cycle_mean_is holds at the true least mean ``truth`` (None for
-    an acyclic graph) and nowhere else among ``candidates``."""
+def _assert_least_mean(G, truth, candidates):
+    """Karp's value is the true least mean ``truth`` (None for an acyclic
+    graph), and settle_potentials holds at ``truth`` and at every candidate
+    below it, and at no candidate above it."""
+    assert karp_min_cycle_mean(G) == truth
     for mean in {*candidates, *([truth] if truth is not None else [])}:
-        assert least_cycle_mean_is(G, mean.numerator, mean.denominator) == \
-            (mean == truth), (mean, truth)
+        settled = settle_potentials(G, mean.numerator, mean.denominator)
+        assert (settled is not None) == (truth is None or mean <= truth), \
+            (mean, truth)
 
 
-class TestLeastCycleMeanIs:
+class TestLeastCycleMean:
+    """What a sweep reads: the settle at a cycle's mean holds exactly when
+    no cycle has a smaller mean, and Karp computes the least mean."""
+
     @pytest.mark.parametrize("seed", range(240))
     def test_random_graphs_against_brute_enumeration(self, seed):
         G = _random_graph(seed)
         truth = min_cycle_mean_brute(G)
-        assert karp_min_cycle_mean(G) == truth
         if seed % 4 == 0:
             assert truth is None
-        _assert_certificate(G, truth, CANDIDATES)
+        _assert_least_mean(G, truth, CANDIDATES)
 
     def test_non_reduced_fractions(self):
-        # the certificate reads weight/length as a mean, not as a pair
+        # the settle reads weight/length as a mean, not as a pair
         a, b = U(0), U(1)
         G = SlopeGraph((a, b), ((a, b, 1), (b, a, 0), (b, b, 2)))
-        assert least_cycle_mean_is(G, 1, 2)
-        assert least_cycle_mean_is(G, 3, 6)
-        assert not least_cycle_mean_is(G, 1, 3)
+        assert karp_min_cycle_mean(G) == Fraction(1, 2)
+        assert settle_potentials(G, 1, 2) is not None
+        assert settle_potentials(G, 3, 6) is not None
+        assert settle_potentials(G, 3, 5) is None
+        assert settle_potentials(G, 6, 10) is None
 
     def test_acyclic_and_empty(self):
         G = SlopeGraph((U(1), V(1)), ((U(1), V(1), 0),))
-        _assert_certificate(G, None, CANDIDATES)
-        assert not least_cycle_mean_is(SlopeGraph((), ()), 0, 1)
+        _assert_least_mean(G, None, CANDIDATES)
+        _assert_least_mean(SlopeGraph((), ()), None, CANDIDATES)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_every_deformation_graph_p2(self, n):
@@ -369,12 +386,11 @@ class TestLeastCycleMeanIs:
             G = graph_for(deformation_display(
                 ctx, DeformationPoint.from_ints(ctx, n, ints)))
             truth = min_cycle_mean_brute(G)
-            assert karp_min_cycle_mean(G) == truth
             full = least_slope_cycle(cycles_through(G, U(1)), U(1))
             # as the sweep asks it: the pair of the least cycle through u_1
-            assert least_cycle_mean_is(G, full.weight, full.length) == \
-                (full.slope == truth)
-            _assert_certificate(G, truth, CANDIDATES)
+            assert (settle_potentials(G, full.weight, full.length)
+                    is not None) == (full.slope == truth)
+            _assert_least_mean(G, truth, CANDIDATES)
 
     def test_random_deformation_graphs_n40(self):
         n, p = 40, 3
@@ -387,11 +403,11 @@ class TestLeastCycleMeanIs:
             truth = karp_min_cycle_mean(G)
             full = least_slope_cycle(cycles_through(G, U(1)), U(1))
             assert full.slope == truth
-            assert least_cycle_mean_is(G, full.weight, full.length)
+            assert settle_potentials(G, full.weight, full.length) is not None
             # rationals just above and just below the true mean
             near = [Fraction(truth.numerator * m + e, truth.denominator * m)
                     for m in (1, 2, 2 * n) for e in (-1, 1)]
-            _assert_certificate(G, truth, [*CANDIDATES, *near])
+            _assert_least_mean(G, truth, [*CANDIDATES, *near])
 
 
 class TestParallelEdges:
@@ -401,8 +417,8 @@ class TestParallelEdges:
     def test_lighter_parallel_edge_sets_the_least_mean(self):
         a, b = U(0), U(1)
         G = SlopeGraph((a, b), ((a, b, 0), (a, b, 5), (b, a, 0)))
-        assert min_cycle_mean_brute(G) == karp_min_cycle_mean(G) == 0
-        _assert_certificate(G, Fraction(0), CANDIDATES)
+        assert min_cycle_mean_brute(G) == 0
+        _assert_least_mean(G, Fraction(0), CANDIDATES)
         assert _cycle_counter(cycles_through(G, a)) == \
             simple_cycles_through_nx(G, a) == \
             Counter({((a, b), 2, 0): 1, ((a, b), 2, 5): 1})
@@ -416,8 +432,7 @@ class TestParallelEdges:
         # same weight
         G = _parallel_graph(seed)
         truth = min_cycle_mean_brute(G)
-        assert karp_min_cycle_mean(G) == truth
-        _assert_certificate(G, truth, CANDIDATES)
+        _assert_least_mean(G, truth, CANDIDATES)
         for v in G.vertices:
             assert _cycle_counter(cycles_through(G, v)) == \
                 simple_cycles_through_nx(G, v)
@@ -437,7 +452,7 @@ def _random_tags(G, seed):
 
 
 def _tagged_graphs():
-    """The random graphs of TestLeastCycleMeanIs and TestParallelEdges."""
+    """The random graphs of TestLeastCycleMean and TestParallelEdges."""
     return [pytest.param(maker, seed, id=f"{maker.__name__}-{seed}")
             for maker in (_random_graph, _parallel_graph)
             for seed in range(0, 240, 2)]
@@ -474,26 +489,30 @@ class TestTaggedCycles:
                 [(c.path, c.weight) for c in cycles_through(sub, v)]
 
     @pytest.mark.parametrize("seed", range(0, 120, 3))
-    def test_base_edges_add_the_extra_bit(self, seed):
-        # with a base set, an edge of positive weight outside it also
-        # carries EXTRA, and the kept flags are those without tags
+    def test_extra_tags_keep_the_cycles_of_the_base_graph(self, seed):
+        # EXTRA ORed into parameter tags on the positive-weight edges
+        # outside a base set: the kept cycles are those of the graph
+        # without those edges, and the other bits are the parameter masks
         G = _parallel_graph(seed)
         rng = random.Random(seed)
         k = len(G.vertices)
         base = {(a, b) for a in range(k) for b in range(k)
                 if rng.random() < 0.5}
+        index = {v: i for i, v in enumerate(G.vertices)}
+        base_graph = SlopeGraph(G.vertices, [
+            (a, b, w) for a, b, w in G.edges
+            if w == 0 or (index[a], index[b]) in base])
         _, succ_tags = _random_tags(G, seed)
         succ_tags = [[t & ~EXTRA for t in row] for row in succ_tags]
         for v in G.vertices:
-            plain = cycles_through(G, v, base)
-            tagged = cycles_through(G, v, base, succ_tags)
+            tagged = cycles_through(G, v, _extra_tags(G, base, succ_tags))
             untagged = cycles_through(G, v, tags=succ_tags)
-            assert [(c.path, c.weight, c.kept) for c in tagged] == \
-                [(c.path, c.weight, c.kept) for c in plain]
+            assert [(c.path, c.weight) for c in tagged] == \
+                [(c.path, c.weight) for c in untagged]
+            assert _cycle_counter(c for c in tagged if c.kept) == \
+                simple_cycles_through_nx(base_graph, v)
             assert [c.mask & ~EXTRA for c in tagged] == \
                 [c.mask for c in untagged]
-            assert [c.mask for c in plain] == \
-                [0 if c.kept else EXTRA for c in plain]
 
 
 class TestSettlePotentials:

@@ -363,8 +363,10 @@ class TestVerifyLocalStrata:
 
 
 class TestKarpFallback:
-    """Karp runs only where the least-cycle-mean certificate fails, and then
-    records exactly what running it at every point would record."""
+    """The sweep settles its template once.  Where that settle holds, Karp
+    never runs; where it fails, Karp runs on every point's own graph and
+    records exactly where its least mean differs from the least slope
+    through u_1."""
 
     @staticmethod
     def _count_karp(monkeypatch):
@@ -436,9 +438,11 @@ class TestKarpFallback:
         rep = verify_local_strata(n, p, 1)
         expected = self._karp_entries(records, lambda rec: True)
         assert rep.karp_disagreements == expected
+        # the loop unsettles the template, so Karp runs at every point, and
         # every point off the slope-0 stratum disagrees, with Karp's value
         positive = [rec for rec in records if rec.min_cycle != 0]
-        assert len(expected) == len(positive) == len(calls) > 0
+        assert len(calls) == rep.points
+        assert len(expected) == len(positive) > 0
         assert all(e["karp_global"] == "0/1" for e in expected)
         # the rest of the report does not see the loop
         for key in ("agreement", "counts_by_stratum", "lemma_violations",
@@ -447,9 +451,10 @@ class TestKarpFallback:
 
     def test_loop_of_one_parameter_reaches_karp_where_it_is_nonzero(
             self, monkeypatch):
-        # the loop carries the bit of parameter position 0 (s_2): where
-        # s_2 = 0 the point's graph has no loop and its own certificate
-        # holds, elsewhere Karp records the loop's mean
+        # the loop carries the bit of parameter position 0 (s_2); it is in
+        # the template, so Karp runs at every point.  Where s_2 = 0 the
+        # point's graph has no loop and Karp agrees with the least slope
+        # through u_1; elsewhere Karp records the loop's mean
         n, p, k = 5, 2, 0
         plain, records = report_and_records(n, p, 1)
         self._loop_template(monkeypatch, 2 << k)
@@ -459,7 +464,8 @@ class TestKarpFallback:
         assert rep.karp_disagreements == expected
         positive = [rec for rec in records if rec.min_cycle != 0]
         looped = [rec for rec in positive if rec.ints[k]]
-        assert len(expected) == len(looped) == len(calls) > 0
+        assert len(calls) == rep.points
+        assert len(expected) == len(looped) > 0
         assert len(positive) > len(looped)
         assert all(e["karp_global"] == "0/1" for e in expected)
         for key in ("agreement", "counts_by_stratum", "lemma_violations",

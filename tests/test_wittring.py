@@ -45,6 +45,29 @@ class TestMakeContext:
     def test_modulus_matches_brute_force_enumeration(self, p, d):
         assert make_context(p, d, 4).modulus == first_irreducible_brute(p, d)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_binomial_skip_keeps_the_first_irreducible(self, p):
+        # the search skips x^d + c where no binomial of degree d is
+        # irreducible (at every d >= 2 for p = 2, and at some d <= 6 for
+        # each other p here) and finds the brute-force first all the same
+        for d in range(1, 7):
+            assert wittring._first_irreducible(p, d) == \
+                first_irreducible_brute(p, d), d
+
+    def test_large_prime_quartic_skips_the_binomials(self, monkeypatch):
+        # 1000003 = 3 mod 4, so no x^4 + c is irreducible: the search tests
+        # x^4 + x and then x^4 + x + 1, not the million binomials first
+        tested = []
+        is_irreducible = wittring._is_irreducible
+
+        def spy(f, p):
+            tested.append(tuple(f))
+            return is_irreducible(f, p)
+
+        monkeypatch.setattr(wittring, "_is_irreducible", spy)
+        assert wittring._first_irreducible(1000003, 4) == (1, 1, 0, 0)
+        assert tested == [(0, 1, 0, 0, 1), (1, 1, 0, 0, 1)]
+
     @pytest.mark.parametrize("p,top", [(2, 7), (3, 4), (5, 3)])
     def test_irreducibility_matches_trial_division(self, p, top):
         for d in range(1, top + 1):

@@ -37,7 +37,9 @@ M(14) at p = 5, d = 2, one lane of a large p^N.  The last two lines
 cover the cycle table of the sweeps: the exhaustive rank-16 sweep, whose
 points meet all 128 vanishing patterns of the parameters and record
 extra-edge entries, and a random sweep at n = 64, whose template has
-several hundred cycles through u_1.
+several hundred cycles through u_1.  The last four lines digest the
+`graph` command, in JSON with its cycles through u_1 and in DOT: a
+deformation point at rank 16 and M(6)+N^6 at d = 2.
 """
 
 import contextlib
@@ -90,6 +92,10 @@ ARGVS = [
     ["slopes", "--module", "M(14)", "--p", "5", "--d", "2"],
     ["verify", "--n", "8", "--p", "3"],
     ["verify", "--n", "64", "--p", "3", "--random", "64", "--seed", "5"],
+    ["graph", "--module", "def(8; s0=1, s2=2, s5=1)"],
+    ["graph", "--module", "def(8; s0=1, s2=2, s5=1)", "--dot"],
+    ["graph", "--module", "M(6)+N^6", "--d", "2"],
+    ["graph", "--module", "M(6)+N^6", "--d", "2", "--dot"],
 ]
 
 
