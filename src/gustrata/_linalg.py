@@ -257,10 +257,11 @@ class _LaneOps:
     """Raw arithmetic on lanes: a lane value is a tuple of width scalars,
     one per matrix of a batch of matrices of at most size rows, and every
     operation acts lane by lane.  Only what twisted_product, _berkowitz and
-    poly_mul use is provided.  A scalar is the base ops' raw int at
-    d == 1 and its packed coordinates at d >= 2 (see the module docstring
-    for the packing and its slot width B); pack, unpack and packed convert
-    at the boundary.  The zero is the all-zero lane, so a kernel skips an
+    poly_mul use is provided, and scale, which fills a sweep's lanes from
+    the deformation template (displayzoo._template_lanes).  A scalar is
+    the base ops' raw int at d == 1 and its packed coordinates at d >= 2
+    (see the module docstring for the packing and its slot width B);
+    pack, unpack and packed convert at the boundary.  The zero is the all-zero lane, so a kernel skips an
     entry, or stops early, only when it vanishes in every lane, and each
     lane gets exactly what the base ops would give for its own matrix."""
 
@@ -307,9 +308,20 @@ class _LaneOps:
 
     def neg(self, a):
         if self.d == 1:
-            return tuple(map(self.base.neg, a))
+            q = self.q
+            return tuple([(-x) % q for x in a])
         qpack = self._qpack
         return self._reduce([qpack - x for x in a], ())
+
+    def scale(self, k, a):
+        """k * a lane by lane for an integer k, as the base ops' scale: a
+        slot times k mod p^N is at most (q - 1)^2 and carries into no
+        other, so one product per lane and the slots' reduction give it."""
+        k %= self.q
+        if self.d == 1:
+            q = self.q
+            return tuple([k * x % q for x in a])
+        return self._reduce([k * x for x in a], ())
 
     def frob(self, a, power=1):
         rows = self._frob[power % self.d]
@@ -768,22 +780,26 @@ def lane_slope_pairs(lops, srows, twist, scale):
     upper-triangular in the lane's own finer blocks, so its polynomial is
     the product of theirs, its polygon the union of theirs, and its val c_0
     min(N, the sum of theirs), which decides the certificate as they do (a
-    capped term already fails it); NewtonPolygon merges repeated pairs."""
+    capped term already fails it); NewtonPolygon merges repeated pairs.
+    Lanes whose blocks have the same hulls share one (pairs, term)."""
     val = lops.val
     sx, sy = scale
     polys = [list(zip(*_berkowitz(lops, _restrict(srows, block))))
              for block in _blocks(srows)]
-    out = []
+    out, shared = [], {}
     for lane in range(lops.width):
-        pairs, c0 = [], 0
-        for poly in polys:
-            vals = [val(c) for c in reversed(poly[lane])]
-            c0 += vals[0]
-            hull = lower_hull(list(enumerate(vals)))
-            pairs += [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
-                       sx * (i2 - i1))
-                      for (i1, v1), (i2, v2) in zip(hull, hull[1:])]
-        out.append((pairs, sy * c0))
+        hulls = tuple([tuple(lower_hull(list(enumerate(
+            [val(c) for c in reversed(poly[lane])])))) for poly in polys])
+        got = shared.get(hulls)
+        if got is None:
+            # a hull starts at (0, val c_0) of its block
+            got = shared[hulls] = (
+                [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
+                  sx * (i2 - i1))
+                 for hull in hulls
+                 for (i1, v1), (i2, v2) in zip(hull, hull[1:])],
+                sy * sum(hull[0][1] for hull in hulls))
+        out.append(got)
     return out
 
 

@@ -12,7 +12,9 @@ zero) directly, by index arithmetic: M(m) puts u_k at position k - 1 and
 v_k at m + k - 1, each integer coefficient (1, -1, p) is one raw value
 shared by its entries, and the p entries vanish, and are left out, at
 N = 1.  direct_sum shifts its summands' lines by their offsets, and the
-deformation family fills a per-n template (see deformation_display).
+deformation family fills a per-n template (see deformation_display),
+which a sweep reads as lanes, one per point, with no display
+(_template_lanes).
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from ._linalg import ops_for
-from .fcrystal import MAX_SPEC_HALF_RANK, BasisLabel, DieudonneDisplay, U, V
+from ._linalg import _LaneOps, ops_for
+from .fcrystal import (MAX_SPEC_HALF_RANK, BasisLabel, DieudonneDisplay, U, V,
+                       _basis_halves)
 from .wittring import FieldElement
 
 __all__ = [
@@ -306,6 +309,37 @@ def _deformation_template(ctx, n):
         if k is not None or (f := ops.scale(f, ops.one)) != ops.zero:
             cols[idx[a]].append((idx[b], f, k))
     return labels, tuple(tuple(sorted(col)) for col in cols), jrows
+
+
+def _template_lanes(ctx, n, rows):
+    """(lops, X, Y) of the deformation displays at the points with the
+    parameter codes rows (DeformationPoint.from_ints(ctx, n, ints) for
+    ints in rows), read as lanes without building them: lops is the
+    _LaneOps of one lane per point that fcrystal._lane_pairs makes for
+    those displays, and X and Y are the packed sparse lane columns it
+    reads off them, lops.packed of fcrystal._lane_columns on each half of
+    the basis.
+
+    Each distinct code is lifted once, and each slot of the template is
+    filled in one pass across the lanes: a constant is the same in every
+    lane, and f [s_k] is f times the lane of the lifts of s_k.  An entry
+    is left out only where it vanishes in every lane, as _lane_columns
+    leaves it out: a constant never does, f [s_k] does where s_k is 0 in
+    every lane or f is 0 mod p^N (p at N = 1).  The template's rows
+    ascend, and so do their positions within a family, so each column
+    keeps the order _lane_columns sorts into."""
+    labels, slots, _ = _deformation_template(ctx, n)
+    ops = ops_for(ctx)
+    lops = _LaneOps(ops, len(rows), len(labels))
+    pack, scale, width = lops.pack, lops.scale, lops.width
+    lift = {k: pack(ops.unwrap(ctx.teichmuller(ctx.field_from_int(k))))
+            for k in set().union(*rows)}
+    lifts = [tuple([lift[k] for k in codes]) for codes in zip(*rows)]
+    x, y = ([[(pos[i], e) for i, f, k in slots[j]
+              if any(e := (pack(f),) * width if k is None
+                     else scale(f, lifts[k]))]
+             for j in idx] for idx, pos in _basis_halves(labels))
+    return lops, x, y
 
 
 def _parameter_indices(n):

@@ -27,7 +27,8 @@ Phi = A * sigma(A) * ... * sigma^(d-1)(A), divided by d, at the working
 precision N, and certified there: _linalg.lane_slope_pairs states the
 certificate, reads the polygon block by block and forms no polynomial
 product.  newton_slopes_batch reads many displays at once, as lanes, and
-newton_slopes is its one-lane case.
+newton_slopes is its one-lane case; a sweep fills the same lanes straight
+from the deformation template, with no display (_graded_lane_pairs).
 
 The prime is inert in L, so F swaps the u- and v-families.  When F is
 graded that way (every nonzero entry joins the two families, and both
@@ -635,22 +636,28 @@ def newton_slopes(display):
             polygon = newton_slopes_batch([display])[0]
         else:
             lanes = [(_lane_pairs([part])[0], count) for part, count in parts]
-            polygon = _certified(
-                display, [(s, count * m) for (pairs, _), count in lanes
-                          for s, m in pairs],
-                sum(count * term for (_, term), count in lanes))
+            [polygon] = _lane_polygons([(
+                [(s, count * m) for (pairs, _), count in lanes
+                 for s, m in pairs],
+                sum(count * term for (_, term), count in lanes))],
+                display.ctx.N)
         if polygon is None:
             raise PrecisionError(
                 f"insufficient precision: hull vertex at degree 0 has "
                 f"valuation >= {display.ctx.N}")
+        display._cache["slopes"] = polygon
     return polygon
 
 
 def newton_slopes_batch(displays):
     """The Newton polygons of a list of displays that share one context
-    and one basis (the points of a sweep): one NewtonPolygon per display,
-    or None for one whose polygon is not certified at N, and [] for no
-    display; ValueError when the displays do not share them.
+    and one basis: one NewtonPolygon per display, or None for one whose
+    polygon is not certified at N, and [] for no display; ValueError when
+    the displays do not share them.  Displays whose lanes end with the
+    same block hulls share one polygon.  A sweep builds no display: it
+    fills the same lanes straight from the deformation template
+    (displayzoo._template_lanes), and this display path is the one the
+    tests compare those lanes against.
 
     The displays run as lanes (_linalg._LaneOps): one twisted product and
     one Berkowitz run per block for all of them, each lane reading its own
@@ -664,18 +671,22 @@ def newton_slopes_batch(displays):
     its display's slopes cache."""
     if not displays:
         return []
-    return [_certified(display, *lane)
-            for display, lane in zip(displays, _lane_pairs(displays))]
+    polygons = _lane_polygons(_lane_pairs(displays), displays[0].ctx.N)
+    for display, polygon in zip(displays, polygons):
+        if polygon is not None:
+            display._cache["slopes"] = polygon
+    return polygons
 
 
-def _certified(display, pairs, term):
-    """The NewtonPolygon of the pairs, stored in the display's slopes
-    cache, when the certificate term of _linalg.lane_slope_pairs lies
-    below N; None otherwise."""
-    if term >= display.ctx.N:
-        return None
-    polygon = display._cache["slopes"] = NewtonPolygon(pairs)
-    return polygon
+def _lane_polygons(lanes, N):
+    """The NewtonPolygon of each lane's pairs when its certificate term
+    (see _linalg.lane_slope_pairs) lies below N, None otherwise.  Lanes
+    that share one (pairs, term) object share one polygon, which is
+    immutable."""
+    distinct = {id(lane): lane for lane in lanes}
+    made = {key: NewtonPolygon(pairs)
+            for key, (pairs, term) in distinct.items() if term < N}
+    return [made.get(id(lane)) for lane in lanes]
 
 
 def _lane_pairs(displays):
@@ -697,12 +708,22 @@ def _lane_pairs(displays):
     except (KeyError, ValueError):
         whole = range(len(basis))
         cols = lops.packed(_lane_columns(displays, whole, whole))
-        srows, scale = _linalg.twisted_product(lops, cols, d), (1, 1)
-    else:
-        odd = d % 2
-        srows, scale = _linalg.twisted_product(lops, x, d << odd, y), (
-            2, 2 - odd)
-    return _linalg.lane_slope_pairs(lops, srows, d, scale)
+        return _linalg.lane_slope_pairs(
+            lops, _linalg.twisted_product(lops, cols, d), d, (1, 1))
+    return _graded_lane_pairs(lops, x, y)
+
+
+def _graded_lane_pairs(lops, x, y):
+    """_linalg.lane_slope_pairs of the lanes of a graded F with the lane
+    blocks x = X and y = Y, as sparse packed columns: the product
+    X sigma(Y) sigma^2(X) ... of 2d factors with scale (2, 1) for odd d,
+    of d factors with scale (2, 2) for even d (see newton_slopes_batch).
+    The blocks come from displays (_lane_pairs) or, in a sweep, straight
+    from the deformation template (displayzoo._template_lanes)."""
+    d = lops.d
+    odd = d % 2
+    return _linalg.lane_slope_pairs(
+        lops, _linalg.twisted_product(lops, x, d << odd, y), d, (2, 2 - odd))
 
 
 def _lane_columns(displays, idx, pos):

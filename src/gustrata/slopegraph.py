@@ -197,15 +197,13 @@ def cycles_through(graph, v, tags=None):
     return cycles
 
 
-def least_slope_cycle(cycles, v, kept_only=False):
+def least_slope_cycle(cycles, v):
     """The first cycle of least slope among ``cycles`` (the cycles through
-    v), or among the kept ones; slopes are compared by cross-multiplying.
-    Raises RuntimeError when there is no such cycle."""
+    v); slopes are compared by cross-multiplying.  Raises RuntimeError
+    when there is no cycle."""
     best = None
     for c in cycles:
-        if (c.kept or not kept_only) and (
-                best is None
-                or c.weight * best.length < best.weight * c.length):
+        if best is None or c.weight * best.length < best.weight * c.length:
             best = c
     if best is None:
         raise RuntimeError(

@@ -27,9 +27,14 @@ A sweep is one stream in three parts:
 
 Every point of a sweep shares one context, one template and one basis, so
 the stream reads polygons in lanes: it takes the points CHUNK (64) at a
-time and runs one twisted product and one Berkowitz run per block for the
-whole chunk (fcrystal.newton_slopes_batch), each lane reading exactly the
-polygon newton_slopes reads for its point.
+time, fills the lane blocks X and Y straight from the template and the
+points' Teichmuller lifts (displayzoo._template_lanes), and runs one
+twisted product and one Berkowitz run per block for the whole chunk,
+each lane reading exactly the polygon newton_slopes reads for its point
+(fcrystal.newton_slopes_batch reads the same lanes off built displays).
+Lanes with the same block hulls share one NewtonPolygon.  No display is
+built for a point certified at N; a retried point builds its display at
+2N, and PointRecord.display builds one when it is read.
 
 The slope graph stage runs once per sweep and precision, on the template
 (_CycleTable).  Every F entry of the template is a constant or an integer
@@ -63,13 +68,13 @@ from typing import NamedTuple
 from ._version import __version__
 from ._linalg import ops_for
 from .displayzoo import (DeformationPoint, _deformation_template,
-                         deformation_display)
-from .fcrystal import (DieudonneDisplay, NewtonPolygon, PrecisionError, U,
-                       newton_slopes, newton_slopes_batch)
+                         _template_lanes, deformation_display)
+from .fcrystal import (NewtonPolygon, PrecisionError, U, _graded_lane_pairs,
+                       _lane_polygons, newton_slopes)
 from .slopegraph import (EXTRA, SlopeGraph, cycles_through,
                          karp_min_cycle_mean, settle_potentials)
-from .wittring import (_check_capacity, _check_params, default_precision,
-                       make_context)
+from .wittring import (RingContext, _check_capacity, _check_params,
+                       default_precision, make_context)
 
 __all__ = [
     "StratumDescriptor", "StrataReport", "BudgetError", "lambda_min",
@@ -328,18 +333,26 @@ def _enumerate_points(n, q_res, mode, count, seed):
 class PointRecord(NamedTuple):
     """What one sweep point contributes to its report.
 
-    display and polygon are those at 2N when the point was retried, and
-    polygon is None when it is certified at neither N nor 2N.  min_cycle
-    is the least slope of the cycles through u_1, or None without a polygon
-    or without such a cycle.  entries are the (report list, entry) pairs
-    the point adds to the report's lists."""
+    ctx and polygon are the sweep's context and the point's polygon
+    there, or those at 2N when the point was retried, and polygon is None
+    when it is certified at neither N nor 2N.  min_cycle is the least
+    slope of the cycles through u_1, or None without a polygon or without
+    such a cycle.  entries are the (report list, entry) pairs the point
+    adds to the report's lists."""
     ints: tuple
     point: DeformationPoint
-    display: DieudonneDisplay
+    ctx: RingContext
     polygon: NewtonPolygon | None
     retried: bool
     min_cycle: Fraction | None
     entries: tuple
+
+    @property
+    def display(self):
+        """The point's display at ctx, built afresh at each read: a sweep
+        reads its polygons from the template's lanes and keeps no
+        display."""
+        return deformation_display(self.ctx, self.point)
 
 
 def sweep(n, p, d, mode="exhaustive", count=None, seed=None, budget=None,
@@ -372,14 +385,16 @@ def sweep(n, p, d, mode="exhaustive", count=None, seed=None, budget=None,
 def _records(ctx, n, points):
     """The PointRecord of each parameter vector drawn from the iterator
     points, in order.  The points are taken CHUNK at a time and each
-    chunk's polygons at N are read as lanes, in one twisted product and one
-    Berkowitz run per block (fcrystal.newton_slopes_batch); every point
-    reads its cycles off one _CycleTable."""
+    chunk's polygons at N are read as lanes filled straight from the
+    deformation template (displayzoo._template_lanes), in one twisted
+    product and one Berkowitz run per block, with one NewtonPolygon per
+    distinct hull (fcrystal._lane_polygons); no display is built.  Every
+    point reads its cycles off one _CycleTable."""
     table = _CycleTable(ctx, n)
     while chunk := list(itertools.islice(points, CHUNK)):
         pts = [DeformationPoint.from_ints(ctx, n, ints) for ints in chunk]
-        displays = [deformation_display(ctx, pt) for pt in pts]
-        for args in zip(chunk, pts, displays, newton_slopes_batch(displays)):
+        lanes = _graded_lane_pairs(*_template_lanes(ctx, n, chunk))
+        for args in zip(chunk, pts, _lane_polygons(lanes, ctx.N)):
             yield evaluate_point(table, *args)
 
 
@@ -468,10 +483,11 @@ def _point_doc(point, ints):
     return {f"s{i}": v for i, v in zip(point.indices, ints)}
 
 
-def evaluate_point(table, ints, point, display, polygon):
+def evaluate_point(table, ints, point, polygon):
     """The PointRecord of one point, given the sweep's _CycleTable at its
-    context, of precision N, the point's display there and its polygon
-    (None when not certified at N, and then the point retries at 2N).
+    context, of precision N, and the point's polygon there (None when not
+    certified at N, and then the point retries at 2N, the one place a
+    sweep builds the point's display).
 
     Checks that the least Newton slope exceeds no cycle slope through u_1
     (lemma), and records without failing where it differs from the least
@@ -481,17 +497,16 @@ def evaluate_point(table, ints, point, display, polygon):
     retried = polygon is None
     if retried:
         table = table.doubled
-        display = deformation_display(table.ctx, point)
         try:
-            polygon = newton_slopes(display)
+            polygon = newton_slopes(deformation_display(table.ctx, point))
         except PrecisionError as exc:
-            return PointRecord(ints, point, display, None, True, None, (
+            return PointRecord(ints, point, table.ctx, None, True, None, (
                 ("precision_failures", {"point": _point_doc(point, ints),
                                         "error": str(exc)}),))
     zero = _zero_bits(ints)
     full = table.least(zero)
     if full is None:
-        return PointRecord(ints, point, display, polygon, retried, None, (
+        return PointRecord(ints, point, table.ctx, polygon, retried, None, (
             ("lemma_violations", {"point": _point_doc(point, ints),
                                   "error": "no cycles through u1"}),))
     entries = []
@@ -532,7 +547,7 @@ def evaluate_point(table, ints, point, display, polygon):
             "full": _frac_str(full.slope),
             "without_extra_black_edges": _frac_str(reduced.slope),
         }))
-    return PointRecord(ints, point, display, polygon, retried, full.slope,
+    return PointRecord(ints, point, table.ctx, polygon, retried, full.slope,
                        tuple(entries))
 
 

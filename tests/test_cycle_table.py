@@ -56,7 +56,7 @@ def _check_points(table, n, base_ctx):
             (full.path, full.weight)
         kept = table.least(zero | EXTRA)
         if any(c.kept for c in cycles):
-            reduced = least_slope_cycle(cycles, U1, kept_only=True)
+            reduced = least_slope_cycle([c for c in cycles if c.kept], U1)
             assert (kept.path, kept.weight) == (reduced.path, reduced.weight)
         else:
             # only at 2N over a base set at N = 1

@@ -7,7 +7,11 @@ at the largest number of products the packed slots are sized for;
 lane_slope_pairs must read each lane's certified polygon (or its failure)
 as the oracles do on the lane's own matrix, a batch must read each
 display's polygon, graded or not, and a sweep's polygons, read in lanes,
-must equal newton_slopes of freshly built displays.
+must equal newton_slopes of freshly built displays.  A sweep fills its
+lanes from the deformation template without building displays: the lane
+blocks and each lane's (pairs, term) must be those newton_slopes_batch
+reads off fresh displays, lanes with equal block hulls must share one
+polygon, and a display is built only for a point retried at 2N.
 """
 import itertools
 import random
@@ -16,13 +20,16 @@ from fractions import Fraction
 import pytest
 
 from gustrata import (DeformationPoint, DieudonneDisplay, NewtonPolygon,
-                      PrecisionError, deformation_display,
+                      PrecisionError, default_precision, deformation_display,
                       make_context, module_M, newton_slopes,
-                      parse_module_spec)
-from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
-                              lane_slope_pairs, ops_for, poly_mul,
-                              sparse_transpose, twisted_product)
-from gustrata.fcrystal import U, newton_slopes_batch
+                      parse_module_spec, strata)
+from gustrata._linalg import (_berkowitz, _blocks, _LaneOps, _restrict,
+                              lane_slope_pairs, lower_hull, ops_for,
+                              poly_mul, sparse_transpose, twisted_product)
+from gustrata.displayzoo import _template_lanes
+from gustrata.fcrystal import (U, _basis_halves, _graded_lane_pairs,
+                               _lane_columns, _lane_pairs, _lane_polygons,
+                               newton_slopes_batch)
 from gustrata.strata import CHUNK, _enumerate_points
 
 from _oracles import (blowup_slope_pairs, certified_slope_pairs_oracle,
@@ -62,6 +69,16 @@ def lane_of(sparse, lane, zero):
     """Sparse rows (or columns) of one lane of a lane matrix."""
     return [[(j, e[lane]) for j, e in line if e[lane] != zero]
             for line in sparse]
+
+
+def edge_lanes(rng, ops, d, width):
+    """width raw scalars, each the zero with probability 0.2, else with
+    coordinates drawn from 0, q - 1 and random ones (q - 1 at d = 1)."""
+    q = ops.q
+    return [ops.zero if rng.random() < 0.2 else
+            (q - 1 if d == 1 else tuple(
+                rng.choice((0, q - 1, rng.randrange(q))) for _ in range(d)))
+            for _ in range(width)]
 
 
 def as_dicts(sparse):
@@ -147,18 +164,26 @@ class TestKernelParity:
                                     [c[lane] for c in b], terms)
                     assert [c[lane] for c in got] == want
 
+    def test_scale(self, p, d, width):
+        """scale by integers of either sign, below and above p^N, on lanes
+        with zero coordinates, zero lanes and the coordinate q - 1."""
+        ops, rng = self.setup(p, d, width)
+        lops = _LaneOps(ops, width, 4)
+        q = ops.q
+        for _ in range(20):
+            lanes = edge_lanes(rng, ops, d, width)
+            value = tuple(map(lops.pack, lanes))
+            for k in (0, 1, -1, p, -p, q - 1, q + 2, -rng.randrange(q * q)):
+                assert tuple(map(lops.unpack, lops.scale(k, value))) == \
+                    tuple(ops.scale(k, x) for x in lanes)
+
     def test_neg_and_frob(self, p, d, width):
         """neg and every power of frob on lanes with zero coordinates,
         zero lanes and the coordinate q - 1."""
         ops, rng = self.setup(p, d, width)
         lops = _LaneOps(ops, width, 4)
-        q = ops.q
         for _ in range(20):
-            lanes = [ops.zero if rng.random() < 0.2 else
-                     (q - 1 if d == 1 else tuple(
-                         rng.choice((0, q - 1, rng.randrange(q)))
-                         for _ in range(d)))
-                     for _ in range(width)]
+            lanes = edge_lanes(rng, ops, d, width)
             value = tuple(map(lops.pack, lanes))
             assert tuple(map(lops.unpack, value)) == tuple(lanes)
             assert tuple(map(lops.unpack, lops.neg(value))) == tuple(
@@ -351,8 +376,125 @@ def test_sweep_polygons_equal_fresh_displays(n, p, d):
     rep, records = report_and_records(n, p, d)
     assert rep.points == (p ** d) ** (n - 1) == len(records)
     for rec in records:
-        fresh = deformation_display(rec.display.ctx, rec.point)
+        fresh = deformation_display(rec.ctx, rec.point)
         assert newton_slopes(fresh) == rec.polygon, rec.ints
+
+
+def check_template_chunk(ctx, n, chunk):
+    """The template's lanes for the parameter codes chunk are the lanes
+    of the fresh displays at those points: the same lane ops, blocks X and
+    Y equal to lops.packed(_lane_columns(displays)), and each lane's
+    (pairs, term) and polygon what newton_slopes_batch reads.  Returns the
+    number of entries the blocks hold."""
+    displays = [deformation_display(
+        ctx, DeformationPoint.from_ints(ctx, n, ints)) for ints in chunk]
+    lops, x, y = _template_lanes(ctx, n, chunk)
+    assert (lops.width, lops.d) == (len(chunk), ctx.d)
+    assert [x, y] == [lops.packed(_lane_columns(displays, idx, pos))
+                      for idx, pos in _basis_halves(displays[0].basis)]
+    lanes = _graded_lane_pairs(lops, x, y)
+    assert lanes == _lane_pairs(displays)
+    assert _lane_polygons(lanes, ctx.N) == newton_slopes_batch(displays)
+    return sum(len(col) for col in x + y)
+
+
+TEMPLATE_SWEEPS = ([(n, p, 1) for n in range(3, 8) for p in (2, 3)]
+                   + [(4, 3, 2), (3, 3, 3)])
+
+
+@pytest.mark.parametrize("n,p,d", TEMPLATE_SWEEPS)
+def test_template_lanes_are_the_displays_lanes(n, p, d):
+    """Every chunk of an exhaustive sweep, at the sweep's precision and
+    at precision 1, where the template's p entries vanish in every lane
+    and are left out.  The first chunk of each exhaustive sweep holds the
+    zero point, whose blocks hold only the constant entries."""
+    for nprec in (default_precision(n, d), 1):
+        ctx = make_context(p, d, nprec)
+        points = list(_enumerate_points(n, p ** d, "exhaustive", None, None))
+        sizes = [check_template_chunk(ctx, n, points[k:k + CHUNK])
+                 for k in range(0, len(points), CHUNK)]
+        assert check_template_chunk(ctx, n, [points[0]]) < min(sizes)
+        if nprec == 1:
+            # every entry of Y but F u_1 = -v_m is a p entry
+            y = _template_lanes(ctx, n, points)[2]
+            assert [len(col) for col in y] == [1] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("n,p,d", [(8, 3, 1), (7, 2, 1), (5, 3, 2)])
+def test_template_lanes_drop_a_parameter_zero_in_every_lane(n, p, d):
+    """Random chunks in which one parameter is 0 in every lane: its
+    entries vanish in every lane and are left out, as the displays' lanes
+    leave them out, and the blocks hold fewer entries than with it."""
+    ctx = make_context(p, d, default_precision(n, d))
+    rng = random.Random(f"{n} {p} {d}")
+    q = p ** d
+    for k in range(n - 1):
+        chunk = [tuple(0 if t == k else rng.randrange(1, q)
+                       for t in range(n - 1)) for _ in range(9)]
+        with_k = [ints[:k] + (1,) + ints[k + 1:] for ints in chunk]
+        assert check_template_chunk(ctx, n, chunk) < \
+            check_template_chunk(ctx, n, with_k)
+
+
+def lane_hulls(ctx, n, chunk):
+    """Each lane's tuple of block hulls, read from the template's lanes
+    by the kernels lane_slope_pairs runs."""
+    lops, x, y = _template_lanes(ctx, n, chunk)
+    odd = ctx.d % 2
+    srows = twisted_product(lops, x, ctx.d << odd, y)
+    polys = [_berkowitz(lops, _restrict(srows, block))
+             for block in _blocks(srows)]
+    return [tuple(tuple(lower_hull(list(enumerate(
+        [lops.val(c[lane]) for c in reversed(poly)])))) for poly in polys)
+        for lane in range(lops.width)]
+
+
+@pytest.mark.parametrize("n,p,d,count", [(8, 3, 1, 3 * CHUNK),
+                                         (7, 2, 1, CHUNK + 5),
+                                         (5, 3, 2, CHUNK)])
+def test_lanes_with_equal_hulls_share_one_polygon(n, p, d, count):
+    """Within a chunk of a random sweep, lanes share one NewtonPolygon
+    object exactly when their block hulls are equal; distinct hull tuples
+    give distinct objects, so a chunk makes one polygon per distinct hull
+    tuple."""
+    rep, records = report_and_records(n, p, d, mode="random", count=count,
+                                      seed=27)
+    assert rep.precision_retries == 0
+    ctx = records[0].ctx
+    shared = 0
+    for k in range(0, count, CHUNK):
+        chunk = records[k:k + CHUNK]
+        hulls = lane_hulls(ctx, n, [rec.ints for rec in chunk])
+        objects = {}
+        for rec, hull in zip(chunk, hulls):
+            assert objects.setdefault(hull, rec.polygon) is rec.polygon
+        assert len({id(rec.polygon) for rec in chunk}) == len(objects)
+        shared += len(chunk) - len(objects)
+    assert shared > 0
+
+
+@pytest.mark.parametrize("precision,retried", [(None, 0), (5, 81)])
+def test_sweep_builds_a_display_only_for_a_retried_point(
+        monkeypatch, precision, retried):
+    """A spy on deformation_display counts one call per point retried at
+    2N, none for a point certified at N; the records give the context at
+    which each display is built when it is read."""
+    calls = []
+
+    def spy(ctx, point):
+        calls.append((ctx.N, point.to_ints()))
+        return deformation_display(ctx, point)
+
+    monkeypatch.setattr(strata, "deformation_display", spy)
+    rep, records = report_and_records(5, 3, 1, precision=precision)
+    assert rep.precision_retries == retried == len(calls)
+    assert calls == [(rec.ctx.N, rec.ints) for rec in records if rec.retried]
+    assert all(rec.ctx.N == rep.mode["precision"] for rec in records
+               if not rec.retried)
+    del calls[:]
+    assert records[-1].display == deformation_display(records[-1].ctx,
+                                                      records[-1].point)
+    assert len(calls) == 1
 
 
 def test_random_sweep_across_chunk_edges():
@@ -366,7 +508,7 @@ def test_random_sweep_across_chunk_edges():
         list(_enumerate_points(8, 3, "random", count, 3))
     for rec in records:
         assert rec.point.to_ints() == rec.ints
-        fresh = deformation_display(rec.display.ctx, rec.point)
+        fresh = deformation_display(rec.ctx, rec.point)
         assert newton_slopes(fresh) == rec.polygon
 
 
@@ -377,6 +519,6 @@ def test_every_point_retries_once_at_low_precision():
     assert rep.points == rep.precision_retries == len(records) == 81
     assert rep.precision_failures == []
     for rec in records:
-        assert rec.retried and rec.display.ctx.N == 10
-        assert newton_slopes(deformation_display(rec.display.ctx,
+        assert rec.retried and rec.ctx.N == 10
+        assert newton_slopes(deformation_display(rec.ctx,
                                                  rec.point)) == rec.polygon

@@ -484,7 +484,7 @@ STREAM_CASES = [
 
 
 class _Marker:
-    """A weakly referenceable stand-in for a record's display."""
+    """A weakly referenceable stand-in for a record's context."""
 
 
 class TestSweepStream:
@@ -562,8 +562,8 @@ class TestSweepStream:
                 # the reducer may still hold the record before this one,
                 # and no earlier record
                 assert all(ref() is None for ref in refs[:-1])
-                marked = rec._replace(display=_Marker())
-                refs.append(weakref.ref(marked.display))
+                marked = rec._replace(ctx=_Marker())
+                refs.append(weakref.ref(marked.ctx))
                 yield marked
 
         assert strata.reduce_records(n, mode_doc, ctx, one_shot()) == rep
