@@ -60,8 +60,16 @@ each lane's polygon from the blocks of the union support (its docstring
 shows they give the lane's own polygon and certificate); one display is
 one lane.
 
-A lane scalar is one int for every d.  At d == 1 it is the raw int mod
-p^N.  At d > 1, c_0 + c_1 x + ... + c_(d-1) x^(d-1) with coordinates
+A lane scalar is one int for every d.  At d == 1 it is a signed int in
+(-q, q), q = p^N, congruent to the raw int: pack takes r in [0, q) to
+r - q when 2r > q, unpack takes x mod q, and neg is plain negation.
+scale and smatvec reduce an output entry, every lane mod q, only when
+one of its lanes leaves (-q, q), which one max and one min across the
+lanes decide.  Every stored value stays in (-q, q), so a lane is 0
+exactly when it is 0 mod q, and entry dropping and early stopping are
+those of the reduced ints.  At p <= 3 the lifts of F_p are 0 and +-1 and
+the deformation template's constants +-1 and +-p, so small sweeps never
+reduce.  At d > 1, c_0 + c_1 x + ... + c_(d-1) x^(d-1) with coordinates
 reduced into [0, q), q = p^N, is packed as sum c_i 2^(B i), d slots of B
 bits (Kronecker substitution: von zur Gathen and Gerhard, Modern Computer
 Algebra, ch. 8), so one integer product holds the 2d - 1 coefficients of
@@ -86,7 +94,9 @@ across all lanes in list passes, one per fold and per slot (on the one
 int at width 1).  neg is the reduction of (q, ..., q) packed minus the
 value, frob the sum of slot i times the packed image of x^i under the
 power of sigma, reduced, and a lane's valuation is that of the gcd of
-its slots.
+its slots.  vals reads a lane that p does not divide as a unit, at every
+d, and any other through the gcd of q and the lane (its slots at d > 1),
+a power p^v whose v is memoized when it is first met.
 
 pivot_steps (behind adjugate_action), det_valuation and rank share one
 elimination on sparse dict rows, _eliminate, which takes at each step an
@@ -257,21 +267,24 @@ class _LaneOps:
     """Raw arithmetic on lanes: a lane value is a tuple of width scalars,
     one per matrix of a batch of matrices of at most size rows, and every
     operation acts lane by lane.  Only what twisted_product, _berkowitz and
-    poly_mul use is provided, and scale, which fills a sweep's lanes from
-    the deformation template (displayzoo._template_lanes).  A scalar is
-    the base ops' raw int at d == 1 and its packed coordinates at d >= 2
-    (see the module docstring for the packing and its slot width B);
-    pack, unpack and packed convert at the boundary.  The zero is the all-zero lane, so a kernel skips an
-    entry, or stops early, only when it vanishes in every lane, and each
-    lane gets exactly what the base ops would give for its own matrix."""
+    poly_mul use is provided, scale, which fills a sweep's lanes from the
+    deformation template (displayzoo._template_lanes), and vals, which
+    lane_slope_pairs reads.  A scalar is a signed int in (-q, q), q = p^N,
+    congruent to the base ops' raw int at d == 1, and the packed
+    coordinates at d >= 2 (see the module docstring for both); pack,
+    unpack and packed convert at the boundary.  The zero is the all-zero
+    lane, so a kernel skips an entry, or stops early, only when it
+    vanishes in every lane, and each lane gets exactly what the base ops
+    would give for its own matrix."""
 
     def __init__(self, base, width, size):
         self.base, self.width = base, width
         self.zero, self.one = (0,) * width, (1,) * width
         ctx, q, d = base.ctx, base.q, base.ctx.d
-        self.q, self.d = q, d
-        if d == 1:  # raw ints: the base valuation, sigma the identity
-            self.val, self._frob = base.val, [None]
+        self.p, self.q, self.d = ctx.p, q, d
+        self._powers = _Powers(ctx._ival)
+        if d == 1:  # signed ints, sigma the identity
+            self._frob = [None]
             return
         B = ((size * d + d - 1) * (q - 1) ** 2).bit_length()
         self._shifts, self._mask = [B * i for i in range(d)], (1 << B) - 1
@@ -283,44 +296,58 @@ class _LaneOps:
 
     def pack(self, raw):
         """One lane's scalar from the base ops' raw scalar."""
-        return raw if self.d == 1 else sum(map(_lshift, raw, self._shifts))
+        if self.d == 1:
+            return raw - self.q if 2 * raw > self.q else raw
+        return sum(map(_lshift, raw, self._shifts))
 
     def unpack(self, x):
-        """The base ops' raw scalar of one lane's reduced scalar."""
+        """The base ops' raw scalar of one lane's scalar."""
         if self.d == 1:
-            return x
+            return x % self.q
         mask = self._mask
         return tuple([x >> s & mask for s in self._shifts])
 
     def packed(self, lines):
         """Sparse lines (rows or columns) of lane values whose lanes hold the
-        base ops' raw scalars, with each lane packed; unchanged at d == 1."""
+        base ops' raw scalars, with each lane packed."""
         if self.d == 1:
-            return lines
+            q = self.q
+            return [[(i, tuple([x - q if 2 * x > q else x for x in e]))
+                     for i, e in line] for line in lines]
         shifts = self._shifts
         return [[(i, tuple([sum(map(_lshift, x, shifts)) for x in e]))
                  for i, e in line] for line in lines]
 
-    def val(self, x):
-        """The valuation of one lane's scalar, that of its slots' gcd."""
-        mask = self._mask
-        return self.base.ctx._ival(gcd(*[x >> s & mask for s in self._shifts]))
+    def vals(self, a):
+        """The valuation of each lane of the lane value a, capped at N.  A
+        lane that p does not divide is a unit: at d >= 2 some slot is
+        prime to p.  Any other lane's valuation is that of g = p^v, the
+        gcd of q and the lane (of its slots at d >= 2), read from _Powers."""
+        p, q, powers = self.p, self.q, self._powers
+        if self.d == 1:
+            return [powers[gcd(x, q)] if not x % p else 0 for x in a]
+        mask, shifts = self._mask, self._shifts
+        return [powers[gcd(q, *[x >> s & mask for s in shifts])]
+                if not x % p else 0 for x in a]
 
     def neg(self, a):
         if self.d == 1:
-            q = self.q
-            return tuple([(-x) % q for x in a])
+            return tuple([-x for x in a])
         qpack = self._qpack
         return self._reduce([qpack - x for x in a], ())
 
     def scale(self, k, a):
-        """k * a lane by lane for an integer k, as the base ops' scale: a
-        slot times k mod p^N is at most (q - 1)^2 and carries into no
-        other, so one product per lane and the slots' reduction give it."""
-        k %= self.q
+        """k * a lane by lane for an integer k, as the base ops' scale.  At
+        d == 1, k is taken into (-q/2, q/2] and a lane is reduced only when
+        it leaves (-q, q).  At d >= 2 a slot times k mod p^N is at most
+        (q - 1)^2 and carries into no other, so one product per lane and
+        the slots' reduction give it."""
+        q = self.q
+        k %= q
         if self.d == 1:
-            q = self.q
-            return tuple([k * x % q for x in a])
+            if 2 * k > q:
+                k -= q
+            return self._signed([k * x for x in a])
         return self._reduce([k * x for x in a], ())
 
     def frob(self, a, power=1):
@@ -332,6 +359,17 @@ class _LaneOps:
         for s, r in zip(self._shifts[1:], rows[1:]):
             out = [o + (x >> s & mask) * r for o, x in zip(out, a)]
         return self._reduce(out, ())
+
+    def _signed(self, s):
+        """The signed lane values s (d == 1) as a tuple, every lane taken
+        mod q when one of them lies outside (-q, q)."""
+        q = self.q
+        if self.width == 1:
+            (x,) = s
+            return (x,) if -q < x < q else (x % q,)
+        if max(s) < q and min(s) > -q:
+            return tuple(s)
+        return tuple([x % q for x in s])
 
     def _reduce(self, s, folds):
         """The lane values s, packed but unreduced, reduced (d >= 2): each
@@ -354,8 +392,9 @@ class _LaneOps:
 
     def smatvec(self, cols, w):
         """M * w lane by lane: each output entry sums its products in every
-        lane, one integer product per lane, and reduces once; entries that
-        vanish in every lane are dropped."""
+        lane, one integer product per lane, and is reduced at most once (at
+        d == 1 only when a lane leaves (-q, q)); entries that vanish in
+        every lane are dropped."""
         acc = {}
         get = acc.get
         for j, b in w.items():
@@ -365,12 +404,27 @@ class _LaneOps:
                           else list(map(_add, s, map(_mul, a, b))))
         zero = self.zero
         if self.d == 1:
-            q = self.q
+            signed = self._signed
             return {i: e for i, s in acc.items()
-                    if (e := tuple([x % q for x in s])) != zero}
+                    if (e := signed(s)) != zero}
         reduce, folds = self._reduce, self._folds
         return {i: e for i, s in acc.items()
                 if (e := reduce(s, folds)) != zero}
+
+
+class _Powers(dict):
+    """Valuations by power of p: the key p^v, v at most N, gives v, read
+    by the valuation val (which caps at N) when it is first asked for.
+    Only the powers met are held: a table of all N + 1 of them would hold
+    about N^2 log2(p) / 2 bits."""
+
+    def __init__(self, val):
+        super().__init__()
+        self._val = val
+
+    def __missing__(self, g):
+        v = self[g] = self._val(g)
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -781,24 +835,31 @@ def lane_slope_pairs(lops, srows, twist, scale):
     the product of theirs, its polygon the union of theirs, and its val c_0
     min(N, the sum of theirs), which decides the certificate as they do (a
     capped term already fails it); NewtonPolygon merges repeated pairs.
-    Lanes whose blocks have the same hulls share one (pairs, term)."""
-    val = lops.val
+    Valuations are read coefficient by coefficient across all lanes
+    (lops.vals), the hulls once per distinct tuple of a lane's valuation
+    rows, and lanes whose blocks have the same hulls share one
+    (pairs, term)."""
+    vals = lops.vals
     sx, sy = scale
-    polys = [list(zip(*_berkowitz(lops, _restrict(srows, block))))
-             for block in _blocks(srows)]
-    out, shared = [], {}
-    for lane in range(lops.width):
-        hulls = tuple([tuple(lower_hull(list(enumerate(
-            [val(c) for c in reversed(poly[lane])])))) for poly in polys])
-        got = shared.get(hulls)
+    # per block, each lane's valuations of its coefficients, low degree first
+    rows = [list(zip(*map(vals, reversed(_berkowitz(
+        lops, _restrict(srows, block)))))) for block in _blocks(srows)]
+    out, by_rows, shared = [], {}, {}
+    for lane_rows in zip(*rows) if rows else [()] * lops.width:
+        got = by_rows.get(lane_rows)
         if got is None:
-            # a hull starts at (0, val c_0) of its block
-            got = shared[hulls] = (
-                [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
-                  sx * (i2 - i1))
-                 for hull in hulls
-                 for (i1, v1), (i2, v2) in zip(hull, hull[1:])],
-                sy * sum(hull[0][1] for hull in hulls))
+            hulls = tuple([tuple(lower_hull(list(enumerate(row))))
+                           for row in lane_rows])
+            got = shared.get(hulls)
+            if got is None:
+                # a hull starts at (0, val c_0) of its block
+                got = shared[hulls] = (
+                    [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
+                      sx * (i2 - i1))
+                     for hull in hulls
+                     for (i1, v1), (i2, v2) in zip(hull, hull[1:])],
+                    sy * sum(hull[0][1] for hull in hulls))
+            by_rows[lane_rows] = got
         out.append(got)
     return out
 

@@ -32,9 +32,11 @@ points' Teichmuller lifts (displayzoo._template_lanes), and runs one
 twisted product and one Berkowitz run per block for the whole chunk,
 each lane reading exactly the polygon newton_slopes reads for its point
 (fcrystal.newton_slopes_batch reads the same lanes off built displays).
-Lanes with the same block hulls share one NewtonPolygon.  No display is
-built for a point certified at N; a retried point builds its display at
-2N, and PointRecord.display builds one when it is read.
+Lanes with the same block hulls share one NewtonPolygon.  A record holds
+the point's parameter codes, not the point: no point or display is built
+for a point certified at N, a retried point builds both at 2N, and
+PointRecord.point and PointRecord.display build them when they are read.
+reduce_records reads the predicted stratum off the codes.
 
 The slope graph stage runs once per sweep and precision, on the template
 (_CycleTable).  Every F entry of the template is a constant or an integer
@@ -63,12 +65,14 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from ._version import __version__
 from ._linalg import ops_for
 from .displayzoo import (DeformationPoint, _deformation_template,
-                         _template_lanes, deformation_display)
+                         _parameter_indices, _template_lanes,
+                         deformation_display)
 from .fcrystal import (NewtonPolygon, PrecisionError, U, _graded_lane_pairs,
                        _lane_polygons, newton_slopes)
 from .slopegraph import (EXTRA, SlopeGraph, cycles_through,
@@ -218,9 +222,13 @@ def predicted_stratum(point):
     rule calibrated against brute-force slope computations at n = 4 and
     n = 6 and frozen; the table ships in calibration/ in the repo.
     """
-    values = point.values
-    j = max((k for t, k in _predictors(point.indices) if values[t]),
-            default=0)
+    return _predicted(point.indices, point.values)
+
+
+def _predicted(indices, values):
+    """predicted_stratum of the parameters values at indices: field
+    elements, or their integer codes, which vanish exactly when they do."""
+    j = max((k for t, k in _predictors(indices) if values[t]), default=0)
     return f"xi_{2 * j}" if j else "sigma"
 
 
@@ -327,25 +335,34 @@ def _enumerate_points(n, q_res, mode, count, seed):
     else:
         rng = random.Random(seed)
         for _ in range(count):
-            yield tuple(rng.randrange(q_res) for _ in range(width))
+            yield tuple([rng.randrange(q_res) for _ in range(width)])
 
 
 class PointRecord(NamedTuple):
     """What one sweep point contributes to its report.
 
-    ctx and polygon are the sweep's context and the point's polygon
-    there, or those at 2N when the point was retried, and polygon is None
-    when it is certified at neither N nor 2N.  min_cycle is the least
-    slope of the cycles through u_1, or None without a polygon or without
-    such a cycle.  entries are the (report list, entry) pairs the point
-    adds to the report's lists."""
+    ints are the point's parameter codes (the integers field_from_int
+    reads), in the order of its parameter indices.  ctx and polygon are
+    the sweep's context and the point's polygon there, or those at 2N
+    when the point was retried, and polygon is None when it is certified
+    at neither N nor 2N.  min_cycle is the least slope of the cycles
+    through u_1, or None without a polygon or without such a cycle.
+    entries are the (report list, entry) pairs the point adds to the
+    report's lists.  A record holds codes, not points: point and display
+    are built from them at ctx when they are read."""
     ints: tuple
-    point: DeformationPoint
     ctx: RingContext
     polygon: NewtonPolygon | None
     retried: bool
     min_cycle: Fraction | None
     entries: tuple
+
+    @property
+    def point(self):
+        """The point's DeformationPoint at ctx, built afresh at each
+        read."""
+        return DeformationPoint.from_ints(self.ctx, len(self.ints) + 1,
+                                          self.ints)
 
     @property
     def display(self):
@@ -388,13 +405,12 @@ def _records(ctx, n, points):
     chunk's polygons at N are read as lanes filled straight from the
     deformation template (displayzoo._template_lanes), in one twisted
     product and one Berkowitz run per block, with one NewtonPolygon per
-    distinct hull (fcrystal._lane_polygons); no display is built.  Every
-    point reads its cycles off one _CycleTable."""
+    distinct hull (fcrystal._lane_polygons); no point or display is
+    built.  Every point reads its cycles off one _CycleTable."""
     table = _CycleTable(ctx, n)
     while chunk := list(itertools.islice(points, CHUNK)):
-        pts = [DeformationPoint.from_ints(ctx, n, ints) for ints in chunk]
         lanes = _graded_lane_pairs(*_template_lanes(ctx, n, chunk))
-        for args in zip(chunk, pts, _lane_polygons(lanes, ctx.N)):
+        for args in zip(chunk, _lane_polygons(lanes, ctx.N)):
             yield evaluate_point(table, *args)
 
 
@@ -422,15 +438,17 @@ def _template_graph(ctx, n):
 
 def _zero_bits(ints):
     """The tag bits (see _template_graph) of a point's zero parameters."""
-    return sum(2 << k for k, v in enumerate(ints) if not v)
+    return sum([2 << k for k, v in enumerate(ints) if not v])
 
 
 class _CycleTable:
     """The slope-graph stage of a sweep at one precision, shared by its
     points: the template's cycles through u_1 in enumeration order
-    (cycles), the same sorted by slope (by_slope, ties in enumeration
-    order), and whether one settle decides the certificate for every point
-    (settled).
+    (cycles), the same as (mask, cycle, slope) sorted by slope (by_slope,
+    ties in enumeration order), and whether one settle decides the
+    certificate for every point (settled).  The least cycle and its slope
+    are memoized per skip mask (least_slope), so points with one zero
+    pattern scan by_slope once and build no Fraction.
 
     A cycle's mask holds the bits of the parameters its edges use, and
     EXTRA when it uses an extra black edge: an edge of positive weight
@@ -450,13 +468,15 @@ class _CycleTable:
         self.labels, self.succ, self.tags = labels, succ, tags
         self.cycles = cycles_through(
             SlopeGraph._from_successors(labels, succ), _U1, tags)
-        self.by_slope = sorted(self.cycles, key=lambda c: c.slope)
+        self.by_slope = sorted([(c.mask, c, c.slope) for c in self.cycles],
+                               key=itemgetter(2))
         self.settled = False
+        self._least = {}
         if self.cycles:
             # the template's graph without the edges leaving u_1
             off = list(succ)
             off[labels.index(_U1)] = []
-            top = self.by_slope[-1]
+            top = self.by_slope[-1][1]
             self.settled = settle_potentials(
                 SlopeGraph._from_successors(labels, off),
                 top.weight, top.length) is not None
@@ -468,7 +488,16 @@ class _CycleTable:
 
     def least(self, skip):
         """The first cycle of least slope whose mask avoids skip, or None."""
-        return next((c for c in self.by_slope if not c.mask & skip), None)
+        return self.least_slope(skip)[0]
+
+    def least_slope(self, skip):
+        """(least(skip), its slope), or (None, None), memoized per skip."""
+        got = self._least.get(skip)
+        if got is None:
+            got = self._least[skip] = next(
+                ((c, slope) for mask, c, slope in self.by_slope
+                 if not mask & skip), (None, None))
+        return got
 
     def graph(self, zero):
         """The slope graph of a point whose zero parameters have the bits
@@ -478,36 +507,39 @@ class _CycleTable:
             for row, trow in zip(self.succ, self.tags)])
 
 
-def _point_doc(point, ints):
+def _point_doc(n, ints):
     """A point's parameters as report entries name them, {"s<i>": value}."""
-    return {f"s{i}": v for i, v in zip(point.indices, ints)}
+    return {f"s{i}": v for i, v in zip(_parameter_indices(n), ints)}
 
 
-def evaluate_point(table, ints, point, polygon):
-    """The PointRecord of one point, given the sweep's _CycleTable at its
-    context, of precision N, and the point's polygon there (None when not
-    certified at N, and then the point retries at 2N, the one place a
-    sweep builds the point's display).
+def evaluate_point(table, ints, polygon):
+    """The PointRecord of the point with the parameter codes ints, given
+    the sweep's _CycleTable at its context, of precision N, and the
+    point's polygon there (None when not certified at N, and then the
+    point retries at 2N, the one place a sweep builds the point and its
+    display).
 
     Checks that the least Newton slope exceeds no cycle slope through u_1
     (lemma), and records without failing where it differs from the least
     cycle slope (remark), where that is not the global minimum cycle mean
     (Karp), and where the extra black edges change it.  The point's cycles
     are the table's cycles whose masks avoid its zero parameters."""
+    n = table.n
     retried = polygon is None
     if retried:
         table = table.doubled
+        point = DeformationPoint.from_ints(table.ctx, n, ints)
         try:
             polygon = newton_slopes(deformation_display(table.ctx, point))
         except PrecisionError as exc:
-            return PointRecord(ints, point, table.ctx, None, True, None, (
-                ("precision_failures", {"point": _point_doc(point, ints),
+            return PointRecord(ints, table.ctx, None, True, None, (
+                ("precision_failures", {"point": _point_doc(n, ints),
                                         "error": str(exc)}),))
     zero = _zero_bits(ints)
-    full = table.least(zero)
+    full, full_slope = table.least_slope(zero)
     if full is None:
-        return PointRecord(ints, point, table.ctx, polygon, retried, None, (
-            ("lemma_violations", {"point": _point_doc(point, ints),
+        return PointRecord(ints, table.ctx, polygon, retried, None, (
+            ("lemma_violations", {"point": _point_doc(n, ints),
                                   "error": "no cycles through u1"}),))
     entries = []
     min_newton = polygon.min_slope()
@@ -516,23 +548,23 @@ def evaluate_point(table, ints, point, polygon):
         bad = next(c for c in table.cycles if not c.mask & zero
                    and num * c.length > c.weight * den)
         entries.append(("lemma_violations", {
-            "point": _point_doc(point, ints),
+            "point": _point_doc(n, ints),
             "min_newton": _frac_str(min_newton),
             "cycle": bad.to_json(),
         }))
     if num * full.length != full.weight * den:
         entries.append(("remark_violations", {
-            "point": _point_doc(point, ints),
+            "point": _point_doc(n, ints),
             "min_newton": _frac_str(min_newton),
-            "min_cycle": _frac_str(full.slope),
+            "min_cycle": _frac_str(full_slope),
         }))
     if not table.settled:
         # the point's graph holds the cycle full, so Karp finds a mean
         karp = karp_min_cycle_mean(table.graph(zero))
-        if karp != full.slope:
+        if karp != full_slope:
             entries.append(("karp_disagreements", {
-                "point": _point_doc(point, ints),
-                "min_cycle_u1": _frac_str(full.slope),
+                "point": _point_doc(n, ints),
+                "min_cycle_u1": _frac_str(full_slope),
                 "karp_global": _frac_str(karp),
             }))
     # the kept cycles are the cycles of the graph without the extra black
@@ -543,11 +575,11 @@ def evaluate_point(table, ints, point, polygon):
             f"no cycles through {_U1}: anomalous graph for a valid display")
     if reduced.weight * full.length != full.weight * reduced.length:
         entries.append(("extra_edge_effects", {
-            "point": _point_doc(point, ints),
-            "full": _frac_str(full.slope),
+            "point": _point_doc(n, ints),
+            "full": _frac_str(full_slope),
             "without_extra_black_edges": _frac_str(reduced.slope),
         }))
-    return PointRecord(ints, point, table.ctx, polygon, retried, full.slope,
+    return PointRecord(ints, table.ctx, polygon, retried, full_slope,
                        tuple(entries))
 
 
@@ -557,6 +589,10 @@ def reduce_records(n, mode_doc, ctx, records):
     the stratum counts and the agreement rate are read off the agreement
     matrix (predicted stratum -> classified stratum -> points)."""
     lists = {name: [] for name in _REPORT_LISTS}
+    indices = _parameter_indices(n)
+    # id(polygon) -> (polygon, label): lanes with equal hulls share one
+    # polygon, classified once; holding it keeps its id from being reused
+    labels = {}
     agreement = defaultdict(Counter)
     total = retries = 0
     s0_map = {} if n % 2 == 0 else None
@@ -567,8 +603,14 @@ def reduce_records(n, mode_doc, ctx, records):
             lists[name].append(entry)
         if rec.polygon is None:
             continue
-        label = classify(n, rec.polygon)
-        agreement[predicted_stratum(rec.point)][label] += 1
+        got = labels.get(id(rec.polygon))
+        if got is None:
+            if len(labels) >= CHUNK:
+                labels.clear()
+            got = labels[id(rec.polygon)] = (rec.polygon,
+                                             classify(n, rec.polygon))
+        label = got[1]
+        agreement[_predicted(indices, rec.ints)][label] += 1
         if s0_map is not None:
             s0_map.setdefault(rec.ints[1:], set()).add(label)
 

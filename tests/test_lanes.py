@@ -15,6 +15,8 @@ polygon, and a display is built only for a point retried at 2N.
 """
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -440,12 +442,13 @@ def lane_hulls(ctx, n, chunk):
     """Each lane's tuple of block hulls, read from the template's lanes
     by the kernels lane_slope_pairs runs."""
     lops, x, y = _template_lanes(ctx, n, chunk)
-    odd = ctx.d % 2
+    ops, odd = lops.base, ctx.d % 2
     srows = twisted_product(lops, x, ctx.d << odd, y)
     polys = [_berkowitz(lops, _restrict(srows, block))
              for block in _blocks(srows)]
     return [tuple(tuple(lower_hull(list(enumerate(
-        [lops.val(c[lane]) for c in reversed(poly)])))) for poly in polys)
+        [ops.val(lops.unpack(c[lane])) for c in reversed(poly)]))))
+        for poly in polys)
         for lane in range(lops.width)]
 
 
@@ -522,3 +525,265 @@ def test_every_point_retries_once_at_low_precision():
         assert rec.retried and rec.ctx.N == 10
         assert newton_slopes(deformation_display(rec.ctx,
                                                  rec.point)) == rec.polygon
+
+
+SIGNED_CASES = [pytest.param(p, width, id=f"signed-{p}-{width}")
+                for p in (2, 3, 5, 1000003) for width in (1, 5, 64)]
+
+
+def signed_edges(q):
+    """Raw scalars at the edges of the signed range: 0, 1, the two
+    residues next to q / 2, and q - 1."""
+    return (0, 1, (q - 1) // 2, (q + 1) // 2, q - 1)
+
+
+def signed_lanes(rng, q, width):
+    """width raw scalars at d == 1, half of them drawn from the edges."""
+    return [rng.choice(signed_edges(q)) if rng.random() < 0.5
+            else rng.randrange(q) for _ in range(width)]
+
+
+def signed_matrices(rng, q, r, width, density=0.5):
+    """(lane columns, per-lane columns) of width random r x r matrices at
+    d == 1 with entries from signed_lanes, on one union support."""
+    lane_cols = [[] for _ in range(r)]
+    for j in range(r):
+        for i in range(r):
+            e = tuple(signed_lanes(rng, q, width))
+            if rng.random() < density and any(e):
+                lane_cols[j].append((i, e))
+    return lane_cols, [lane_of(lane_cols, lane, 0) for lane in range(width)]
+
+
+def assert_signed(lops, values):
+    """Every lane of every value lies in (-q, q)."""
+    q = lops.q
+    assert all(-q < x < q for e in values for x in e)
+
+
+@pytest.mark.parametrize("p,width", SIGNED_CASES)
+class TestSignedLanes:
+    """At d == 1 a lane scalar is a signed int in (-q, q), q = p^N,
+    congruent to the base ops' raw int: every output of the kernels stays
+    in that range and unpacks to the base ops' value, so a lane is 0
+    exactly when it is 0 mod q and an entry is dropped exactly when every
+    lane is 0 mod q."""
+
+    @staticmethod
+    def setup(p, width):
+        ops = ops_for(make_context(p, 1, 7))
+        return ops, random.Random(f"signed {p} {width}")
+
+    def test_pack_round_trip(self, p, width):
+        ops, _ = self.setup(p, width)
+        lops, q = _LaneOps(ops, width, 4), ops.q
+        for raw in signed_edges(q):
+            x = lops.pack(raw)
+            assert -q < x < q and 2 * abs(x) <= q and lops.unpack(x) == raw
+            assert lops.packed([[(0, (raw,) * width)]]) == \
+                [[(0, (x,) * width)]]
+        assert lops.pack(q - 1) == -1 and lops.pack(q // 2 + 1) < 0
+
+    def test_neg_and_scale(self, p, width):
+        ops, rng = self.setup(p, width)
+        lops, q = _LaneOps(ops, width, 4), ops.q
+        for _ in range(20):
+            lanes = signed_lanes(rng, q, width)
+            value = tuple(map(lops.pack, lanes))
+            outs = [(lops.neg(value), [ops.neg(x) for x in lanes])]
+            for k in (0, 1, -1, p, -p, (q + 1) // 2, q - 1, q + 2,
+                      -rng.randrange(q * q)):
+                outs.append((lops.scale(k, value),
+                             [ops.scale(k, x) for x in lanes]))
+            for got, want in outs:
+                assert_signed(lops, [got])
+                assert list(map(lops.unpack, got)) == want
+
+    def test_smatvec(self, p, width):
+        ops, rng = self.setup(p, width)
+        q = ops.q
+        for r in (1, 3, 6):
+            lops = _LaneOps(ops, width, r)
+            cols, lanes = signed_matrices(rng, q, r, width)
+            for _ in range(4):
+                vec = {j: e for j in range(r)
+                       if any(e := tuple(signed_lanes(rng, q, width)))}
+                got = lops.smatvec(lops.packed(cols), {
+                    j: tuple(map(lops.pack, e)) for j, e in vec.items()})
+                assert_signed(lops, got.values())
+                assert all(any(e) for e in got.values())
+                for lane in range(width):
+                    want = ops.smatvec(lanes[lane], {
+                        j: e[lane] for j, e in vec.items() if e[lane]})
+                    assert {i: lops.unpack(e[lane]) for i, e in got.items()
+                            if e[lane]} == want
+
+    def test_twisted_product_and_berkowitz(self, p, width):
+        ops, rng = self.setup(p, width)
+        q = ops.q
+        for r in (1, 4, 7):
+            lops = _LaneOps(ops, width, r)
+            x, xs = signed_matrices(rng, q, r, width)
+            y, ys = signed_matrices(rng, q, r, width)
+            prod = twisted_product(lops, lops.packed(x), 3, lops.packed(y))
+            assert_signed(lops, [e for row in prod for _, e in row])
+            poly = _berkowitz(lops, prod)
+            assert_signed(lops, poly)
+            for lane in range(width):
+                want = twisted_product(ops, xs[lane], 3, ys[lane])
+                assert as_dicts(lane_of(unpacked(lops, prod), lane, 0)) == \
+                    as_dicts(want)
+                assert [lops.unpack(c[lane]) for c in poly] == \
+                    _berkowitz(ops, want)
+
+    def test_multiples_of_q_are_dropped(self, p, width):
+        """Sums landing exactly on q, -q, 2q, q^2 and -q^2 in every lane
+        drop the entry; with one lane off a multiple of q the entry stays,
+        its other lanes 0."""
+        ops, _ = self.setup(p, width)
+        lops, q = _LaneOps(ops, width, 3), ops.q
+        # (a_t, b_t) per column t: a lane's sum is a_0 b_0 + a_1 b_1 + a_2 b_2
+        sums = [((q - 1, 1), (1, 1), (0, 0)),
+                ((1 - q, 1), (-1, 1), (0, 0)),
+                ((q - 1, 2), (1, 2), (0, 0)),
+                ((q - 1, q - 1), (q - 1, 2), (1, 1)),
+                ((1 - q, q - 1), (1 - q, 2), (-1, 1))]
+        for shift in range(len(sums)):
+            lanes = [sums[(shift + t) % len(sums)] for t in range(width)]
+            assert all(sum(a * b for a, b in lane) % q == 0
+                       for lane in lanes)
+
+            def product(lanes):
+                cols = [[(0, tuple(lane[t][0] for lane in lanes))]
+                        for t in range(3)]
+                vec = {t: tuple(lane[t][1] for lane in lanes)
+                       for t in range(3)}
+                return lops.smatvec(cols, vec)
+
+            assert product(lanes) == {}
+            lanes[-1] = ((1, 1), (0, 0), (0, 0))
+            assert product(lanes) == {0: (0,) * (width - 1) + (1,)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_vals_are_the_base_valuations(p, d):
+    """vals reads each lane's valuation, that of the base ops on the
+    unpacked lane: on 0, on units (packed ints that p divides among them
+    at d >= 2) and on p^k u for every k < N."""
+    N = 7
+    ops = ops_for(make_context(p, d, N))
+    q, rng = ops.q, random.Random(f"vals {p} {d}")
+
+    def raw(k):
+        """A random raw scalar of valuation exactly k < N."""
+        while True:
+            coords = [rng.randrange(q) * p ** k % q for _ in range(d)]
+            value = coords[0] if d == 1 else tuple(coords)
+            if ops.val(value) == k:
+                return value
+
+    lanes = [ops.zero, ops.one] + [raw(k) for k in range(N) for _ in range(3)]
+    if d > 1:
+        lanes += [tuple(c) for c in itertools.product(range(p), repeat=d)]
+    else:
+        lanes += [q - 1, (q + 1) // 2, q - p]
+    lops = _LaneOps(ops, len(lanes), 4)
+    packed = tuple(map(lops.pack, lanes))
+    assert lops.vals(packed) == [ops.val(x) for x in lanes]
+    assert [lops.unpack(x) for x in packed] == lanes
+    if d > 1 and p > 2:
+        # some unit packs to an int that p divides, which vals reads by
+        # its slots
+        assert any(x % p == 0 and ops.val(raw) == 0
+                   for x, raw in zip(packed, lanes))
+
+
+def test_vals_hold_no_table_of_powers():
+    """At precision 5000 vals holds only the powers of p it meets, not all
+    5001 of them (about 2.5 MB at p = 3): the peak under tracemalloc of
+    building the lane ops and reading six lanes stays small."""
+    ops = ops_for(make_context(3, 1, 5000))
+    q = ops.q
+    lanes = (0, 1, q - 1, 3, 3 ** 4999, 2 * 3 ** 2500)
+    tracemalloc.start()
+    try:
+        lops = _LaneOps(ops, len(lanes), 8)
+        got = lops.vals(tuple(map(lops.pack, lanes)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [5000, 0, 0, 1, 4999, 2500]
+    assert peak < 200_000, peak
+
+
+def test_lanes_with_different_valuation_rows_share_equal_hulls():
+    """Two diagonal blocks, each the companion matrix of x^2 - a x + p^2,
+    with the valuation row (2, val a, 0): val a = 1, 2 or N sits on or
+    above the hull from (0, 2) to (2, 0) and val a = 0 does not.  Lanes
+    whose rows differ but whose hulls agree in both blocks share one
+    (pairs, term) object; a lane whose first block matches another's and
+    whose second does not gets its own."""
+    ops = ops_for(make_context(3, 1, 7))
+    p, q = ops.p, ops.q
+    firsts = (p, p * p, 0, 2 * p, 1, p)
+    seconds = (p, 0, p * p, p, p, 1)
+    width = len(firsts)
+    lops = _LaneOps(ops, width, 4)
+    b, one = (q - p * p,) * width, (1,) * width
+    srows = lops.packed([[(1, b)], [(0, one), (1, firsts)],
+                         [(3, b)], [(2, one), (3, seconds)]])
+    assert len(_blocks(srows)) == 2
+    got = lane_slope_pairs(lops, srows, 1, (1, 1))
+    assert got[0] is got[1] is got[2] is got[3]
+    assert len({id(x) for x in got}) == 3
+    assert got[0] == ([(Fraction(1), 2), (Fraction(1), 2)], 4)
+    # the unit a moves the hull of lane 4's first block and of lane 5's
+    # second: the same slopes, from different blocks
+    for lane in (4, 5):
+        pairs, term = got[lane]
+        assert (sorted(pairs), term) == ([(0, 1), (1, 2), (2, 1)], 4)
+
+
+@pytest.mark.parametrize("precision,retried", [(None, 0), (5, 81)])
+def test_sweep_builds_a_point_only_for_a_retried_point(
+        monkeypatch, precision, retried):
+    """A spy on DeformationPoint.from_ints counts one call per point
+    retried at 2N and none for a point certified at N: a record holds
+    the point's codes, and its point is built at ctx when it is read."""
+    calls = []
+    from_ints = DeformationPoint.from_ints.__func__
+
+    def spy(cls, ctx, n, ints):
+        calls.append((ctx.N, ints))
+        return from_ints(cls, ctx, n, ints)
+
+    monkeypatch.setattr(DeformationPoint, "from_ints", classmethod(spy))
+    rep, records = report_and_records(5, 3, 1, precision=precision)
+    assert rep.precision_retries == retried == len(calls)
+    assert calls == [(rec.ctx.N, rec.ints) for rec in records if rec.retried]
+    assert "point" not in strata.PointRecord._fields
+    del calls[:]
+    assert records[-1].point.to_ints() == records[-1].ints
+    assert calls == [(records[-1].ctx.N, records[-1].ints)]
+
+
+def test_reducer_classifies_each_shared_polygon_once(monkeypatch):
+    """Lanes with equal hulls share one polygon, and the reducer
+    classifies each polygon object once: one classify call per distinct
+    polygon of a random sweep, and the report of one call per record."""
+    calls = []
+
+    def spy(n, polygon):
+        calls.append(polygon)
+        return strata_classify(n, polygon)
+
+    strata_classify = strata.classify
+    monkeypatch.setattr(strata, "classify", spy)
+    rep, records = report_and_records(8, 3, 1, mode="random",
+                                      count=3 * CHUNK, seed=28)
+    distinct = {id(rec.polygon) for rec in records}
+    assert len(calls) == len({id(pg) for pg in calls}) == len(distinct)
+    assert len(distinct) < len(records)
+    assert rep.counts_by_stratum == dict(sorted(Counter(
+        strata_classify(8, rec.polygon) for rec in records).items()))

@@ -39,7 +39,12 @@ points meet all 128 vanishing patterns of the parameters and record
 extra-edge entries, and a random sweep at n = 64, whose template has
 several hundred cycles through u_1.  The last four lines digest the
 `graph` command, in JSON with its cycles through u_1 and in DOT: a
-deformation point at rank 16 and M(6)+N^6 at d = 2.
+deformation point at rank 16 and M(6)+N^6 at d = 2.  The last four lines
+cover the signed lanes at d = 1, whose entries are reduced only once a
+lane leaves (-p^N, p^N): random sweeps at p = 5, where the lifts of F_5
+are large and products reduce, and at p = 1000003, and two at p = 2 and
+low precision, one whose points retry at 2N and one that fails for lack
+of precision (exit 3).
 """
 
 import contextlib
@@ -96,6 +101,12 @@ ARGVS = [
     ["graph", "--module", "def(8; s0=1, s2=2, s5=1)", "--dot"],
     ["graph", "--module", "M(6)+N^6", "--d", "2"],
     ["graph", "--module", "M(6)+N^6", "--d", "2", "--dot"],
+    ["verify", "--n", "6", "--p", "5", "--random", "100", "--seed", "6"],
+    ["verify", "--n", "8", "--p", "1000003", "--random", "16", "--seed", "7"],
+    ["verify", "--n", "7", "--p", "2", "--precision", "6", "--random", "60",
+     "--seed", "9"],
+    ["verify", "--n", "6", "--p", "2", "--precision", "3", "--random", "40",
+     "--seed", "8"],
 ]
 
 
