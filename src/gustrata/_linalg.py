@@ -39,9 +39,11 @@ charpoly, the whole det(xI - M), is one Berkowitz run on the whole matrix.
 
 Both take the sparse rows of their matrix and twisted_product the sparse
 columns of its factors, so the display's stored sparse data feeds the
-twisted Newton polygon with no dense matrix in between: column j of
+twisted Newton polygon with no dense matrix in between: twisted_factors
+twists the display's columns into the factors sigma^k(A), and column j of
 A * sigma(A) * ... * sigma^k(A) is the product up to sigma^(k-1) applied to
-sigma^k of column j of A, one smatvec.  mat_mul still takes dense rows.
+column j of sigma^k(A), one smatvec.  A sweep fills its factors already
+twisted (displayzoo._template_lanes).  mat_mul still takes dense rows.
 Every kernel returns exactly what the dense computation would: the ring
 is exact, so skipping zero terms, reordering sums and reducing by
 polynomial identities changes no coefficient.
@@ -63,9 +65,9 @@ one lane.
 A lane scalar is one int for every d.  At d == 1 it is a signed int in
 (-q, q), q = p^N, congruent to the raw int: pack takes r in [0, q) to
 r - q when 2r > q, unpack takes x mod q, and neg is plain negation.
-scale and smatvec reduce an output entry, every lane mod q, only when
-one of its lanes leaves (-q, q), which one max and one min across the
-lanes decide.  Every stored value stays in (-q, q), so a lane is 0
+smatvec reduces an output entry, every lane mod q, only when one of its
+lanes leaves (-q, q), which one max and one min across the lanes
+decide.  Every stored value stays in (-q, q), so a lane is 0
 exactly when it is 0 mod q, and entry dropping and early stopping are
 those of the reduced ints.  At p <= 3 the lifts of F_p are 0 and +-1 and
 the deformation template's constants +-1 and +-p, so small sweeps never
@@ -266,11 +268,10 @@ def ops_for(ctx):
 class _LaneOps:
     """Raw arithmetic on lanes: a lane value is a tuple of width scalars,
     one per matrix of a batch of matrices of at most size rows, and every
-    operation acts lane by lane.  Only what twisted_product, _berkowitz and
-    poly_mul use is provided, scale, which fills a sweep's lanes from the
-    deformation template (displayzoo._template_lanes), and vals, which
-    lane_slope_pairs reads.  A scalar is a signed int in (-q, q), q = p^N,
-    congruent to the base ops' raw int at d == 1, and the packed
+    operation acts lane by lane.  Only what twisted_factors,
+    twisted_product, _berkowitz and poly_mul use is provided, and vals,
+    which lane_slope_pairs reads.  A scalar is a signed int in (-q, q),
+    q = p^N, congruent to the base ops' raw int at d == 1, and the packed
     coordinates at d >= 2 (see the module docstring for both); pack,
     unpack and packed convert at the boundary.  The zero is the all-zero
     lane, so a kernel skips an entry, or stops early, only when it
@@ -335,20 +336,6 @@ class _LaneOps:
             return tuple([-x for x in a])
         qpack = self._qpack
         return self._reduce([qpack - x for x in a], ())
-
-    def scale(self, k, a):
-        """k * a lane by lane for an integer k, as the base ops' scale.  At
-        d == 1, k is taken into (-q/2, q/2] and a lane is reduced only when
-        it leaves (-q, q).  At d >= 2 a slot times k mod p^N is at most
-        (q - 1)^2 and carries into no other, so one product per lane and
-        the slots' reduction give it."""
-        q = self.q
-        k %= q
-        if self.d == 1:
-            if 2 * k > q:
-                k -= q
-            return self._signed([k * x for x in a])
-        return self._reduce([k * x for x in a], ())
 
     def frob(self, a, power=1):
         rows = self._frob[power % self.d]
@@ -444,27 +431,36 @@ def mat_mul(ops, a, b):
     return out
 
 
-def twisted_product(ops, cols, length, odd=None):
-    """Sparse rows of Z_0 * sigma(Z_1) * sigma^2(Z_2) * ... with length
-    square factors, where Z_k has the sparse columns cols for even k and
+def twisted_factors(ops, cols, length, odd=None):
+    """The sparse columns of the factors sigma^k(Z_k), k < length, of a
+    twisted product, where Z_k has the sparse columns cols for even k and
     odd (cols again by default) for odd k.
 
-    With the default this is A * sigma(A) * ... * sigma^(d-1)(A), the
-    d-fold linearization of a sigma-semilinear operator with matrix A.  For
-    a graded F with blocks X (v-part to u-part) and Y (u-part to v-part),
-    cols = X and odd = Y give X sigma(Y) sigma^2(X) ..., whose factors pair
-    up into sigma^(2m) of G = X sigma(Y), the matrix of F^2 on the u-part.
+    With the default their product is A * sigma(A) * ... * sigma^(d-1)(A),
+    the d-fold linearization of a sigma-semilinear operator with matrix A
+    for length d.  For a graded F with blocks X (v-part to u-part) and Y
+    (u-part to v-part), cols = X and odd = Y give X sigma(Y) sigma^2(X) ...,
+    whose factors pair up into sigma^(2m) of G = X sigma(Y), the matrix of
+    F^2 on the u-part.  sigma is an automorphism, so it keeps nonzero
+    entries nonzero."""
+    factors, frob = (cols, cols if odd is None else odd), ops.frob
+    return [cols] + [[[(i, frob(a, k)) for i, a in col]
+                      for col in factors[k % 2]] for k in range(1, length)]
 
-    With T_0 = Z_0 and T_k = T_(k-1) * sigma^k(Z_k), column j of T_k is
-    T_(k-1) applied to sigma^k of column j of Z_k: one smatvec per column
-    and step.  sigma is an automorphism, so it keeps nonzero entries
-    nonzero."""
-    factors = (cols, cols if odd is None else odd)
-    out, frob, smatvec = cols, ops.frob, ops.smatvec
-    for k in range(1, length):
-        out = [smatvec(out, {i: frob(a, k) for i, a in col}).items()
-               for col in factors[k % 2]]
-    return sparse_transpose(out, len(cols))
+
+def twisted_product(ops, factors):
+    """Sparse rows of the product T = W_0 * W_1 * ... of square matrices
+    W_k given by their sparse columns, the factors of a twisted product
+    already twisted: twisted_factors gives them from a display's blocks,
+    and a sweep reads them straight off the Teichmuller lifts
+    (displayzoo._template_lanes).
+
+    With T_0 = W_0 and T_k = T_(k-1) * W_k, column j of T_k is T_(k-1)
+    applied to column j of W_k: one smatvec per column and step."""
+    out, smatvec = factors[0], ops.smatvec
+    for factor in factors[1:]:
+        out = [smatvec(out, dict(col)).items() for col in factor]
+    return sparse_transpose(out, len(factors[0]))
 
 
 def sparse_rows(ops, rows):
@@ -838,12 +834,22 @@ def lane_slope_pairs(lops, srows, twist, scale):
     Valuations are read coefficient by coefficient across all lanes
     (lops.vals), the hulls once per distinct tuple of a lane's valuation
     rows, and lanes whose blocks have the same hulls share one
-    (pairs, term)."""
+    (pairs, term).
+
+    Transpose: for twist d <= 2, Berkowitz runs on each block's
+    transpose, whose charpoly is the block's, so its Krylov vectors are
+    rows of the block; the blocks and their order stay those of M.  Then
+    M is a product of at most two factors (see
+    fcrystal.newton_slopes_batch), and on the deformation template's lane
+    matrices this takes about a fifth fewer lane products; at d >= 3, four
+    or more factors, it would take up to two thirds more.  On the digests'
+    module matrices it changes none."""
     vals = lops.vals
     sx, sy = scale
+    mat = sparse_transpose(srows, len(srows)) if twist <= 2 else srows
     # per block, each lane's valuations of its coefficients, low degree first
     rows = [list(zip(*map(vals, reversed(_berkowitz(
-        lops, _restrict(srows, block)))))) for block in _blocks(srows)]
+        lops, _restrict(mat, block)))))) for block in _blocks(srows)]
     out, by_rows, shared = [], {}, {}
     for lane_rows in zip(*rows) if rows else [()] * lops.width:
         got = by_rows.get(lane_rows)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from ._linalg import _LaneOps, ops_for
 from .fcrystal import (MAX_SPEC_HALF_RANK, BasisLabel, DieudonneDisplay, U, V,
-                       _basis_halves)
+                       _basis_halves, _graded_length)
 from .wittring import FieldElement
 
 __all__ = [
@@ -312,17 +312,22 @@ def _deformation_template(ctx, n):
 
 
 def _template_lanes(ctx, n, rows):
-    """(lops, X, Y) of the deformation displays at the points with the
+    """(lops, factors) of the deformation displays at the points with the
     parameter codes rows (DeformationPoint.from_ints(ctx, n, ints) for
     ints in rows), read as lanes without building them: lops is the
     _LaneOps of one lane per point that fcrystal._lane_pairs makes for
-    those displays, and X and Y are the packed sparse lane columns it
-    reads off them, lops.packed of fcrystal._lane_columns on each half of
-    the basis.
+    those displays, and factors are the twisted factors it reads off
+    them, _linalg.twisted_factors of the packed lane blocks X and Y
+    (fcrystal._lane_columns on each half of the basis) with
+    fcrystal._graded_length(d) factors: factor k is sigma^k of X for
+    even k and of Y for odd k.
 
-    Each distinct code is lifted once, and each slot of the template is
-    filled in one pass across the lanes: a constant is the same in every
-    lane, and f [s_k] is f times the lane of the lifts of s_k.  An entry
+    Each entry is filled straight into each factor in one pass across the
+    lanes.  A constant of the template is an integer, which sigma fixes,
+    and it is the same in every lane.  An entry f [s] has an integer f, so
+    sigma^k(f [s]) = f sigma^k([s]) = f [s^(p^k)]: factor k reads it off
+    the lift of each distinct code, twisted once, and each f [s] is formed
+    once per distinct (f, code) and twist, not once per lane.  An entry
     is left out only where it vanishes in every lane, as _lane_columns
     leaves it out: a constant never does, f [s_k] does where s_k is 0 in
     every lane or f is 0 mod p^N (p at N = 1).  The template's rows
@@ -331,15 +336,26 @@ def _template_lanes(ctx, n, rows):
     labels, slots, _ = _deformation_template(ctx, n)
     ops = ops_for(ctx)
     lops = _LaneOps(ops, len(rows), len(labels))
-    pack, scale, width = lops.pack, lops.scale, lops.width
-    lift = {k: pack(ops.unwrap(ctx.teichmuller(ctx.field_from_int(k))))
-            for k in set().union(*rows)}
-    lifts = [tuple([lift[k] for k in codes]) for codes in zip(*rows)]
-    x, y = ([[(pos[i], e) for i, f, k in slots[j]
-              if any(e := (pack(f),) * width if k is None
-                     else scale(f, lifts[k]))]
-             for j in idx] for idx, pos in _basis_halves(labels))
-    return lops, x, y
+    pack, scale, frob, d = lops.pack, ops.scale, ops.frob, ctx.d
+    lifts = {k: ops.unwrap(ctx.teichmuller(ctx.field_from_int(k)))
+             for k in set().union(*rows)}
+    codes, tables = list(zip(*rows)), {}
+
+    def entry(f, k, twist):
+        if k is None:
+            return (pack(f),) * lops.width
+        table = tables.get((f, twist))
+        if table is None:
+            table = tables[f, twist] = {
+                c: pack(scale(f, frob(v, twist))) for c, v in lifts.items()}
+        return tuple([table[c] for c in codes[k]])
+
+    halves, factors = _basis_halves(labels), []
+    for t in range(_graded_length(d)):
+        idx, pos = halves[t % 2]
+        factors.append([[(pos[i], e) for i, f, k in slots[j]
+                         if any(e := entry(f, k, t % d))] for j in idx])
+    return lops, factors
 
 
 def _parameter_indices(n):

@@ -708,22 +708,30 @@ def _lane_pairs(displays):
     except (KeyError, ValueError):
         whole = range(len(basis))
         cols = lops.packed(_lane_columns(displays, whole, whole))
-        return _linalg.lane_slope_pairs(
-            lops, _linalg.twisted_product(lops, cols, d), d, (1, 1))
-    return _graded_lane_pairs(lops, x, y)
+        return _linalg.lane_slope_pairs(lops, _linalg.twisted_product(
+            lops, _linalg.twisted_factors(lops, cols, d)), d, (1, 1))
+    return _graded_lane_pairs(lops, _linalg.twisted_factors(
+        lops, x, _graded_length(d), y))
 
 
-def _graded_lane_pairs(lops, x, y):
-    """_linalg.lane_slope_pairs of the lanes of a graded F with the lane
-    blocks x = X and y = Y, as sparse packed columns: the product
-    X sigma(Y) sigma^2(X) ... of 2d factors with scale (2, 1) for odd d,
-    of d factors with scale (2, 2) for even d (see newton_slopes_batch).
-    The blocks come from displays (_lane_pairs) or, in a sweep, straight
-    from the deformation template (displayzoo._template_lanes)."""
+def _graded_length(d):
+    """The number of factors X sigma(Y) sigma^2(X) ... of the lane matrix
+    of a graded F: 2d for odd d and d for even d (see
+    newton_slopes_batch)."""
+    return d << d % 2
+
+
+def _graded_lane_pairs(lops, factors):
+    """_linalg.lane_slope_pairs of the lanes of a graded F whose product
+    X sigma(Y) sigma^2(X) ... has the factors sigma^k(X) (even k) and
+    sigma^k(Y) (odd k), k < _graded_length(d), as sparse packed columns,
+    with scale (2, 1) for odd d and (2, 2) for even d (see
+    newton_slopes_batch).  The factors come from displays (_lane_pairs,
+    by _linalg.twisted_factors) or, in a sweep, straight from the
+    deformation template (displayzoo._template_lanes)."""
     d = lops.d
-    odd = d % 2
     return _linalg.lane_slope_pairs(
-        lops, _linalg.twisted_product(lops, x, d << odd, y), d, (2, 2 - odd))
+        lops, _linalg.twisted_product(lops, factors), d, (2, 2 - d % 2))
 
 
 def _lane_columns(displays, idx, pos):
@@ -799,8 +807,8 @@ def a_number(display):
     units = _unit_pivots(display)
     ops1 = ops_for(display.ctx.at_precision(1))
     a_bar = _residue_rows(ops1, display.sparse_frobenius)
-    return len(units) - _linalg.rank(
-        ops1, _linalg.twisted_product(ops1, a_bar, 2))
+    return len(units) - _linalg.rank(ops1, _linalg.twisted_product(
+        ops1, _linalg.twisted_factors(ops1, a_bar, 2)))
 
 
 def _unit_pivots(display):

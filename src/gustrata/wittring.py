@@ -7,26 +7,36 @@ basis of f.  The ring comes with an exact Frobenius lift (the unique ring
 automorphism reducing to the p-power map mod p), the Teichmuller section of
 the residue field, and p-adic valuations capped at the working precision.
 
-Both p-adic roots, the image of x under the Frobenius lift (the root of f
-congruent to x^p) and each Teichmuller lift (the root of x^(p^d) - x with a
-given reduction), come from one Newton iteration that carries an
-approximate inverse of the derivative and refines it by one Newton step per
-step, so no inverse is recomputed and the precision doubles per step:
-about log2(N) steps.  It applies because both derivatives are units: f is
-separable mod p, and the derivative p^d x^(p^d - 1) - 1 is -1 mod p.  The
-roots are unique by Hensel's lemma, so every lift is exactly the one any
-other convergent method gives.  At d = 2 the Frobenius root needs no
-iteration: it is the other root of the quadratic modulus, -a_1 - x (see
-RingContext._hensel_root).  A context at another precision is derived
-from an existing one (see RingContext.at_precision): the capacity check
-runs first, the modulus is reused, and the root lift starts from the
-existing root.
+Both p-adic roots come from Newton's method at doubling precision: each
+step runs at the next of the precisions ..., N/4, N/2, N (see
+RingContext._doubling) on a bare ring that holds only the reduction table
+at that precision, so a step costs products mod p^P only, and the whole
+root about two steps at full precision (von zur Gathen and Gerhard, Modern
+Computer Algebra, chapter 9).  The image of x under the Frobenius lift is
+the root of f congruent to x^p; f is separable mod p, and the iteration
+carries an approximate inverse of f' (RingContext._newton_root).  At d = 2
+it needs no iteration: it is the other root of the quadratic modulus,
+-a_1 - x (see RingContext._hensel_root).  A Teichmuller lift of a residue
+other than 0 and 1 is the root of x^(p^d - 1) = 1 over it; p^d - 1 is a
+unit, so the root-of-unity step x <- x + x (1 - x^m) / m needs no inverse
+(RingContext._teich_root).  The roots are unique by Hensel's lemma, so
+every lift is exactly the one any other convergent method gives.  A
+context at another precision is derived from an existing one (see
+RingContext.at_precision): the capacity check runs first, the modulus is
+reused, and the root lift starts from the existing root.
+
+The lifts of the nonzero residues form one cyclic group, and a product of
+lifts is the lift of the product.  In a small residue field the first lift
+other than 0 and 1 memoizes them all, as the powers of the lift of the
+least primitive element (RingContext.teichmuller), so a context runs one
+Teichmuller root.
 
 The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
 reproducible from (p, d, N) alone.  A context memoizes its derived
 precisions, its Teichmuller lifts and its residue field elements by code,
-the last two up to _TEICH_MEMO_LIMIT of each.
+the last two up to _TEICH_MEMO_LIMIT of each; no memo outlives its
+context.
 
 There is one element implementation: PadicScalar (W_N) and FieldElement
 (W_1 = F_{p^d}) share their arithmetic, which runs on the raw coordinate
@@ -39,12 +49,13 @@ only the reduction table (see _is_irreducible): the p-power map mod p is
 the linear map of the power table of x^p, f is irreducible exactly when
 x^(p^d) = x and x^(p^k) - x is a unit for every proper divisor k of d,
 and a unit test reads the (p - 1)-th power of the norm.  An inverse mod p,
-which starts each Newton inverse, comes from the norm as well (Itoh and
-Tsujii): with r the product of the conjugates sigma^k(a), k = 1..d-1, a r
-lies in F_p mod p, so r (a r)^(-1) inverts a with d - 1 products whatever
-the size of p.  sigma is the Frobenius lift's table, or for a fresh
-Frobenius root the power table of x^p.  make_context finds its modulus by
-that test and builds the context without testing it again.
+which starts the Frobenius root's Newton inverse and each inverse of an
+element, comes from the norm as well (Itoh and Tsujii): with r the product
+of the conjugates sigma^k(a), k = 1..d-1, a r lies in F_p mod p, so
+r (a r)^(-1) inverts a with d - 1 products whatever the size of p.  sigma
+is the Frobenius lift's table, or for a fresh Frobenius root the power
+table of x^p.  make_context finds its modulus by that test and builds the
+context without testing it again.
 """
 
 from __future__ import annotations
@@ -160,6 +171,18 @@ def _is_irreducible(f, p):
     return True
 
 
+def _prime_factors(m):
+    """The distinct prime factors of m >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    return out + [m] if m > 1 else out
+
+
 def _first_irreducible(p, d):
     """Lexicographically smallest monic irreducible of degree d over F_p.
 
@@ -170,7 +193,7 @@ def _first_irreducible(p, d):
     & Niederreiter, Finite Fields, Thm. 3.75); the search then skips them.
     """
     skip = d % 4 == 0 and p % 4 == 3 or any(
-        d % r == 0 and (p - 1) % r and _is_prime(r) for r in range(2, d + 1))
+        (p - 1) % r for r in _prime_factors(d))
     for k in range(p if skip else 0, p ** d):
         coeffs = [(k // p ** i) % p for i in range(d)]
         f = coeffs + [1]
@@ -212,7 +235,8 @@ class RingContext:
 
     def _init(self, N, root):
         """Set the precision and build the tables; root is None or a
-        (root, inverse) pair to start the Frobenius root's lift from."""
+        (root, inverse, precision) triple to start the Frobenius root's
+        lift from (see _hensel_root)."""
         self.N = N
         self.q = self.p ** N
         # p^(2^k) for 2^k <= N, the steps of _ival's doubling search
@@ -273,11 +297,12 @@ class RingContext:
         return tuple(tab)
 
     def _hensel_root(self, start):
-        """(y, z): the root y of the modulus with y = x^p mod p, the image
-        of x under the Frobenius lift, and z, an approximate inverse of
-        f'(y).  Newton's method starts from start, a pair of any
-        precision, or else from x^p and the inverse of f'(x^p) mod p,
-        whose conjugates come from the power table of x^p.
+        """(y, z, N): the root y of the modulus with y = x^p mod p, the
+        image of x under the Frobenius lift, an inverse z of f'(y) to about
+        half the precision, and the precision N, for a later context to
+        start from.  Newton's method (_newton_root) starts from start, such
+        a triple at any precision, or else from x^p and the inverse of
+        f'(x^p) mod p, whose conjugates come from the power table of x^p.
 
         At d = 2 the root has a closed form and z is None, as is the
         carried inverse of start, which is unused: f = x^2 + a_1 x + a_0
@@ -286,50 +311,78 @@ class RingContext:
         mod p, the other root of the irreducible f mod p)."""
         d, q = self.d, self.q
         if d == 2:
-            return ((-self.modulus[1]) % q, q - 1), None
-        f_coeffs = list(self.modulus) + [1]
-        fprime = [(i * c) % q for i, c in enumerate(f_coeffs)][1:]
-
-        def horner(coeffs, x):
-            acc = (coeffs[-1],) + (0,) * (d - 1)
-            for c in reversed(coeffs[:-1]):
-                acc = self._wmul(acc, x)
-                acc = ((acc[0] + c) % q,) + acc[1:]
-            return acc
-
+            return ((-self.modulus[1]) % q, q - 1), None, self.N
         if start is None:
             y = self._wpow((0, 1) + (0,) * (d - 2), self.p)
-            z = self._inv_mod_p(horner(fprime, y),
+            z = self._inv_mod_p(self._horner(self._fprime(), y),
                                 partial(self._apply_lin, self._power_table(y)))
+            k = 1
         else:
-            y, z = (tuple(c % q for c in v) for v in start)
-        return self._newton_root(
-            y, z, lambda x: (horner(f_coeffs, x), horner(fprime, x)),
-            "Frobenius lift did not converge")
+            y, z = (tuple(c % q for c in v) for v in start[:2])
+            k = min(start[2], self.N)
+        return self._newton_root(y, z, k) + (self.N,)
 
-    def _newton_root(self, x, z, g, failure):
-        """(root, z): the root of g congruent to x mod p, and z refined.
+    def _fprime(self):
+        """The derivative of the modulus, coefficients low degree first."""
+        return [i * c for i, c in enumerate(self.modulus)][1:] + [self.d]
 
-        g(x) returns the pair (g(x), g'(x)), g'(x) must be a unit and z
-        must be its inverse mod p.  Each step first refines z by one Newton
-        step for the inverse, z <- z (2 - g'(x) z), which squares the error
-        1 - g'(x) z, and then sets x <- x - g(x) z.  The precision of x and
-        of z both double per step (von zur Gathen and Gerhard, Modern
-        Computer Algebra, chapter 9), so log2(N) + 1 steps reach a root
-        mod p^N from one mod p, and fewer from a better start; the root is
-        unique by Hensel's lemma.  Raises RuntimeError(failure) if g(x)
-        does not reach 0 within that bound.
-        """
-        zero = (0,) * self.d
-        two = (2,) + zero[1:]
-        mul, sub = self._wmul, self._wsub
-        for _ in range(self.N.bit_length() + 2):
-            gx, dgx = g(x)
-            if gx == zero:
-                return x, z
-            z = mul(z, sub(two, mul(dgx, z)))
-            x = sub(x, mul(gx, z))
-        raise RuntimeError(failure)
+    def _horner(self, coeffs, x):
+        """The polynomial with integer coefficients coeffs (low degree
+        first) at x."""
+        q = self.q
+        acc = (coeffs[-1] % q,) + (0,) * (self.d - 1)
+        for c in reversed(coeffs[:-1]):
+            acc = self._wmul(acc, x)
+            acc = ((acc[0] + c) % q,) + acc[1:]
+        return acc
+
+    def _newton_root(self, y, z, k):
+        """(y, z): the root of the modulus f congruent to y, a root mod
+        p^k, and z refined, for z an inverse of f'(y) mod p^ceil(k/2).
+
+        Each step runs at the next precision P of _doubling(k): it refines
+        z by one Newton step for the inverse, z <- z (2 - f'(y) z), which
+        squares the error 1 - f'(y) z, and then sets y <- y - f(y) z.  A
+        root mod p^ceil(P/2) with such a z gives one mod p^P, so the
+        precision doubles per step and the step at P costs products mod
+        p^P only: about two steps at full precision in all (von zur Gathen
+        and Gerhard, Modern Computer Algebra, chapter 9).  The root is
+        unique by Hensel's lemma.  Raises RuntimeError unless f(y) = 0
+        mod p^N at the end."""
+        f, fprime = list(self.modulus) + [1], self._fprime()
+        two = (2,) + (0,) * (self.d - 1)
+        for ring in self._doubling(k):
+            mul, sub = ring._wmul, ring._wsub
+            z = mul(z, sub(two, mul(ring._horner(fprime, y), z)))
+            y = sub(y, mul(ring._horner(f, y), z))
+        if any(self._horner(f, y)):
+            raise RuntimeError("Frobenius lift did not converge")
+        return y, z
+
+    def _doubling(self, k, extra=0):
+        """The rings (see _bare) at the precisions of a Newton iteration
+        from a root mod p^k to one mod p^N whose step takes a root mod p^j
+        to one mod p^(2j + extra): N, then each next one the least j with
+        2j + extra at least the last, down to the last one above k,
+        ascending."""
+        precisions, P = [], self.N
+        while P > k:
+            precisions.append(P)
+            P = (P - extra + 1) // 2
+        return [self._bare(P) for P in reversed(precisions)]
+
+    def _bare(self, N):
+        """A ring at precision N <= self.N with only what products, powers
+        and sums read: p, d, N, q and the reduction table mod p^N.  self at
+        N itself."""
+        if N == self.N:
+            return self
+        ring = RingContext.__new__(RingContext)
+        ring.p, ring.d, ring.N, ring.q = self.p, self.d, N, self.p ** N
+        ring.modulus = self.modulus
+        ring._red = tuple(tuple([c % ring.q for c in row])
+                          for row in self._red)
+        return ring
 
     # -- raw coordinate kernels ----------------------------------------------
 
@@ -372,7 +425,10 @@ class RingContext:
 
     def _wpow(self, a, e):
         """a^e for reduced coordinates a, by square and multiply with no
-        product by 1 and no square after the top bit."""
+        product by 1 and no square after the top bit; Python's pow at
+        d = 1."""
+        if self.d == 1:
+            return (pow(a[0], e, self.q),)
         result = None
         while True:
             if e & 1:
@@ -506,25 +562,18 @@ class RingContext:
 
     def teichmuller(self, a):
         """Multiplicative lift of a residue field element: the unique
-        solution of x^(p^d) = x with the given reduction.
+        solution of x^(p^d) = x with the given reduction, from one Newton
+        root (_teich_root).  Lifts are memoized per context, up to
+        _TEICH_MEMO_LIMIT of them.
 
-        It is the root of g(x) = x^Q - x, Q = p^d, found by Newton's method
-        from the coordinate lift (see _newton_root).  g'(x) = Q x^(Q-1) - 1
-        is -1 mod p, a unit, so -1 starts its carried inverse, and the
-        precision doubles per step: about log2(N) steps of one power
-        x^(Q-1) each, where iterating y -> y^Q gains only d digits per
-        step.  Lifts are memoized per context, up to _TEICH_MEMO_LIMIT of
-        them.
-
-        A product of lifts is the lift of the product of the residues
-        (roots of x^Q - x are closed under products, and the root over a
-        residue is unique).  So when the residue field is small, p^d - 1
-        at most N.bit_length() * (p^d).bit_length(), about the products
-        of one Newton lift, a new nonzero lift other than 1 memoizes the
-        group it generates with the lifts already memoized (see
-        _memo_subgroup).  Every other lift in that group then costs no
-        iteration; the products, one per lift memoized and one more per
-        call, about p^d - 1 in all, cost about one Newton lift.
+        The lifts of F_Q^x, Q = p^d, form one cyclic group: a product of
+        lifts is the lift of the product of the residues (roots of
+        x^Q - x are closed under products, and the root over a residue is
+        unique).  So when the residue field is small, Q - 1 at most
+        N.bit_length() * Q.bit_length(), about the products of one root,
+        the first lift other than 0 and 1 memoizes every lift at once
+        (_memo_powers): one root, for the least primitive element, and one
+        product per other lift.  A context then runs one root in all.
         """
         if isinstance(a, PadicScalar):
             a = a.reduce_mod_p()
@@ -534,55 +583,66 @@ class RingContext:
         cache = self._teich_cache
         cached = cache.get(y)
         if cached is None:
-            cached = PadicScalar(self, self._teich_coords(y))
-            if len(cache) < _TEICH_MEMO_LIMIT:
-                Q = self.p ** self.d
-                if (any(y[1:]) or y[0] > 1) and \
-                        Q - 1 <= self.N.bit_length() * Q.bit_length():
-                    self._memo_subgroup(cached)
-                else:
+            Q = self.p ** self.d
+            trivial = not any(y[1:]) and y[0] <= 1  # 0 and 1: themselves
+            if not trivial and len(cache) < _TEICH_MEMO_LIMIT \
+                    and Q - 1 <= self.N.bit_length() * Q.bit_length():
+                self._memo_powers()
+                cached = cache.get(y)
+            if cached is None:
+                cached = PadicScalar(
+                    self, y if trivial else self._teich_root(y))
+                if len(cache) < _TEICH_MEMO_LIMIT:
                     cache[y] = cached
         return cached
 
-    def _memo_subgroup(self, lift):
-        """Memoize the group generated by the lift t of a residue not yet
-        memoized and by the group H of 1 and the nonzero lifts memoized,
-        until the memo is full.
+    def _memo_powers(self):
+        """Memoize [g]^k = [g^k], k = 0..Q-2, for the least primitive
+        element g of F_Q (least by code), until the memo is full: one root
+        and Q - 3 products.  Lifts already memoized keep their objects."""
+        p, d, cache = self.p, self.d, self._teich_cache
+        m = p ** d - 1
+        field = self._bare(1)
+        one = (1,) + (0,) * (d - 1)
+        for code in range(2, m + 1):
+            g = tuple((code // p ** i) % p for i in range(d))
+            if all(field._wpow(g, m // r) != one for r in _prime_factors(m)):
+                break
+        x, t = one, self._teich_root(g)
+        for k in range(m):
+            if len(cache) >= _TEICH_MEMO_LIMIT:
+                return
+            if k:
+                x = t if k == 1 else self._wmul(x, t)
+            cache.setdefault(tuple([c % p for c in x]), PadicScalar(self, x))
 
-        H is a group because this method adds every nonzero lift but 1:
-        it adds the cosets H t, H t^2, ... up to the first power of t in
-        H.  Those cosets are disjoint from H and from each other, so each
-        product is a new lift, and t itself is memoized as the object
-        lift."""
-        p, cache = self.p, self._teich_cache
+    def _teich_root(self, y):
+        """Coordinates of the lift t of the residue with coordinates y,
+        neither 0 nor 1.
+
+        t is the root of x^m = 1, m = p^d - 1 = Q - 1, congruent to y, and
+        y is one mod p.  m is -1 mod p, a unit, and the step is Newton's
+        for that root with x^m taken as 1 in the derivative,
+        x <- x + x (1 - x^m) / m, so it needs no inverse.  It more than
+        doubles the precision: for x = t (1 + e) the step gives
+        x' = t (1 + e') with m e' = -sum_(2 <= j <= Q) C(Q, j) e^j, and
+        C(Q, j) has valuation d - v_p(j), so v(e) >= k gives
+        v(e') >= min_j (jk + d - v_p(j)) >= 2k + d - 1 (jk - v_p(j) is
+        least at j = 2).  The steps run at the precisions of
+        _doubling(1, d - 1), each one power x^m mod p^P: about two powers
+        at full precision in all.  Raises RuntimeError unless x^m = 1 mod
+        p^N at the end."""
+        m = self.p ** self.d - 1
+        minv = pow(m, -1, self.q)
         one = (1,) + (0,) * (self.d - 1)
-        group = [one] + [s.coords for y, s in cache.items()
-                         if any(y) and y != one]
-        known = set(cache) | {one}
-        t = x = lift.coords
-        while tuple([c % p for c in x]) not in known:
-            for h in group:
-                if len(cache) >= _TEICH_MEMO_LIMIT:
-                    return
-                hx = x if h is one else self._wmul(h, x)
-                cache[tuple([c % p for c in hx])] = (
-                    lift if hx is t else PadicScalar(self, hx))
-            x = self._wmul(x, t)
-
-    def _teich_coords(self, y):
-        if y == (0,) * self.d:
-            return y
-        Q, q = self.p ** self.d, self.q
-
-        def g(x):
-            xq1 = self._wpow(x, Q - 1)
-            dg = tuple(Q * c % q for c in xq1)
-            return (self._wsub(self._wmul(xq1, x), x),
-                    ((dg[0] - 1) % q,) + dg[1:])
-
-        minus_one = (q - 1,) + (0,) * (self.d - 1)
-        return self._newton_root(y, minus_one, g,
-                                 "Teichmuller iteration did not converge")[0]
+        x = y
+        for ring in self._doubling(1, self.d - 1):
+            q = ring.q
+            e = ring._wsub(one, ring._wpow(x, m))
+            x = ring._wadd(x, ring._wmul(x, tuple([c * minv % q for c in e])))
+        if self._wpow(x, m) != one:
+            raise RuntimeError("Teichmuller iteration did not converge")
+        return x
 
     def at_precision(self, N2):
         """Same extension at a different truncation level.
@@ -592,10 +652,11 @@ class RingContext:
         without a second irreducibility test; and the Frobenius root's
         Newton iteration starts from this context's root and its carried
         inverse, reduced mod p^N2.  That start is already exact when
-        N2 <= N and needs about log2(N2 / N) + 1 steps otherwise.  At
-        d = 2 no iteration runs: the root is -a_1 - x in closed form (see
-        _hensel_root) and the carried inverse is unused.  The lift is
-        unique, so the tables equal those of RingContext(p, d, N2, modulus).
+        N2 <= N, and otherwise it needs the steps above precision N only,
+        about log2(N2 / N) of them.  At d = 2 no iteration runs: the root
+        is -a_1 - x in closed form (see _hensel_root) and the carried
+        inverse is unused.  The lift is unique, so the tables equal those
+        of RingContext(p, d, N2, modulus).
         """
         if N2 == self.N:
             return self

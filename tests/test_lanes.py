@@ -22,16 +22,17 @@ from fractions import Fraction
 import pytest
 
 from gustrata import (DeformationPoint, DieudonneDisplay, NewtonPolygon,
-                      PrecisionError, default_precision, deformation_display,
-                      make_context, module_M, newton_slopes,
-                      parse_module_spec, strata)
+                      PrecisionError, _linalg, default_precision,
+                      deformation_display, make_context, module_M,
+                      newton_slopes, parse_module_spec, strata)
 from gustrata._linalg import (_berkowitz, _blocks, _LaneOps, _restrict,
                               lane_slope_pairs, lower_hull, ops_for,
-                              poly_mul, sparse_transpose, twisted_product)
-from gustrata.displayzoo import _template_lanes
+                              poly_mul, sparse_transpose, twisted_factors,
+                              twisted_product)
+from gustrata.displayzoo import _deformation_template, _template_lanes
 from gustrata.fcrystal import (U, _basis_halves, _graded_lane_pairs,
-                               _lane_columns, _lane_pairs, _lane_polygons,
-                               newton_slopes_batch)
+                               _graded_length, _lane_columns, _lane_pairs,
+                               _lane_polygons, newton_slopes_batch)
 from gustrata.strata import CHUNK, _enumerate_points
 
 from _oracles import (blowup_slope_pairs, certified_slope_pairs_oracle,
@@ -126,10 +127,11 @@ class TestKernelParity:
             x, xs = lane_matrices(rng, ops, d, r, width)
             y, ys = lane_matrices(rng, ops, d, r, width)
             for length in (1, 2, 3, 4):
-                got = unpacked(lops, twisted_product(
-                    lops, lops.packed(x), length, lops.packed(y)))
+                got = unpacked(lops, twisted_product(lops, twisted_factors(
+                    lops, lops.packed(x), length, lops.packed(y))))
                 for lane in range(width):
-                    want = twisted_product(ops, xs[lane], length, ys[lane])
+                    want = twisted_product(ops, twisted_factors(
+                        ops, xs[lane], length, ys[lane]))
                     assert as_dicts(lane_of(got, lane, ops.zero)) == \
                         as_dicts(want)
 
@@ -165,19 +167,6 @@ class TestKernelParity:
                     want = poly_mul(ops, [c[lane] for c in a],
                                     [c[lane] for c in b], terms)
                     assert [c[lane] for c in got] == want
-
-    def test_scale(self, p, d, width):
-        """scale by integers of either sign, below and above p^N, on lanes
-        with zero coordinates, zero lanes and the coordinate q - 1."""
-        ops, rng = self.setup(p, d, width)
-        lops = _LaneOps(ops, width, 4)
-        q = ops.q
-        for _ in range(20):
-            lanes = edge_lanes(rng, ops, d, width)
-            value = tuple(map(lops.pack, lanes))
-            for k in (0, 1, -1, p, -p, q - 1, q + 2, -rng.randrange(q * q)):
-                assert tuple(map(lops.unpack, lops.scale(k, value))) == \
-                    tuple(ops.scale(k, x) for x in lanes)
 
     def test_neg_and_frob(self, p, d, width):
         """neg and every power of frob on lanes with zero coordinates,
@@ -384,17 +373,19 @@ def test_sweep_polygons_equal_fresh_displays(n, p, d):
 
 def check_template_chunk(ctx, n, chunk):
     """The template's lanes for the parameter codes chunk are the lanes
-    of the fresh displays at those points: the same lane ops, blocks X and
-    Y equal to lops.packed(_lane_columns(displays)), and each lane's
-    (pairs, term) and polygon what newton_slopes_batch reads.  Returns the
-    number of entries the blocks hold."""
+    of the fresh displays at those points: the same lane ops, twisted
+    factors equal to twisted_factors of the blocks X and Y
+    lops.packed(_lane_columns(displays)), and each lane's (pairs, term)
+    and polygon what newton_slopes_batch reads.  Returns the number of
+    entries the blocks hold."""
     displays = [deformation_display(
         ctx, DeformationPoint.from_ints(ctx, n, ints)) for ints in chunk]
-    lops, x, y = _template_lanes(ctx, n, chunk)
+    lops, factors = _template_lanes(ctx, n, chunk)
     assert (lops.width, lops.d) == (len(chunk), ctx.d)
-    assert [x, y] == [lops.packed(_lane_columns(displays, idx, pos))
-                      for idx, pos in _basis_halves(displays[0].basis)]
-    lanes = _graded_lane_pairs(lops, x, y)
+    x, y = [lops.packed(_lane_columns(displays, idx, pos))
+            for idx, pos in _basis_halves(displays[0].basis)]
+    assert factors == twisted_factors(lops, x, _graded_length(ctx.d), y)
+    lanes = _graded_lane_pairs(lops, factors)
     assert lanes == _lane_pairs(displays)
     assert _lane_polygons(lanes, ctx.N) == newton_slopes_batch(displays)
     return sum(len(col) for col in x + y)
@@ -418,7 +409,7 @@ def test_template_lanes_are_the_displays_lanes(n, p, d):
         assert check_template_chunk(ctx, n, [points[0]]) < min(sizes)
         if nprec == 1:
             # every entry of Y but F u_1 = -v_m is a p entry
-            y = _template_lanes(ctx, n, points)[2]
+            y = _template_lanes(ctx, n, points)[1][1]
             assert [len(col) for col in y] == [1] + [0] * (n - 1)
 
 
@@ -438,12 +429,132 @@ def test_template_lanes_drop_a_parameter_zero_in_every_lane(n, p, d):
             check_template_chunk(ctx, n, with_k)
 
 
+@pytest.mark.parametrize("n,p,d", [(3, 2, 2), (5, 3, 2), (3, 2, 3),
+                                   (4, 3, 3), (3, 2, 4), (4, 3, 4)])
+def test_template_factors_are_the_twisted_display_blocks(n, p, d):
+    """Factor k of a sweep's lane product, read straight off the lifts of
+    s^(p^k), is sigma^k of the displays' block (X for even k, Y for odd
+    k), lane by lane: each lane unpacks to the base ops' frob of its own
+    display's entry.  Every constant slot of the template is an integer,
+    which sigma fixes.  At the default precision and at precision 1."""
+    rng = random.Random(f"sigma {n} {p} {d}")
+    for nprec in (default_precision(n, d), 1):
+        ctx = make_context(p, d, nprec)
+        ops = ops_for(ctx)
+        chunk = [tuple(rng.randrange(p ** d) for _ in range(n - 1))
+                 for _ in range(7)] + [(0,) * (n - 1)]
+        displays = [deformation_display(
+            ctx, DeformationPoint.from_ints(ctx, n, ints)) for ints in chunk]
+        halves = _basis_halves(displays[0].basis)
+        lops, factors = _template_lanes(ctx, n, chunk)
+        assert len(factors) == _graded_length(d) == d << d % 2
+        for k, factor in enumerate(factors):
+            idx, pos = halves[k % 2]
+            block = lops.packed(_lane_columns(displays, idx, pos))
+            assert factor == [[(i, lops.frob(e, k)) for i, e in col]
+                              for col in block], (nprec, k)
+            for lane, display in enumerate(displays):
+                want = [sorted((pos[i], ops.frob(a, k))
+                               for i, a in display.sparse_frobenius[j])
+                        for j in idx]
+                assert [[(i, lops.unpack(e[lane])) for i, e in col
+                         if e[lane]] for col in factor] == want
+        constants = [f for col in _deformation_template(ctx, n)[1]
+                     for _, f, pos in col if pos is None]
+        assert constants and all(ops.frob(f, t) == f
+                                 for f in constants for t in range(d))
+
+
+def lane_products(lops, run):
+    """The products lops.smatvec forms while run() runs: one per pair of
+    a vector entry and a matrix entry of its column, each a product in
+    every lane."""
+    count = [0]
+    smatvec = lops.smatvec
+
+    def counting(cols, w):
+        count[0] += sum(len(cols[j]) for j in w)
+        return smatvec(cols, w)
+
+    lops.smatvec = counting
+    try:
+        run()
+    finally:
+        del lops.smatvec
+    return count[0]
+
+
+def berkowitz_products(lops, srows, twist, scale):
+    """(products lane_slope_pairs forms on the lane matrix with the given
+    sparse rows, products Berkowitz forms on its blocks as rows)."""
+    return (lane_products(lops, lambda: lane_slope_pairs(
+        lops, srows, twist, scale)),
+        lane_products(lops, lambda: [_berkowitz(lops, _restrict(srows, b))
+                                     for b in _blocks(srows)]))
+
+
+def test_berkowitz_on_transposed_blocks_forms_fewer_products():
+    """On the template's lane matrices, two lanes each, the
+    products of lane_slope_pairs drop against Berkowitz on the blocks'
+    rows: at d <= 2, where it runs on the transposed blocks, in total and
+    at each (p, d); at d = 3 it runs on the rows and forms as many (to
+    n = 24 there, where the matrices of six factors cost the most)."""
+    totals = []
+    for p, d in [(2, 1), (3, 1), (3, 2), (2, 3)]:
+        got = rows = 0
+        for n in range(3, 41 if d <= 2 else 25):
+            ctx = make_context(p, d, default_precision(n, d))
+            rng = random.Random(f"berkowitz {p} {d} {n}")
+            chunk = [tuple(rng.randrange(1, p ** d) for _ in range(n - 1)),
+                     tuple(rng.randrange(p ** d) for _ in range(n - 1))]
+            lops, factors = _template_lanes(ctx, n, chunk)
+            pair = berkowitz_products(lops, twisted_product(lops, factors),
+                                      d, (2, 2 - d % 2))
+            got, rows = got + pair[0], rows + pair[1]
+        assert got < rows if d <= 2 else got == rows, (p, d)
+        totals.append((got, rows))
+    assert sum(g for g, _ in totals) < sum(r for _, r in totals)
+
+
+DIGEST_MODULES = [("N^1000", 3, 1, None), ("M(600)+N^600", 3, 1, None),
+                  ("N^300", 3, 2, None), ("M(40)+N^100", 5, 3, None),
+                  ("N^60", 3, 1, 3), ("M(9)+N^9", 3, 2, 2),
+                  ("M(6)+N^6", 3, 2, None), ("N^6", 3, 1, 5),
+                  ("ss(6)+ss(6)+N", 3, 2, None), ("M(5)", 3, 2, 1),
+                  ("M(7)+M(3)+N^2", 5, 2, None), ("ss(8)+N", 7, 2, None),
+                  ("N^5", 5, 3, None), ("M(14)", 5, 2, None)]
+
+
+@pytest.mark.parametrize("spec,p,d,nprec", DIGEST_MODULES)
+def test_no_module_matrix_of_the_digests_forms_more_products(
+        spec, p, d, nprec, monkeypatch):
+    """Every lane matrix newton_slopes reads for the modules of
+    tools/cli_digests.py forms no more products in lane_slope_pairs than
+    Berkowitz on its blocks as rows does."""
+    module = parse_module_spec(spec)
+    ctx = make_context(p, d, nprec or default_precision(module.half_rank,
+                                                        d))
+    seen = []
+    original = _linalg.lane_slope_pairs
+
+    def spy(lops, srows, twist, scale):
+        seen.append(berkowitz_products(lops, srows, twist, scale))
+        return original(lops, srows, twist, scale)
+
+    monkeypatch.setattr(_linalg, "lane_slope_pairs", spy)
+    try:
+        newton_slopes(module.build(ctx))
+    except PrecisionError:
+        pass
+    assert seen and all(got <= rows for got, rows in seen)
+
+
 def lane_hulls(ctx, n, chunk):
     """Each lane's tuple of block hulls, read from the template's lanes
     by the kernels lane_slope_pairs runs."""
-    lops, x, y = _template_lanes(ctx, n, chunk)
-    ops, odd = lops.base, ctx.d % 2
-    srows = twisted_product(lops, x, ctx.d << odd, y)
+    lops, factors = _template_lanes(ctx, n, chunk)
+    ops = lops.base
+    srows = twisted_product(lops, factors)
     polys = [_berkowitz(lops, _restrict(srows, block))
              for block in _blocks(srows)]
     return [tuple(tuple(lower_hull(list(enumerate(
@@ -584,20 +695,14 @@ class TestSignedLanes:
                 [[(0, (x,) * width)]]
         assert lops.pack(q - 1) == -1 and lops.pack(q // 2 + 1) < 0
 
-    def test_neg_and_scale(self, p, width):
+    def test_neg(self, p, width):
         ops, rng = self.setup(p, width)
         lops, q = _LaneOps(ops, width, 4), ops.q
         for _ in range(20):
             lanes = signed_lanes(rng, q, width)
-            value = tuple(map(lops.pack, lanes))
-            outs = [(lops.neg(value), [ops.neg(x) for x in lanes])]
-            for k in (0, 1, -1, p, -p, (q + 1) // 2, q - 1, q + 2,
-                      -rng.randrange(q * q)):
-                outs.append((lops.scale(k, value),
-                             [ops.scale(k, x) for x in lanes]))
-            for got, want in outs:
-                assert_signed(lops, [got])
-                assert list(map(lops.unpack, got)) == want
+            got = lops.neg(tuple(map(lops.pack, lanes)))
+            assert_signed(lops, [got])
+            assert list(map(lops.unpack, got)) == [ops.neg(x) for x in lanes]
 
     def test_smatvec(self, p, width):
         ops, rng = self.setup(p, width)
@@ -625,12 +730,14 @@ class TestSignedLanes:
             lops = _LaneOps(ops, width, r)
             x, xs = signed_matrices(rng, q, r, width)
             y, ys = signed_matrices(rng, q, r, width)
-            prod = twisted_product(lops, lops.packed(x), 3, lops.packed(y))
+            prod = twisted_product(lops, twisted_factors(
+                lops, lops.packed(x), 3, lops.packed(y)))
             assert_signed(lops, [e for row in prod for _, e in row])
             poly = _berkowitz(lops, prod)
             assert_signed(lops, poly)
             for lane in range(width):
-                want = twisted_product(ops, xs[lane], 3, ys[lane])
+                want = twisted_product(
+                    ops, twisted_factors(ops, xs[lane], 3, ys[lane]))
                 assert as_dicts(lane_of(unpacked(lops, prod), lane, 0)) == \
                     as_dicts(want)
                 assert [lops.unpack(c[lane]) for c in poly] == \

@@ -11,7 +11,8 @@ from gustrata._linalg import (_berkowitz, _blocks, _LaneOps,
                               det_valuation, lane_slope_pairs,
                               lower_hull, mat_mul, ops_for, sparse_rows,
                               sparse_transpose, strongly_connected_components,
-                              pivot_steps, twisted_product)
+                              pivot_steps, twisted_factors,
+                              twisted_product)
 
 from _oracles import (cayley_hamilton_adjugate, certified_slope_pairs_oracle,
                       leibniz_charpoly_int, leibniz_charpoly_scalar,
@@ -720,8 +721,10 @@ class TestCharpolyReduction:
             display = deformation_display(
                 ctx, DeformationPoint.from_ints(ctx, n, ints))
             cols = display.sparse_frobenius
-            at_n = charpoly(ops, twisted_product(ops, cols, d))
-            at_2n = charpoly(ops2, twisted_product(ops2, cols, d))
+            at_n = charpoly(ops, twisted_product(
+                ops, twisted_factors(ops, cols, d)))
+            at_2n = charpoly(ops2, twisted_product(
+                ops2, twisted_factors(ops2, cols, d)))
             assert [ops.truncate(c) for c in at_2n] == at_n
 
 
@@ -731,7 +734,8 @@ class TestTwistedProduct:
         ops = ops_for(ctx)
         rows = [[1, 2], [3, 4]]
         srows = sparse_rows(ops, rows)
-        assert twisted_product(ops, sparse_transpose(srows, 2), 1) == srows
+        assert twisted_product(ops, twisted_factors(
+            ops, sparse_transpose(srows, 2), 1)) == srows
 
     def test_matches_manual_twist(self):
         ctx = make_context(3, 2, 6)
@@ -741,8 +745,8 @@ class TestTwistedProduct:
                  for _ in range(3)] for _ in range(3)]
         twisted = [[ops.frob(e, 1) for e in row] for row in rows]
         cols = sparse_transpose(sparse_rows(ops, rows), 3)
-        assert twisted_product(ops, cols, 2) == sparse_rows(
-            ops, mat_mul(ops, rows, twisted))
+        assert twisted_product(ops, twisted_factors(ops, cols, 2)) == \
+            sparse_rows(ops, mat_mul(ops, rows, twisted))
 
 
 class TestSparseTwistedProduct:
@@ -770,7 +774,7 @@ class TestSparseTwistedProduct:
             cols = sparse_transpose(sparse_rows(ops, raw), r)
             expected = [[ops.unwrap(e) for e in row]
                         for row in twisted_product_dense(m, d)]
-            assert twisted_product(ops, cols, d) == \
+            assert twisted_product(ops, twisted_factors(ops, cols, d)) == \
                 sparse_rows(ops, expected), density
 
 

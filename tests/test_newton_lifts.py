@@ -1,6 +1,8 @@
 """Newton-lifted Teichmuller and Frobenius roots, and derived precision
 contexts, against independent oracles."""
 
+import random
+
 import pytest
 
 from gustrata import default_precision, make_context
@@ -64,29 +66,165 @@ def test_derived_context_checks_capacity_first(monkeypatch):
     assert ctx._prec_cache == {}
 
 
-def count_wmul(monkeypatch):
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of the RingContext method name,
+    on contexts and on the bare rings of a Newton iteration alike."""
     calls = []
-    original = RingContext._wmul
+    original = getattr(RingContext, name)
 
-    def counting(self, a, b):
-        calls.append(None)
-        return original(self, a, b)
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
 
-    monkeypatch.setattr(RingContext, "_wmul", counting)
+    monkeypatch.setattr(RingContext, name, counting)
     return calls
 
 
 def test_lift_cost_grows_like_log_precision(monkeypatch):
-    # Newton doubles the precision per step: 48 -> 384 adds three steps.
-    # Iterating y -> y^9 gains two digits per step, about 8x the products.
+    # The root more than doubles the precision per step: 48 -> 384 adds
+    # three steps, each one power x^8 and one product.  Iterating
+    # y -> y^9 gains two digits per step, about 8x the products.
     small, large = make_context(3, 2, 48), make_context(3, 2, 384)
-    a_small, a_large = small.field_from_int(5), large.field_from_int(5)
-    calls = count_wmul(monkeypatch)
-    small.teichmuller(a_small)
-    at_48 = len(calls)
-    large.teichmuller(a_large)
-    at_384 = len(calls) - at_48
+    y = small.field_from_int(5).coords
+    roots = count_calls(monkeypatch, "_teich_root")
+    products = count_calls(monkeypatch, "_wmul")
+    small.teichmuller(small.field_from_int(5))
+    assert len(roots) == 1  # the routine measured below is the lift's
+    products.clear()
+    small._teich_root(y)
+    at_48 = len(products)
+    large._teich_root(y)
+    at_384 = len(products) - at_48
     assert 0 < at_48 and at_384 < 2 * at_48
+
+
+def _pow(ctx, x, e):
+    """x^e for a scalar x of ctx, by repeated products."""
+    out = ctx.one()
+    for _ in range(e):
+        out = out * x
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                 (5, 2), (2, 4), (7, 1)])
+def test_root_of_unity_step_gains_2k_plus_d_minus_1(p, d):
+    """One step x <- x + x (1 - x^m) / m, m = p^d - 1, from a root mod p^k
+    of x^m = 1 gives one mod p^(2k + d - 1), the bound the Teichmuller
+    root's precisions rest on (_doubling(1, d - 1)); checked against the
+    oracle's lifts, from starts off by a random multiple of p^k."""
+    N = 40
+    ctx = make_context(p, d, N)
+    rng = random.Random(f"{p} {d}")
+    m = p ** d - 1
+    minv = ctx.from_int(pow(m, -1, ctx.q))
+    for code in range(2, min(p ** d, 12)):
+        t = ctx.scalar(teichmuller_oracle(p, d, N, ctx.modulus,
+                                          ctx.field_from_int(code).coords))
+        for k in range(1, 12):
+            off = ctx.scalar([rng.randrange(ctx.q) * p ** k
+                              for _ in range(d)])
+            x = t + off
+            x = x + x * (1 - _pow(ctx, x, m)) * minv
+            assert (x - t).valuation() >= min(N, 2 * k + d - 1), (code, k)
+
+
+def test_newton_steps_run_at_doubling_precisions(monkeypatch):
+    """Each Newton root runs its steps at ascending precisions that end at
+    N, each at most twice the one before (plus d - 1 for a Teichmuller
+    root), and a derived context's Frobenius root runs only the steps
+    above the precision it starts from."""
+    chains = []
+    original = RingContext._doubling
+
+    def spy(self, k, extra=0):
+        rings = original(self, k, extra)
+        chains.append((k, extra, [ring.N for ring in rings], self.N))
+        return rings
+
+    monkeypatch.setattr(RingContext, "_doubling", spy)
+    ctx = make_context(3, 3, 100)
+    ctx.teichmuller(ctx.field_from_int(5))
+    derived = ctx.at_precision(400)
+    assert [c[:2] for c in chains] == [(1, 0), (1, 2), (100, 0)]
+    for k, extra, precisions, N in chains:
+        assert precisions[-1] == N
+        bounds = [k] + precisions[:-1]
+        assert all(k < P <= 2 * b + extra
+                   for P, b in zip(precisions, bounds)), precisions
+    assert derived._frob == RingContext(3, 3, 400, ctx.modulus)._frob
+
+
+class TestLiftEdges:
+    """Lifts at the edges of the root and of the small-field memo, each
+    against the oracle."""
+
+    def test_f2_has_no_lift_to_compute(self, monkeypatch):
+        # F_2^x is trivial: 0 and 1 are their own lifts at every precision
+        roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
+        for N in (1, 2, 7):
+            ctx = make_context(2, 1, N)
+            assert [ctx.teichmuller(ctx.field_from_int(k)).coords
+                    for k in (0, 1, 1, 0)] == [(0,), (1,), (1,), (0,)]
+        assert roots == [] and walks == []
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 40])
+    def test_f3_generator_lifts_to_minus_one(self, N, monkeypatch):
+        roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
+        ctx = make_context(3, 1, N)
+        assert ctx.teichmuller(ctx.field_from_int(2)) == ctx.from_int(-1)
+        assert roots == [((2,),)] and len(walks) == 1
+        assert {y: t.coords for y, t in ctx._teich_cache.items()} == {
+            (1,): (1,), (2,): (ctx.q - 1,)}
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (5, 1), (7, 2),
+                                     (2, 5), (3, 3)])
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 33])
+    def test_low_and_odd_precisions(self, p, d, N):
+        # (7, 2) and (3, 3) at N = 33, and every field at N = 1, lift
+        # one residue at a time; the others memoize the whole field
+        ctx = make_context(p, d, N)
+        for k in range(p ** d):
+            a = ctx.field_from_int(k)
+            assert ctx.teichmuller(a).coords == teichmuller_oracle(
+                p, d, N, ctx.modulus, a.coords), k
+
+    def test_large_prime_one_root_per_residue(self, monkeypatch):
+        p, N = 1000003, 40
+        roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
+        ctx = make_context(p, 1, N)
+        codes = [2, 3, p - 1, 12345, 2, p - 1, 999999, 0, 1]
+        for k in codes:
+            a = ctx.field_from_int(k)
+            assert ctx.teichmuller(a).coords == teichmuller_oracle(
+                p, 1, N, ctx.modulus, a.coords), k
+        assert [y for (y,) in roots] == [(2,), (3,), (p - 1,), (12345,),
+                                         (999999,)]
+        assert walks == []
+
+    def test_memo_limit(self, monkeypatch):
+        """With room for 5 lifts the walk stops at 5 and runs once; every
+        lift stays right, and one left out runs a root of its own on each
+        call (0 and 1 need none)."""
+        monkeypatch.setattr(wittring, "_TEICH_MEMO_LIMIT", 5)
+        roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
+        p, d, N = 3, 2, 20
+        ctx = make_context(p, d, N)
+        codes = list(range(p ** d))
+        random.Random(7).shuffle(codes)
+        for k in codes + codes:
+            a = ctx.field_from_int(k)
+            assert ctx.teichmuller(a).coords == teichmuller_oracle(
+                p, d, N, ctx.modulus, a.coords), k
+        assert len(ctx._teich_cache) == 5 and len(walks) == 1
+        missing = [k for k in codes if ctx.field_from_int(k).coords
+                   not in ctx._teich_cache]
+        assert len(missing) == 4
+        assert len(roots) == 1 + 2 * len([k for k in missing if k > 1])
 
 
 # d = 2: the Frobenius root in closed form, checked against the defining

@@ -44,7 +44,11 @@ cover the signed lanes at d = 1, whose entries are reduced only once a
 lane leaves (-p^N, p^N): random sweeps at p = 5, where the lifts of F_5
 are large and products reduce, and at p = 1000003, and two at p = 2 and
 low precision, one whose points retry at 2N and one that fails for lack
-of precision (exit 3).
+of precision (exit 3).  The last two lines cover the Teichmuller lifts and
+the twisted factors that a sweep reads off them: a random sweep at odd
+d = 3 past n = 3 (p = 2, whose small field memoizes every lift as a power
+of one lift) and one at d = 6 (p = 3, whose 729 residues each take a root
+of their own, and whose six twists of the lifts fill six factors).
 """
 
 import contextlib
@@ -107,6 +111,10 @@ ARGVS = [
      "--seed", "9"],
     ["verify", "--n", "6", "--p", "2", "--precision", "3", "--random", "40",
      "--seed", "8"],
+    ["verify", "--n", "6", "--p", "2", "--d", "3", "--random", "100",
+     "--seed", "8"],
+    ["verify", "--n", "4", "--p", "3", "--d", "6", "--random", "40",
+     "--seed", "5"],
 ]
 
 
