@@ -27,9 +27,9 @@ A sweep is one stream in three parts:
 
 Every point of a sweep shares one context, one template and one basis, so
 the stream reads polygons in lanes: it takes the points CHUNK (64) at a
-time, fills the lane blocks X and Y straight from the template and the
-points' Teichmuller lifts (displayzoo._template_lanes), and runs one
-twisted product and one Berkowitz run per block for the whole chunk,
+time, fills the twisted factors of the lane product straight from the
+template and the points' Teichmuller lifts (displayzoo._template_lanes),
+and runs one product and one Berkowitz run per block for the whole chunk,
 each lane reading exactly the polygon newton_slopes reads for its point
 (fcrystal.newton_slopes_batch reads the same lanes off built displays).
 Lanes with the same block hulls share one NewtonPolygon.  A record holds
