@@ -182,14 +182,20 @@ class TestLiftEdges:
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (5, 1), (7, 2),
                                      (2, 5), (3, 3)])
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 33])
-    def test_low_and_odd_precisions(self, p, d, N):
-        # (7, 2) and (3, 3) at N = 33, and every field at N = 1, lift
-        # one residue at a time; the others memoize the whole field
+    def test_low_and_odd_precisions(self, p, d, N, monkeypatch):
+        # a small field (p^d - 1 <= N.bit_length() * (p^d).bit_length():
+        # (2, 2) always, (3, 2) and (5, 1) from N = 2, (2, 5) and (3, 3)
+        # at N = 33) memoizes every lift off one root; any other field runs
+        # one root per residue other than 0 and 1
+        roots = count_calls(monkeypatch, "_teich_root")
         ctx = make_context(p, d, N)
-        for k in range(p ** d):
+        Q = p ** d
+        for k in range(Q):
             a = ctx.field_from_int(k)
             assert ctx.teichmuller(a).coords == teichmuller_oracle(
                 p, d, N, ctx.modulus, a.coords), k
+        small = Q - 1 <= N.bit_length() * Q.bit_length()
+        assert len(roots) == (1 if small else Q - 2)
 
     def test_large_prime_one_root_per_residue(self, monkeypatch):
         p, N = 1000003, 40
