@@ -59,8 +59,10 @@ vanishes in every lane.  That changes no lane's result: an entry that
 vanishes in one lane contributes exactly 0 to that lane's sums, and a
 vector that vanishes in a lane stays 0 there.  lane_slope_pairs reads
 each lane's polygon from the blocks of the union support (its docstring
-shows they give the lane's own polygon and certificate); one display is
-one lane.
+shows they give the lane's own polygon and certificate).  A single
+display runs the same kernels on the base ops, which have width 1 and
+read the valuations of their one lane with vals, so its raw entries need
+no packing.
 
 A lane scalar is one int for every d.  At d == 1 it is a signed int in
 (-q, q), q = p^N, congruent to the raw int: pack takes r in [0, q) to
@@ -92,13 +94,13 @@ products and sums.  No slot may carry into the next:
 
 So B is the bit length of (T d + d - 1)(q - 1)^2: T d (q - 1)^2 plus
 (d - 1)(q - 1)^2 from the folds lies below 2^B.  The reduction runs
-across all lanes in list passes, one per fold and per slot (on the one
-int at width 1).  neg is the reduction of (q, ..., q) packed minus the
-value, frob the sum of slot i times the packed image of x^i under the
-power of sigma, reduced, and a lane's valuation is that of the gcd of
-its slots.  vals reads a lane that p does not divide as a unit, at every
-d, and any other through the gcd of q and the lane (its slots at d > 1),
-a power p^v whose v is memoized when it is first met.
+across all lanes in list passes, one per fold and per slot.  neg is the
+reduction of (q, ..., q) packed minus the value, frob the sum of slot i
+times the packed image of x^i under the power of sigma, reduced, and a
+lane's valuation is that of the gcd of its slots.  vals reads a lane
+that p does not divide as a unit, at every d, and any other through the
+gcd of q and the lane (its slots at d > 1), a power p^v whose v is
+memoized when it is first met.
 
 pivot_steps (behind adjugate_action), det_valuation and rank share one
 elimination on sparse dict rows, _eliminate, which takes at each step an
@@ -128,6 +130,8 @@ from operator import add as _add, lshift as _lshift, mul as _mul
 class _IntOps:
     """Raw arithmetic for d == 1: scalars are plain ints mod p^N."""
 
+    d = width = 1
+
     def __init__(self, ctx):
         self.ctx = ctx
         self.p = ctx.p
@@ -139,6 +143,10 @@ class _IntOps:
 
     def unwrap(self, scalar):
         return scalar.coords[0]
+
+    def vals(self, a):
+        """[val(a)]: a single matrix is one lane (see _LaneOps.vals)."""
+        return [self.val(a)]
 
     def wrap(self, raw):
         return self.ctx.scalar((raw,))
@@ -195,6 +203,9 @@ class _IntOps:
 
 class _ExtOps:
     """Raw arithmetic for d >= 2: scalars are length-d coordinate tuples."""
+
+    width = 1
+    vals = _IntOps.vals
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -270,13 +281,15 @@ class _LaneOps:
     one per matrix of a batch of matrices of at most size rows, and every
     operation acts lane by lane.  Only what twisted_factors,
     twisted_product, _berkowitz and poly_mul use is provided, and vals,
-    which lane_slope_pairs reads.  A scalar is a signed int in (-q, q),
-    q = p^N, congruent to the base ops' raw int at d == 1, and the packed
-    coordinates at d >= 2 (see the module docstring for both); pack,
-    unpack and packed convert at the boundary.  The zero is the all-zero
-    lane, so a kernel skips an entry, or stops early, only when it
-    vanishes in every lane, and each lane gets exactly what the base ops
-    would give for its own matrix."""
+    which lane_slope_pairs reads.  A batch of displays, or a sweep's chunk
+    of points, runs here at any width, a chunk of one point included; a
+    single display runs on the base ops.  A scalar is a signed int in
+    (-q, q), q = p^N, congruent to the base ops' raw int at d == 1, and
+    the packed coordinates at d >= 2 (see the module docstring for both);
+    pack, unpack and packed convert at the boundary.  The zero is the
+    all-zero lane, so a kernel skips an entry, or stops early, only when
+    it vanishes in every lane, and each lane gets exactly what the base
+    ops would give for its own matrix."""
 
     def __init__(self, base, width, size):
         self.base, self.width = base, width
@@ -351,9 +364,6 @@ class _LaneOps:
         """The signed lane values s (d == 1) as a tuple, every lane taken
         mod q when one of them lies outside (-q, q)."""
         q = self.q
-        if self.width == 1:
-            (x,) = s
-            return (x,) if -q < x < q else (x % q,)
         if max(s) < q and min(s) > -q:
             return tuple(s)
         return tuple([x % q for x in s])
@@ -362,13 +372,8 @@ class _LaneOps:
         """The lane values s, packed but unreduced, reduced (d >= 2): each
         (low, shift, row) of folds adds the slot at shift, mod p^N, times
         row to the slots below it, top slot first; then each slot is taken
-        mod p^N.  One list pass per step, or scalars at width 1."""
+        mod p^N.  One list pass per step."""
         q, mask, shifts = self.q, self._mask, self._shifts
-        if self.width == 1:
-            (x,) = s
-            for low, sh, row in folds:
-                x = (x & low) + (x >> sh) % q * row
-            return (sum([(x >> sh & mask) % q << sh for sh in shifts]),)
         for low, sh, row in folds:
             s = [(x & low) + (x >> sh) % q * row for x in s]
         top = shifts[-1]
@@ -792,11 +797,12 @@ def lower_hull(points):
 def lane_slope_pairs(lops, srows, twist, scale):
     """(slope, multiplicity) pairs of the p-adic Newton polygon of
     det(xI - M) for every lane of the lane matrix M with the given sparse
-    rows (lops a _LaneOps), each hull vertex (i, v) moved to
-    (sx * i, sy * v) for scale = (sx, sy) and each slope divided by twist:
-    one (pairs, term) per lane, whose pairs are certified exactly when its
-    certificate term sy * s (below) lies below N.  One pair per hull
-    segment of each diagonal block, so a slope may come more than once.
+    rows (lops a _LaneOps, or the base ops of one matrix, its one lane),
+    each hull vertex (i, v) moved to (sx * i, sy * v) for scale =
+    (sx, sy) and each slope divided by twist: one (pairs, term) per lane,
+    whose pairs are certified exactly when its certificate term sy * s
+    (below) lies below N.  One pair per hull segment of each diagonal
+    block, so a slope may come more than once.
 
     Scale: with (2, 1) these are the pairs of h(t^2), and with (2, 2)
     those of h * sigma^s(h), for the monic h = det(xI - M).  The hull of

@@ -22,7 +22,7 @@ from .displayzoo import parse_module_spec
 from .fcrystal import PrecisionError, U, a_number, newton_slopes, p_rank, \
     polarization_check, signature, validate_display
 from .slopegraph import build_graph, cycles_through, to_dot
-from .strata import BudgetError, catalog, verify_local_strata
+from .strata import BudgetError, catalog, json_text, verify_local_strata
 from .wittring import CapacityError, default_precision, make_context
 
 EXIT_OK = 0
@@ -139,7 +139,7 @@ def _cmd_catalog(args, out):
     else:
         doc = {"n": args.n, **_doc_header(ctx),
                "strata": [e.to_json() for e in entries]}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json_text(doc) + "\n")
     return EXIT_OK
 
 
@@ -169,7 +169,7 @@ def _cmd_slopes(args, out):
             lines.append(f"{_frac(s)}\t{m}")
         out.write("\n".join(lines) + "\n")
     else:
-        out.write(json.dumps(doc, indent=2) + "\n")
+        out.write(json_text(doc) + "\n")
     return EXIT_OK
 
 
@@ -189,7 +189,7 @@ def _cmd_graph(args, out):
     if u1 in graph.vertices:
         doc["cycles_through_u1"] = [c.to_json()
                                     for c in cycles_through(graph, u1)]
-    out.write(json.dumps(doc, indent=2) + "\n")
+    out.write(json_text(doc) + "\n")
     return EXIT_OK
 
 
@@ -213,7 +213,7 @@ def _cmd_check(args, out):
     else:
         doc["polarization_violations"] = None
     doc["ok"] = ok
-    out.write(json.dumps(doc, indent=2) + "\n")
+    out.write(json_text(doc) + "\n")
     if {c.name for c in report.failed()} == _V_UNDETERMINED:
         print("precision failure: V not computable at this precision",
               file=sys.stderr)

@@ -27,8 +27,9 @@ Phi = A * sigma(A) * ... * sigma^(d-1)(A), divided by d, at the working
 precision N, and certified there: _linalg.lane_slope_pairs states the
 certificate, reads the polygon block by block and forms no polynomial
 product.  newton_slopes_batch reads many displays at once, as lanes, and
-newton_slopes is its one-lane case; a sweep fills the same lanes straight
-from the deformation template, with no display (_graded_lane_pairs).
+newton_slopes one display, running the same kernels on its base ops; a
+sweep fills the same lanes straight from the deformation template, with
+no display (_graded_lane_pairs).
 
 The prime is inert in L, so F swaps the u- and v-families.  When F is
 graded that way (every nonzero entry joins the two families, and both
@@ -619,8 +620,9 @@ def _same_family_entries(display):
 
 def newton_slopes(display):
     """Newton polygon of the display: newton_slopes_batch of the display
-    alone, cached.  PrecisionError unless the polygon is certified at the
-    working precision N (see _linalg.lane_slope_pairs).
+    alone, cached, whose kernels run on the display's base ops, with no
+    lanes to pack (_lane_pairs).  PrecisionError unless the polygon is
+    certified at the working precision N (see _linalg.lane_slope_pairs).
 
     A direct sum read by parts (_parts) takes the union of its parts' lane
     polygons, each multiplicity times the part's count, and as certificate
@@ -659,12 +661,14 @@ def newton_slopes_batch(displays):
     (displayzoo._template_lanes), and this display path is the one the
     tests compare those lanes against.
 
-    The displays run as lanes (_linalg._LaneOps): one twisted product and
-    one Berkowitz run per block for all of them, each lane reading its own
-    display's polygon (_linalg.lane_slope_pairs).  The lane matrix is the
-    n-row factor Z = X sigma(Y) sigma^2(X) ... of the module docstring, of
-    2d factors and scale (2, 1) for odd d (the twisted charpoly is h(t^2))
-    and of d factors and scale (2, 2) for even d (it is h * sigma(h)).
+    Two or more displays run as lanes (_linalg._LaneOps): one twisted
+    product and one Berkowitz run per block for all of them, each lane
+    reading its own display's polygon (_linalg.lane_slope_pairs).  One
+    display runs the same kernels on its base ops, its own one lane.  The
+    lane matrix is the n-row factor Z = X sigma(Y) sigma^2(X) ... of the
+    module docstring, of 2d factors and scale (2, 1) for odd d (the
+    twisted charpoly is h(t^2)) and of d factors and scale (2, 2) for
+    even d (it is h * sigma(h)).
     When some display's F is not graded, every lane takes the full d-fold
     product A * sigma(A) * ... with scale (1, 1), whose polygon and
     certificate are the same for a graded lane.  Each polygon is stored in
@@ -691,27 +695,39 @@ def _lane_polygons(lanes, N):
 
 def _lane_pairs(displays):
     """_linalg.lane_slope_pairs of the displays as lanes, one (pairs, term)
-    per display (see newton_slopes_batch)."""
+    per display (see newton_slopes_batch).  A single display runs the same
+    kernels on its base ops, whose scalars are its raw entries, so its
+    blocks X and Y, or its whole columns, are read straight off
+    sparse_frobenius; a batch of two or more packs its lanes
+    (_lane_columns)."""
     first = displays[0]
     ctx, basis, d = first.ctx, first.basis, first.ctx.d
     if any(display.ctx != ctx or display.basis != basis
            for display in displays):
         raise ValueError("a batch of displays needs one context and one "
                          "basis")
-    lops = _linalg._LaneOps(first._ops(), len(displays), len(basis))
+    if len(displays) == 1:
+        ops, fcols = first._ops(), first.sparse_frobenius
+
+        def block(idx, pos):
+            return [[(pos[i], a) for i, a in fcols[j]] for j in idx]
+    else:
+        ops = _linalg._LaneOps(first._ops(), len(displays), len(basis))
+
+        def block(idx, pos):
+            return ops.packed(_lane_columns(displays, idx, pos))
     try:
         # KeyError: an entry inside one family, whose row is missing from
         # the other family's position map; ValueError: halves of different
         # sizes, for which _basis_halves gives ()
-        x, y = [lops.packed(_lane_columns(displays, idx, pos))
-                for idx, pos in _basis_halves(basis)]
+        x, y = [block(idx, pos) for idx, pos in _basis_halves(basis)]
     except (KeyError, ValueError):
         whole = range(len(basis))
-        cols = lops.packed(_lane_columns(displays, whole, whole))
-        return _linalg.lane_slope_pairs(lops, _linalg.twisted_product(
-            lops, _linalg.twisted_factors(lops, cols, d)), d, (1, 1))
-    return _graded_lane_pairs(lops, _linalg.twisted_factors(
-        lops, x, _graded_length(d), y))
+        return _linalg.lane_slope_pairs(ops, _linalg.twisted_product(
+            ops, _linalg.twisted_factors(ops, block(whole, whole), d)), d,
+            (1, 1))
+    return _graded_lane_pairs(ops, _linalg.twisted_factors(
+        ops, x, _graded_length(d), y))
 
 
 def _graded_length(d):

@@ -60,12 +60,13 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple
 
 from ._version import __version__
@@ -131,6 +132,55 @@ class StratumDescriptor:
 def _frac_str(x):
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def json_text(obj):
+    """The text of json.dumps(obj, indent=2), character for character.
+    With an indent the standard library runs its pure-Python encoder;
+    here dicts, lists and tuples are walked into one list of parts,
+    joined once, a str goes through the C encode_basestring_ascii, an int
+    through int.__repr__, a bool or None is its literal, and any other
+    leaf or key goes through json.dumps itself."""
+    out = []
+    _json_parts(obj, out, "\n")
+    return "".join(out)
+
+
+# The writers of the leaves json_text writes itself, by exact type.
+_JSON_LEAVES = {str: _encode_str, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _json_parts(obj, out, nl):
+    """Append the parts of obj's indented text to out, nl the newline and
+    indent its own lines start with."""
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        out.append(leaf(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + (inner := nl + "  ")
+        for key, value in obj.items():
+            out.append(sep + (_encode_str(key) if type(key) is str
+                              else json.dumps({key: None})[1:-7]) + ": ")
+            _json_parts(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        sep = "[" + (inner := nl + "  ")
+        for value in obj:
+            out.append(sep)
+            _json_parts(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def lambda_min(n, j):
@@ -264,7 +314,7 @@ class StrataReport:
         return obj
 
     def to_json(self):
-        return json.dumps(self.to_json_obj(), indent=2)
+        return json_text(self.to_json_obj())
 
     def to_tsv(self):
         lines = [f"# n\t{self.n}", f"# p\t{self.p}", f"# d\t{self.d}",
@@ -444,11 +494,13 @@ def _zero_bits(ints):
 class _CycleTable:
     """The slope-graph stage of a sweep at one precision, shared by its
     points: the template's cycles through u_1 in enumeration order
-    (cycles), the same as (mask, cycle, slope) sorted by slope (by_slope,
-    ties in enumeration order), and whether one settle decides the
-    certificate for every point (settled).  The least cycle and its slope
-    are memoized per skip mask (least_slope), so points with one zero
-    pattern scan by_slope once and build no Fraction.
+    (cycles), the same as (mask, cycle) sorted by slope (by_slope, ties in
+    enumeration order), and whether one settle decides the certificate for
+    every point (settled).  The sort key of a cycle of weight w and length
+    l is w L / l, an integer for L the lcm of the lengths, so the sort
+    builds no Fraction.  The least cycle and its slope are memoized per
+    skip mask (least_slope), so points with one zero pattern scan
+    by_slope once, and only the first builds the slope.
 
     A cycle's mask holds the bits of the parameters its edges use, and
     EXTRA when it uses an extra black edge: an edge of positive weight
@@ -468,8 +520,10 @@ class _CycleTable:
         self.labels, self.succ, self.tags = labels, succ, tags
         self.cycles = cycles_through(
             SlopeGraph._from_successors(labels, succ), _U1, tags)
-        self.by_slope = sorted([(c.mask, c, c.slope) for c in self.cycles],
-                               key=itemgetter(2))
+        lcm = math.lcm(*[c.length for c in self.cycles])
+        self.by_slope = sorted([(c.mask, c) for c in self.cycles],
+                               key=lambda mc: mc[1].weight * lcm
+                               // mc[1].length)
         self.settled = False
         self._least = {}
         if self.cycles:
@@ -494,9 +548,9 @@ class _CycleTable:
         """(least(skip), its slope), or (None, None), memoized per skip."""
         got = self._least.get(skip)
         if got is None:
-            got = self._least[skip] = next(
-                ((c, slope) for mask, c, slope in self.by_slope
-                 if not mask & skip), (None, None))
+            c = next((c for mask, c in self.by_slope if not mask & skip),
+                     None)
+            got = self._least[skip] = (c, None if c is None else c.slope)
         return got
 
     def graph(self, zero):

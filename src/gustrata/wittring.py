@@ -26,10 +26,11 @@ RingContext.at_precision): the capacity check runs first, the modulus is
 reused, and the root lift starts from the existing root.
 
 The lifts of the nonzero residues form one cyclic group, and a product of
-lifts is the lift of the product.  In a small residue field the first lift
-other than 0 and 1 memoizes them all, as the powers of the lift of the
-least primitive element (RingContext.teichmuller), so a context runs one
-Teichmuller root.
+lifts is the lift of the product.  In a residue field the memo holds whole,
+once the roots a context has run cost about as many products as the field
+has elements, the next lift memoizes them all, as the powers of the lift of
+the least primitive element (RingContext.teichmuller); in a small field
+that is the first lift, so its context runs one Teichmuller root.
 
 The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
@@ -216,7 +217,8 @@ class RingContext:
     """
 
     __slots__ = ("p", "d", "N", "q", "modulus", "_red", "_frob", "_root",
-                 "_prec_cache", "_teich_cache", "_field_cache", "_ppow")
+                 "_prec_cache", "_teich_cache", "_field_cache", "_ppow",
+                 "_roots")
 
     def __init__(self, p, d, N, modulus):
         _check_capacity(p, d, N)
@@ -246,6 +248,7 @@ class RingContext:
         self._prec_cache = {}
         self._teich_cache = {}
         self._field_cache = {}
+        self._roots = 0  # Teichmuller roots run, read by teichmuller
         self._build_tables(root)
 
     @classmethod
@@ -569,11 +572,16 @@ class RingContext:
         The lifts of F_Q^x, Q = p^d, form one cyclic group: a product of
         lifts is the lift of the product of the residues (roots of
         x^Q - x are closed under products, and the root over a residue is
-        unique).  So when the residue field is small, Q - 1 at most
-        N.bit_length() * Q.bit_length(), about the products of one root,
-        the first lift other than 0 and 1 memoizes every lift at once
-        (_memo_powers): one root, for the least primitive element, and one
-        product per other lift.  A context then runs one root in all.
+        unique).  So a walk over the powers of one lift (_memo_powers)
+        memoizes every lift at once: one root, for the least primitive
+        element, and one product per other lift.  It runs once it costs no
+        more than the roots run so far and the next: a lift other than 0
+        and 1 that misses the memo walks when
+        Q - 1 <= (r + 1) * N.bit_length() * Q.bit_length(), r the roots
+        this context has run and the right side about their products, and
+        only in a field the memo holds whole, Q <= _TEICH_MEMO_LIMIT.  At
+        r = 0 this takes a small field, whose context runs one root in
+        all; F_729 at N = 104 walks in place of its eleventh root.
         """
         if isinstance(a, PadicScalar):
             a = a.reduce_mod_p()
@@ -585,8 +593,8 @@ class RingContext:
         if cached is None:
             Q = self.p ** self.d
             trivial = not any(y[1:]) and y[0] <= 1  # 0 and 1: themselves
-            if not trivial and len(cache) < _TEICH_MEMO_LIMIT \
-                    and Q - 1 <= self.N.bit_length() * Q.bit_length():
+            if not trivial and Q <= _TEICH_MEMO_LIMIT and Q - 1 <= (
+                    self._roots + 1) * self.N.bit_length() * Q.bit_length():
                 self._memo_powers()
                 cached = cache.get(y)
             if cached is None:
@@ -598,8 +606,8 @@ class RingContext:
 
     def _memo_powers(self):
         """Memoize [g]^k = [g^k], k = 0..Q-2, for the least primitive
-        element g of F_Q (least by code), until the memo is full: one root
-        and Q - 3 products.  Lifts already memoized keep their objects."""
+        element g of F_Q (least by code): one root and Q - 3 products.
+        Lifts already memoized keep their objects."""
         p, d, cache = self.p, self.d, self._teich_cache
         m = p ** d - 1
         field = self._bare(1)
@@ -610,8 +618,6 @@ class RingContext:
                 break
         x, t = one, self._teich_root(g)
         for k in range(m):
-            if len(cache) >= _TEICH_MEMO_LIMIT:
-                return
             if k:
                 x = t if k == 1 else self._wmul(x, t)
             cache.setdefault(tuple([c % p for c in x]), PadicScalar(self, x))
@@ -632,6 +638,7 @@ class RingContext:
         _doubling(1, d - 1), each one power x^m mod p^P: about two powers
         at full precision in all.  Raises RuntimeError unless x^m = 1 mod
         p^N at the end."""
+        self._roots += 1
         m = self.p ** self.d - 1
         minv = pow(m, -1, self.q)
         one = (1,) + (0,) * (self.d - 1)

@@ -9,6 +9,7 @@ and Karp's least mean wherever the table's one settle decides it.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -113,3 +114,25 @@ def test_every_template_settles(p, d, top):
                  if not strata._CycleTable(
                      make_context(p, d, default_precision(n, d)), n).settled]
     assert unsettled == []
+
+
+@pytest.mark.parametrize("p,d,top", [(3, 1, 64), (2, 1, 64), (3, 2, 32)])
+def test_by_slope_is_the_fraction_order(p, d, top):
+    # the integer sort key w L / l keeps the order of a stable sort on the
+    # Fraction slopes w / l, ties in enumeration order; the tables have
+    # ties, and least_slope gives the first cycle's slope as a Fraction
+    ties = 0
+    for n in range(3, top + 1):
+        table = strata._CycleTable(
+            make_context(p, d, default_precision(n, d)), n)
+        expected = sorted(table.cycles,
+                          key=lambda c: Fraction(c.weight, c.length))
+        assert len(table.by_slope) == len(expected), n
+        assert all(c is e and mask == c.mask for (mask, c), e
+                   in zip(table.by_slope, expected)), n
+        slopes = [c.slope for c in expected]
+        ties += sum(a == b for a, b in zip(slopes, slopes[1:]))
+        first, slope = table.least_slope(0)
+        assert first is expected[0] and slope == expected[0].slope
+        assert type(slope) is Fraction
+    assert ties

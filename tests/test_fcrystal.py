@@ -434,7 +434,7 @@ class TestOncePerDisplay:
         # n x n matrix of F^2 on the u-part, in the display's own context;
         # no whole charpoly is formed
         assert whole == []
-        assert all(lops.base.ctx is D.ctx for lops, _ in calls)
+        assert all(ops.ctx is D.ctx for ops, _ in calls)
         assert sum(len(srows) for _, srows in calls) == D.half_rank
         assert polygon == M6_N2
 

@@ -77,16 +77,16 @@ def row_counts(monkeypatch, name):
 
 def twisted_factor(display):
     """(srows, scale) of the matrix Z whose polygon newton_slopes reads
-    for the display, as the one lane of its batch: caught on its way into
-    _linalg.lane_slope_pairs, and read back from the lane.  Z has n rows
-    for a graded display and the whole rank otherwise."""
+    for the display, caught on its way into _linalg.lane_slope_pairs,
+    which a single display runs on its base ops, so the rows hold raw
+    scalars.  Z has n rows for a graded display and the whole rank
+    otherwise."""
     seen = []
     original = _linalg.lane_slope_pairs
 
-    def spy(lops, srows, twist, scale):
-        seen.append(([[(j, lops.unpack(a)) for j, (a,) in row]
-                      for row in srows], scale))
-        return original(lops, srows, twist, scale)
+    def spy(ops, srows, twist, scale):
+        seen.append(([list(row) for row in srows], scale))
+        return original(ops, srows, twist, scale)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_linalg, "lane_slope_pairs", spy)

@@ -183,19 +183,40 @@ class TestLiftEdges:
                                      (2, 5), (3, 3)])
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 33])
     def test_low_and_odd_precisions(self, p, d, N, monkeypatch):
-        # a small field (p^d - 1 <= N.bit_length() * (p^d).bit_length():
-        # (2, 2) always, (3, 2) and (5, 1) from N = 2, (2, 5) and (3, 3)
-        # at N = 33) memoizes every lift off one root; any other field runs
-        # one root per residue other than 0 and 1
+        # residues other than 0 and 1 run a root each until r roots pay
+        # for a walk, Q - 1 <= (r + 1) c, which runs one more: with c =
+        # N.bit_length() * Q.bit_length() that is min(Q - 2, (Q - 2) // c
+        # + 1) roots.  A small field (Q - 1 <= c: (2, 2) always, (3, 2)
+        # and (5, 1) from N = 2, (2, 5) and (3, 3) at N = 33) walks at its
+        # first root; the others, (2, 5) at N = 1 after five, later
         roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
         ctx = make_context(p, d, N)
         Q = p ** d
         for k in range(Q):
             a = ctx.field_from_int(k)
             assert ctx.teichmuller(a).coords == teichmuller_oracle(
                 p, d, N, ctx.modulus, a.coords), k
-        small = Q - 1 <= N.bit_length() * Q.bit_length()
-        assert len(roots) == (1 if small else Q - 2)
+        c = N.bit_length() * Q.bit_length()
+        assert len(roots) == min(Q - 2, (Q - 2) // c + 1)
+        assert len(walks) == (len(roots) > (Q - 2) // c)
+
+    def test_mid_size_field_walks_at_its_eleventh_root(self, monkeypatch):
+        # F_729 at N = 104: Q - 1 = 728 > 70 = c, so ten roots run before
+        # (10 + 1) * 70 >= 728 makes the next lift walk; seven lifts that
+        # hit the memo afterwards are checked against the oracle
+        roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
+        p, d, N = 3, 6, 104
+        ctx = make_context(p, d, N)
+        codes = list(range(2, p ** d))
+        random.Random(11).shuffle(codes)
+        lifts = [ctx.teichmuller(ctx.field_from_int(k)) for k in codes]
+        assert len(roots) == 11 and len(walks) == 1
+        assert len(ctx._teich_cache) == p ** d - 1
+        for k, t in list(zip(codes, lifts))[::100]:
+            assert t.coords == teichmuller_oracle(
+                p, d, N, ctx.modulus, ctx.field_from_int(k).coords), k
 
     def test_large_prime_one_root_per_residue(self, monkeypatch):
         p, N = 1000003, 40
@@ -212,9 +233,10 @@ class TestLiftEdges:
         assert walks == []
 
     def test_memo_limit(self, monkeypatch):
-        """With room for 5 lifts the walk stops at 5 and runs once; every
-        lift stays right, and one left out runs a root of its own on each
-        call (0 and 1 need none)."""
+        """A field the memo cannot hold whole never walks: with room for 5
+        lifts, F_9 runs a root per residue other than 0 and 1 until the
+        memo is full; every lift stays right, and one left out runs a root
+        of its own on each call (0 and 1 need none)."""
         monkeypatch.setattr(wittring, "_TEICH_MEMO_LIMIT", 5)
         roots = count_calls(monkeypatch, "_teich_root")
         walks = count_calls(monkeypatch, "_memo_powers")
@@ -226,11 +248,11 @@ class TestLiftEdges:
             a = ctx.field_from_int(k)
             assert ctx.teichmuller(a).coords == teichmuller_oracle(
                 p, d, N, ctx.modulus, a.coords), k
-        assert len(ctx._teich_cache) == 5 and len(walks) == 1
+        assert len(ctx._teich_cache) == 5 and walks == []
         missing = [k for k in codes if ctx.field_from_int(k).coords
                    not in ctx._teich_cache]
         assert len(missing) == 4
-        assert len(roots) == 1 + 2 * len([k for k in missing if k > 1])
+        assert len(roots) == p ** d - 2 + len([k for k in missing if k > 1])
 
 
 # d = 2: the Frobenius root in closed form, checked against the defining

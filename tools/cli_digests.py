@@ -47,8 +47,12 @@ low precision, one whose points retry at 2N and one that fails for lack
 of precision (exit 3).  The last two lines cover the Teichmuller lifts and
 the twisted factors that a sweep reads off them: a random sweep at odd
 d = 3 past n = 3 (p = 2, whose small field memoizes every lift as a power
-of one lift) and one at d = 6 (p = 3, whose 729 residues each take a root
-of their own, and whose six twists of the lifts fill six factors).
+of one lift) and one at d = 6 (p = 3, whose 729 residues take ten roots
+of their own before the eleventh walks the powers of one lift, and whose
+six twists of the lifts fill six factors).  The last three lines cover
+the catalog report, written like every JSON report by strata.json_text,
+and a single display at d = 2 that is not a sum, whose polygon runs on
+the base ops: slopes and check of a deformation point of rank 10.
 """
 
 import contextlib
@@ -115,6 +119,9 @@ ARGVS = [
      "--seed", "8"],
     ["verify", "--n", "4", "--p", "3", "--d", "6", "--random", "40",
      "--seed", "5"],
+    ["catalog", "--n", "9"],
+    ["slopes", "--module", "def(5; s2=1, s3=2)", "--d", "2"],
+    ["check", "--module", "def(5; s2=1, s3=2)", "--d", "2"],
 ]
 
 
