@@ -123,7 +123,9 @@ class BasisLabel:
 
     @classmethod
     def parse(cls, text):
-        family, index = text[0], text[1:]
+        if not isinstance(text, str):
+            raise TypeError(f"basis label must be a string, got {text!r}")
+        family, index = text[:1], text[1:]
         if family not in ("u", "v") or not index.isdigit():
             raise ValueError(f"bad basis label {text!r}")
         return cls(family, int(index))
@@ -510,7 +512,10 @@ def _check_shapes(rank, columns, pairing):
 
 def display_from_json(obj, ctx=None):
     """The display of a to_json document.  The rank cap and the matrix
-    shapes are checked before any label or scalar is parsed."""
+    shapes are checked before any label or scalar is parsed.  A malformed
+    document raises KeyError (a missing field), TypeError (a field of
+    the wrong type) or ValueError (a bad value, CapacityError included),
+    and nothing else."""
     rank = len(obj["basis"])
     if rank > 2 * MAX_SPEC_HALF_RANK:
         raise ValueError(f"display has more than {2 * MAX_SPEC_HALF_RANK} "

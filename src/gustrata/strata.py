@@ -32,11 +32,21 @@ template and the points' Teichmuller lifts (displayzoo._template_lanes),
 and runs one product and one Berkowitz run per block for the whole chunk,
 each lane reading exactly the polygon newton_slopes reads for its point
 (fcrystal.newton_slopes_batch reads the same lanes off built displays).
-Lanes with the same block hulls share one NewtonPolygon.  A record holds
-the point's parameter codes, not the point: no point or display is built
-for a point certified at N, a retried point builds both at 2N, and
-PointRecord.point and PointRecord.display build them when they are read.
-reduce_records reads the predicted stratum off the codes.
+Lanes with the same block hulls share one NewtonPolygon.
+
+The lanes, the lifts they read and their Berkowitz runs need less than
+N: every deformation display has val det A = n, so a lane's certificate
+term is d n and any precision from N* = d n + 1 up certifies the same,
+true polygon.  When N exceeds N*, the lanes run at N* in the context
+ctx.at_precision(N*), and a lane not certified there all the same is read
+again at N (see _records); below N* they run at N.  The cycle table, the
+records' context, the retry at 2N and the report stay at N, and the
+report names N.
+
+A record holds the point's parameter codes, not the point: no point or
+display is built for a point certified at N, a retried point builds both
+at 2N, and PointRecord.point and PointRecord.display build them when they
+are read.  reduce_records reads the predicted stratum off the codes.
 
 The slope graph stage runs once per sweep and precision, on the template
 (_CycleTable).  Every F entry of the template is a constant or an integer
@@ -392,10 +402,11 @@ class PointRecord(NamedTuple):
     """What one sweep point contributes to its report.
 
     ints are the point's parameter codes (the integers field_from_int
-    reads), in the order of its parameter indices.  ctx and polygon are
-    the sweep's context and the point's polygon there, or those at 2N
-    when the point was retried, and polygon is None when it is certified
-    at neither N nor 2N.  min_cycle is the least slope of the cycles
+    reads), in the order of its parameter indices.  ctx is the sweep's
+    context, at N, or the one at 2N when the point was retried, and
+    polygon the point's polygon, certified at N (read at N* <= N when N
+    exceeds it, see _records) or at 2N, and None when it is certified at
+    neither N nor 2N.  min_cycle is the least slope of the cycles
     through u_1, or None without a polygon or without such a cycle.
     entries are the (report list, entry) pairs the point adds to the
     report's lists.  A record holds codes, not points: point and display
@@ -449,19 +460,55 @@ def sweep(n, p, d, mode="exhaustive", count=None, seed=None, budget=None,
     return mode_doc, ctx, _records(ctx, n, points)
 
 
+def _certifying_precision(n, d):
+    """N* = d n + 1, the least precision that certifies the polygon of
+    every point of a sweep at rank 2n over W(F_{p^d}) (see _records)."""
+    return d * n + 1
+
+
 def _records(ctx, n, points):
     """The PointRecord of each parameter vector drawn from the iterator
     points, in order.  The points are taken CHUNK at a time and each
-    chunk's polygons at N are read as lanes filled straight from the
+    chunk's polygons are read as lanes filled straight from the
     deformation template (displayzoo._template_lanes), in one twisted
     product and one Berkowitz run per block, with one NewtonPolygon per
     distinct hull (fcrystal._lane_polygons); no point or display is
-    built.  Every point reads its cycles off one _CycleTable."""
+    built.  Every point reads its cycles off one _CycleTable at N.
+
+    The lanes run at N* = d n + 1 (_certifying_precision) when N exceeds
+    it, in the context ctx.at_precision(N*), and at N otherwise.  N*
+    certifies every point: A is p times a unit on the n columns F u_k
+    (k >= 2, u_0 included) and F v_1, and with those columns divided by
+    p it is a signed permutation up to unitriangular terms mod p, so
+    val det A = n whatever the parameters.  A lane's certificate term
+    (_linalg.lane_slope_pairs) is sy val h_0, and h_0 = det M for the lane
+    matrix M = X sigma(Y) sigma^2(X) ... of fcrystal._graded_length(d)
+    factors, each of val det X + val det Y = n per pair: d n at odd d,
+    sy = 1, and 2 (d/2) n at even d, sy = 2.  So the term is d n < N*,
+    and a polygon certified at N* is the polygon certified at N, the true
+    one.  A lane not certified at N* all the same is read again at N, so
+    its retry at 2N, failure and their texts are those of a sweep at N;
+    the records, their ctx and the report name N throughout."""
     table = _CycleTable(ctx, n)
+    nstar = _certifying_precision(n, ctx.d)
+    low = ctx.at_precision(nstar) if ctx.N > nstar else ctx
     while chunk := list(itertools.islice(points, CHUNK)):
-        lanes = _graded_lane_pairs(*_template_lanes(ctx, n, chunk))
-        for args in zip(chunk, _lane_polygons(lanes, ctx.N)):
+        polygons = _chunk_polygons(low, n, chunk)
+        if low is not ctx and None in polygons:
+            again = [i for i, polygon in enumerate(polygons)
+                     if polygon is None]
+            for i, polygon in zip(again, _chunk_polygons(
+                    ctx, n, [chunk[i] for i in again])):
+                polygons[i] = polygon
+        for args in zip(chunk, polygons):
             yield evaluate_point(table, *args)
+
+
+def _chunk_polygons(ctx, n, rows):
+    """The polygon at ctx of the point with each parameter code tuple of
+    rows, None where it is not certified at ctx.N."""
+    lanes = _graded_lane_pairs(*_template_lanes(ctx, n, rows))
+    return _lane_polygons(lanes, ctx.N)
 
 
 def _template_graph(ctx, n):
@@ -569,9 +616,10 @@ def _point_doc(n, ints):
 def evaluate_point(table, ints, polygon):
     """The PointRecord of the point with the parameter codes ints, given
     the sweep's _CycleTable at its context, of precision N, and the
-    point's polygon there (None when not certified at N, and then the
-    point retries at 2N, the one place a sweep builds the point and its
-    display).
+    point's polygon there, which _records may have read at the lower
+    certifying precision N*: the same polygon.  polygon is None when the
+    point is not certified at N, and then the point retries at 2N, the one
+    place a sweep builds the point and its display.
 
     Checks that the least Newton slope exceeds no cycle slope through u_1
     (lemma), and records without failing where it differs from the least

@@ -98,9 +98,12 @@ class NonInvertibleError(ArithmeticError):
 def default_precision(n, d):
     """Working precision used by the display-level drivers: 4*n*d + 8.
 
-    Comfortably exceeds the total slope mass d*n of the linearized operator
-    on a rank-2n module, so Newton polygon hull vertices stay far below the
-    truncation level.
+    A polygon is certified at N exactly when its certificate term, d*v
+    for v = val det A (see _linalg.lane_slope_pairs), lies below N, so
+    the certifying threshold is N* = d*v + 1.  A rank-2n deformation
+    display has v = n, so this default is about four times its N* =
+    d*n + 1; a sweep reads its polygons at N* and reports this N (see
+    strata._records).  V and the pairing check need N > v as well.
     """
     return 4 * n * d + 8
 
@@ -574,7 +577,8 @@ class RingContext:
         x^Q - x are closed under products, and the root over a residue is
         unique).  So a walk over the powers of one lift (_memo_powers)
         memoizes every lift at once: one root, for the least primitive
-        element, and one product per other lift.  It runs once it costs no
+        element unless its lift is memoized already, and one product per
+        other lift.  It runs once it costs no
         more than the roots run so far and the next: a lift other than 0
         and 1 that misses the memo walks when
         Q - 1 <= (r + 1) * N.bit_length() * Q.bit_length(), r the roots
@@ -606,8 +610,9 @@ class RingContext:
 
     def _memo_powers(self):
         """Memoize [g]^k = [g^k], k = 0..Q-2, for the least primitive
-        element g of F_Q (least by code): one root and Q - 3 products.
-        Lifts already memoized keep their objects."""
+        element g of F_Q (least by code): one root, none when g's lift is
+        memoized already, and Q - 3 products.  Lifts already memoized keep
+        their objects."""
         p, d, cache = self.p, self.d, self._teich_cache
         m = p ** d - 1
         field = self._bare(1)
@@ -616,7 +621,7 @@ class RingContext:
             g = tuple((code // p ** i) % p for i in range(d))
             if all(field._wpow(g, m // r) != one for r in _prime_factors(m)):
                 break
-        x, t = one, self._teich_root(g)
+        x, t = one, (cache[g].coords if g in cache else self._teich_root(g))
         for k in range(m):
             if k:
                 x = t if k == 1 else self._wmul(x, t)
@@ -698,10 +703,21 @@ class RingContext:
 
 
 def context_from_json(obj):
-    coeffs = obj["modulus"]
-    if coeffs[-1] != 1:
+    """The context of a to_json document.  Raises KeyError for a missing
+    field, TypeError unless p, d, N and the modulus's coefficients are
+    ints, and ValueError (CapacityError included) for a value
+    make_context refuses or a modulus that is not monic, of degree d,
+    with coefficients in [0, p) and irreducible; every check but the last
+    runs before any table is built."""
+    p, d, N, coeffs = obj["p"], obj["d"], obj["N"], obj["modulus"]
+    if not isinstance(coeffs, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool)
+            for c in (p, d, N, *coeffs)):
+        raise TypeError("context p, d, N and modulus must be integers")
+    if not coeffs or coeffs[-1] != 1:
         raise ValueError("modulus must be monic")
-    return RingContext(obj["p"], obj["d"], obj["N"], coeffs[:-1])
+    _check_params(p, d, N)
+    return RingContext(p, d, N, coeffs[:-1])
 
 
 def make_context(p, d, N):
@@ -854,7 +870,14 @@ class PadicScalar(_Element):
 
 
 def scalar_from_json(ctx, obj):
-    return PadicScalar(ctx, tuple(int(c) for c in obj["coords"]))
+    """The scalar of a to_json document, whose coords are ints or their
+    decimal strings: KeyError without coords, TypeError for another
+    type, ValueError for a bad string or count."""
+    coords = obj["coords"]
+    if not isinstance(coords, list) or not all(
+            type(c) in (int, str) for c in coords):
+        raise TypeError("coords must be integers or decimal strings")
+    return PadicScalar(ctx, tuple([int(c) for c in coords]))
 
 
 class FieldElement(_Element):

@@ -390,10 +390,11 @@ class TestRetryContexts:
             assert {f["error"] for f in failures} == {failure}
 
     def test_no_retry_builds_no_doubled_context(self, monkeypatch):
+        # the lanes run at N* = d n + 1 = 6 below N = 9; no 2N = 18
         built = contexts_built(monkeypatch)
         code, out = run(["verify", "--n", "5", "--p", "3", "--precision", "9"])
         assert code == 0 and json.loads(out)["precision_retries"] == 0
-        assert set(built) == {9}
+        assert set(built) == {9, 6}
 
 
 class TestRepeatedCommands:

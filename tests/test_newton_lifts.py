@@ -98,6 +98,20 @@ def test_lift_cost_grows_like_log_precision(monkeypatch):
     assert 0 < at_48 and at_384 < 2 * at_48
 
 
+def least_primitive_code(ctx):
+    """The least code of an element of order Q - 1 in F_Q, by counting
+    its powers."""
+    Q, one = ctx.p ** ctx.d, ctx.field_from_int(1)
+    for code in range(2, Q):
+        a = x = ctx.field_from_int(code)
+        order = 1
+        while x != one:
+            x, order = x * a, order + 1
+        if order == Q - 1:
+            return code
+    return 1
+
+
 def _pow(ctx, x, e):
     """x^e for a scalar x of ctx, by repeated products."""
     out = ctx.one()
@@ -184,11 +198,14 @@ class TestLiftEdges:
     @pytest.mark.parametrize("N", [1, 2, 3, 5, 33])
     def test_low_and_odd_precisions(self, p, d, N, monkeypatch):
         # residues other than 0 and 1 run a root each until r roots pay
-        # for a walk, Q - 1 <= (r + 1) c, which runs one more: with c =
-        # N.bit_length() * Q.bit_length() that is min(Q - 2, (Q - 2) // c
-        # + 1) roots.  A small field (Q - 1 <= c: (2, 2) always, (3, 2)
-        # and (5, 1) from N = 2, (2, 5) and (3, 3) at N = 33) walks at its
-        # first root; the others, (2, 5) at N = 1 after five, later
+        # for a walk, Q - 1 <= (r + 1) c: with c = N.bit_length() *
+        # Q.bit_length() that is r = (Q - 2) // c, the roots of codes 2 to
+        # r + 1, and a walk when r < Q - 2.  The walk runs one more root,
+        # for the least primitive element g, unless g's code is among
+        # those.  A small field (Q - 1 <= c: (2, 2) always, (3, 2) and
+        # (5, 1) from N = 2, (2, 5) and (3, 3) at N = 33) walks at its
+        # first lift, and runs g's root; the others, (2, 5) at N = 1 after
+        # five roots, later, and run none when g's code is at most r + 1
         roots = count_calls(monkeypatch, "_teich_root")
         walks = count_calls(monkeypatch, "_memo_powers")
         ctx = make_context(p, d, N)
@@ -197,23 +214,44 @@ class TestLiftEdges:
             a = ctx.field_from_int(k)
             assert ctx.teichmuller(a).coords == teichmuller_oracle(
                 p, d, N, ctx.modulus, a.coords), k
-        c = N.bit_length() * Q.bit_length()
-        assert len(roots) == min(Q - 2, (Q - 2) // c + 1)
-        assert len(walks) == (len(roots) > (Q - 2) // c)
+        r = (Q - 2) // (N.bit_length() * Q.bit_length())
+        g = least_primitive_code(ctx)
+        assert len(roots) == min(Q - 2, r + (g >= r + 2))
+        assert len(walks) == (r < Q - 2)
 
     def test_mid_size_field_walks_at_its_eleventh_root(self, monkeypatch):
         # F_729 at N = 104: Q - 1 = 728 > 70 = c, so ten roots run before
-        # (10 + 1) * 70 >= 728 makes the next lift walk; seven lifts that
-        # hit the memo afterwards are checked against the oracle
+        # (10 + 1) * 70 >= 728 makes the next lift walk, which runs the
+        # eleventh root, for the least primitive element g: g is not among
+        # the ten; seven lifts that hit the memo afterwards are checked
+        # against the oracle
         roots = count_calls(monkeypatch, "_teich_root")
         walks = count_calls(monkeypatch, "_memo_powers")
         p, d, N = 3, 6, 104
         ctx = make_context(p, d, N)
         codes = list(range(2, p ** d))
         random.Random(11).shuffle(codes)
+        assert least_primitive_code(ctx) not in codes[:10]
         lifts = [ctx.teichmuller(ctx.field_from_int(k)) for k in codes]
         assert len(roots) == 11 and len(walks) == 1
         assert len(ctx._teich_cache) == p ** d - 1
+        for k, t in list(zip(codes, lifts))[::100]:
+            assert t.coords == teichmuller_oracle(
+                p, d, N, ctx.modulus, ctx.field_from_int(k).coords), k
+
+    def test_walk_reuses_a_memoized_generator_lift(self, monkeypatch):
+        # the same field with g asked first: the walk at the eleventh lift
+        # takes g's memoized lift and runs no root of its own
+        roots = count_calls(monkeypatch, "_teich_root")
+        walks = count_calls(monkeypatch, "_memo_powers")
+        p, d, N = 3, 6, 104
+        ctx = make_context(p, d, N)
+        g = least_primitive_code(ctx)
+        codes = [g] + [k for k in range(2, p ** d) if k != g]
+        lifts = [ctx.teichmuller(ctx.field_from_int(k)) for k in codes]
+        assert len(roots) == 10 and len(walks) == 1
+        assert len(ctx._teich_cache) == p ** d - 1
+        assert ctx.teichmuller(ctx.field_from_int(g)) is lifts[0]
         for k, t in list(zip(codes, lifts))[::100]:
             assert t.coords == teichmuller_oracle(
                 p, d, N, ctx.modulus, ctx.field_from_int(k).coords), k

@@ -47,12 +47,17 @@ low precision, one whose points retry at 2N and one that fails for lack
 of precision (exit 3).  The last two lines cover the Teichmuller lifts and
 the twisted factors that a sweep reads off them: a random sweep at odd
 d = 3 past n = 3 (p = 2, whose small field memoizes every lift as a power
-of one lift) and one at d = 6 (p = 3, whose 729 residues take ten roots
-of their own before the eleventh walks the powers of one lift, and whose
-six twists of the lifts fill six factors).  The last three lines cover
+of one lift) and one at d = 6 (p = 3, whose lifts run at N* = 25, where
+729 residues take fourteen roots of their own before the fifteenth lift
+walks the powers of one of those fourteen lifts, and whose six twists of
+the lifts fill six factors).  The last three lines cover
 the catalog report, written like every JSON report by strata.json_text,
 and a single display at d = 2 that is not a sum, whose polygon runs on
-the base ops: slopes and check of a deformation point of rank 10.
+the base ops: slopes and check of a deformation point of rank 10.  The
+last four lines cover sweeps at n = 32, whose lanes run at the certifying
+precision N* = d n + 1 below the reported N: random sweeps at d = 2
+(p = 3) and at d = 3 (p = 2), and the d = 2 sweep at --precision 40,
+below N* = 65, where every point retries at 2N, and at N* itself.
 """
 
 import contextlib
@@ -122,6 +127,14 @@ ARGVS = [
     ["catalog", "--n", "9"],
     ["slopes", "--module", "def(5; s2=1, s3=2)", "--d", "2"],
     ["check", "--module", "def(5; s2=1, s3=2)", "--d", "2"],
+    ["verify", "--n", "32", "--p", "3", "--d", "2", "--random", "4",
+     "--seed", "2"],
+    ["verify", "--n", "32", "--p", "2", "--d", "3", "--random", "4",
+     "--seed", "3"],
+    ["verify", "--n", "32", "--p", "3", "--d", "2", "--random", "4",
+     "--seed", "2", "--precision", "40"],
+    ["verify", "--n", "32", "--p", "3", "--d", "2", "--random", "4",
+     "--seed", "2", "--precision", "65"],
 ]
 
 
