@@ -36,14 +36,20 @@ with an edge i -> j for each nonzero M[i][j] put M into block
 upper-triangular form, and the polygon of det(xI - M) is the union of the
 polygons of its diagonal blocks, so no polynomial product is formed.
 charpoly, the whole det(xI - M), is one Berkowitz run on the whole matrix.
+The valuations, hulls and certificate are read from coefficient lists
+(coefficient_slope_pairs), so a charpoly known in closed form needs no
+Berkowitz run: a sweep at d <= 2 reads its lanes' charpolys off the
+deformation template (displayzoo._template_charpoly), and sweeps run
+Berkowitz only at d >= 3.
 
 Both take the sparse rows of their matrix and twisted_product the sparse
 columns of its factors, so the display's stored sparse data feeds the
 twisted Newton polygon with no dense matrix in between: twisted_factors
 twists the display's columns into the factors sigma^k(A), and column j of
 A * sigma(A) * ... * sigma^k(A) is the product up to sigma^(k-1) applied to
-column j of sigma^k(A), one smatvec.  A sweep fills its factors already
-twisted (displayzoo._template_lanes).  mat_mul still takes dense rows.
+column j of sigma^k(A), one smatvec.  A sweep at d >= 3 fills its
+factors already twisted (displayzoo._template_lanes).  mat_mul still
+takes dense rows.
 Every kernel returns exactly what the dense computation would: the ring
 is exact, so skipping zero terms, reordering sums and reducing by
 polynomial identities changes no coefficient.
@@ -85,7 +91,9 @@ products and sums.  No slot may carry into the next:
   products, T the size given to _LaneOps, the number of rows of the lane
   matrix: a column of twisted_product's factors, a vector of a Berkowitz
   block and the shorter factor of a poly_mul in Berkowitz (t + 1 terms
-  at step t) have at most that many entries;
+  at step t) have at most that many entries, and a sum of the
+  closed-form charpoly of a sweep at d <= 2 at most h + 1 <= n of them,
+  for T = n (displayzoo._template_charpoly);
 * the reduction, once per output entry, folds each top slot
   k = 2d - 2, ..., d, taken mod q, times the packed x^d mod the modulus
   into slots k - d .. k - 1 (x^k = x^(k-d) x^d), top slot first, which
@@ -280,16 +288,17 @@ class _LaneOps:
     """Raw arithmetic on lanes: a lane value is a tuple of width scalars,
     one per matrix of a batch of matrices of at most size rows, and every
     operation acts lane by lane.  Only what twisted_factors,
-    twisted_product, _berkowitz and poly_mul use is provided, and vals,
-    which lane_slope_pairs reads.  A batch of displays, or a sweep's chunk
-    of points, runs here at any width, a chunk of one point included; a
-    single display runs on the base ops.  A scalar is a signed int in
-    (-q, q), q = p^N, congruent to the base ops' raw int at d == 1, and
-    the packed coordinates at d >= 2 (see the module docstring for both);
-    pack, unpack and packed convert at the boundary.  The zero is the
-    all-zero lane, so a kernel skips an entry, or stops early, only when
-    it vanishes in every lane, and each lane gets exactly what the base
-    ops would give for its own matrix."""
+    twisted_product, _berkowitz, poly_mul and the closed-form charpoly of
+    a sweep (displayzoo._template_charpoly) use is provided, and vals,
+    which coefficient_slope_pairs reads.  A batch of displays, or a
+    sweep's chunk of points, runs here at any width, a chunk of one point
+    included; a single display runs on the base ops.  A scalar is a
+    signed int in (-q, q), q = p^N, congruent to the base ops' raw int at
+    d == 1, and the packed coordinates at d >= 2 (see the module
+    docstring for both); pack, unpack and packed convert at the boundary.
+    The zero is the all-zero lane, so a kernel skips an entry, or stops
+    early, only when it vanishes in every lane, and each lane gets exactly
+    what the base ops would give for its own matrix."""
 
     def __init__(self, base, width, size):
         self.base, self.width = base, width
@@ -840,7 +849,9 @@ def lane_slope_pairs(lops, srows, twist, scale):
     Valuations are read coefficient by coefficient across all lanes
     (lops.vals), the hulls once per distinct tuple of a lane's valuation
     rows, and lanes whose blocks have the same hulls share one
-    (pairs, term).
+    (pairs, term); coefficient_slope_pairs is this tail, on the blocks'
+    charpolys.  Sweeps run this Berkowitz head only at d >= 3: at d <= 2
+    they pass the closed-form charpoly of their lane matrix to the tail.
 
     Transpose: for twist d <= 2, Berkowitz runs on each block's
     transpose, whose charpoly is the block's, so its Krylov vectors are
@@ -850,12 +861,30 @@ def lane_slope_pairs(lops, srows, twist, scale):
     matrices this takes about a fifth fewer lane products; at d >= 3, four
     or more factors, it would take up to two thirds more.  On the digests'
     module matrices it changes none."""
+    mat = sparse_transpose(srows, len(srows)) if twist <= 2 else srows
+    return coefficient_slope_pairs(
+        lops, [reversed(_berkowitz(lops, _restrict(mat, block)))
+               for block in _blocks(srows)], twist, scale)
+
+
+def coefficient_slope_pairs(lops, polys, twist, scale):
+    """lane_slope_pairs of the monic polynomial h given by its monic
+    factors polys, each a list of lane coefficients, low degree first:
+    their valuations, hulls and certificate term, with twist and scale as
+    there.  lane_slope_pairs passes the charpolys of the blocks; a sweep
+    at d <= 2 passes h whole, its coefficients read off the deformation
+    template in closed form (displayzoo._template_charpoly).  The
+    certificate argument of lane_slope_pairs holds for any factorization
+    of h: the polygon of h is the union of its factors', and sy times the
+    sum of their val c_0 lies below N exactly when sy val h_0 does.  So
+    whole-polynomial pairs may split a slope differently from per-block
+    pairs, but each lane's polygon, and whether it is certified, are the
+    same."""
     vals = lops.vals
     sx, sy = scale
-    mat = sparse_transpose(srows, len(srows)) if twist <= 2 else srows
-    # per block, each lane's valuations of its coefficients, low degree first
-    rows = [list(zip(*map(vals, reversed(_berkowitz(
-        lops, _restrict(mat, block)))))) for block in _blocks(srows)]
+    # per factor, each lane's valuations of its coefficients, low degree
+    # first
+    rows = [list(zip(*map(vals, poly))) for poly in polys]
     out, by_rows, shared = [], {}, {}
     for lane_rows in zip(*rows) if rows else [()] * lops.width:
         got = by_rows.get(lane_rows)
@@ -864,7 +893,7 @@ def lane_slope_pairs(lops, srows, twist, scale):
                            for row in lane_rows])
             got = shared.get(hulls)
             if got is None:
-                # a hull starts at (0, val c_0) of its block
+                # a hull starts at (0, val c_0) of its factor
                 got = shared[hulls] = (
                     [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
                       sx * (i2 - i1))

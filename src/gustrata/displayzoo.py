@@ -13,8 +13,9 @@ v_k at m + k - 1, each integer coefficient (1, -1, p) is one raw value
 shared by its entries, and the p entries vanish, and are left out, at
 N = 1.  direct_sum shifts its summands' lines by their offsets, and the
 deformation family fills a per-n template (see deformation_display),
-which a sweep reads as lanes, one per point, with no display
-(_template_lanes).
+which a sweep reads as lanes, one per point, with no display: at d <= 2
+the charpoly of the lane matrix in closed form (_template_charpoly), at
+d >= 3 the factors of the lane matrix (_template_lanes).
 """
 
 from __future__ import annotations
@@ -314,7 +315,8 @@ def _deformation_template(ctx, n):
 def _template_lanes(ctx, n, rows):
     """(lops, factors) of the deformation displays at the points with the
     parameter codes rows (DeformationPoint.from_ints(ctx, n, ints) for
-    ints in rows), read as lanes without building them: lops is the
+    ints in rows), read as lanes without building them, as a sweep at
+    d >= 3 reads them (at d <= 2 it reads _template_charpoly): lops is the
     _LaneOps of one lane per point that fcrystal._lane_pairs makes for
     those displays, and factors are the twisted factors it reads off
     them, _linalg.twisted_factors of the packed lane blocks X and Y
@@ -337,9 +339,7 @@ def _template_lanes(ctx, n, rows):
     ops = ops_for(ctx)
     lops = _LaneOps(ops, len(rows), len(labels))
     pack, scale, frob, d = lops.pack, ops.scale, ops.frob, ctx.d
-    lifts = {k: ops.unwrap(ctx.teichmuller(ctx.field_from_int(k)))
-             for k in set().union(*rows)}
-    codes, tables = list(zip(*rows)), {}
+    lifts, codes, tables = _lifts(ctx, ops, rows), list(zip(*rows)), {}
 
     def entry(f, k, twist):
         if k is None:
@@ -356,6 +356,139 @@ def _template_lanes(ctx, n, rows):
         factors.append([[(pos[i], e) for i, f, k in slots[j]
                          if any(e := entry(f, k, t % d))] for j in idx])
     return lops, factors
+
+
+def _lifts(ctx, ops, rows):
+    """The raw Teichmuller lift of each parameter code in rows, by code."""
+    return {k: ops.unwrap(ctx.teichmuller(ctx.field_from_int(k)))
+            for k in set().union(*rows)}
+
+
+def _template_charpoly(ctx, n, rows):
+    """(lops, coefficients) at d <= 2: a _LaneOps of one lane per point
+    with the parameter codes rows and, low degree first, the lane
+    coefficients of g = det(yI - M) for the lane matrix M = X sigma(Y)
+    of _template_lanes, its two factors (at d = 1, sigma = 1 and
+    M = X Y), read off the points' lifts by the closed form below: no
+    factor, product or Berkowitz run is formed.
+
+    Write m = n for odd n and m = n - 1 for even n, h = (m - 1)/2, s_i
+    for the lift of the parameter s_i, t_i = sigma(s_i) (t = s at d = 1),
+    and s_1 = t_1 = 1.  Then g_m(y) = sum_k a_k y^(m-k) with a_0 = 1,
+    a_m = p^m and, for 1 <= k <= h, eps = 1 for k < h and -1 for k = h,
+
+        a_k     = p^(k-1)   (eps p t_(2k+1) + sum_i t_i s_(i+m-2k)),
+        a_(m-k) = p^(m-k-1) (eps p s_(2k+1) + sum_i s_i t_(i+m-2k)),
+
+    the sums over odd i < 2k.  For odd n, g = g_m; for even n,
+    g = (y + p) g_m - p^h s_0 t_0 y^(h+1).  So a_m and g(0) are p^m and
+    p^n: every point has val det A = n.
+
+    Proof.  From deformation_display, the images of the u's under M are
+    M u_1 = -u_(m-1) - s_(m-1) u_1, M u_3 = p u_1,
+    M u_k = p u_(k-2) + p s_(k-2) u_1 (k >= 4), and M u_2 = c u_1 +
+    sum_(i >= 2) w_i u_i with w_i = (-1)^(i+1) p t_(i+1) for i <= m - 2,
+    w_(m-1) = p t_m and w_m = p^2.  Take the Schur complement of
+    yI - M on S = {u_1, u_2}: on the rest R = {u_3, ..., u_m}, M is the
+    shift u_k -> p u_(k-2), nilpotent, so det(yI - M_RR) = y^(m-2) and
+    g = y^(m-2) det T, T_ab = y [a = b] minus the sum over the paths from
+    u_b to u_a with their inner vertices in R, each its product of
+    entries (the edge u_j -> u_i carrying M[i][j]) over y^(inner
+    vertices).  In R the odd u's form the chain u_m -> ... -> u_3 -> u_1
+    and the even ones u_(m-1) -> ... -> u_4 -> u_2, each step p, and
+    u_k (k >= 4) also steps to u_1 with p s_(k-2); so every path is one
+    monomial, and with z = p / y
+
+        T_11 = y + sum_(r < h) s_(m-1-2r) z^r,    T_21 = z^(h-1),
+        T_22 = y - sum_(r < h) w_(2r+2) z^r
+             = y + p sum_(r < h-1) t_(2r+3) z^r - p t_m z^(h-1),
+
+    while T_12 is a polynomial in z alone.  A term y^a z^b of det T
+    gives p^b to a_k, k = 2 - a + b.  T_12 T_21 has a = 0 and b >= h - 1,
+    so for k <= h, a_k comes from T_11 T_22 alone: y^2 gives a_0 = 1,
+    y s_(m+1-2k) z^(k-1) the term i = 1, y (-w_(2k)) z^(k-1) the term
+    eps p^k t_(2k+1), and p s_(m-1-2r) t_(2r+3) z^(r+r') with
+    r + r' = k - 2 the term i = 2r' + 3 of the sum, its sign + since
+    r' <= h - 2.  That is the low half.
+
+    The high half is the pairing.  <F x, y> = sigma(<x, V y>) with
+    FV = p reads Y(s)^T D X(s) = -p D, D = diag <u_i, v_i>, identically
+    in the parameters (polarization_check verifies it), so
+    sigma(Y) = Y(t) = -p D X(t)^(-T) D over the fraction field and
+    M = -p X(s) D X(t)^(-T) D.  For P = D X(s)^(-1), Q = D X(t)^T,
+    M with s and t swapped is -p (PQ)^T and p^2 M^(-1) = -p QP, so
+    both have one charpoly: (-y)^m g(p^2 / y) = det(M) g'(y), g' the g
+    of M with s and t swapped.  X maps v_2 -> u_1, v_1 -> p u_m - p s_m u_1
+    and v_k -> u_(k-1) + s_(k-1) u_1, a signed permutation times
+    diag(p, 1, ...) up to unitriangular column operations, so det X(s)
+    and det X(t) are one +-p, det M = (-p)^m and a_m = p^m.  So
+    y^m g(p^2 / y) = p^m g'(y), and its coefficients of y^(m-k) give
+    a_(m-k) = p^(m-2k) a'_k, the high half.
+    (sigma^2 = 1 at d <= 2, so g' is g with sigma applied to its
+    coefficients.)
+
+    Even n adds u_0: M u_0 = -p u_0 - p s_0 u_1, and M u_2 gains
+    -p t_0 u_0 - p s_0 t_0 u_1.  Bordering by u_0,
+    det [[B, b], [c^T, e]] = e det B - c^T adj(B) b, with det B linear in
+    its (u_1, u_2) entry, gives g = (y + p) g_m + p s_0 t_0 y C, C the
+    (u_1, u_2) cofactor of yI - M_m.  C is g_m times
+    entry (2, 1) of (yI - M_m)^(-1), which is (T^(-1))_21 = -T_21 / det T;
+    so C = -y^(m-2) z^(h-1) = -p^(h-1) y^h.
+
+    Each lane is its own point's g: the formula acts lane by lane on the
+    packed s_i and t_i.  The sums run on lops.smatvec, one reduction per
+    output entry: the inner sums of the a_k (the factors after their
+    powers of p) and s_0 t_0 are one smatvec, at most h + 1 products per
+    entry (at d = 2 a second one swaps s and t for the high half; at
+    d = 1 the halves are equal), and a last one multiplies them by their
+    powers of p and, for even n, by y + p, at most three products per
+    entry; so the lanes are sized for n.  -p and -p^h are the lane
+    negations of p and p^h, so no packed slot goes negative."""
+    ops = ops_for(ctx)
+    lops = _LaneOps(ops, len(rows), n)
+    pack, frob, zero, width = lops.pack, ops.frob, lops.zero, lops.width
+    lifts, codes = _lifts(ctx, ops, rows), list(zip(*rows))
+    indices = _parameter_indices(n)
+
+    def lanes(twist):
+        table = {c: pack(frob(v, twist)) for c, v in lifts.items()}
+        return {1: lops.one, **{i: tuple([table[c] for c in col])
+                                for i, col in zip(indices, codes)}}
+
+    def const(c):
+        return (pack(ops.scale(c, ops.one)),) * width
+
+    p, m = ctx.p, n - 1 + n % 2
+    h = m // 2
+    s = lanes(0)
+    t = lanes(1) if ctx.d == 2 else s
+    signs = [const(p)] * (h - 1) + [lops.neg(const(p))]
+
+    def inner(a, b, extra=()):
+        """k -> eps p b_(2k+1) + sum_(odd i < 2k) b_i a_(i+m-2k)."""
+        cols = {i: [] for i in range(1, m + 1, 2)}
+        for k in range(1, h + 1):
+            cols[2 * k + 1].append((k, signs[k - 1]))
+            for i in range(1, 2 * k, 2):
+                cols[i].append((k, a[i + m - 2 * k]))
+        cols.update(extra)
+        return lops.smatvec(cols, {i: b[i] for i in cols if b[i] != zero})
+
+    # s_0 t_0 at key 0 of the low half, whose sums are keyed 1..h
+    low = inner(s, t, {0: [(0, s[0])]} if m < n else ())
+    high = inner(t, s) if ctx.d == 2 else low
+    # g_m's a_j = powers[j] e_j, e_j as sources j of the second smatvec
+    powers = [1] + [p ** j for j in range(m - 1)] + [p ** m]
+    e = {0: lops.one, m: lops.one,
+         **{j: low.get(j, zero) for j in range(1, h + 1)},
+         **{m - k: high.get(k, zero) for k in range(1, h + 1)}}
+    cols = {j: [(j, const(c))] + ([(j + 1, const(p * c))] if m < n else [])
+            for j, c in enumerate(powers)}
+    if m < n:
+        e[-1] = low.get(0, zero)
+        cols[-1] = [(h + 1, lops.neg(const(p ** h)))]
+    g = lops.smatvec(cols, {j: v for j, v in e.items() if v != zero})
+    return lops, [g.get(j, zero) for j in range(n, -1, -1)]
 
 
 def _parameter_indices(n):

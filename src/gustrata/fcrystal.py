@@ -662,9 +662,10 @@ def newton_slopes_batch(displays):
     polygon is not certified at N, and [] for no display; ValueError when
     the displays do not share them.  Displays whose lanes end with the
     same block hulls share one polygon.  A sweep builds no display: it
-    fills the same lanes straight from the deformation template
-    (displayzoo._template_lanes), and this display path is the one the
-    tests compare those lanes against.
+    reads the same lanes' charpolys off the deformation template in
+    closed form at d <= 2 (displayzoo._template_charpoly) and fills their
+    factors straight from it at d >= 3 (displayzoo._template_lanes), and
+    this display path is the one the tests compare those lanes against.
 
     Two or more displays run as lanes (_linalg._LaneOps): one twisted
     product and one Berkowitz run per block for all of them, each lane
@@ -748,11 +749,28 @@ def _graded_lane_pairs(lops, factors):
     sigma^k(Y) (odd k), k < _graded_length(d), as sparse packed columns,
     with scale (2, 1) for odd d and (2, 2) for even d (see
     newton_slopes_batch).  The factors come from displays (_lane_pairs,
-    by _linalg.twisted_factors) or, in a sweep, straight from the
-    deformation template (displayzoo._template_lanes)."""
+    by _linalg.twisted_factors) or, in a sweep at d >= 3, straight from
+    the deformation template (displayzoo._template_lanes)."""
     d = lops.d
     return _linalg.lane_slope_pairs(
-        lops, _linalg.twisted_product(lops, factors), d, (2, 2 - d % 2))
+        lops, _linalg.twisted_product(lops, factors), d, _graded_scale(d))
+
+
+def _graded_charpoly_pairs(lops, coefficients):
+    """_graded_lane_pairs of the lanes whose lane matrix has the charpoly
+    with the given lane coefficients, low degree first: a sweep at d <= 2
+    reads them off the deformation template in closed form
+    (displayzoo._template_charpoly)."""
+    d = lops.d
+    return _linalg.coefficient_slope_pairs(lops, [coefficients], d,
+                                           _graded_scale(d))
+
+
+def _graded_scale(d):
+    """The scale of the lane polygons of a graded F: (2, 1) for odd d,
+    whose twisted charpoly is h(t^2), and (2, 2) for even d, whose is
+    h * sigma(h) (see newton_slopes_batch)."""
+    return 2, 2 - d % 2
 
 
 def _lane_columns(displays, idx, pos):

@@ -27,14 +27,17 @@ A sweep is one stream in three parts:
 
 Every point of a sweep shares one context, one template and one basis, so
 the stream reads polygons in lanes: it takes the points CHUNK (64) at a
-time, fills the twisted factors of the lane product straight from the
-template and the points' Teichmuller lifts (displayzoo._template_lanes),
-and runs one product and one Berkowitz run per block for the whole chunk,
-each lane reading exactly the polygon newton_slopes reads for its point
-(fcrystal.newton_slopes_batch reads the same lanes off built displays).
-Lanes with the same block hulls share one NewtonPolygon.
+time and reads each lane's polygon, exactly the one newton_slopes reads
+for its point (fcrystal.newton_slopes_batch reads the same lanes off built
+displays).  At d <= 2 the lane matrix X sigma(Y) has two factors, and its
+charpoly is read off the points' Teichmuller lifts in closed form
+(displayzoo._template_charpoly), with no matrix product and no Berkowitz
+run.  At d >= 3 the twisted factors are filled straight from the
+template and the lifts (displayzoo._template_lanes), and one product and
+one Berkowitz run per block serve the whole chunk.  Lanes with the same
+hulls share one NewtonPolygon.
 
-The lanes, the lifts they read and their Berkowitz runs need less than
+The lanes, the lifts they read and their charpolys need less than
 N: every deformation display has val det A = n, so a lane's certificate
 term is d n and any precision from N* = d n + 1 up certifies the same,
 true polygon.  When N exceeds N*, the lanes run at N* in the context
@@ -82,10 +85,11 @@ from typing import NamedTuple
 from ._version import __version__
 from ._linalg import ops_for
 from .displayzoo import (DeformationPoint, _deformation_template,
-                         _parameter_indices, _template_lanes,
-                         deformation_display)
-from .fcrystal import (NewtonPolygon, PrecisionError, U, _graded_lane_pairs,
-                       _lane_polygons, newton_slopes)
+                         _parameter_indices, _template_charpoly,
+                         _template_lanes, deformation_display)
+from .fcrystal import (NewtonPolygon, PrecisionError, U,
+                       _graded_charpoly_pairs, _graded_lane_pairs,
+                       _graded_length, _lane_polygons, newton_slopes)
 from .slopegraph import (EXTRA, SlopeGraph, cycles_through,
                          karp_min_cycle_mean, settle_potentials)
 from .wittring import (RingContext, _check_capacity, _check_params,
@@ -469,11 +473,10 @@ def _certifying_precision(n, d):
 def _records(ctx, n, points):
     """The PointRecord of each parameter vector drawn from the iterator
     points, in order.  The points are taken CHUNK at a time and each
-    chunk's polygons are read as lanes filled straight from the
-    deformation template (displayzoo._template_lanes), in one twisted
-    product and one Berkowitz run per block, with one NewtonPolygon per
-    distinct hull (fcrystal._lane_polygons); no point or display is
-    built.  Every point reads its cycles off one _CycleTable at N.
+    chunk's polygons are read as lanes (_chunk_polygons), with one
+    NewtonPolygon per distinct hull (fcrystal._lane_polygons); no point
+    or display is built.  Every point reads its cycles off one
+    _CycleTable at N.
 
     The lanes run at N* = d n + 1 (_certifying_precision) when N exceeds
     it, in the context ctx.at_precision(N*), and at N otherwise.  N*
@@ -484,11 +487,14 @@ def _records(ctx, n, points):
     (_linalg.lane_slope_pairs) is sy val h_0, and h_0 = det M for the lane
     matrix M = X sigma(Y) sigma^2(X) ... of fcrystal._graded_length(d)
     factors, each of val det X + val det Y = n per pair: d n at odd d,
-    sy = 1, and 2 (d/2) n at even d, sy = 2.  So the term is d n < N*,
-    and a polygon certified at N* is the polygon certified at N, the true
-    one.  A lane not certified at N* all the same is read again at N, so
-    its retry at 2N, failure and their texts are those of a sweep at N;
-    the records, their ctx and the report name N throughout."""
+    sy = 1, and 2 (d/2) n at even d, sy = 2.  At d <= 2 the closed form
+    shows it directly: the constant term of h = det(yI - X sigma(Y)) is
+    p^n at every point (displayzoo._template_charpoly).  So the term is
+    d n < N*, and a polygon certified at N* is the polygon certified at
+    N, the true one.  A lane not certified at N* all the same is read
+    again at N, so its retry at 2N, failure and their texts are those of
+    a sweep at N; the records, their ctx and the report name N
+    throughout."""
     table = _CycleTable(ctx, n)
     nstar = _certifying_precision(n, ctx.d)
     low = ctx.at_precision(nstar) if ctx.N > nstar else ctx
@@ -506,8 +512,14 @@ def _records(ctx, n, points):
 
 def _chunk_polygons(ctx, n, rows):
     """The polygon at ctx of the point with each parameter code tuple of
-    rows, None where it is not certified at ctx.N."""
-    lanes = _graded_lane_pairs(*_template_lanes(ctx, n, rows))
+    rows, None where it is not certified at ctx.N.  When the lane matrix
+    has two factors (d <= 2) its charpoly is read off the lifts in closed
+    form (displayzoo._template_charpoly); otherwise the template's
+    factors are multiplied out and Berkowitz runs on their product."""
+    if _graded_length(ctx.d) == 2:
+        lanes = _graded_charpoly_pairs(*_template_charpoly(ctx, n, rows))
+    else:
+        lanes = _graded_lane_pairs(*_template_lanes(ctx, n, rows))
     return _lane_polygons(lanes, ctx.N)
 
 

@@ -11,10 +11,12 @@ elimination on the F_p blow-up, the extra-edge effects of a sweep by a
 label-keyed edge filter on the dense F matrix, Teichmuller lifts by
 iterating the p^d-power map, twisted products by dense scalar
 matrix products, Newton polygons with their precision certificate by
-gift wrapping over valuations read from the coordinates, and the
+gift wrapping over valuations read from the coordinates, the
 Verschiebung p A^(-1) with the validation of F from the Cayley-Hamilton
 adjugate, computed again at a higher precision for the exact V, with unit
-inverses by powering.
+inverses by powering, and the charpoly of the deformation template's lane
+matrix as a polynomial over Z in p and the parameters, by cofactor
+expansion of dict polynomials.
 """
 
 import itertools
@@ -631,3 +633,135 @@ def verschiebung_oracle(display):
             out[-1].append(tuple(c % p ** prec
                                  for c in x.frobenius(d - 1).coords))
     return details, (prec, out)
+
+
+class SymPoly:
+    """A polynomial over Z in named variables: a dict from monomials,
+    sorted tuples of (name, exponent), to nonzero int coefficients.  Only
+    +, -, * and == are provided, what expansion_charpoly uses."""
+
+    __slots__ = ("terms",)
+    __hash__ = None
+
+    def __init__(self, terms=()):
+        self.terms = {mono: c for mono, c in dict(terms).items() if c}
+
+    @classmethod
+    def var(cls, name):
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def const(cls, c):
+        return cls({(): c})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return SymPoly(out)
+
+    def __neg__(self):
+        return SymPoly({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                powers = dict(m1)
+                for name, e in m2:
+                    powers[name] = powers.get(name, 0) + e
+                mono = tuple(sorted(powers.items()))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return SymPoly(out)
+
+    def __pow__(self, k):
+        out = SymPoly.const(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def __repr__(self):
+        return f"SymPoly({self.terms!r})"
+
+
+def _template_frobenius(n, prefix):
+    """F of the deformation family at rank 2n with parameters named
+    prefix + index: {column label: {row label: SymPoly}}, labels like
+    "u1" and "v0".  Odd n is written on m = n; even n on m = n - 1 with
+    the u_0, v_0 block.  The relations are those stated for the family:
+    F u_1 = -v_m, F u_2 = p v_1 + sum_(2 <= j < m) (-1)^j p s_j v_j
+    + p s_m v_m, F v_1 = p u_m - p s_m u_1, F v_2 = u_1, and for k >= 3
+    F u_k = p v_(k-1), F v_k = u_(k-1) + s_(k-1) u_1; for even n also
+    F u_0 = p v_0, F v_0 = -u_0 - s_0 u_1 and p s_0 v_0 in F u_2."""
+    p, one = SymPoly.var("p"), SymPoly.const(1)
+    s = {i: SymPoly.var(f"{prefix}{i}") for i in range(n + 1)}
+    m = n if n % 2 else n - 1
+    cols = {"u1": {f"v{m}": -one}, "u2": {"v1": p},
+            "v1": {f"u{m}": p, "u1": -p * s[m]}, "v2": {"u1": one}}
+    for j in range(2, m):
+        cols["u2"][f"v{j}"] = SymPoly.const((-1) ** j) * p * s[j]
+    cols["u2"][f"v{m}"] = p * s[m]
+    for k in range(3, m + 1):
+        cols[f"u{k}"] = {f"v{k - 1}": p}
+        cols[f"v{k}"] = {f"u{k - 1}": one, "u1": s[k - 1]}
+    if m < n:
+        cols["u0"] = {"v0": p}
+        cols["v0"] = {"u0": -one, "u1": -s[0]}
+        cols["u2"]["v0"] = p * s[0]
+    return cols
+
+
+def template_charpoly_symbolic(n):
+    """det(yI - X(s) Y(t)), low degree first, as SymPolys in p, s_i and
+    t_i: X the block of F from the v's to the u's with parameters s, Y
+    the block from the u's to the v's with parameters t (sigma(Y) when
+    t = sigma(s)), multiplied entry by entry and expanded by
+    expansion_charpoly."""
+    fs, ft = _template_frobenius(n, "s"), _template_frobenius(n, "t")
+    us = [lab for lab in fs if lab.startswith("u")]
+    zero = SymPoly.const(0)
+    rows = [[zero] * len(us) for _ in us]
+    for b, ub in enumerate(us):
+        for v, y in ft[ub].items():
+            for ua, x in fs[v].items():
+                a = us.index(ua)
+                rows[a][b] = rows[a][b] + x * y
+    return expansion_charpoly(rows, zero, SymPoly.const(1))
+
+
+def template_charpoly_closed_form(n):
+    """The closed form of det(yI - X(s) Y(t)), low degree first: with
+    m = n (odd n) or n - 1 (even n), h = (m - 1) / 2, s_1 = t_1 = 1,
+    a_0 = 1, a_m = p^m and, for 1 <= k <= h with eps = 1 below h and -1
+    at h, a_k = p^(k-1) (eps p t_(2k+1) + sum_(odd i < 2k) t_i s_(i+m-2k))
+    and a_(m-k) the same with s and t swapped times p^(m-2k); for even n
+    the polynomial is (y + p) g_m - p^h s_0 t_0 y^(h+1)."""
+    p, one = SymPoly.var("p"), SymPoly.const(1)
+    s = {i: SymPoly.var(f"s{i}") for i in range(n + 1)}
+    t = {i: SymPoly.var(f"t{i}") for i in range(n + 1)}
+    s[1] = t[1] = one
+    m = n if n % 2 else n - 1
+    h = (m - 1) // 2
+    a = [one] + [None] * (m - 1) + [p ** m]
+    for k in range(1, h + 1):
+        eps = SymPoly.const(1 if k < h else -1)
+        for lo, x, z in ((k, t, s), (m - k, s, t)):
+            total = eps * p * x[2 * k + 1]
+            for i in range(1, 2 * k, 2):
+                total = total + x[i] * z[i + m - 2 * k]
+            a[lo] = p ** (lo - 1) * total
+    coeffs = a[::-1]  # low degree first
+    if m == n:
+        return coeffs
+    zero = SymPoly.const(0)
+    out = [p * c for c in coeffs] + [zero]
+    for k, c in enumerate(coeffs):
+        out[k + 1] = out[k + 1] + c
+    out[h + 1] = out[h + 1] - p ** h * s[0] * t[0]
+    return out

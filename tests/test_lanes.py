@@ -29,7 +29,8 @@ from gustrata._linalg import (_berkowitz, _blocks, _LaneOps, _restrict,
                               lane_slope_pairs, lower_hull, ops_for,
                               poly_mul, sparse_transpose, twisted_factors,
                               twisted_product)
-from gustrata.displayzoo import _deformation_template, _template_lanes
+from gustrata.displayzoo import (_deformation_template, _template_charpoly,
+                                 _template_lanes)
 from gustrata.fcrystal import (U, _basis_halves, _graded_lane_pairs,
                                _graded_length, _lane_columns, _lane_pairs,
                                _lane_polygons, newton_slopes_batch)
@@ -550,16 +551,13 @@ def test_no_module_matrix_of_the_digests_forms_more_products(
 
 
 def lane_hulls(ctx, n, chunk):
-    """Each lane's tuple of block hulls, read from the template's lanes
-    by the kernels lane_slope_pairs runs."""
-    lops, factors = _template_lanes(ctx, n, chunk)
+    """Each lane's tuple of hulls, one per polynomial a sweep at d <= 2
+    reads its polygon from: the closed-form charpoly of its lane
+    matrix."""
+    lops, coeffs = _template_charpoly(ctx, n, chunk)
     ops = lops.base
-    srows = twisted_product(lops, factors)
-    polys = [_berkowitz(lops, _restrict(srows, block))
-             for block in _blocks(srows)]
-    return [tuple(tuple(lower_hull(list(enumerate(
-        [ops.val(lops.unpack(c[lane])) for c in reversed(poly)]))))
-        for poly in polys)
+    return [(tuple(lower_hull(list(enumerate(
+        [ops.val(lops.unpack(c[lane])) for c in coeffs])))),)
         for lane in range(lops.width)]
 
 
@@ -568,9 +566,9 @@ def lane_hulls(ctx, n, chunk):
                                          (5, 3, 2, CHUNK)])
 def test_lanes_with_equal_hulls_share_one_polygon(n, p, d, count):
     """Within a chunk of a random sweep, lanes share one NewtonPolygon
-    object exactly when their block hulls are equal; distinct hull tuples
-    give distinct objects, so a chunk makes one polygon per distinct hull
-    tuple."""
+    object exactly when the hulls of their charpolys are equal; distinct
+    hulls give distinct objects, so a chunk makes one polygon per
+    distinct hull."""
     rep, records = report_and_records(n, p, d, mode="random", count=count,
                                       seed=27)
     assert rep.precision_retries == 0

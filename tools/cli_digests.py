@@ -57,7 +57,12 @@ the base ops: slopes and check of a deformation point of rank 10.  The
 last four lines cover sweeps at n = 32, whose lanes run at the certifying
 precision N* = d n + 1 below the reported N: random sweeps at d = 2
 (p = 3) and at d = 3 (p = 2), and the d = 2 sweep at --precision 40,
-below N* = 65, where every point retries at 2N, and at N* itself.
+below N* = 65, where every point retries at 2N, and at N* itself.  The
+last five lines cover the charpolys that sweeps at d <= 2 read off the
+template in closed form: exhaustive sweeps at d = 2 for odd n = 3 and
+even n = 4 (the s_0 term), a d = 2 sweep at --precision 9, below
+N* = 15, whose points retry at 2N, and random sweeps at n = 160 (p = 3)
+and at odd n = 65 (p = 5, d = 2).
 """
 
 import contextlib
@@ -135,6 +140,13 @@ ARGVS = [
      "--seed", "2", "--precision", "40"],
     ["verify", "--n", "32", "--p", "3", "--d", "2", "--random", "4",
      "--seed", "2", "--precision", "65"],
+    ["verify", "--n", "3", "--p", "2", "--d", "2"],
+    ["verify", "--n", "4", "--p", "2", "--d", "2"],
+    ["verify", "--n", "7", "--p", "2", "--d", "2", "--precision", "9",
+     "--random", "50", "--seed", "8"],
+    ["verify", "--n", "160", "--p", "3", "--random", "64", "--seed", "2"],
+    ["verify", "--n", "65", "--p", "5", "--d", "2", "--random", "8",
+     "--seed", "9"],
 ]
 
 
