@@ -19,30 +19,33 @@ that
 It writes one JSON document: per case the points compared, the
 mismatches (none expected) and the seconds each route took.  It is not
 part of the test suite: Berkowitz on the lane matrices up to n = 256
-takes several minutes.
+takes several minutes.  The Berkowitz charpoly is the one the tests
+compare with (berkowitz_charpoly in tests/_sweeps.py).
 
 Usage:
     PYTHONPATH=src python3 calibration/template_charpoly.py \\
         > calibration/template_charpoly.json
-    PYTHONPATH=src python3 calibration/template_charpoly.py --max-n 40
 """
 
-import argparse
 import json
 import platform
 import random
 import sys
+from pathlib import Path
 from time import process_time
 
 from gustrata import __version__, make_context
-from gustrata._linalg import (_berkowitz, _blocks, _restrict, poly_mul,
-                              sparse_transpose, twisted_product)
 from gustrata.displayzoo import _template_charpoly, _template_lanes
 from gustrata.fcrystal import (_graded_charpoly_pairs, _graded_lane_pairs,
                                _lane_polygons)
 from gustrata.strata import MAX_VERIFY_N
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from _sweeps import berkowitz_charpoly  # noqa: E402
+
 CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+SEED = 32
+POINTS = 3  # seeded points per n, besides the zero point
 
 
 def chunk(rng, n, q, points):
@@ -51,20 +54,6 @@ def chunk(rng, n, q, points):
     rows = [tuple(0 if rng.random() < 0.2 else rng.randrange(1, q)
                   for _ in range(n - 1)) for _ in range(points)]
     return rows + [(0,) * (n - 1)]
-
-
-def berkowitz_charpoly(lops, factors, n):
-    """det(yI - M), low degree first, for the lane matrix M with the given
-    factors, by Berkowitz as lane_slope_pairs runs it: on each block of M
-    transposed, in Tarjan's order (a plain order costs ten times more at
-    n = 128), and the blocks' charpolys multiplied."""
-    srows = twisted_product(lops, factors)
-    mat = sparse_transpose(srows, n)
-    g = [lops.one]
-    for block in _blocks(srows):
-        poly = _berkowitz(lops, _restrict(mat, block))
-        g = poly_mul(lops, g, poly, len(g) + len(poly) - 1)
-    return g[::-1]
 
 
 def check(p, d, n, rows):
@@ -89,19 +78,13 @@ def check(p, d, n, rows):
     return bad, mid - start, end - mid
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=MAX_VERIFY_N)
-    parser.add_argument("--points", type=int, default=3,
-                        help="seeded points per n, besides the zero point")
-    parser.add_argument("--seed", type=int, default=32)
-    args = parser.parse_args(argv)
+def main():
     cases = []
     for p, d in CASES:
-        rng = random.Random(f"{args.seed} {p} {d}")
+        rng = random.Random(f"{SEED} {p} {d}")
         bad, closed_s, berkowitz_s, compared = [], 0.0, 0.0, 0
-        for n in range(3, args.max_n + 1):
-            rows = chunk(rng, n, p ** d, args.points)
+        for n in range(3, MAX_VERIFY_N + 1):
+            rows = chunk(rng, n, p ** d, POINTS)
             got = check(p, d, n, rows)
             bad += got[0]
             closed_s += got[1]
@@ -109,7 +92,7 @@ def main(argv=None):
             compared += len(rows)
             print(f"p={p} d={d} n={n}: {len(got[0])} mismatches",
                   file=sys.stderr)
-        cases.append({"p": p, "d": d, "n": [3, args.max_n],
+        cases.append({"p": p, "d": d, "n": [3, MAX_VERIFY_N],
                       "points": compared, "mismatches": bad,
                       "closed_form_s": round(closed_s, 3),
                       "berkowitz_s": round(berkowitz_s, 3)})
@@ -119,7 +102,7 @@ def main(argv=None):
                        "Berkowitz on the same lanes, at N* = d n + 1; "
                        "seconds are CPU time of each route",
         "version": __version__,
-        "seed": args.seed,
+        "seed": SEED,
         "python": platform.python_version(),
         "cases": cases,
     }

@@ -1,5 +1,10 @@
-"""One sweep, read both as its report and as its per-point records."""
+"""Helpers on the package's sweep kernels, shared by the tests and by
+calibration/template_charpoly.py: one sweep read both as its report and
+as its per-point records, and the Berkowitz charpoly of a chunk's lane
+matrix."""
 
+from gustrata._linalg import (_berkowitz, _blocks, _restrict, poly_mul,
+                              sparse_transpose, twisted_product)
 from gustrata.strata import reduce_records, sweep
 
 
@@ -9,3 +14,17 @@ def report_and_records(n, p, d, **kwargs):
     mode_doc, ctx, stream = sweep(n, p, d, **kwargs)
     records = list(stream)
     return reduce_records(n, mode_doc, ctx, records), records
+
+
+def berkowitz_charpoly(lops, factors, n):
+    """det(yI - M), low degree first, for the lane matrix M with the given
+    factors, by Berkowitz as lane_slope_pairs runs it: on each block of M
+    transposed, in Tarjan's order (a plain order costs ten times more at
+    n = 128), and the blocks' charpolys multiplied."""
+    srows = twisted_product(lops, factors)
+    mat = sparse_transpose(srows, n)
+    g = [lops.one]
+    for block in _blocks(srows):
+        poly = _berkowitz(lops, _restrict(mat, block))
+        g = poly_mul(lops, g, poly, len(g) + len(poly) - 1)
+    return g[::-1]

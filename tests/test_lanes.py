@@ -551,24 +551,34 @@ def test_no_module_matrix_of_the_digests_forms_more_products(
 
 
 def lane_hulls(ctx, n, chunk):
-    """Each lane's tuple of hulls, one per polynomial a sweep at d <= 2
-    reads its polygon from: the closed-form charpoly of its lane
-    matrix."""
-    lops, coeffs = _template_charpoly(ctx, n, chunk)
+    """Each lane's tuple of hulls, one per polynomial a sweep reads its
+    polygon from: at d <= 2 the closed-form charpoly of its lane matrix,
+    at d >= 3 the Berkowitz charpoly of each block of the template's
+    twisted product."""
+    if _graded_length(ctx.d) == 2:
+        lops, coeffs = _template_charpoly(ctx, n, chunk)
+        polys = [coeffs[::-1]]
+    else:
+        lops, factors = _template_lanes(ctx, n, chunk)
+        srows = twisted_product(lops, factors)
+        polys = [_berkowitz(lops, _restrict(srows, block))
+                 for block in _blocks(srows)]
     ops = lops.base
-    return [(tuple(lower_hull(list(enumerate(
-        [ops.val(lops.unpack(c[lane])) for c in coeffs])))),)
+    return [tuple(tuple(lower_hull(list(enumerate(
+        [ops.val(lops.unpack(c[lane])) for c in reversed(poly)]))))
+        for poly in polys)
         for lane in range(lops.width)]
 
 
 @pytest.mark.parametrize("n,p,d,count", [(8, 3, 1, 3 * CHUNK),
                                          (7, 2, 1, CHUNK + 5),
-                                         (5, 3, 2, CHUNK)])
+                                         (5, 3, 2, CHUNK),
+                                         (4, 2, 3, CHUNK)])
 def test_lanes_with_equal_hulls_share_one_polygon(n, p, d, count):
     """Within a chunk of a random sweep, lanes share one NewtonPolygon
-    object exactly when the hulls of their charpolys are equal; distinct
-    hulls give distinct objects, so a chunk makes one polygon per
-    distinct hull."""
+    object exactly when their tuples of hulls (see lane_hulls) are equal;
+    distinct tuples give distinct objects, so a chunk makes one polygon
+    per distinct tuple."""
     rep, records = report_and_records(n, p, d, mode="random", count=count,
                                       seed=27)
     assert rep.precision_retries == 0

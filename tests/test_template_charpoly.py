@@ -13,14 +13,13 @@ import random
 import pytest
 
 from gustrata import _linalg, default_precision, make_context
-from gustrata._linalg import (_berkowitz, _blocks, _restrict, poly_mul,
-                              sparse_transpose, twisted_product)
 from gustrata.displayzoo import _template_charpoly, _template_lanes
 from gustrata.fcrystal import (_graded_charpoly_pairs, _graded_lane_pairs,
                                _lane_polygons)
 from gustrata.strata import CHUNK, _enumerate_points, verify_local_strata
 
 from _oracles import template_charpoly_closed_form, template_charpoly_symbolic
+from _sweeps import berkowitz_charpoly
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -44,20 +43,6 @@ def chunk_polygons(ctx, n, chunk):
     assert closed == _lane_polygons(_graded_lane_pairs(
         *_template_lanes(ctx, n, chunk)), ctx.N)
     return closed
-
-
-def berkowitz_charpoly(lops, factors, n):
-    """det(yI - M), low degree first, for the lane matrix M with the given
-    factors, by Berkowitz as lane_slope_pairs runs it: on each block of M
-    transposed, in Tarjan's order (a plain order costs ten times more at
-    n = 128), and the blocks' charpolys multiplied."""
-    srows = twisted_product(lops, factors)
-    mat = sparse_transpose(srows, n)
-    g = [lops.one]
-    for block in _blocks(srows):
-        poly = _berkowitz(lops, _restrict(mat, block))
-        g = poly_mul(lops, g, poly, len(g) + len(poly) - 1)
-    return g[::-1]
 
 
 def assert_certified_from_nstar(polygons, n, d, N):
