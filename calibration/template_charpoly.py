@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Check the closed-form charpoly of the deformation template against
-Berkowitz for every sweep size.
+"""Check the closed-form charpoly of the deformation template and the
+residue polygons read from it against Berkowitz for every sweep size.
 
-A sweep at d <= 2 reads each lane's charpoly g = det(yI - X sigma(Y))
-off the parameters' lifts by a closed form (displayzoo._template_charpoly,
-proof in its docstring), with no matrix product and no Berkowitz run.
-For every n from 3 to strata.MAX_VERIFY_N and every (p, d) of CASES,
-this script takes a seeded chunk of points (some parameters zero) and
-the zero point, at the certifying precision N* = d n + 1, and checks
-that
+The charpoly g = det(yI - X sigma(Y)) of the lane matrix at d <= 2 has a
+closed form in the parameters' lifts (displayzoo._template_charpoly,
+proof in its docstring), which gives the unit parts u_k of its
+coefficients c_k = p^(k-1) u_k; a sweep reads each lane's polygon off
+the u_k mod p (strata._chunk_polygons, _linalg.unit_slope_pairs), with
+no lift, no p-adic lane and no Berkowitz run.  For every n from 3 to
+strata.MAX_VERIFY_N and every (p, d) of CASES, this script takes a
+seeded chunk of points (some parameters zero) and the zero point, at the
+certifying precision N* = d n + 1, and checks that
 
-* the closed form's coefficients equal, lane by lane, those Berkowitz
-  gives for the lane matrix that displayzoo._template_lanes multiplies
-  out (the product of its blocks' charpolys), and
-* each lane's polygon, certified or None, is the one the Berkowitz route
-  (fcrystal._graded_lane_pairs) reads.
+* the closed form's coefficients, the u_k times their powers of p,
+  equal lane by lane those Berkowitz gives for the lane matrix that
+  displayzoo._template_lanes multiplies out (the product of its blocks'
+  charpolys),
+* each lane's polygon read off those coefficients, certified or None,
+  is the one the Berkowitz route (fcrystal._graded_lane_pairs) reads,
+  and
+* so is each lane's residue polygon, the one a sweep reads.
 
 It writes one JSON document: per case the points compared, the
 mismatches (none expected) and the seconds each route took.  It is not
@@ -35,13 +40,13 @@ from pathlib import Path
 from time import process_time
 
 from gustrata import __version__, make_context
-from gustrata.displayzoo import _template_charpoly, _template_lanes
-from gustrata.fcrystal import (_graded_charpoly_pairs, _graded_lane_pairs,
-                               _lane_polygons)
-from gustrata.strata import MAX_VERIFY_N
+from gustrata._linalg import coefficient_slope_pairs
+from gustrata.displayzoo import _template_lanes
+from gustrata.fcrystal import _graded_lane_pairs, _graded_scale, _lane_polygons
+from gustrata.strata import MAX_VERIFY_N, _chunk_polygons
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from _sweeps import berkowitz_charpoly  # noqa: E402
+from _sweeps import berkowitz_charpoly, closed_form_charpoly  # noqa: E402
 
 CASES = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
 SEED = 32
@@ -57,13 +62,16 @@ def chunk(rng, n, q, points):
 
 
 def check(p, d, n, rows):
-    """(mismatches, closed-form seconds, Berkowitz seconds) of one chunk
-    at N*."""
+    """(mismatches, residue seconds, closed-form seconds, Berkowitz
+    seconds) of one chunk at N*."""
     ctx = make_context(p, d, d * n + 1)
     start = process_time()
-    lops, coeffs = _template_charpoly(ctx, n, rows)
-    closed = _lane_polygons(_graded_charpoly_pairs(lops, coeffs), ctx.N)
+    residue = _chunk_polygons(ctx, n, rows)
     mid = process_time()
+    lops, coeffs = closed_form_charpoly(ctx, n, rows)
+    closed = _lane_polygons(coefficient_slope_pairs(
+        lops, [coeffs], d, _graded_scale(d)), ctx.N)
+    late = process_time()
     ref_lops, factors = _template_lanes(ctx, n, rows)
     ref = berkowitz_charpoly(ref_lops, factors, n)
     polygons = _lane_polygons(_graded_lane_pairs(ref_lops, factors), ctx.N)
@@ -75,32 +83,40 @@ def check(p, d, n, rows):
             bad.append({"n": n, "point": list(ints), "what": "coefficients"})
         if closed[lane] != polygons[lane] or closed[lane] is None:
             bad.append({"n": n, "point": list(ints), "what": "polygon"})
-    return bad, mid - start, end - mid
+        if residue[lane] != polygons[lane]:
+            bad.append({"n": n, "point": list(ints),
+                        "what": "residue polygon"})
+    return bad, mid - start, late - mid, end - late
 
 
 def main():
     cases = []
     for p, d in CASES:
         rng = random.Random(f"{SEED} {p} {d}")
-        bad, closed_s, berkowitz_s, compared = [], 0.0, 0.0, 0
+        bad, residue_s, closed_s, berkowitz_s = [], 0.0, 0.0, 0.0
+        compared = 0
         for n in range(3, MAX_VERIFY_N + 1):
             rows = chunk(rng, n, p ** d, POINTS)
             got = check(p, d, n, rows)
             bad += got[0]
-            closed_s += got[1]
-            berkowitz_s += got[2]
+            residue_s += got[1]
+            closed_s += got[2]
+            berkowitz_s += got[3]
             compared += len(rows)
             print(f"p={p} d={d} n={n}: {len(got[0])} mismatches",
                   file=sys.stderr)
         cases.append({"p": p, "d": d, "n": [3, MAX_VERIFY_N],
                       "points": compared, "mismatches": bad,
+                      "residue_s": round(residue_s, 3),
                       "closed_form_s": round(closed_s, 3),
                       "berkowitz_s": round(berkowitz_s, 3)})
     doc = {
         "description": "closed-form charpoly of the deformation template's "
-                       "lane matrix (displayzoo._template_charpoly) against "
-                       "Berkowitz on the same lanes, at N* = d n + 1; "
-                       "seconds are CPU time of each route",
+                       "lane matrix (displayzoo._template_charpoly) and the "
+                       "residue polygons a sweep reads from it "
+                       "(strata._chunk_polygons) against Berkowitz on the "
+                       "same lanes, at N* = d n + 1; seconds are CPU time "
+                       "of each route",
         "version": __version__,
         "seed": SEED,
         "python": platform.python_version(),

@@ -37,10 +37,12 @@ upper-triangular form, and the polygon of det(xI - M) is the union of the
 polygons of its diagonal blocks, so no polynomial product is formed.
 charpoly, the whole det(xI - M), is one Berkowitz run on the whole matrix.
 The valuations, hulls and certificate are read from coefficient lists
-(coefficient_slope_pairs), so a charpoly known in closed form needs no
-Berkowitz run: a sweep at d <= 2 reads its lanes' charpolys off the
-deformation template (displayzoo._template_charpoly), and sweeps run
-Berkowitz only at d >= 3.
+(coefficient_slope_pairs).  A monic polynomial of degree n whose
+coefficient of y^(n-k) is p^(k-1) times an integer u_k, and whose
+constant term has valuation n, needs neither Berkowitz nor valuations:
+its polygon is read off which u_k are units (unit_slope_pairs).  A sweep at d <= 2 reads them mod p off the
+deformation template in closed form (displayzoo._template_charpoly), and
+sweeps run Berkowitz only at d >= 3.
 
 Both take the sparse rows of their matrix and twisted_product the sparse
 columns of its factors, so the display's stored sparse data feeds the
@@ -93,7 +95,8 @@ products and sums.  No slot may carry into the next:
   block and the shorter factor of a poly_mul in Berkowitz (t + 1 terms
   at step t) have at most that many entries, and a sum of the
   closed-form charpoly of a sweep at d <= 2 at most h + 1 <= n of them,
-  for T = n (displayzoo._template_charpoly);
+  for T = n (displayzoo._template_charpoly), whose add sums two reduced
+  values, at most 2 (q - 1) per slot;
 * the reduction, once per output entry, folds each top slot
   k = 2d - 2, ..., d, taken mod q, times the packed x^d mod the modulus
   into slots k - d .. k - 1 (x^k = x^(k-d) x^d), top slot first, which
@@ -290,12 +293,13 @@ class _LaneOps:
     operation acts lane by lane.  Only what twisted_factors,
     twisted_product, _berkowitz, poly_mul and the closed-form charpoly of
     a sweep (displayzoo._template_charpoly) use is provided, and vals,
-    which coefficient_slope_pairs reads.  A batch of displays, or a
-    sweep's chunk of points, runs here at any width, a chunk of one point
-    included; a single display runs on the base ops.  A scalar is a
-    signed int in (-q, q), q = p^N, congruent to the base ops' raw int at
-    d == 1, and the packed coordinates at d >= 2 (see the module
-    docstring for both); pack, unpack and packed convert at the boundary.
+    which coefficient_slope_pairs reads; add is the closed form's alone.
+    A batch of displays, or a sweep's chunk of points, runs here at any
+    width, a chunk of one point included; a single display runs on the
+    base ops.  A scalar is a signed int in (-q, q), q = p^N, congruent to
+    the base ops' raw int at d == 1, and the packed coordinates at d >= 2
+    (see the module docstring for both); pack, unpack and packed convert
+    at the boundary.
     The zero is the all-zero lane, so a kernel skips an entry, or stops
     early, only when it vanishes in every lane, and each lane gets exactly
     what the base ops would give for its own matrix."""
@@ -352,6 +356,11 @@ class _LaneOps:
         mask, shifts = self._mask, self._shifts
         return [powers[gcd(q, *[x >> s & mask for s in shifts])]
                 if not x % p else 0 for x in a]
+
+    def add(self, a, b):
+        if self.d == 1:
+            return self._signed(list(map(_add, a, b)))
+        return self._reduce(list(map(_add, a, b)), ())
 
     def neg(self, a):
         if self.d == 1:
@@ -850,8 +859,8 @@ def lane_slope_pairs(lops, srows, twist, scale):
     (lops.vals), the hulls once per distinct tuple of a lane's valuation
     rows, and lanes whose blocks have the same hulls share one
     (pairs, term); coefficient_slope_pairs is this tail, on the blocks'
-    charpolys.  Sweeps run this Berkowitz head only at d >= 3: at d <= 2
-    they pass the closed-form charpoly of their lane matrix to the tail.
+    charpolys.  Sweeps run this only at d >= 3: at d <= 2 they read their
+    polygons off residues (unit_slope_pairs).
 
     Transpose: for twist d <= 2, Berkowitz runs on each block's
     transpose, whose charpoly is the block's, so its Krylov vectors are
@@ -871,17 +880,14 @@ def coefficient_slope_pairs(lops, polys, twist, scale):
     """lane_slope_pairs of the monic polynomial h given by its monic
     factors polys, each a list of lane coefficients, low degree first:
     their valuations, hulls and certificate term, with twist and scale as
-    there.  lane_slope_pairs passes the charpolys of the blocks; a sweep
-    at d <= 2 passes h whole, its coefficients read off the deformation
-    template in closed form (displayzoo._template_charpoly).  The
+    there.  lane_slope_pairs passes the charpolys of the blocks.  The
     certificate argument of lane_slope_pairs holds for any factorization
     of h: the polygon of h is the union of its factors', and sy times the
     sum of their val c_0 lies below N exactly when sy val h_0 does.  So
-    whole-polynomial pairs may split a slope differently from per-block
-    pairs, but each lane's polygon, and whether it is certified, are the
-    same."""
+    pairs read from another factorization may split a slope differently
+    from per-block pairs, but each lane's polygon, and whether it is
+    certified, are the same."""
     vals = lops.vals
-    sx, sy = scale
     # per factor, each lane's valuations of its coefficients, low degree
     # first
     rows = [list(zip(*map(vals, poly))) for poly in polys]
@@ -893,16 +899,62 @@ def coefficient_slope_pairs(lops, polys, twist, scale):
                            for row in lane_rows])
             got = shared.get(hulls)
             if got is None:
-                # a hull starts at (0, val c_0) of its factor
-                got = shared[hulls] = (
-                    [(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
-                      sx * (i2 - i1))
-                     for hull in hulls
-                     for (i1, v1), (i2, v2) in zip(hull, hull[1:])],
-                    sy * sum(hull[0][1] for hull in hulls))
+                got = shared[hulls] = _hull_pairs(hulls, twist, scale)
             by_rows[lane_rows] = got
         out.append(got)
     return out
+
+
+def unit_slope_pairs(units, twist, scale):
+    """lane_slope_pairs of the monic h of degree n = len(units) + 1 whose
+    coefficient c_k of y^(n-k) is p^(k-1) u_k for 0 < k < n, u_k
+    integral, and whose constant term c_n has valuation n, read from the
+    u_k mod p alone: units[k - 1] holds u_k mod p, a lane value that is 0
+    exactly in the lanes where p divides u_k (a sweep at d <= 2 reads them
+    off the deformation template, displayzoo._template_charpoly).
+
+    In degree and valuation, c_k is the point (n - k, val c_k), and
+    val c_k = k - 1 when u_k is a unit and val c_k >= k when p divides it.
+    The chord from (0, n) to (n, 0) has height k at degree n - k, so the
+    points of the u_k that p divides lie on or above it, and so on or
+    above the lower hull of (0, n), (n, 0) and the points (n - k, k - 1)
+    of the units u_k, which runs at or below the chord between the same
+    ends: that hull is h's.  The points of the units lie on one line
+    below the chord, so those between the first and the last are on the
+    hull's segment joining them and no vertex: the hull is lower_hull of
+    the ends and those two (one point when they are one), and distinct
+    first and last units give distinct hulls.  Its vertices are those
+    coefficient_slope_pairs reads off every valuation, and the
+    certificate term is sy n.  One hull is run per distinct first and
+    last unit in the call, and the lanes that share them share one
+    (pairs, term)."""
+    n = len(units) + 1
+    out, shared = [], {}
+    # lane by lane, u_(n-1), ..., u_1: the points of degree 1, ..., n - 1
+    for lane in zip(*reversed(units)):
+        mask = tuple(map(bool, lane))
+        # the degrees of the first and the last unit's points, if any
+        span = ((mask.index(True) + 1, n - 1 - mask[::-1].index(True))
+                if True in mask else ())
+        got = shared.get(span)
+        if got is None:
+            hull = lower_hull([(0, n)] + [(i, n - 1 - i) for i in span]
+                              + [(n, 0)])
+            got = shared[span] = _hull_pairs((hull,), twist, scale)
+        out.append(got)
+    return out
+
+
+def _hull_pairs(hulls, twist, scale):
+    """(pairs, term) of the factors of h with the given hulls, in degree
+    and valuation, each from (0, val c_0) of its factor: one slope pair
+    per hull segment and the certificate term sy times the sum of the
+    val c_0 (see lane_slope_pairs)."""
+    sx, sy = scale
+    return ([(Fraction(sy * (v1 - v2), sx * (i2 - i1) * twist),
+              sx * (i2 - i1))
+             for hull in hulls for (i1, v1), (i2, v2) in zip(hull, hull[1:])],
+            sy * sum(hull[0][1] for hull in hulls))
 
 
 # ---------------------------------------------------------------------------

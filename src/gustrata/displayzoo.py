@@ -14,8 +14,9 @@ shared by its entries, and the p entries vanish, and are left out, at
 N = 1.  direct_sum shifts its summands' lines by their offsets, and the
 deformation family fills a per-n template (see deformation_display),
 which a sweep reads as lanes, one per point, with no display: at d <= 2
-the charpoly of the lane matrix in closed form (_template_charpoly), at
-d >= 3 the factors of the lane matrix (_template_lanes).
+the unit parts of the lane matrix's charpoly mod p in closed form
+(_template_charpoly), at d >= 3 the factors of the lane matrix
+(_template_lanes).
 """
 
 from __future__ import annotations
@@ -359,18 +360,23 @@ def _template_lanes(ctx, n, rows):
 
 
 def _lifts(ctx, ops, rows):
-    """The raw Teichmuller lift of each parameter code in rows, by code."""
-    return {k: ops.unwrap(ctx.teichmuller(ctx.field_from_int(k)))
+    """The raw Teichmuller lift of each parameter code in rows, by code.
+    At N = 1 a lift is its residue, and no lift runs."""
+    lift = ctx.teichmuller if ctx.N > 1 else (lambda a: a)
+    return {k: ops.unwrap(lift(ctx.field_from_int(k)))
             for k in set().union(*rows)}
 
 
 def _template_charpoly(ctx, n, rows):
-    """(lops, coefficients) at d <= 2: a _LaneOps of one lane per point
-    with the parameter codes rows and, low degree first, the lane
-    coefficients of g = det(yI - M) for the lane matrix M = X sigma(Y)
-    of _template_lanes, its two factors (at d = 1, sigma = 1 and
-    M = X Y), read off the points' lifts by the closed form below: no
-    factor, product or Berkowitz run is formed.
+    """(lops, units) at d <= 2: a _LaneOps of one lane per point with the
+    parameter codes rows and, for 0 < k < n, the lane unit parts u_k of
+    the coefficients c_k = p^(k-1) u_k of y^(n-k) in g = det(yI - M), for
+    the lane matrix M = X sigma(Y) of _template_lanes, its two factors (at
+    d = 1, sigma = 1 and M = X Y), read off the points' lifts by the
+    closed form below: no factor, product or Berkowitz run is formed.
+    c_0 = 1 and c_n = p^n at every point.  A sweep runs this at N = 1,
+    where the u_k mod p decide each lane's polygon
+    (_linalg.unit_slope_pairs), with no lift run.
 
     Write m = n for odd n and m = n - 1 for even n, h = (m - 1)/2, s_i
     for the lift of the parameter s_i, t_i = sigma(s_i) (t = s at d = 1),
@@ -382,7 +388,10 @@ def _template_charpoly(ctx, n, rows):
 
     the sums over odd i < 2k.  For odd n, g = g_m; for even n,
     g = (y + p) g_m - p^h s_0 t_0 y^(h+1).  So a_m and g(0) are p^m and
-    p^n: every point has val det A = n.
+    p^n: every point has val det A = n.  Write a_k = p^(k-1) b_k for
+    0 < k < m, and b_0 = b_m = p.  Then u_k = b_k for odd n, and for even
+    n, c_k = a_k + p a_(k-1) less p^h s_0 t_0 at k = h + 1, so
+    u_k = b_k + b_(k-1) less s_0 t_0 at k = h + 1.
 
     Proof.  From deformation_display, the images of the u's under M are
     M u_1 = -u_(m-1) - s_(m-1) u_1, M u_3 = p u_1,
@@ -435,15 +444,20 @@ def _template_charpoly(ctx, n, rows):
     entry (2, 1) of (yI - M_m)^(-1), which is (T^(-1))_21 = -T_21 / det T;
     so C = -y^(m-2) z^(h-1) = -p^(h-1) y^h.
 
+    Swapping s and t takes b_k to b_(m-k), so u_k to u_(n-k) (and the
+    s_0 t_0 term at k = h + 1 = n - k to itself); at d <= 2 the swap is
+    sigma, so b_(h+1) = sigma(b_h) and u_(n-k) = sigma(u_k).
+
     Each lane is its own point's g: the formula acts lane by lane on the
-    packed s_i and t_i.  The sums run on lops.smatvec, one reduction per
-    output entry: the inner sums of the a_k (the factors after their
-    powers of p) and s_0 t_0 are one smatvec, at most h + 1 products per
-    entry (at d = 2 a second one swaps s and t for the high half; at
-    d = 1 the halves are equal), and a last one multiplies them by their
-    powers of p and, for even n, by y + p, at most three products per
-    entry; so the lanes are sized for n.  -p and -p^h are the lane
-    negations of p and p^h, so no packed slot goes negative."""
+    packed s_i and t_i.  With T_j = t_(2j+1) (T_0 = 1) and
+    S_r = s_(m+1-2r), b_k = eps p T_k + sum_(j + r = k, r >= 1) T_j S_r,
+    the low half of a product of two polynomials.  All b_k, k <= h, and
+    s_0 t_0 are one lops.smatvec, one reduction per output entry and at
+    most h + 1 <= n products each, so the lanes are sized for n.  The
+    rest is lane additions and sigma: at even n, u_k = b_k + b_(k-1) and
+    u_(h+1) = b_h + sigma(b_h) - s_0 t_0, and then u_(n-k) = sigma(u_k)
+    for every n.  -p and -s_0 t_0 are lane negations, so no packed slot
+    goes negative, and at N = 1, where p is 0, the terms in p drop out."""
     ops = ops_for(ctx)
     lops = _LaneOps(ops, len(rows), n)
     pack, frob, zero, width = lops.pack, ops.frob, lops.zero, lops.width
@@ -455,40 +469,29 @@ def _template_charpoly(ctx, n, rows):
         return {1: lops.one, **{i: tuple([table[c] for c in col])
                                 for i, col in zip(indices, codes)}}
 
-    def const(c):
-        return (pack(ops.scale(c, ops.one)),) * width
-
     p, m = ctx.p, n - 1 + n % 2
     h = m // 2
     s = lanes(0)
     t = lanes(1) if ctx.d == 2 else s
-    signs = [const(p)] * (h - 1) + [lops.neg(const(p))]
-
-    def inner(a, b, extra=()):
-        """k -> eps p b_(2k+1) + sum_(odd i < 2k) b_i a_(i+m-2k)."""
-        cols = {i: [] for i in range(1, m + 1, 2)}
+    plus = (pack(ops.scale(p, ops.one)),) * width
+    # the sources are the t_i, T_j at i = 2j + 1; S_r in each column
+    # where it is not 0 in every lane, and s_0 at t_0 for even n
+    S = [(r, e) for r in range(1, h + 1) if (e := s[m + 1 - 2 * r]) != zero]
+    cols = {2 * j + 1: [(j + r, e) for r, e in S if j + r <= h]
+            for j in range(h)}
+    if plus != zero:
         for k in range(1, h + 1):
-            cols[2 * k + 1].append((k, signs[k - 1]))
-            for i in range(1, 2 * k, 2):
-                cols[i].append((k, a[i + m - 2 * k]))
-        cols.update(extra)
-        return lops.smatvec(cols, {i: b[i] for i in cols if b[i] != zero})
-
-    # s_0 t_0 at key 0 of the low half, whose sums are keyed 1..h
-    low = inner(s, t, {0: [(0, s[0])]} if m < n else ())
-    high = inner(t, s) if ctx.d == 2 else low
-    # g_m's a_j = powers[j] e_j, e_j as sources j of the second smatvec
-    powers = [1] + [p ** j for j in range(m - 1)] + [p ** m]
-    e = {0: lops.one, m: lops.one,
-         **{j: low.get(j, zero) for j in range(1, h + 1)},
-         **{m - k: high.get(k, zero) for k in range(1, h + 1)}}
-    cols = {j: [(j, const(c))] + ([(j + 1, const(p * c))] if m < n else [])
-            for j, c in enumerate(powers)}
+            cols.setdefault(2 * k + 1, []).append(
+                (k, plus if k < h else lops.neg(plus)))
     if m < n:
-        e[-1] = low.get(0, zero)
-        cols[-1] = [(h + 1, lops.neg(const(p ** h)))]
-    g = lops.smatvec(cols, {j: v for j, v in e.items() if v != zero})
-    return lops, [g.get(j, zero) for j in range(n, -1, -1)]
+        cols[0] = [(0, s[0])]
+    b = lops.smatvec(cols, {i: t[i] for i in cols if t[i] != zero})
+    low = [b.get(k, zero) for k in range(1, h + 1)]
+    if m < n:
+        add, top = lops.add, low[-1]
+        low = [add(x, y) for x, y in zip(low, [plus] + low)] + [
+            add(add(top, lops.frob(top)), lops.neg(b.get(0, zero)))]
+    return lops, low + [lops.frob(c) for c in reversed(low[:(n - 1) // 2])]
 
 
 def _parameter_indices(n):

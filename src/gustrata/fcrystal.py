@@ -661,11 +661,12 @@ def newton_slopes_batch(displays):
     and one basis: one NewtonPolygon per display, or None for one whose
     polygon is not certified at N, and [] for no display; ValueError when
     the displays do not share them.  Displays whose lanes end with the
-    same block hulls share one polygon.  A sweep builds no display: it
-    reads the same lanes' charpolys off the deformation template in
-    closed form at d <= 2 (displayzoo._template_charpoly) and fills their
-    factors straight from it at d >= 3 (displayzoo._template_lanes), and
-    this display path is the one the tests compare those lanes against.
+    same block hulls share one polygon.  A sweep builds no display: at
+    d <= 2 it reads the same lanes' polygons off the unit parts of their
+    charpolys' coefficients mod p, in closed form from the deformation
+    template (displayzoo._template_charpoly), and at d >= 3 it fills their
+    factors straight from the template (displayzoo._template_lanes); this
+    display path is the one the tests compare those lanes against.
 
     Two or more displays run as lanes (_linalg._LaneOps): one twisted
     product and one Berkowitz run per block for all of them, each lane
@@ -754,16 +755,6 @@ def _graded_lane_pairs(lops, factors):
     d = lops.d
     return _linalg.lane_slope_pairs(
         lops, _linalg.twisted_product(lops, factors), d, _graded_scale(d))
-
-
-def _graded_charpoly_pairs(lops, coefficients):
-    """_graded_lane_pairs of the lanes whose lane matrix has the charpoly
-    with the given lane coefficients, low degree first: a sweep at d <= 2
-    reads them off the deformation template in closed form
-    (displayzoo._template_charpoly)."""
-    d = lops.d
-    return _linalg.coefficient_slope_pairs(lops, [coefficients], d,
-                                           _graded_scale(d))
 
 
 def _graded_scale(d):

@@ -29,18 +29,22 @@ Every point of a sweep shares one context, one template and one basis, so
 the stream reads polygons in lanes: it takes the points CHUNK (64) at a
 time and reads each lane's polygon, exactly the one newton_slopes reads
 for its point (fcrystal.newton_slopes_batch reads the same lanes off built
-displays).  At d <= 2 the lane matrix X sigma(Y) has two factors, and its
-charpoly is read off the points' Teichmuller lifts in closed form
-(displayzoo._template_charpoly), with no matrix product and no Berkowitz
-run.  At d >= 3 the twisted factors are filled straight from the
-template and the lifts (displayzoo._template_lanes), and one product and
-one Berkowitz run per block serve the whole chunk.  Lanes with the same
-hulls share one NewtonPolygon.
+displays).  At d <= 2 the lane matrix X sigma(Y) has two factors, and
+the coefficients of its charpoly are powers of p times integers u_k
+known in closed form (displayzoo._template_charpoly): which u_k are units
+decides the polygon (_linalg.unit_slope_pairs), so each lane's polygon is
+read off residues mod p, with no Teichmuller lift, no p-adic lane, no
+matrix product and no Berkowitz run.  At d >= 3 the twisted factors are
+filled straight from the template and the lifts
+(displayzoo._template_lanes), and one product and one Berkowitz run per
+block serve the whole chunk.  Lanes with the same hulls share one
+NewtonPolygon.
 
-The lanes, the lifts they read and their charpolys need less than
-N: every deformation display has val det A = n, so a lane's certificate
-term is d n and any precision from N* = d n + 1 up certifies the same,
-true polygon.  When N exceeds N*, the lanes run at N* in the context
+The lanes need less than N: every deformation display has val det A = n,
+so a lane's certificate term is d n and any precision from N* = d n + 1
+up certifies the same, true polygon.  At d <= 2 the residues decide it
+at any N above d n.  At d >= 3, when N exceeds N*, the lanes, the lifts
+they read and their charpolys run at N* in the context
 ctx.at_precision(N*), and a lane not certified there all the same is read
 again at N (see _records); below N* they run at N.  The cycle table, the
 records' context, the retry at 2N and the report stay at N, and the
@@ -83,13 +87,13 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple
 
 from ._version import __version__
-from ._linalg import ops_for
+from ._linalg import ops_for, unit_slope_pairs
 from .displayzoo import (DeformationPoint, _deformation_template,
                          _parameter_indices, _template_charpoly,
                          _template_lanes, deformation_display)
-from .fcrystal import (NewtonPolygon, PrecisionError, U,
-                       _graded_charpoly_pairs, _graded_lane_pairs,
-                       _graded_length, _lane_polygons, newton_slopes)
+from .fcrystal import (NewtonPolygon, PrecisionError, U, _graded_lane_pairs,
+                       _graded_length, _graded_scale, _lane_polygons,
+                       newton_slopes)
 from .slopegraph import (EXTRA, SlopeGraph, cycles_through,
                          karp_min_cycle_mean, settle_potentials)
 from .wittring import (RingContext, _check_capacity, _check_params,
@@ -408,10 +412,11 @@ class PointRecord(NamedTuple):
     ints are the point's parameter codes (the integers field_from_int
     reads), in the order of its parameter indices.  ctx is the sweep's
     context, at N, or the one at 2N when the point was retried, and
-    polygon the point's polygon, certified at N (read at N* <= N when N
-    exceeds it, see _records) or at 2N, and None when it is certified at
-    neither N nor 2N.  min_cycle is the least slope of the cycles
-    through u_1, or None without a polygon or without such a cycle.
+    polygon the point's polygon, certified at N (read off residues at
+    d <= 2, and at N* <= N at d >= 3 when N exceeds it, see _records) or
+    at 2N, and None when it is certified at neither N nor 2N.  min_cycle
+    is the least slope of the cycles through u_1, or None without a
+    polygon or without such a cycle.
     entries are the (report list, entry) pairs the point adds to the
     report's lists.  A record holds codes, not points: point and display
     are built from them at ctx when they are read."""
@@ -478,26 +483,27 @@ def _records(ctx, n, points):
     or display is built.  Every point reads its cycles off one
     _CycleTable at N.
 
-    The lanes run at N* = d n + 1 (_certifying_precision) when N exceeds
-    it, in the context ctx.at_precision(N*), and at N otherwise.  N*
-    certifies every point: A is p times a unit on the n columns F u_k
-    (k >= 2, u_0 included) and F v_1, and with those columns divided by
-    p it is a signed permutation up to unitriangular terms mod p, so
-    val det A = n whatever the parameters.  A lane's certificate term
-    (_linalg.lane_slope_pairs) is sy val h_0, and h_0 = det M for the lane
-    matrix M = X sigma(Y) sigma^2(X) ... of fcrystal._graded_length(d)
+    Every point has val det A = n: A is p times a unit on the n columns
+    F u_k (k >= 2, u_0 included) and F v_1, and with those columns
+    divided by p it is a signed permutation up to unitriangular terms
+    mod p, whatever the parameters.  A lane's certificate term
+    (_linalg.lane_slope_pairs) is sy val h_0, and h_0 = det M for the
+    lane matrix M = X sigma(Y) sigma^2(X) ... of fcrystal._graded_length(d)
     factors, each of val det X + val det Y = n per pair: d n at odd d,
-    sy = 1, and 2 (d/2) n at even d, sy = 2.  At d <= 2 the closed form
-    shows it directly: the constant term of h = det(yI - X sigma(Y)) is
-    p^n at every point (displayzoo._template_charpoly).  So the term is
-    d n < N*, and a polygon certified at N* is the polygon certified at
-    N, the true one.  A lane not certified at N* all the same is read
-    again at N, so its retry at 2N, failure and their texts are those of
-    a sweep at N; the records, their ctx and the report name N
-    throughout."""
+    sy = 1, and 2 (d/2) n at even d, sy = 2.  So the term is d n, and
+    every precision from N* = d n + 1 (_certifying_precision) up
+    certifies the same, true polygon.
+
+    At d <= 2 the lanes read their polygons off residues
+    (_chunk_polygons), with no precision to choose.  At d >= 3 they run
+    at N* in the context ctx.at_precision(N*) when N exceeds it, and at
+    N otherwise; a lane not certified at N* all the same is read again at
+    N, so its retry at 2N, failure and their texts are those of a sweep
+    at N.  The records, their ctx and the report name N throughout."""
     table = _CycleTable(ctx, n)
     nstar = _certifying_precision(n, ctx.d)
-    low = ctx.at_precision(nstar) if ctx.N > nstar else ctx
+    low = (ctx.at_precision(nstar)
+           if ctx.N > nstar and _graded_length(ctx.d) > 2 else ctx)
     while chunk := list(itertools.islice(points, CHUNK)):
         polygons = _chunk_polygons(low, n, chunk)
         if low is not ctx and None in polygons:
@@ -513,11 +519,16 @@ def _records(ctx, n, points):
 def _chunk_polygons(ctx, n, rows):
     """The polygon at ctx of the point with each parameter code tuple of
     rows, None where it is not certified at ctx.N.  When the lane matrix
-    has two factors (d <= 2) its charpoly is read off the lifts in closed
-    form (displayzoo._template_charpoly); otherwise the template's
-    factors are multiplied out and Berkowitz runs on their product."""
-    if _graded_length(ctx.d) == 2:
-        lanes = _graded_charpoly_pairs(*_template_charpoly(ctx, n, rows))
+    has two factors (d <= 2), each lane's polygon is read off the unit
+    parts of its charpoly's coefficients mod p, in closed form at N = 1
+    (displayzoo._template_charpoly, _linalg.unit_slope_pairs): no lift,
+    no p-adic lane and no Berkowitz run, and the certificate term is d n
+    at every point.  Otherwise the template's factors are multiplied out
+    and Berkowitz runs on their product."""
+    d = ctx.d
+    if _graded_length(d) == 2:
+        units = _template_charpoly(ctx.at_precision(1), n, rows)[1]
+        lanes = unit_slope_pairs(units, d, _graded_scale(d))
     else:
         lanes = _graded_lane_pairs(*_template_lanes(ctx, n, rows))
     return _lane_polygons(lanes, ctx.N)
@@ -628,10 +639,10 @@ def _point_doc(n, ints):
 def evaluate_point(table, ints, polygon):
     """The PointRecord of the point with the parameter codes ints, given
     the sweep's _CycleTable at its context, of precision N, and the
-    point's polygon there, which _records may have read at the lower
-    certifying precision N*: the same polygon.  polygon is None when the
-    point is not certified at N, and then the point retries at 2N, the one
-    place a sweep builds the point and its display.
+    point's polygon there, which _records may have read off residues or
+    at the lower certifying precision N*: the same polygon.  polygon is
+    None when the point is not certified at N, and then the point retries
+    at 2N, the one place a sweep builds the point and its display.
 
     Checks that the least Newton slope exceeds no cycle slope through u_1
     (lemma), and records without failing where it differs from the least

@@ -390,11 +390,21 @@ class TestRetryContexts:
             assert {f["error"] for f in failures} == {failure}
 
     def test_no_retry_builds_no_doubled_context(self, monkeypatch):
-        # the lanes run at N* = d n + 1 = 6 below N = 9; no 2N = 18
+        # the lanes are read off residues at N = 1 below N = 9: no
+        # N* = d n + 1 = 6 at d = 1, and no 2N = 18
         built = contexts_built(monkeypatch)
         code, out = run(["verify", "--n", "5", "--p", "3", "--precision", "9"])
         assert code == 0 and json.loads(out)["precision_retries"] == 0
-        assert set(built) == {9, 6}
+        assert set(built) == {9, 1}
+
+    def test_no_retry_at_d3_builds_nstar_only(self, monkeypatch):
+        # at d = 3 the lanes run at N* = d n + 1 = 13 below N = 20
+        built = contexts_built(monkeypatch)
+        code, out = run(["verify", "--n", "4", "--p", "2", "--d", "3",
+                         "--precision", "20", "--random", "20", "--seed",
+                         "1"])
+        assert code == 0 and json.loads(out)["precision_retries"] == 0
+        assert {20, 13} <= set(built) <= {20, 13, 1}
 
 
 class TestRepeatedCommands:

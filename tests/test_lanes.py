@@ -29,8 +29,7 @@ from gustrata._linalg import (_berkowitz, _blocks, _LaneOps, _restrict,
                               lane_slope_pairs, lower_hull, ops_for,
                               poly_mul, sparse_transpose, twisted_factors,
                               twisted_product)
-from gustrata.displayzoo import (_deformation_template, _template_charpoly,
-                                 _template_lanes)
+from gustrata.displayzoo import _deformation_template, _template_lanes
 from gustrata.fcrystal import (U, _basis_halves, _graded_lane_pairs,
                                _graded_length, _lane_columns, _lane_pairs,
                                _lane_polygons, newton_slopes_batch)
@@ -38,7 +37,7 @@ from gustrata.strata import CHUNK, _enumerate_points
 
 from _oracles import (blowup_slope_pairs, certified_slope_pairs_oracle,
                       expansion_charpoly, scalar_valuation)
-from _sweeps import report_and_records
+from _sweeps import closed_form_charpoly, report_and_records
 
 
 def raw_entry(rng, ops, d):
@@ -556,7 +555,7 @@ def lane_hulls(ctx, n, chunk):
     at d >= 3 the Berkowitz charpoly of each block of the template's
     twisted product."""
     if _graded_length(ctx.d) == 2:
-        lops, coeffs = _template_charpoly(ctx, n, chunk)
+        lops, coeffs = closed_form_charpoly(ctx, n, chunk)
         polys = [coeffs[::-1]]
     else:
         lops, factors = _template_lanes(ctx, n, chunk)

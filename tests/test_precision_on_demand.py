@@ -1,8 +1,11 @@
-"""A sweep reads its polygons at the certifying precision N* = d n + 1
-and reports its precision N: the threshold is exact, the report is
-byte-identical to one whose lanes run at N, a lane that fails at N* is
-read again at N, and the lifts of a context derived at N* are those at N
-reduced mod p^N*."""
+"""A sweep reports its precision N and reads its polygons below it: at
+d >= 3 its lanes run at the certifying precision N* = d n + 1, and at
+d <= 2 they are read off residues (at N = 1) and certified at N, with no
+context at N* and no lift.  The threshold N* is exact, the report is
+byte-identical to one whose lanes run on the Berkowitz route at N, a
+lane that fails at N* is read again at N, the lifts of a context derived
+at N* are those at N reduced mod p^N*, and the residues a sweep at d <= 2
+reads are those lifts reduced mod p."""
 
 import contextlib
 import io
@@ -11,7 +14,10 @@ import math
 import pytest
 
 from gustrata import strata
+from gustrata._linalg import ops_for
 from gustrata.cli import main
+from gustrata.displayzoo import _lifts, _template_lanes
+from gustrata.fcrystal import _graded_lane_pairs, _lane_polygons
 from gustrata.strata import sweep, verify_local_strata
 from gustrata.wittring import default_precision, make_context
 
@@ -42,9 +48,20 @@ def lane_precisions(monkeypatch):
 
 
 def at_n(monkeypatch):
-    """Run every sweep from now on with its lanes at N, as before N*."""
+    """Run every sweep from now on with its lanes at N on the Berkowitz
+    route (the template's twisted product) at every d, as before N* and
+    the residue route."""
     monkeypatch.setattr(strata, "_certifying_precision",
                         lambda n, d: math.inf)
+    monkeypatch.setattr(strata, "_chunk_polygons", lambda ctx, n, rows: (
+        _lane_polygons(_graded_lane_pairs(*_template_lanes(ctx, n, rows)),
+                       ctx.N)))
+
+
+def lane_precision(n, d, N):
+    """The precision a sweep's lanes are read at: N* when d >= 3 and N
+    exceeds it; N otherwise (at d <= 2 the lanes are certified at N)."""
+    return d * n + 1 if d >= 3 and N > d * n + 1 else N
 
 
 class TestThreshold:
@@ -63,16 +80,20 @@ class TestThreshold:
             assert {prec for prec, _ in calls} == {N}
 
     @pytest.mark.parametrize("n,p,d,count,seed", THRESHOLD_SWEEPS)
-    def test_default_precision_reads_every_lane_at_nstar(
+    def test_default_precision_certifies_every_lane(
             self, n, p, d, count, seed, monkeypatch):
+        """Every lane is certified: at N* for d >= 3, at N for d <= 2,
+        where no context at N* is made."""
         calls = lane_precisions(monkeypatch)
-        report = verify_local_strata(n, p, d, "random", count, seed)
+        mode_doc, ctx, records = sweep(n, p, d, "random", count, seed)
+        report = strata.reduce_records(n, mode_doc, ctx, records)
+        N = default_precision(n, d)
         assert report.precision_retries == 0
-        assert report.mode["precision"] == default_precision(n, d)
-        assert report.context["N"] == default_precision(n, d)
-        assert {prec for prec, _ in calls} == {d * n + 1}
+        assert report.mode["precision"] == report.context["N"] == N
+        assert {prec for prec, _ in calls} == {lane_precision(n, d, N)}
         assert all(polygon is not None
                    for _, polygons in calls for polygon in polygons)
+        assert (d * n + 1 in ctx._prec_cache) == (d >= 3)
 
     def test_records_keep_the_context_at_n(self):
         mode_doc, ctx, records = sweep(5, 3, 2, "random", 12, 4)
@@ -104,8 +125,9 @@ SAMPLES = [
 
 
 class TestByteIdentity:
-    """The report of a sweep whose lanes run at N* is the report of the
-    same sweep with its lanes at N, byte for byte."""
+    """The report of a sweep whose lanes run at N* (d >= 3) or off
+    residues (d <= 2) is the report of the same sweep with its lanes on
+    the Berkowitz route at N, byte for byte."""
 
     @pytest.mark.parametrize("argv", EXHAUSTIVE + SAMPLES,
                              ids=" ".join)
@@ -115,29 +137,32 @@ class TestByteIdentity:
         N = int(opts.get("--precision", default_precision(n, d)))
         calls = lane_precisions(monkeypatch)
         on_demand = run(argv)
-        assert {prec for prec, _ in calls} == {d * n + 1}
+        assert {prec for prec, _ in calls} == {lane_precision(n, d, N)}
         at_n(monkeypatch)
-        calls.clear()
+        calls = lane_precisions(monkeypatch)
         assert run(argv) == on_demand
         assert {prec for prec, _ in calls} == {N}
 
 
 class TestForcedFallback:
-    """With N* taken as d n, every lane fails there and is read again at
-    N: the report is the one of a sweep at N."""
+    """With N* taken as d n, every lane of a sweep at d >= 3 fails there
+    and is read again at N: the report is the one of a sweep at N.  At
+    d <= 2 no lane runs at N*, so the same seam changes nothing: every
+    lane is read once, at N, and certified."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--n", "5", "--p", "3"],
-        ["verify", "--n", "4", "--p", "3", "--d", "2"],
-        ["verify", "--n", "8", "--p", "3", "--random", "25", "--seed", "5"],
+        ["verify", "--n", "4", "--p", "2", "--d", "3"],
         ["verify", "--n", "6", "--p", "2", "--d", "3", "--random", "100",
          "--seed", "8"],
-        ["verify", "--n", "7", "--p", "2", "--precision", "13", "--random",
-         "60", "--seed", "9"],
+        ["verify", "--n", "5", "--p", "2", "--d", "3", "--precision", "20",
+         "--random", "40", "--seed", "9"],
+        ["verify", "--n", "4", "--p", "2", "--d", "4", "--random", "30",
+         "--seed", "6"],
     ], ids=" ".join)
     def test_every_lane_falls_back_to_n(self, argv, monkeypatch):
-        at_n(monkeypatch)
-        expected = run(argv)
+        with pytest.MonkeyPatch.context() as reference:
+            at_n(reference)
+            expected = run(argv)
         monkeypatch.setattr(strata, "_certifying_precision",
                             lambda n, d: d * n)
         calls = lane_precisions(monkeypatch)
@@ -149,13 +174,36 @@ class TestForcedFallback:
         assert [len(p) for _, p in low] == [len(p) for _, p in high]
         assert all(prec > low[0][0] for prec, _ in high)
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--n", "5", "--p", "3"],
+        ["verify", "--n", "4", "--p", "3", "--d", "2"],
+        ["verify", "--n", "8", "--p", "3", "--random", "25", "--seed", "5"],
+        ["verify", "--n", "7", "--p", "2", "--precision", "13", "--random",
+         "60", "--seed", "9"],
+    ], ids=" ".join)
+    def test_residue_lanes_read_once_at_n(self, argv, monkeypatch):
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        n, d = int(opts["--n"]), int(opts.get("--d", 1))
+        N = int(opts.get("--precision", default_precision(n, d)))
+        with pytest.MonkeyPatch.context() as reference:
+            at_n(reference)
+            expected = run(argv)
+        monkeypatch.setattr(strata, "_certifying_precision",
+                            lambda n, d: d * n)
+        calls = lane_precisions(monkeypatch)
+        assert run(argv) == expected
+        assert {prec for prec, _ in calls} == {N}
+        assert all(polygon is not None for _, polygons in calls
+                   for polygon in polygons)
+
 
 class TestLiftReduction:
     """A lift mod p^N* is unique, so the lift in a context derived at N*
-    is the reduction of the lift at N."""
+    is the reduction of the lift at N; a sweep at d <= 2 runs no lift,
+    and the residues it reads are the lifts at N reduced mod p."""
 
-    @pytest.mark.parametrize("n,p,d,count,seed", THRESHOLD_SWEEPS + [
-        (4, 3, 6, 20, 5), (5, 1000003, 2, 10, 1), (6, 5, 1, 30, 6)])
+    @pytest.mark.parametrize("n,p,d,count,seed", [
+        (6, 2, 3, 100, 8), (4, 3, 6, 20, 5), (5, 2, 3, 30, 2)])
     def test_sweep_lifts_are_reductions(self, n, p, d, count, seed):
         _, ctx, records = sweep(n, p, d, "random", count, seed)
         for _ in records:
@@ -167,6 +215,23 @@ class TestLiftReduction:
                 sum(c * p ** i for i, c in enumerate(y))))
             assert lift.coords == tuple(c % low.q for c in top.coords), y
 
+    @pytest.mark.parametrize("n,p,d,count,seed", [
+        (8, 3, 1, 25, 5), (5, 3, 2, 12, 4), (5, 1000003, 2, 10, 1),
+        (6, 5, 1, 30, 6)])
+    def test_residue_sweeps_read_reduced_lifts(self, n, p, d, count, seed):
+        _, ctx, records = sweep(n, p, d, "random", count, seed)
+        codes = set()
+        for rec in records:
+            codes.update(rec.ints)
+        assert not ctx._teich_cache and d * n + 1 not in ctx._prec_cache
+        residue = ctx.at_precision(1)
+        assert not residue._teich_cache
+        ops, top = ops_for(residue), ops_for(ctx)
+        read = _lifts(residue, ops, [tuple(codes)])
+        assert not residue._teich_cache
+        for k in codes:
+            lift = ctx.teichmuller(ctx.field_from_int(k))
+            assert read[k] == ops.truncate(top.unwrap(lift)), k
     @pytest.mark.parametrize("p,d,N,low", [(3, 2, 48, 11), (2, 3, 104, 13),
                                            (5, 2, 40, 9), (3, 6, 104, 25)])
     def test_every_residue(self, p, d, N, low):

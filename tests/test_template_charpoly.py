@@ -1,25 +1,26 @@
-"""A sweep at d <= 2 reads each lane's charpoly off the deformation
-template in closed form (displayzoo._template_charpoly), with no twisted
-product and no Berkowitz run: the closed form must be the determinant as
-a polynomial identity (checked symbolically by the oracles), its
-coefficients those of Berkowitz on the lane matrix, and each lane's
-polygon and certificate those of the Berkowitz route
-(_graded_lane_pairs of _template_lanes), at the certifying precision
-N* = d n + 1, at the default N, below N* (where no lane is certified)
-and at N = 1.  Sweeps at d >= 3 keep Berkowitz."""
+"""The charpoly of the deformation template's lane matrix at d <= 2 in
+closed form (displayzoo._template_charpoly, which gives the unit parts
+u_k of its coefficients c_k = p^(k-1) u_k; a sweep reads its polygons
+off them mod p, see tests/test_residue_polygons.py): the closed form must
+be the determinant as a polynomial identity (checked symbolically by the
+oracles), its coefficients, the u_k times their powers of p
+(closed_form_charpoly), those of Berkowitz on the lane matrix, and each
+lane's polygon and certificate read from them those of the Berkowitz
+route (_graded_lane_pairs of _template_lanes), at the certifying
+precision N* = d n + 1, at the default N, below N* (where no lane is
+certified) and at N = 1.  Sweeps at d >= 3 keep Berkowitz."""
 
 import random
 
 import pytest
 
 from gustrata import _linalg, default_precision, make_context
-from gustrata.displayzoo import _template_charpoly, _template_lanes
-from gustrata.fcrystal import (_graded_charpoly_pairs, _graded_lane_pairs,
-                               _lane_polygons)
+from gustrata.displayzoo import _template_lanes
+from gustrata.fcrystal import _graded_lane_pairs, _graded_scale, _lane_polygons
 from gustrata.strata import CHUNK, _enumerate_points, verify_local_strata
 
 from _oracles import template_charpoly_closed_form, template_charpoly_symbolic
-from _sweeps import berkowitz_charpoly
+from _sweeps import berkowitz_charpoly, closed_form_charpoly
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -37,9 +38,11 @@ def precisions(n, d):
 
 def chunk_polygons(ctx, n, chunk):
     """Each lane's polygon, None where it is not certified, read from the
-    closed form; asserts that the Berkowitz route reads the same."""
-    closed = _lane_polygons(_graded_charpoly_pairs(
-        *_template_charpoly(ctx, n, chunk)), ctx.N)
+    closed form's coefficients; asserts that the Berkowitz route reads the
+    same."""
+    lops, coeffs = closed_form_charpoly(ctx, n, chunk)
+    closed = _lane_polygons(_linalg.coefficient_slope_pairs(
+        lops, [coeffs], ctx.d, _graded_scale(ctx.d)), ctx.N)
     assert closed == _lane_polygons(_graded_lane_pairs(
         *_template_lanes(ctx, n, chunk)), ctx.N)
     return closed
@@ -92,7 +95,7 @@ def test_seeded_chunks(p, d, n):
         chunk = [tuple(0 if rng.random() < 0.2 else rng.randrange(q)
                        for _ in range(n - 1)) for _ in range(6)]
         chunk += [(0,) * (n - 1), (q - 1,) * (n - 1)]
-        lops, coeffs = _template_charpoly(ctx, n, chunk)
+        lops, coeffs = closed_form_charpoly(ctx, n, chunk)
         ref_lops, factors = _template_lanes(ctx, n, chunk)
         ref = berkowitz_charpoly(ref_lops, factors, n)
         assert len(coeffs) == len(ref) == n + 1
