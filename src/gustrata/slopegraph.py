@@ -27,9 +27,11 @@ integer tags: a cycle lies in the subgraph that deletes the edges tagged
 with some bits exactly when its mask avoids those bits.  The caller's
 tags may include the bit EXTRA, and a cycle without it is kept: the least
 slope of the graph without the EXTRA edges is the least slope among the
-kept cycles.  A sweep enumerates once, on the deformation
-template's graph, and reads each point's cycles off the masks (see
-``strata``).
+kept cycles.  A sweep enumerates no cycle: the n cycles of the
+deformation template's graph that can be a point's least, with their
+masks, are known in closed form (see ``strata``), and the tagged
+enumeration is the reference the tests and the calibration check them
+against.
 """
 
 from __future__ import annotations

@@ -61,8 +61,13 @@ f times the Teichmuller lift of one parameter, a unit when the parameter
 is nonzero, so a point's graph is the template's graph without the edges
 of its zero parameters, in the same order.  So its cycles through u_1 are
 the template's cycles whose parameter mask avoids its zero set, in the
-same order, and each point reads its least cycles off one slope-sorted
-table.  A cycle that avoids u_1 lies in the template's graph without u_1,
+same order, and its least cycle is the first of them in slope order.
+Only n of the template's cycles can be that first one, and they are known
+in closed form (_least_cycles, with its proof): the table holds those n,
+in slope order, and no cycle is enumerated.  A point whose least Newton
+slope exceeds its least cycle slope, which the lemma rules out, names its
+first violating cycle from an enumeration of its own graph.  A cycle that
+avoids u_1 lies in the template's graph without u_1,
 so one Bellman-Ford settle there, at the largest slope of the table,
 shows for every point at once that its least cycle slope through u_1 is
 its global minimum cycle mean.  Where that settle fails, Karp's algorithm
@@ -77,7 +82,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 import os
 import random
 from collections import Counter, defaultdict
@@ -87,10 +91,11 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple
 
 from ._version import __version__
-from ._linalg import ops_for, unit_slope_pairs
-from .displayzoo import (DeformationPoint, _deformation_template,
-                         _parameter_indices, _template_charpoly,
-                         _template_lanes, deformation_display)
+from ._linalg import unit_slope_pairs
+from .displayzoo import (DeformationPoint, _coefficients,
+                         _deformation_template, _parameter_indices,
+                         _template_charpoly, _template_lanes,
+                         deformation_display)
 from .fcrystal import (NewtonPolygon, PrecisionError, U, _graded_lane_pairs,
                        _graded_length, _graded_scale, _lane_polygons,
                        newton_slopes)
@@ -396,14 +401,24 @@ def _check_budget(n, p, d, mode, count, seed, budget):
 
 
 def _enumerate_points(n, q_res, mode, count, seed):
-    """Yield parameter vectors as integer tuples, deterministically."""
+    """Yield parameter vectors as integer tuples, deterministically.  A
+    random sweep draws each coordinate as Random(seed).randrange(q_res)
+    does, in point-major order: getrandbits(k), k the bit length of
+    q_res, drawn again until it lies below q_res."""
     width = n - 1
     if mode == "exhaustive":
         yield from itertools.product(range(q_res), repeat=width)
     else:
-        rng = random.Random(seed)
+        bits = random.Random(seed).getrandbits
+        k = q_res.bit_length()
         for _ in range(count):
-            yield tuple([rng.randrange(q_res) for _ in range(width)])
+            row = []
+            for _ in range(width):
+                r = bits(k)
+                while r >= q_res:
+                    r = bits(k)
+                row.append(r)
+            yield tuple(row)
 
 
 class PointRecord(NamedTuple):
@@ -538,19 +553,23 @@ def _template_graph(ctx, n):
     """(labels, successor lists, tags) of the slope graph of the
     deformation template at ctx, the graph of its display at a point
     whose parameters are all nonzero.  An entry f [s_k] is f times a unit
-    there, so its edge has weight val f and the tag 2 << k, the bit of
-    parameter position k; a constant entry's edge has tag 0.  tags is
-    parallel to the successor lists."""
+    there, so its edge has the tag 2 << k, the bit of parameter position
+    k; a constant entry's edge has tag 0.  Every entry is +-1 or +-p times
+    a unit, so an edge's weight is 0 or 1, read with no ring operation:
+    off the integer f of f [s_k], whose edge vanishes at N = 1 when f is
+    +-p, and off the template's raw constants, of which those that vanish
+    are left out and the rest are +-1 or +-p.  tags is parallel to the
+    successor lists."""
     labels, slots, _ = _deformation_template(ctx, n)
-    ops = ops_for(ctx)
+    units = _coefficients(ctx)[:2]
     succ, tags = [], []
     for col in slots:
         row, trow = [], []
         for i, f, k in col:
-            if k is not None and (f := ops.scale(f, ops.one)) == ops.zero:
-                continue
-            row.append((i, ops.val(f)))
-            trow.append(0 if k is None else 2 << k)
+            w = 0 if f in ((1, -1) if k is not None else units) else 1
+            if w < ctx.N:
+                row.append((i, w))
+                trow.append(0 if k is None else 2 << k)
         succ.append(row)
         tags.append(trow)
     return labels, succ, tags
@@ -561,16 +580,109 @@ def _zero_bits(ints):
     return sum([2 << k for k, v in enumerate(ints) if not v])
 
 
+class _Cycle(NamedTuple):
+    """A cycle through u_1 of the template's graph, as the cycle table
+    holds it: weight, length, the tag bits of its edges (mask) and its
+    slope weight / length."""
+    weight: int
+    length: int
+    mask: int
+    slope: Fraction
+
+
+def _least_cycles(n, N, base):
+    """(weight, length, mask) of each cycle through u_1 of the template's
+    graph at precision N that _CycleTable.least can return, in slope
+    order, ties in the order of cycles_through.  A mask holds the bits of
+    the cycle's parameters and EXTRA when it uses an extra black edge, a
+    parameter edge of weight 1 or a constant edge of weight at least
+    base, the sweep's precision (N itself, or N / 2 in the table at 2N).
+
+    Write m = n for odd n and m = n - 1 for even n, h = (m - 1)/2, and
+    {x, ...} for a mask.  The cycles are, for N >= 2:
+
+        (i, 2i + 2, {s_(2(h - i))})            for 0 <= i < h,
+        (h, 2h + 2, {s_0, EXTRA})              at even n,
+        (h + 1, 2h + 2, {s_m, EXTRA}),
+        (h + 1 + k, 2(h + 1 + k), {s_(m - 2k)}) for 1 <= k < h,
+        (m, 2m, {});
+
+    n in all, with slopes 1/2 - 1/(2(i + 1)), then h/(2h + 2), then 1/2.
+    At N = 1 only the first is left, and in the table at 2N of a sweep at
+    N = 1 every cycle of positive weight also holds EXTRA.
+
+    Proof.  From deformation_display, every entry is +-1 or +-p times a
+    unit at a point whose parameters are nonzero, so every edge has
+    weight 0 or 1.  The edges are u_1 -> v_m (weight 0); u_k -> v_(k-1)
+    (1) for k >= 3; v_2 -> u_1 (0); v_k -> u_(k-1) (0) and v_k -> u_1
+    (0, s_(k-1)) for k >= 3; v_1 -> u_m (1) and v_1 -> u_1 (1, s_m);
+    u_2 -> v_1 (1) and u_2 -> v_j (1, s_j) for 2 <= j <= m; and at even
+    n u_2 -> v_0 (1, s_0), u_0 -> v_0 (1), v_0 -> u_0 (0) and
+    v_0 -> u_1 (0, s_0).  Successors are tried in row order, u_1 first.
+
+    A cycle through u_1 starts u_1 -> v_m, and runs down the odd chain
+    v_m -> u_(m-1) -> v_(m-2) -> ... -> v_3 -> u_2, each u_k having the
+    one edge to v_(k-1).  It may leave the chain at v_(m-2i) to u_1
+    through s_(m-2i-1) = s_(2(h-i)): the first h cycles.  At u_2 it has
+    weight h - 1 over 2h edges, and v_3, v_5, ..., v_m are on its path.
+    From u_2 it goes:
+      * to v_1 and back to u_1 through s_m, weight 1 and a parameter
+        edge: (h + 1, 2h + 2, {s_m, EXTRA});
+      * to v_1, then u_m, and down the even chain u_m -> v_(m-1) ->
+        u_(m-2) -> ... -> v_2 -> u_1, leaving it at v_j (even j >= 4)
+        through s_(j-1), or at v_2 with no parameter: with
+        j = m + 1 - 2k, weight h + 1 + k and length 2(h + 1 + k), mask
+        {s_(m-2k)} for k < h and {} at k = h.  These come after the one
+        before, as v_1 tries u_1 before u_m, and by rising k, as each v_j
+        tries u_1 first;
+      * at even n, to v_0 and back to u_1 through s_0 (u_0 leads only
+        back to v_0): (h, 2h + 2, {s_0, EXTRA});
+      * to v_j through s_j, for even j, then down the even chain from v_j
+        and out at some v_j' with j' <= j: with t steps u -> v after v_j,
+        weight h + t, length 2(h + 1 + t) and s_j in its mask.
+    That is every cycle.  A cycle of the last kind has slope at least
+    h/(2h + 2), above the slope i/(2i + 2), i = h - j/2 < h, of the
+    first-kind cycle with mask {s_j}: that cycle comes first in slope
+    order and avoids every skip the other avoids, so least never returns
+    the other.  Each of the remaining n cycles holds a parameter that no
+    other holds, except the last, (m, 2m, {}), whose mask is empty: no
+    mask holds another's, so each of them is least for some skip, and the
+    list above is their slope order.  The largest slope is 1/2, so the
+    table's largest is the same as over every cycle through u_1.
+
+    At N = 1 the edges of weight 1 vanish (their f is +-p), and every
+    cycle but the first has positive weight.  In the table at 2N an edge
+    of weight 1 is extra when it is a parameter edge, or a constant edge
+    and 1 >= base: at base 1 every edge of weight 1 is extra, so EXTRA
+    joins the mask of every cycle of positive weight, and at base >= 2 no
+    mask changes.
+    Neither change makes one mask hold another's, and a cycle of the last
+    kind keeps s_j and EXTRA, so the same cycles are dropped."""
+    m = n if n % 2 else n - 1
+    h = (m - 1) // 2
+    bit = {j: 2 << t for t, j in enumerate(_parameter_indices(n))}
+    out = [(i, 2 * i + 2, bit[2 * (h - i)]) for i in range(h)]
+    if N == 1:
+        return out[:1]
+    if m < n:
+        out.append((h, 2 * h + 2, bit[0] | EXTRA))
+    out.append((h + 1, 2 * h + 2, bit[m] | EXTRA))
+    out += [(h + 1 + k, 2 * (h + 1 + k), bit[m - 2 * k])
+            for k in range(1, h)]
+    out.append((m, 2 * m, 0))
+    if base == 1:
+        out = [(w, l, mask | EXTRA if w else mask) for w, l, mask in out]
+    return out
+
+
 class _CycleTable:
     """The slope-graph stage of a sweep at one precision, shared by its
-    points: the template's cycles through u_1 in enumeration order
-    (cycles), the same as (mask, cycle) sorted by slope (by_slope, ties in
-    enumeration order), and whether one settle decides the certificate for
-    every point (settled).  The sort key of a cycle of weight w and length
-    l is w L / l, an integer for L the lcm of the lengths, so the sort
-    builds no Fraction.  The least cycle and its slope are memoized per
-    skip mask (least_slope), so points with one zero pattern scan
-    by_slope once, and only the first builds the slope.
+    points: the template's cycles through u_1 that least can return, in
+    closed form (_least_cycles), as (mask, _Cycle) pairs in slope order
+    (by_slope), and whether one settle decides the certificate for every
+    point (settled).  Each cycle's slope is built once, with the table.
+    The least cycle and its slope are memoized per skip mask
+    (least_slope), so points with one zero pattern scan by_slope once.
 
     A cycle's mask holds the bits of the parameters its edges use, and
     EXTRA when it uses an extra black edge: an edge of positive weight
@@ -578,32 +690,26 @@ class _CycleTable:
     precision.  A constant entry is nonzero mod p^N exactly when its
     weight is below N, so at N every constant edge is a base edge, and the
     table at 2N (doubled, for retried points) passes N to mark the
-    constant edges that vanish there."""
+    constant edges that vanish there.  The template's graph itself
+    (labels, succ, tags; graph) serves the settle, Karp where the settle
+    fails, and the lemma entry, which names a point's first violating
+    cycle in the order of cycles_through."""
 
     def __init__(self, ctx, n, N=None):
         labels, succ, tags = _template_graph(ctx, n)
-        N = ctx.N if N is None else N
-        tags = [[t | EXTRA if w and (t or w >= N) else t
-                 for (_, w), t in zip(row, trow)]
-                for row, trow in zip(succ, tags)]
         self.ctx, self.n = ctx, n
         self.labels, self.succ, self.tags = labels, succ, tags
-        self.cycles = cycles_through(
-            SlopeGraph._from_successors(labels, succ), _U1, tags)
-        lcm = math.lcm(*[c.length for c in self.cycles])
-        self.by_slope = sorted([(c.mask, c) for c in self.cycles],
-                               key=lambda mc: mc[1].weight * lcm
-                               // mc[1].length)
-        self.settled = False
+        self.by_slope = [(mask, _Cycle(w, l, mask, Fraction(w, l)))
+                         for w, l, mask in _least_cycles(
+                             n, ctx.N, ctx.N if N is None else N)]
         self._least = {}
-        if self.cycles:
-            # the template's graph without the edges leaving u_1
-            off = list(succ)
-            off[labels.index(_U1)] = []
-            top = self.by_slope[-1][1]
-            self.settled = settle_potentials(
-                SlopeGraph._from_successors(labels, off),
-                top.weight, top.length) is not None
+        # the template's graph without the edges leaving u_1
+        off = list(succ)
+        off[labels.index(_U1)] = []
+        top = self.by_slope[-1][1]
+        self.settled = settle_potentials(
+            SlopeGraph._from_successors(labels, off),
+            top.weight, top.length) is not None
 
     @functools.cached_property
     def doubled(self):
@@ -670,8 +776,9 @@ def evaluate_point(table, ints, polygon):
     min_newton = polygon.min_slope()
     num, den = min_newton.numerator, min_newton.denominator
     if num * full.length > full.weight * den:
-        bad = next(c for c in table.cycles if not c.mask & zero
-                   and num * c.length > c.weight * den)
+        # the point's own cycles, in the order of the template's
+        bad = next(c for c in cycles_through(table.graph(zero), _U1)
+                   if num * c.length > c.weight * den)
         entries.append(("lemma_violations", {
             "point": _point_doc(n, ints),
             "min_newton": _frac_str(min_newton),

@@ -195,10 +195,14 @@ def _first_irreducible(p, d):
     are the binomials x^d + c, and none of them is irreducible when some
     prime r | d does not divide p - 1, or when 4 | d and p = 3 mod 4 (Lidl
     & Niederreiter, Finite Fields, Thm. 3.75); the search then skips them.
+    At d >= 2 it also skips every candidate with constant coefficient 0,
+    which x divides.
     """
     skip = d % 4 == 0 and p % 4 == 3 or any(
         (p - 1) % r for r in _prime_factors(d))
     for k in range(p if skip else 0, p ** d):
+        if d > 1 and k % p == 0:
+            continue
         coeffs = [(k // p ** i) % p for i in range(d)]
         f = coeffs + [1]
         if _is_irreducible(f, p):

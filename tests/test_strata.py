@@ -1,6 +1,7 @@
 import itertools
 import json
 import pathlib
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -594,3 +595,17 @@ class TestSweepStream:
         with pytest.raises(error):
             strata.sweep(*args, **kwargs)
         assert calls == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25, 1000003, 1000003 ** 2,
+                               3 ** 40])
+def test_random_points_are_the_randrange_stream(q):
+    # a random sweep's draws are Random(seed).randrange(q), point-major,
+    # whatever the share of k-bit draws that lie at or above q
+    for seed in (0, 1, 2, 7, 3301):
+        for n in (3, 8, 17):
+            rng = random.Random(seed)
+            want = [tuple(rng.randrange(q) for _ in range(n - 1))
+                    for _ in range(40)]
+            assert list(strata._enumerate_points(
+                n, q, "random", 40, seed)) == want, (seed, n)

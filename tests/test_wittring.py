@@ -55,8 +55,16 @@ class TestMakeContext:
                 first_irreducible_brute(p, d), d
 
     def test_large_prime_quartic_skips_the_binomials(self, monkeypatch):
-        # 1000003 = 3 mod 4, so no x^4 + c is irreducible: the search tests
-        # x^4 + x and then x^4 + x + 1, not the million binomials first
+        # 1000003 = 3 mod 4, so no x^4 + c is irreducible: the search
+        # skips them, and x^4 + x, which x divides, and tests
+        # x^4 + x + 1, not the million binomials first
+        tested = self._spy_irreducible(monkeypatch)
+        assert wittring._first_irreducible(1000003, 4) == (1, 1, 0, 0)
+        assert tested == [(1, 1, 0, 0, 1)]
+
+    @staticmethod
+    def _spy_irreducible(monkeypatch):
+        """The list of the candidates _is_irreducible is asked about."""
         tested = []
         is_irreducible = wittring._is_irreducible
 
@@ -65,8 +73,31 @@ class TestMakeContext:
             return is_irreducible(f, p)
 
         monkeypatch.setattr(wittring, "_is_irreducible", spy)
-        assert wittring._first_irreducible(1000003, 4) == (1, 1, 0, 0)
-        assert tested == [(0, 1, 0, 0, 1), (1, 1, 0, 0, 1)]
+        return tested
+
+    @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2),
+                                     (3, 3), (3, 4), (5, 2), (5, 3),
+                                     (7, 2), (2, 6)])
+    def test_candidates_divisible_by_x_are_not_tested(self, p, d,
+                                                      monkeypatch):
+        # at d >= 2 a candidate with constant coefficient 0 is reducible:
+        # the search never tests one and finds the brute-force first
+        tested = self._spy_irreducible(monkeypatch)
+        assert wittring._first_irreducible(p, d) == \
+            first_irreducible_brute(p, d)
+        assert tested and all(f[0] for f in tested)
+        assert tested[-1][:-1] == first_irreducible_brute(p, d)
+
+    def test_degree_one_keeps_x(self, monkeypatch):
+        tested = self._spy_irreducible(monkeypatch)
+        assert wittring._first_irreducible(3, 1) == (0,)
+        assert tested == [(0, 1)]
+
+    def test_one_rabin_test_at_3_2(self, monkeypatch):
+        # x^2 + 1 is the first candidate tested, not after x^2
+        tested = self._spy_irreducible(monkeypatch)
+        assert wittring._first_irreducible(3, 2) == (1, 0)
+        assert tested == [(1, 0, 1)]
 
     @pytest.mark.parametrize("p,top", [(2, 7), (3, 4), (5, 3)])
     def test_irreducibility_matches_trial_division(self, p, top):
@@ -99,8 +130,9 @@ class TestMakeContext:
 
         monkeypatch.setattr(wittring, "_is_irreducible", counting)
         ctx = make_context(5, 2, 9)
-        # x^2, x^2 + 1 = (x - 2)(x + 2), then x^2 + 2: one test each
-        assert calls == [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+        # x^2 + 1 = (x - 2)(x + 2), then x^2 + 2: one test each (x^2,
+        # which x divides, is skipped untested)
+        assert calls == [(1, 0, 1), (2, 0, 1)]
         assert ctx.modulus == (2, 0)
 
     def test_not_prime_rejected(self):

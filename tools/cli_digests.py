@@ -62,7 +62,11 @@ last five lines cover the charpolys that sweeps at d <= 2 read off the
 template in closed form: exhaustive sweeps at d = 2 for odd n = 3 and
 even n = 4 (the s_0 term), a d = 2 sweep at --precision 9, below
 N* = 15, whose points retry at 2N, and random sweeps at n = 160 (p = 3)
-and at odd n = 65 (p = 5, d = 2).
+and at odd n = 65 (p = 5, d = 2).  The last two lines cover the cycle
+table in closed form: a sweep at --precision 1, where the table at N = 1
+holds only the weight-0 cycle and every point retries with the table at
+2, whose cycles of positive weight all hold EXTRA (exit 3), and a random
+sweep at n = 256, the largest n a sweep accepts.
 """
 
 import contextlib
@@ -147,6 +151,9 @@ ARGVS = [
     ["verify", "--n", "160", "--p", "3", "--random", "64", "--seed", "2"],
     ["verify", "--n", "65", "--p", "5", "--d", "2", "--random", "8",
      "--seed", "9"],
+    ["verify", "--n", "9", "--p", "3", "--precision", "1", "--random", "30",
+     "--seed", "1"],
+    ["verify", "--n", "256", "--p", "3", "--random", "8", "--seed", "2"],
 ]
 
 
