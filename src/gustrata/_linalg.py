@@ -124,7 +124,8 @@ matrix costs O(nonzeros) plus a heap.  It runs on F once per display,
 or once per distinct summand of a direct sum, which reads its invariants
 from its summands (fcrystal._parts); the pivots give val det A, the
 integrality of V, the rank of F mod p (the a-number and the signature)
-and the adjugate behind V.  It runs on J, likewise, for val det J in the
+and, for V's few readers (see adjugate_action), the adjugate behind V.
+It runs on J, likewise, for val det J in the
 pairing check; and, at precision 1, where the ring
 W_1(F_{p^d}) is the field itself and every nonzero entry is a unit pivot,
 it gives ranks over F_{p^d}: the number of pivots is the rank; truncate
@@ -658,7 +659,15 @@ def _eliminate(ops, rows, ncols):
     pivot entry) per pivot, in order, and v the sum of the k, except that
     it stops with v = ops.cap once that sum reaches it.  Each distinct
     unit u is inverted once per call: the pivots of a display's F are
-    mostly +-1 or +-p."""
+    mostly +-1 or +-p.
+
+    Each heap item (k, row, column, entry) carries the entry it was pushed
+    for, and a popped item is current exactly when its row is unpivoted
+    and still holds an equal entry, so each entry gets one valuation.  The
+    pivot order is that of the triples (k, row, column): every current
+    entry has an item of its own, and items with equal triples are
+    adjacent in pop order, so the one taken is that of the first triple
+    whose entry still has valuation k."""
     cap, zero = ops.cap, ops.zero
     val, mul, sub, divexact_p = ops.val, ops.mul, ops.sub, ops.divexact_p
     inverses = {}
@@ -668,19 +677,20 @@ def _eliminate(ops, rows, ncols):
         for j, a in row.items():
             if j < ncols:
                 holders[j].add(i)
-                heap.append((val(a), i, j))
+                heap.append((val(a), i, j, a))
     heapq.heapify(heap)
     steps, v = [], 0
     while heap:
-        k, i, c = heapq.heappop(heap)
+        k, i, c, a = heapq.heappop(heap)
         row = rows[i]
-        if row is None or val(row.get(c, zero)) != k:
+        if row is None or row.get(c) != a:
             continue  # pivoted row, or an entry changed since it was pushed
         v += k
         if v >= cap:
             return steps, cap
         rows[i] = None
-        unit = divexact_p(row.pop(c), k)
+        del row[c]
+        unit = divexact_p(a, k)
         unit_inv = inverses.get(unit)
         if unit_inv is None:
             unit_inv = inverses[unit] = ops.inv(unit)
@@ -698,7 +708,7 @@ def _eliminate(ops, rows, ncols):
                     other[j] = e
                     if j < ncols:
                         holders[j].add(t)
-                        heapq.heappush(heap, (val(e), t, j))
+                        heapq.heappush(heap, (val(e), t, j, e))
                 elif other.pop(j, None) is not None and j < ncols:
                     holders[j].discard(t)
         holders[c] = ()
@@ -760,7 +770,12 @@ def adjugate_action(ops, cols, steps):
     quantity is that of the lift E^(-1) U of A (E and U taken as their
     integer coordinates) reduced mod p^N, and adj of any lift is adj(A)
     mod p^N, so each entry of W below valuation N has the valuation of
-    the matching entry of adj(A)."""
+    the matching entry of adj(A).
+
+    A display reads it only for V (fcrystal.DieudonneDisplay._verschiebung)
+    and to name the entries where V is not integral (_non_integral); V's
+    readers are the V API, the signature of a display that is not graded
+    and the polarization check when F alone does not certify it."""
     r = len(cols)
     if len(steps) < r:
         return ops.cap, None

@@ -48,6 +48,11 @@ def _build_parser():
     parser.add_argument("--version", action="version",
                         version=f"gustrata {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}  # each subcommand's own parser, by name
+
+    def add_parser(name, **kwargs):
+        parser.commands[name] = sub.add_parser(name, **kwargs)
+        return parser.commands[name]
 
     def add_context_args(p, need_n=False):
         if need_n:
@@ -59,12 +64,12 @@ def _build_parser():
         p.add_argument("--precision", type=int, default=None,
                        help="truncation exponent N (default 4*n*d + 8)")
 
-    p_cat = sub.add_parser("catalog", help="admissible Newton polygons")
+    p_cat = add_parser("catalog", help="admissible Newton polygons")
     add_context_args(p_cat, need_n=True)
     p_cat.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    p_slopes = sub.add_parser("slopes", help="polygon and invariants of a "
-                                             "module spec")
+    p_slopes = add_parser("slopes", help="polygon and invariants of a "
+                                         "module spec")
     p_slopes.add_argument("--module", required=True,
                           help='e.g. "N", "M(4)", "M(2)+N^2", '
                                '"def(5; s2=1)"')
@@ -72,19 +77,19 @@ def _build_parser():
     p_slopes.add_argument("--format", choices=("json", "tsv"),
                           default="json")
 
-    p_graph = sub.add_parser("graph", help="slope graph of a module spec")
+    p_graph = add_parser("graph", help="slope graph of a module spec")
     p_graph.add_argument("--module", required=True)
     add_context_args(p_graph)
     p_graph.add_argument("--dot", action="store_true",
                          help="emit Graphviz DOT (same as --format dot)")
     p_graph.add_argument("--format", choices=("json", "dot"), default=None)
 
-    p_check = sub.add_parser("check", help="validate a display and its "
-                                           "polarization")
+    p_check = add_parser("check", help="validate a display and its "
+                                       "polarization")
     p_check.add_argument("--module", required=True)
     add_context_args(p_check)
 
-    p_verify = sub.add_parser("verify", help="local stratum sweep")
+    p_verify = add_parser("verify", help="local stratum sweep")
     add_context_args(p_verify, need_n=True)
     group = p_verify.add_mutually_exclusive_group()
     group.add_argument("--exhaustive", action="store_true", default=None)
@@ -104,6 +109,20 @@ def _parser():
     parse_args keeps no state between calls, each returns a new
     namespace."""
     return _build_parser()
+
+
+def _parse_args(argv):
+    """The namespace of argv.  When argv[0] names a subcommand, the rest is
+    parsed by that subcommand's own parser, the one the top-level parser's
+    subparsers action would hand it to, and command is set to the name;
+    anything else goes through the top-level parser."""
+    parser = _parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _make_module_context(args, half_rank):
@@ -260,7 +279,7 @@ def main(argv=None, out=None):
     if out is None:
         out = sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

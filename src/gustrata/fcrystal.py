@@ -64,7 +64,12 @@ elementary divisors of A: they sum to v = val det A, and p A^(-1) is
 integral exactly when there are rank-many, each at most 1.  Only V itself
 back-substitutes from them (_linalg.adjugate_action, cached):
 W = p^v A^(-1), and V = sigma^(-1)(W / p^(v-1)), cached as sparse rows.
-The pairing check reads val det J from the same elimination on J's rows
+Its readers are few: the V API (verschiebung_matrix, apply_verschiebung),
+_non_integral, the signature of a display that is not graded and the
+polarization check when F alone does not certify it; a graded display
+whose A^T J A = p sigma(J) mod p^N, as every module spec's is, is
+validated, polarization-checked and measured with no V.  The pairing
+check reads val det J from the same elimination on J's rows
 (_linalg.det_valuation).
 
 A direct sum records its distinct summands with their counts (the parts
@@ -397,7 +402,9 @@ class DieudonneDisplay:
     def _adjugate(self):
         """_linalg.adjugate_action of the matrix of F, cached: (v, W) with
         v = val det A and W = p^v A^(-1) as sparse rows, None when v = N.
-        """
+        Read only by _verschiebung and _non_integral: V's readers are the
+        V API, the signature of a display that is not graded and the
+        polarization check when F alone does not certify it."""
         return self._memo("adjA", lambda: _linalg.adjugate_action(
             self._ops(), self.sparse_frobenius, self._pivots()))
 
@@ -428,6 +435,11 @@ class DieudonneDisplay:
         determined, and reported, at precision N + 1 for v = 0, N - 1 for
         v = 1 (lifting the p of module N to p + p^N turns V[0][1] = 1 into
         1 - p^(N-1)), and N - v + 1 <= N - 1 for v >= 2.
+
+        Its readers: the V API (verschiebung_matrix, apply_verschiebung),
+        the signature of a display that is not graded, polarization_check
+        when F alone does not certify it, and, for their error texts only,
+        a_number and signature when V is not integral.
         """
         cached = self._cache.get("vrows")
         if cached is not None:
@@ -782,19 +794,36 @@ def _lane_columns(displays, idx, pos):
 def polarization_check(display):
     """Violations of <F e_i, e_j> = sigma(<e_i, V e_j>) over all basis pairs.
 
-    V is only determined at precision N - val(det A) + 1, so discrepancies
-    are measured there.  Returns (label_i, label_j, discrepancy) triples;
-    an empty list means the pairing is compatible with F and V.
+    V is only determined at precision N_v = N - v + 1 - [v = 1], v =
+    val det A (N + 1 at v = 0; see DieudonneDisplay._verschiebung), so
+    discrepancies are measured there.  Returns (label_i, label_j,
+    discrepancy) triples; an empty list means the pairing is compatible
+    with F and V.
 
     A direct sum read by parts (_parts) returns [] when every part's check
     does: a part's V is determined at N - v_part + 1 >= N - v + 1, so a
     part with no violation at its own precision has none at the sum's.
-    Otherwise the whole display is checked, so each violation carries its
-    labels and value in the sum.
+
+    Otherwise, when 1 <= v < N and V is integral, F alone certifies the
+    check (_polarized): E = A^T J A - p sigma(J) = 0 mod p^N, the identity
+    <F x, F y> = p sigma(<x, y>), gives [] with no V derived.  The check
+    reports the nonzero entries of D = A^T J - sigma(J) P mod p^(N_v),
+    where P = sigma(V) = W / p^(v-1) and sigma(J V) = sigma(J) P, sigma
+    being a ring automorphism of W_(N_v).  _linalg.adjugate_action
+    computes W = p^v A~^(-1) exactly for a lift A~ = A mod p^N, so
+    D = (A^T J A~ - p sigma(J)) A~^(-1) mod p^(N_v), and A^T J A~ -
+    p sigma(J) = E mod p^N.  V integral means every pivot has k <= 1, so
+    A~^(-1) has valuation >= -1, and E = 0 mod p^N gives val D >= N - 1 >=
+    N_v for every v >= 1.  At v = 0, where V is read at N + 1, and in
+    every other case (v >= N, V not integral, E != 0) the whole display is
+    checked against the derived V: only that names violations, with their
+    labels and values in the display, and raises V's own errors.
     """
     parts = _parts(display)
     if parts is not None and not any(
             polarization_check(part) for part, _ in parts):
+        return []
+    if _polarized(display):
         return []
     ctx_v, v_rows = display._verschiebung()
     ops_v = ops_for(ctx_v)
@@ -812,6 +841,26 @@ def polarization_check(display):
                 violations.append((display.basis[i], display.basis[j],
                                    ops_v.wrap(diff)))
     return violations
+
+
+def _polarized(display):
+    """Whether 1 <= v < N, V is integral and A^T J A = p sigma(J) mod p^N,
+    which certifies polarization_check (see there).  Row i of A^T J A is
+    A^T (J^T a_i) for the column a_i of A: two sparse products, with A's
+    rows and J's rows as the columns of A^T and J^T; sigma is applied to
+    J's nonzero entries only."""
+    v, integral = display._det_valuation()
+    if v < 1 or not integral:
+        return False
+    ops = display._ops()
+    smatvec, scale, frob, zero, p = (ops.smatvec, ops.scale, ops.frob,
+                                     ops.zero, ops.p)
+    j_rows = display.sparse_pairing
+    a_rows = sparse_transpose(display.sparse_frobenius, display.rank)
+    return all(
+        smatvec(a_rows, smatvec(j_rows, dict(a_col))) ==
+        {j: e for j, a in j_row if (e := scale(p, frob(a))) != zero}
+        for a_col, j_row in zip(display.sparse_frobenius, j_rows))
 
 
 def a_number(display):

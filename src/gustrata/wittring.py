@@ -49,14 +49,16 @@ maps.  Irreducibility is decided on a bare ring at precision 1 that has
 only the reduction table (see _is_irreducible): the p-power map mod p is
 the linear map of the power table of x^p, f is irreducible exactly when
 x^(p^d) = x and x^(p^k) - x is a unit for every proper divisor k of d,
-and a unit test reads the (p - 1)-th power of the norm.  An inverse mod p,
-which starts the Frobenius root's Newton inverse and each inverse of an
-element, comes from the norm as well (Itoh and Tsujii): with r the product
-of the conjugates sigma^k(a), k = 1..d-1, a r lies in F_p mod p, so
-r (a r)^(-1) inverts a with d - 1 products whatever the size of p.  sigma
-is the Frobenius lift's table, or for a fresh Frobenius root the power
-table of x^p.  make_context finds its modulus by that test and builds the
-context without testing it again.
+and a unit test reads the (p - 1)-th power of the norm.  Inverses come
+from the norm as well (Itoh and Tsujii): with r the product of the
+conjugates sigma^k(a), k = 1..d-1, a r is the norm of a, so r (a r)^(-1)
+inverts a with d - 1 products whatever the size of p.  An element's
+inverse (_winv) takes sigma from the Frobenius lift's table at N, where
+the norm is an integer mod p^N; the inverse mod p that starts the
+Frobenius root's Newton inverse takes the power table of x^p, the p-power
+map mod p, where it lies in F_p mod p (_inv_mod_p).  make_context finds
+its modulus by that test and builds the context without testing it
+again.
 """
 
 from __future__ import annotations
@@ -511,18 +513,20 @@ class RingContext:
         return tuple(c * v % p for v in r)
 
     def _winv(self, a):
+        """Coordinates of the inverse of the unit a, from its norm: with the
+        Frobenius sigma at N, r = sigma(a) ... sigma^(d-1)(a) makes a r the
+        norm of a, fixed by sigma and so an integer mod p^N (its first
+        coordinate), a unit, and r (a r)^(-1) inverts a with d - 1 products
+        and one integer inverse."""
         v = self._wval(a)
         if v > 0:
             raise NonInvertibleError(v)
-        b = self._inv_mod_p(a, self.frobenius_coords)
-        one = (1,) + (0,) * (self.d - 1)
-        two = (2,) + one[1:]
-        for _ in range(self.N.bit_length() + 2):
-            t = self._wmul(a, b)
-            if t == one:
-                return b
-            b = self._wmul(b, self._wsub(two, t))
-        raise RuntimeError("inverse iteration did not converge")
+        q = self.q
+        if self.d == 1:
+            return (pow(a[0], -1, q),)
+        r = self._conjugate_product(a, self.frobenius_coords)
+        c = pow(self._wmul(a, r)[0], -1, q)
+        return tuple([c * x % q for x in r])
 
     def _apply_lin(self, table, coords):
         """Linear combination sum_i coords[i] * table[i], reduced mod p^N."""

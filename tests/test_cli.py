@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 
@@ -506,3 +507,77 @@ class TestParserReuse:
                 continue
             assert vars(parser.parse_args(argv)) == \
                 vars(cli._build_parser().parse_args(argv))
+
+
+class TestSubcommandDispatch:
+    """main parses the tokens after a subcommand's name with that
+    subcommand's own parser; the results are those of the top-level
+    parser, which the tests reach by emptying the dispatch dict."""
+
+    ARGVS = [
+        ["catalog", "--n", "4"],
+        ["slopes", "--module", "M(3)", "--format", "tsv"],
+        ["graph", "--module", "N^2", "--dot"],
+        ["check", "--module", "M(2)+N", "--p", "5"],
+        ["verify", "--n", "3", "--random", "3", "--seed", "2"],
+        ["verify", "--n", "4", "--p", "2", "--format", "tsv"],
+        *[[name, "-h"] for name in cli._COMMANDS],
+        ["check", "--help"],
+        ["--version"],
+        ["-h"],
+        [],
+        ["frobnicate"],
+        ["frobnicate", "--n", "3"],
+        ["--version", "check"],
+        ["--n", "3", "verify"],
+        ["check", "--version"],
+        ["slopes"],                                    # missing --module
+        ["catalog", "--p", "5"],                       # missing --n
+        ["slopes", "--module", "N", "extra"],          # extra argument
+        ["check", "--module", "N", "--bogus", "1"],
+        ["verify", "--n", "three"],                    # bad value
+        ["verify", "--n", "3", "--random", "2", "--exhaustive"],
+        ["slopes", "--module", "N", "--format", "xml"],
+        ["slopes", "--mod", "N"],                      # abbreviation
+        ["graph", "--module", "N", "--", "extra"],
+        ["catalog", "--n", "2"],                       # rejected by main
+        ["slopes", "--module", "N", "--p", "4"],
+    ]
+
+    @staticmethod
+    def outcome(argv):
+        """(exit code, report, stdout, stderr) of main(argv); the code of
+        a SystemExit, as argparse raises for --help and --version, is
+        tagged."""
+        buf, out, err = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv), out=buf)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+        return code, buf.getvalue(), out.getvalue(), err.getvalue()
+
+    def test_same_outcomes_as_the_top_level_parser(self, monkeypatch):
+        dispatched = [self.outcome(argv) for argv in self.ARGVS]
+        monkeypatch.setattr(cli._parser(), "commands", {})
+        assert dispatched == [self.outcome(argv) for argv in self.ARGVS]
+        codes = [code for code, *_ in dispatched]
+        assert codes[:6] == [0] * 6
+        assert ("exit", 0) in codes and 2 in codes
+
+    def test_dict_holds_each_subcommand_parser(self):
+        parser = cli._parser()
+        assert sorted(parser.commands) == sorted(cli._COMMANDS)
+        for name, sub in parser.commands.items():
+            assert sub.prog == f"gustrata {name}"
+
+    def test_subcommand_skips_the_top_level_parser(self, monkeypatch):
+        parser = cli._parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parser used")
+
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        assert run(["catalog", "--n", "3"])[0] == 0
+        with pytest.raises(AssertionError, match="top-level"):
+            run(["--version"])

@@ -291,6 +291,69 @@ class TestDetValuation:
         assert srows == copy
 
 
+class TestPivotOrder:
+    """_eliminate takes the least (k, row, column) among the unpivoted
+    entries at each step, as a scan of every entry does; its heap items
+    carry their entries, and each entry gets one valuation."""
+
+    @staticmethod
+    def scan_steps(ops, cols):
+        """pivot_steps by a full scan for the least (k, row, column)."""
+        r = len(cols)
+        rows = [{r + i: ops.one} for i in range(r)]
+        for j, col in enumerate(cols):
+            for i, a in col:
+                rows[i][j] = a
+        live, steps, v = set(range(r)), [], 0
+        while True:
+            found = [(ops.val(a), i, j) for i in live
+                     for j, a in rows[i].items() if j < r]
+            if not found:
+                return steps
+            k, i, c = min(found)
+            v += k
+            if v >= ops.cap:
+                return steps
+            live.discard(i)
+            row = rows[i]
+            unit_inv = ops.inv(ops.divexact_p(row.pop(c), k))
+            for t in live:
+                other = rows[t]
+                if c in other:
+                    f = ops.mul(ops.divexact_p(other.pop(c), k), unit_inv)
+                    for j, b in row.items():
+                        e = ops.sub(other.get(j, ops.zero), ops.mul(f, b))
+                        if e != ops.zero:
+                            other[j] = e
+                        else:
+                            other.pop(j, None)
+            steps.append((c, k, unit_inv, row))
+
+    @pytest.mark.parametrize("p,d,N", [(2, 1, 6), (3, 1, 8), (3, 2, 5),
+                                       (2, 3, 6)])
+    def test_random_sparse_matrices(self, p, d, N):
+        ctx = make_context(p, d, N)
+        ops = ops_for(ctx)
+        rng = random.Random(p * 100 + d * 10 + N)
+        # few distinct values, so entries collide and change back and forth
+        values = [ctx.scalar([rng.choice((0, 1, p, p + 1, p * p, ctx.q - 1))
+                              for _ in range(d)]) for _ in range(8)]
+        for _ in range(40):
+            r = rng.randrange(1, 8)
+            cols = sparse_rows(ops, [[ops.unwrap(rng.choice(values))
+                                      if rng.random() < 0.5 else ops.zero
+                                      for _ in range(r)] for _ in range(r)])
+            assert pivot_steps(ops, cols) == self.scan_steps(ops, cols)
+
+    @pytest.mark.parametrize("spec,d", [("def(6; s0=1, s2=2, s5=2)", 1),
+                                        ("M(5)+N^2", 2)])
+    def test_display_pivots(self, spec, d):
+        spec = parse_module_spec(spec)
+        D = spec.build(make_context(3, d, 4 * spec.half_rank * d + 8))
+        cols = D.sparse_frobenius
+        assert pivot_steps(D._ops(), cols) == self.scan_steps(D._ops(), cols)
+
+
 class TestPivotInverses:
     """_eliminate inverts each distinct pivot unit once per call.  The
     pivots of F for M(m) are 1 and p = p * 1, and (-1)^m at F u_1: one

@@ -17,6 +17,7 @@ from gustrata import (DeformationPoint, DieudonneDisplay, PrecisionError,
                       expected_module, make_context, module_M, module_N,
                       parse_module_spec, polarization_check, signature,
                       supersingular_module, validate_display)
+from gustrata import _linalg, fcrystal
 from gustrata._linalg import ops_for
 from gustrata.fcrystal import U, V, _basis_halves, _lane_columns
 from gustrata.wittring import PadicScalar
@@ -534,3 +535,199 @@ def test_polarization_check_wrong_pairing_entry(n, d, a, b):
     assert validate_display(bad).ok
     found = polarization_check(bad)
     assert found and found == dense_polarization(bad)
+
+
+# Polarization certified from F alone: A^T J A = p sigma(J) mod p^N at
+# 1 <= v < N with V integral gives [] with no V derived; every other
+# display is checked against V.  Each check is compared with the dense
+# oracle and with the check run against V alone (_polarized switched off).
+
+def polarization_outcome(check, D):
+    """check(D), or the type and text of the error it raises."""
+    try:
+        return check(D)
+    except (ValueError, PrecisionError) as exc:
+        return type(exc), str(exc)
+
+
+def against_v_alone(monkeypatch, D):
+    with monkeypatch.context() as m:
+        m.setattr(fcrystal, "_polarized", lambda display: False)
+        return polarization_outcome(polarization_check, D)
+
+
+def assert_polarization_agrees(monkeypatch, make):
+    """The check of make(), each run on a fresh display, equals the dense
+    oracle's and the check against V alone; returns it."""
+    found = polarization_outcome(polarization_check, make())
+    assert found == polarization_outcome(dense_polarization, make())
+    assert found == against_v_alone(monkeypatch, make())
+    return found
+
+
+def rebuilt(D, perturb=None):
+    """D rebuilt densely through the public constructor, with
+    perturb(columns, pairing) applied to its dense lists first."""
+    cols = [list(col) for col in zip(*D.frobenius)]
+    pairing = [list(row) for row in D.pairing]
+    if perturb is not None:
+        perturb(cols, pairing)
+    return DieudonneDisplay(D.ctx, D.basis, cols, pairing)
+
+
+# (spec, p, d): N, M(m), def(n) and sums at d = 1..4 and p = 1000003
+CERTIFIED = [("N", 3, 1), ("N", 2, 4), ("M(3)", 3, 2), ("M(4)", 2, 3),
+             ("M(2)+N^2", 3, 4), ("def(4; s0=1, s2=2)", 3, 1),
+             ("def(3; s2=5)", 3, 2), ("ss(4)+N", 5, 3),
+             ("N", 1000003, 1), ("M(3)+N", 1000003, 2),
+             ("def(5; s2=7, s3=1)", 1000003, 1)]
+
+
+def certified_display(spec, p, d):
+    spec = parse_module_spec(spec)
+    return spec.build(make_context(p, d, default_precision(spec.half_rank,
+                                                           d)))
+
+
+@pytest.mark.parametrize("spec,p,d", CERTIFIED)
+def test_module_specs_are_certified_from_f(spec, p, d, monkeypatch):
+    D = certified_display(spec, p, d)
+    v, integral = D._det_valuation()
+    assert 1 <= v < D.ctx.N and integral
+    assert fcrystal._polarized(D)
+    assert fcrystal._polarized(rebuilt(D))
+    assert assert_polarization_agrees(
+        monkeypatch, lambda: certified_display(spec, p, d)) == []
+    assert assert_polarization_agrees(
+        monkeypatch, lambda: rebuilt(certified_display(spec, p, d))) == []
+
+
+def perturb_f(k, i, j):
+    """Add p^k times a unit to entry (i, j) of A."""
+    def perturb(cols, pairing):
+        ctx = cols[0][0].ctx
+        unit = ctx.scalar([1] * ctx.d)
+        cols[j][i] = cols[j][i] + ctx.from_int(ctx.p ** k) * unit
+    return perturb
+
+
+def perturb_j(k, i, j):
+    """Add p^k times a unit to J_ij and take it from J_ji: J stays
+    alternating."""
+    def perturb(cols, pairing):
+        ctx = pairing[0][0].ctx
+        delta = ctx.from_int(ctx.p ** k) * ctx.scalar([1] * ctx.d)
+        pairing[i][j] = pairing[i][j] + delta
+        pairing[j][i] = pairing[j][i] - delta
+    return perturb
+
+
+@pytest.mark.parametrize("spec,p,d", CERTIFIED)
+def test_perturbed_displays_match_the_dense_check(spec, p, d, monkeypatch):
+    # F perturbed at a nonzero and at a zero entry, J at an off-diagonal
+    # pair, at every valuation k < N.  J perturbed at k >= N_v, the
+    # precision of V, leaves V as it is and no violation V can see, though
+    # at k < N - 1 it changes A^T J A - p sigma(J) mod p^N
+    good = certified_display(spec, p, d)
+    N, r = good.ctx.N, good.rank
+    n_v = good._verschiebung()[0].N
+    i0 = good.sparse_frobenius[0][0][0]
+    i1 = next(i for i in range(r)
+              if i not in dict(good.sparse_frobenius[r - 1]))
+    unseen = 0
+    for k in range(N):
+        for kind, perturb in (("F", perturb_f(k, i0, 0)),
+                              ("F", perturb_f(k, i1, r - 1)),
+                              ("J", perturb_j(k, 0, r - 1))):
+            found = assert_polarization_agrees(
+                monkeypatch, lambda: rebuilt(good, perturb))
+            D = rebuilt(good, perturb)
+            certified = fcrystal._polarized(D)
+            if certified:
+                assert found == []
+            if kind == "J":
+                assert D._verschiebung() == good._verschiebung()
+                if k >= n_v:
+                    assert found == []
+                    unseen += not certified
+    # at v = 1, N_v = N - 1 leaves no such k
+    assert (unseen > 0) == (n_v < N - 1)
+
+
+def test_violating_part_checks_the_whole_sum(monkeypatch):
+    ctx = ctx_for(3, d=2)
+    good = module_M(ctx, 3)
+    bad = rebuilt(good, perturb_j(1, 0, 4))
+
+    def make():
+        return direct_sum(module_N(ctx), bad, module_N(ctx), good)
+
+    found = assert_polarization_agrees(monkeypatch, make)
+    assert found and {str(a) for a, _, _ in found} <= {"u1", "u2", "u3",
+                                                     "v1", "v2", "v3"}
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("pairing", ["standard", "zero"])
+def test_unit_frobenius_is_checked_against_v(d, pairing, monkeypatch):
+    # v = 0: V is read at N + 1, beyond what the identity mod p^N gives,
+    # so the check always derives V; with J = 0 it finds nothing, with the
+    # pairing of N it finds the violations
+    ctx = ctx_for(1, d=d)
+    one, zero = ctx.one(), ctx.zero()
+    J = ([[zero, one], [-one, zero]] if pairing == "standard"
+         else [[zero, zero], [zero, zero]])
+
+    def make():
+        return DieudonneDisplay(ctx, (U(0), V(0)), [[zero, one], [one, zero]],
+                                J)
+
+    D = make()
+    assert D._det_valuation() == (0, True)
+    assert not fcrystal._polarized(D)
+    assert D._verschiebung()[0].N == ctx.N + 1
+    found = assert_polarization_agrees(monkeypatch, make)
+    assert bool(found) == (pairing == "standard")
+
+
+def test_certified_check_derives_no_v(monkeypatch):
+    calls = []
+    original = _linalg.adjugate_action
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_linalg, "adjugate_action", counting)
+    for spec, p, d in CERTIFIED:
+        assert polarization_check(certified_display(spec, p, d)) == []
+    assert calls == []
+    ctx = ctx_for(3, d=2)
+    bad = rebuilt(module_M(ctx, 3), perturb_j(1, 0, 4))
+    assert polarization_check(bad)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("a,b", [(1, 9), (1, 27), (3 ** 11, 3 ** 11),
+                                 (0, 1), (3, -1)])
+def test_zero_pairing_keeps_v_errors(d, a, b, monkeypatch):
+    # with J = 0 the identity A^T J A = p sigma(J) holds for every F, so
+    # it certifies nothing unless 1 <= v < N and V is integral: a
+    # non-integral V still raises ValueError and a singular A
+    # PrecisionError, with their own texts
+    ctx = ctx_for(1, d=d)
+    zero = ctx.zero()
+
+    def make():
+        cols = [[zero, ctx.from_int(b)], [ctx.from_int(a), zero]]
+        return DieudonneDisplay(ctx, (U(0), V(0)), cols,
+                                [[zero, zero], [zero, zero]])
+
+    v, integral = make()._det_valuation()
+    found = assert_polarization_agrees(monkeypatch, make)
+    if 1 <= v < ctx.N and integral:
+        assert fcrystal._polarized(make()) and found == []
+    else:
+        assert not fcrystal._polarized(make())
+        assert found[0] in (ValueError, PrecisionError)

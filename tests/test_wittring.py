@@ -487,6 +487,46 @@ class TestElementSemantics:
             ctx.teichmuller(4)
 
 
+class TestUnitInverse:
+    """_winv inverts a unit by its norm: r = sigma(a) ... sigma^(d-1)(a)
+    and r (a r)^(-1), with a r an integer mod p^N."""
+
+    GRID = [(p, d, N) for p in (2, 3, 5) for d in range(1, 7)
+            for N in (1, 2, 7, 30)] + \
+        [(1000003, d, N) for d in (1, 2, 3) for N in (1, 4, 20)]
+
+    @pytest.mark.parametrize("p,d,N", GRID)
+    def test_times_inverse_is_one(self, p, d, N):
+        ctx = make_context(p, d, N)
+        rng = random.Random(p * 1000 + d * 100 + N)
+        one = ctx.one().coords
+        units = [one, tuple((-c) % ctx.q for c in one)]
+        while len(units) < 12:
+            a = tuple(rng.randrange(ctx.q) for _ in range(d))
+            if math.gcd(*a, p) == 1:
+                units.append(a)
+        for a in units:
+            b = ctx._winv(a)
+            assert ctx._wmul(a, b) == one
+            assert all(0 <= c < ctx.q for c in b)
+            # the norm a r lies in Z/p^N: its other coordinates vanish
+            r = ctx._conjugate_product(a, ctx.frobenius_coords)
+            assert ctx._wmul(a, r)[1:] == one[1:]
+
+    @pytest.mark.parametrize("p,d", [(2, 3), (3, 2), (1000003, 2)])
+    def test_field_elements_invert(self, p, d):
+        ctx = make_context(p, d, 5)
+        for k in range(1, min(p ** d, 40)):
+            x = ctx.field_from_int(k)
+            assert x * x.inverse() == ctx.field_from_int(1)
+
+    def test_non_units_raise(self):
+        ctx = make_context(3, 2, 6)
+        for a in ((0, 0), (3, 0), (3, 9)):
+            with pytest.raises(NonInvertibleError):
+                ctx._winv(a)
+
+
 class TestValuation:
     def test_examples(self):
         ctx = make_context(3, 1, 8)

@@ -66,7 +66,10 @@ and at odd n = 65 (p = 5, d = 2).  The last two lines cover the cycle
 table in closed form: a sweep at --precision 1, where the table at N = 1
 holds only the weight-0 cycle and every point retries with the table at
 2, whose cycles of positive weight all hold EXTRA (exit 3), and a random
-sweep at n = 256, the largest n a sweep accepts.
+sweep at n = 256, the largest n a sweep accepts.  The last two lines
+cover the polarization certified from F alone (A^T J A = p sigma(J) mod
+p^N, no V derived): a sum at d = 3 and p = 1000003, and a deformation
+point at d = 4.
 """
 
 import contextlib
@@ -154,6 +157,8 @@ ARGVS = [
     ["verify", "--n", "9", "--p", "3", "--precision", "1", "--random", "30",
      "--seed", "1"],
     ["verify", "--n", "256", "--p", "3", "--random", "8", "--seed", "2"],
+    ["check", "--module", "M(9)+N^3", "--p", "1000003", "--d", "3"],
+    ["check", "--module", "def(7; s2=5, s4=1, s6=3)", "--p", "7", "--d", "4"],
 ]
 
 
