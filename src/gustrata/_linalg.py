@@ -941,23 +941,37 @@ def unit_slope_pairs(units, twist, scale):
     first and last units give distinct hulls.  Its vertices are those
     coefficient_slope_pairs reads off every valuation, and the
     certificate term is sy n.  One hull is run per distinct first and
-    last unit in the call, and the lanes that share them share one
-    (pairs, term)."""
+    last unit in the call (unit_spans, span_slope_pairs), and the lanes
+    that share them share one (pairs, term)."""
     n = len(units) + 1
     out, shared = [], {}
+    for span in unit_spans(units):
+        got = shared.get(span)
+        if got is None:
+            got = shared[span] = span_slope_pairs(n, span, twist, scale)
+        out.append(got)
+    return out
+
+
+def unit_spans(units):
+    """The span of each lane of unit_slope_pairs, in its order: the degrees
+    of the points of its first and its last unit, () when it has none."""
+    n = len(units) + 1
+    out = []
     # lane by lane, u_(n-1), ..., u_1: the points of degree 1, ..., n - 1
     for lane in zip(*reversed(units)):
         mask = tuple(map(bool, lane))
-        # the degrees of the first and the last unit's points, if any
-        span = ((mask.index(True) + 1, n - 1 - mask[::-1].index(True))
-                if True in mask else ())
-        got = shared.get(span)
-        if got is None:
-            hull = lower_hull([(0, n)] + [(i, n - 1 - i) for i in span]
-                              + [(n, 0)])
-            got = shared[span] = _hull_pairs((hull,), twist, scale)
-        out.append(got)
+        out.append((mask.index(True) + 1, n - 1 - mask[::-1].index(True))
+                   if True in mask else ())
     return out
+
+
+def span_slope_pairs(n, span, twist, scale):
+    """(pairs, term) of unit_slope_pairs for a lane of degree n whose units
+    have the span span (unit_spans): the lower hull of (0, n), (n, 0) and
+    the points of those units."""
+    hull = lower_hull([(0, n)] + [(i, n - 1 - i) for i in span] + [(n, 0)])
+    return _hull_pairs((hull,), twist, scale)
 
 
 def _hull_pairs(hulls, twist, scale):

@@ -275,6 +275,40 @@ def deformation_display(ctx, point):
     return DieudonneDisplay._from_sparse(ctx, labels, fcols, jrows, ops=ops)
 
 
+def _template_entries(n):
+    """(labels, columns) of the deformation template for n, with no
+    context: columns[j] lists column j of F as (row, sign, w, parameter
+    position) quadruples, rows ascending, for the integer f = sign p^w,
+    w 0 or 1: the entry is f times the lift of point.values[position], or,
+    for position None, f itself.  w is the entry's valuation at a point
+    whose parameters are nonzero, and its edge's weight in the slope
+    graph (strata._template_graph).  Even n is the odd family on m = n - 1
+    plus the u_0, v_0 block."""
+    m = n if n % 2 else n - 1
+    pos = {j: t for t, j in enumerate(_parameter_indices(n))}
+    labels = _m_labels(m)
+    slots = {(U(1), V(m)): (-1, 0, None), (U(2), V(1)): (1, 1, None),
+             (U(2), V(m)): (1, 1, pos[m]), (V(1), U(m)): (1, 1, None),
+             (V(1), U(1)): (-1, 1, pos[m]), (V(2), U(1)): (1, 0, None)}
+    for j in range(2, m):
+        slots[(U(2), V(j))] = ((-1) ** j, 1, pos[j])
+    for k in range(3, m + 1):
+        slots[(U(k), V(k - 1))] = (1, 1, None)
+        slots[(V(k), U(k - 1))] = (1, 0, None)
+        slots[(V(k), U(1))] = (1, 0, pos[k - 1])
+    if m < n:
+        labels += (U(0), V(0))
+        slots.update({(U(2), V(0)): (1, 1, pos[0]),
+                      (U(0), V(0)): (1, 1, None),
+                      (V(0), U(0)): (-1, 0, None),
+                      (V(0), U(1)): (-1, 0, pos[0])})
+    idx = {lab: k for k, lab in enumerate(labels)}
+    cols = [[] for _ in labels]
+    for (a, b), entry in slots.items():
+        cols[idx[a]].append((idx[b], *entry))
+    return labels, [sorted(col) for col in cols]
+
+
 @functools.lru_cache(maxsize=32)
 def _deformation_template(ctx, n):
     """(labels, slots, sparse raw pairing) of deformation_display for n.
@@ -282,35 +316,25 @@ def _deformation_template(ctx, n):
     slots[j] lists column j of F as (row, f, parameter position) triples,
     rows ascending: the entry is the integer f times the lift of
     point.values[position], or, for position None, the raw entry f itself,
-    scaled here once (one that is 0 mod p^N, p at N = 1, is left out).
-    Even n is the odd family on m = n - 1 plus the u_0, v_0 block.
+    scaled here once (one that is 0 mod p^N, p at N = 1, is left out); the
+    entries are _template_entries(n).
     """
-    p = ctx.p
     m = n if n % 2 else n - 1
-    pos = {j: t for t, j in enumerate(_parameter_indices(n))}
     one, minus, _ = _coefficients(ctx)
-    labels, jrows = _m_labels(m), _m_pairing(m, one, minus)
-    slots = {(U(1), V(m)): (-1, None), (U(2), V(1)): (p, None),
-             (U(2), V(m)): (p, pos[m]), (V(1), U(m)): (p, None),
-             (V(1), U(1)): (-p, pos[m]), (V(2), U(1)): (1, None)}
-    for j in range(2, m):
-        slots[(U(2), V(j))] = ((-1) ** j * p, pos[j])
-    for k in range(3, m + 1):
-        slots[(U(k), V(k - 1))] = (p, None)
-        slots[(V(k), U(k - 1))] = (1, None)
-        slots[(V(k), U(1))] = (1, pos[k - 1])
+    jrows = _m_pairing(m, one, minus)
     if m < n:
-        labels += (U(0), V(0))
-        slots.update({(U(2), V(0)): (p, pos[0]), (U(0), V(0)): (p, None),
-                      (V(0), U(0)): (-1, None), (V(0), U(1)): (-1, pos[0])})
         jrows += (((2 * m + 1, one),), ((2 * m, minus),))
+    labels, cols = _template_entries(n)
     ops = ops_for(ctx)
-    idx = {lab: k for k, lab in enumerate(labels)}
-    cols = [[] for _ in labels]
-    for (a, b), (f, k) in slots.items():
-        if k is not None or (f := ops.scale(f, ops.one)) != ops.zero:
-            cols[idx[a]].append((idx[b], f, k))
-    return labels, tuple(tuple(sorted(col)) for col in cols), jrows
+    slots = []
+    for col in cols:
+        out = []
+        for i, sign, w, k in col:
+            f = sign * ctx.p ** w
+            if k is not None or (f := ops.scale(f, ops.one)) != ops.zero:
+                out.append((i, f, k))
+        slots.append(tuple(out))
+    return labels, tuple(slots), jrows
 
 
 def _template_lanes(ctx, n, rows):

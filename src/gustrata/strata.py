@@ -13,7 +13,8 @@ cycle-slope upper bound and reports on the min-cycle-slope equality.
 A sweep is one stream in three parts:
 
 * sweep checks every limit (n at most MAX_VERIFY_N, the context's
-  parameters, the capacity at 2N, the point budget) and makes the context,
+  parameters, the capacity at 2N, the point budget, the cost of the
+  modulus search) and makes the context,
   at the call and before any work; it returns the mode document, the
   context and a lazy iterator of PointRecords, one per point in order.
 * evaluate_point makes one point's record: the retry at 2N when its
@@ -55,22 +56,24 @@ display is built for a point certified at N, a retried point builds both
 at 2N, and PointRecord.point and PointRecord.display build them when they
 are read.  reduce_records reads the predicted stratum off the codes.
 
-The slope graph stage runs once per sweep and precision, on the template
-(_CycleTable).  Every F entry of the template is a constant or an integer
-f times the Teichmuller lift of one parameter, a unit when the parameter
-is nonzero, so a point's graph is the template's graph without the edges
-of its zero parameters, in the same order.  So its cycles through u_1 are
-the template's cycles whose parameter mask avoids its zero set, in the
-same order, and its least cycle is the first of them in slope order.
-Only n of the template's cycles can be that first one, and they are known
-in closed form (_least_cycles, with its proof): the table holds those n,
-in slope order, and no cycle is enumerated.  A point whose least Newton
-slope exceeds its least cycle slope, which the lemma rules out, names its
-first violating cycle from an enumeration of its own graph.  A cycle that
-avoids u_1 lies in the template's graph without u_1,
-so one Bellman-Ford settle there, at the largest slope of the table,
-shows for every point at once that its least cycle slope through u_1 is
-its global minimum cycle mean.  Where that settle fails, Karp's algorithm
+The slope graph stage runs on the template (_CycleTable), with no
+context, once per process and (n, whether N is 1, whether the sweep's
+precision is 1) (_cycle_plan).  Every F entry of the template is a
+constant or an integer f times the Teichmuller lift of one parameter, a
+unit when the parameter is nonzero, so a point's graph is the template's
+graph without the edges of its zero parameters, in the same order.  So
+its cycles through u_1 are the template's cycles whose parameter mask
+avoids its zero set, in the same order, and its least cycle is the first
+of them in slope order.  Only n of the template's cycles can be that
+first one, and they are known in closed form (_least_cycles, with its
+proof): the table holds those n, in slope order, and no cycle is
+enumerated.  A point whose least Newton slope exceeds its least cycle
+slope, which the lemma rules out, names its first violating cycle from an
+enumeration of its own graph.  A cycle that avoids u_1 lies in the
+template's graph without u_1, and has mean 1/2 (_least_cycles), so one
+Bellman-Ford settle there, at the largest slope of the table, shows for
+every point at once that its least cycle slope through u_1 is its global
+minimum cycle mean.  Where that settle fails, Karp's algorithm
 runs on every point's own graph and decides what is reported.  The
 extra black edges are the positive-weight edges tagged EXTRA by the table
 itself: the parameter edges, and at 2N the constant edges that vanish at
@@ -91,11 +94,10 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from typing import NamedTuple
 
 from ._version import __version__
-from ._linalg import unit_slope_pairs
-from .displayzoo import (DeformationPoint, _coefficients,
-                         _deformation_template, _parameter_indices,
-                         _template_charpoly, _template_lanes,
-                         deformation_display)
+from ._linalg import span_slope_pairs, unit_spans
+from .displayzoo import (DeformationPoint, _parameter_indices,
+                         _template_charpoly, _template_entries,
+                         _template_lanes, deformation_display)
 from .fcrystal import (NewtonPolygon, PrecisionError, U, _graded_lane_pairs,
                        _graded_length, _graded_scale, _lane_polygons,
                        newton_slopes)
@@ -494,9 +496,9 @@ def _records(ctx, n, points):
     """The PointRecord of each parameter vector drawn from the iterator
     points, in order.  The points are taken CHUNK at a time and each
     chunk's polygons are read as lanes (_chunk_polygons), with one
-    NewtonPolygon per distinct hull (fcrystal._lane_polygons); no point
-    or display is built.  Every point reads its cycles off one
-    _CycleTable at N.
+    NewtonPolygon per distinct hull (fcrystal._lane_polygons, at d <= 2
+    _span_polygon); no point or display is built.  Every point reads its
+    cycles off one _CycleTable at N.
 
     Every point has val det A = n: A is p times a unit on the n columns
     F u_k (k >= 2, u_0 included) and F v_1, and with those columns
@@ -538,36 +540,49 @@ def _chunk_polygons(ctx, n, rows):
     parts of its charpoly's coefficients mod p, in closed form at N = 1
     (displayzoo._template_charpoly, _linalg.unit_slope_pairs): no lift,
     no p-adic lane and no Berkowitz run, and the certificate term is d n
-    at every point.  Otherwise the template's factors are multiplied out
+    at every point; the polygon is read off the lane's span
+    (_span_polygon).  Otherwise the template's factors are multiplied out
     and Berkowitz runs on their product."""
     d = ctx.d
-    if _graded_length(d) == 2:
-        units = _template_charpoly(ctx.at_precision(1), n, rows)[1]
-        lanes = unit_slope_pairs(units, d, _graded_scale(d))
-    else:
-        lanes = _graded_lane_pairs(*_template_lanes(ctx, n, rows))
-    return _lane_polygons(lanes, ctx.N)
+    if _graded_length(d) != 2:
+        return _lane_polygons(
+            _graded_lane_pairs(*_template_lanes(ctx, n, rows)), ctx.N)
+    units = _template_charpoly(ctx.at_precision(1), n, rows)[1]
+    degree, scale = len(units) + 1, _graded_scale(d)
+    polygons = []
+    for span in unit_spans(units):
+        polygon, term = _span_polygon(degree, span, d, scale)
+        polygons.append(polygon if term < ctx.N else None)
+    return polygons
 
 
-def _template_graph(ctx, n):
+@functools.lru_cache(maxsize=1024)
+def _span_polygon(degree, span, twist, scale):
+    """(NewtonPolygon, certificate term) of the (pairs, term) of
+    _linalg.unit_slope_pairs for a lane of the degree with the span (see
+    _linalg.unit_spans).  It depends on its arguments alone, so it is built
+    once per process and key, up to 1024 of them, and the polygon, which
+    is immutable, is shared."""
+    pairs, term = span_slope_pairs(degree, span, twist, scale)
+    return NewtonPolygon(pairs), term
+
+
+def _template_graph(n, N):
     """(labels, successor lists, tags) of the slope graph of the
-    deformation template at ctx, the graph of its display at a point
-    whose parameters are all nonzero.  An entry f [s_k] is f times a unit
-    there, so its edge has the tag 2 << k, the bit of parameter position
-    k; a constant entry's edge has tag 0.  Every entry is +-1 or +-p times
-    a unit, so an edge's weight is 0 or 1, read with no ring operation:
-    off the integer f of f [s_k], whose edge vanishes at N = 1 when f is
-    +-p, and off the template's raw constants, of which those that vanish
-    are left out and the rest are +-1 or +-p.  tags is parallel to the
-    successor lists."""
-    labels, slots, _ = _deformation_template(ctx, n)
-    units = _coefficients(ctx)[:2]
+    deformation template at precision N, the graph of its display at a
+    point whose parameters are all nonzero.  An entry f [s_k] is f times a
+    unit there, so its edge has the tag 2 << k, the bit of parameter
+    position k; a constant entry's edge has tag 0.  Every entry is +-1 or
+    +-p times a unit, so an edge's weight is 0 or 1, the exponent of p in
+    its integer f (displayzoo._template_entries), read with no context or
+    ring operation; an entry of weight 1 vanishes at N = 1, and its edge
+    is left out there.  tags is parallel to the successor lists."""
+    labels, cols = _template_entries(n)
     succ, tags = [], []
-    for col in slots:
+    for col in cols:
         row, trow = [], []
-        for i, f, k in col:
-            w = 0 if f in ((1, -1) if k is not None else units) else 1
-            if w < ctx.N:
+        for i, _, w, k in col:
+            if w < N:
                 row.append((i, w))
                 trow.append(0 if k is None else 2 << k)
         succ.append(row)
@@ -657,7 +672,18 @@ def _least_cycles(n, N, base):
     joins the mask of every cycle of positive weight, and at base >= 2 no
     mask changes.
     Neither change makes one mask hold another's, and a cycle of the last
-    kind keeps s_j and EXTRA, so the same cycles are dropped."""
+    kind keeps s_j and EXTRA, so the same cycles are dropped.
+
+    A cycle that avoids u_1 has mean 1/2.  Without u_1, the even chain
+    from u_m ends at v_2, whose one edge leads to u_1, and v_1 leads only
+    to u_1 and u_m; so such a cycle meets neither v_1 nor the even chain.
+    It is u_2 -> v_j -> u_(j-1) -> ... -> v_3 -> u_2 for an odd j >= 3,
+    or, at even n, u_0 -> v_0 -> u_0.  Its u -> v edges have weight 1 and
+    its v -> u edges weight 0, so its mean is 1/2, the largest slope of
+    the list.  So the settle at that slope on the graph without u_1
+    (_cycle_plan) meets no cycle below it and holds, for every n and
+    N >= 2; at N = 1 the edges of weight 1 are gone, and that graph has
+    no cycle at all."""
     m = n if n % 2 else n - 1
     h = (m - 1) // 2
     bit = {j: 2 << t for t, j in enumerate(_parameter_indices(n))}
@@ -675,14 +701,39 @@ def _least_cycles(n, N, base):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _cycle_plan(n, N, base):
+    """(labels, succ, tags, by_slope, settled) of the _CycleTable at
+    precision N with the sweep's precision base: the template's graph
+    (_template_graph), frozen to tuples, the cycles of _least_cycles as
+    (mask, _Cycle) pairs in slope order, and whether the settle holds.
+    An edge's weight is 0 or 1, so N and base enter only through whether
+    they are 1: a table asks with both capped at 2, and the plan is built
+    once per process and (n, N == 1, base == 1), up to 64 of them."""
+    labels, succ, tags = _template_graph(n, N)
+    by_slope = tuple((mask, _Cycle(w, l, mask, Fraction(w, l)))
+                     for w, l, mask in _least_cycles(n, N, base))
+    # the template's graph without the edges leaving u_1
+    off = list(succ)
+    off[labels.index(_U1)] = []
+    top = by_slope[-1][1]
+    settled = settle_potentials(SlopeGraph._from_successors(labels, off),
+                                top.weight, top.length) is not None
+    return (labels, tuple(map(tuple, succ)), tuple(map(tuple, tags)),
+            by_slope, settled)
+
+
 class _CycleTable:
     """The slope-graph stage of a sweep at one precision, shared by its
     points: the template's cycles through u_1 that least can return, in
     closed form (_least_cycles), as (mask, _Cycle) pairs in slope order
     (by_slope), and whether one settle decides the certificate for every
-    point (settled).  Each cycle's slope is built once, with the table.
-    The least cycle and its slope are memoized per skip mask
-    (least_slope), so points with one zero pattern scan by_slope once.
+    point (settled).  These and the template's graph depend on n and on
+    whether the precisions are 1 alone, and are read off _cycle_plan,
+    built once per process.  The least cycle and its slope are memoized
+    per skip mask and table (least_slope), so points with one zero
+    pattern scan by_slope once; that memo stays with the table, as a
+    sweep at large n meets unboundedly many skips.
 
     A cycle's mask holds the bits of the parameters its edges use, and
     EXTRA when it uses an extra black edge: an edge of positive weight
@@ -696,20 +747,11 @@ class _CycleTable:
     cycle in the order of cycles_through."""
 
     def __init__(self, ctx, n, N=None):
-        labels, succ, tags = _template_graph(ctx, n)
         self.ctx, self.n = ctx, n
-        self.labels, self.succ, self.tags = labels, succ, tags
-        self.by_slope = [(mask, _Cycle(w, l, mask, Fraction(w, l)))
-                         for w, l, mask in _least_cycles(
-                             n, ctx.N, ctx.N if N is None else N)]
+        (self.labels, self.succ, self.tags, self.by_slope,
+         self.settled) = _cycle_plan(n, min(ctx.N, 2),
+                                     min(ctx.N if N is None else N, 2))
         self._least = {}
-        # the template's graph without the edges leaving u_1
-        off = list(succ)
-        off[labels.index(_U1)] = []
-        top = self.by_slope[-1][1]
-        self.settled = settle_potentials(
-            SlopeGraph._from_successors(labels, off),
-            top.weight, top.length) is not None
 
     @functools.cached_property
     def doubled(self):

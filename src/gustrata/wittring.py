@@ -34,10 +34,12 @@ that is the first lift, so its context runs one Teichmuller root.
 
 The modulus polynomial is the lexicographically smallest monic irreducible
 of its degree (constant coefficient least significant), so every context is
-reproducible from (p, d, N) alone.  A context memoizes its derived
-precisions, its Teichmuller lifts and its residue field elements by code,
-the last two up to _TEICH_MEMO_LIMIT of each; no memo outlives its
-context.
+reproducible from (p, d, N) alone.  The search for it runs once per
+process and (p, d) (_first_irreducible), within a bound on its cost
+(_check_search before it, _SEARCH_WORK_LIMIT during it).  A context
+memoizes its derived precisions, its Teichmuller lifts and its residue
+field elements by code, the last two up to _TEICH_MEMO_LIMIT of each; no
+memo of a context outlives it.
 
 There is one element implementation: PadicScalar (W_N) and FieldElement
 (W_1 = F_{p^d}) share their arithmetic, which runs on the raw coordinate
@@ -64,7 +66,7 @@ again.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 
 # A single scalar may not exceed this many bits across its coordinates.
@@ -189,6 +191,7 @@ def _prime_factors(m):
     return out + [m] if m > 1 else out
 
 
+@lru_cache(maxsize=64)
 def _first_irreducible(p, d):
     """Lexicographically smallest monic irreducible of degree d over F_p.
 
@@ -198,13 +201,24 @@ def _first_irreducible(p, d):
     prime r | d does not divide p - 1, or when 4 | d and p = 3 mod 4 (Lidl
     & Niederreiter, Finite Fields, Thm. 3.75); the search then skips them.
     At d >= 2 it also skips every candidate with constant coefficient 0,
-    which x divides.
+    which x divides.  The result depends on (p, d) alone, so it is found
+    once per process and (p, d), up to 64 pairs.  It raises ValueError
+    rather than test a candidate past _SEARCH_WORK_LIMIT work units
+    (_candidate_work each); _check_search refuses beforehand the fields
+    whose expected d tests exceed it, and make_context runs that first.
     """
     skip = d % 4 == 0 and p % 4 == 3 or any(
         (p - 1) % r for r in _prime_factors(d))
+    unit, tested = _candidate_work(p, d), 0
     for k in range(p if skip else 0, p ** d):
         if d > 1 and k % p == 0:
             continue
+        if (tested + 1) * unit > _SEARCH_WORK_LIMIT:
+            raise ValueError(
+                f"modulus search out of reach: degree {d} over F_{p} found "
+                f"none in {tested} candidates, {tested * unit} work units, "
+                f"limit is {_SEARCH_WORK_LIMIT}")
+        tested += 1
         coeffs = [(k // p ** i) % p for i in range(d)]
         f = coeffs + [1]
         if _is_irreducible(f, p):
@@ -733,9 +747,11 @@ def make_context(p, d, N):
 
     Deterministic across runs: the modulus is the lexicographically smallest
     monic degree-d polynomial over F_p that is irreducible, lifted with
-    coefficients in [0, p).
+    coefficients in [0, p).  The limits (_check_params, _check_search) are
+    checked before the search.
     """
     _check_params(p, d, N)
+    _check_search(p, d)
     return RingContext._trusted(p, d, _first_irreducible(p, d), N)
 
 
@@ -751,6 +767,34 @@ def _check_params(p, d, N):
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     _check_capacity(p, d, N)
+
+
+# A test of one candidate of the modulus search costs about d^2 (d + k bits)
+# products' worth of work, for bits the bit length of p, and a search
+# tests about d candidates.  tools/modulus_search_cost.py times the search
+# and fits c = 1-2.5e-8 s per unit with k from 40 to 62 (the fit is flat
+# in k); at k = 48 a limit of 10^8 units is about 2 s (2-core Xeon,
+# CPython 3.11).  _check_search refuses the fields whose d tests exceed it,
+# p = 2, d = 100 among them (it took 2-4 s), and _first_irreducible stops
+# at it, p = 7, d = 48 among them (368 candidates, 2-3 s).
+_SEARCH_BITS_WEIGHT = 48
+_SEARCH_WORK_LIMIT = 10 ** 8
+
+
+def _candidate_work(p, d):
+    """The work units of one candidate's test in the modulus search."""
+    return d * d * (d + _SEARCH_BITS_WEIGHT * p.bit_length())
+
+
+def _check_search(p, d):
+    """Raise ValueError when the modulus search for (p, d) would cost more
+    than _SEARCH_WORK_LIMIT work units at its expected d tests; for p and d
+    that _check_params accepts, and cheap, so it runs before the search."""
+    work = d * _candidate_work(p, d)
+    if work > _SEARCH_WORK_LIMIT:
+        raise ValueError(
+            f"modulus search out of reach: degree {d} over F_{p} needs about "
+            f"{work} work units, limit is {_SEARCH_WORK_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from gustrata import (RingContext, __version__, _linalg, cli, displayzoo,
-                      strata)
+                      strata, wittring)
 from gustrata.cli import main
 
 
@@ -222,6 +222,83 @@ class TestVerify:
                          "--format", "tsv"])
         assert code == 0
         assert "# agreement_rate\t1/1" in out
+
+
+class TestModulusSearchBound:
+    """A residue field whose modulus search is out of reach is refused
+    with exit 2 and one line, before any search; every field the tests,
+    the golden file and the digests use is accepted."""
+
+    @staticmethod
+    def _refuse_search(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("modulus search started")
+
+        for name in ("_first_irreducible", "_is_irreducible"):
+            monkeypatch.setattr(wittring, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--n", "3", "--p", "2", "--d", "1000", "--precision",
+         "1"],
+        ["catalog", "--n", "3", "--p", "2", "--d", "100", "--precision",
+         "1"],
+        ["slopes", "--module", "N", "--p", "1000003", "--d", "64"],
+        ["check", "--module", "N", "--p", "3", "--d", "128",
+         "--precision", "1"],
+    ])
+    def test_module_commands_refuse_before_the_search(self, argv,
+                                                      monkeypatch, capsys):
+        self._refuse_search(monkeypatch)
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: modulus search out of reach: degree ")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--d", "100", "--random", "1"],
+        ["--n", "4", "--d", "1000", "--precision", "1", "--random", "5"],
+    ])
+    def test_verify_refuses_before_the_search(self, argv, monkeypatch,
+                                              capsys):
+        self._refuse_search(monkeypatch)
+        code, out = run(["verify", "--p", "3"] + argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: modulus search out of reach: degree {argv[3]} over F_3 "
+            f"needs about {int(argv[3]) ** 3 * (int(argv[3]) + 96)} work "
+            f"units, limit is {wittring._SEARCH_WORK_LIMIT}\n")
+
+    @pytest.mark.parametrize("tested,code", [(12, 2), (13, 0)])
+    def test_the_search_stops_at_the_limit(self, tested, code, monkeypatch,
+                                           capsys):
+        # p = 5, d = 5 finds its modulus at the 13th candidate it tests;
+        # with room for 12 tests the search stops before the 13th
+        unit = wittring._candidate_work(5, 5)
+        monkeypatch.setattr(wittring, "_SEARCH_WORK_LIMIT", tested * unit)
+        wittring._first_irreducible.cache_clear()
+        got, out = run(["catalog", "--n", "3", "--p", "5", "--d", "5",
+                        "--precision", "1"])
+        err = capsys.readouterr().err
+        assert got == code
+        if code:
+            assert out == "" and err == (
+                f"error: modulus search out of reach: degree 5 over F_5 "
+                f"found none in 12 candidates, {12 * unit} work units, "
+                f"limit is {12 * unit}\n")
+        else:
+            assert err == "" and wittring._first_irreducible.cache_info(
+                ).currsize == 1
+
+    def test_fields_in_use_are_accepted(self):
+        # every (p, d) of the tests, bench/golden.json and
+        # tools/cli_digests.py, with room to spare
+        for p in (2, 3, 5, 7, 11, 13, 1000003):
+            for d in range(1, 9):
+                wittring._check_search(p, d)
+        for p, d in ((2, 64), (3, 64), (1000003, 32)):
+            wittring._check_search(p, d)
 
 
 class TestDeterminismAndUsage:

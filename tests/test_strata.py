@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import pathlib
@@ -399,8 +400,8 @@ class TestKarpFallback:
         the graph of every point whose zero parameters miss the tag."""
         template_graph = strata._template_graph
 
-        def looped(ctx, n):
-            labels, succ, tags = template_graph(ctx, n)
+        def looped(n, N):
+            labels, succ, tags = template_graph(n, N)
             last = len(labels) - 1
             assert labels[last] != U(1)
             succ[last].append((last, 0))
@@ -408,6 +409,11 @@ class TestKarpFallback:
             return labels, succ, tags
 
         monkeypatch.setattr(strata, "_template_graph", looped)
+        # the cycle plans are memoized per process: the sweep reads them
+        # from an empty memo of the test's own, which builds them from the
+        # looped graph, and the process's memo never holds a looped plan
+        monkeypatch.setattr(strata, "_cycle_plan", functools.lru_cache(
+            maxsize=64)(strata._cycle_plan.__wrapped__))
 
     @staticmethod
     def _karp_entries(records, has_loop):

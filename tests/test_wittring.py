@@ -64,7 +64,10 @@ class TestMakeContext:
 
     @staticmethod
     def _spy_irreducible(monkeypatch):
-        """The list of the candidates _is_irreducible is asked about."""
+        """The list of the candidates _is_irreducible is asked about.  The
+        search is memoized per process, so its memo is cleared first: a
+        search run earlier in the process would leave nothing to spy on."""
+        wittring._first_irreducible.cache_clear()
         tested = []
         is_irreducible = wittring._is_irreducible
 
@@ -128,12 +131,18 @@ class TestMakeContext:
             calls.append(tuple(f))
             return original(f, p)
 
+        # the search is memoized per process: clear what an earlier
+        # make_context(5, 2, N) left there
+        wittring._first_irreducible.cache_clear()
         monkeypatch.setattr(wittring, "_is_irreducible", counting)
         ctx = make_context(5, 2, 9)
         # x^2 + 1 = (x - 2)(x + 2), then x^2 + 2: one test each (x^2,
         # which x divides, is skipped untested)
         assert calls == [(1, 0, 1), (2, 0, 1)]
         assert ctx.modulus == (2, 0)
+        # a second context of the same (p, d) runs no test at all
+        assert make_context(5, 2, 9).modulus == (2, 0)
+        assert calls == [(1, 0, 1), (2, 0, 1)]
 
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError, match="prime"):

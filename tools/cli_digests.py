@@ -7,9 +7,10 @@ one line per invocation: "sha256(stdout) sha256(stderr) exit  argv".  Run
 it on two trees and diff the outputs: an empty diff means every listed
 invocation writes the same bytes and exits the same way.  Each invocation
 runs twice in a row, the second time on what the first left in the
-process's memos (the parser, the deformation templates, the basis halves
-and the catalogs); the line is printed once, and if the two digests
-differ the script names the argv on stderr and exits 1.  gustrata is
+process's memos (the parser, the deformation templates, the basis halves,
+the catalogs, the modulus search, the cycle plans and the lane polygons
+by span); the line is printed once, and if the two digests differ the
+script names the argv on stderr and exits 1.  gustrata is
 imported from the src/ directory of the script's own tree, put first on
 sys.path, so an installed copy is never digested in its place.
 
@@ -69,7 +70,12 @@ holds only the weight-0 cycle and every point retries with the table at
 sweep at n = 256, the largest n a sweep accepts.  The last two lines
 cover the polarization certified from F alone (A^T J A = p sigma(J) mod
 p^N, no V derived): a sum at d = 3 and p = 1000003, and a deformation
-point at d = 4.
+point at d = 4.  The last six lines cover the process memos of a sweep's
+set-up, keyed by parameters alone: one (n, p, d) at its default N, at a
+low N whose points retry at 2N, and at the default N again, for the
+shapes of the bench's d = 1 and d = 2 sweeps.  A memo keyed too coarsely
+would give the third line of each the second's set-up, and a diff
+against another tree.
 """
 
 import contextlib
@@ -159,6 +165,10 @@ ARGVS = [
     ["verify", "--n", "256", "--p", "3", "--random", "8", "--seed", "2"],
     ["check", "--module", "M(9)+N^3", "--p", "1000003", "--d", "3"],
     ["check", "--module", "def(7; s2=5, s4=1, s6=3)", "--p", "7", "--d", "4"],
+    *[["verify", "--n", "8", "--p", "3", "--random", "25", "--seed", "11",
+       *low] for low in ([], ["--precision", "5"], [])],
+    *[["verify", "--n", "5", "--p", "3", "--d", "2", "--random", "12",
+       "--seed", "11", *low] for low in ([], ["--precision", "6"], [])],
 ]
 
 
